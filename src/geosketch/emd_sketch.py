@@ -135,6 +135,12 @@ def expected_split_probability(dists: np.ndarray, weights: np.ndarray, rate: flo
 # ---------------------------------------------------------------------------
 
 
+def default_universe_m(n: int) -> int:
+    """The default universe size max(8, n^3), clamped to 2^64 - 1 so that
+    the node ids stay uint64 (the clamp acts for n > 2,642,245)."""
+    return min(max(8, n**3), 2**64 - 1)
+
+
 class UniverseMap:
     """Keyed-hash reduction of parent/child node fingerprints into [m]."""
 
@@ -187,13 +193,13 @@ class EmdSketchConfig:
     cs_rows: int = 5
     cs_buckets: int = 256
     delta_rows: int = 512
-    universe_m: int = 0  # 0 -> n^3
+    universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
     sampler_buckets: int = 256  # two-pass round-1 sampler
     sampler_gamma: float = 0.05
 
     def __post_init__(self):
         if self.universe_m == 0:
-            self.universe_m = max(8, self.n**3)
+            self.universe_m = default_universe_m(self.n)
 
     @property
     def L(self) -> int:

@@ -18,6 +18,7 @@ U64 = np.uint64
 _GAMMA = U64(0x9E3779B97F4A7C15)
 _M1 = U64(0xBF58476D1CE4E5B9)
 _M2 = U64(0x94D049BB133111EB)
+_S30, _S27, _S31 = U64(30), U64(27), U64(31)
 
 # fills the low 53 bits after shift; keeps uniforms inside the open interval
 _INV53 = float(2.0**-53)
@@ -25,12 +26,23 @@ _HALF54 = float(2.0**-54)
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray:
-    """splitmix64 finalizer: a bijective mixer on 64-bit words."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=U64) + _GAMMA
-        z = (z ^ (z >> U64(30))) * _M1
-        z = (z ^ (z >> U64(27))) * _M2
-        return z ^ (z >> U64(31))
+    """splitmix64 finalizer: a bijective mixer on 64-bit words.
+
+    uint64 arrays wrap silently, but 0-d input computes on numpy scalars,
+    which warn on overflow; only that case enters an errstate guard (it is
+    costly next to the mixing of a small array)."""
+    z = np.asarray(x, dtype=U64)
+    if z.ndim == 0:
+        with np.errstate(over="ignore"):
+            return _splitmix(z)
+    return _splitmix(z)
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    z = z + _GAMMA
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
 
 
 def combine(*parts) -> np.ndarray:

@@ -27,6 +27,15 @@ runs in (sign, log-magnitude) space.
 State per (level, sample): exact sparse counts per universe-reduced node and
 per point identity, plus seeds; every sketch view is materialized from those
 counts at decode time (bit-identical under permutation and merge).
+
+The decode is batched: the parent recovery evaluates its hash rows as one
+stack, each kappa of the child scan evaluates all of its (j, side, row)
+sketches as one stack, and the witnesses of a node are built for every
+(eta, row) at once and validated with one hash call. The kappas stay a loop
+because the scan stops at the first kappa that isolates both children.
+Stacking is exact: every hash and draw is elementwise, and every
+accumulator adds its nodes in the same order, so the estimates equal those
+of the per-row loops bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
 from .sketches import FAIL, L0Sketch, stable_median
-from .emd_sketch import CharacterSet, UniverseMap, log2n
+from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n
 
 __all__ = [
     "MstSketchConfig",
@@ -54,6 +63,7 @@ __all__ = [
 ]
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
+_DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
 
 
 @dataclass
@@ -73,13 +83,13 @@ class MstSketchConfig:
     rec_t0_parent: int = 48
     rec_t0_child: int = 12
     l0_buckets: int = 4096
-    universe_m: int = 0  # 0 -> n^3
+    universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
 
     def __post_init__(self):
         if self.samples == 0:
             self.samples = log2n(self.n) ** 3
         if self.universe_m == 0:
-            self.universe_m = max(8, self.n**3)
+            self.universe_m = default_universe_m(self.n)
 
     @property
     def L(self) -> int:
@@ -134,8 +144,10 @@ def _grouped_log_abs_sum(
     safe_m = m[flat_idx]
     safe_m = np.where(np.isneginf(safe_m), 0.0, safe_m)
     np.add.at(mant, flat_idx, sign * np.exp(log_mag - safe_m))
+    # groups without entries keep m = -inf, which is -inf + log(0)
     with np.errstate(divide="ignore"):
-        return m + np.log(np.abs(mant))
+        m[flat_idx] += np.log(np.abs(mant[flat_idx]))
+    return m
 
 
 def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
@@ -244,98 +256,123 @@ class MstRepView:
         self.hk_v = self._node_hash(self.u.astype(U64), self.w.astype(U64))
         self.t_u = np.clip(hx.exp1(hx.combine(state.seed, 0xE1, self.hk_u)), 1e-6, 50.0)
         self.log_med = math.log(stable_median(self.cfg.p))
+        self._wit: Dict[Tuple[Tuple[int, int], int], np.ndarray] = {}
 
     # -- membership hashes ---------------------------------------------------
-    def in_D(self, kappa: int, j: int, side: int) -> np.ndarray:
+    def in_D(self, kappa: int, j, side) -> np.ndarray:
+        """Membership of every node in D_{kappa,j} (side 0) or D'_{kappa,j}
+        (side 1); j and side broadcast, so arrays give one row per (j, side)."""
         u01 = hx.uniform01(hx.combine(self.st.seed, 0xDD, side, j, self.hk_v))
         return u01 < 2.0**-kappa
 
-    # -- parent recovery -------------------------------------------------------
-    def _lp_bucket_logs(self, bucket_of_node: np.ndarray, gamma_log: np.ndarray,
-                        salt: int, t0: int) -> np.ndarray:
-        """(t0, buckets) log|accumulator| for one hash row: each node
-        contributes its stable draw times exp(gamma_log)."""
-        cfg = self.cfg
-        tgrid = np.arange(t0, dtype=U64)[:, None]
-        h_r = hx.combine(self.st.seed, salt, 0x01, tgrid, self.hk_v[None, :])
-        h_t = hx.combine(self.st.seed, salt, 0x02, tgrid, self.hk_v[None, :])
-        sign, lmag = _log_stable_draws(h_r, h_t, cfg.p)
-        lmag = lmag + gamma_log[None, :]
-        flat = (np.arange(t0)[:, None] * cfg.rec_buckets + bucket_of_node[None, :]).ravel()
-        out = _grouped_log_abs_sum(
-            flat, lmag.ravel(), sign.ravel(), t0 * cfg.rec_buckets
-        )
-        return out.reshape(t0, cfg.rec_buckets)
+    # -- bucketed l_p sketches -------------------------------------------------
+    def _lp_bucket_logs(self, b_nodes: np.ndarray, gamma_log: np.ndarray,
+                        salts, t0: int) -> np.ndarray:
+        """(..., t0, buckets) log|accumulator| of one bucketed l_p sketch per
+        entry of the leading batch axes: salts (...) keys the stable draws,
+        and b_nodes, gamma_log (..., N) (broadcast against salts) give each
+        node's bucket and log-weight; each node adds its stable draw times
+        exp(gamma_log) to its bucket. A stack equals the calls it replaces
+        bit for bit: the hashes and draws are elementwise, and every
+        accumulator still adds its nodes in node order. Nodes with
+        gamma_log = -inf (outside the subsample) would add exact zeros, so
+        their draws are skipped. parent_recover stacks its hash rows, and
+        the child scan stacks the (j, side, row) sketches of one kappa; it
+        does not stack the kappas, as it stops at the first kappa that
+        isolates both children."""
+        B = self.cfg.rec_buckets
+        salts = np.asarray(salts, dtype=U64)
+        shape = salts.shape + (len(self.hk_v),)
+        gamma_log = np.broadcast_to(gamma_log, shape).reshape(-1, shape[-1])
+        b_nodes = np.broadcast_to(b_nodes, shape).reshape(-1, shape[-1])
+        bi, ni = np.nonzero(np.isfinite(gamma_log))  # active (batch, node) pairs
+        tgrid = np.arange(t0)[:, None]
+        # the two hash words of each draw (salts 0x01, 0x02) in one stack
+        h_r, h_t = hx.combine(self.st.seed, salts.ravel()[bi], _DRAW_WORDS, tgrid,
+                              self.hk_v[ni])
+        sign, lmag = _log_stable_draws(h_r, h_t, self.cfg.p)  # (t0, pairs)
+        lmag = lmag + gamma_log[bi, ni]
+        flat = (bi * t0 + tgrid) * B + b_nodes[bi, ni]
+        out = _grouped_log_abs_sum(flat.ravel(), lmag.ravel(), sign.ravel(),
+                                   len(gamma_log) * t0 * B)
+        return out.reshape(salts.shape + (t0, B))
 
-    def _row_bucket(self, idx_hash: np.ndarray, row: int, salt: int) -> np.ndarray:
+    def _row_bucket(self, idx_hash: np.ndarray, row, salt) -> np.ndarray:
         return hx.bucket(hx.combine(self.st.seed, salt, 0xB0, row, idx_hash),
                          self.cfg.rec_buckets)
 
+    # -- parent recovery -------------------------------------------------------
     def parent_recover(self) -> Optional[int]:
         """The non-empty parent maximizing |C(u)|/t_u, recovered from the
-        bucketed l_p sketch (median over rows of per-bucket estimates)."""
+        bucketed l_p sketch (median over rows of per-bucket estimates); the
+        rec_rows hash rows are evaluated as one stack."""
         if len(self.keys) == 0:
             return None
         cfg = self.cfg
         mask = self.nx > 0
         gamma_log = np.where(mask, np.log(np.maximum(self.nx, 1)), -np.inf)
         gamma_log = gamma_log - np.log(self.t_u[self.u_inv]) / cfg.p
-        ests = np.empty((cfg.rec_rows, len(self.uu)))
-        for row in range(cfg.rec_rows):
-            b_nodes = self._row_bucket(self.hk_u[self.u_inv], row, 0x9A)
-            logs = self._lp_bucket_logs(b_nodes, gamma_log, salt=0x9A00 + row,
-                                        t0=cfg.rec_t0_parent)
-            b_cand = self._row_bucket(self.hk_u, row, 0x9A)
-            ests[row] = np.median(logs, axis=0)[b_cand]
+        rows = np.arange(cfg.rec_rows, dtype=U64)
+        b_nodes = self._row_bucket(self.hk_u[self.u_inv], rows[:, None], 0x9A)
+        logs = self._lp_bucket_logs(b_nodes, gamma_log, 0x9A00 + rows, cfg.rec_t0_parent)
+        b_cand = self._row_bucket(self.hk_u, rows[:, None], 0x9A)
+        ests = np.median(np.take_along_axis(logs, b_cand[:, None, :], axis=-1), axis=-2)
         med = np.median(ests, axis=0) - self.log_med
         return int(self.uu[int(np.argmax(med))])
 
     # -- child recovery ---------------------------------------------------------
-    def child_recover(self, u_star: int, kappa: int, j: int, side: int = 0) -> List[Tuple[int, int]]:
-        """Children of u_star whose bucket estimate clears the presence
-        threshold 1/(3 t_{u*})^{1/p} in the D_{kappa,j}-filtered sketch;
-        equals C(u*) cap D when 2^kappa >= |C(u*)|."""
+    def _children_present(self, u_star: int, kappa: int):
+        """(cand, hit): the indices of u_star's non-empty children, and the
+        (j_reps, 2, |cand|) matrix of which of them clear the presence
+        threshold 1/(3 t_{u*})^{1/p} in the D_{kappa,j} (side 0) and
+        D'_{kappa,j} (side 1) filtered sketches. Every (j, side, row) sketch
+        of the kappa is one stacked _lp_bucket_logs evaluation."""
         cfg = self.cfg
         cand = np.nonzero((self.u == u_star) & (self.nx > 0))[0]
         if len(cand) == 0:
-            return []
-        member = self.in_D(kappa, j, side)
+            return cand, np.zeros((cfg.j_reps, 2, 0), dtype=bool)
+        j = np.arange(cfg.j_reps, dtype=U64)[:, None, None]
+        side = np.arange(2, dtype=U64)[None, :, None]
+        rows = np.arange(cfg.rec_rows, dtype=U64)
+        member = self.in_D(kappa, j, side)  # (j, side, N)
         gamma_log = np.where(
             member & (self.nx > 0), np.log(np.maximum(self.nx, 1)), -np.inf
         )
         gamma_log = gamma_log - np.log(self.t_u[self.u_inv]) / cfg.p
-        mins = np.full(len(cand), np.inf)
-        for row in range(cfg.rec_rows):
-            b_nodes = self._row_bucket(self.hk_v, row, 0x9B00 + side * 131 + kappa * 17 + j)
-            logs = self._lp_bucket_logs(b_nodes, gamma_log, t0=cfg.rec_t0_child,
-                                        salt=0x9B0000 + side * 131 + kappa * 17 + j + row * 7717)
-            est = np.median(logs, axis=0)[b_nodes[cand]]
-            mins = np.minimum(mins, est)
-        mins = mins - self.log_med
+        salt = side * 131 + kappa * 17 + j  # (j, side, 1)
+        b_nodes = self._row_bucket(self.hk_v, rows[:, None], 0x9B00 + salt[..., None])
+        logs = self._lp_bucket_logs(b_nodes, gamma_log[:, :, None, :],
+                                    0x9B0000 + salt + rows * 7717, cfg.rec_t0_child)
+        est = np.median(
+            np.take_along_axis(logs, b_nodes[..., None, cand], axis=-1), axis=-2
+        )
+        mins = est.min(axis=2) - self.log_med  # min over rows
         iu = int(np.nonzero(self.uu == u_star)[0][0])
         log_thr = -(math.log(3.0) + math.log(self.t_u[iu])) / cfg.p
-        return [
-            (int(self.u[cand[a]]), int(self.w[cand[a]]))
-            for a in range(len(cand))
-            if mins[a] >= log_thr
-        ]
+        return cand, mins >= log_thr
+
+    def child_recover(self, u_star: int, kappa: int, j: int, side: int = 0) -> List[Tuple[int, int]]:
+        """Children of u_star whose bucket estimate clears the presence
+        threshold in the D_{kappa,j}-filtered sketch of the given side;
+        equals C(u*) cap D when 2^kappa >= |C(u*)|."""
+        cand, hit = self._children_present(u_star, kappa)
+        return [self.keys[a] for a in cand[hit[j, side]]]
 
     def scan_children(self, u_star: int):
         """Downward kappa scan; the first kappa with unique hits in both a
-        D and a D' repetition fixes (v*, v**)."""
+        D and a D' repetition fixes (v*, v**), each from the first such j.
+        One stacked evaluation per kappa covers all (j, side, row); the
+        kappas stay a loop because the scan stops early (about half of
+        them are evaluated), and stacking them too costs memory for no
+        saving."""
         for kappa in range(self.cfg.kappa_max, -1, -1):
-            v1 = v2 = None
-            for j in range(self.cfg.j_reps):
-                if v1 is None:
-                    r = self.child_recover(u_star, kappa, j, side=0)
-                    if len(r) == 1:
-                        v1 = r[0]
-                if v2 is None:
-                    r = self.child_recover(u_star, kappa, j, side=1)
-                    if len(r) == 1:
-                        v2 = r[0]
-            if v1 is not None and v2 is not None:
-                return v1, v2
+            cand, hit = self._children_present(u_star, kappa)
+            single = hit.sum(axis=-1) == 1  # (j, side)
+            if single.any(axis=0).all():
+                j = single.argmax(axis=0)  # first unique j per side
+                return tuple(
+                    self.keys[int(cand[hit[j[s], s]][0])] for s in (0, 1)
+                )
         return FAIL
 
     # -- representatives -----------------------------------------------------------
@@ -371,64 +408,73 @@ class MstRepView:
         hk_v, in [1, 2^61 - 1] (object array, or int for scalar input)."""
         return (hx.combine(self.st.seed, 0xF2, hk_v, pfp).astype(object) % (_P61 - 1)) + 1
 
+    def _witness_triples(self, hv, side: int):
+        """(count, fpsum, fp2sum) arrays of shape (2, eta_max + 1, rows): per
+        eta and row, the bucket the node hashed to hv falls into, summed over
+        the points kept by that row's subsample at level eta, without (index
+        0) and with (index 1) the chi restriction. The sums are exact
+        integers (object arrays), the fingerprint sums taken mod 2^61 - 1."""
+        pfp, net, chi, lvl, bkt, fp2 = self._point_arrays()
+        cfg = self.cfg
+        bv = self._row_bucket(hv, np.arange(cfg.rec_rows, dtype=U64), 0x9C00 + side)
+        in_bkt = bkt[side] == bv[:, None]  # (rows, points)
+        sel = np.nonzero(in_bkt.any(axis=0))[0]
+        rate = 2.0 ** -np.arange(cfg.eta_max + 1)
+        keep = (lvl[side][:, sel] < rate[:, None, None]) & in_bkt[:, sel]
+        keep = np.stack([keep, keep & (chi[sel] == 1)]).astype(object)
+        w = net[sel].astype(object)
+        cnt = keep @ w
+        fs = (keep @ (w * pfp[sel].astype(object))) % _P61
+        fs2 = (keep @ (w * fp2[sel])) % _P61
+        return cnt, fs, fs2
+
     def _witness_buckets(self, hv, eta: int, side: int,
                          chi_restricted: bool) -> List[Tuple[int, int, int]]:
         """Per row, the (count, fpsum, fp2sum) triple of the bucket the node
-        hashed to hv falls into, accumulated over the points kept by that
-        row's subsample at level eta (mod 2^61 - 1)."""
-        pfp, net, chi, lvl, bkt, fp2 = self._point_arrays()
-        keep = lvl[side] < 2.0**-eta
-        if chi_restricted:
-            keep = keep & (chi == 1)[None, :]
-        bv = self._row_bucket(hv, np.arange(self.cfg.rec_rows, dtype=U64), 0x9C00 + side)
-        out = []
-        for row in range(self.cfg.rec_rows):
-            sel = np.nonzero(keep[row] & (bkt[side, row] == bv[row]))[0]
-            cnt = fs = fs2 = 0
-            for a in sel:
-                w = int(net[a])
-                cnt += w
-                fs = (fs + w * int(pfp[a])) % _P61
-                fs2 = (fs2 + w * int(fp2[a])) % _P61
-            out.append((cnt, fs, fs2))
-        return out
+        hashed to hv falls into at level eta (a slice of _witness_triples)."""
+        k = int(chi_restricted)
+        cnt, fs, fs2 = (a[k, eta] for a in self._witness_triples(hv, side))
+        return [(int(c), int(f), int(f2)) for c, f, f2 in zip(cnt, fs, fs2)]
 
-    @staticmethod
-    def _validate(cnt: int, fs: int, fs2: int, fp2_of) -> Optional[int]:
-        """The single-distinct-point test: fp2sum must equal cnt * fp2(fp)."""
-        if cnt <= 0:
-            return None
-        inv = pow(cnt % _P61, _P61 - 2, _P61)
-        fp = (fs * inv) % _P61
-        if fp == 0:
-            return None
-        if (cnt * fp2_of(fp)) % _P61 != fs2 % _P61:
-            return None
-        return fp
+    def _witnesses(self, v_key: Tuple[int, int], side: int) -> np.ndarray:
+        """Validated fingerprint per (chi restriction, eta, row) of v_key's
+        bucket, 0 where the single-distinct-point test fails (it requires
+        fp2sum = count * fp2(fpsum / count)); all entries are validated with
+        one _fp2 call. fp2 is keyed by the node, so a bucket that holds a
+        single point of another node fails: every fingerprint is a point of
+        X_v (up to a 2^-61 fingerprint collision). Cached per (v_key, side)."""
+        cached = self._wit.get((v_key, side))
+        if cached is not None:
+            return cached
+        hv = self._node_hash(U64(v_key[0]), U64(v_key[1]))
+        cnt, fs, fs2 = self._witness_triples(hv, side)
+        fps = np.zeros(cnt.shape, dtype=object)
+        pos = cnt > 0
+        if pos.any():
+            c = cnt[pos]
+            inv = np.array([pow(x % _P61, _P61 - 2, _P61) for x in c.tolist()], dtype=object)
+            fp = (fs[pos] * inv) % _P61
+            ok = (fp != 0) & ((c * self._fp2(hv, fp.astype(U64))) % _P61 == fs2[pos])
+            fps[pos] = np.where(ok, fp, 0)
+        self._wit[(v_key, side)] = fps
+        return fps
 
     def child_representative(self, v_key: Tuple[int, int], side: int = 0):
-        """Scan eta upward, and at each eta the rows in order; the first
-        (eta, row) whose subsampled bucket validates a point of X_v yields
-        the representative token (fp, eta). The rows draw independent point
-        subsamples, so every point of X_v is equally likely to be the one."""
-        for eta in range(self.cfg.eta_max + 1):
-            fps = self._witness_at(v_key, eta, side, chi_restricted=False)
-            if fps:
-                return (fps[0], eta)
-        return FAIL
+        """The first (eta, row), eta upward and rows in order, whose
+        subsampled bucket validates a point of X_v yields the representative
+        token (fp, eta). The rows draw independent point subsamples, so every
+        point of X_v is equally likely to be the one."""
+        fps = self._witnesses(v_key, side)[0]
+        first = np.flatnonzero(fps != 0)
+        if len(first) == 0:
+            return FAIL
+        eta, row = divmod(int(first[0]), self.cfg.rec_rows)
+        return (int(fps[eta, row]), eta)
 
     def _witness_at(self, v_key, eta: int, side: int, chi_restricted: bool) -> List[int]:
         """Fingerprints validated in v_key's bucket at level eta, in row
-        order. fp2 is keyed by the node, so a bucket that holds a single
-        point of another node fails validation: every fingerprint returned
-        is a point of X_v (up to a 2^-61 fingerprint collision)."""
-        hv = self._node_hash(U64(v_key[0]), U64(v_key[1]))
-        fps = []
-        for cnt, fs, fs2 in self._witness_buckets(hv, eta, side, chi_restricted):
-            fp = self._validate(cnt, fs, fs2, lambda f: self._fp2(hv, f))
-            if fp is not None:
-                fps.append(fp)
-        return fps
+        order (a slice of _witnesses)."""
+        return [int(f) for f in self._witnesses(v_key, side)[int(chi_restricted), eta] if f]
 
     def char_of_representative(self, v_key: Tuple[int, int], token, side: int = 0) -> int:
         """+1 iff some row of the chi-restricted copy at the token's eta

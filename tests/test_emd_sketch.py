@@ -155,6 +155,17 @@ def test_universe_map_injective_on_nonempty_nodes():
         assert len(np.unique(ids)) == len(fps)
 
 
+def test_default_universe_fits_uint64():
+    """The n^3 default is clamped to 2^64 - 1, so node ids can still be
+    computed where n^3 overflows uint64; below that it is n^3."""
+    assert EmdSketchConfig(n=2_642_245, d=8).universe_m == 2_642_245**3
+    cfg = EmdSketchConfig(n=3_000_000, d=8)
+    assert cfg.universe_m == 2**64 - 1
+    fps = np.array([[1, 2], [2**64 - 1, 0]], dtype=np.uint64)
+    for ids in (UniverseMap(cfg.universe_m, 5).u_of(fps), UniverseMap(cfg.universe_m, 5).w_of(fps)):
+        assert ids.shape == (2,)
+
+
 # -- reference I_i ------------------------------------------------------------------
 
 

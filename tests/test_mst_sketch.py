@@ -7,6 +7,8 @@ from geosketch import (
     FAIL,
     CharacterSet,
     HypercubePoint,
+    aggregate,
+    gen_instance,
     MstRepView,
     MstSketch,
     MstSketchConfig,
@@ -185,6 +187,45 @@ def test_child_recover_full_subsample_recovers_children():
         if got is not None and got == {(1, w) for w in range(4)}:
             hits += 1
     assert hits >= 0.9 * trials, hits
+
+
+def _reference_scan(view, u_star):
+    """The scan spelled out with child_recover: down the kappas, per side the
+    first j with a single hit; FAIL if no kappa gives both."""
+    for kappa in range(view.cfg.kappa_max, -1, -1):
+        picks = []
+        for side in (0, 1):
+            for j in range(view.cfg.j_reps):
+                got = view.child_recover(u_star, kappa, j, side)
+                if len(got) == 1:
+                    picks.append(got[0])
+                    break
+        if len(picks) == 2:
+            return tuple(picks)
+    return FAIL
+
+
+def test_scan_children_matches_child_recover_reference():
+    cfg = small_cfg(n=16, d=8, j_reps=3)
+    outcomes = {"pair": 0, "fail": 0}
+    for s in range(25):
+        rng = np.random.default_rng(s)
+        nodes = {}
+        for u in range(int(rng.integers(1, 4))):
+            for c in range(int(rng.integers(1, 9))):
+                nodes[(u, 100 * u + c)] = int(rng.integers(1, 4))
+        view = MstRepView(rep_with_nodes(cfg, nodes, seed=s + 500))
+        for u in map(int, view.uu):
+            want = _reference_scan(view, u)
+            got = view.scan_children(u)
+            if want is FAIL:
+                assert got is FAIL
+                outcomes["fail"] += 1
+            else:
+                assert got == want
+                assert all(v[0] == u for v in got)
+                outcomes["pair"] += 1
+    assert outcomes["pair"] > 0 and outcomes["fail"] > 0, outcomes
 
 
 def test_child_recover_empty_subsample():
@@ -411,6 +452,31 @@ def test_estimate_dominates_mst_usually():
         est = feed(MstSketch(cfg), X).estimate()
         over += est >= exact_mst(X)
     assert over >= 7, over
+
+
+@pytest.mark.parametrize("kind,seed,want", [
+    ("uniform", 1, "0x1.b37caf8decf48p+6"),
+    ("uniform", 2, "0x1.362b2c1ae3924p+5"),
+    ("clustered", 1, "0x1.bd580729a3666p+5"),
+])
+def test_estimate_bit_identical_to_pinned(kind, seed, want):
+    """The decode is batched for speed only: these estimates are pinned to
+    the values of the per-row, per-(kappa, j, side) loop it replaced."""
+    X = aggregate(gen_instance(kind, 8, 8, seed).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
+    assert sk.estimate().hex() == want
+
+
+def test_default_universe_fits_uint64():
+    """The n^3 default is clamped to 2^64 - 1, so node ids can still be
+    computed where n^3 overflows uint64; below that it is n^3."""
+    assert MstSketchConfig(n=2_642_245, d=8).universe_m == 2_642_245**3
+    cfg = MstSketchConfig(n=3_000_000, d=8)
+    assert cfg.universe_m == 2**64 - 1
+    st = _RepState(cfg, 1, 3)
+    fps = np.array([[1, 2], [2**64 - 1, 0]], dtype=np.uint64)
+    assert st.umap.u_of(fps).shape == (2,)
+    assert st.umap.w_of(fps).shape == (2,)
 
 
 def test_mst_sketch_linearity_bit_identical():
