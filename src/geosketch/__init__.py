@@ -39,9 +39,7 @@ from .emd_sketch import (
     EmdOnePassSketch,
     EmdSketchConfig,
     EmdTwoPassSketch,
-    TwoRoundPEstimator,
     UniverseMap,
-    char_eval,
     reference_I_i,
     split_probability,
 )

@@ -12,11 +12,14 @@ point of C_u and a random point of C_v. Summed over levels, I sandwiches
 EMD(A, B) within ~log n factors for most trees, and every factor of it is
 estimable by small linear sketches.
 
-State discipline: each level replica stores exact sparse integer counts per
-universe-reduced node (plus per-character-set positive-parity counts) and
-seeds; the LS1/LS2/LS3 Count-Sketch tables are materialized from those counts
-at decode time in canonical order. By linearity the result is identical to
-eager per-update accumulation, but states merge and replay bit-for-bit.
+State discipline: each level replica stores one count map -- exact sparse
+integer counts per universe-reduced node (|A_v|, |B_v|, and per character
+set the positive-parity count) -- and seeds; an update writes that map and
+nothing else. Every sketch of the level is a view of it, built in canonical
+order when it is read: the LS1/LS2/LS3 Count-Sketch tables, the Delta-hat
+Cauchy sketch and the round-one l1 samplers (both of the node discrepancy
+q_v = |A_v| - |B_v|). By linearity the result is identical to eager
+per-update accumulation, but states merge and replay bit-for-bit.
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -45,8 +48,6 @@ __all__ = [
     "EmdSketchConfig",
     "EmdOnePassSketch",
     "EmdTwoPassSketch",
-    "TwoRoundPEstimator",
-    "char_eval",
     "split_probability",
     "reference_I_i",
     "expected_split_probability",
@@ -98,10 +99,6 @@ class CharacterSet:
             return np.ones(X.shape[0], dtype=np.int8)
         par = X[:, self.indices].sum(axis=1) & 1
         return np.where(par == 1, -1, 1).astype(np.int8)
-
-
-def char_eval(S: CharacterSet, x: HypercubePoint) -> int:
-    return S.eval(x)
 
 
 def split_probability(C_u: PointMultiset, C_v: PointMultiset, S: CharacterSet) -> float:
@@ -286,9 +283,10 @@ def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray
 class _LevelReplica:
     """Exact sparse counts for one (level, replica): per universe-reduced
     node (u, w): net |A_v|, net |B_v|, and per character set the count of
-    C_v points with chi = +1."""
+    C_v points with chi = +1. The Delta-hat sketch and the round-one
+    samplers are views of the discrepancy column of these counts."""
 
-    def __init__(self, cfg: EmdSketchConfig, level: int, seed: int, two_pass: bool):
+    def __init__(self, cfg: EmdSketchConfig, level: int, seed: int):
         self.cfg = cfg
         self.level = level
         self.seed = seed
@@ -298,21 +296,8 @@ class _LevelReplica:
             for j in range(cfg.n_sets)
         ]
         self.counts: Dict[Tuple[int, int], np.ndarray] = {}
-        self.delta_sketch = CauchyL1Sketch(cfg.delta_rows, int(hx.combine(seed, 0xDE)[()]))
-        self.two_pass = two_pass
-        if two_pass:
-            self.samplers = {
-                (j, c): L1Sampler(
-                    int(hx.combine(seed, 0x2A, j, c)[()]),
-                    rows=cfg.cs_rows,
-                    buckets=cfg.sampler_buckets,
-                    gamma=cfg.sampler_gamma,
-                )
-                for j in range(cfg.n_sets)
-                for c in range(cfg.n_inner)
-            }
-            self.sampled: Dict[Tuple[int, int], object] = {}
-            self.pass2_counters: Dict[Tuple[int, int], np.ndarray] = {}
+        self.sampled: Dict[Tuple[int, int], object] = {}
+        self.pass2_counters: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- streaming ----------------------------------------------------------
     def node_key(self, fp_path: np.ndarray) -> Tuple[int, int]:
@@ -329,10 +314,6 @@ class _LevelReplica:
         row[2:] += delta * chi_plus
         if not row.any():
             del self.counts[key]
-        self.delta_sketch.update(key, delta if label == "A" else -delta)
-        if self.two_pass:
-            for smp in self.samplers.values():
-                smp.update(key, delta if label == "A" else -delta)
 
     def update_pass2(self, key: Tuple[int, int], chi_plus: np.ndarray, delta: int) -> None:
         for (j, c), v in self.sampled.items():
@@ -345,6 +326,33 @@ class _LevelReplica:
                 if key[1] == v[1]:
                     ctr[2] += delta
                     ctr[3] += delta * int(chi_plus[j])
+
+    def discrepancies(self) -> Dict[Tuple[int, int], int]:
+        """The nonzero node discrepancies q_v = |A_v| - |B_v| as a count map:
+        the vector that Delta-hat and the round-one samplers sketch."""
+        return {k: int(row[0] - row[1]) for k, row in self.counts.items() if row[0] != row[1]}
+
+    @property
+    def delta_sketch(self) -> CauchyL1Sketch:
+        """The Delta-hat Cauchy l1 sketch of q, built from the counts."""
+        sk = CauchyL1Sketch(self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
+        return sk.with_counts(self.discrepancies())
+
+    @property
+    def samplers(self) -> Dict[Tuple[int, int], L1Sampler]:
+        """The round-one l1 sampler of q per (set, inner copy), built from
+        the counts."""
+        q, cfg = self.discrepancies(), self.cfg
+        return {
+            (j, c): L1Sampler(
+                int(hx.combine(self.seed, 0x2A, j, c)[()]),
+                rows=cfg.cs_rows,
+                buckets=cfg.sampler_buckets,
+                gamma=cfg.sampler_gamma,
+            ).with_counts(q)
+            for j in range(cfg.n_sets)
+            for c in range(cfg.n_inner)
+        }
 
     def finalize_pass1(self) -> None:
         self.sampled = {jc: smp.sample() for jc, smp in self.samplers.items()}
@@ -547,7 +555,7 @@ class _OneRoundDecoder:
 
 
 class _EmdSketchBase:
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec], two_pass: bool):
+    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec]):
         self.cfg = cfg
         self.tree = tree if tree is not None else sample_quadtree(
             cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()])
@@ -557,7 +565,7 @@ class _EmdSketchBase:
         self.h = self.tree.h
         self.replicas = [
             [
-                _LevelReplica(cfg, i, int(hx.combine(cfg.seed, 0x11, i, r)[()]), two_pass)
+                _LevelReplica(cfg, i, int(hx.combine(cfg.seed, 0x11, i, r)[()]))
                 for r in range(cfg.level_reps)
             ]
             for i in range(1, self.h + 1)
@@ -614,7 +622,7 @@ class EmdOnePassSketch(_EmdSketchBase):
     """One-pass estimator: eta = sum_i median-of-replicas eta_i + eps*n*d."""
 
     def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
-        super().__init__(cfg, tree, two_pass=False)
+        super().__init__(cfg, tree)
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         self._apply(point, label, delta, pass2=False)
@@ -634,7 +642,6 @@ class EmdOnePassSketch(_EmdSketchBase):
                         cur += row
                         if not cur.any():
                             del a.counts[k]
-                a.delta_sketch.merge(b.delta_sketch)
 
     def estimate(self) -> float:
         self._check_balanced()
@@ -662,7 +669,7 @@ class EmdTwoPassSketch(_EmdSketchBase):
     the four exact chi counters for each sampled edge; no additive eps term."""
 
     def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
-        super().__init__(cfg, tree, two_pass=True)
+        super().__init__(cfg, tree)
         self._pass = 1
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
@@ -689,53 +696,6 @@ class EmdTwoPassSketch(_EmdSketchBase):
         for per_level in self.replicas:
             total += float(np.median([rep.eta("two_pass") for rep in per_level]))
         return total
-
-
-class TwoRoundPEstimator:
-    """The inner two-round sketch: an l1 sample of the node discrepancies in
-    round one, four exact counters for the sampled edge in round two, and the
-    exact four-counter combination at the end."""
-
-    def __init__(self, S: CharacterSet, seed: int, rows: int = 5, buckets: int = 256,
-                 gamma: float = 0.05):
-        self.S = S
-        self.sampler = L1Sampler(seed, rows=rows, buckets=buckets, gamma=gamma)
-        self.sampled = None
-        self.counters = np.zeros(4, dtype=np.int64)
-        self._pass = 1
-
-    def update_pass1(self, key: Tuple[int, int], label: str, delta: int = 1) -> None:
-        if self._pass != 1:
-            raise RuntimeError("pass 1 finalized")
-        self.sampler.update(key, delta if label == "A" else -delta)
-
-    def finalize_pass1(self):
-        self.sampled = self.sampler.sample()
-        self._pass = 2
-        return self.sampled
-
-    def update_pass2(self, key: Tuple[int, int], chi_plus: bool, delta: int = 1) -> None:
-        if self._pass != 2:
-            raise RuntimeError("finalize pass 1 first")
-        if self.sampled is FAIL:
-            return
-        u, w = self.sampled
-        if key[0] == u:
-            self.counters[0] += delta
-            self.counters[1] += delta * int(chi_plus)
-            if key[1] == w:
-                self.counters[2] += delta
-                self.counters[3] += delta * int(chi_plus)
-
-    def estimate_p(self):
-        """p_{u,v,S} for the sampled edge, or FAIL if round one failed."""
-        if self.sampled is FAIL:
-            return FAIL
-        cu, cup, cv, cvp = self.counters.tolist()
-        if cu <= 0 or cv <= 0:
-            return 0.0
-        qu, qv = cup / cu, cvp / cv
-        return qu * (1.0 - qv) + qv * (1.0 - qu)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,21 @@ def combine(*parts) -> np.ndarray:
     return acc
 
 
+def int_words(v: int) -> tuple:
+    """The 64-bit words of a nonnegative int, least significant first (one
+    word for v < 2^64): the form in which combine() takes a wide int."""
+    v = int(v)
+    if 0 <= v <= 0xFFFFFFFFFFFFFFFF:
+        return (v,)
+    if v < 0:
+        raise ValueError("only nonnegative ints split into 64-bit words")
+    words = []
+    while v:
+        words.append(v & 0xFFFFFFFFFFFFFFFF)
+        v >>= 64
+    return tuple(words)
+
+
 def uniform01(h: np.ndarray) -> np.ndarray:
     """Map hash words to uniforms in the open interval (0, 1)."""
     return (np.asarray(h, dtype=U64) >> U64(11)).astype(np.float64) * _INV53 + _HALF54

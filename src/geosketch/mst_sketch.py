@@ -25,8 +25,11 @@ indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
 runs in (sign, log-magnitude) space.
 
 State per (level, sample): exact sparse counts per universe-reduced node and
-per point identity, plus seeds; every sketch view is materialized from those
-counts at decode time (bit-identical under permutation and merge).
+per point identity, plus seeds; an update writes those counts and nothing
+else. Every sketch is a view materialized from them when it is read
+(bit-identical under permutation and merge): the recovery and witness
+sketches of each sample, and the per-level l0 sketch, which is keyed by the
+node ids of the level's first sample and so is built from its node counts.
 
 The decode is batched: the parent recovery evaluates its hash rows as one
 stack, each kappa of the child scan evaluates all of its (j, side, row)
@@ -64,6 +67,13 @@ __all__ = [
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
 _DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
+
+
+def _point_fps(seeds, point: HypercubePoint) -> np.ndarray:
+    """Fingerprints in [1, 2^61 - 1] of a point for the sample replicas with
+    the given seeds (object array, shaped like seeds)."""
+    h = hx.combine(seeds, 0xF9, *hx.int_words(point.value))
+    return (h.astype(object) % (_P61 - 1)) + 1
 
 
 @dataclass
@@ -183,15 +193,7 @@ class _RepState:
         self.points: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     def point_fp(self, point: HypercubePoint) -> int:
-        words = []
-        v = point.value
-        while True:
-            words.append(v & 0xFFFFFFFFFFFFFFFF)
-            v >>= 64
-            if v == 0:
-                break
-        h = int(hx.combine(self.seed, 0xF9, *words)[()])
-        return (h % (_P61 - 1)) + 1
+        return int(_point_fps(self.seed, point))
 
     def update(self, key: Tuple[int, int], point: HypercubePoint, delta: int,
                pfp: Optional[int] = None) -> None:
@@ -529,10 +531,6 @@ class MstSketch:
             ]
             for i in range(1, self.h + 1)
         ]
-        self.l0: List[L0Sketch] = [
-            L0Sketch(int(hx.combine(cfg.seed, 0x10, i)[()]), buckets=cfg.l0_buckets)
-            for i in range(1, self.h + 1)
-        ]
         self._fp_cache: Dict[int, tuple] = {}
         self.n_points = 0
         # batched hashing inputs: per level, the umap seeds of its samples
@@ -552,13 +550,6 @@ class MstSketch:
         if cached is not None:
             return cached
         fp_path = self.tree.node_path(point.bits()[None, :])[0]
-        words = []
-        v = point.value
-        while True:
-            words.append(v & 0xFFFFFFFFFFFFFFFF)
-            v >>= 64
-            if v == 0:
-                break
         per_level = []
         for li in range(self.h):
             level = li + 1
@@ -573,11 +564,7 @@ class MstSketch:
                            fp_path[level, 0], fp_path[level, 1]),
                 self.cfg.universe_m,
             )
-            pfps = (
-                hx.combine(self._rep_seeds[li], 0xF9, *words).astype(object)
-                % (_P61 - 1)
-            ) + 1
-            per_level.append((us, ws, pfps))
+            per_level.append((us, ws, _point_fps(self._rep_seeds[li], point)))
         self._fp_cache[point.value] = per_level
         return per_level
 
@@ -586,7 +573,6 @@ class MstSketch:
         keys = self._point_keys(point)
         for li, per_level in enumerate(self.reps):
             us, ws, pfps = keys[li]
-            self.l0[li].update((int(us[0]), int(ws[0])), delta)
             for r, rep in enumerate(per_level):
                 rep.update((int(us[r]), int(ws[r])), point, delta,
                            pfp=int(pfps[r]))
@@ -598,8 +584,16 @@ class MstSketch:
         for mine, theirs in zip(self.reps, other.reps):
             for a, b in zip(mine, theirs):
                 a.merge(b)
-        for a, b in zip(self.l0, other.l0):
-            a.merge(b)
+
+    @property
+    def l0(self) -> List[L0Sketch]:
+        """The l0 sketch of every level, built from the node counts of the
+        level's first sample, whose (u, w) ids it is keyed by."""
+        return [
+            L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]), buckets=self.cfg.l0_buckets)
+            .with_counts({k: row[0] for k, row in per_level[0].nodes.items()})
+            for i, per_level in enumerate(self.reps, start=1)
+        ]
 
     def level_counts(self) -> List[float]:
         return [l0.estimate() for l0 in self.l0]

@@ -8,9 +8,16 @@ exactly linear: permuting, splitting or merging update streams yields
 bit-identical states and hence bit-identical estimates (floating-point
 accumulation in stream order could not promise that).
 
+A composite sketch is a view of one count map, not a second store: the
+l1 sampler builds its Count-Sketch and its Cauchy l1 sketch from its own map
+when it is read, and the estimators build the sketches of a vector they
+already count exactly (Delta-hat, the round-one samplers, the per-level l0)
+from that count with `with_counts`. Each derived map has the keys and the
+integers that feeding every update to the sketch would have given.
+
 Coefficients (Count-Sketch signs, Cauchy and p-stable scalars, exponential
 scalings) are derived from the seed and the index by keyed hashing, never
-stored.
+stored; a batch of indices is hashed with one call per index width.
 """
 
 from __future__ import annotations
@@ -62,20 +69,26 @@ _INV_EXP_CAP = 2.0**20
 
 def _key_words(key: Key) -> Tuple[int, ...]:
     if isinstance(key, tuple):
-        out: List[int] = []
+        words: Tuple[int, ...] = ()
         for part in key:
-            out.extend(_key_words(part))
-        return tuple(out)
-    k = int(key)
-    if k < 0:
-        raise ValueError("sketch indices must be nonnegative")
-    words = []
-    while True:
-        words.append(k & 0xFFFFFFFFFFFFFFFF)
-        k >>= 64
-        if k == 0:
-            break
-    return tuple(words)
+            words += _key_words(part)
+        return words
+    return hx.int_words(key)
+
+
+def _hash_keys(prefix: tuple, keys: Sequence[Key]) -> np.ndarray:
+    """combine(*prefix, *words of key) for every key, with one combine call
+    per key width (elementwise, so equal to the per-key calls bit for
+    bit)."""
+    words = [_key_words(k) for k in keys]
+    by_width: Dict[int, List[int]] = {}
+    for i, w in enumerate(words):
+        by_width.setdefault(len(w), []).append(i)
+    out = np.empty(len(words), dtype=U64)
+    for idx in by_width.values():
+        cols = np.array([words[i] for i in idx], dtype=U64).T
+        out[idx] = hx.combine(*prefix, *cols)
+    return out
 
 
 def _encode_key(key: Key) -> bytes:
@@ -91,7 +104,6 @@ class LinearSketch:
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._counts: Dict[Key, int] = {}
-        self._hash_cache: Dict[Key, int] = {}
         self._dirty = True
 
     # -- state -------------------------------------------------------------
@@ -103,6 +115,13 @@ class LinearSketch:
         else:
             self._counts[index] = c
         self._dirty = True
+
+    def with_counts(self, counts: Dict[Key, int]) -> "LinearSketch":
+        """Replace the state by the nonzero entries of `counts` -- the state
+        that feeding every entry through update() gives -- and return self."""
+        self._counts = {k: int(c) for k, c in counts.items() if c}
+        self._dirty = True
+        return self
 
     def merge(self, other: "LinearSketch") -> None:
         """Add another state built with identical seeds/shape."""
@@ -120,14 +139,7 @@ class LinearSketch:
         return keys, vals
 
     def _key_hashes(self, keys: Sequence[Key]) -> np.ndarray:
-        out = np.empty(len(keys), dtype=U64)
-        for i, k in enumerate(keys):
-            h = self._hash_cache.get(k)
-            if h is None:
-                h = int(hx.combine(self.seed, *_key_words(k))[()])
-                self._hash_cache[k] = h
-            out[i] = h
-        return out
+        return _hash_keys((self.seed,), keys)
 
     def _shape(self) -> tuple:
         return (self._KIND, self.seed)
@@ -408,10 +420,7 @@ class ExpScaler:
         return float(self.variates([index])[0])
 
     def variates(self, indices: Sequence[Key]) -> np.ndarray:
-        h = np.empty(len(indices), dtype=U64)
-        for i, k in enumerate(indices):
-            h[i] = hx.combine(self.seed, self._SALT, *_key_words(k))[()]
-        return hx.exp1(h)
+        return hx.exp1(_hash_keys((self.seed, self._SALT), indices))
 
     def variates_u64(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized variant for plain uint64 index arrays."""
@@ -446,6 +455,9 @@ class L1Sampler(LinearSketch):
 
     Conditioned on not failing, the returned index is distributed
     ~ |x_i| / ||x||_1 (the anti-rank law), up to recovery noise.
+
+    The count map of x is the whole state; the Count-Sketch and the Cauchy
+    l1 sketch are built from it when the sampler is read (`_views`).
     """
 
     _KIND = 4
@@ -463,44 +475,36 @@ class L1Sampler(LinearSketch):
         self.rows = rows
         self.buckets = buckets
         self.gamma = gamma
-        self.cs = CountSketch(rows, buckets, int(hx.combine(seed, 0xC5)[()]))
-        self.l1 = CauchyL1Sketch(l1_rows, int(hx.combine(seed, 0xCA)[()]))
-        self.scaler = ExpScaler(int(hx.combine(seed, self._SALT_EXP)[()]))
+        self.l1_rows = l1_rows
+        self.scaler = ExpScaler(int(hx.combine(self.seed, self._SALT_EXP)[()]))
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed, self.rows, self.buckets, self.l1.s)
+        return (self._KIND, self.seed, self.rows, self.buckets, self.l1_rows)
 
-    def update(self, index: Key, delta: int) -> None:
-        super().update(index, delta)
-        inv_t = min(1.0 / self.scaler.variate(index), _INV_EXP_CAP)
-        # the scaled coordinate is fed to Count-Sketch through an integer
-        # sub-grid so the CS state stays exactly linear: scale by 2^20
-        self.cs.update(index, int(delta) * int(round(inv_t * (1 << 20))))
-        self.l1.update(index, delta)
-
-    def merge(self, other: "L1Sampler") -> None:
-        if type(other) is not type(self) or self._shape() != other._shape():
-            raise ValueError("cannot merge samplers of different shape/seed")
-        for k, c in other._counts.items():
-            c0 = self._counts.get(k, 0) + c
-            if c0 == 0:
-                self._counts.pop(k, None)
-            else:
-                self._counts[k] = c0
-        self.cs.merge(other.cs)
-        self.l1.merge(other.l1)
-        self._dirty = True
+    def _views(self) -> Tuple[CountSketch, CauchyL1Sketch]:
+        """The Count-Sketch of the scaled vector x_i / t_i and the Cauchy l1
+        sketch of x, built from the current count map. The scaled vector is
+        kept on an integer grid of step 2^-20, x_i * round(min(1/t_i, 2^20)
+        * 2^20), so the Count-Sketch state is as exactly linear as x."""
+        keys = list(self._counts)
+        inv_t = np.minimum(1.0 / self.scaler.variates(keys), _INV_EXP_CAP)
+        grid = np.round(inv_t * (1 << 20))
+        scaled = {k: self._counts[k] * int(g) for k, g in zip(keys, grid)}
+        cs = CountSketch(self.rows, self.buckets, int(hx.combine(self.seed, 0xC5)[()]))
+        l1 = CauchyL1Sketch(self.l1_rows, int(hx.combine(self.seed, 0xCA)[()]))
+        return cs.with_counts(scaled), l1.with_counts(self._counts)
 
     def _materialize(self) -> np.ndarray:
-        return self.cs._materialize()
+        return self._views()[0]._materialize()
 
     def sample(self):
         """Return an index or FAIL."""
         keys, _ = self._sorted_items()
         if not keys:
             return FAIL
-        est = np.abs(self.cs.estimate_many(keys)) / float(1 << 20)
-        l1_hat = self.l1.estimate()
+        cs, l1 = self._views()
+        est = np.abs(cs.estimate_many(keys)) / float(1 << 20)
+        l1_hat = l1.estimate()
         top = int(np.argmax(est))
         best = est[top]
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0

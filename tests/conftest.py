@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geosketch import HypercubePoint, PointMultiset
+from geosketch import hashing as hx
+from geosketch import CauchyL1Sketch, CountSketch, HypercubePoint, L1Sampler, PointMultiset
 
 
 def random_multiset(n: int, d: int, seed: int) -> PointMultiset:
@@ -24,3 +25,29 @@ def random_pair(n: int, d: int, seed: int, noise: float = 0.25):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class FedL1Sampler(L1Sampler):
+    """Reference l1 sampler that feeds its Count-Sketch of the scaled vector
+    and its Cauchy l1 sketch on every update, instead of building both from
+    its count map when it is read. L1Sampler must equal it bit for bit."""
+
+    def __init__(self, seed, **kw):
+        super().__init__(seed, **kw)
+        self.cs = CountSketch(self.rows, self.buckets, int(hx.combine(seed, 0xC5)[()]))
+        self.l1 = CauchyL1Sketch(self.l1_rows, int(hx.combine(seed, 0xCA)[()]))
+
+    def update(self, index, delta):
+        super().update(index, delta)
+        inv_t = min(1.0 / self.scaler.variate(index), 2.0**20)
+        self.cs.update(index, int(delta) * int(round(inv_t * (1 << 20))))
+        self.l1.update(index, delta)
+
+    def _views(self):
+        return self.cs, self.l1
+
+    @classmethod
+    def like(cls, smp: L1Sampler) -> "FedL1Sampler":
+        """An empty reference with the seed and shape of `smp`."""
+        return cls(smp.seed, rows=smp.rows, buckets=smp.buckets, gamma=smp.gamma,
+                   l1_rows=smp.l1_rows)

@@ -5,24 +5,24 @@ import pytest
 
 from geosketch import hashing as hx
 from geosketch import (
-    FAIL,
+    CauchyL1Sketch,
     CharacterSet,
     EmdOnePassSketch,
     EmdSketchConfig,
     EmdTwoPassSketch,
     HypercubePoint,
     PointMultiset,
-    TwoRoundPEstimator,
     UniverseMap,
-    char_eval,
     exact_emd,
+    gen_instance,
     reference_I_i,
+    run_estimator,
     sample_quadtree,
     split_probability,
 )
 from geosketch.emd_sketch import expected_split_probability, log2n
 
-from conftest import random_multiset, random_pair
+from conftest import FedL1Sampler, random_multiset, random_pair
 
 
 def pt(bits):
@@ -49,14 +49,14 @@ def test_char_empty_set_is_plus_one():
     cs = CharacterSet(8, 0.0, seed=1)
     assert cs.mask == 0
     for v in range(16):
-        assert char_eval(cs, HypercubePoint(8, v)) == 1
+        assert cs.eval(HypercubePoint(8, v)) == 1
 
 
 def test_char_single_coordinate():
     d = 4
     cs = charset_with_mask(d, 1 << (d - 1))  # S = {first coordinate}
-    assert char_eval(cs, pt([1, 0, 0, 0])) == -1
-    assert char_eval(cs, pt([0, 1, 1, 1])) == 1
+    assert cs.eval(pt([1, 0, 0, 0])) == -1
+    assert cs.eval(pt([0, 1, 1, 1])) == 1
 
 
 def test_char_identity(rng):
@@ -196,57 +196,31 @@ def test_reference_sum_sandwiches_emd():
 # -- two-round sketch ------------------------------------------------------------
 
 
-def test_two_round_single_node_always_sampled():
-    cs = CharacterSet(8, 0.3, seed=12)
-    est = TwoRoundPEstimator(cs, seed=13)
-    est.update_pass1((5, 9), "A", 3)
-    est.update_pass1((5, 9), "B", 1)
-    v = est.finalize_pass1()
-    assert v == (5, 9)
-
-
-def test_two_round_sampled_distribution_tv():
-    """Sampled nodes track ||A_v|-|B_v|| / Delta within TV 0.05 on a 10-node
-    instance."""
-    discs = [1, 2, 3, 1, 5, 2, 1, 4, 3, 2]
-    keys = [(u, u + 100) for u in range(10)]
-    total = sum(discs)
-    counts = {k: 0 for k in keys}
-    succ = 0
-    cs = CharacterSet(8, 0.3, seed=14)
-    for s in range(4000):
-        est = TwoRoundPEstimator(cs, seed=s)
-        for k, q in zip(keys, discs):
-            est.update_pass1(k, "A" if q > 0 else "B", abs(q))
-        v = est.finalize_pass1()
-        if v is not FAIL:
-            succ += 1
-            counts[v] += 1
-    tv = 0.5 * sum(abs(counts[k] / succ - q / total) for k, q in zip(keys, discs))
-    assert tv < 0.05, tv
-
-
 def test_two_round_estimate_matches_exact_p():
     """Round 2's four counters give the exact split probability for the
-    sampled edge."""
+    sampled edge, on every character set of a two-pass replica."""
     d = 8
     rng = np.random.default_rng(15)
-    cs = CharacterSet(d, 0.5, seed=16)
+    # n = 2 gives alpha = 1/2 at level 2, so the characters are not trivial
+    cfg = EmdSketchConfig(n=2, d=d, seed=16, n_sets=4)
+    rep = EmdTwoPassSketch(cfg).replicas[1][0]
+
+    def chi_plus(p):
+        return np.array([cs.eval(p) == 1 for cs in rep.charsets], dtype=np.int64)
+
     # two children under one parent, known populations
     popA = [pt(rng.integers(0, 2, d)) for _ in range(4)]
     popB = [pt(rng.integers(0, 2, d)) for _ in range(3)]
-    est = TwoRoundPEstimator(cs, seed=17)
-    est.update_pass1((1, 2), "A", 4)
-    v = est.finalize_pass1()
-    assert v == (1, 2)
+    rep.update((1, 2), chi_plus(popA[0]), "A", 4)
+    rep.finalize_pass1()
+    assert set(rep.sampled.values()) == {(1, 2)}
     for p in popA:
-        est.update_pass2((1, 2), cs.eval(p) == 1)
+        rep.update_pass2((1, 2), chi_plus(p), 1)
     for p in popB:
-        est.update_pass2((1, 3), cs.eval(p) == 1)  # sibling: counts to C_u only
-    got = est.estimate_p()
-    qu = np.mean([cs.eval(p) == 1 for p in popA + popB])
-    qv = np.mean([cs.eval(p) == 1 for p in popA])
-    assert got == pytest.approx(qu * (1 - qv) + qv * (1 - qu))
+        rep.update_pass2((1, 3), chi_plus(p), 1)  # sibling: counts to C_u only
+    want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in rep.charsets]
+    assert any(want)
+    assert rep.two_round_estimates() == pytest.approx(want)
 
 
 # -- one-round LS1/LS2/LS3 ---------------------------------------------------------
@@ -493,3 +467,94 @@ def test_one_pass_split_merge_bit_identical(small_cfg):
     left.merge(right)
     assert left.state_bytes() == whole.state_bytes()
     assert left.estimate() == whole.estimate()
+
+
+def _two_pass(cfg, updates, pass1_order):
+    sk = EmdTwoPassSketch(cfg)
+    for p, l, c in pass1_order:
+        sk.update(p, l, c)
+    sk.finalize_pass1()
+    for p, l, c in updates:
+        sk.update_pass2(p, l, c)
+    return sk
+
+
+def _sampler_bytes(sk):
+    return [
+        {jc: smp.state_bytes() for jc, smp in rep.samplers.items()}
+        for per_level in sk.replicas
+        for rep in per_level
+    ]
+
+
+def test_two_pass_permutation_invariance(small_cfg):
+    A, B = random_pair(8, 8, 35)
+    updates = [(p, "A", c) for p, c in A.items()] + [(p, "B", c) for p, c in B.items()]
+    sk1 = _two_pass(small_cfg, updates, updates)
+    sk2 = _two_pass(small_cfg, updates, updates[::-1])
+    assert _sampler_bytes(sk1) == _sampler_bytes(sk2)
+    assert sk1.estimate() == sk2.estimate()
+
+
+@pytest.mark.parametrize("passes,seed,want", [
+    (1, 1, "0x1.4c657a8cde545p+8"),
+    (2, 1, "0x1.0c4db4440299bp+8"),
+    (2, 2, "0x1.0000c0f20eae1p+8"),
+])
+def test_estimate_bit_identical_to_pinned(passes, seed, want):
+    """Pinned to the estimates of the replicas that fed the Delta-hat sketch
+    and every round-one sampler on each update, before those became views
+    of the replica counts."""
+    updates = gen_instance("matched_noise", 16, 16, seed=seed).updates
+    assert run_estimator(updates, "emd", passes=passes).estimate.hex() == want
+
+
+def _turnstile_stream(rng, d, n_updates):
+    """Labelled updates over a few points with deletions, the negations of
+    the first three updates, and one closing update that makes |A| = |B|."""
+    pts = [pt(rng.integers(0, 2, d)) for _ in range(6)]
+    ups = [
+        (pts[rng.integers(len(pts))], "AB"[rng.integers(2)], int(rng.choice([-3, -1, 1, 2])))
+        for _ in range(n_updates)
+    ]
+    ups += [(p, l, -c) for p, l, c in ups[:3]]
+    net = sum(c if l == "A" else -c for _, l, c in ups)
+    if net:
+        ups.append((pts[0], "B" if net > 0 else "A", abs(net)))
+    return ups
+
+
+def test_replica_views_equal_fed_reference():
+    """The Delta-hat sketch and every round-one sampler, built from the
+    replica counts, equal sketches of the same type and seed fed (key, +-delta)
+    update by update: read after half the stream, after the rest, and by a
+    second finalize_pass1."""
+    for s in range(4):
+        cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
+        sk = EmdTwoPassSketch(cfg)
+        reps = [rep for per_level in sk.replicas for rep in per_level]
+        fed = [
+            (CauchyL1Sketch(rep.delta_sketch.s, rep.delta_sketch.seed),
+             {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()})
+            for rep in reps
+        ]
+        ups = _turnstile_stream(np.random.default_rng(s), cfg.d, 30)
+        cut = len(ups) // 2
+        for part in (ups[:cut], ups[cut:]):
+            for p, label, c in part:
+                sk.update(p, label, c)
+                for rep, (delta, smps) in zip(reps, fed):
+                    key = rep.node_key(sk._path(p))
+                    delta.update(key, c if label == "A" else -c)
+                    for f in smps.values():
+                        f.update(key, c if label == "A" else -c)
+            for rep, (delta, smps) in zip(reps, fed):
+                assert rep.delta_sketch.state_bytes() == delta.state_bytes()
+                assert rep.delta_sketch.estimate() == delta.estimate()
+                got = {jc: smp.state_bytes() for jc, smp in rep.samplers.items()}
+                assert got == {jc: f.state_bytes() for jc, f in smps.items()}
+        sk.finalize_pass1()
+        sampled = [dict(rep.sampled) for rep in reps]
+        assert sampled == [{jc: f.sample() for jc, f in smps.items()} for _, smps in fed]
+        sk.finalize_pass1()
+        assert [dict(rep.sampled) for rep in reps] == sampled

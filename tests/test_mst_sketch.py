@@ -7,6 +7,7 @@ from geosketch import (
     FAIL,
     CharacterSet,
     HypercubePoint,
+    L0Sketch,
     aggregate,
     gen_instance,
     MstRepView,
@@ -498,3 +499,40 @@ def test_mst_sketch_linearity_bit_identical():
     left.merge(right)
     assert left.state_bytes() == a.state_bytes()
     assert left.estimate() == a.estimate()
+
+
+def test_l0_views_equal_fed_reference():
+    """The per-level l0 sketch, built from the node counts of the level's
+    first sample, equals an l0 sketch of the same seed fed ((u, w), +-delta)
+    update by update with the keys of `_point_keys`: read after half of a
+    turnstile stream with deletions and cancellations, and after the rest.
+    The streams include nodes whose net count is 0 while their chi count is
+    not, which the l0 sketch must not count."""
+    zero_count_nodes = 0
+    for s in range(4):
+        rng = np.random.default_rng(s)
+        # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
+        sk = MstSketch(small_cfg(seed=s, n=2))
+        fed = [L0Sketch(l0.seed, levels=l0.levels, buckets=l0.buckets) for l0 in sk.l0]
+        # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
+        # holding both, and leave chi counts there when chi(x) != chi(y)
+        ups = []
+        for _ in range(12):
+            bits = rng.integers(0, 2, 8)
+            flip = bits.copy()
+            flip[rng.integers(8)] ^= 1
+            c = int(rng.choice([1, 2, 3]))
+            ups += [(pt(bits), c), (pt(flip), -c), (pt(rng.integers(0, 2, 8)), -c)]
+        ups = [ups[j] for j in rng.permutation(len(ups))]
+        cut = len(ups) // 2
+        for part in (ups[:cut], ups[cut:]):
+            for p, c in part:
+                sk.update(p, c)
+                for f, (us, ws, _) in zip(fed, sk._point_keys(p)):
+                    f.update((int(us[0]), int(ws[0])), c)
+            assert [l0.state_bytes() for l0 in sk.l0] == [f.state_bytes() for f in fed]
+            assert sk.level_counts() == [f.estimate() for f in fed]
+            zero_count_nodes += sum(
+                row[0] == 0 for per_level in sk.reps for row in per_level[0].nodes.values()
+            )
+    assert zero_count_nodes > 0

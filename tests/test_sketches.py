@@ -20,6 +20,8 @@ from geosketch import (
 )
 from geosketch.sketches import default_small_p_t, sample_p_stable_array
 
+from conftest import FedL1Sampler
+
 
 # -- Count-Sketch ---------------------------------------------------------------
 
@@ -253,6 +255,33 @@ def test_l1_sampler_one_hot():
     assert hits >= 28  # never FAILs beyond gap-test noise
 
 
+def test_l1_sampler_single_tuple_key_always_sampled():
+    smp = L1Sampler(seed=13)
+    smp.update((5, 9), 3)
+    smp.update((5, 9), -1)
+    assert smp.sample() == (5, 9)
+
+
+def test_l1_sampler_tuple_keys_distribution_tv():
+    """Sampled (u, w) nodes track |q_v| / ||q||_1 within TV 0.05 on a
+    10-node instance."""
+    discs = [1, 2, 3, 1, 5, 2, 1, 4, 3, 2]
+    keys = [(u, u + 100) for u in range(10)]
+    total = sum(discs)
+    counts = {k: 0 for k in keys}
+    succ = 0
+    for s in range(4000):
+        smp = L1Sampler(seed=s)
+        for k, q in zip(keys, discs):
+            smp.update(k, q)
+        v = smp.sample()
+        if v is not FAIL:
+            succ += 1
+            counts[v] += 1
+    tv = 0.5 * sum(abs(counts[k] / succ - q / total) for k, q in zip(keys, discs))
+    assert tv < 0.05, tv
+
+
 def test_l1_sampler_two_equal_entries():
     counts = {0: 0, 1: 0}
     succ = 0
@@ -360,6 +389,50 @@ def test_linearity_bit_for_bit(stream, perm_seed):
         c1.merge(c2)
         assert a == b and a == c1
         assert a.state_bytes() == b.state_bytes() == c1.state_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream_strategy)
+def test_l1_sampler_views_equal_fed_reference(stream):
+    """The Count-Sketch and l1 sketch that the sampler builds from its count
+    map equal those fed update by update: the same state bytes and the same
+    sample, read after part of the stream and again after the rest."""
+    smp = L1Sampler(seed=8, rows=3, buckets=16)
+    fed = FedL1Sampler.like(smp)
+    cut = len(stream) // 2
+    for part in (stream[:cut], stream[cut:]):
+        _apply(smp, part)
+        _apply(fed, part)
+        assert smp.state_bytes() == fed.state_bytes()
+        assert smp.sample() == fed.sample()
+
+
+def test_key_hashes_match_per_key_combine():
+    """Batched key hashing (one combine call per key width) equals hashing
+    each key on its own, for ints, wide ints and nested tuples, and still
+    rejects negative keys."""
+    keys = [0, 7, 2**64 - 1, 2**64, 3 * 2**128 + 5, (1, 2), (2**70, 3), ((4, 5), 6), 9]
+
+    def words(k):
+        if isinstance(k, tuple):
+            return [w for part in k for w in words(part)]
+        out = [k % 2**64]
+        while k >= 2**64:
+            k //= 2**64
+            out.append(k % 2**64)
+        return out
+
+    sk = CountSketch(3, 16, seed=21)
+    want = [int(hx.combine(21, *words(k))[()]) for k in keys]
+    assert sk._key_hashes(keys).tolist() == want
+    sc = ExpScaler(22)
+    want = hx.exp1(np.array([hx.combine(22, ExpScaler._SALT, *words(k)) for k in keys]))
+    assert np.array_equal(sc.variates(keys), want)
+    for bad in ([3, -1], [(1, 2), (1, -2)]):
+        with pytest.raises(ValueError):
+            sk._key_hashes(bad)
+        with pytest.raises(ValueError):
+            sc.variates(bad)
 
 
 def test_state_bytes_reflect_content():
