@@ -28,7 +28,8 @@ from .sketches import (
     ExpScaler,
     L0Sketch,
     L1Sampler,
-    SmallPStableSketch,
+    SparseCounts,
+    encode_state,
     sample_p_stable,
     stable_median,
     tail_truncated_norms,
@@ -60,5 +61,24 @@ from .streamio import (
 from .generators import GeneratedInstance, gen_instance, rm1_codewords
 from .cli import EstimateReport, run_estimator
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules (hashing, sketches, emd_sketch, ...) stay attributes of the
+# package, but are not part of the star-import surface.
+__all__ = [
+    "HypercubePoint", "PointMultiset", "hamming_distance",
+    "NodeId", "QuadtreeSpec", "lca_depth", "node_at_depth", "sample_quadtree",
+    "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
+    "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
+    "total_inspector_payment", "value_emd", "value_mst",
+    "FAIL", "CauchyL1Sketch", "CountSketch", "ExpScaler", "L0Sketch", "L1Sampler",
+    "SparseCounts", "encode_state", "sample_p_stable", "stable_median",
+    "tail_truncated_norms",
+    "EmbeddingFamily", "embed_point", "sample_embedding",
+    "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
+    "UniverseMap", "reference_I_i", "split_probability",
+    "MstRepView", "MstSketch", "MstSketchConfig", "reference_level_quantities",
+    "TurnstileUpdate", "aggregate", "parse_stream", "parse_stream_binary",
+    "write_stream", "write_stream_binary",
+    "GeneratedInstance", "gen_instance", "rm1_codewords",
+    "EstimateReport", "run_estimator",
+]
 __version__ = "0.1.0"

@@ -12,14 +12,17 @@ point of C_u and a random point of C_v. Summed over levels, I sandwiches
 EMD(A, B) within ~log n factors for most trees, and every factor of it is
 estimable by small linear sketches.
 
-State discipline: each level replica stores one count map -- exact sparse
-integer counts per universe-reduced node (|A_v|, |B_v|, and per character
-set the positive-parity count) -- and seeds; an update writes that map and
-nothing else. Every sketch of the level is a view of it, built in canonical
-order when it is read: the LS1/LS2/LS3 Count-Sketch tables, the Delta-hat
-Cauchy sketch and the round-one l1 samplers (both of the node discrepancy
-q_v = |A_v| - |B_v|). By linearity the result is identical to eager
-per-update accumulation, but states merge and replay bit-for-bit.
+State discipline: each level replica stores one `SparseCounts` -- exact
+integer counts per universe-reduced node (u, w) (|A_v|, |B_v|, and per
+character set the positive-parity count) -- and seeds; an update adds one
+row to that store and writes nothing else. Every sketch of the level is a
+view of it, built in canonical order when it is read: the LS1/LS2/LS3
+Count-Sketch tables, the Delta-hat Cauchy sketch and the round-one l1
+samplers (both of the node discrepancy q_v = |A_v| - |B_v|). By linearity
+the result is identical to eager per-update accumulation, but states merge
+and replay bit-for-bit. Node ids are uint64 throughout. `state_bytes` is
+`encode_state` of the replica stores: the counts and the shape words,
+nothing derived.
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -30,17 +33,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, asdict
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix
+from .points import HypercubePoint, PointMultiset, hamming_matrix
 from .quadtree import QuadtreeSpec, sample_quadtree
-from .offline import LevelDecomposition, _decompose_pair
-from .sketches import FAIL, CauchyL1Sketch, L1Sampler
+from .offline import _decompose_pair
+from .sketches import (
+    FAIL,
+    CauchyL1Sketch,
+    L1Sampler,
+    SparseCounts,
+    _cs_coords,
+    _cs_estimates,
+    _cs_table,
+    encode_state,
+)
 
 __all__ = [
     "CharacterSet",
@@ -139,7 +151,9 @@ def default_universe_m(n: int) -> int:
 
 
 class UniverseMap:
-    """Keyed-hash reduction of parent/child node fingerprints into [m]."""
+    """Keyed-hash reduction of parent/child node fingerprints into uint64
+    ids in [m]. The seed may be an array, which then broadcasts against the
+    fingerprints (one id per seed)."""
 
     _SALT_U = 0x0E0A
     _SALT_W = 0x0E0B
@@ -150,15 +164,17 @@ class UniverseMap:
         self.m = m
         self.seed = seed
 
+    def _ids(self, salt: int, fp: np.ndarray) -> np.ndarray:
+        fp = np.atleast_2d(np.asarray(fp, dtype=U64))
+        return hx.combine(self.seed, salt, fp[:, 0], fp[:, 1]) % U64(self.m)
+
     def u_of(self, fp: np.ndarray) -> np.ndarray:
         """Parent ids in [m]; fp is a (n, 2) uint64 fingerprint array."""
-        fp = np.atleast_2d(np.asarray(fp, dtype=U64))
-        return hx.bucket(hx.combine(self.seed, self._SALT_U, fp[:, 0], fp[:, 1]), self.m)
+        return self._ids(self._SALT_U, fp)
 
     def w_of(self, fp: np.ndarray) -> np.ndarray:
         """Child slot ids in [m]."""
-        fp = np.atleast_2d(np.asarray(fp, dtype=U64))
-        return hx.bucket(hx.combine(self.seed, self._SALT_W, fp[:, 0], fp[:, 1]), self.m)
+        return self._ids(self._SALT_W, fp)
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +265,6 @@ class EmdSketchConfig:
 
 
 # ---------------------------------------------------------------------------
-# float Count-Sketch decode helper
-# ---------------------------------------------------------------------------
-
-
-def _cs_table(
-    idx_hash: np.ndarray, values: np.ndarray, rows: int, buckets: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bucket table of a Count-Sketch applied to a float vector given by
-    (index-hash, value) pairs; returns (table, bucket idx, signs)."""
-    r = np.arange(rows, dtype=U64)[:, None]
-    b = hx.bucket(hx.combine(seed, 0xB, r, idx_hash[None, :]), buckets)
-    s = hx.sign_pm1(hx.combine(seed, 0x5, r, idx_hash[None, :]))
-    table = np.zeros((rows, buckets))
-    for rr in range(rows):
-        np.add.at(table[rr], b[rr], s[rr] * values)
-    return table, b, s
-
-
-def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Median-over-rows estimates for the same indices the table was built
-    from (their bucket/sign arrays are reused)."""
-    rows = table.shape[0]
-    vals = s * table[np.arange(rows)[:, None], b]
-    return np.median(vals, axis=0)
-
-
-# ---------------------------------------------------------------------------
 # per-level replica state
 # ---------------------------------------------------------------------------
 
@@ -295,7 +284,7 @@ class _LevelReplica:
             CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4, j)[()]))
             for j in range(cfg.n_sets)
         ]
-        self.counts: Dict[Tuple[int, int], np.ndarray] = {}
+        self.counts = SparseCounts(2 + cfg.n_sets)
         self.sampled: Dict[Tuple[int, int], object] = {}
         self.pass2_counters: Dict[Tuple[int, int], np.ndarray] = {}
 
@@ -305,15 +294,16 @@ class _LevelReplica:
         w = int(self.umap.w_of(fp_path[self.level][None, :])[0])
         return u, w
 
-    def update(self, key: Tuple[int, int], chi_plus: np.ndarray, label: str, delta: int) -> None:
-        row = self.counts.get(key)
-        if row is None:
-            row = np.zeros(2 + self.cfg.n_sets, dtype=np.int64)
-            self.counts[key] = row
-        row[0 if label == "A" else 1] += delta
-        row[2:] += delta * chi_plus
-        if not row.any():
-            del self.counts[key]
+    def point_row(self, chi_plus: np.ndarray, label: str) -> np.ndarray:
+        """The count row of one point: [1{A}, 1{B}, chi_plus per set]."""
+        row = np.zeros(2 + self.cfg.n_sets, dtype=np.int64)
+        row[0 if label == "A" else 1] = 1
+        row[2:] = chi_plus
+        return row
+
+    def update(self, key: Tuple[int, int], row: np.ndarray, delta: int) -> None:
+        """Add delta times a point's count row (`point_row`) at node key."""
+        self.counts.add(key, delta * row)
 
     def update_pass2(self, key: Tuple[int, int], chi_plus: np.ndarray, delta: int) -> None:
         for (j, c), v in self.sampled.items():
@@ -327,10 +317,12 @@ class _LevelReplica:
                     ctr[2] += delta
                     ctr[3] += delta * int(chi_plus[j])
 
-    def discrepancies(self) -> Dict[Tuple[int, int], int]:
-        """The nonzero node discrepancies q_v = |A_v| - |B_v| as a count map:
-        the vector that Delta-hat and the round-one samplers sketch."""
-        return {k: int(row[0] - row[1]) for k, row in self.counts.items() if row[0] != row[1]}
+    def discrepancies(self) -> SparseCounts:
+        """The node discrepancies q_v = |A_v| - |B_v| as a count store: the
+        vector that Delta-hat and the round-one samplers sketch."""
+        q = np.zeros((self.counts.width, 1), dtype=np.int64)
+        q[0], q[1] = 1, -1
+        return self.counts.image(q)
 
     @property
     def delta_sketch(self) -> CauchyL1Sketch:
@@ -365,13 +357,9 @@ class _LevelReplica:
     # -- decode ---------------------------------------------------------------
     def vectors(self):
         """Canonical arrays (u, w, qv, cC, splus[(node, set)]) of the state."""
-        keys = sorted(self.counts.keys())
-        if not keys:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, z, z, np.zeros((0, self.cfg.n_sets), dtype=np.int64)
-        u = np.array([k[0] for k in keys], dtype=np.int64)
-        w = np.array([k[1] for k in keys], dtype=np.int64)
-        rows = np.stack([self.counts[k] for k in keys])
+        keys, rows = self.counts.sorted()
+        u = np.array([k[0] for k in keys], dtype=U64)
+        w = np.array([k[1] for k in keys], dtype=U64)
         qv = rows[:, 0] - rows[:, 1]
         cC = rows[:, 0] + rows[:, 1]
         return u, w, qv, cC, rows[:, 2:]
@@ -382,8 +370,8 @@ class _LevelReplica:
         tests that condition on explicit exponential scalings)."""
         u, w, qv, cC, splus = self.vectors()
         uu, u_inv = np.unique(u, return_inverse=True)
-        hk_u = hx.combine(self.seed, 0xAB, uu.astype(U64))
-        hk_v = hx.combine(self.seed, 0xAC, u.astype(U64), w.astype(U64))
+        hk_u = hx.combine(self.seed, 0xAB, uu)
+        hk_v = hx.combine(self.seed, 0xAC, u, w)
         return _OneRoundDecoder(
             self, j, c, r, m, uu, u_inv, hk_u, hk_v, qv, cC, splus[:, j], t_u, t_v
         )
@@ -397,8 +385,8 @@ class _LevelReplica:
         if len(u) == 0:
             return [0.0] * cfg.n_sets
         uu, u_inv = np.unique(u, return_inverse=True)
-        hk_u = hx.combine(self.seed, 0xAB, uu.astype(U64))
-        hk_v = hx.combine(self.seed, 0xAC, u.astype(U64), w.astype(U64))
+        hk_u = hx.combine(self.seed, 0xAB, uu)
+        hk_v = hx.combine(self.seed, 0xAC, u, w)
 
         out: List[float] = []
         for j in range(cfg.n_sets):
@@ -483,6 +471,13 @@ class _OneRoundDecoder:
             else np.asarray(t_v, dtype=np.float64)
         )
 
+    def _cs(self, idx_hash: np.ndarray, values: np.ndarray, sub_seed: int) -> np.ndarray:
+        """Count-Sketch estimates of a float vector at its own indices."""
+        cfg = self.cfg
+        b, s = _cs_coords((sub_seed, 0xB), (sub_seed, 0x5), idx_hash,
+                          cfg.cs_rows, cfg.cs_buckets)
+        return _cs_estimates(_cs_table(b, s, values, cfg.cs_buckets), b, s)
+
     def ls1(self) -> int:
         """Recover the parent maximizing P_u / t_u (index into uu)."""
         cfg = self.cfg
@@ -493,31 +488,21 @@ class _OneRoundDecoder:
             per_u = np.zeros(len(self.uu))
             np.add.at(per_u, self.u_inv, alpha * self.qv)
             per_u *= inv_tu
-            table, b, s = _cs_table(
-                self.hk_u, per_u, cfg.cs_rows, cfg.cs_buckets,
-                int(hx.combine(self.sub, 0xCE, k)[()]),
-            )
-            ests[k] = _cs_estimates(table, b, s)
+            ests[k] = self._cs(self.hk_u, per_u, int(hx.combine(self.sub, 0xCE, k)[()]))
         med = np.median(np.abs(ests), axis=0)
         return int(np.argmax(med))
 
     def ls2(self, u_idx: int) -> int:
         """Recover the child of uu[u_idx] maximizing Q_v/(t_u t_v); returns a
         node index (always a child of the given parent)."""
-        cfg = self.cfg
         vals = self.qv / (self.t_u[self.u_inv] * self.t_v)
-        table, b, s = _cs_table(
-            self.hk_v, vals, cfg.cs_rows, cfg.cs_buckets,
-            int(hx.combine(self.sub, 0xCF)[()]),
-        )
-        est = np.abs(_cs_estimates(table, b, s))
+        est = np.abs(self._cs(self.hk_v, vals, int(hx.combine(self.sub, 0xCF)[()])))
         children = np.nonzero(self.u_inv == u_idx)[0]
         return int(children[np.argmax(est[children])])
 
     def ls3(self, v_idx: int) -> float:
         """Estimate p_{u,v,S} from four Count-Sketches of the chi counters,
         truncated to [0, 1]; non-positive denominators give 0."""
-        cfg = self.cfg
         u_idx = self.u_inv[v_idx]
         inv_tu = 1.0 / self.t_u
         cu = np.zeros(len(self.uu))
@@ -531,11 +516,7 @@ class _OneRoundDecoder:
         cvp = self.splus_j * scale_v
 
         def est(idx_hash, values, salt, pick):
-            table, b, s = _cs_table(
-                idx_hash, values, cfg.cs_rows, cfg.cs_buckets,
-                int(hx.combine(self.sub, salt)[()]),
-            )
-            return _cs_estimates(table, b, s)[pick]
+            return self._cs(idx_hash, values, int(hx.combine(self.sub, salt)[()]))[pick]
 
         s1 = est(self.hk_u, cu, 0x31, u_idx)
         s2 = est(self.hk_u, cup, 0x32, u_idx)
@@ -555,6 +536,8 @@ class _OneRoundDecoder:
 
 
 class _EmdSketchBase:
+    _KIND = 6  # of the serialized state
+
     def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec]):
         self.cfg = cfg
         self.tree = tree if tree is not None else sample_quadtree(
@@ -571,7 +554,7 @@ class _EmdSketchBase:
             for i in range(1, self.h + 1)
         ]
         self._fp_cache: Dict[int, np.ndarray] = {}
-        self._chi_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self._row_cache: Dict[Tuple[int, int, str], np.ndarray] = {}
         self.n_a = 0
         self.n_b = 0
 
@@ -582,15 +565,13 @@ class _EmdSketchBase:
             self._fp_cache[point.value] = fp
         return fp
 
-    def _chi_plus(self, rep: _LevelReplica, point: HypercubePoint) -> np.ndarray:
-        key = (id(rep), point.value, 0)
-        v = self._chi_cache.get(key)
+    def _row(self, rep: _LevelReplica, point: HypercubePoint, label: str) -> np.ndarray:
+        """The point's count row in rep (cached per replica, point, label)."""
+        key = (id(rep), point.value, label)
+        v = self._row_cache.get(key)
         if v is None:
-            v = np.array(
-                [1 if cs.eval_value(point.value) == 1 else 0 for cs in rep.charsets],
-                dtype=np.int64,
-            )
-            self._chi_cache[key] = v
+            chi = [1 if cs.eval_value(point.value) == 1 else 0 for cs in rep.charsets]
+            v = self._row_cache[key] = rep.point_row(chi, label)
         return v
 
     def _apply(self, point: HypercubePoint, label: str, delta: int, pass2: bool) -> None:
@@ -605,11 +586,11 @@ class _EmdSketchBase:
         for per_level in self.replicas:
             for rep in per_level:
                 key = rep.node_key(fp_path)
-                chi = self._chi_plus(rep, point)
+                row = self._row(rep, point, label)
                 if pass2:
-                    rep.update_pass2(key, chi, delta)
+                    rep.update_pass2(key, row[2:], delta)
                 else:
-                    rep.update(key, chi, label, delta)
+                    rep.update(key, row, delta)
 
     def _check_balanced(self) -> None:
         if self.n_a != self.n_b:
@@ -634,14 +615,7 @@ class EmdOnePassSketch(_EmdSketchBase):
         self.n_b += other.n_b
         for mine, theirs in zip(self.replicas, other.replicas):
             for a, b in zip(mine, theirs):
-                for k, row in b.counts.items():
-                    cur = a.counts.get(k)
-                    if cur is None:
-                        a.counts[k] = row.copy()
-                    else:
-                        cur += row
-                        if not cur.any():
-                            del a.counts[k]
+                a.counts.merge(b.counts)
 
     def estimate(self) -> float:
         self._check_balanced()
@@ -651,17 +625,14 @@ class EmdOnePassSketch(_EmdSketchBase):
         return total + self.cfg.eps * self.n_a * self.cfg.d
 
     def state_bytes(self) -> bytes:
-        out = [b"GEMD"]
-        for per_level in self.replicas:
-            for rep in per_level:
-                for k in sorted(rep.counts.keys()):
-                    out.append(
-                        k[0].to_bytes(16, "little")
-                        + k[1].to_bytes(16, "little")
-                        + rep.counts[k].tobytes()
-                    )
-                out.append(rep.delta_sketch.state_bytes())
-        return b"".join(out)
+        """`encode_state` of every replica's counts, level by level (the
+        round-two state of a two-pass sketch is not included)."""
+        cfg = self.cfg
+        return encode_state(
+            self._KIND,
+            (cfg.seed, cfg.d, cfg.universe_m, cfg.level_reps, cfg.n_sets),
+            [rep.counts for per_level in self.replicas for rep in per_level],
+        )
 
 
 class EmdTwoPassSketch(_EmdSketchBase):

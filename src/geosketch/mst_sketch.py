@@ -24,12 +24,17 @@ p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
 indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
 runs in (sign, log-magnitude) space.
 
-State per (level, sample): exact sparse counts per universe-reduced node and
-per point identity, plus seeds; an update writes those counts and nothing
-else. Every sketch is a view materialized from them when it is read
+State per (level, sample): one `SparseCounts` of point entries, (u, w,
+point fingerprint) -> [net, net * chi], plus seeds; an update adds one row
+to it and writes nothing else. Both columns are linear in the stream, so
+states merge like any other store. The node counts [sum net, sum net * chi]
+per universe-reduced node (u, w) are derived from the point entries when
+they are read, and every sketch is a view materialized from them
 (bit-identical under permutation and merge): the recovery and witness
 sketches of each sample, and the per-level l0 sketch, which is keyed by the
-node ids of the level's first sample and so is built from its node counts.
+node ids of the level's first sample. Node ids are uint64 throughout.
+`state_bytes` is `encode_state` of the point stores: the counts and the
+shape words, no node rows and no l0 sketch.
 
 The decode is batched: the parent recovery evaluates its hash rows as one
 stack, each kappa of the child scan evaluates all of its (j, side, row)
@@ -46,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +60,7 @@ from .hashing import U64
 from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
-from .sketches import FAIL, L0Sketch, stable_median
+from .sketches import FAIL, L0Sketch, SparseCounts, encode_state, stable_median
 from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n
 
 __all__ = [
@@ -67,6 +72,12 @@ __all__ = [
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
 _DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
+_POINT_ROWS = (np.array([1, 0], dtype=np.int64), np.array([1, 1], dtype=np.int64))  # by chi
+
+
+def _node_of(key: Tuple[int, int, int]) -> Tuple[int, int]:
+    """The node (u, w) of a point entry (u, w, point fingerprint)."""
+    return key[:2]
 
 
 def _point_fps(seeds, point: HypercubePoint) -> np.ndarray:
@@ -179,7 +190,8 @@ def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
 
 
 class _RepState:
-    """Sparse state of one (level, sample): node counts and point entries."""
+    """Sparse state of one (level, sample): the point entries, from which
+    the node counts are derived."""
 
     def __init__(self, cfg: MstSketchConfig, level: int, seed: int):
         self.cfg = cfg
@@ -187,10 +199,8 @@ class _RepState:
         self.seed = seed
         self.umap = UniverseMap(cfg.universe_m, int(hx.combine(seed, 0xD1)[()]))
         self.charset = CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4)[()]))
-        # (u, w) -> [net count, net chi-plus count]
-        self.nodes: Dict[Tuple[int, int], np.ndarray] = {}
-        # (u, w, pt_fp) -> [net count, chi flag]
-        self.points: Dict[Tuple[int, int, int], np.ndarray] = {}
+        # (u, w, pt_fp) -> [net count, net count * chi]
+        self.points = SparseCounts(2)
 
     def point_fp(self, point: HypercubePoint) -> int:
         return int(_point_fps(self.seed, point))
@@ -198,40 +208,13 @@ class _RepState:
     def update(self, key: Tuple[int, int], point: HypercubePoint, delta: int,
                pfp: Optional[int] = None) -> None:
         chi = 1 if self.charset.eval_value(point.value) == 1 else 0
-        row = self.nodes.get(key)
-        if row is None:
-            row = np.zeros(2, dtype=np.int64)
-            self.nodes[key] = row
-        row[0] += delta
-        row[1] += delta * chi
-        if not row.any():
-            del self.nodes[key]
         pk = (key[0], key[1], self.point_fp(point) if pfp is None else pfp)
-        prow = self.points.get(pk)
-        if prow is None:
-            prow = np.array([0, chi], dtype=np.int64)
-            self.points[pk] = prow
-        prow[0] += delta
-        if prow[0] == 0:
-            del self.points[pk]
+        self.points.add(pk, delta * _POINT_ROWS[chi])
 
-    def merge(self, other: "_RepState") -> None:
-        for k, row in other.nodes.items():
-            cur = self.nodes.get(k)
-            if cur is None:
-                self.nodes[k] = row.copy()
-            else:
-                cur += row
-                if not cur.any():
-                    del self.nodes[k]
-        for k, prow in other.points.items():
-            cur = self.points.get(k)
-            if cur is None:
-                self.points[k] = prow.copy()
-            else:
-                cur[0] += prow[0]
-                if cur[0] == 0:
-                    del self.points[k]
+    def node_counts(self) -> SparseCounts:
+        """(u, w) -> [net count, net chi-plus count], summed over the
+        node's point entries."""
+        return self.points.image(key_of=_node_of)
 
 
 class MstRepView:
@@ -241,21 +224,16 @@ class MstRepView:
     def __init__(self, state: _RepState):
         self.st = state
         self.cfg = state.cfg
-        keys = sorted(state.nodes.keys())
+        keys, rows = state.node_counts().sorted()
         self.keys = keys
-        self.u = np.array([k[0] for k in keys], dtype=np.int64)
-        self.w = np.array([k[1] for k in keys], dtype=np.int64)
-        rows = (
-            np.stack([state.nodes[k] for k in keys])
-            if keys
-            else np.zeros((0, 2), dtype=np.int64)
-        )
+        self.u = np.array([k[0] for k in keys], dtype=U64)
+        self.w = np.array([k[1] for k in keys], dtype=U64)
         self.nx = rows[:, 0]
         self.uu, self.u_inv = (
             np.unique(self.u, return_inverse=True) if keys else (self.u, self.u)
         )
-        self.hk_u = hx.combine(state.seed, 0xAB, self.uu.astype(U64))
-        self.hk_v = self._node_hash(self.u.astype(U64), self.w.astype(U64))
+        self.hk_u = hx.combine(state.seed, 0xAB, self.uu)
+        self.hk_v = self._node_hash(self.u, self.w)
         self.t_u = np.clip(hx.exp1(hx.combine(state.seed, 0xE1, self.hk_u)), 1e-6, 50.0)
         self.log_med = math.log(stable_median(self.cfg.p))
         self._wit: Dict[Tuple[Tuple[int, int], int], np.ndarray] = {}
@@ -386,10 +364,10 @@ class MstRepView:
         cached = getattr(self, "_pts", None)
         if cached is not None:
             return cached
-        keys = sorted(self.st.points.keys())
+        keys, rows = self.st.points.sorted()
         pfp = np.array([k[2] for k in keys], dtype=U64)
-        net = np.array([int(self.st.points[k][0]) for k in keys], dtype=np.int64)
-        chi = np.array([int(self.st.points[k][1]) for k in keys], dtype=np.int64)
+        net = rows[:, 0]
+        chi = (rows[:, 1] != 0).astype(np.int64)  # net != 0 in every entry
         hkv = self._node_hash(np.array([k[0] for k in keys], dtype=U64),
                               np.array([k[1] for k in keys], dtype=U64))
         sides = np.arange(2, dtype=U64)[:, None, None]
@@ -516,6 +494,8 @@ class MstRepView:
 class MstSketch:
     """One-pass MST estimator (l0 per level plus t sampled tuples)."""
 
+    _KIND = 7  # of the serialized state
+
     def __init__(self, cfg: MstSketchConfig, tree: Optional[QuadtreeSpec] = None):
         self.cfg = cfg
         self.tree = tree if tree is not None else sample_quadtree(
@@ -533,9 +513,10 @@ class MstSketch:
         ]
         self._fp_cache: Dict[int, tuple] = {}
         self.n_points = 0
-        # batched hashing inputs: per level, the umap seeds of its samples
-        self._umap_seeds = [
-            np.array([rep.umap.seed for rep in per_level], dtype=U64)
+        # batched hashing: per level, one universe map over the umap seeds
+        # of its samples
+        self._umaps = [
+            UniverseMap(cfg.universe_m, np.array([rep.umap.seed for rep in per_level], dtype=U64))
             for per_level in self.reps
         ]
         self._rep_seeds = [
@@ -551,19 +532,9 @@ class MstSketch:
             return cached
         fp_path = self.tree.node_path(point.bits()[None, :])[0]
         per_level = []
-        for li in range(self.h):
-            level = li + 1
-            seeds = self._umap_seeds[li]
-            us = hx.bucket(
-                hx.combine(seeds, UniverseMap._SALT_U,
-                           fp_path[level - 1, 0], fp_path[level - 1, 1]),
-                self.cfg.universe_m,
-            )
-            ws = hx.bucket(
-                hx.combine(seeds, UniverseMap._SALT_W,
-                           fp_path[level, 0], fp_path[level, 1]),
-                self.cfg.universe_m,
-            )
+        for li, umap in enumerate(self._umaps):
+            us = umap.u_of(fp_path[li])  # the parent, at depth li
+            ws = umap.w_of(fp_path[li + 1])
             per_level.append((us, ws, _point_fps(self._rep_seeds[li], point)))
         self._fp_cache[point.value] = per_level
         return per_level
@@ -583,15 +554,16 @@ class MstSketch:
         self.n_points += other.n_points
         for mine, theirs in zip(self.reps, other.reps):
             for a, b in zip(mine, theirs):
-                a.merge(b)
+                a.points.merge(b.points)
 
     @property
     def l0(self) -> List[L0Sketch]:
-        """The l0 sketch of every level, built from the node counts of the
-        level's first sample, whose (u, w) ids it is keyed by."""
+        """The l0 sketch of every level, built from the net node counts of
+        the level's first sample, whose (u, w) ids it is keyed by."""
+        net = np.array([[1], [0]], dtype=np.int64)
         return [
             L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]), buckets=self.cfg.l0_buckets)
-            .with_counts({k: row[0] for k, row in per_level[0].nodes.items()})
+            .with_counts(per_level[0].points.image(net, key_of=_node_of))
             for i, per_level in enumerate(self.reps, start=1)
         ]
 
@@ -629,25 +601,13 @@ class MstSketch:
         return total
 
     def state_bytes(self) -> bytes:
-        out = [b"GMST"]
-        for per_level in self.reps:
-            for rep in per_level:
-                for k in sorted(rep.nodes.keys()):
-                    out.append(
-                        k[0].to_bytes(16, "little")
-                        + k[1].to_bytes(16, "little")
-                        + rep.nodes[k].tobytes()
-                    )
-                for k in sorted(rep.points.keys()):
-                    out.append(
-                        k[0].to_bytes(16, "little")
-                        + k[1].to_bytes(16, "little")
-                        + k[2].to_bytes(16, "little")
-                        + rep.points[k].tobytes()
-                    )
-        for l0 in self.l0:
-            out.append(l0.state_bytes())
-        return b"".join(out)
+        """`encode_state` of every sample's point entries, level by level."""
+        cfg = self.cfg
+        return encode_state(
+            self._KIND,
+            (cfg.seed, cfg.d, cfg.universe_m, cfg.samples),
+            [rep.points for per_level in self.reps for rep in per_level],
+        )
 
 
 def reference_level_quantities(

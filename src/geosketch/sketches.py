@@ -1,19 +1,25 @@
 """Reusable linear-sketch toolbox.
 
-All sketches share one state discipline: the stored state is (seeds, a
-canonical sparse integer map from touched index to net count). Accumulator
+State discipline: there is one count store, `SparseCounts`, which maps a key
+to a fixed-width int64 row and drops a row once it is all zero. Every sketch
+in the package keeps its state in one (or, for the estimators, one per
+replica): the stored state is (seeds, exact sparse counts). Accumulator
 vectors -- the classical dense view -- are materialized on demand as a pure
-function of that state, in canonical index order. This keeps every state
+function of that state, in canonical key order. This keeps every state
 exactly linear: permuting, splitting or merging update streams yields
 bit-identical states and hence bit-identical estimates (floating-point
 accumulation in stream order could not promise that).
 
 A composite sketch is a view of one count map, not a second store: the
-l1 sampler builds its Count-Sketch and its Cauchy l1 sketch from its own map
-when it is read, and the estimators build the sketches of a vector they
-already count exactly (Delta-hat, the round-one samplers, the per-level l0)
-from that count with `with_counts`. Each derived map has the keys and the
-integers that feeding every update to the sketch would have given.
+l1 sampler builds its Count-Sketch table and its Cauchy l1 sketch from its
+own map when it is read, and the estimators build the sketches of a vector
+they already count exactly (Delta-hat, the round-one samplers, the per-level
+l0) from that count with `with_counts`. Each derived map has the keys and
+the integers that feeding every update to the sketch would have given.
+
+`encode_state` is the one serializer: magic, version, kind, the shape/seed
+words, then the sorted counts of each store. It writes nothing that can be
+derived from the counts, so `state_bytes` holds no accumulator.
 
 Coefficients (Count-Sketch signs, Cauchy and p-stable scalars, exponential
 scalings) are derived from the seed and the index by keyed hashing, never
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,15 +41,15 @@ from . import hashing as hx
 from .hashing import U64
 
 __all__ = [
+    "SparseCounts",
+    "encode_state",
     "CountSketch",
     "CauchyL1Sketch",
-    "SmallPStableSketch",
     "ExpScaler",
     "L1Sampler",
     "L0Sketch",
     "sample_p_stable",
     "stable_median",
-    "default_small_p_t",
     "tail_truncated_norms",
     "FAIL",
 ]
@@ -71,7 +77,10 @@ def _key_words(key: Key) -> Tuple[int, ...]:
     if isinstance(key, tuple):
         words: Tuple[int, ...] = ()
         for part in key:
-            words += _key_words(part)
+            # a one-word part (the node ids) skips the recursion: this runs
+            # for every key of every sort and hash of a sketch read
+            small = type(part) is int and 0 <= part <= 0xFFFFFFFFFFFFFFFF
+            words += (part,) if small else _key_words(part)
         return words
     return hx.int_words(key)
 
@@ -96,70 +105,137 @@ def _encode_key(key: Key) -> bytes:
     return struct.pack("<B", len(words)) + struct.pack(f"<{len(words)}Q", *words)
 
 
+class SparseCounts:
+    """Exact sparse counts: key -> fixed-width int64 row, the one count
+    store of the package. A row is dropped once it is all zero, so a store
+    depends on the net vector only, not on the order of the updates; `sorted`
+    and `to_bytes` list the rows in the canonical key order (`_key_words`)."""
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int = 1):
+        self.width = width
+        self.rows: Dict[Key, np.ndarray] = {}
+
+    def add(self, key: Key, delta) -> None:
+        """Add delta (a scalar or a row of the store's width) to key's row."""
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = np.zeros(self.width, dtype=np.int64)
+        row += delta
+        if not row.any():
+            del self.rows[key]
+
+    def merge(self, other: "SparseCounts") -> None:
+        """Add another store of the same width."""
+        if other.width != self.width:
+            raise ValueError("cannot merge count stores of different width")
+        for k, row in other.rows.items():
+            self.add(k, row)
+
+    def image(self, weights=None, key_of: Optional[Callable[[Key], Key]] = None) -> "SparseCounts":
+        """The linear image of the counts: row @ weights (the row itself when
+        weights is None), summed at key_of(key) (the key itself when None)."""
+        keys = list(self.rows)
+        vals = self._matrix(keys)
+        if weights is not None:
+            vals = vals @ np.asarray(weights, dtype=np.int64)
+        out = SparseCounts(vals.shape[1])
+        if key_of is None:
+            out.rows = {keys[i]: vals[i] for i in np.flatnonzero(vals.any(axis=1))}
+        else:
+            for k, row in zip(keys, vals):
+                out.add(key_of(k), row)
+        return out
+
+    def _matrix(self, keys: List[Key]) -> np.ndarray:
+        """The (len(keys), width) rows of the given keys."""
+        if not keys:
+            return np.zeros((0, self.width), dtype=np.int64)
+        return np.concatenate([self.rows[k] for k in keys]).reshape(len(keys), self.width)
+
+    def sorted(self) -> Tuple[List[Key], np.ndarray]:
+        """Keys in canonical order and their (len, width) rows."""
+        keys = sorted(self.rows, key=_key_words)
+        return keys, self._matrix(keys)
+
+    def to_bytes(self) -> bytes:
+        """Width, row count, then each (key words, int64 row) in canonical
+        order, little-endian."""
+        keys, rows = self.sorted()
+        out = [struct.pack("<II", self.width, len(keys))]
+        out += [_encode_key(k) + row.astype("<i8").tobytes() for k, row in zip(keys, rows)]
+        return b"".join(out)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseCounts)
+            and self.width == other.width
+            and self.rows.keys() == other.rows.keys()
+            and all(np.array_equal(r, other.rows[k]) for k, r in self.rows.items())
+        )
+
+
+_STATE_MAGIC = b"GSKS"
+_STATE_VERSION = 2
+
+
+def encode_state(kind: int, shape: Sequence[int], stores: Sequence[SparseCounts]) -> bytes:
+    """The one serialized form of a sketch state: magic, version, kind, the
+    shape/seed words (taken mod 2^64), then the count stores in order. It
+    holds nothing that can be derived from the counts."""
+    words = [int(v) & 0xFFFFFFFFFFFFFFFF for v in shape]
+    head = _STATE_MAGIC + struct.pack(
+        f"<HHB{len(words)}QI", _STATE_VERSION, kind, len(words), *words, len(stores)
+    )
+    return head + b"".join(st.to_bytes() for st in stores)
+
+
 class LinearSketch:
-    """Base class: canonical sparse integer state plus seed."""
+    """Base class: a seed and the count store of the sketched vector."""
 
     _KIND = 0
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._counts: Dict[Key, int] = {}
-        self._dirty = True
+        self._counts = SparseCounts()
 
     # -- state -------------------------------------------------------------
     def update(self, index: Key, delta: int) -> None:
         """Add delta to the implicit vector coordinate `index`."""
-        c = self._counts.get(index, 0) + int(delta)
-        if c == 0:
-            self._counts.pop(index, None)
-        else:
-            self._counts[index] = c
-        self._dirty = True
+        self._counts.add(index, int(delta))
 
-    def with_counts(self, counts: Dict[Key, int]) -> "LinearSketch":
-        """Replace the state by the nonzero entries of `counts` -- the state
-        that feeding every entry through update() gives -- and return self."""
-        self._counts = {k: int(c) for k, c in counts.items() if c}
-        self._dirty = True
+    def with_counts(self, counts: SparseCounts) -> "LinearSketch":
+        """Take the width-1 store `counts` as the state -- the state that
+        feeding its entries through update() gives -- and return self. The
+        store is shared, not copied: use it for read-only views."""
+        self._counts = counts
         return self
 
     def merge(self, other: "LinearSketch") -> None:
         """Add another state built with identical seeds/shape."""
         if type(other) is not type(self) or other._shape() != self._shape():
             raise ValueError("cannot merge sketches of different shape/seed")
-        for k, c in other._counts.items():
-            self.update(k, c)
+        self._counts.merge(other._counts)
 
     def support_size(self) -> int:
         return len(self._counts)
 
     def _sorted_items(self) -> Tuple[List[Key], np.ndarray]:
-        keys = sorted(self._counts.keys(), key=_key_words)
-        vals = np.array([self._counts[k] for k in keys], dtype=np.float64)
-        return keys, vals
+        keys, rows = self._counts.sorted()
+        return keys, rows[:, 0].astype(np.float64)
 
     def _key_hashes(self, keys: Sequence[Key]) -> np.ndarray:
         return _hash_keys((self.seed,), keys)
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed)
+        return (self.seed,)
 
-    # -- serialization -----------------------------------------------------
     def state_bytes(self) -> bytes:
-        """Versioned little-endian binary: header, seeds/shape, sparse counts,
-        materialized accumulators."""
-        head = b"GSKS" + struct.pack("<HH", 1, self._KIND)
-        shape = self._shape()
-        head += struct.pack("<B", len(shape)) + struct.pack(
-            f"<{len(shape)}Q", *[int(s) & 0xFFFFFFFFFFFFFFFF for s in shape]
-        )
-        keys, vals = self._sorted_items()
-        body = struct.pack("<I", len(keys))
-        for k, v in zip(keys, vals.astype(np.int64)):
-            body += _encode_key(k) + struct.pack("<q", int(v))
-        acc = np.ascontiguousarray(self._materialize(), dtype=np.float64)
-        body += struct.pack("<I", acc.size) + acc.tobytes()
-        return head + body
+        return encode_state(self._KIND, self._shape(), [self._counts])
 
     def _materialize(self) -> np.ndarray:
         raise NotImplementedError
@@ -175,6 +251,30 @@ class LinearSketch:
 # ---------------------------------------------------------------------------
 # Count-Sketch
 # ---------------------------------------------------------------------------
+
+
+def _cs_coords(prefix_b: tuple, prefix_s: tuple, hkeys: np.ndarray, rows: int,
+               buckets: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, n) buckets and signs of a Count-Sketch for the keys hashed to
+    hkeys: combine(*prefix, row, key hash) picks each one."""
+    r = np.arange(rows, dtype=U64)[:, None]
+    b = hx.bucket(hx.combine(*prefix_b, r, hkeys[None, :]), buckets)
+    s = hx.sign_pm1(hx.combine(*prefix_s, r, hkeys[None, :]))
+    return b, s
+
+
+def _cs_table(b: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
+    """Bucket table of the vector with `values` at the keys of (b, s),
+    added row by row in key order."""
+    table = np.zeros((b.shape[0], buckets))
+    for r in range(b.shape[0]):
+        np.add.at(table[r], b[r], s[r] * values)
+    return table
+
+
+def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Median-over-rows estimates at the keys of (b, s)."""
+    return np.median(s * table[np.arange(table.shape[0])[:, None], b], axis=0)
 
 
 class CountSketch(LinearSketch):
@@ -194,39 +294,32 @@ class CountSketch(LinearSketch):
             raise ValueError("rows and buckets must be positive")
         self.rows = rows
         self.buckets = buckets
-        self._table: Optional[np.ndarray] = None
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed, self.rows, self.buckets)
+        return (self.seed, self.rows, self.buckets)
 
-    def _coords(self, hkeys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        r = np.arange(self.rows, dtype=U64)[:, None]
-        hb = hx.combine(self._SALT_B, r, hkeys[None, :])
-        hs = hx.combine(self._SALT_S, r, hkeys[None, :])
-        return hx.bucket(hb, self.buckets), hx.sign_pm1(hs)
+    def _coords(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
+        return _cs_coords((self._SALT_B,), (self._SALT_S,), self._key_hashes(keys),
+                          self.rows, self.buckets)
+
+    def table(self, keys: Sequence[Key], values: np.ndarray) -> np.ndarray:
+        """The bucket table of the vector with `values` at `keys` (given in
+        canonical order); the sketch's own counts are not read."""
+        if not keys:
+            return np.zeros((self.rows, self.buckets))
+        return _cs_table(*self._coords(keys), values, self.buckets)
 
     def _materialize(self) -> np.ndarray:
-        if not self._dirty and self._table is not None:
-            return self._table
-        table = np.zeros((self.rows, self.buckets))
-        keys, vals = self._sorted_items()
-        if keys:
-            b, s = self._coords(self._key_hashes(keys))
-            for r in range(self.rows):
-                np.add.at(table[r], b[r], s[r] * vals)
-        self._table = table
-        self._dirty = False
-        return table
+        return self.table(*self._sorted_items())
 
     def estimate(self, index: Key) -> float:
         return float(self.estimate_many([index])[0])
 
-    def estimate_many(self, indices: Sequence[Key]) -> np.ndarray:
-        """Median-of-rows estimates for a batch of indices."""
-        table = self._materialize()
-        b, s = self._coords(self._key_hashes(list(indices)))
-        vals = s * table[np.arange(self.rows)[:, None], b]
-        return np.median(vals, axis=0)
+    def estimate_many(self, indices: Sequence[Key], table: Optional[np.ndarray] = None) -> np.ndarray:
+        """Median-of-rows estimates for a batch of indices, read from
+        `table` (default: the table of the sketch's own counts)."""
+        table = self._materialize() if table is None else table
+        return _cs_estimates(table, *self._coords(list(indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +339,6 @@ class CauchyL1Sketch(LinearSketch):
         if s < 1:
             raise ValueError("s must be positive")
         self.s = s
-        self._acc: Optional[np.ndarray] = None
 
     @classmethod
     def for_accuracy(cls, eps: float, delta: float, seed: int) -> "CauchyL1Sketch":
@@ -254,7 +346,7 @@ class CauchyL1Sketch(LinearSketch):
         return cls(s, seed)
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed, self.s)
+        return (self.seed, self.s)
 
     def coefficients(self, indices: Sequence[Key]) -> np.ndarray:
         """(s, n) Cauchy coefficient matrix for the given indices."""
@@ -263,22 +355,15 @@ class CauchyL1Sketch(LinearSketch):
         return hx.cauchy(hx.combine(self._SALT, r, hk[None, :]))
 
     def _materialize(self) -> np.ndarray:
-        if not self._dirty and self._acc is not None:
-            return self._acc
         keys, vals = self._sorted_items()
-        if keys:
-            self._acc = self.coefficients(keys) @ vals
-        else:
-            self._acc = np.zeros(self.s)
-        self._dirty = False
-        return self._acc
+        return self.coefficients(keys) @ vals if keys else np.zeros(self.s)
 
     def estimate(self) -> float:
         return float(np.median(np.abs(self._materialize())))
 
 
 # ---------------------------------------------------------------------------
-# p-stable generation, median of |D_p|, and the small-p sketch
+# p-stable generation and the median of |D_p|
 # ---------------------------------------------------------------------------
 
 
@@ -337,70 +422,6 @@ def stable_median(p: float) -> float:
         lambda t: cdf(_g_abs(p, t, np.pi * t / 2)) - 0.5, 0.02, 0.98, rtol=1e-9
     )
     return float(_g_abs(p, t_star, np.pi * t_star / 2))
-
-
-def default_small_p_t(p: float, eps: float, delta: float) -> int:
-    """Accumulator count for the small-p median estimator.
-
-    The per-draw margin of the median test is ~0.31 * p * eps (measured),
-    so t = 6 ln(2/delta) / (p eps)^2 puts the median inside (1 +- eps) with
-    probability well above 1 - delta.
-    """
-    return int(math.ceil(6.0 * math.log(2.0 / delta) / (p * eps) ** 2))
-
-
-class SmallPStableSketch(LinearSketch):
-    """l_p sketch for p near 0: t stable-weighted accumulators; the estimate
-    is median|acc| / median(|D_p|), a (1 +- eps) proxy for the stable scale
-    ||x||_p of the accumulated vector."""
-
-    _KIND = 3
-    _SALT_R = 0x59A1
-    _SALT_T = 0x59A2
-
-    def __init__(self, p: float, t: int, seed: int):
-        super().__init__(seed)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0,1), got {p}")
-        if t < 1:
-            raise ValueError("t must be positive")
-        self.p = p
-        self.t = t
-        self._acc: Optional[np.ndarray] = None
-
-    def _shape(self) -> tuple:
-        # p encoded through its IEEE bits so merge checks catch mismatches
-        return (self._KIND, self.seed, self.t, np.float64(self.p).view(np.int64))
-
-    def coefficients(self, indices: Sequence[Key]) -> np.ndarray:
-        hk = self._key_hashes(list(indices))
-        j = np.arange(self.t, dtype=U64)[:, None]
-        r = hx.uniform01(hx.combine(self._SALT_R, j, hk[None, :]))
-        th = np.pi * (hx.uniform01(hx.combine(self._SALT_T, j, hk[None, :])) - 0.5)
-        return sample_p_stable_array(self.p, r, th)
-
-    def _materialize(self) -> np.ndarray:
-        if not self._dirty and self._acc is not None:
-            return self._acc
-        keys, vals = self._sorted_items()
-        acc = np.zeros(self.t)
-        if keys:
-            hk = self._key_hashes(keys)
-            # chunk over accumulators: t can be large for tight accuracy targets
-            step = max(1, int(4e6) // len(keys))
-            for lo in range(0, self.t, step):
-                j = np.arange(lo, min(self.t, lo + step), dtype=U64)[:, None]
-                r = hx.uniform01(hx.combine(self._SALT_R, j, hk[None, :]))
-                th = np.pi * (hx.uniform01(hx.combine(self._SALT_T, j, hk[None, :])) - 0.5)
-                acc[lo : lo + j.shape[0]] = sample_p_stable_array(self.p, r, th) @ vals
-        self._acc = acc
-        self._dirty = False
-        return self._acc
-
-    def estimate(self) -> float:
-        if not self._counts:
-            return 0.0
-        return float(np.median(np.abs(self._materialize())) / stable_median(self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +498,33 @@ class L1Sampler(LinearSketch):
         self.gamma = gamma
         self.l1_rows = l1_rows
         self.scaler = ExpScaler(int(hx.combine(self.seed, self._SALT_EXP)[()]))
+        # its seed and shape give the hashes of the Count-Sketch view
+        self._cs = CountSketch(rows, buckets, int(hx.combine(self.seed, 0xC5)[()]))
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed, self.rows, self.buckets, self.l1_rows)
+        return (self.seed, self.rows, self.buckets, self.l1_rows)
 
-    def _views(self) -> Tuple[CountSketch, CauchyL1Sketch]:
-        """The Count-Sketch of the scaled vector x_i / t_i and the Cauchy l1
-        sketch of x, built from the current count map. The scaled vector is
-        kept on an integer grid of step 2^-20, x_i * round(min(1/t_i, 2^20)
-        * 2^20), so the Count-Sketch state is as exactly linear as x."""
-        keys = list(self._counts)
+    def _views(self) -> Tuple[np.ndarray, CauchyL1Sketch]:
+        """The Count-Sketch table of the scaled vector x_i / t_i and the
+        Cauchy l1 sketch of x, built from the current count map. The scaled
+        vector is kept on an integer grid of step 2^-20, x_i * round(min(1/t_i,
+        2^20) * 2^20), so the table is as exactly linear as x."""
+        keys, vals = self._sorted_items()
         inv_t = np.minimum(1.0 / self.scaler.variates(keys), _INV_EXP_CAP)
-        grid = np.round(inv_t * (1 << 20))
-        scaled = {k: self._counts[k] * int(g) for k, g in zip(keys, grid)}
-        cs = CountSketch(self.rows, self.buckets, int(hx.combine(self.seed, 0xC5)[()]))
+        table = self._cs.table(keys, vals * np.round(inv_t * (1 << 20)))
         l1 = CauchyL1Sketch(self.l1_rows, int(hx.combine(self.seed, 0xCA)[()]))
-        return cs.with_counts(scaled), l1.with_counts(self._counts)
+        return table, l1.with_counts(self._counts)
 
     def _materialize(self) -> np.ndarray:
-        return self._views()[0]._materialize()
+        return self._views()[0]
 
     def sample(self):
         """Return an index or FAIL."""
         keys, _ = self._sorted_items()
         if not keys:
             return FAIL
-        cs, l1 = self._views()
-        est = np.abs(cs.estimate_many(keys)) / float(1 << 20)
+        table, l1 = self._views()
+        est = np.abs(self._cs.estimate_many(keys, table)) / float(1 << 20)
         l1_hat = l1.estimate()
         top = int(np.argmax(est))
         best = est[top]
@@ -538,7 +559,7 @@ class L0Sketch(LinearSketch):
         self.buckets = buckets
 
     def _shape(self) -> tuple:
-        return (self._KIND, self.seed, self.levels, self.buckets)
+        return (self.seed, self.levels, self.buckets)
 
     def _materialize(self) -> np.ndarray:
         """Occupancy per level (the decoded view of the bucket tables)."""

@@ -94,6 +94,7 @@ def write_stream(updates: Iterable[TurnstileUpdate], comments: Iterable[str] = (
 
 
 _MAGIC = b"GSK1"
+_LABEL_BYTES = tuple(lbl.encode("ascii") for lbl in _LABELS)
 
 
 def write_stream_binary(updates: Iterable[TurnstileUpdate]) -> bytes:
@@ -113,12 +114,16 @@ def write_stream_binary(updates: Iterable[TurnstileUpdate]) -> bytes:
 
 
 def parse_stream_binary(data: bytes) -> List[TurnstileUpdate]:
+    """Parse the binary format; malformed input raises ValueError naming the
+    header or the record index."""
     if data[:4] != _MAGIC:
         raise ValueError("bad magic: not a GSK1 binary stream")
+    off = 4 + 12
+    if len(data) < off:
+        raise ValueError(f"header: truncated, {len(data)} of {off} bytes")
     d, count = struct.unpack_from("<IQ", data, 4)
     nbytes = (d + 7) // 8
     rec = 2 + nbytes
-    off = 4 + 12
     if len(data) != off + rec * count:
         raise ValueError("truncated binary stream")
     updates = []
@@ -127,10 +132,12 @@ def parse_stream_binary(data: bytes) -> List[TurnstileUpdate]:
         sign_b, label_b = data[base : base + 1], data[base + 1 : base + 2]
         if sign_b not in (b"+", b"-"):
             raise ValueError(f"record {i}: bad sign byte {sign_b!r}")
-        label = label_b.decode("ascii")
+        if label_b not in _LABEL_BYTES:
+            raise ValueError(f"record {i}: bad label byte {label_b!r}")
         value = int.from_bytes(data[base + 2 : base + rec], "big") >> (nbytes * 8 - d)
         updates.append(
-            TurnstileUpdate(1 if sign_b == b"+" else -1, label, HypercubePoint(d, value))
+            TurnstileUpdate(1 if sign_b == b"+" else -1, label_b.decode("ascii"),
+                            HypercubePoint(d, value))
         )
     return updates
 

@@ -44,7 +44,7 @@ class FedL1Sampler(L1Sampler):
         self.l1.update(index, delta)
 
     def _views(self):
-        return self.cs, self.l1
+        return self.cs._materialize(), self.l1
 
     @classmethod
     def like(cls, smp: L1Sampler) -> "FedL1Sampler":

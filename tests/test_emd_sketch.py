@@ -211,7 +211,7 @@ def test_two_round_estimate_matches_exact_p():
     # two children under one parent, known populations
     popA = [pt(rng.integers(0, 2, d)) for _ in range(4)]
     popB = [pt(rng.integers(0, 2, d)) for _ in range(3)]
-    rep.update((1, 2), chi_plus(popA[0]), "A", 4)
+    rep.update((1, 2), rep.point_row(chi_plus(popA[0]), "A"), 4)
     rep.finalize_pass1()
     assert set(rep.sampled.values()) == {(1, 2)}
     for p in popA:
@@ -234,7 +234,7 @@ def _replica_with_counts(counts, n=64, d=16, seed=0, **cfg_kw):
         row = np.zeros(2 + cfg.n_sets, dtype=np.int64)
         row[0], row[1] = na, nb
         row[2:] = chi_plus
-        rep.counts[key] = row
+        rep.counts.add(key, row)
     return rep
 
 
@@ -527,7 +527,8 @@ def _turnstile_stream(rng, d, n_updates):
 def test_replica_views_equal_fed_reference():
     """The Delta-hat sketch and every round-one sampler, built from the
     replica counts, equal sketches of the same type and seed fed (key, +-delta)
-    update by update: read after half the stream, after the rest, and by a
+    update by update (the same materialized accumulators and tables, state
+    bytes and samples): read after half the stream, after the rest, and by a
     second finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
@@ -549,12 +550,44 @@ def test_replica_views_equal_fed_reference():
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
             for rep, (delta, smps) in zip(reps, fed):
+                assert np.array_equal(rep.delta_sketch._materialize(), delta._materialize())
                 assert rep.delta_sketch.state_bytes() == delta.state_bytes()
                 assert rep.delta_sketch.estimate() == delta.estimate()
-                got = {jc: smp.state_bytes() for jc, smp in rep.samplers.items()}
+                views = rep.samplers
+                for jc, f in smps.items():
+                    assert np.array_equal(views[jc]._materialize(), f._materialize())
+                    assert np.array_equal(views[jc]._views()[1]._materialize(),
+                                          f._views()[1]._materialize())
+                got = {jc: smp.state_bytes() for jc, smp in views.items()}
                 assert got == {jc: f.state_bytes() for jc, f in smps.items()}
         sk.finalize_pass1()
         sampled = [dict(rep.sampled) for rep in reps]
         assert sampled == [{jc: f.sample() for jc, f in smps.items()} for _, smps in fed]
         sk.finalize_pass1()
         assert [dict(rep.sampled) for rep in reps] == sampled
+
+
+def test_node_ids_above_2_63_stay_unsigned():
+    """With a universe of 2^64 - 1 about half the node ids are 2^63 or more;
+    they stay uint64, so both estimators decode and serialize."""
+    updates = gen_instance("matched_noise", 8, 8, seed=1).updates
+    nets = {"A": {}, "B": {}}
+    for u in updates:
+        nets[u.label][u.point] = nets[u.label].get(u.point, 0) + u.sign
+    cfg = EmdSketchConfig(n=8, d=8, universe_m=2**64 - 1)
+    for cls in (EmdOnePassSketch, EmdTwoPassSketch):
+        sk = cls(cfg)
+        for label in ("A", "B"):
+            for p, c in nets[label].items():
+                sk.update(p, label, c)
+        keys = [k for per_level in sk.replicas for rep in per_level for k in rep.counts.rows]
+        assert min(min(k) for k in keys) >= 0
+        assert max(max(k) for k in keys) >= 2**63
+        assert sk.replicas[-1][0].vectors()[0].dtype == np.uint64
+        assert len(EmdOnePassSketch.state_bytes(sk)) > 0
+        if cls is EmdTwoPassSketch:
+            sk.finalize_pass1()
+            for label in ("A", "B"):
+                for p, c in nets[label].items():
+                    sk.update_pass2(p, label, c)
+        assert math.isfinite(sk.estimate())

@@ -44,10 +44,14 @@ def feed(sk, X):
 
 
 def rep_with_nodes(cfg, nodes, level=1, seed=7):
-    """Build a bare replica state with prescribed (u, w) -> count nodes."""
+    """Build a bare replica state with prescribed (u, w) -> count nodes: each
+    node holds one point entry of that net count and chi = -1."""
     st = _RepState(cfg, level, seed)
     for (u, w), cnt in nodes.items():
-        st.nodes[(u, w)] = np.array([cnt, 0], dtype=np.int64)
+        st.points.add((u, w, 1), np.array([cnt, 0]))
+    assert {k: r.tolist() for k, r in st.node_counts().rows.items()} == {
+        k: [c, 0] for k, c in nodes.items()
+    }
     return st
 
 
@@ -504,7 +508,8 @@ def test_mst_sketch_linearity_bit_identical():
 def test_l0_views_equal_fed_reference():
     """The per-level l0 sketch, built from the node counts of the level's
     first sample, equals an l0 sketch of the same seed fed ((u, w), +-delta)
-    update by update with the keys of `_point_keys`: read after half of a
+    update by update with the keys of `_point_keys` (the same occupancy,
+    state bytes and estimate): read after half of a
     turnstile stream with deletions and cancellations, and after the rest.
     The streams include nodes whose net count is 0 while their chi count is
     not, which the l0 sketch must not count."""
@@ -530,9 +535,48 @@ def test_l0_views_equal_fed_reference():
                 sk.update(p, c)
                 for f, (us, ws, _) in zip(fed, sk._point_keys(p)):
                     f.update((int(us[0]), int(ws[0])), c)
-            assert [l0.state_bytes() for l0 in sk.l0] == [f.state_bytes() for f in fed]
+            for l0, f in zip(sk.l0, fed):
+                assert np.array_equal(l0._materialize(), f._materialize())
+                assert l0.state_bytes() == f.state_bytes()
             assert sk.level_counts() == [f.estimate() for f in fed]
             zero_count_nodes += sum(
-                row[0] == 0 for per_level in sk.reps for row in per_level[0].nodes.values()
+                row[0] == 0
+                for per_level in sk.reps
+                for row in per_level[0].node_counts().rows.values()
             )
     assert zero_count_nodes > 0
+
+
+def test_node_counts_derived_from_point_entries():
+    """The node counts [net, net chi-plus] are the sums of the point entries
+    [net, net * chi]; a merged state equals the whole-stream state."""
+    cfg = small_cfg(n=2)
+    st = _RepState(cfg, 3, 4)
+    st.charset = CharacterSet(cfg.d, 0.5, 9)
+    x, y = pt([0, 0, 1, 1, 0, 1, 0, 1]), pt([1, 0, 0, 1, 1, 1, 0, 0])
+    cx, cy = (int(st.charset.eval(p) == 1) for p in (x, y))
+    st.update((1, 10), x, 3)
+    st.update((1, 10), y, -1)
+    st.update((2, 20), y, 2)
+    want = {(1, 10): [2, 3 * cx - cy], (2, 20): [2, 2 * cy]}
+    assert {k: r.tolist() for k, r in st.node_counts().rows.items()} == want
+    left, right = _RepState(cfg, 3, 4), _RepState(cfg, 3, 4)
+    left.charset = right.charset = st.charset
+    left.update((1, 10), x, 3)
+    right.update((1, 10), y, -1)
+    right.update((2, 20), y, 2)
+    left.points.merge(right.points)
+    assert left.points == st.points
+
+
+def test_node_ids_above_2_63_stay_unsigned():
+    """With a universe of 2^64 - 1 about half the node ids are 2^63 or more;
+    they stay uint64, so the estimator decodes and serializes."""
+    X = aggregate(gen_instance("uniform", 8, 8, seed=1).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
+    keys = [k for per_level in sk.reps for rep in per_level for k in rep.points.rows]
+    assert min(min(k[:2]) for k in keys) >= 0
+    assert max(max(k[:2]) for k in keys) >= 2**63
+    assert MstRepView(sk.reps[0][0]).u.dtype == np.uint64
+    assert len(sk.state_bytes()) > 0
+    assert math.isfinite(sk.estimate())

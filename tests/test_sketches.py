@@ -13,12 +13,13 @@ from geosketch import (
     ExpScaler,
     L0Sketch,
     L1Sampler,
-    SmallPStableSketch,
+    SparseCounts,
+    encode_state,
     sample_p_stable,
     stable_median,
     tail_truncated_norms,
 )
-from geosketch.sketches import default_small_p_t, sample_p_stable_array
+from geosketch.sketches import sample_p_stable_array
 
 from conftest import FedL1Sampler
 
@@ -129,28 +130,6 @@ def test_stable_median_matches_empirical():
         )
         emp = np.median(np.abs(draws))
         assert abs(emp - stable_median(p)) / stable_median(p) < 0.02
-
-
-def test_small_p_sketch_zero_and_one_hot():
-    sk = SmallPStableSketch(0.1, 2000, seed=4)
-    assert sk.estimate() == 0.0
-    sk.update(0, 1)
-    # e_1 input: accumulators are raw stable draws; with t=2000 the median
-    # is within ~25 percent of the scale for p=0.1
-    assert sk.estimate() == pytest.approx(1.0, rel=0.5)
-
-
-def test_small_p_sketch_success_rate_moderate():
-    p, eps = 0.1, 0.25
-    t = default_small_p_t(p, eps, 0.1)
-    ok = 0
-    trials = 40
-    for s in range(trials):
-        sk = SmallPStableSketch(p, t, seed=s)
-        sk.update(0, 1)
-        if abs(sk.estimate() - 1.0) <= eps:
-            ok += 1
-    assert ok >= 0.8 * trials, ok
 
 
 # -- exponentials ----------------------------------------------------------------
@@ -374,7 +353,6 @@ def test_linearity_bit_for_bit(stream, perm_seed):
     makers = [
         lambda: CountSketch(3, 16, seed=8),
         lambda: CauchyL1Sketch(32, seed=8),
-        lambda: SmallPStableSketch(0.2, 16, seed=8),
         lambda: L0Sketch(seed=8, buckets=64),
         lambda: L1Sampler(seed=8, rows=3, buckets=16),
     ]
@@ -395,14 +373,18 @@ def test_linearity_bit_for_bit(stream, perm_seed):
 @given(stream_strategy)
 def test_l1_sampler_views_equal_fed_reference(stream):
     """The Count-Sketch and l1 sketch that the sampler builds from its count
-    map equal those fed update by update: the same state bytes and the same
-    sample, read after part of the stream and again after the rest."""
+    map equal those fed update by update: the same materialized table and
+    accumulators, the same state bytes and the same sample, read after part
+    of the stream and again after the rest."""
     smp = L1Sampler(seed=8, rows=3, buckets=16)
     fed = FedL1Sampler.like(smp)
     cut = len(stream) // 2
     for part in (stream[:cut], stream[cut:]):
         _apply(smp, part)
         _apply(fed, part)
+        (table, l1), (fed_table, fed_l1) = smp._views(), fed._views()
+        assert np.array_equal(table, fed_table)
+        assert np.array_equal(l1._materialize(), fed_l1._materialize())
         assert smp.state_bytes() == fed.state_bytes()
         assert smp.sample() == fed.sample()
 
@@ -442,3 +424,70 @@ def test_state_bytes_reflect_content():
     assert a.state_bytes() != b.state_bytes()
     b.update(1, 1)
     assert a.state_bytes() == b.state_bytes()
+
+
+# -- the count store and the serializer ---------------------------------------------
+
+
+def test_sparse_counts_drop_zero_rows_and_merge():
+    a = SparseCounts(2)
+    a.add((1, 2), np.array([3, -1]))
+    a.add((1, 2), np.array([-3, 1]))
+    assert len(a) == 0
+    a.add(5, np.array([1, 1]))
+    b = SparseCounts(2)
+    b.add(5, np.array([-1, 0]))
+    b.add(7, 4)  # a scalar adds to every column
+    a.merge(b)
+    assert a.rows.keys() == {5, 7}
+    assert a.rows[5].tolist() == [0, 1] and a.rows[7].tolist() == [4, 4]
+    with pytest.raises(ValueError):
+        a.merge(SparseCounts(3))
+
+
+def test_sparse_counts_image_sums_at_mapped_keys():
+    pts = SparseCounts(2)
+    pts.add((1, 2, 10), np.array([2, 2]))
+    pts.add((1, 2, 11), np.array([-2, 0]))
+    pts.add((3, 4, 12), np.array([1, 0]))
+    nodes = pts.image(key_of=lambda k: k[:2])
+    assert {k: r.tolist() for k, r in nodes.rows.items()} == {(1, 2): [0, 2], (3, 4): [1, 0]}
+    net = pts.image([[1], [0]], key_of=lambda k: k[:2])
+    assert {k: r.tolist() for k, r in net.rows.items()} == {(3, 4): [1]}
+
+
+def test_sparse_counts_canonical_order_and_bytes():
+    """Keys sort by their 64-bit words whatever the insertion order, and the
+    bytes hold the width, the row count, then (words, int64 row) per key."""
+    keys = [(2**64 - 1, 0), (0, 2**63), (0, 5)]
+    a, b = SparseCounts(1), SparseCounts(1)
+    for k in keys:
+        a.add(k, 1)
+    for k in reversed(keys):
+        b.add(k, 1)
+    assert a.sorted()[0] == b.sorted()[0] == [(0, 5), (0, 2**63), (2**64 - 1, 0)]
+    assert a.to_bytes() == b.to_bytes()
+    one = SparseCounts(1)
+    one.add(9, -2)
+    assert one.to_bytes() == bytes.fromhex(
+        "01000000" "01000000" "01" "0900000000000000" "feffffffffffffff"
+    )
+
+
+def test_encode_state_header():
+    st = SparseCounts(1)
+    st.add(3, 1)
+    blob = encode_state(4, (2**64 - 1, 7), [st, SparseCounts(2)])
+    head = b"GSKS" + bytes.fromhex("0200" "0400" "02") + b"\xff" * 8 + (7).to_bytes(8, "little")
+    assert blob.startswith(head + (2).to_bytes(4, "little"))
+    assert blob.endswith(st.to_bytes() + SparseCounts(2).to_bytes())
+
+
+def test_state_bytes_hold_counts_only():
+    """A sketch serializes its seed/shape words and counts, no accumulator:
+    the size does not grow with the number of rows or buckets."""
+    small, big = CountSketch(3, 16, seed=8), CountSketch(30, 4096, seed=8)
+    for sk in (small, big):
+        sk.update(4, 2)
+    assert len(small.state_bytes()) == len(big.state_bytes())
+    assert big.state_bytes() == encode_state(1, (8, 30, 4096), [big._counts])
