@@ -7,7 +7,9 @@
                    [--format {text,bin}] [--out FILE]
 
 Reports are machine-readable JSON. The environment variable GEOSKETCH_SEED
-overrides any configured seed.
+overrides any configured seed. A dimension that is not a power of two is
+zero-padded to the next one, which changes no distance. Bad input is
+reported as `geosketch: error: <message>` with exit status 2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch
 from .generators import gen_instance
 from .mst_sketch import MstSketch, MstSketchConfig
 from .offline import EMD_ORACLE_CAP, MST_ORACLE_CAP, exact_emd, exact_mst
+from .points import HypercubePoint, PointMultiset
 from .streamio import (
     TurnstileUpdate,
     aggregate,
@@ -61,6 +64,16 @@ def _feed_emd(sk, A, B, second_pass: bool = False):
         up(p, "B", c)
 
 
+def _pad(ms: PointMultiset) -> PointMultiset:
+    """ms with every point zero-padded on the right to the next power-of-two
+    dimension, which the quadtree needs; Hamming distances are unchanged."""
+    d = 1 << (ms.d - 1).bit_length()
+    out = PointMultiset(d)
+    for p, c in ms.items():
+        out.add(HypercubePoint(d, p.value << (d - ms.d)), c)
+    return out
+
+
 def run_estimator(
     updates: List[TurnstileUpdate],
     problem: str,
@@ -71,8 +84,9 @@ def run_estimator(
     emd_config: Optional[EmdSketchConfig] = None,
     mst_config: Optional[MstSketchConfig] = None,
 ) -> EstimateReport:
-    """Aggregate the stream (estimates are unchanged, by linearity), run the
-    requested estimator, and optionally the exact oracle."""
+    """Aggregate the stream (estimates are unchanged, by linearity), pad the
+    points to a power-of-two dimension, run the requested estimator, and
+    optionally the exact oracle. The report keeps the input dimension."""
     t0 = time.monotonic()
     nets = aggregate(updates)
     if problem == "emd":
@@ -81,7 +95,8 @@ def run_estimator(
         if A is None or B is None or len(A) != len(B) or len(A) == 0:
             raise ValueError("EMD streams must end with non-empty |A| = |B|")
         n, d = len(A), A.d
-        cfg = emd_config or EmdSketchConfig(n=n, d=d, eps=eps, seed=seed)
+        A, B = _pad(A), _pad(B)
+        cfg = emd_config or EmdSketchConfig(n=n, d=A.d, eps=eps, seed=seed)
         if passes == 2:
             sk = EmdTwoPassSketch(cfg)
             _feed_emd(sk, A, B)
@@ -101,7 +116,8 @@ def run_estimator(
         if X is None or len(X) == 0:
             raise ValueError("MST streams must end with a non-empty X")
         n, d = len(X), X.d
-        cfg = mst_config or MstSketchConfig(n=n, d=d, seed=seed)
+        X = _pad(X)
+        cfg = mst_config or MstSketchConfig(n=n, d=X.d, seed=seed)
         sk = MstSketch(cfg)
         for p, c in X.items():
             sk.update(p, c)
@@ -235,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"geosketch: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

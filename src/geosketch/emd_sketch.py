@@ -12,17 +12,21 @@ point of C_u and a random point of C_v. Summed over levels, I sandwiches
 EMD(A, B) within ~log n factors for most trees, and every factor of it is
 estimable by small linear sketches.
 
-State discipline: each level replica stores one `SparseCounts` -- exact
-integer counts per universe-reduced node (u, w) (|A_v|, |B_v|, and per
-character set the positive-parity count) -- and seeds; an update adds one
-row to that store and writes nothing else. Every sketch of the level is a
-view of it, built in canonical order when it is read: the LS1/LS2/LS3
+State discipline: the sketch keeps one `SparseCounts`, packed point ->
+[net |A| count, net |B| count], plus seeds (a two-pass sketch keeps a second
+one for pass 2); an update adds one row to it and writes nothing else. That
+store is the aggregated input, the smallest exact state, not the paper's
+polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every
+replica's counts are a view of it, built once per read for all replicas in
+one batch (`views`): per universe-reduced node (u, w), |A_v|, |B_v|, and
+per character set the positive-parity count. Every sketch of a level is a
+view of those counts, built in canonical order: the LS1/LS2/LS3
 Count-Sketch tables, the Delta-hat Cauchy sketch and the round-one l1
-samplers (both of the node discrepancy q_v = |A_v| - |B_v|). By linearity
-the result is identical to eager per-update accumulation, but states merge
-and replay bit-for-bit. Node ids are uint64 throughout. `state_bytes` is
-`encode_state` of the replica stores: the counts and the shape words,
-nothing derived.
+samplers (both of the node discrepancy q_v = |A_v| - |B_v|), and the
+round-two counters, sums of the pass-2 view at each sampled edge. By
+linearity the result is identical to eager per-update accumulation, but
+states merge and replay bit-for-bit. Node ids are uint64 throughout.
+`state_bytes` is `encode_state` of the one store.
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix
+from .points import HypercubePoint, PointMultiset, hamming_matrix, values_to_matrix
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import _decompose_pair
 from .sketches import (
@@ -101,9 +105,6 @@ class CharacterSet:
         if x.d != self.d:
             raise ValueError("dimension mismatch")
         return -1 if (self.mask & x.value).bit_count() & 1 else 1
-
-    def eval_value(self, packed: int) -> int:
-        return -1 if (self.mask & packed).bit_count() & 1 else 1
 
     def eval_matrix(self, X: np.ndarray) -> np.ndarray:
         """chi_S row-wise over a (n, d) bit matrix."""
@@ -166,15 +167,26 @@ class UniverseMap:
 
     def _ids(self, salt: int, fp: np.ndarray) -> np.ndarray:
         fp = np.atleast_2d(np.asarray(fp, dtype=U64))
-        return hx.combine(self.seed, salt, fp[:, 0], fp[:, 1]) % U64(self.m)
+        return hx.combine(self.seed, salt, fp[..., 0], fp[..., 1]) % U64(self.m)
 
     def u_of(self, fp: np.ndarray) -> np.ndarray:
-        """Parent ids in [m]; fp is a (n, 2) uint64 fingerprint array."""
+        """Parent ids in [m]; fp is a (..., 2) uint64 fingerprint array."""
         return self._ids(self._SALT_U, fp)
 
     def w_of(self, fp: np.ndarray) -> np.ndarray:
         """Child slot ids in [m]."""
         return self._ids(self._SALT_W, fp)
+
+
+def replica_node_ids(path: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, w), each (len(reps), n): each replica's ids (its `umap`, all of
+    one size m) of the parent and the node at its `level` of the n points
+    with node paths `path` (n, h + 1, 2), in one hash call per id."""
+    lv = np.array([rep.level for rep in reps], dtype=np.int64)
+    seeds = np.array([rep.umap.seed for rep in reps], dtype=U64)[:, None]
+    umap = UniverseMap(reps[0].umap.m, seeds)
+    fp = path.swapaxes(0, 1)
+    return umap.u_of(fp[lv - 1]), umap.w_of(fp[lv])
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +282,10 @@ class EmdSketchConfig:
 
 
 class _LevelReplica:
-    """Exact sparse counts for one (level, replica): per universe-reduced
-    node (u, w): net |A_v|, net |B_v|, and per character set the count of
-    C_v points with chi = +1. The Delta-hat sketch and the round-one
-    samplers are views of the discrepancy column of these counts."""
+    """Seeds, universe map and character sets of one (level, replica). Its
+    counts, (u, w) -> [|A_v|, |B_v|, chi-plus count per set], are a view the
+    sketch passes in when it is read. A two-pass replica keeps its round-one
+    views, samples and round-two counters from `finalize_pass1` on."""
 
     def __init__(self, cfg: EmdSketchConfig, level: int, seed: int):
         self.cfg = cfg
@@ -284,58 +296,31 @@ class _LevelReplica:
             CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4, j)[()]))
             for j in range(cfg.n_sets)
         ]
-        self.counts = SparseCounts(2 + cfg.n_sets)
+        self.delta: Optional[CauchyL1Sketch] = None
+        self.samplers: Dict[Tuple[int, int], L1Sampler] = {}
         self.sampled: Dict[Tuple[int, int], object] = {}
         self.pass2_counters: Dict[Tuple[int, int], np.ndarray] = {}
 
-    # -- streaming ----------------------------------------------------------
-    def node_key(self, fp_path: np.ndarray) -> Tuple[int, int]:
-        u = int(self.umap.u_of(fp_path[self.level - 1][None, :])[0])
-        w = int(self.umap.w_of(fp_path[self.level][None, :])[0])
-        return u, w
-
-    def point_row(self, chi_plus: np.ndarray, label: str) -> np.ndarray:
-        """The count row of one point: [1{A}, 1{B}, chi_plus per set]."""
-        row = np.zeros(2 + self.cfg.n_sets, dtype=np.int64)
-        row[0 if label == "A" else 1] = 1
-        row[2:] = chi_plus
-        return row
-
-    def update(self, key: Tuple[int, int], row: np.ndarray, delta: int) -> None:
-        """Add delta times a point's count row (`point_row`) at node key."""
-        self.counts.add(key, delta * row)
-
-    def update_pass2(self, key: Tuple[int, int], chi_plus: np.ndarray, delta: int) -> None:
-        for (j, c), v in self.sampled.items():
-            if v is FAIL:
-                continue
-            ctr = self.pass2_counters[(j, c)]
-            if key[0] == v[0]:
-                ctr[0] += delta
-                ctr[1] += delta * int(chi_plus[j])
-                if key[1] == v[1]:
-                    ctr[2] += delta
-                    ctr[3] += delta * int(chi_plus[j])
-
-    def discrepancies(self) -> SparseCounts:
+    # -- round-one views ------------------------------------------------------
+    @staticmethod
+    def discrepancies(counts: SparseCounts) -> SparseCounts:
         """The node discrepancies q_v = |A_v| - |B_v| as a count store: the
         vector that Delta-hat and the round-one samplers sketch."""
-        q = np.zeros((self.counts.width, 1), dtype=np.int64)
+        q = np.zeros((counts.width, 1), dtype=np.int64)
         q[0], q[1] = 1, -1
-        return self.counts.image(q)
+        return counts.image(q)
 
-    @property
-    def delta_sketch(self) -> CauchyL1Sketch:
-        """The Delta-hat Cauchy l1 sketch of q, built from the counts."""
+    def delta_sketch(self, q: SparseCounts) -> CauchyL1Sketch:
+        """The Delta-hat Cauchy l1 sketch of the discrepancies q."""
         sk = CauchyL1Sketch(self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
-        return sk.with_counts(self.discrepancies())
+        return sk.with_counts(q)
 
-    @property
-    def samplers(self) -> Dict[Tuple[int, int], L1Sampler]:
-        """The round-one l1 sampler of q per (set, inner copy), built from
-        the counts."""
-        q, cfg = self.discrepancies(), self.cfg
-        return {
+    def finalize_pass1(self, counts: SparseCounts) -> None:
+        """Build the Delta-hat sketch and the round-one l1 sampler of q per
+        (set, inner copy) from the pass-1 counts, and draw every sample."""
+        q, cfg = self.discrepancies(counts), self.cfg
+        self.delta = self.delta_sketch(q)
+        self.samplers = {
             (j, c): L1Sampler(
                 int(hx.combine(self.seed, 0x2A, j, c)[()]),
                 rows=cfg.cs_rows,
@@ -345,8 +330,6 @@ class _LevelReplica:
             for j in range(cfg.n_sets)
             for c in range(cfg.n_inner)
         }
-
-    def finalize_pass1(self) -> None:
         self.sampled = {jc: smp.sample() for jc, smp in self.samplers.items()}
         self.pass2_counters = {
             jc: np.zeros(4, dtype=np.int64)
@@ -355,39 +338,39 @@ class _LevelReplica:
         }
 
     # -- decode ---------------------------------------------------------------
-    def vectors(self):
-        """Canonical arrays (u, w, qv, cC, splus[(node, set)]) of the state."""
-        keys, rows = self.counts.sorted()
+    @staticmethod
+    def vectors(counts: SparseCounts):
+        """Canonical arrays (u, w, qv, cC, splus[(node, set)]) of the counts."""
+        keys, rows = counts.sorted()
         u = np.array([k[0] for k in keys], dtype=U64)
         w = np.array([k[1] for k in keys], dtype=U64)
         qv = rows[:, 0] - rows[:, 1]
         cC = rows[:, 0] + rows[:, 1]
         return u, w, qv, cC, rows[:, 2:]
 
-    def decoder(self, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
-                t_u=None, t_v=None) -> "_OneRoundDecoder":
-        """Standalone LS1/LS2/LS3 decoder over the current state (used by
-        tests that condition on explicit exponential scalings)."""
-        u, w, qv, cC, splus = self.vectors()
+    def _decode_arrays(self, counts: SparseCounts):
+        """(uu, u_inv, hk_u, hk_v, qv, cC, splus): the node arrays that every
+        LS decoder of the counts reads."""
+        u, w, qv, cC, splus = self.vectors(counts)
         uu, u_inv = np.unique(u, return_inverse=True)
-        hk_u = hx.combine(self.seed, 0xAB, uu)
-        hk_v = hx.combine(self.seed, 0xAC, u, w)
-        return _OneRoundDecoder(
-            self, j, c, r, m, uu, u_inv, hk_u, hk_v, qv, cC, splus[:, j], t_u, t_v
-        )
+        return uu, u_inv, hx.combine(self.seed, 0xAB, uu), hx.combine(self.seed, 0xAC, u, w), \
+            qv, cC, splus
 
-    def one_round_estimates(self) -> List[float]:
+    def decoder(self, counts: SparseCounts, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
+                t_u=None, t_v=None) -> "_OneRoundDecoder":
+        """Standalone LS1/LS2/LS3 decoder over the given counts (used by
+        tests that condition on explicit exponential scalings)."""
+        *arrays, splus = self._decode_arrays(counts)
+        return _OneRoundDecoder(self, j, c, r, m, *arrays, splus[:, j], t_u, t_v)
+
+    def one_round_estimates(self, counts: SparseCounts) -> List[float]:
         """All inner estimates of E_v[p_{pi(v),v,S_j}], grouped per set:
         returns per set j the median over inner copies, where each copy is the
         mean over rounds of medians over LS-triple repetitions."""
-        u, w, qv, cC, splus = self.vectors()
+        *arrays, splus = self._decode_arrays(counts)
         cfg = self.cfg
-        if len(u) == 0:
+        if len(arrays[0]) == 0:
             return [0.0] * cfg.n_sets
-        uu, u_inv = np.unique(u, return_inverse=True)
-        hk_u = hx.combine(self.seed, 0xAB, uu)
-        hk_v = hx.combine(self.seed, 0xAC, u, w)
-
         out: List[float] = []
         for j in range(cfg.n_sets):
             copies = []
@@ -396,9 +379,7 @@ class _LevelReplica:
                 for r in range(cfg.n_rounds):
                     meds = []
                     for m in range(cfg.n_medreps):
-                        dec = _OneRoundDecoder(
-                            self, j, c, r, m, uu, u_inv, hk_u, hk_v, qv, cC, splus[:, j]
-                        )
+                        dec = _OneRoundDecoder(self, j, c, r, m, *arrays, splus[:, j])
                         u_star = dec.ls1()
                         v_star = dec.ls2(u_star)
                         meds.append(dec.ls3(v_star))
@@ -407,9 +388,12 @@ class _LevelReplica:
             out.append(float(np.median(copies)))
         return out
 
-    def two_round_estimates(self) -> List[Optional[float]]:
+    def two_round_estimates(self, counts: SparseCounts) -> List[Optional[float]]:
         """Per set j: mean of the exact per-sample p values over successful
-        inner copies (None when every copy failed)."""
+        inner copies (None when every copy failed). Each sampled edge
+        (u*, w*) sums its round-two counters [|C_u*|, chi-plus count of
+        C_u*, |C_v*|, chi-plus count of C_v*] from the pass-2 counts."""
+        u, w, _, cC, splus = self.vectors(counts)
         out: List[Optional[float]] = []
         for j in range(self.cfg.n_sets):
             vals = []
@@ -417,7 +401,11 @@ class _LevelReplica:
                 v = self.sampled.get((j, c), FAIL)
                 if v is FAIL:
                     continue
-                cu, cup, cv, cvp = self.pass2_counters[(j, c)].tolist()
+                in_u = u == U64(v[0])
+                at_v = in_u & (w == U64(v[1]))
+                ctr = self.pass2_counters[(j, c)]
+                ctr[:] = [cC[in_u].sum(), splus[in_u, j].sum(), cC[at_v].sum(), splus[at_v, j].sum()]
+                cu, cup, cv, cvp = ctr.tolist()
                 if cu <= 0 or cv <= 0:
                     vals.append(0.0)
                     continue
@@ -426,22 +414,22 @@ class _LevelReplica:
             out.append(float(np.mean(vals)) if vals else None)
         return out
 
-    def eta(self, mode: str) -> float:
+    def eta(self, mode: str, counts: SparseCounts) -> float:
         """Level estimate: 3 Delta-hat / alpha * (avg_j eta_j + 1/(8 log^2 n)),
-        with the one-pass zero branch below the Delta threshold."""
+        with the one-pass zero branch below the Delta threshold. counts is
+        this replica's view of pass 1 in one-pass mode, and of pass 2 in
+        two-pass mode (Delta-hat then comes from `finalize_pass1`)."""
         cfg = self.cfg
-        delta_hat = self.delta_sketch.estimate()
         if mode == "one_pass":
+            delta_hat = self.delta_sketch(self.discrepancies(counts)).estimate()
             if delta_hat < cfg.delta_threshold():
                 return 0.0
-            etas = self.one_round_estimates()
+            etas = self.one_round_estimates(counts)
         else:
+            delta_hat = self.delta.estimate()
             if delta_hat == 0.0:
                 return 0.0
-            etas_opt = self.two_round_estimates()
-            etas = [e for e in etas_opt if e is not None]
-            if not etas:
-                etas = [0.0]
+            etas = [e for e in self.two_round_estimates(counts) if e is not None] or [0.0]
         avg = float(np.mean(etas))
         return (3.0 * delta_hat / cfg.alpha(self.level)) * (avg + 1.0 / (8.0 * cfg.L**2))
 
@@ -535,6 +523,9 @@ class _OneRoundDecoder:
 # ---------------------------------------------------------------------------
 
 
+_LABEL_ROWS = {"A": np.array([1, 0], dtype=np.int64), "B": np.array([0, 1], dtype=np.int64)}
+
+
 class _EmdSketchBase:
     _KIND = 6  # of the serialized state
 
@@ -553,50 +544,41 @@ class _EmdSketchBase:
             ]
             for i in range(1, self.h + 1)
         ]
-        self._fp_cache: Dict[int, np.ndarray] = {}
-        self._row_cache: Dict[Tuple[int, int, str], np.ndarray] = {}
-        self.n_a = 0
-        self.n_b = 0
+        self.counts = SparseCounts(2)  # packed point -> [net A, net B]
 
-    def _path(self, point: HypercubePoint) -> np.ndarray:
-        fp = self._fp_cache.get(point.value)
-        if fp is None:
-            fp = self.tree.node_path(point.bits()[None, :])[0]
-            self._fp_cache[point.value] = fp
-        return fp
-
-    def _row(self, rep: _LevelReplica, point: HypercubePoint, label: str) -> np.ndarray:
-        """The point's count row in rep (cached per replica, point, label)."""
-        key = (id(rep), point.value, label)
-        v = self._row_cache.get(key)
-        if v is None:
-            chi = [1 if cs.eval_value(point.value) == 1 else 0 for cs in rep.charsets]
-            v = self._row_cache[key] = rep.point_row(chi, label)
-        return v
-
-    def _apply(self, point: HypercubePoint, label: str, delta: int, pass2: bool) -> None:
-        if label not in ("A", "B"):
+    def _add(self, store: SparseCounts, point: HypercubePoint, label: str, delta: int) -> None:
+        if label not in _LABEL_ROWS:
             raise ValueError(f"label must be 'A' or 'B', got {label!r}")
-        if not pass2:
-            if label == "A":
-                self.n_a += delta
-            else:
-                self.n_b += delta
-        fp_path = self._path(point)
-        for per_level in self.replicas:
-            for rep in per_level:
-                key = rep.node_key(fp_path)
-                row = self._row(rep, point, label)
-                if pass2:
-                    rep.update_pass2(key, row[2:], delta)
-                else:
-                    rep.update(key, row, delta)
+        if point.d != self.cfg.d:
+            raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
+        store.add(point.value, int(delta) * _LABEL_ROWS[label])
 
-    def _check_balanced(self) -> None:
-        if self.n_a != self.n_b:
+    def views(self, counts: SparseCounts) -> List[List[SparseCounts]]:
+        """Every replica's counts, level by level, built from an aggregated
+        store (point -> [net A, net B]) in one batch: one node path per
+        distinct point, one universe-map hash per id for all replicas, one
+        character evaluation per set, and one grouped sum. A point with net
+        (a, b) adds [a, b, (a + b) chi-plus per set] at its node."""
+        values, ab = counts.sorted()
+        X = values_to_matrix(values, self.cfg.d)
+        reps = [rep for per_level in self.replicas for rep in per_level]
+        u, w = replica_node_ids(self.tree.node_path(X), reps)
+        plus = np.array([[cs.eval_matrix(X) == 1 for cs in rep.charsets] for rep in reps])
+        plus = plus * ab.sum(axis=1)  # (replica, set, point)
+        rows = np.concatenate(
+            [np.broadcast_to(ab, (len(reps),) + ab.shape), plus.transpose(0, 2, 1)], axis=2
+        )
+        stores = iter(SparseCounts.grouped(np.stack([u, w], axis=2), rows))
+        return [[next(stores) for _ in per_level] for per_level in self.replicas]
+
+    def _check_balanced(self) -> int:
+        """|A|, which must equal |B|."""
+        n_a, n_b = map(int, self.counts.total())
+        if n_a != n_b:
             raise ValueError(
-                f"stream does not encode equal-size multisets: |A|={self.n_a}, |B|={self.n_b}"
+                f"stream does not encode equal-size multisets: |A|={n_a}, |B|={n_b}"
             )
+        return n_a
 
 
 class EmdOnePassSketch(_EmdSketchBase):
@@ -606,32 +588,28 @@ class EmdOnePassSketch(_EmdSketchBase):
         super().__init__(cfg, tree)
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
-        self._apply(point, label, delta, pass2=False)
+        self._add(self.counts, point, label, delta)
 
     def merge(self, other: "EmdOnePassSketch") -> None:
         if self.cfg != other.cfg:
             raise ValueError("cannot merge sketches with different configs")
-        self.n_a += other.n_a
-        self.n_b += other.n_b
-        for mine, theirs in zip(self.replicas, other.replicas):
-            for a, b in zip(mine, theirs):
-                a.counts.merge(b.counts)
+        self.counts.merge(other.counts)
 
     def estimate(self) -> float:
-        self._check_balanced()
+        n = self._check_balanced()
         total = 0.0
-        for per_level in self.replicas:
-            total += float(np.median([rep.eta("one_pass") for rep in per_level]))
-        return total + self.cfg.eps * self.n_a * self.cfg.d
+        for per_level, views in zip(self.replicas, self.views(self.counts)):
+            total += float(np.median([rep.eta("one_pass", v) for rep, v in zip(per_level, views)]))
+        return total + self.cfg.eps * n * self.cfg.d
 
     def state_bytes(self) -> bytes:
-        """`encode_state` of every replica's counts, level by level (the
-        round-two state of a two-pass sketch is not included)."""
+        """`encode_state` of the one count store (the pass-2 store of a
+        two-pass sketch is not included)."""
         cfg = self.cfg
         return encode_state(
             self._KIND,
             (cfg.seed, cfg.d, cfg.universe_m, cfg.level_reps, cfg.n_sets),
-            [rep.counts for per_level in self.replicas for rep in per_level],
+            [self.counts],
         )
 
 
@@ -641,31 +619,33 @@ class EmdTwoPassSketch(_EmdSketchBase):
 
     def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
         super().__init__(cfg, tree)
+        self.pass2 = SparseCounts(2)
         self._pass = 1
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         if self._pass != 1:
             raise RuntimeError("pass 1 is finalized; use update_pass2()")
-        self._apply(point, label, delta, pass2=False)
+        self._add(self.counts, point, label, delta)
 
     def finalize_pass1(self) -> None:
+        """Close pass 1: its replica views are built once, here."""
         self._check_balanced()
-        for per_level in self.replicas:
-            for rep in per_level:
-                rep.finalize_pass1()
+        for per_level, views in zip(self.replicas, self.views(self.counts)):
+            for rep, v in zip(per_level, views):
+                rep.finalize_pass1(v)
         self._pass = 2
 
     def update_pass2(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         if self._pass != 2:
             raise RuntimeError("call finalize_pass1() first")
-        self._apply(point, label, delta, pass2=True)
+        self._add(self.pass2, point, label, delta)
 
     def estimate(self) -> float:
         if self._pass != 2:
             raise RuntimeError("call finalize_pass1() and feed pass 2 first")
         total = 0.0
-        for per_level in self.replicas:
-            total += float(np.median([rep.eta("two_pass") for rep in per_level]))
+        for per_level, views in zip(self.replicas, self.views(self.pass2)):
+            total += float(np.median([rep.eta("two_pass", v) for rep, v in zip(per_level, views)]))
         return total
 
 

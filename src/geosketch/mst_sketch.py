@@ -24,17 +24,18 @@ p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
 indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
 runs in (sign, log-magnitude) space.
 
-State per (level, sample): one `SparseCounts` of point entries, (u, w,
-point fingerprint) -> [net, net * chi], plus seeds; an update adds one row
-to it and writes nothing else. Both columns are linear in the stream, so
-states merge like any other store. The node counts [sum net, sum net * chi]
-per universe-reduced node (u, w) are derived from the point entries when
-they are read, and every sketch is a view materialized from them
-(bit-identical under permutation and merge): the recovery and witness
-sketches of each sample, and the per-level l0 sketch, which is keyed by the
-node ids of the level's first sample. Node ids are uint64 throughout.
-`state_bytes` is `encode_state` of the point stores: the counts and the
-shape words, no node rows and no l0 sketch.
+State: the sketch keeps one `SparseCounts`, packed point -> [net count],
+plus seeds; an update adds one row to it and writes nothing else. That store
+is the aggregated input, the smallest exact state, not the paper's
+polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every (level,
+sample) reads a view of it, built once per read for all samples in one
+batch (`views`): point entries (u, w, point fingerprint) -> [net, net *
+chi]. The node counts [sum net, sum net * chi] per universe-reduced node
+(u, w) are summed from the point entries, and every sketch is a view
+materialized from them (bit-identical under permutation and merge): the
+recovery and witness sketches of each sample, and the per-level l0 sketch,
+which is keyed by the node ids of the level's first sample. Node ids are
+uint64 throughout. `state_bytes` is `encode_state` of the one store.
 
 The decode is batched: the parent recovery evaluates its hash rows as one
 stack, each kappa of the child scan evaluates all of its (j, side, row)
@@ -51,17 +52,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix
+from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix, values_to_matrix
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
-from .sketches import FAIL, L0Sketch, SparseCounts, encode_state, stable_median
-from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n
+from .sketches import FAIL, L0Sketch, SparseCounts, _hash_keys, encode_state, stable_median
+from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n, replica_node_ids
 
 __all__ = [
     "MstSketchConfig",
@@ -72,7 +73,6 @@ __all__ = [
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
 _DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
-_POINT_ROWS = (np.array([1, 0], dtype=np.int64), np.array([1, 1], dtype=np.int64))  # by chi
 
 
 def _node_of(key: Tuple[int, int, int]) -> Tuple[int, int]:
@@ -80,11 +80,10 @@ def _node_of(key: Tuple[int, int, int]) -> Tuple[int, int]:
     return key[:2]
 
 
-def _point_fps(seeds, point: HypercubePoint) -> np.ndarray:
-    """Fingerprints in [1, 2^61 - 1] of a point for the sample replicas with
-    the given seeds (object array, shaped like seeds)."""
-    h = hx.combine(seeds, 0xF9, *hx.int_words(point.value))
-    return (h.astype(object) % (_P61 - 1)) + 1
+def _point_fps(seeds, values: Sequence[int]) -> np.ndarray:
+    """Fingerprints in [1, 2^61 - 1] of the packed points `values` (last
+    axis) for the sample replicas with the given (broadcast) seeds."""
+    return _hash_keys((seeds, 0xF9), values) % U64(_P61 - 1) + U64(1)
 
 
 @dataclass
@@ -190,8 +189,8 @@ def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
 
 
 class _RepState:
-    """Sparse state of one (level, sample): the point entries, from which
-    the node counts are derived."""
+    """Seeds, universe map and character of one (level, sample); its point
+    entries are a view that the sketch builds when it is read."""
 
     def __init__(self, cfg: MstSketchConfig, level: int, seed: int):
         self.cfg = cfg
@@ -199,32 +198,18 @@ class _RepState:
         self.seed = seed
         self.umap = UniverseMap(cfg.universe_m, int(hx.combine(seed, 0xD1)[()]))
         self.charset = CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4)[()]))
-        # (u, w, pt_fp) -> [net count, net count * chi]
-        self.points = SparseCounts(2)
-
-    def point_fp(self, point: HypercubePoint) -> int:
-        return int(_point_fps(self.seed, point))
-
-    def update(self, key: Tuple[int, int], point: HypercubePoint, delta: int,
-               pfp: Optional[int] = None) -> None:
-        chi = 1 if self.charset.eval_value(point.value) == 1 else 0
-        pk = (key[0], key[1], self.point_fp(point) if pfp is None else pfp)
-        self.points.add(pk, delta * _POINT_ROWS[chi])
-
-    def node_counts(self) -> SparseCounts:
-        """(u, w) -> [net count, net chi-plus count], summed over the
-        node's point entries."""
-        return self.points.image(key_of=_node_of)
 
 
 class MstRepView:
-    """Decode view of one (level, sample): parent/child recovery, witness
+    """Decode view of one (level, sample) over its point entries (u, w,
+    point fingerprint) -> [net, net * chi]: parent/child recovery, witness
     scans, and the sampled tuple."""
 
-    def __init__(self, state: _RepState):
+    def __init__(self, state: _RepState, points: SparseCounts):
         self.st = state
         self.cfg = state.cfg
-        keys, rows = state.node_counts().sorted()
+        self.points = points
+        keys, rows = points.image(key_of=_node_of).sorted()
         self.keys = keys
         self.u = np.array([k[0] for k in keys], dtype=U64)
         self.w = np.array([k[1] for k in keys], dtype=U64)
@@ -364,7 +349,7 @@ class MstRepView:
         cached = getattr(self, "_pts", None)
         if cached is not None:
             return cached
-        keys, rows = self.st.points.sorted()
+        keys, rows = self.points.sorted()
         pfp = np.array([k[2] for k in keys], dtype=U64)
         net = rows[:, 0]
         chi = (rows[:, 1] != 0).astype(np.int64)  # net != 0 in every entry
@@ -511,73 +496,56 @@ class MstSketch:
             ]
             for i in range(1, self.h + 1)
         ]
-        self._fp_cache: Dict[int, tuple] = {}
-        self.n_points = 0
-        # batched hashing: per level, one universe map over the umap seeds
-        # of its samples
-        self._umaps = [
-            UniverseMap(cfg.universe_m, np.array([rep.umap.seed for rep in per_level], dtype=U64))
-            for per_level in self.reps
-        ]
-        self._rep_seeds = [
-            np.array([rep.seed for rep in per_level], dtype=U64)
-            for per_level in self.reps
-        ]
-
-    def _point_keys(self, point: HypercubePoint):
-        """Per level: (u, w) keys for every sample replica, plus the replica
-        point fingerprints (all derived by batched hashing, cached)."""
-        cached = self._fp_cache.get(point.value)
-        if cached is not None:
-            return cached
-        fp_path = self.tree.node_path(point.bits()[None, :])[0]
-        per_level = []
-        for li, umap in enumerate(self._umaps):
-            us = umap.u_of(fp_path[li])  # the parent, at depth li
-            ws = umap.w_of(fp_path[li + 1])
-            per_level.append((us, ws, _point_fps(self._rep_seeds[li], point)))
-        self._fp_cache[point.value] = per_level
-        return per_level
+        self.counts = SparseCounts()  # packed point -> net count
 
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
-        self.n_points += delta
-        keys = self._point_keys(point)
-        for li, per_level in enumerate(self.reps):
-            us, ws, pfps = keys[li]
-            for r, rep in enumerate(per_level):
-                rep.update((int(us[r]), int(ws[r])), point, delta,
-                           pfp=int(pfps[r]))
+        if point.d != self.cfg.d:
+            raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
+        self.counts.add(point.value, int(delta))
 
     def merge(self, other: "MstSketch") -> None:
         if self.cfg != other.cfg:
             raise ValueError("cannot merge sketches with different configs")
-        self.n_points += other.n_points
-        for mine, theirs in zip(self.reps, other.reps):
-            for a, b in zip(mine, theirs):
-                a.points.merge(b.points)
+        self.counts.merge(other.counts)
+
+    def views(self, reps: Sequence[_RepState]) -> List[SparseCounts]:
+        """The point entries (u, w, point fingerprint) -> [net, net * chi]
+        of each replica in reps, built from the one count store in one
+        batch: one node path per distinct point, one hash call per id and
+        per fingerprint for all replicas, and one grouped sum."""
+        values, net = self.counts.sorted()
+        X = values_to_matrix(values, self.cfg.d)
+        u, w = replica_node_ids(self.tree.node_path(X), reps)
+        pfp = _point_fps(np.array([rep.seed for rep in reps], dtype=U64)[:, None], values)
+        plus = np.array([rep.charset.eval_matrix(X) == 1 for rep in reps])
+        net = np.broadcast_to(net[:, 0], u.shape)
+        return SparseCounts.grouped(np.stack([u, w, pfp], axis=2),
+                                    np.stack([net, net * plus], axis=2))
+
+    def _l0(self, i: int, first: SparseCounts) -> L0Sketch:
+        """Level i's l0 sketch: the net node counts of the point entries
+        `first` of its first sample, keyed by that sample's (u, w) ids."""
+        net = np.array([[1], [0]], dtype=np.int64)
+        return L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]),
+                        buckets=self.cfg.l0_buckets).with_counts(first.image(net, key_of=_node_of))
 
     @property
     def l0(self) -> List[L0Sketch]:
-        """The l0 sketch of every level, built from the net node counts of
-        the level's first sample, whose (u, w) ids it is keyed by."""
-        net = np.array([[1], [0]], dtype=np.int64)
-        return [
-            L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]), buckets=self.cfg.l0_buckets)
-            .with_counts(per_level[0].points.image(net, key_of=_node_of))
-            for i, per_level in enumerate(self.reps, start=1)
-        ]
+        firsts = self.views([per_level[0] for per_level in self.reps])
+        return [self._l0(i, first) for i, first in enumerate(firsts, start=1)]
 
     def level_counts(self) -> List[float]:
         return [l0.estimate() for l0 in self.l0]
 
-    def level_mu(self, i: int) -> float:
+    def level_mu(self, i: int, views: Optional[Sequence[SparseCounts]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
-        level i; failed samples are dropped."""
+        level i, from the views of its samples (built here if not given);
+        failed samples are dropped."""
         per_level = self.reps[i - 1]
         mismatches = 0
         successes = 0
-        for rep in per_level:
-            tup = MstRepView(rep).sample_tuple()
+        for rep, points in zip(per_level, views or self.views(per_level)):
+            tup = MstRepView(rep, points).sample_tuple()
             if tup is FAIL:
                 continue
             successes += 1
@@ -589,24 +557,24 @@ class MstSketch:
         return min(mu, self.cfg.mu_cap(i))
 
     def estimate(self) -> float:
-        if self.n_points <= 0:
+        if self.counts.total()[0] <= 0:
             raise ValueError("stream encodes an empty point set")
+        views = iter(self.views([rep for per_level in self.reps for rep in per_level]))
         total = 0.0
-        ells = self.level_counts()
-        for i in range(1, self.h + 1):
-            ell = ells[i - 1]
+        for i, per_level in enumerate(self.reps, start=1):
+            level = [next(views) for _ in per_level]
+            ell = self._l0(i, level[0]).estimate()
             if ell > 1.5:
-                mu = self.level_mu(i)
-                total += ell * (mu + self.cfg.d / 2.0**i)
+                total += ell * (self.level_mu(i, level) + self.cfg.d / 2.0**i)
         return total
 
     def state_bytes(self) -> bytes:
-        """`encode_state` of every sample's point entries, level by level."""
+        """`encode_state` of the one count store."""
         cfg = self.cfg
         return encode_state(
             self._KIND,
             (cfg.seed, cfg.d, cfg.universe_m, cfg.samples),
-            [rep.points for per_level in self.reps for rep in per_level],
+            [self.counts],
         )
 
 

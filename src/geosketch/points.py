@@ -8,7 +8,7 @@ serialization reads left to right). Points are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "hamming_distance",
     "hamming_matrix",
     "points_to_matrix",
+    "values_to_matrix",
 ]
 
 
@@ -147,11 +148,15 @@ def points_to_matrix(ms: PointMultiset) -> Tuple[np.ndarray, np.ndarray]:
     from the matrix is stream-order independent.
     """
     items = sorted(ms.items(), key=lambda pc: pc[0].value)
-    if not items:
-        return np.zeros((0, ms.d), dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    mat = np.stack([p.bits() for p, _ in items])
-    counts = np.array([c for _, c in items], dtype=np.int64)
-    return mat, counts
+    mat = values_to_matrix([p.value for p, _ in items], ms.d)
+    return mat, np.array([c for _, c in items], dtype=np.int64)
+
+
+def values_to_matrix(values: Sequence[int], d: int) -> np.ndarray:
+    """Packed points of dimension d as a (len(values), d) uint8 bit matrix."""
+    nb = (d + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nb, "big") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), nb), axis=1)[:, nb * 8 - d:]
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -2,20 +2,22 @@
 
 State discipline: there is one count store, `SparseCounts`, which maps a key
 to a fixed-width int64 row and drops a row once it is all zero. Every sketch
-in the package keeps its state in one (or, for the estimators, one per
-replica): the stored state is (seeds, exact sparse counts). Accumulator
+keeps its state in one such store, plus seeds. For the estimators that
+store is the aggregated input, the smallest exact state, not the paper's
+polylog-size sketch (a bounded mode is ROADMAP Direction 5). Accumulator
 vectors -- the classical dense view -- are materialized on demand as a pure
 function of that state, in canonical key order. This keeps every state
 exactly linear: permuting, splitting or merging update streams yields
 bit-identical states and hence bit-identical estimates (floating-point
 accumulation in stream order could not promise that).
 
-A composite sketch is a view of one count map, not a second store: the
-l1 sampler builds its Count-Sketch table and its Cauchy l1 sketch from its
-own map when it is read, and the estimators build the sketches of a vector
-they already count exactly (Delta-hat, the round-one samplers, the per-level
-l0) from that count with `with_counts`. Each derived map has the keys and
-the integers that feeding every update to the sketch would have given.
+Everything else is a view, not a second store. The estimators build every
+replica's counts from their one store once per read (`SparseCounts.grouped`
+sums the rows of all replicas in one batch), and from those counts the
+sketches of a vector they count exactly (Delta-hat, the round-one samplers,
+the per-level l0) with `with_counts`; the l1 sampler builds its
+Count-Sketch table and its Cauchy l1 sketch from its own map. Each view has
+the keys and the integers that feeding every update to it would have given.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store. It writes nothing that can be
@@ -88,15 +90,15 @@ def _key_words(key: Key) -> Tuple[int, ...]:
 def _hash_keys(prefix: tuple, keys: Sequence[Key]) -> np.ndarray:
     """combine(*prefix, *words of key) for every key, with one combine call
     per key width (elementwise, so equal to the per-key calls bit for
-    bit)."""
+    bit). Array prefix parts broadcast: the keys run along the last axis."""
     words = [_key_words(k) for k in keys]
     by_width: Dict[int, List[int]] = {}
     for i, w in enumerate(words):
         by_width.setdefault(len(w), []).append(i)
-    out = np.empty(len(words), dtype=U64)
+    out = np.empty(np.broadcast_shapes(*map(np.shape, prefix), (len(words),)), dtype=U64)
     for idx in by_width.values():
         cols = np.array([words[i] for i in idx], dtype=U64).T
-        out[idx] = hx.combine(*prefix, *cols)
+        out[..., idx] = hx.combine(*prefix, *cols)
     return out
 
 
@@ -147,6 +149,30 @@ class SparseCounts:
             for k, row in zip(keys, vals):
                 out.add(key_of(k), row)
         return out
+
+    @classmethod
+    def grouped(cls, keys: np.ndarray, rows: np.ndarray) -> List["SparseCounts"]:
+        """One store per leading index r of keys (R, n, k) uint64 and rows
+        (R, n, width) int64: rows[r] summed at equal keys[r] (a key is the
+        tuple of its k words), for all r in one sort and one grouped sum."""
+        R, n, k = keys.shape
+        out = [cls(rows.shape[-1]) for _ in range(R)]
+        if n == 0:
+            return out
+        rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
+        flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
+        order = np.lexsort(flat.T[::-1])
+        flat = flat[order]
+        starts = np.flatnonzero(np.r_[True, (flat[1:] != flat[:-1]).any(axis=1)])
+        sums = np.add.reduceat(rows.reshape(R * n, -1)[order], starts, axis=0)
+        nz = sums.any(axis=1)
+        for (r, *key), row in zip(flat[starts[nz]].tolist(), sums[nz]):
+            out[r].rows[tuple(key)] = row
+        return out
+
+    def total(self) -> np.ndarray:
+        """The column sums of the rows."""
+        return self._matrix(list(self.rows)).sum(axis=0)
 
     def _matrix(self, keys: List[Key]) -> np.ndarray:
         """The (len(keys), width) rows of the given keys."""
@@ -302,24 +328,16 @@ class CountSketch(LinearSketch):
         return _cs_coords((self._SALT_B,), (self._SALT_S,), self._key_hashes(keys),
                           self.rows, self.buckets)
 
-    def table(self, keys: Sequence[Key], values: np.ndarray) -> np.ndarray:
-        """The bucket table of the vector with `values` at `keys` (given in
-        canonical order); the sketch's own counts are not read."""
-        if not keys:
-            return np.zeros((self.rows, self.buckets))
-        return _cs_table(*self._coords(keys), values, self.buckets)
-
     def _materialize(self) -> np.ndarray:
-        return self.table(*self._sorted_items())
+        keys, vals = self._sorted_items()
+        return _cs_table(*self._coords(keys), vals, self.buckets)
 
     def estimate(self, index: Key) -> float:
         return float(self.estimate_many([index])[0])
 
-    def estimate_many(self, indices: Sequence[Key], table: Optional[np.ndarray] = None) -> np.ndarray:
-        """Median-of-rows estimates for a batch of indices, read from
-        `table` (default: the table of the sketch's own counts)."""
-        table = self._materialize() if table is None else table
-        return _cs_estimates(table, *self._coords(list(indices)))
+    def estimate_many(self, indices: Sequence[Key]) -> np.ndarray:
+        """Median-of-rows estimates for a batch of indices."""
+        return _cs_estimates(self._materialize(), *self._coords(list(indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,34 +516,40 @@ class L1Sampler(LinearSketch):
         self.gamma = gamma
         self.l1_rows = l1_rows
         self.scaler = ExpScaler(int(hx.combine(self.seed, self._SALT_EXP)[()]))
-        # its seed and shape give the hashes of the Count-Sketch view
+        # their seeds and shapes give the hashes of the Count-Sketch and l1 views
         self._cs = CountSketch(rows, buckets, int(hx.combine(self.seed, 0xC5)[()]))
+        self._l1 = CauchyL1Sketch(l1_rows, int(hx.combine(self.seed, 0xCA)[()]))
 
     def _shape(self) -> tuple:
         return (self.seed, self.rows, self.buckets, self.l1_rows)
 
-    def _views(self) -> Tuple[np.ndarray, CauchyL1Sketch]:
-        """The Count-Sketch table of the scaled vector x_i / t_i and the
-        Cauchy l1 sketch of x, built from the current count map. The scaled
-        vector is kept on an integer grid of step 2^-20, x_i * round(min(1/t_i,
-        2^20) * 2^20), so the table is as exactly linear as x."""
-        keys, vals = self._sorted_items()
+    def _table(self, keys: List[Key], vals: np.ndarray, coords) -> np.ndarray:
+        """The Count-Sketch table of the scaled vector x_i / t_i at the
+        coords of keys. It is kept on an integer grid of step 2^-20,
+        x_i * round(min(1/t_i, 2^20) * 2^20), so the table is as exactly
+        linear as x."""
         inv_t = np.minimum(1.0 / self.scaler.variates(keys), _INV_EXP_CAP)
-        table = self._cs.table(keys, vals * np.round(inv_t * (1 << 20)))
-        l1 = CauchyL1Sketch(self.l1_rows, int(hx.combine(self.seed, 0xCA)[()]))
-        return table, l1.with_counts(self._counts)
+        return _cs_table(*coords, vals * np.round(inv_t * (1 << 20)), self.buckets)
+
+    def _views(self) -> Tuple[np.ndarray, CauchyL1Sketch]:
+        """The Count-Sketch table of the scaled vector and the Cauchy l1
+        sketch of x, built from the current count map."""
+        keys, vals = self._sorted_items()
+        return self._table(keys, vals, self._cs._coords(keys)), self._l1.with_counts(self._counts)
 
     def _materialize(self) -> np.ndarray:
         return self._views()[0]
 
     def sample(self):
-        """Return an index or FAIL."""
-        keys, _ = self._sorted_items()
+        """Return an index or FAIL. The counts are read once: one sort, and
+        one set of Count-Sketch coords for both the table and its read; the
+        l1 estimate is that of `_views` on the same keys and values."""
+        keys, vals = self._sorted_items()
         if not keys:
             return FAIL
-        table, l1 = self._views()
-        est = np.abs(self._cs.estimate_many(keys, table)) / float(1 << 20)
-        l1_hat = l1.estimate()
+        coords = self._cs._coords(keys)
+        est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
+        l1_hat = float(np.median(np.abs(self._l1.coefficients(keys) @ vals)))
         top = int(np.argmax(est))
         best = est[top]
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0

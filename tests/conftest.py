@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,19 @@ class FedL1Sampler(L1Sampler):
         """An empty reference with the seed and shape of `smp`."""
         return cls(smp.seed, rows=smp.rows, buckets=smp.buckets, gamma=smp.gamma,
                    l1_rows=smp.l1_rows)
+
+
+def store_sizes(blob: bytes):
+    """(width, row count) of every count store of an `encode_state` blob."""
+    off = 9 + 8 * blob[8]  # magic, version, kind, word count, words
+    (n_stores,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    sizes = []
+    for _ in range(n_stores):
+        width, count = struct.unpack_from("<II", blob, off)
+        off += 8
+        for _ in range(count):
+            off += 1 + 8 * blob[off] + 8 * width
+        sizes.append((width, count))
+    assert off == len(blob)
+    return sizes

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geosketch import hashing as hx
 from geosketch import (
@@ -19,10 +20,11 @@ from geosketch import (
     run_estimator,
     sample_quadtree,
     split_probability,
+    SparseCounts,
 )
 from geosketch.emd_sketch import expected_split_probability, log2n
 
-from conftest import FedL1Sampler, random_multiset, random_pair
+from conftest import FedL1Sampler, random_multiset, random_pair, store_sizes
 
 
 def pt(bits):
@@ -205,42 +207,46 @@ def test_two_round_estimate_matches_exact_p():
     cfg = EmdSketchConfig(n=2, d=d, seed=16, n_sets=4)
     rep = EmdTwoPassSketch(cfg).replicas[1][0]
 
-    def chi_plus(p):
-        return np.array([cs.eval(p) == 1 for cs in rep.charsets], dtype=np.int64)
+    def row(p, label):
+        chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
+        return np.array([label == "A", label == "B", *chi_plus], dtype=np.int64)
 
     # two children under one parent, known populations
     popA = [pt(rng.integers(0, 2, d)) for _ in range(4)]
     popB = [pt(rng.integers(0, 2, d)) for _ in range(3)]
-    rep.update((1, 2), rep.point_row(chi_plus(popA[0]), "A"), 4)
-    rep.finalize_pass1()
+    pass1 = SparseCounts(2 + cfg.n_sets)
+    pass1.add((1, 2), 4 * row(popA[0], "A"))
+    rep.finalize_pass1(pass1)
     assert set(rep.sampled.values()) == {(1, 2)}
+    pass2 = SparseCounts(2 + cfg.n_sets)
     for p in popA:
-        rep.update_pass2((1, 2), chi_plus(p), 1)
+        pass2.add((1, 2), row(p, "A"))
     for p in popB:
-        rep.update_pass2((1, 3), chi_plus(p), 1)  # sibling: counts to C_u only
+        pass2.add((1, 3), row(p, "B"))  # sibling: counts to C_u only
     want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in rep.charsets]
     assert any(want)
-    assert rep.two_round_estimates() == pytest.approx(want)
+    assert rep.two_round_estimates(pass2) == pytest.approx(want)
 
 
 # -- one-round LS1/LS2/LS3 ---------------------------------------------------------
 
 
 def _replica_with_counts(counts, n=64, d=16, seed=0, **cfg_kw):
+    """A level-1 replica and a view of its counts with the given rows."""
     cfg = EmdSketchConfig(n=n, d=d, seed=seed, **cfg_kw)
-    sk = EmdOnePassSketch(cfg)
-    rep = sk.replicas[0][0]
+    rep = EmdOnePassSketch(cfg).replicas[0][0]
+    view = SparseCounts(2 + cfg.n_sets)
     for key, (na, nb, chi_plus) in counts.items():
         row = np.zeros(2 + cfg.n_sets, dtype=np.int64)
         row[0], row[1] = na, nb
         row[2:] = chi_plus
-        rep.counts.add(key, row)
-    return rep
+        view.add(key, row)
+    return rep, view
 
 
 def test_ls1_single_parent():
-    rep = _replica_with_counts({(3, 1): (2, 0, 1)})
-    dec = rep.decoder()
+    rep, view = _replica_with_counts({(3, 1): (2, 0, 1)})
+    dec = rep.decoder(view)
     assert dec.uu[dec.ls1()] == 3
 
 
@@ -249,19 +255,19 @@ def test_ls1_dominant_parent_with_unit_scalings():
     wins = 0
     trials = 60
     for s in range(trials):
-        rep = _replica_with_counts(
+        rep, view = _replica_with_counts(
             {(1, 10): (100, 0, 50), (2, 20): (1, 0, 1)}, seed=s, ls1_reps=6
         )
-        dec = rep.decoder(t_u=np.ones(2), t_v=np.ones(2))
+        dec = rep.decoder(view, t_u=np.ones(2), t_v=np.ones(2))
         wins += dec.uu[dec.ls1()] == 1
     assert wins >= 0.99 * trials, wins
 
 
 def test_ls2_returns_child_of_given_parent():
-    rep = _replica_with_counts(
+    rep, view = _replica_with_counts(
         {(1, 10): (5, 0, 2), (1, 11): (1, 0, 1), (2, 20): (50, 0, 10)}
     )
-    dec = rep.decoder()
+    dec = rep.decoder(view)
     u_idx = int(np.nonzero(dec.uu == 1)[0][0])
     v_idx = dec.ls2(u_idx)
     assert dec.u_inv[v_idx] == u_idx
@@ -271,19 +277,19 @@ def test_ls2_recovers_dominant_child():
     wins = 0
     trials = 60
     for s in range(trials):
-        rep = _replica_with_counts(
+        rep, view = _replica_with_counts(
             {(1, 10): (100, 0, 40), (1, 11): (1, 0, 0)}, seed=s
         )
-        dec = rep.decoder(t_u=np.ones(1), t_v=np.ones(2))
+        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
         v_idx = dec.ls2(0)
-        wins += (rep.vectors()[1][v_idx]) == 10
+        wins += (rep.vectors(view)[1][v_idx]) == 10
     assert wins >= 0.99 * trials, wins
 
 
 def test_ls3_all_identical_points_gives_zero():
     # every point has chi = +1: q_u = q_v = 1 so p = 0
-    rep = _replica_with_counts({(1, 10): (4, 4, 8)})
-    dec = rep.decoder(t_u=np.ones(1), t_v=np.ones(1))
+    rep, view = _replica_with_counts({(1, 10): (4, 4, 8)})
+    dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(1))
     assert dec.ls3(0) == pytest.approx(0.0, abs=0.05)
 
 
@@ -292,12 +298,12 @@ def test_ls3_known_half_split():
     child is pure chi=+1, so p = 1/2."""
     vals = []
     for s in range(40):
-        rep = _replica_with_counts(
+        rep, view = _replica_with_counts(
             {(1, 10): (8, 0, 8), (1, 11): (8, 0, 0)}, seed=s,
             cs_buckets=512,
         )
-        dec = rep.decoder(t_u=np.ones(1), t_v=np.ones(2))
-        v_idx = int(np.nonzero(rep.vectors()[1] == 10)[0][0])
+        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
+        v_idx = int(np.nonzero(rep.vectors(view)[1] == 10)[0][0])
         vals.append(dec.ls3(v_idx))
     # tau at this config is coarse; the mean lands near 0.5
     assert np.mean(vals) == pytest.approx(0.5, abs=0.1)
@@ -317,9 +323,9 @@ def test_ls3_clamps_to_unit_interval():
         counts = {k: v for k, v in counts.items() if v[0] + v[1] > 0}
         if not counts:
             continue
-        rep = _replica_with_counts(counts, seed=s)
-        dec = rep.decoder()
-        for v_idx in range(len(rep.vectors()[0])):
+        rep, view = _replica_with_counts(counts, seed=s)
+        dec = rep.decoder(view)
+        for v_idx in range(len(rep.vectors(view)[0])):
             assert 0.0 <= dec.ls3(v_idx) <= 1.0
 
 
@@ -452,21 +458,46 @@ def test_one_pass_permutation_invariance(small_cfg):
     assert sk1.estimate() == sk2.estimate()
 
 
-def test_one_pass_split_merge_bit_identical(small_cfg):
-    A, B = random_pair(8, 8, 34)
-    updates = [(p, "A", c) for p, c in A.items()] + [(p, "B", c) for p, c in B.items()]
-    whole = EmdOnePassSketch(small_cfg)
-    for p, l, c in updates:
-        whole.update(p, l, c)
-    left = EmdOnePassSketch(small_cfg)
-    right = EmdOnePassSketch(small_cfg)
-    for p, l, c in updates[::2]:
-        left.update(p, l, c)
-    for p, l, c in updates[1::2]:
-        right.update(p, l, c)
+_SPLIT_PTS = [pt(b) for b in np.random.default_rng(34).integers(0, 2, (6, 8))]
+
+
+@settings(max_examples=25, deadline=None)
+@example(ups=[(1, "A", 1), (2, "B", 1), (0, "A", 2), (0, "A", -2)], cut=3)
+@given(
+    ups=st.lists(st.tuples(st.integers(0, 5), st.sampled_from("AB"),
+                           st.sampled_from([-3, -1, 1, 2])), max_size=14),
+    cut=st.integers(0, 16),
+)
+def test_one_pass_split_merge_bit_identical(small_cfg, ups, cut):
+    """A turnstile stream with deletions, closed so that |A| = |B| and split
+    at any point: the merged halves give the state bytes and the estimate of
+    the whole stream, bit for bit. The example's halves cancel point 0 to
+    net zero."""
+    net = sum(c if label == "A" else -c for _, label, c in ups)
+    ups = ups + ([(3, "B" if net > 0 else "A", abs(net))] if net else [])
+    cut = min(cut, len(ups))
+    whole, left, right = (EmdOnePassSketch(small_cfg) for _ in range(3))
+    for sk, part in ((whole, ups), (left, ups[:cut]), (right, ups[cut:])):
+        for i, label, c in part:
+            sk.update(_SPLIT_PTS[i], label, c)
     left.merge(right)
     assert left.state_bytes() == whole.state_bytes()
-    assert left.estimate() == whole.estimate()
+    assert left.estimate().hex() == whole.estimate().hex()
+
+
+def test_state_holds_one_entry_per_distinct_point():
+    """The serialized state is one store with one [net A, net B] row per
+    distinct point of non-zero net: replicas add no entries, and a point
+    whose updates cancel leaves none."""
+    p = [pt(b) for b in ([0] * 8, [1] * 8, [1, 0] * 4, [0, 1] * 4, [1, 1, 0, 0] * 2)]
+    ups = [(p[0], "A", 2), (p[1], "B", 1), (p[2], "A", 1), (p[3], "B", 3),
+           (p[2], "A", -1), (p[4], "A", 1), (p[4], "B", -1)]  # p[2] cancels
+    cfg = EmdSketchConfig(n=3, d=8, seed=3, level_reps=3)
+    for cls in (EmdOnePassSketch, EmdTwoPassSketch):
+        sk = cls(cfg)
+        for q, label, c in ups:
+            sk.update(q, label, c)
+        assert store_sizes(EmdOnePassSketch.state_bytes(sk)) == [(2, 4)]
 
 
 def _two_pass(cfg, updates, pass1_order):
@@ -524,41 +555,53 @@ def _turnstile_stream(rng, d, n_updates):
     return ups
 
 
+def _node_key(tree, rep, p):
+    """The (u, w) id of p's node in a replica, from the tree path and the
+    replica's universe map."""
+    path = tree.node_path(p.bits()[None, :])[0]
+    return int(rep.umap.u_of(path[rep.level - 1])[0]), int(rep.umap.w_of(path[rep.level])[0])
+
+
 def test_replica_views_equal_fed_reference():
-    """The Delta-hat sketch and every round-one sampler, built from the
-    replica counts, equal sketches of the same type and seed fed (key, +-delta)
-    update by update (the same materialized accumulators and tables, state
+    """Every replica's view of the counts equals a count store fed (key,
+    delta * row) update by update, and the Delta-hat sketch and every
+    round-one sampler built from it equal sketches of the same type and seed
+    fed (key, +-delta) (the same materialized accumulators and tables, state
     bytes and samples): read after half the stream, after the rest, and by a
     second finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
         sk = EmdTwoPassSketch(cfg)
         reps = [rep for per_level in sk.replicas for rep in per_level]
-        fed = [
-            (CauchyL1Sketch(rep.delta_sketch.s, rep.delta_sketch.seed),
-             {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()})
-            for rep in reps
-        ]
+        fed, fed_counts = [], [SparseCounts(2 + cfg.n_sets) for _ in reps]
+        for rep in reps:
+            rep.finalize_pass1(SparseCounts(2 + cfg.n_sets))
+            fed.append((CauchyL1Sketch(rep.delta.s, rep.delta.seed),
+                        {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()}))
         ups = _turnstile_stream(np.random.default_rng(s), cfg.d, 30)
         cut = len(ups) // 2
         for part in (ups[:cut], ups[cut:]):
             for p, label, c in part:
                 sk.update(p, label, c)
-                for rep, (delta, smps) in zip(reps, fed):
-                    key = rep.node_key(sk._path(p))
+                for rep, counts, (delta, smps) in zip(reps, fed_counts, fed):
+                    key = _node_key(sk.tree, rep, p)
+                    chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
+                    counts.add(key, c * np.array([label == "A", label == "B", *chi_plus]))
                     delta.update(key, c if label == "A" else -c)
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
-            for rep, (delta, smps) in zip(reps, fed):
-                assert np.array_equal(rep.delta_sketch._materialize(), delta._materialize())
-                assert rep.delta_sketch.state_bytes() == delta.state_bytes()
-                assert rep.delta_sketch.estimate() == delta.estimate()
-                views = rep.samplers
+            views = [v for per_level in sk.views(sk.counts) for v in per_level]
+            assert views == fed_counts
+            for rep, view, (delta, smps) in zip(reps, views, fed):
+                rep.finalize_pass1(view)
+                assert np.array_equal(rep.delta._materialize(), delta._materialize())
+                assert rep.delta.state_bytes() == delta.state_bytes()
+                assert rep.delta.estimate() == delta.estimate()
                 for jc, f in smps.items():
-                    assert np.array_equal(views[jc]._materialize(), f._materialize())
-                    assert np.array_equal(views[jc]._views()[1]._materialize(),
+                    assert np.array_equal(rep.samplers[jc]._materialize(), f._materialize())
+                    assert np.array_equal(rep.samplers[jc]._views()[1]._materialize(),
                                           f._views()[1]._materialize())
-                got = {jc: smp.state_bytes() for jc, smp in views.items()}
+                got = {jc: smp.state_bytes() for jc, smp in rep.samplers.items()}
                 assert got == {jc: f.state_bytes() for jc, f in smps.items()}
         sk.finalize_pass1()
         sampled = [dict(rep.sampled) for rep in reps]
@@ -580,10 +623,11 @@ def test_node_ids_above_2_63_stay_unsigned():
         for label in ("A", "B"):
             for p, c in nets[label].items():
                 sk.update(p, label, c)
-        keys = [k for per_level in sk.replicas for rep in per_level for k in rep.counts.rows]
+        views = sk.views(sk.counts)
+        keys = [k for per_level in views for v in per_level for k in v.rows]
         assert min(min(k) for k in keys) >= 0
         assert max(max(k) for k in keys) >= 2**63
-        assert sk.replicas[-1][0].vectors()[0].dtype == np.uint64
+        assert sk.replicas[-1][0].vectors(views[-1][0])[0].dtype == np.uint64
         assert len(EmdOnePassSketch.state_bytes(sk)) > 0
         if cls is EmdTwoPassSketch:
             sk.finalize_pass1()

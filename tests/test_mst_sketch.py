@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geosketch import (
     FAIL,
@@ -14,14 +15,15 @@ from geosketch import (
     MstSketch,
     MstSketchConfig,
     PointMultiset,
+    SparseCounts,
     exact_mst,
     reference_level_quantities,
     sample_quadtree,
     value_mst,
 )
-from geosketch.mst_sketch import _RepState
+from geosketch.mst_sketch import _RepState, _node_of, _point_fps
 
-from conftest import random_multiset
+from conftest import random_multiset, store_sizes
 
 
 def pt(bits):
@@ -43,16 +45,27 @@ def feed(sk, X):
     return sk
 
 
-def rep_with_nodes(cfg, nodes, level=1, seed=7):
-    """Build a bare replica state with prescribed (u, w) -> count nodes: each
-    node holds one point entry of that net count and chi = -1."""
-    st = _RepState(cfg, level, seed)
+def view_with_nodes(cfg, nodes, level=1, seed=7):
+    """A decode view of a bare replica with prescribed (u, w) -> count
+    nodes: each node holds one point entry of that net count and chi = -1."""
+    points = SparseCounts(2)
     for (u, w), cnt in nodes.items():
-        st.points.add((u, w, 1), np.array([cnt, 0]))
-    assert {k: r.tolist() for k, r in st.node_counts().rows.items()} == {
-        k: [c, 0] for k, c in nodes.items()
-    }
-    return st
+        points.add((u, w, 1), np.array([cnt, 0]))
+    view = MstRepView(_RepState(cfg, level, seed), points)
+    assert dict(zip(view.keys, view.nx.tolist())) == nodes
+    return view
+
+
+def _fp(rep, p):
+    """The fingerprint of point p in a replica's point entries."""
+    return int(_point_fps(np.uint64(rep.seed), [p.value])[0])
+
+
+def _node_key(tree, rep, p):
+    """The (u, w) id of p's node in a replica, from the tree path and the
+    replica's universe map."""
+    path = tree.node_path(p.bits()[None, :])[0]
+    return int(rep.umap.u_of(path[rep.level - 1])[0]), int(rep.umap.w_of(path[rep.level])[0])
 
 
 # -- reference quantities ----------------------------------------------------------
@@ -104,8 +117,7 @@ def test_reference_upper_bounds_mst():
 
 def test_parent_recover_single_parent():
     cfg = small_cfg()
-    st = rep_with_nodes(cfg, {(5, 1): 3, (5, 2): 1})
-    assert MstRepView(st).parent_recover() == 5
+    assert view_with_nodes(cfg, {(5, 1): 3, (5, 2): 1}).parent_recover() == 5
 
 
 def test_parent_recover_dominant_counts():
@@ -116,8 +128,7 @@ def test_parent_recover_dominant_counts():
     for s in range(trials):
         nodes = {(1, w): 1 for w in range(50)}
         nodes[(2, 999)] = 1
-        st = rep_with_nodes(cfg, nodes, seed=s)
-        view = MstRepView(st)
+        view = view_with_nodes(cfg, nodes, seed=s)
         # condition on favorable scalings: equal t makes |C|/t dominant
         view.t_u = np.ones(len(view.uu))
         wins += view.parent_recover() == 1
@@ -140,8 +151,7 @@ def test_parent_recover_matches_exact_argmax_under_events():
         for u in range(8):
             for c in range(int(rng.integers(1, 6))):
                 nodes[(u, 10 * u + c)] = int(rng.integers(1, 4))
-        st = rep_with_nodes(cfg, nodes, seed=s + 1000)
-        view = MstRepView(st)
+        view = view_with_nodes(cfg, nodes, seed=s + 1000)
         kid_count = {u: 0 for u in range(8)}
         for (u, w) in nodes:
             kid_count[u] += 1
@@ -180,8 +190,7 @@ def test_child_recover_full_subsample_recovers_children():
     for s in range(trials):
         nodes = {(1, w): 1 + (w % 2) for w in range(4)}
         nodes[(2, 100)] = 2
-        st = rep_with_nodes(cfg, nodes, seed=s + 31)
-        view = MstRepView(st)
+        view = view_with_nodes(cfg, nodes, seed=s + 31)
         # find a (kappa, j) whose D contains every child of parent 1
         got = None
         for kappa in (0,):  # rate 1: D = everything
@@ -219,7 +228,7 @@ def test_scan_children_matches_child_recover_reference():
         for u in range(int(rng.integers(1, 4))):
             for c in range(int(rng.integers(1, 9))):
                 nodes[(u, 100 * u + c)] = int(rng.integers(1, 4))
-        view = MstRepView(rep_with_nodes(cfg, nodes, seed=s + 500))
+        view = view_with_nodes(cfg, nodes, seed=s + 500)
         for u in map(int, view.uu):
             want = _reference_scan(view, u)
             got = view.scan_children(u)
@@ -235,8 +244,7 @@ def test_scan_children_matches_child_recover_reference():
 
 def test_child_recover_empty_subsample():
     cfg = small_cfg(n=16, d=8)
-    st = rep_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=77)
-    view = MstRepView(st)
+    view = view_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=77)
     # a high kappa usually empties D; find one with no members among u=1
     for kappa in range(cfg.kappa_max, -1, -1):
         if not view.in_D(kappa, 0, 0).any():
@@ -277,24 +285,26 @@ def test_child_pair_law_uniform():
 # -- representatives and characters -----------------------------------------------------
 
 
-def _witness_fixture(cfg, points, seed=5, level=1):
-    """Replica fed with real points mapping to their own (u, w) nodes."""
+def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
+    """Decode view of a replica over real points placed at prescribed (u, w)
+    nodes: (key, point, net) -> the entry (u, w, fp) -> [net, net * chi]."""
     st = _RepState(cfg, level, seed)
+    st.charset = charset or st.charset
+    entries = SparseCounts(2)
     for key, p, c in points:
-        st.update(key, p, c)
-    return st
+        entries.add((*key, _fp(st, p)), c * np.array([1, st.charset.eval(p) == 1]))
+    return MstRepView(st, entries)
 
 
 def test_representative_singleton_found_at_eta_zero():
     cfg = small_cfg(n=8, d=8)
     x = pt([1, 0, 1, 0, 1, 0, 1, 0])
-    st = _witness_fixture(cfg, [((1, 10), x, 1)])
-    view = MstRepView(st)
+    view = _witness_fixture(cfg, [((1, 10), x, 1)])
     tok = view.child_representative((1, 10))
     assert tok is not FAIL
     fp, eta = tok
     assert eta == 0
-    assert fp == st.point_fp(x)
+    assert fp == _fp(view.st, x)
 
 
 def test_representative_two_points_balanced():
@@ -303,13 +313,12 @@ def test_representative_two_points_balanced():
     hits = {0: 0, 1: 0}
     succ = 0
     for s in range(2500):
-        st = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s)
-        view = MstRepView(st)
+        view = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s)
         tok = view.child_representative((1, 10))
         if tok is FAIL:
             continue
         succ += 1
-        hits[0 if tok[0] == st.point_fp(x) else 1] += 1
+        hits[0 if tok[0] == _fp(view.st, x) else 1] += 1
     assert succ / 2500 >= 0.95
     frac = hits[0] / succ
     assert abs(frac - 0.5) < 0.05, frac
@@ -324,19 +333,19 @@ def test_representative_rejects_point_of_another_node():
     alien_alone = 0
     for s in range(40):
         # a sibling (1, w) that shares v's side-0 bucket in some row
-        probe = MstRepView(_RepState(cfg, 1, s))
+        probe = MstRepView(_RepState(cfg, 1, s), SparseCounts(2))
         rows = np.arange(cfg.rec_rows, dtype=np.uint64)
         ws = np.arange(11, 1000, dtype=np.uint64)
         b_w = probe._row_bucket(probe._node_hash(np.uint64(1), ws[:, None]), rows, 0x9C00)
         b_v = probe._row_bucket(probe._node_hash(np.uint64(1), np.uint64(10)), rows, 0x9C00)
         other = (1, int(ws[np.argmax((b_w == b_v).any(axis=1))]))
-        st = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
-        view = MstRepView(st)
-        assert view.child_representative(v) == (st.point_fp(x), 0)
+        view = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
+        fx, fz = _fp(view.st, x), _fp(view.st, z)
+        assert view.child_representative(v) == (fx, 0)
         hv = view._node_hash(np.uint64(v[0]), np.uint64(v[1]))
         for eta in range(cfg.eta_max + 1):
-            assert set(view._witness_at(v, eta, 0, chi_restricted=False)) <= {st.point_fp(x)}
-            alien_alone += (1, st.point_fp(z)) in [
+            assert set(view._witness_at(v, eta, 0, chi_restricted=False)) <= {fx}
+            alien_alone += (1, fz) in [
                 (cnt, fs) for cnt, fs, _ in view._witness_buckets(hv, eta, 0, False)
             ]
     # the guard was exercised: z sat alone in v's bucket in some (eta, row)
@@ -351,17 +360,14 @@ def test_char_of_representative_two_points_matches_direct_eval():
     agree = minus = 0
     trials = 200
     for s in range(trials):
-        st = _RepState(cfg, 1, s)
         # a dense character, so that both signs occur across seeds
-        st.charset = CharacterSet(cfg.d, 0.5, s)
-        for p in (x, y):
-            st.update((1, 10), p, 1)
-        view = MstRepView(st)
+        view = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s,
+                                charset=CharacterSet(cfg.d, 0.5, s))
         tok = view.child_representative((1, 10))
         if tok is FAIL:
             continue
-        named = {st.point_fp(x): x, st.point_fp(y): y}[tok[0]]
-        want = st.charset.eval(named)
+        named = {_fp(view.st, x): x, _fp(view.st, y): y}[tok[0]]
+        want = view.st.charset.eval(named)
         minus += want == -1
         agree += view.char_of_representative((1, 10), tok) == want
     assert agree >= 0.98 * trials, agree
@@ -374,12 +380,11 @@ def test_char_of_representative_matches_direct_eval():
     agree = 0
     trials = 200
     for s in range(trials):
-        st = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
-        view = MstRepView(st)
+        view = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
         tok = view.child_representative((1, 10))
         assert tok is not FAIL
         got = view.char_of_representative((1, 10), tok)
-        agree += got == st.charset.eval(x)
+        agree += got == view.st.charset.eval(x)
     assert agree >= 0.98 * trials, agree
 
 
@@ -484,31 +489,56 @@ def test_default_universe_fits_uint64():
     assert st.umap.w_of(fps).shape == (2,)
 
 
-def test_mst_sketch_linearity_bit_identical():
-    cfg = small_cfg()
-    X = random_multiset(10, 8, 21)
-    items = list(X.items())
-    a = MstSketch(cfg)
-    for p, c in items:
-        a.update(p, c)
-    b = MstSketch(cfg)
-    for p, c in reversed(items):
-        b.update(p, c)
-    assert a.state_bytes() == b.state_bytes()
-    left, right = MstSketch(cfg), MstSketch(cfg)
-    for p, c in items[::2]:
-        left.update(p, c)
-    for p, c in items[1::2]:
-        right.update(p, c)
+_LIN_PTS = [pt(b) for b in np.random.default_rng(21).integers(0, 2, (8, 8))]
+
+
+def _outcome(sk):
+    """The estimate's float hex, or the error an estimate raises."""
+    try:
+        return sk.estimate().hex()
+    except (ValueError, RuntimeError) as e:
+        return repr(e)
+
+
+@settings(max_examples=15, deadline=None)
+@example(ins=[(0, 2), (1, 1)], dels=1, cut=2)
+@given(
+    ins=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)), min_size=1, max_size=8),
+    dels=st.integers(0, 8),
+    cut=st.integers(0, 17),
+)
+def test_mst_sketch_linearity_bit_identical(ins, dels, cut):
+    """A turnstile stream -- insertions, then the deletions of the first
+    `dels` of them -- split at any point: the merged halves, and the stream
+    reversed, give the state bytes and the estimate of the whole stream, bit
+    for bit. The example's halves cancel point 0 to net zero."""
+    ups = ins + [(i, -c) for i, c in ins[:dels]]
+    cut = min(cut, len(ups))
+    whole, rev, left, right = (MstSketch(small_cfg()) for _ in range(4))
+    for sk, part in ((whole, ups), (rev, ups[::-1]), (left, ups[:cut]), (right, ups[cut:])):
+        for i, c in part:
+            sk.update(_LIN_PTS[i], c)
     left.merge(right)
-    assert left.state_bytes() == a.state_bytes()
-    assert left.estimate() == a.estimate()
+    assert left.state_bytes() == whole.state_bytes() == rev.state_bytes()
+    assert _outcome(left) == _outcome(whole)
+
+
+def test_state_holds_one_entry_per_distinct_point():
+    """The serialized state is one store with one net-count row per
+    distinct point of non-zero net: the levels and samples add no entries,
+    and a point whose updates cancel leaves none."""
+    X = random_multiset(10, 8, 21)
+    sk = feed(MstSketch(small_cfg()), X)
+    x = next(iter(X.support()))
+    sk.update(x, -X.count(x))
+    assert store_sizes(sk.state_bytes()) == [(1, len(X.support()) - 1)]
 
 
 def test_l0_views_equal_fed_reference():
     """The per-level l0 sketch, built from the node counts of the level's
     first sample, equals an l0 sketch of the same seed fed ((u, w), +-delta)
-    update by update with the keys of `_point_keys` (the same occupancy,
+    update by update, with the ids of the sample's universe map at the
+    point's tree path (the same occupancy,
     state bytes and estimate): read after half of a
     turnstile stream with deletions and cancellations, and after the rest.
     The streams include nodes whose net count is 0 while their chi count is
@@ -533,40 +563,48 @@ def test_l0_views_equal_fed_reference():
         for part in (ups[:cut], ups[cut:]):
             for p, c in part:
                 sk.update(p, c)
-                for f, (us, ws, _) in zip(fed, sk._point_keys(p)):
-                    f.update((int(us[0]), int(ws[0])), c)
+                for f, per_level in zip(fed, sk.reps):
+                    f.update(_node_key(sk.tree, per_level[0], p), c)
             for l0, f in zip(sk.l0, fed):
                 assert np.array_equal(l0._materialize(), f._materialize())
                 assert l0.state_bytes() == f.state_bytes()
             assert sk.level_counts() == [f.estimate() for f in fed]
             zero_count_nodes += sum(
                 row[0] == 0
-                for per_level in sk.reps
-                for row in per_level[0].node_counts().rows.values()
+                for points in sk.views([per_level[0] for per_level in sk.reps])
+                for row in points.image(key_of=_node_of).rows.values()
             )
     assert zero_count_nodes > 0
 
 
 def test_node_counts_derived_from_point_entries():
-    """The node counts [net, net chi-plus] are the sums of the point entries
-    [net, net * chi]; a merged state equals the whole-stream state."""
+    """Every replica's point entries are [net, net * chi] at (u, w, point
+    fingerprint), read off the one count store, and its node counts [net,
+    net chi-plus] are their sums; a merged state equals the whole-stream
+    state."""
     cfg = small_cfg(n=2)
-    st = _RepState(cfg, 3, 4)
-    st.charset = CharacterSet(cfg.d, 0.5, 9)
-    x, y = pt([0, 0, 1, 1, 0, 1, 0, 1]), pt([1, 0, 0, 1, 1, 1, 0, 0])
-    cx, cy = (int(st.charset.eval(p) == 1) for p in (x, y))
-    st.update((1, 10), x, 3)
-    st.update((1, 10), y, -1)
-    st.update((2, 20), y, 2)
-    want = {(1, 10): [2, 3 * cx - cy], (2, 20): [2, 2 * cy]}
-    assert {k: r.tolist() for k, r in st.node_counts().rows.items()} == want
-    left, right = _RepState(cfg, 3, 4), _RepState(cfg, 3, 4)
-    left.charset = right.charset = st.charset
-    left.update((1, 10), x, 3)
-    right.update((1, 10), y, -1)
-    right.update((2, 20), y, 2)
-    left.points.merge(right.points)
-    assert left.points == st.points
+    x, y, z = pt([0, 0, 1, 1, 0, 1, 0, 1]), pt([1, 0, 0, 1, 1, 1, 0, 0]), pt([1] * 8)
+    ups = [(x, 3), (y, -1), (z, 2), (y, 2)]
+    sk, left, right = MstSketch(cfg), MstSketch(cfg), MstSketch(cfg)
+    for target, part in ((sk, ups), (left, ups[:1]), (right, ups[1:])):
+        for p, c in part:
+            target.update(p, c)
+    reps = [rep for per_level in sk.reps for rep in per_level]
+    for rep, entries in zip(reps, sk.views(reps)):
+        want_pts, want_nodes = {}, {}
+        for p, c in {x: 3, y: 1, z: 2}.items():
+            row = [c, c * int(rep.charset.eval(p) == 1)]
+            key = _node_key(sk.tree, rep, p)
+            want_pts[(*key, _fp(rep, p))] = row
+            want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
+        assert {k: r.tolist() for k, r in entries.rows.items()} == want_pts
+        nodes = entries.image(key_of=_node_of)
+        assert {k: r.tolist() for k, r in nodes.rows.items()} == want_nodes
+        view = MstRepView(rep, entries)
+        assert dict(zip(view.keys, view.nx.tolist())) == {k: r[0] for k, r in want_nodes.items()}
+    left.merge(right)
+    assert left.counts == sk.counts
+    assert left.state_bytes() == sk.state_bytes()
 
 
 def test_node_ids_above_2_63_stay_unsigned():
@@ -574,9 +612,11 @@ def test_node_ids_above_2_63_stay_unsigned():
     they stay uint64, so the estimator decodes and serializes."""
     X = aggregate(gen_instance("uniform", 8, 8, seed=1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
-    keys = [k for per_level in sk.reps for rep in per_level for k in rep.points.rows]
+    reps = [rep for per_level in sk.reps for rep in per_level]
+    views = sk.views(reps)
+    keys = [k for points in views for k in points.rows]
     assert min(min(k[:2]) for k in keys) >= 0
     assert max(max(k[:2]) for k in keys) >= 2**63
-    assert MstRepView(sk.reps[0][0]).u.dtype == np.uint64
+    assert MstRepView(reps[0], views[0]).u.dtype == np.uint64
     assert len(sk.state_bytes()) > 0
     assert math.isfinite(sk.estimate())

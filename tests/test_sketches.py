@@ -456,6 +456,27 @@ def test_sparse_counts_image_sums_at_mapped_keys():
     assert {k: r.tolist() for k, r in net.rows.items()} == {(3, 4): [1]}
 
 
+def test_sparse_counts_grouped_equals_added_rows():
+    """`grouped` gives, per leading index, the store that adding each row at
+    its key gives: rows at equal keys summed, a sum of zero dropped, and
+    keys of any word up to 2^64 - 1."""
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 3, size=(4, 30, 2)).astype(np.uint64)
+    keys[1, :, 0] = 2**64 - 1
+    rows = rng.integers(-2, 3, size=(4, 30, 3))
+    rows[2, :2] = [[1, -1, 2], [-1, 1, -2]]
+    keys[2, :2] = 9  # a key whose rows cancel
+    stores = SparseCounts.grouped(keys, rows)
+    for r in range(4):
+        want = SparseCounts(3)
+        for k, row in zip(keys[r].tolist(), rows[r]):
+            want.add(tuple(k), row)
+        assert stores[r] == want
+    assert (9, 9) not in stores[2].rows
+    empty = SparseCounts.grouped(np.zeros((2, 0, 3), dtype=np.uint64), np.zeros((2, 0, 1), dtype=np.int64))
+    assert [len(st) for st in empty] == [0, 0] and empty[0].width == 1
+
+
 def test_sparse_counts_canonical_order_and_bytes():
     """Keys sort by their 64-bit words whatever the insertion order, and the
     bytes hold the width, the row count, then (words, int64 row) per key."""
