@@ -59,7 +59,6 @@ from .streamio import (
     write_stream_binary,
 )
 from .generators import GeneratedInstance, gen_instance, rm1_codewords
-from .cli import EstimateReport, run_estimator
 
 # The submodules (hashing, sketches, emd_sketch, ...) stay attributes of the
 # package, but are not part of the star-import surface.
@@ -82,3 +81,13 @@ __all__ = [
     "EstimateReport", "run_estimator",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI module is imported on first use, not here: `python -m
+    # geosketch.cli` would otherwise find it imported before it runs.
+    if name in ("EstimateReport", "run_estimator"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,6 +28,11 @@ linearity the result is identical to eager per-update accumulation, but
 states merge and replay bit-for-bit. Node ids are uint64 throughout.
 `state_bytes` is `encode_state` of the one store.
 
+One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes
+over a grid of (set, inner copy, round, repetition) cells, decoded in
+blocks of about `_LS_BLOCK_WORDS` hashed words with one stacked array call
+per stage; it equals one decode per cell bit for bit (`one_round_estimates`).
+
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
 profile keeps end-to-end runs at seconds while exercising every stage.
@@ -55,6 +60,8 @@ from .sketches import (
     _cs_coords,
     _cs_estimates,
     _cs_table,
+    _median,
+    _scatter_sum,
     encode_state,
 )
 
@@ -68,6 +75,11 @@ __all__ = [
     "reference_I_i",
     "expected_split_probability",
 ]
+
+
+# Hashed words per block of one-round grid cells: a block's temporaries stay
+# in cache, and the memory they take does not grow with the grid.
+_LS_BLOCK_WORDS = 100_000
 
 
 def log2n(n: int) -> int:
@@ -356,37 +368,49 @@ class _LevelReplica:
         return uu, u_inv, hx.combine(self.seed, 0xAB, uu), hx.combine(self.seed, 0xAC, u, w), \
             qv, cC, splus
 
+    def _seeds(self, j, c, r, m) -> tuple:
+        """(set, cell seed, round seed) of each grid cell at the broadcast
+        indices (j, c, r, m), flattened: one broadcast hash call per seed."""
+        j, c, r, m = (np.ravel(a) for a in np.broadcast_arrays(j, c, r, m))
+        return j, hx.combine(self.seed, 0x0140, j, c, r, m), hx.combine(self.seed, 0x0141, j, c, r)
+
     def decoder(self, counts: SparseCounts, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
-                t_u=None, t_v=None) -> "_OneRoundDecoder":
-        """Standalone LS1/LS2/LS3 decoder over the given counts (used by
+                t_u=None, t_v=None) -> "_LsCells":
+        """The one-cell grid (j, c, r, m) over the given counts (used by
         tests that condition on explicit exponential scalings)."""
-        *arrays, splus = self._decode_arrays(counts)
-        return _OneRoundDecoder(self, j, c, r, m, *arrays, splus[:, j], t_u, t_v)
+        return _LsCells(self.cfg, self._decode_arrays(counts), *self._seeds(j, c, r, m), t_u, t_v)
 
     def one_round_estimates(self, counts: SparseCounts) -> List[float]:
         """All inner estimates of E_v[p_{pi(v),v,S_j}], grouped per set:
         returns per set j the median over inner copies, where each copy is the
-        mean over rounds of medians over LS-triple repetitions."""
-        *arrays, splus = self._decode_arrays(counts)
-        cfg = self.cfg
-        if len(arrays[0]) == 0:
+        mean over rounds of medians over LS-triple repetitions.
+
+        The (set, copy, round, repetition) grid is flattened and decoded in
+        blocks of at most `_LS_BLOCK_WORDS` hashed words (at least one cell),
+        each one `_LsCells`; the reductions then run over the grid axes. The
+        values equal one decode per cell bit for bit: `bincount` adds each
+        bucket's keys in key order from 0.0 as `np.add.at` does, a median of
+        an odd count (5 rows) picks the middle element and one of an even
+        count averages the middle two, and the mean over rounds reduces the
+        contiguous last axis, in numpy's pairwise order for n_rounds values."""
+        cfg, nodes = self.cfg, self._decode_arrays(counts)
+        n_u, n_v = len(nodes[0]), len(nodes[1])
+        if n_u == 0:
             return [0.0] * cfg.n_sets
-        out: List[float] = []
-        for j in range(cfg.n_sets):
-            copies = []
-            for c in range(cfg.n_inner):
-                rounds = []
-                for r in range(cfg.n_rounds):
-                    meds = []
-                    for m in range(cfg.n_medreps):
-                        dec = _OneRoundDecoder(self, j, c, r, m, *arrays, splus[:, j])
-                        u_star = dec.ls1()
-                        v_star = dec.ls2(u_star)
-                        meds.append(dec.ls3(v_star))
-                    rounds.append(float(np.median(meds)))
-                copies.append(float(np.mean(rounds)))
-            out.append(float(np.median(copies)))
-        return out
+        shape = (cfg.n_sets, cfg.n_inner, cfg.n_rounds, cfg.n_medreps)
+        seeds = self._seeds(*np.indices(shape))
+        # words hashed per cell: its sketch seed states, t_u and t_v, LS1's
+        # Cauchy weights and coordinates, LS2's and LS3's coordinates
+        K, rows = cfg.ls1_reps, cfg.cs_rows
+        words = K + 2 * rows * (K + 5) + n_u + n_v + K * (n_v + 2 * rows * n_u) \
+            + 2 * rows * (3 * n_v + 2 * n_u)
+        step = max(1, _LS_BLOCK_WORDS // words)
+        p = np.empty(math.prod(shape))
+        for lo in range(0, p.size, step):
+            cells = _LsCells(cfg, nodes, *(a[lo:lo + step] for a in seeds))
+            p[lo:lo + step] = cells.ls3(cells.ls2(cells.ls1()))
+        rounds = np.median(p.reshape(shape), axis=3)
+        return np.median(rounds.mean(axis=2), axis=1).tolist()
 
     def two_round_estimates(self, counts: SparseCounts) -> List[Optional[float]]:
         """Per set j: mean of the exact per-sample p values over successful
@@ -434,88 +458,75 @@ class _LevelReplica:
         return (3.0 * delta_hat / cfg.alpha(self.level)) * (avg + 1.0 / (8.0 * cfg.L**2))
 
 
-class _OneRoundDecoder:
-    """LS1/LS2/LS3 decode for one (set, copy, round, repetition)."""
+class _LsCells:
+    """The LS1 -> LS2 -> LS3 decode of a block of B one-round grid cells,
+    each stage one stacked array call over the block. A cell holds its set
+    j, its seeds (`_LevelReplica._seeds`) and its exponential
+    scalings t_u, t_v, which may be injected for conditioned tests. Every
+    Count-Sketch of a stage is one `_cs_table` over (cell, ..., row, bucket)."""
 
-    def __init__(self, rep, j, c, r, m, uu, u_inv, hk_u, hk_v, qv, cC, splus_j,
-                 t_u=None, t_v=None):
-        self.rep = rep
-        self.cfg = rep.cfg
-        self.sub = int(hx.combine(rep.seed, 0x0140, j, c, r, m)[()])
-        self.round_seed = int(hx.combine(rep.seed, 0x0141, j, c, r)[()])
-        self.uu, self.u_inv = uu, u_inv
-        self.hk_u, self.hk_v = hk_u, hk_v
-        self.qv, self.cC, self.splus_j = qv, cC, splus_j
-        # fresh exponentials per round (shared by the repetitions inside it);
-        # explicit scalings may be injected for conditioned tests
-        self.t_u = (
-            np.maximum(hx.exp1(hx.combine(self.round_seed, 0xE1, hk_u)), 1e-9)
-            if t_u is None
-            else np.asarray(t_u, dtype=np.float64)
-        )
-        self.t_v = (
-            np.maximum(hx.exp1(hx.combine(self.round_seed, 0xE2, hk_v)), 1e-9)
-            if t_v is None
-            else np.asarray(t_v, dtype=np.float64)
-        )
+    def __init__(self, cfg, nodes, j, sub, rnd, t_u=None, t_v=None):
+        self.cfg = cfg
+        self.uu, self.u_inv, self.hk_u, self.hk_v, self.qv, self.cC, splus = nodes
+        self.splus = splus.T[j]  # (B, N): each cell's set
+        # the hash states every key of the block extends, one call per kind:
+        # LS1's Cauchy weights (one per ls1 rep), and the row states of the
+        # Count-Sketches (ls1_reps for LS1, then one for LS2, four for LS3)
+        sub = sub[:, None]
+        ks = np.arange(cfg.ls1_reps, dtype=U64)
+        self.cauchy = hx.combine(sub, 0xA1, ks)
+        ls23 = np.array([0xCF, 0x31, 0x32, 0x33, 0x34], dtype=U64)
+        sketch = np.concatenate([hx.combine(sub, 0xCE, ks), hx.combine(sub, ls23)], axis=1)
+        r = np.arange(cfg.cs_rows, dtype=U64)
+        self.rows_b, self.rows_s = (hx.combine(sketch[..., None], w, r) for w in (0xB, 0x5))
+        # fresh exponentials per round (shared by the repetitions inside it),
+        # unless a conditioned test injects the scalings
+        self.t_u, t_v = (np.atleast_2d(t).astype(float) if t is not None else
+                         np.maximum(hx.exp1(hx.combine(rnd[:, None], salt, hk)), 1e-9)
+                         for salt, hk, t in ((0xE1, self.hk_u, t_u), (0xE2, self.hk_v, t_v)))
+        self.t_uv = self.t_u[:, self.u_inv] * t_v
 
-    def _cs(self, idx_hash: np.ndarray, values: np.ndarray, sub_seed: int) -> np.ndarray:
-        """Count-Sketch estimates of a float vector at its own indices."""
-        cfg = self.cfg
-        b, s = _cs_coords((sub_seed, 0xB), (sub_seed, 0x5), idx_hash,
-                          cfg.cs_rows, cfg.cs_buckets)
-        return _cs_estimates(_cs_table(b, s, values, cfg.cs_buckets), b, s)
+    def _cs(self, i, hkeys, values, at=None) -> np.ndarray:
+        """Estimates of the Count-Sketches `i` (an index or slice of the
+        sketch axis) of the vectors `values` (B, ..., n) at all their keys,
+        or at the key index `at` (B,) of each cell."""
+        b, s = _cs_coords(self.rows_b[:, i], self.rows_s[:, i], hkeys, self.cfg.cs_buckets)
+        table = _cs_table(b, s, values, self.cfg.cs_buckets)
+        if at is not None:
+            at = np.reshape(at, (-1,) + (1,) * (b.ndim - 1))
+            b, s = np.take_along_axis(b, at, -1), np.take_along_axis(s, at, -1)
+        return _cs_estimates(table, b, s)
 
-    def ls1(self) -> int:
-        """Recover the parent maximizing P_u / t_u (index into uu)."""
-        cfg = self.cfg
-        inv_tu = 1.0 / self.t_u
-        ests = np.empty((cfg.ls1_reps, len(self.uu)))
-        for k in range(cfg.ls1_reps):
-            alpha = hx.cauchy(hx.combine(self.sub, 0xA1, k, self.hk_v))
-            per_u = np.zeros(len(self.uu))
-            np.add.at(per_u, self.u_inv, alpha * self.qv)
-            per_u *= inv_tu
-            ests[k] = self._cs(self.hk_u, per_u, int(hx.combine(self.sub, 0xCE, k)[()]))
-        med = np.median(np.abs(ests), axis=0)
-        return int(np.argmax(med))
+    def ls1(self) -> np.ndarray:
+        """Per cell, the parent maximizing P_u / t_u (index into uu)."""
+        K = self.cfg.ls1_reps
+        alpha = hx.cauchy(hx.extend(self.cauchy[..., None], self.hk_v))
+        per_u = _scatter_sum(self.u_inv, alpha * self.qv, len(self.uu))
+        per_u *= (1.0 / self.t_u)[:, None, :]
+        med = _median(np.abs(self._cs(slice(0, K), self.hk_u, per_u)), 1)
+        return np.argmax(med, axis=-1)
 
-    def ls2(self, u_idx: int) -> int:
-        """Recover the child of uu[u_idx] maximizing Q_v/(t_u t_v); returns a
-        node index (always a child of the given parent)."""
-        vals = self.qv / (self.t_u[self.u_inv] * self.t_v)
-        est = np.abs(self._cs(self.hk_v, vals, int(hx.combine(self.sub, 0xCF)[()])))
-        children = np.nonzero(self.u_inv == u_idx)[0]
-        return int(children[np.argmax(est[children])])
+    def ls2(self, u_idx) -> np.ndarray:
+        """Per cell, the child of uu[u_idx] maximizing Q_v/(t_u t_v): the
+        first maximum among that parent's children, as a node index."""
+        est = np.abs(self._cs(self.cfg.ls1_reps, self.hk_v, self.qv / self.t_uv))
+        child = self.u_inv == np.reshape(u_idx, (-1, 1))
+        return np.argmax(np.where(child, est, -np.inf), axis=-1)
 
-    def ls3(self, v_idx: int) -> float:
-        """Estimate p_{u,v,S} from four Count-Sketches of the chi counters,
+    def ls3(self, v_idx) -> np.ndarray:
+        """Per cell, p_{u,v,S} from four Count-Sketches of the chi counters,
         truncated to [0, 1]; non-positive denominators give 0."""
-        u_idx = self.u_inv[v_idx]
-        inv_tu = 1.0 / self.t_u
-        cu = np.zeros(len(self.uu))
-        cup = np.zeros(len(self.uu))
-        np.add.at(cu, self.u_inv, self.cC.astype(np.float64))
-        np.add.at(cup, self.u_inv, self.splus_j.astype(np.float64))
-        cu *= inv_tu
-        cup *= inv_tu
-        scale_v = 1.0 / (self.t_u[self.u_inv] * self.t_v)
-        cv = self.cC * scale_v
-        cvp = self.splus_j * scale_v
-
-        def est(idx_hash, values, salt, pick):
-            return self._cs(idx_hash, values, int(hx.combine(self.sub, salt)[()]))[pick]
-
-        s1 = est(self.hk_u, cu, 0x31, u_idx)
-        s2 = est(self.hk_u, cup, 0x32, u_idx)
-        s3 = est(self.hk_v, cv, 0x33, v_idx)
-        s4 = est(self.hk_v, cvp, 0x34, v_idx)
-        if s1 <= 0.0 or s3 <= 0.0:
-            return 0.0
-        qu = s2 / s1
-        qv = s4 / s3
+        v_idx, K = np.broadcast_to(v_idx, len(self.t_u)), self.cfg.ls1_reps
+        chi = np.stack([np.broadcast_to(self.cC, self.splus.shape), self.splus], 1)
+        at_u = _scatter_sum(self.u_inv, chi.astype(float), len(self.uu)) * (1.0 / self.t_u)[:, None]
+        s1, s2 = self._cs(slice(K + 1, K + 3), self.hk_u, at_u, self.u_inv[v_idx])[..., 0].T
+        s3, s4 = self._cs(slice(K + 3, K + 5), self.hk_v, chi * (1.0 / self.t_uv)[:, None],
+                          v_idx)[..., 0].T
+        ok = ~((s1 <= 0.0) | (s3 <= 0.0))
+        qu = np.divide(s2, s1, out=np.zeros_like(s2), where=ok)
+        qv = np.divide(s4, s3, out=np.zeros_like(s4), where=ok)
         p = qu * (1.0 - qv) + qv * (1.0 - qu)
-        return float(min(1.0, max(0.0, p)))
+        return np.minimum(np.where(p > 0.0, p, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

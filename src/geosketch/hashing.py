@@ -45,13 +45,22 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
+_ACC0 = U64(0x8421_5A5A_C3C3_1E1E)
+
+
 def combine(*parts) -> np.ndarray:
     """Hash a tuple of 64-bit words/arrays into one word (order-sensitive).
 
     Broadcasts over array arguments, so combine(seed, np.arange(n)) yields n
     independent-looking streams.
     """
-    acc = np.asarray(U64(0x8421_5A5A_C3C3_1E1E))
+    return extend(_ACC0, *parts)
+
+
+def extend(acc, *parts) -> np.ndarray:
+    """combine(*prefix, *parts), given acc = combine(*prefix): a prefix
+    shared by many calls is hashed once (broadcasts like combine)."""
+    acc = np.asarray(acc, dtype=U64)
     for p in parts:
         acc = mix64(acc ^ np.asarray(p, dtype=U64))
     return acc
@@ -89,8 +98,8 @@ def cauchy(h: np.ndarray) -> np.ndarray:
 
 def sign_pm1(h: np.ndarray) -> np.ndarray:
     """Map hash words to +-1 (float) using one bit."""
-    bit = (np.asarray(h, dtype=U64) >> U64(17)) & U64(1)
-    return np.where(bit.astype(bool), 1.0, -1.0)
+    # bit 17, read as 0 or 2
+    return ((np.asarray(h, dtype=U64) >> U64(16)) & U64(2)).astype(np.float64) - 1.0
 
 
 def bit01(h: np.ndarray) -> np.ndarray:
@@ -99,8 +108,10 @@ def bit01(h: np.ndarray) -> np.ndarray:
 
 
 def bucket(h: np.ndarray, k: int) -> np.ndarray:
-    """Map hash words to buckets [0, k); modulo bias is ~k/2^64, negligible."""
-    return (np.asarray(h, dtype=U64) % U64(k)).astype(np.int64)
+    """Map hash words to buckets [0, k); modulo bias is ~k/2^64, negligible.
+    For a power of two k the remainder is read off the low bits."""
+    h = np.asarray(h, dtype=U64)
+    return (h & U64(k - 1) if k & (k - 1) == 0 else h % U64(k)).astype(np.int64)
 
 
 def fingerprint_words(words: np.ndarray, key: int) -> np.ndarray:

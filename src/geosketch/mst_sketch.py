@@ -61,7 +61,9 @@ from .hashing import U64
 from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix, values_to_matrix
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
-from .sketches import FAIL, L0Sketch, SparseCounts, _hash_keys, encode_state, stable_median
+from .sketches import (
+    FAIL, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state, stable_median,
+)
 from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n, replica_node_ids
 
 __all__ = [
@@ -106,6 +108,12 @@ class MstSketchConfig:
     universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
 
     def __post_init__(self):
+        if self.L > len(_STABLE_MEDIAN_HEX):
+            # median(|D_p|) at p = 1/(4L) is tabulated, and solvable, up to there
+            raise ValueError(
+                f"the MST sketch supports n <= 2^{len(_STABLE_MEDIAN_HEX)} "
+                f"(log2 n <= {len(_STABLE_MEDIAN_HEX)}), got n = {self.n}"
+            )
         if self.samples == 0:
             self.samples = log2n(self.n) ** 3
         if self.universe_m == 0:

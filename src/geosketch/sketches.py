@@ -279,28 +279,42 @@ class LinearSketch:
 # ---------------------------------------------------------------------------
 
 
-def _cs_coords(prefix_b: tuple, prefix_s: tuple, hkeys: np.ndarray, rows: int,
+def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray,
                buckets: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, n) buckets and signs of a Count-Sketch for the keys hashed to
-    hkeys: combine(*prefix, row, key hash) picks each one."""
-    r = np.arange(rows, dtype=U64)[:, None]
-    b = hx.bucket(hx.combine(*prefix_b, r, hkeys[None, :]), buckets)
-    s = hx.sign_pm1(hx.combine(*prefix_s, r, hkeys[None, :]))
-    return b, s
+    """(..., rows, n) buckets and signs of a batch of Count-Sketches for the
+    keys hashed to hkeys (..., n): extend(row state, key hash) picks each
+    one, from the row states (..., rows) combine(*seed words, row)."""
+    hk = np.asarray(hkeys, dtype=U64)[..., None, :]
+    return (hx.bucket(hx.extend(rows_b[..., None], hk), buckets),
+            hx.sign_pm1(hx.extend(rows_s[..., None], hk)))
+
+
+def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """(..., size) sums of the terms w (..., n) at the slots idx (..., n) of
+    their last axis, all in one `bincount`. Each sum adds its terms in index
+    order from 0.0, so it equals `np.add.at` slice by slice bit for bit."""
+    lead, cells = w.shape[:-1], math.prod(w.shape[:-1])
+    flat = np.arange(cells, dtype=np.int64).reshape(lead + (1,)) * size + idx
+    return np.bincount(flat.ravel(), w.ravel(), cells * size).reshape(lead + (size,))
 
 
 def _cs_table(b: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
-    """Bucket table of the vector with `values` at the keys of (b, s),
-    added row by row in key order."""
-    table = np.zeros((b.shape[0], buckets))
-    for r in range(b.shape[0]):
-        np.add.at(table[r], b[r], s[r] * values)
-    return table
+    """(..., rows, buckets) tables of the vectors with `values` (..., n) at
+    the keys of (b, s), every bucket added in key order."""
+    return _scatter_sum(b, s * np.asarray(values, dtype=np.float64)[..., None, :], buckets)
+
+
+def _median(x: np.ndarray, axis: int) -> np.ndarray:
+    """`np.median` of finite values along axis, from one sort: the middle
+    element of an odd count, (a + b) / 2 of the middle two of an even one."""
+    x, n = np.sort(x, axis=axis), x.shape[axis]
+    mid = np.take(x, n // 2, axis)
+    return mid if n % 2 else (np.take(x, n // 2 - 1, axis) + mid) / 2
 
 
 def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Median-over-rows estimates at the keys of (b, s)."""
-    return np.median(s * table[np.arange(table.shape[0])[:, None], b], axis=0)
+    """(..., n) median-over-rows estimates at the keys of (b, s)."""
+    return _median(s * np.take_along_axis(table, b, axis=-1), -2)
 
 
 class CountSketch(LinearSketch):
@@ -325,8 +339,9 @@ class CountSketch(LinearSketch):
         return (self.seed, self.rows, self.buckets)
 
     def _coords(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
-        return _cs_coords((self._SALT_B,), (self._SALT_S,), self._key_hashes(keys),
-                          self.rows, self.buckets)
+        r = np.arange(self.rows, dtype=U64)
+        return _cs_coords(hx.combine(self._SALT_B, r), hx.combine(self._SALT_S, r),
+                          self._key_hashes(keys), self.buckets)
 
     def _materialize(self) -> np.ndarray:
         keys, vals = self._sorted_items()
@@ -390,7 +405,7 @@ def sample_p_stable_array(p: float, r: np.ndarray, theta: np.ndarray) -> np.ndar
     saturate to inf/0, which is the right semantics for the heavy tails."""
     r = np.asarray(r, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
         return (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
             np.cos(theta * (1.0 - p)) / np.log(1.0 / r)
         ) ** ((1.0 - p) / p)
@@ -414,8 +429,31 @@ def _g_abs(p: float, r, theta):
     return np.abs(sample_p_stable_array(p, r, theta))
 
 
-@lru_cache(maxsize=64)
+# median(|D_p|) at the MST sketch's p = 1/(4L), L = 1..25, as float.hex: the
+# values of `_stable_median_slow(1.0 / (4.0 * L))`, which take 0.5-2 s each.
+# At L >= 26 its quadrature fails ("function value at x=1e-12 is NaN").
+_STABLE_MEDIAN_HEX = (
+    "0x1.449e6b63d5ac6p+1", "0x1.57988ce8f6340p+3", "0x1.71932c5c9316fp+5",  # L = 1..3
+    "0x1.8ef6e824a8f38p+7", "0x1.af47c67cac3e7p+9", "0x1.d2850c4f7aa2dp+11",  # L = 4..6
+    "0x1.f8d26fa7874cbp+13", "0x1.1131f9958cfa3p+16", "0x1.27bbdf9476e59p+18",  # L = 7..9
+    "0x1.402a058e3fdf7p+20", "0x1.5aa337dab2483p+22", "0x1.7751f378b4c54p+24",  # L = 10..12
+    "0x1.96648329c4bbfp+26", "0x1.b80d3772d60a2p+28", "0x1.dc82ae3f66493p+30",  # L = 13..15
+    "0x1.020011c16c439p+33", "0x1.1762e6b529285p+35", "0x1.2e8ca0ffc0a2ep+37",  # L = 16..18
+    "0x1.47a2f336c157cp+39", "0x1.62ceb43c4c0fbp+41", "0x1.803c21534cdb4p+43",  # L = 19..21
+    "0x1.a01b25d7df865p+45", "0x1.c29fa8dff4427p+47", "0x1.e801e206cd5b7p+49",  # L = 22..24
+    "0x1.083f5a3d22f74p+52",  # L = 25
+)
+_STABLE_MEDIAN = {1.0 / (4.0 * L): float.fromhex(h) for L, h in enumerate(_STABLE_MEDIAN_HEX, 1)}
+
+
 def stable_median(p: float) -> float:
+    """median(|D_p|): from the committed table at p = 1/(4L), L = 1..25,
+    otherwise solved by `_stable_median_slow`."""
+    return _STABLE_MEDIAN[p] if p in _STABLE_MEDIAN else _stable_median_slow(p)
+
+
+@lru_cache(maxsize=64)
+def _stable_median_slow(p: float) -> float:
     """median(|D_p|), found by bisection on t -> F(g(t, pi t / 2)).
 
     The CDF F is evaluated by quadrature over theta of the inverse of the

@@ -21,6 +21,18 @@ def test_python_m_geosketch_help():
     assert r.stdout.startswith("usage: geosketch")
 
 
+def test_python_m_geosketch_cli_warns_nothing():
+    """The CLI module runs as `python -m geosketch.cli` without runpy's
+    warning that the package had imported it already."""
+    src = str(Path(geosketch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "geosketch.cli", "--help"],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: geosketch")
+
+
 def _run_cli(*args, stdin=None):
     src = str(Path(geosketch.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -72,3 +84,13 @@ def test_bad_input_is_reported_without_traceback(tmp_path, stream, extra, messag
     assert r.stdout == ""
     assert r.stderr.startswith("geosketch: error: ") and message in r.stderr
     assert "Traceback" not in r.stderr and r.stderr.count("\n") == 1
+
+
+def test_mst_config_beyond_stable_median_table_exits_2(tmp_path):
+    """An MST config with n = 2^25 + 1 is rejected before the stream is
+    read, as a `geosketch: error:` naming the limit."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "mst-config", "version": 1, "n": 2**25 + 1, "d": 8}))
+    r = _run_cli("run", "--problem", "mst", "--config", str(cfg), "-", stdin="+ X 0f\n")
+    assert r.returncode == 2
+    assert r.stderr.startswith("geosketch: error: ") and "n <= 2^25" in r.stderr

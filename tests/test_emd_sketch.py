@@ -22,9 +22,12 @@ from geosketch import (
     split_probability,
     SparseCounts,
 )
+from geosketch import emd_sketch
 from geosketch.emd_sketch import expected_split_probability, log2n
 
-from conftest import FedL1Sampler, random_multiset, random_pair, store_sizes
+from conftest import (
+    FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, store_sizes,
+)
 
 
 def pt(bits):
@@ -286,6 +289,16 @@ def test_ls2_recovers_dominant_child():
     assert wins >= 0.99 * trials, wins
 
 
+def test_ls2_takes_the_first_of_equal_children():
+    """Two children with the same Q_v at unit scalings get the same
+    Count-Sketch estimate; LS2 returns the first of them in node order, as
+    the per-decoder loop did."""
+    for s in range(10):
+        rep, view = _replica_with_counts({(1, 10): (5, 0, 2), (1, 11): (5, 0, 3)}, seed=s)
+        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
+        assert dec.ls2(0)[0] == 0
+
+
 def test_ls3_all_identical_points_gives_zero():
     # every point has chi = +1: q_u = q_v = 1 so p = 0
     rep, view = _replica_with_counts({(1, 10): (4, 4, 8)})
@@ -327,6 +340,45 @@ def test_ls3_clamps_to_unit_interval():
         dec = rep.decoder(view)
         for v_idx in range(len(rep.vectors(view)[0])):
             assert 0.0 <= dec.ls3(v_idx) <= 1.0
+
+
+def _instance_views(cfg, kind="matched_noise", seed=1):
+    """(replica, view) of every replica of a one-pass sketch of the instance
+    gen_instance(kind, cfg.n, cfg.d, seed)."""
+    sk = EmdOnePassSketch(cfg)
+    for u in gen_instance(kind, cfg.n, cfg.d, seed=seed).updates:
+        sk.update(u.point, u.label, u.sign)
+    return [(rep, v) for per_level, views in zip(sk.replicas, sk.views(sk.counts))
+            for rep, v in zip(per_level, views)]
+
+
+_GRID_VARIANT = dict(n_sets=3, n_inner=2, n_rounds=9, n_medreps=3, ls1_reps=3)
+
+
+@pytest.mark.parametrize("case,block_words", [
+    ("seed1", None), ("seed2", None),
+    ("variant", 1), ("variant", None), ("variant", 10**9),
+    ("one-node", None), ("empty", None),
+])
+def test_one_round_grid_matches_reference(monkeypatch, case, block_words):
+    """The blocked grid decode equals the per-decoder reference loop bit for
+    bit: on every replica of matched_noise n=64 d=32 (seeds 1-2), with two
+    inner copies, three LS repetitions, three LS1 repetitions and nine
+    rounds at one cell per block, the default blocks and one block, and on
+    a one-node and an empty view."""
+    if block_words is not None:
+        monkeypatch.setattr(emd_sketch, "_LS_BLOCK_WORDS", block_words)
+    if case.startswith("seed"):
+        pairs = _instance_views(EmdSketchConfig(n=64, d=32), seed=int(case[-1]))
+    elif case == "variant":
+        pairs = _instance_views(EmdSketchConfig(n=64, d=32, **_GRID_VARIANT))
+    else:
+        counts = {(3, 1): (2, 0, 1)} if case == "one-node" else {}
+        pairs = [_replica_with_counts(counts, **_GRID_VARIANT)]
+    for rep, view in pairs:
+        got = rep.one_round_estimates(view)
+        assert [x.hex() for x in got] == [x.hex() for x in reference_one_round_estimates(rep, view)]
+    assert case != "empty" or got == [0.0] * _GRID_VARIANT["n_sets"]
 
 
 # -- exponential selection law (two-stage equivalence) --------------------------------
@@ -527,16 +579,19 @@ def test_two_pass_permutation_invariance(small_cfg):
     assert sk1.estimate() == sk2.estimate()
 
 
-@pytest.mark.parametrize("passes,seed,want", [
-    (1, 1, "0x1.4c657a8cde545p+8"),
-    (2, 1, "0x1.0c4db4440299bp+8"),
-    (2, 2, "0x1.0000c0f20eae1p+8"),
+@pytest.mark.parametrize("passes,seed,n,d,want", [
+    pytest.param(1, 1, 16, 16, "0x1.4c657a8cde545p+8", id="1-1-0x1.4c657a8cde545p+8"),
+    pytest.param(2, 1, 16, 16, "0x1.0c4db4440299bp+8", id="2-1-0x1.0c4db4440299bp+8"),
+    pytest.param(2, 2, 16, 16, "0x1.0000c0f20eae1p+8", id="2-2-0x1.0000c0f20eae1p+8"),
+    (1, 1, 64, 32, "0x1.082df6a5a381ep+12"),
+    (1, 2, 64, 32, "0x1.16bea25a84d6cp+12"),
 ])
-def test_estimate_bit_identical_to_pinned(passes, seed, want):
+def test_estimate_bit_identical_to_pinned(passes, seed, n, d, want):
     """Pinned to the estimates of the replicas that fed the Delta-hat sketch
     and every round-one sampler on each update, before those became views
-    of the replica counts."""
-    updates = gen_instance("matched_noise", 16, 16, seed=seed).updates
+    of the replica counts; the n=64 d=32 one-pass pins are those of the
+    per-decoder LS loop, before the grid decode."""
+    updates = gen_instance("matched_noise", n, d, seed=seed).updates
     assert run_estimator(updates, "emd", passes=passes).estimate.hex() == want
 
 

@@ -620,3 +620,12 @@ def test_node_ids_above_2_63_stay_unsigned():
     assert MstRepView(reps[0], views[0]).u.dtype == np.uint64
     assert len(sk.state_bytes()) > 0
     assert math.isfinite(sk.estimate())
+
+
+def test_config_rejects_n_beyond_stable_median_table():
+    """n up to 2^25 (L = 25) is accepted; n = 2^25 + 1 needs L = 26, where
+    median(|D_p|) is neither tabulated nor solvable, and is rejected when
+    the config is made, naming the limit."""
+    assert MstSketchConfig(n=2**25, d=8).L == 25
+    with pytest.raises(ValueError, match=r"n <= 2\^25"):
+        MstSketchConfig(n=2**25 + 1, d=8)

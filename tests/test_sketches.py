@@ -19,12 +19,36 @@ from geosketch import (
     stable_median,
     tail_truncated_norms,
 )
-from geosketch.sketches import sample_p_stable_array
+from geosketch import MstSketchConfig
+from geosketch.sketches import (
+    _cs_coords, _cs_estimates, _cs_table, _stable_median_slow, sample_p_stable_array,
+)
 
 from conftest import FedL1Sampler
+from conftest import _cs_coords as ref_cs_coords, _cs_estimates as ref_cs_estimates
+from conftest import _cs_table as ref_cs_table
 
 
 # -- Count-Sketch ---------------------------------------------------------------
+
+
+def test_count_sketch_batch_equals_one_sketch_reference(rng):
+    """A (3, 2) batch of Count-Sketches, each with its own seed and vector,
+    built and read in one call, equals each sketch built row by row with
+    np.add.at and read on its own."""
+    hk = rng.integers(0, 2**63, 40, dtype=np.int64).astype(np.uint64)
+    seeds = np.arange(11, 17, dtype=np.uint64).reshape(3, 2)
+    vals = rng.standard_normal((3, 2, 40))
+    r = np.arange(5, dtype=np.uint64)
+    b, s = _cs_coords(hx.combine(seeds[..., None], 0xB, r), hx.combine(seeds[..., None], 0x5, r),
+                      hk, 64)
+    table = _cs_table(b, s, vals, 64)
+    est = _cs_estimates(table, b, s)
+    for i, j in np.ndindex(3, 2):
+        rb, rs = ref_cs_coords((int(seeds[i, j]), 0xB), (int(seeds[i, j]), 0x5), hk, 5, 64)
+        assert np.array_equal(b[i, j], rb) and np.array_equal(s[i, j], rs)
+        assert table[i, j].tobytes() == ref_cs_table(rb, rs, vals[i, j], 64).tobytes()
+        assert np.array_equal(est[i, j], ref_cs_estimates(ref_cs_table(rb, rs, vals[i, j], 64), rb, rs))
 
 
 def test_cs_negate_cancels():
@@ -130,6 +154,14 @@ def test_stable_median_matches_empirical():
         )
         emp = np.median(np.abs(draws))
         assert abs(emp - stable_median(p)) / stable_median(p) < 0.02
+
+
+@pytest.mark.parametrize("L", [1, 4, 25])
+def test_stable_median_table_matches_slow_path(L):
+    """The committed median(|D_p|) at the MST sketch's p = 1/(4L) is the
+    value the quadrature solves for, bit for bit."""
+    p = MstSketchConfig(n=2**L, d=8).p
+    assert stable_median(p).hex() == _stable_median_slow(p).hex()
 
 
 # -- exponentials ----------------------------------------------------------------
