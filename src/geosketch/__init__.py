@@ -25,6 +25,7 @@ from .sketches import (
     FAIL,
     CauchyL1Sketch,
     CountSketch,
+    CountView,
     ExpScaler,
     L0Sketch,
     L1Sampler,
@@ -68,8 +69,8 @@ __all__ = [
     "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
     "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
     "total_inspector_payment", "value_emd", "value_mst",
-    "FAIL", "CauchyL1Sketch", "CountSketch", "ExpScaler", "L0Sketch", "L1Sampler",
-    "SparseCounts", "encode_state", "sample_p_stable", "stable_median",
+    "FAIL", "CauchyL1Sketch", "CountSketch", "CountView", "ExpScaler", "L0Sketch",
+    "L1Sampler", "SparseCounts", "encode_state", "sample_p_stable", "stable_median",
     "tail_truncated_norms",
     "EmbeddingFamily", "embed_point", "sample_embedding",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",

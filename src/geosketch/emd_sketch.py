@@ -55,6 +55,7 @@ from .offline import _decompose_pair
 from .sketches import (
     FAIL,
     CauchyL1Sketch,
+    CountView,
     L1Sampler,
     SparseCounts,
     _cs_coords,
@@ -315,19 +316,17 @@ class _LevelReplica:
 
     # -- round-one views ------------------------------------------------------
     @staticmethod
-    def discrepancies(counts: SparseCounts) -> SparseCounts:
-        """The node discrepancies q_v = |A_v| - |B_v| as a count store: the
-        vector that Delta-hat and the round-one samplers sketch."""
-        q = np.zeros((counts.width, 1), dtype=np.int64)
-        q[0], q[1] = 1, -1
-        return counts.image(q)
+    def discrepancies(counts: CountView) -> CountView:
+        """The node discrepancies q_v = |A_v| - |B_v| as a view: the vector
+        that Delta-hat and the round-one samplers sketch."""
+        return CountView.summed(counts.keys, counts.rows[:, :1] - counts.rows[:, 1:2])
 
-    def delta_sketch(self, q: SparseCounts) -> CauchyL1Sketch:
+    def delta_sketch(self, q: CountView) -> CauchyL1Sketch:
         """The Delta-hat Cauchy l1 sketch of the discrepancies q."""
         sk = CauchyL1Sketch(self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
         return sk.with_counts(q)
 
-    def finalize_pass1(self, counts: SparseCounts) -> None:
+    def finalize_pass1(self, counts: CountView) -> None:
         """Build the Delta-hat sketch and the round-one l1 sampler of q per
         (set, inner copy) from the pass-1 counts, and draw every sample."""
         q, cfg = self.discrepancies(counts), self.cfg
@@ -351,16 +350,14 @@ class _LevelReplica:
 
     # -- decode ---------------------------------------------------------------
     @staticmethod
-    def vectors(counts: SparseCounts):
+    def vectors(counts: CountView):
         """Canonical arrays (u, w, qv, cC, splus[(node, set)]) of the counts."""
-        keys, rows = counts.sorted()
-        u = np.array([k[0] for k in keys], dtype=U64)
-        w = np.array([k[1] for k in keys], dtype=U64)
+        (u, w), rows = counts.keys.T, counts.rows
         qv = rows[:, 0] - rows[:, 1]
         cC = rows[:, 0] + rows[:, 1]
         return u, w, qv, cC, rows[:, 2:]
 
-    def _decode_arrays(self, counts: SparseCounts):
+    def _decode_arrays(self, counts: CountView):
         """(uu, u_inv, hk_u, hk_v, qv, cC, splus): the node arrays that every
         LS decoder of the counts reads."""
         u, w, qv, cC, splus = self.vectors(counts)
@@ -374,13 +371,13 @@ class _LevelReplica:
         j, c, r, m = (np.ravel(a) for a in np.broadcast_arrays(j, c, r, m))
         return j, hx.combine(self.seed, 0x0140, j, c, r, m), hx.combine(self.seed, 0x0141, j, c, r)
 
-    def decoder(self, counts: SparseCounts, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
+    def decoder(self, counts: CountView, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
                 t_u=None, t_v=None) -> "_LsCells":
         """The one-cell grid (j, c, r, m) over the given counts (used by
         tests that condition on explicit exponential scalings)."""
         return _LsCells(self.cfg, self._decode_arrays(counts), *self._seeds(j, c, r, m), t_u, t_v)
 
-    def one_round_estimates(self, counts: SparseCounts) -> List[float]:
+    def one_round_estimates(self, counts: CountView) -> List[float]:
         """All inner estimates of E_v[p_{pi(v),v,S_j}], grouped per set:
         returns per set j the median over inner copies, where each copy is the
         mean over rounds of medians over LS-triple repetitions.
@@ -412,7 +409,7 @@ class _LevelReplica:
         rounds = np.median(p.reshape(shape), axis=3)
         return np.median(rounds.mean(axis=2), axis=1).tolist()
 
-    def two_round_estimates(self, counts: SparseCounts) -> List[Optional[float]]:
+    def two_round_estimates(self, counts: CountView) -> List[Optional[float]]:
         """Per set j: mean of the exact per-sample p values over successful
         inner copies (None when every copy failed). Each sampled edge
         (u*, w*) sums its round-two counters [|C_u*|, chi-plus count of
@@ -438,7 +435,7 @@ class _LevelReplica:
             out.append(float(np.mean(vals)) if vals else None)
         return out
 
-    def eta(self, mode: str, counts: SparseCounts) -> float:
+    def eta(self, mode: str, counts: CountView) -> float:
         """Level estimate: 3 Delta-hat / alpha * (avg_j eta_j + 1/(8 log^2 n)),
         with the one-pass zero branch below the Delta threshold. counts is
         this replica's view of pass 1 in one-pass mode, and of pass 2 in
@@ -564,7 +561,7 @@ class _EmdSketchBase:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
         store.add(point.value, int(delta) * _LABEL_ROWS[label])
 
-    def views(self, counts: SparseCounts) -> List[List[SparseCounts]]:
+    def views(self, counts: SparseCounts) -> List[List[CountView]]:
         """Every replica's counts, level by level, built from an aggregated
         store (point -> [net A, net B]) in one batch: one node path per
         distinct point, one universe-map hash per id for all replicas, one
@@ -579,8 +576,8 @@ class _EmdSketchBase:
         rows = np.concatenate(
             [np.broadcast_to(ab, (len(reps),) + ab.shape), plus.transpose(0, 2, 1)], axis=2
         )
-        stores = iter(SparseCounts.grouped(np.stack([u, w], axis=2), rows))
-        return [[next(stores) for _ in per_level] for per_level in self.replicas]
+        views = iter(SparseCounts.grouped(np.stack([u, w], axis=2), rows))
+        return [[next(views) for _ in per_level] for per_level in self.replicas]
 
     def _check_balanced(self) -> int:
         """|A|, which must equal |B|."""

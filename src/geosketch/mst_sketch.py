@@ -62,7 +62,7 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state, stable_median,
+    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state, stable_median,
 )
 from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n, replica_node_ids
 
@@ -75,11 +75,6 @@ __all__ = [
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
 _DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
-
-
-def _node_of(key: Tuple[int, int, int]) -> Tuple[int, int]:
-    """The node (u, w) of a point entry (u, w, point fingerprint)."""
-    return key[:2]
 
 
 def _point_fps(seeds, values: Sequence[int]) -> np.ndarray:
@@ -213,18 +208,16 @@ class MstRepView:
     point fingerprint) -> [net, net * chi]: parent/child recovery, witness
     scans, and the sampled tuple."""
 
-    def __init__(self, state: _RepState, points: SparseCounts):
+    def __init__(self, state: _RepState, points: CountView):
         self.st = state
         self.cfg = state.cfg
         self.points = points
-        keys, rows = points.image(key_of=_node_of).sorted()
-        self.keys = keys
-        self.u = np.array([k[0] for k in keys], dtype=U64)
-        self.w = np.array([k[1] for k in keys], dtype=U64)
-        self.nx = rows[:, 0]
-        self.uu, self.u_inv = (
-            np.unique(self.u, return_inverse=True) if keys else (self.u, self.u)
-        )
+        # node counts (u, w) -> [net, net * chi]; a node's entries are adjacent
+        self.nodes = CountView.summed(points.keys[:, :2], points.rows)
+        self.keys = self.nodes.keys
+        self.u, self.w = self.keys.T
+        self.nx = self.nodes.rows[:, 0]
+        self.uu, self.u_inv = np.unique(self.u, return_inverse=True)
         self.hk_u = hx.combine(state.seed, 0xAB, self.uu)
         self.hk_v = self._node_hash(self.u, self.w)
         self.t_u = np.clip(hx.exp1(hx.combine(state.seed, 0xE1, self.hk_u)), 1e-6, 50.0)
@@ -329,7 +322,7 @@ class MstRepView:
         threshold in the D_{kappa,j}-filtered sketch of the given side;
         equals C(u*) cap D when 2^kappa >= |C(u*)|."""
         cand, hit = self._children_present(u_star, kappa)
-        return [self.keys[a] for a in cand[hit[j, side]]]
+        return [tuple(k) for k in self.keys[cand[hit[j, side]]].tolist()]
 
     def scan_children(self, u_star: int):
         """Downward kappa scan; the first kappa with unique hits in both a
@@ -344,7 +337,7 @@ class MstRepView:
             if single.any(axis=0).all():
                 j = single.argmax(axis=0)  # first unique j per side
                 return tuple(
-                    self.keys[int(cand[hit[j[s], s]][0])] for s in (0, 1)
+                    tuple(self.keys[cand[hit[j[s], s]][0]].tolist()) for s in (0, 1)
                 )
         return FAIL
 
@@ -357,12 +350,10 @@ class MstRepView:
         cached = getattr(self, "_pts", None)
         if cached is not None:
             return cached
-        keys, rows = self.points.sorted()
-        pfp = np.array([k[2] for k in keys], dtype=U64)
+        (u, w, pfp), rows = self.points.keys.T, self.points.rows
         net = rows[:, 0]
         chi = (rows[:, 1] != 0).astype(np.int64)  # net != 0 in every entry
-        hkv = self._node_hash(np.array([k[0] for k in keys], dtype=U64),
-                              np.array([k[1] for k in keys], dtype=U64))
+        hkv = self._node_hash(u, w)
         sides = np.arange(2, dtype=U64)[:, None, None]
         rows = np.arange(self.cfg.rec_rows, dtype=U64)[None, :, None]
         # (2, rows, points): every row is an independent point subsample
@@ -516,7 +507,7 @@ class MstSketch:
             raise ValueError("cannot merge sketches with different configs")
         self.counts.merge(other.counts)
 
-    def views(self, reps: Sequence[_RepState]) -> List[SparseCounts]:
+    def views(self, reps: Sequence[_RepState]) -> List[CountView]:
         """The point entries (u, w, point fingerprint) -> [net, net * chi]
         of each replica in reps, built from the one count store in one
         batch: one node path per distinct point, one hash call per id and
@@ -530,12 +521,12 @@ class MstSketch:
         return SparseCounts.grouped(np.stack([u, w, pfp], axis=2),
                                     np.stack([net, net * plus], axis=2))
 
-    def _l0(self, i: int, first: SparseCounts) -> L0Sketch:
+    def _l0(self, i: int, first: CountView) -> L0Sketch:
         """Level i's l0 sketch: the net node counts of the point entries
         `first` of its first sample, keyed by that sample's (u, w) ids."""
-        net = np.array([[1], [0]], dtype=np.int64)
+        nodes = CountView.summed(first.keys[:, :2], first.rows[:, :1])
         return L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]),
-                        buckets=self.cfg.l0_buckets).with_counts(first.image(net, key_of=_node_of))
+                        buckets=self.cfg.l0_buckets).with_counts(nodes)
 
     @property
     def l0(self) -> List[L0Sketch]:
@@ -545,7 +536,7 @@ class MstSketch:
     def level_counts(self) -> List[float]:
         return [l0.estimate() for l0 in self.l0]
 
-    def level_mu(self, i: int, views: Optional[Sequence[SparseCounts]] = None) -> float:
+    def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
         level i, from the views of its samples (built here if not given);
         failed samples are dropped."""

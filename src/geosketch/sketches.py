@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -44,6 +45,7 @@ from .hashing import U64
 
 __all__ = [
     "SparseCounts",
+    "CountView",
     "encode_state",
     "CountSketch",
     "CauchyL1Sketch",
@@ -70,6 +72,7 @@ class _Fail:
 FAIL = _Fail()
 
 Key = Union[int, Tuple[int, ...]]
+Keys = Union[Sequence[Key], np.ndarray]  # a store's key list, a view's word array
 
 # 1/t scalings are capped here; Pr[t < 1/cap] ~ 1e-6 per index
 _INV_EXP_CAP = 2.0**20
@@ -77,20 +80,17 @@ _INV_EXP_CAP = 2.0**20
 
 def _key_words(key: Key) -> Tuple[int, ...]:
     if isinstance(key, tuple):
-        words: Tuple[int, ...] = ()
-        for part in key:
-            # a one-word part (the node ids) skips the recursion: this runs
-            # for every key of every sort and hash of a sketch read
-            small = type(part) is int and 0 <= part <= 0xFFFFFFFFFFFFFFFF
-            words += (part,) if small else _key_words(part)
-        return words
+        return tuple(w for part in key for w in _key_words(part))
     return hx.int_words(key)
 
 
-def _hash_keys(prefix: tuple, keys: Sequence[Key]) -> np.ndarray:
-    """combine(*prefix, *words of key) for every key, with one combine call
-    per key width (elementwise, so equal to the per-key calls bit for
-    bit). Array prefix parts broadcast: the keys run along the last axis."""
+def _hash_keys(prefix: tuple, keys) -> np.ndarray:
+    """combine(*prefix, *words of key) for every key: an (n, k) uint64 word
+    array in one combine call, a sequence of keys in one call per key width
+    (elementwise, so both equal the per-key calls bit for bit). Array prefix
+    parts broadcast: the keys run along the last axis."""
+    if isinstance(keys, np.ndarray):
+        return hx.combine(*prefix, *keys.T)
     words = [_key_words(k) for k in keys]
     by_width: Dict[int, List[int]] = {}
     for i, w in enumerate(words):
@@ -102,9 +102,49 @@ def _hash_keys(prefix: tuple, keys: Sequence[Key]) -> np.ndarray:
     return out
 
 
-def _encode_key(key: Key) -> bytes:
-    words = _key_words(key)
-    return struct.pack("<B", len(words)) + struct.pack(f"<{len(words)}Q", *words)
+def _encode_counts(width: int, words: Sequence[Sequence[int]], rows: np.ndarray) -> bytes:
+    """The serialized counts: width, row count, then each (word count, key
+    words, int64 row) record in the given order, little-endian."""
+    rows = rows.astype("<i8")
+    return struct.pack("<II", width, len(rows)) + b"".join(
+        struct.pack(f"<B{len(w)}Q", len(w), *w) + row.tobytes() for w, row in zip(words, rows)
+    )
+
+
+@dataclass(eq=False)
+class CountView:
+    """Read-only counts: keys (n, k) uint64, each key the tuple of its k
+    words, in canonical (lexicographic) order without repeats, and their
+    rows (n, width) int64, none all zero. Every replica's counts are one of
+    these (`SparseCounts.grouped`), and every reader takes the arrays."""
+
+    keys: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def summed(cls, keys: np.ndarray, rows: np.ndarray) -> "CountView":
+        """The rows summed at equal keys, all-zero sums dropped; the keys
+        (n, k) uint64 must be lexsorted, so equal keys are adjacent."""
+        if len(keys):
+            starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+            rows = np.add.reduceat(rows, starts, axis=0)
+            nz = rows.any(axis=1)
+            keys, rows = keys[starts[nz]], rows[nz]
+        return cls(keys, rows)
+
+    @property
+    def width(self) -> int:
+        return self.rows.shape[1]
+
+    def sorted(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.keys, self.rows  # already in canonical order
+
+    def to_bytes(self) -> bytes:
+        """The bytes of the `SparseCounts` that holds the same rows."""
+        return _encode_counts(self.width, self.keys.tolist(), self.rows)
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 class SparseCounts:
@@ -135,40 +175,18 @@ class SparseCounts:
         for k, row in other.rows.items():
             self.add(k, row)
 
-    def image(self, weights=None, key_of: Optional[Callable[[Key], Key]] = None) -> "SparseCounts":
-        """The linear image of the counts: row @ weights (the row itself when
-        weights is None), summed at key_of(key) (the key itself when None)."""
-        keys = list(self.rows)
-        vals = self._matrix(keys)
-        if weights is not None:
-            vals = vals @ np.asarray(weights, dtype=np.int64)
-        out = SparseCounts(vals.shape[1])
-        if key_of is None:
-            out.rows = {keys[i]: vals[i] for i in np.flatnonzero(vals.any(axis=1))}
-        else:
-            for k, row in zip(keys, vals):
-                out.add(key_of(k), row)
-        return out
-
-    @classmethod
-    def grouped(cls, keys: np.ndarray, rows: np.ndarray) -> List["SparseCounts"]:
-        """One store per leading index r of keys (R, n, k) uint64 and rows
-        (R, n, width) int64: rows[r] summed at equal keys[r] (a key is the
-        tuple of its k words), for all r in one sort and one grouped sum."""
+    @staticmethod
+    def grouped(keys: np.ndarray, rows: np.ndarray) -> List[CountView]:
+        """One view per leading index r of keys (R, n, k) uint64 and rows
+        (R, n, width) int64: rows[r] summed at equal keys[r], for all r in
+        one sort and one grouped sum, each view a slice of the result."""
         R, n, k = keys.shape
-        out = [cls(rows.shape[-1]) for _ in range(R)]
-        if n == 0:
-            return out
         rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
         flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
         order = np.lexsort(flat.T[::-1])
-        flat = flat[order]
-        starts = np.flatnonzero(np.r_[True, (flat[1:] != flat[:-1]).any(axis=1)])
-        sums = np.add.reduceat(rows.reshape(R * n, -1)[order], starts, axis=0)
-        nz = sums.any(axis=1)
-        for (r, *key), row in zip(flat[starts[nz]].tolist(), sums[nz]):
-            out[r].rows[tuple(key)] = row
-        return out
+        flat = CountView.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
+        cut = np.searchsorted(flat.keys[:, 0], np.arange(R + 1, dtype=U64))
+        return [CountView(flat.keys[a:b, 1:], flat.rows[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
     def total(self) -> np.ndarray:
         """The column sums of the rows."""
@@ -189,30 +207,20 @@ class SparseCounts:
         """Width, row count, then each (key words, int64 row) in canonical
         order, little-endian."""
         keys, rows = self.sorted()
-        out = [struct.pack("<II", self.width, len(keys))]
-        out += [_encode_key(k) + row.astype("<i8").tobytes() for k, row in zip(keys, rows)]
-        return b"".join(out)
+        return _encode_counts(self.width, [_key_words(k) for k in keys], rows)
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseCounts)
-            and self.width == other.width
-            and self.rows.keys() == other.rows.keys()
-            and all(np.array_equal(r, other.rows[k]) for k, r in self.rows.items())
-        )
 
 
 _STATE_MAGIC = b"GSKS"
 _STATE_VERSION = 2
 
 
-def encode_state(kind: int, shape: Sequence[int], stores: Sequence[SparseCounts]) -> bytes:
+def encode_state(kind: int, shape: Sequence[int], stores: Sequence[SparseCounts | CountView]) -> bytes:
     """The one serialized form of a sketch state: magic, version, kind, the
-    shape/seed words (taken mod 2^64), then the count stores in order. It
-    holds nothing that can be derived from the counts."""
+    shape/seed words (taken mod 2^64), then the count stores (or views) in
+    order. It holds nothing that can be derived from the counts."""
     words = [int(v) & 0xFFFFFFFFFFFFFFFF for v in shape]
     head = _STATE_MAGIC + struct.pack(
         f"<HHB{len(words)}QI", _STATE_VERSION, kind, len(words), *words, len(stores)
@@ -234,10 +242,10 @@ class LinearSketch:
         """Add delta to the implicit vector coordinate `index`."""
         self._counts.add(index, int(delta))
 
-    def with_counts(self, counts: SparseCounts) -> "LinearSketch":
-        """Take the width-1 store `counts` as the state -- the state that
-        feeding its entries through update() gives -- and return self. The
-        store is shared, not copied: use it for read-only views."""
+    def with_counts(self, counts: SparseCounts | CountView) -> "LinearSketch":
+        """Take the width-1 store or view `counts` as the state -- the state
+        that feeding its entries through update() gives -- and return self.
+        It is shared, not copied: the sketch is then a read-only view."""
         self._counts = counts
         return self
 
@@ -250,11 +258,11 @@ class LinearSketch:
     def support_size(self) -> int:
         return len(self._counts)
 
-    def _sorted_items(self) -> Tuple[List[Key], np.ndarray]:
+    def _sorted_items(self) -> Tuple[Keys, np.ndarray]:
         keys, rows = self._counts.sorted()
         return keys, rows[:, 0].astype(np.float64)
 
-    def _key_hashes(self, keys: Sequence[Key]) -> np.ndarray:
+    def _key_hashes(self, keys: Keys) -> np.ndarray:
         return _hash_keys((self.seed,), keys)
 
     def _shape(self) -> tuple:
@@ -270,7 +278,7 @@ class LinearSketch:
         return (
             type(other) is type(self)
             and self._shape() == other._shape()
-            and self._counts == other._counts
+            and self._counts.to_bytes() == other._counts.to_bytes()
         )
 
 
@@ -338,7 +346,7 @@ class CountSketch(LinearSketch):
     def _shape(self) -> tuple:
         return (self.seed, self.rows, self.buckets)
 
-    def _coords(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
+    def _coords(self, keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
         r = np.arange(self.rows, dtype=U64)
         return _cs_coords(hx.combine(self._SALT_B, r), hx.combine(self._SALT_S, r),
                           self._key_hashes(keys), self.buckets)
@@ -381,15 +389,15 @@ class CauchyL1Sketch(LinearSketch):
     def _shape(self) -> tuple:
         return (self.seed, self.s)
 
-    def coefficients(self, indices: Sequence[Key]) -> np.ndarray:
+    def coefficients(self, indices: Keys) -> np.ndarray:
         """(s, n) Cauchy coefficient matrix for the given indices."""
-        hk = self._key_hashes(list(indices))
+        hk = self._key_hashes(indices)
         r = np.arange(self.s, dtype=U64)[:, None]
         return hx.cauchy(hx.combine(self._SALT, r, hk[None, :]))
 
     def _materialize(self) -> np.ndarray:
         keys, vals = self._sorted_items()
-        return self.coefficients(keys) @ vals if keys else np.zeros(self.s)
+        return self.coefficients(keys) @ vals if len(keys) else np.zeros(self.s)
 
     def estimate(self) -> float:
         return float(np.median(np.abs(self._materialize())))
@@ -561,7 +569,7 @@ class L1Sampler(LinearSketch):
     def _shape(self) -> tuple:
         return (self.seed, self.rows, self.buckets, self.l1_rows)
 
-    def _table(self, keys: List[Key], vals: np.ndarray, coords) -> np.ndarray:
+    def _table(self, keys: Keys, vals: np.ndarray, coords) -> np.ndarray:
         """The Count-Sketch table of the scaled vector x_i / t_i at the
         coords of keys. It is kept on an integer grid of step 2^-20,
         x_i * round(min(1/t_i, 2^20) * 2^20), so the table is as exactly
@@ -579,11 +587,12 @@ class L1Sampler(LinearSketch):
         return self._views()[0]
 
     def sample(self):
-        """Return an index or FAIL. The counts are read once: one sort, and
-        one set of Count-Sketch coords for both the table and its read; the
-        l1 estimate is that of `_views` on the same keys and values."""
+        """Return an index (a view's key as a tuple of ints) or FAIL. The
+        counts are read once: one sort, and one set of Count-Sketch coords
+        for both the table and its read; the l1 estimate is that of `_views`
+        on the same keys and values."""
         keys, vals = self._sorted_items()
-        if not keys:
+        if not len(keys):
             return FAIL
         coords = self._cs._coords(keys)
         est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
@@ -595,7 +604,8 @@ class L1Sampler(LinearSketch):
             return FAIL
         if best < (1.0 + self.gamma) * second:
             return FAIL
-        return keys[top]
+        key = keys[top]
+        return tuple(key.tolist()) if isinstance(key, np.ndarray) else key
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +637,7 @@ class L0Sketch(LinearSketch):
         """Occupancy per level (the decoded view of the bucket tables)."""
         keys, _ = self._sorted_items()
         occ = np.zeros(self.levels)
-        if not keys:
+        if not len(keys):
             return occ
         hk = self._key_hashes(keys)
         u = hx.uniform01(hx.combine(self._SALT_LVL, hk))

@@ -6,7 +6,9 @@ import pytest
 
 from geosketch import hashing as hx
 from geosketch.hashing import U64
-from geosketch import CauchyL1Sketch, CountSketch, HypercubePoint, L1Sampler, PointMultiset
+from geosketch import (
+    CauchyL1Sketch, CountSketch, CountView, HypercubePoint, L1Sampler, PointMultiset,
+)
 
 
 def random_multiset(n: int, d: int, seed: int) -> PointMultiset:
@@ -24,6 +26,18 @@ def random_pair(n: int, d: int, seed: int, noise: float = 0.25):
     A = PointMultiset.from_points([HypercubePoint.from_bits(r) for r in a])
     B = PointMultiset.from_points([HypercubePoint.from_bits(r) for r in b])
     return A, B
+
+
+def view_of(store, k: int = 2) -> CountView:
+    """The read-only view of a hand-built store whose keys are tuples of k
+    words: what a sketch's `views` gives for those counts."""
+    keys, rows = store.sorted()
+    return CountView(np.array(keys, dtype=U64).reshape(len(keys), k), rows)
+
+
+def view_dict(view: CountView) -> dict:
+    """A view's counts as {key tuple: row list}."""
+    return {tuple(k): r for k, r in zip(view.keys.tolist(), view.rows.tolist())}
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from geosketch.emd_sketch import expected_split_probability, log2n
 
 from conftest import (
     FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, store_sizes,
+    view_of,
 )
 
 
@@ -219,7 +220,7 @@ def test_two_round_estimate_matches_exact_p():
     popB = [pt(rng.integers(0, 2, d)) for _ in range(3)]
     pass1 = SparseCounts(2 + cfg.n_sets)
     pass1.add((1, 2), 4 * row(popA[0], "A"))
-    rep.finalize_pass1(pass1)
+    rep.finalize_pass1(view_of(pass1))
     assert set(rep.sampled.values()) == {(1, 2)}
     pass2 = SparseCounts(2 + cfg.n_sets)
     for p in popA:
@@ -228,7 +229,7 @@ def test_two_round_estimate_matches_exact_p():
         pass2.add((1, 3), row(p, "B"))  # sibling: counts to C_u only
     want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in rep.charsets]
     assert any(want)
-    assert rep.two_round_estimates(pass2) == pytest.approx(want)
+    assert rep.two_round_estimates(view_of(pass2)) == pytest.approx(want)
 
 
 # -- one-round LS1/LS2/LS3 ---------------------------------------------------------
@@ -244,7 +245,7 @@ def _replica_with_counts(counts, n=64, d=16, seed=0, **cfg_kw):
         row[0], row[1] = na, nb
         row[2:] = chi_plus
         view.add(key, row)
-    return rep, view
+    return rep, view_of(view)
 
 
 def test_ls1_single_parent():
@@ -630,7 +631,7 @@ def test_replica_views_equal_fed_reference():
         reps = [rep for per_level in sk.replicas for rep in per_level]
         fed, fed_counts = [], [SparseCounts(2 + cfg.n_sets) for _ in reps]
         for rep in reps:
-            rep.finalize_pass1(SparseCounts(2 + cfg.n_sets))
+            rep.finalize_pass1(view_of(SparseCounts(2 + cfg.n_sets)))
             fed.append((CauchyL1Sketch(rep.delta.s, rep.delta.seed),
                         {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()}))
         ups = _turnstile_stream(np.random.default_rng(s), cfg.d, 30)
@@ -646,7 +647,7 @@ def test_replica_views_equal_fed_reference():
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
             views = [v for per_level in sk.views(sk.counts) for v in per_level]
-            assert views == fed_counts
+            assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
                 assert np.array_equal(rep.delta._materialize(), delta._materialize())
@@ -679,7 +680,7 @@ def test_node_ids_above_2_63_stay_unsigned():
             for p, c in nets[label].items():
                 sk.update(p, label, c)
         views = sk.views(sk.counts)
-        keys = [k for per_level in views for v in per_level for k in v.rows]
+        keys = [k for per_level in views for v in per_level for k in v.keys.tolist()]
         assert min(min(k) for k in keys) >= 0
         assert max(max(k) for k in keys) >= 2**63
         assert sk.replicas[-1][0].vectors(views[-1][0])[0].dtype == np.uint64

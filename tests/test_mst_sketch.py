@@ -21,9 +21,9 @@ from geosketch import (
     sample_quadtree,
     value_mst,
 )
-from geosketch.mst_sketch import _RepState, _node_of, _point_fps
+from geosketch.mst_sketch import _RepState, _point_fps
 
-from conftest import random_multiset, store_sizes
+from conftest import random_multiset, store_sizes, view_dict, view_of
 
 
 def pt(bits):
@@ -51,8 +51,8 @@ def view_with_nodes(cfg, nodes, level=1, seed=7):
     points = SparseCounts(2)
     for (u, w), cnt in nodes.items():
         points.add((u, w, 1), np.array([cnt, 0]))
-    view = MstRepView(_RepState(cfg, level, seed), points)
-    assert dict(zip(view.keys, view.nx.tolist())) == nodes
+    view = MstRepView(_RepState(cfg, level, seed), view_of(points, k=3))
+    assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == nodes
     return view
 
 
@@ -293,7 +293,7 @@ def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
     entries = SparseCounts(2)
     for key, p, c in points:
         entries.add((*key, _fp(st, p)), c * np.array([1, st.charset.eval(p) == 1]))
-    return MstRepView(st, entries)
+    return MstRepView(st, view_of(entries, k=3))
 
 
 def test_representative_singleton_found_at_eta_zero():
@@ -333,7 +333,7 @@ def test_representative_rejects_point_of_another_node():
     alien_alone = 0
     for s in range(40):
         # a sibling (1, w) that shares v's side-0 bucket in some row
-        probe = MstRepView(_RepState(cfg, 1, s), SparseCounts(2))
+        probe = MstRepView(_RepState(cfg, 1, s), view_of(SparseCounts(2), k=3))
         rows = np.arange(cfg.rec_rows, dtype=np.uint64)
         ws = np.arange(11, 1000, dtype=np.uint64)
         b_w = probe._row_bucket(probe._node_hash(np.uint64(1), ws[:, None]), rows, 0x9C00)
@@ -570,9 +570,9 @@ def test_l0_views_equal_fed_reference():
                 assert l0.state_bytes() == f.state_bytes()
             assert sk.level_counts() == [f.estimate() for f in fed]
             zero_count_nodes += sum(
-                row[0] == 0
-                for points in sk.views([per_level[0] for per_level in sk.reps])
-                for row in points.image(key_of=_node_of).rows.values()
+                int((MstRepView(per_level[0], points).nodes.rows[:, 0] == 0).sum())
+                for per_level, points in zip(
+                    sk.reps, sk.views([per_level[0] for per_level in sk.reps]))
             )
     assert zero_count_nodes > 0
 
@@ -597,13 +597,13 @@ def test_node_counts_derived_from_point_entries():
             key = _node_key(sk.tree, rep, p)
             want_pts[(*key, _fp(rep, p))] = row
             want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
-        assert {k: r.tolist() for k, r in entries.rows.items()} == want_pts
-        nodes = entries.image(key_of=_node_of)
-        assert {k: r.tolist() for k, r in nodes.rows.items()} == want_nodes
+        assert view_dict(entries) == want_pts
         view = MstRepView(rep, entries)
-        assert dict(zip(view.keys, view.nx.tolist())) == {k: r[0] for k, r in want_nodes.items()}
+        assert view_dict(view.nodes) == want_nodes
+        assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == {
+            k: r[0] for k, r in want_nodes.items()}
     left.merge(right)
-    assert left.counts == sk.counts
+    assert left.counts.to_bytes() == sk.counts.to_bytes()
     assert left.state_bytes() == sk.state_bytes()
 
 
@@ -614,7 +614,7 @@ def test_node_ids_above_2_63_stay_unsigned():
     sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
     reps = [rep for per_level in sk.reps for rep in per_level]
     views = sk.views(reps)
-    keys = [k for points in views for k in points.rows]
+    keys = [k for points in views for k in points.keys.tolist()]
     assert min(min(k[:2]) for k in keys) >= 0
     assert max(max(k[:2]) for k in keys) >= 2**63
     assert MstRepView(reps[0], views[0]).u.dtype == np.uint64

@@ -477,21 +477,10 @@ def test_sparse_counts_drop_zero_rows_and_merge():
         a.merge(SparseCounts(3))
 
 
-def test_sparse_counts_image_sums_at_mapped_keys():
-    pts = SparseCounts(2)
-    pts.add((1, 2, 10), np.array([2, 2]))
-    pts.add((1, 2, 11), np.array([-2, 0]))
-    pts.add((3, 4, 12), np.array([1, 0]))
-    nodes = pts.image(key_of=lambda k: k[:2])
-    assert {k: r.tolist() for k, r in nodes.rows.items()} == {(1, 2): [0, 2], (3, 4): [1, 0]}
-    net = pts.image([[1], [0]], key_of=lambda k: k[:2])
-    assert {k: r.tolist() for k, r in net.rows.items()} == {(3, 4): [1]}
-
-
 def test_sparse_counts_grouped_equals_added_rows():
-    """`grouped` gives, per leading index, the store that adding each row at
-    its key gives: rows at equal keys summed, a sum of zero dropped, and
-    keys of any word up to 2^64 - 1."""
+    """`grouped` gives, per leading index, the view of the store that adding
+    each row at its key gives: rows at equal keys summed, a sum of zero
+    dropped, and keys of any word up to 2^64 - 1."""
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 3, size=(4, 30, 2)).astype(np.uint64)
     keys[1, :, 0] = 2**64 - 1
@@ -503,8 +492,8 @@ def test_sparse_counts_grouped_equals_added_rows():
         want = SparseCounts(3)
         for k, row in zip(keys[r].tolist(), rows[r]):
             want.add(tuple(k), row)
-        assert stores[r] == want
-    assert (9, 9) not in stores[2].rows
+        assert stores[r].to_bytes() == want.to_bytes()
+    assert [9, 9] not in stores[2].keys.tolist()
     empty = SparseCounts.grouped(np.zeros((2, 0, 3), dtype=np.uint64), np.zeros((2, 0, 1), dtype=np.int64))
     assert [len(st) for st in empty] == [0, 0] and empty[0].width == 1
 
