@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch
 from .generators import gen_instance
-from .mst_sketch import MstSketch, MstSketchConfig
+from .mst_sketch import MstSketch, MstSketchConfig, SamplesFailed
 from .offline import EMD_ORACLE_CAP, MST_ORACLE_CAP, exact_emd, exact_mst
 from .points import HypercubePoint, PointMultiset
 from .streamio import (
@@ -151,27 +151,32 @@ def _cmd_run(args) -> int:
     seed = int(os.environ.get("GEOSKETCH_SEED", args.seed))
     emd_cfg = mst_cfg = None
     if args.config:
-        text = open(args.config).read()
-        kind = json.loads(text).get("kind")
-        if kind == "emd-config":
-            emd_cfg = EmdSketchConfig.from_json(text)
-        elif kind == "mst-config":
-            mst_cfg = MstSketchConfig.from_json(text)
-        else:
+        obj = json.loads(open(args.config).read())
+        if not isinstance(obj, dict):
+            raise ValueError("a --config file must hold a JSON object")
+        kind = obj.get("kind")
+        if kind not in ("emd-config", "mst-config"):
             raise ValueError(f"unrecognized config kind {kind!r}")
         if "GEOSKETCH_SEED" in os.environ:
-            (emd_cfg or mst_cfg).seed = seed
+            obj["seed"] = seed
+        if kind == "emd-config":
+            emd_cfg = EmdSketchConfig.from_json(json.dumps(obj))
+        else:
+            mst_cfg = MstSketchConfig.from_json(json.dumps(obj))
     updates = _read_updates(args.stream, args.format)
-    report = run_estimator(
-        updates,
-        problem=args.problem,
-        passes=args.passes,
-        eps=args.eps,
-        seed=seed,
-        oracle=args.oracle,
-        emd_config=emd_cfg,
-        mst_config=mst_cfg,
-    )
+    try:
+        report = run_estimator(
+            updates,
+            problem=args.problem,
+            passes=args.passes,
+            eps=args.eps,
+            seed=seed,
+            oracle=args.oracle,
+            emd_config=emd_cfg,
+            mst_config=mst_cfg,
+        )
+    except SamplesFailed as e:
+        raise ValueError(f"{e}; raise `samples` in a --config file") from e
     text = report.to_json()
     if args.report:
         with open(args.report, "w") as f:

@@ -18,9 +18,11 @@ one for pass 2); an update adds one row to it and writes nothing else. That
 store is the aggregated input, the smallest exact state, not the paper's
 polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every
 replica's counts are a view of it, built once per read for all replicas in
-one batch (`views`): per universe-reduced node (u, w), |A_v|, |B_v|, and
-per character set the positive-parity count. Every sketch of a level is a
-view of those counts, built in canonical order: the LS1/LS2/LS3
+one batch (`views`): a `CountView` whose sorted key array holds the
+universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
+character set the positive-parity count. Every reader takes those arrays
+directly, and every sketch of a level is a view of them, built in
+canonical order: the LS1/LS2/LS3
 Count-Sketch tables, the Delta-hat Cauchy sketch and the round-one l1
 samplers (both of the node discrepancy q_v = |A_v| - |B_v|), and the
 round-two counters, sums of the pass-2 view at each sampled edge. By
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -207,6 +209,37 @@ def replica_node_ids(path: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def check_config(cfg) -> None:
+    """Raise a ValueError naming the first field of the config dataclass
+    cfg with a wrong value: a float field must be a number, and an int
+    field an integer below 2^64 and at least 1, or at least 0 where 0 is
+    its default (the seed, and the sizes for which 0 selects a derived
+    value)."""
+    for f in fields(cfg):
+        v, lo = getattr(cfg, f.name), 0 if f.default == 0 else 1
+        if isinstance(v, bool) or (f.type == "float" and not isinstance(v, (int, float))):
+            raise ValueError(f"config field {f.name!r} must be a number, got {v!r}")
+        if f.type == "int" and not (isinstance(v, (int, np.integer)) and lo <= v < 2**64):
+            raise ValueError(
+                f"config field {f.name!r} must be an integer in [{lo}, 2^64), got {v!r}")
+
+
+def config_from_json(cls, text: str, kind: str):
+    """The config of dataclass cls serialized in text: a JSON object of the
+    given kind and version 1 whose other keys are fields of cls, each
+    required field present."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or obj.pop("kind", None) != kind or obj.pop("version", None) != 1:
+        raise ValueError(f"not a serialized {kind} (a JSON object with version 1)")
+    names = [f.name for f in fields(cls)]
+    for what, bad in (("unknown", [k for k in obj if k not in names]),
+                      ("missing", [f.name for f in fields(cls)
+                                   if f.default is MISSING and f.name not in obj])):
+        if bad:
+            raise ValueError(f"{kind}: {what} field(s) {', '.join(map(repr, bad))}")
+    return cls(**obj)
+
+
 @dataclass
 class EmdSketchConfig:
     """Shape of the per-level EMD sketch stack.
@@ -236,6 +269,7 @@ class EmdSketchConfig:
     sampler_gamma: float = 0.05
 
     def __post_init__(self):
+        check_config(self)
         if self.universe_m == 0:
             self.universe_m = default_universe_m(self.n)
 
@@ -283,10 +317,7 @@ class EmdSketchConfig:
 
     @classmethod
     def from_json(cls, s: str) -> "EmdSketchConfig":
-        obj = json.loads(s)
-        if obj.pop("kind", None) != "emd-config" or obj.pop("version", None) != 1:
-            raise ValueError("not a serialized EMD sketch config")
-        return cls(**obj)
+        return config_from_json(cls, s, "emd-config")
 
 
 # ---------------------------------------------------------------------------

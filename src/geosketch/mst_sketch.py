@@ -29,13 +29,14 @@ plus seeds; an update adds one row to it and writes nothing else. That store
 is the aggregated input, the smallest exact state, not the paper's
 polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every (level,
 sample) reads a view of it, built once per read for all samples in one
-batch (`views`): point entries (u, w, point fingerprint) -> [net, net *
-chi]. The node counts [sum net, sum net * chi] per universe-reduced node
-(u, w) are summed from the point entries, and every sketch is a view
-materialized from them (bit-identical under permutation and merge): the
-recovery and witness sketches of each sample, and the per-level l0 sketch,
-which is keyed by the node ids of the level's first sample. Node ids are
-uint64 throughout. `state_bytes` is `encode_state` of the one store.
+batch (`views`): a `CountView` of the point entries (u, w, point
+fingerprint) -> [net, net * chi], sorted by key. The node counts [sum net,
+sum net * chi] per universe-reduced node (u, w) are one grouped sum of
+those sorted arrays (a node's entries are adjacent), the witness arrays
+are columns of them, and every sketch is a view materialized from them
+(bit-identical under permutation and merge): the recovery and witness
+sketches of each sample, and the per-level l0 sketch, which is keyed by
+the node ids of the level's first sample. Node ids are uint64 throughout. `state_bytes` is `encode_state` of the one store.
 
 The decode is batched: the parent recovery evaluates its hash rows as one
 stack, each kappa of the child scan evaluates all of its (j, side, row)
@@ -64,7 +65,10 @@ from .offline import LevelDecomposition
 from .sketches import (
     FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state, stable_median,
 )
-from .emd_sketch import CharacterSet, UniverseMap, default_universe_m, log2n, replica_node_ids
+from .emd_sketch import (
+    CharacterSet, UniverseMap, check_config, config_from_json, default_universe_m, log2n,
+    replica_node_ids,
+)
 
 __all__ = [
     "MstSketchConfig",
@@ -103,6 +107,7 @@ class MstSketchConfig:
     universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
 
     def __post_init__(self):
+        check_config(self)
         if self.L > len(_STABLE_MEDIAN_HEX):
             # median(|D_p|) at p = 1/(4L) is tabulated, and solvable, up to there
             raise ValueError(
@@ -146,10 +151,7 @@ class MstSketchConfig:
 
     @classmethod
     def from_json(cls, s: str) -> "MstSketchConfig":
-        obj = json.loads(s)
-        if obj.pop("kind", None) != "mst-config" or obj.pop("version", None) != 1:
-            raise ValueError("not a serialized MST sketch config")
-        return cls(**obj)
+        return config_from_json(cls, s, "mst-config")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,10 @@ def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
 # ---------------------------------------------------------------------------
 # per-(level, sample) state and decode view
 # ---------------------------------------------------------------------------
+
+
+class SamplesFailed(RuntimeError):
+    """Every sample of a level failed; more `samples` make that rarer."""
 
 
 class _RepState:
@@ -551,7 +557,7 @@ class MstSketch:
             if tup["chi_v"] != tup["chi_v2"]:
                 mismatches += 1
         if successes == 0:
-            raise RuntimeError(f"all samples failed at level {i}")
+            raise SamplesFailed(f"all samples failed at level {i} (samples = {len(per_level)})")
         mu = (mismatches / successes) / self.cfg.alpha(i)
         return min(mu, self.cfg.mu_cap(i))
 

@@ -12,20 +12,26 @@ bit-identical states and hence bit-identical estimates (floating-point
 accumulation in stream order could not promise that).
 
 Everything else is a view, not a second store. The estimators build every
-replica's counts from their one store once per read (`SparseCounts.grouped`
-sums the rows of all replicas in one batch), and from those counts the
-sketches of a vector they count exactly (Delta-hat, the round-one samplers,
-the per-level l0) with `with_counts`; the l1 sampler builds its
-Count-Sketch table and its Cauchy l1 sketch from its own map. Each view has
-the keys and the integers that feeding every update to it would have given.
+replica's counts from their one store once per read: `SparseCounts.grouped`
+sums the rows of all replicas in one sort and one grouped sum, and slices
+each replica's `CountView` out of the result -- (n, k) uint64 key words in
+canonical order and (n, width) int64 rows, none all zero. Every reader
+takes those arrays as they are, and a sketch of a vector the estimators
+count exactly (Delta-hat, the round-one samplers, the per-level l0) takes
+a view with `with_counts`; a sketch reads a store or a view through the
+same `sorted`, `to_bytes` and `len`. The l1 sampler builds its Count-Sketch
+table and its Cauchy l1 sketch from its own counts. Each view has the keys
+and the integers that feeding every update to it would have given.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
-words, then the sorted counts of each store. It writes nothing that can be
-derived from the counts, so `state_bytes` holds no accumulator.
+words, then the sorted counts of each store or view, whose records both
+encode with `_encode_counts`. It writes nothing that can be derived from
+the counts, so `state_bytes` holds no accumulator.
 
 Coefficients (Count-Sketch signs, Cauchy and p-stable scalars, exponential
 scalings) are derived from the seed and the index by keyed hashing, never
-stored; a batch of indices is hashed with one call per index width.
+stored; a view's key words are hashed with one call, and a list of keys
+with one call per key width.
 """
 
 from __future__ import annotations

@@ -94,3 +94,41 @@ def test_mst_config_beyond_stable_median_table_exits_2(tmp_path):
     r = _run_cli("run", "--problem", "mst", "--config", str(cfg), "-", stdin="+ X 0f\n")
     assert r.returncode == 2
     assert r.stderr.startswith("geosketch: error: ") and "n <= 2^25" in r.stderr
+
+
+_EMD, _MST = {"kind": "emd-config", "version": 1}, {"kind": "mst-config", "version": 1}
+
+
+@pytest.mark.parametrize("problem,config,message", [
+    ("mst", {**_MST, "n": 4, "d": 4, "foo": 1}, "unknown field(s) 'foo'"),
+    ("emd", [1, 2], "must hold a JSON object"),
+    ("mst", {**_MST, "n": 4, "d": 4, "samples": -1}, "'samples' must be an integer in [0, 2^64)"),
+    ("mst", {**_MST, "n": 4, "d": 4, "rec_buckets": 0}, "'rec_buckets' must be an integer in [1"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "cs_buckets": 0}, "'cs_buckets' must be an integer in [1"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "n_sets": 0}, "'n_sets' must be an integer in [1"),
+    ("emd", {**_EMD, "d": 4}, "missing field(s) 'n'"),
+])
+def test_bad_config_is_reported_without_traceback(tmp_path, problem, config, message):
+    """A config with an unknown field, one that is not a JSON object, a
+    missing field, or a count out of range exits with status 2 and one
+    `geosketch: error:` line naming it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    kind = "uniform" if problem == "mst" else "matched_noise"
+    stream = write_stream(gen_instance(kind, 4, 4, seed=1).updates)
+    r = _run_cli("run", "--problem", problem, "--config", str(cfg), "-", stdin=stream)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("geosketch: error: ") and message in r.stderr
+    assert r.stderr.count("\n") == 1
+
+
+def test_mst_level_without_a_sample_exits_2():
+    """At n = 2 the default is one sample per level; on this stream it fails
+    at level 1, which is reported as one error line naming the level and
+    the sample count and pointing to `samples` in a --config file."""
+    stream = _run_cli("gen", "--kind", "uniform", "--n", "2", "--d", "2", "--seed", "1").stdout
+    r = _run_cli("run", "--problem", "mst", "-", stdin=stream)
+    assert r.returncode == 2
+    assert r.stderr == ("geosketch: error: all samples failed at level 1 (samples = 1); "
+                        "raise `samples` in a --config file\n")

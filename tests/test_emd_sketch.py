@@ -586,12 +586,15 @@ def test_two_pass_permutation_invariance(small_cfg):
     pytest.param(2, 2, 16, 16, "0x1.0000c0f20eae1p+8", id="2-2-0x1.0000c0f20eae1p+8"),
     (1, 1, 64, 32, "0x1.082df6a5a381ep+12"),
     (1, 2, 64, 32, "0x1.16bea25a84d6cp+12"),
+    (2, 1, 64, 32, "0x1.f551520a864fcp+11"),
+    (2, 2, 64, 32, "0x1.b467e9eb9f09cp+11"),
 ])
 def test_estimate_bit_identical_to_pinned(passes, seed, n, d, want):
     """Pinned to the estimates of the replicas that fed the Delta-hat sketch
     and every round-one sampler on each update, before those became views
     of the replica counts; the n=64 d=32 one-pass pins are those of the
-    per-decoder LS loop, before the grid decode."""
+    per-decoder LS loop, before the grid decode, and the two-pass ones
+    those of the dict-store views, before the views became sorted arrays."""
     updates = gen_instance("matched_noise", n, d, seed=seed).updates
     assert run_estimator(updates, "emd", passes=passes).estimate.hex() == want
 

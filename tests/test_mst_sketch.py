@@ -243,14 +243,17 @@ def test_scan_children_matches_child_recover_reference():
 
 
 def test_child_recover_empty_subsample():
+    """Where D_{kappa,0} holds none of the children, none is recovered. The
+    fixture is the first seed of a small fixed range where some kappa
+    empties D."""
     cfg = small_cfg(n=16, d=8)
-    view = view_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=77)
-    # a high kappa usually empties D; find one with no members among u=1
-    for kappa in range(cfg.kappa_max, -1, -1):
-        if not view.in_D(kappa, 0, 0).any():
-            assert view.child_recover(1, kappa, 0, 0) == []
-            return
-    pytest.skip("every subsample level non-empty on this fixture")
+    for seed in range(77, 87):
+        view = view_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=seed)
+        empty = [k for k in range(cfg.kappa_max, -1, -1) if not view.in_D(k, 0, 0).any()]
+        if empty:
+            break
+    assert empty, "no seed in 77..86 empties D at any kappa"
+    assert view.child_recover(1, empty[0], 0, 0) == []
 
 
 def test_child_pair_law_uniform():
@@ -464,16 +467,21 @@ def test_estimate_dominates_mst_usually():
     assert over >= 7, over
 
 
-@pytest.mark.parametrize("kind,seed,want", [
-    ("uniform", 1, "0x1.b37caf8decf48p+6"),
-    ("uniform", 2, "0x1.362b2c1ae3924p+5"),
-    ("clustered", 1, "0x1.bd580729a3666p+5"),
+@pytest.mark.parametrize("kind,seed,n,d,want", [
+    pytest.param("uniform", 1, 8, 8, "0x1.b37caf8decf48p+6", id="uniform-1-0x1.b37caf8decf48p+6"),
+    pytest.param("uniform", 2, 8, 8, "0x1.362b2c1ae3924p+5", id="uniform-2-0x1.362b2c1ae3924p+5"),
+    pytest.param("clustered", 1, 8, 8, "0x1.bd580729a3666p+5",
+                 id="clustered-1-0x1.bd580729a3666p+5"),
+    ("uniform", 1, 16, 16, "0x1.1095661e89519p+8"),
+    ("uniform", 2, 16, 16, "0x1.c2b6ebf5a1152p+7"),
 ])
-def test_estimate_bit_identical_to_pinned(kind, seed, want):
-    """The decode is batched for speed only: these estimates are pinned to
-    the values of the per-row, per-(kappa, j, side) loop it replaced."""
-    X = aggregate(gen_instance(kind, 8, 8, seed).updates)["X"]
-    sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
+def test_estimate_bit_identical_to_pinned(kind, seed, n, d, want):
+    """The decode is batched for speed only: the n=8 estimates are pinned to
+    the values of the per-row, per-(kappa, j, side) loop it replaced, and
+    the n=16 ones to those of the dict-store replica views, before the
+    views became sorted arrays."""
+    X = aggregate(gen_instance(kind, n, d, seed).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(n, d, seed=0)), X)
     assert sk.estimate().hex() == want
 
 

@@ -10,6 +10,7 @@ from geosketch import (
     FAIL,
     CauchyL1Sketch,
     CountSketch,
+    CountView,
     ExpScaler,
     L0Sketch,
     L1Sampler,
@@ -496,6 +497,25 @@ def test_sparse_counts_grouped_equals_added_rows():
     assert [9, 9] not in stores[2].keys.tolist()
     empty = SparseCounts.grouped(np.zeros((2, 0, 3), dtype=np.uint64), np.zeros((2, 0, 1), dtype=np.int64))
     assert [len(st) for st in empty] == [0, 0] and empty[0].width == 1
+
+
+def test_count_view_bytes_equal_store_bytes():
+    """A view serializes as the store that holds the same rows, so a sketch
+    read from a view has the state bytes of one fed the same updates."""
+    keys = np.array([[0, 5], [0, 2**63], [2**64 - 1, 0]], dtype=np.uint64)
+    rows = np.array([[1, -2], [0, 3], [4, 0]], dtype=np.int64)
+    store = SparseCounts(2)
+    for k, row in zip(reversed(keys.tolist()), rows[::-1]):
+        store.add(tuple(k), row)
+    assert CountView(keys, rows).to_bytes() == store.to_bytes()
+    empty = CountView(np.zeros((0, 2), np.uint64), np.zeros((0, 2), np.int64))
+    assert empty.to_bytes() == SparseCounts(2).to_bytes()
+    fed = L1Sampler(seed=3)
+    for k, row in zip(keys.tolist(), rows):
+        fed.update(tuple(k), row[0])
+    view = L1Sampler(seed=3).with_counts(CountView(keys[[0, 2]], rows[[0, 2], :1]))
+    assert view.state_bytes() == fed.state_bytes()
+    assert view.sample() == fed.sample()
 
 
 def test_sparse_counts_canonical_order_and_bytes():
