@@ -22,13 +22,12 @@ one batch (`views`): a `CountView` whose sorted key array holds the
 universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
 character set the positive-parity count. Every reader takes those arrays
 directly, and every sketch of a level is a view of them, built in
-canonical order: the LS1/LS2/LS3
-Count-Sketch tables, the Delta-hat Cauchy sketch and the round-one l1
-samplers (both of the node discrepancy q_v = |A_v| - |B_v|), and the
-round-two counters, sums of the pass-2 view at each sampled edge. By
-linearity the result is identical to eager per-update accumulation, but
-states merge and replay bit-for-bit. Node ids are uint64 throughout.
-`state_bytes` is `encode_state` of the one store.
+canonical order: the LS1/LS2/LS3 Count-Sketch tables, the Delta-hat Cauchy
+sketch and the round-one l1 samplers (both of the node discrepancy
+q_v = |A_v| - |B_v|), and the round-two counters, sums of the pass-2 view
+at each sampled edge. By linearity the result is identical to eager
+per-update accumulation, but states merge and replay bit-for-bit. Node ids
+are uint64 throughout. `state_bytes` is `encode_state` of the one store.
 
 One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes
 over a grid of (set, inner copy, round, repetition) cells, decoded in
@@ -231,10 +230,9 @@ def config_from_json(cls, text: str, kind: str):
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.pop("kind", None) != kind or obj.pop("version", None) != 1:
         raise ValueError(f"not a serialized {kind} (a JSON object with version 1)")
-    names = [f.name for f in fields(cls)]
-    for what, bad in (("unknown", [k for k in obj if k not in names]),
-                      ("missing", [f.name for f in fields(cls)
-                                   if f.default is MISSING and f.name not in obj])):
+    fs = fields(cls)
+    missing = [f.name for f in fs if f.default is MISSING and f.name not in obj]
+    for what, bad in (("unknown", sorted(set(obj) - {f.name for f in fs})), ("missing", missing)):
         if bad:
             raise ValueError(f"{kind}: {what} field(s) {', '.join(map(repr, bad))}")
     return cls(**obj)

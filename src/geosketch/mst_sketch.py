@@ -36,7 +36,8 @@ those sorted arrays (a node's entries are adjacent), the witness arrays
 are columns of them, and every sketch is a view materialized from them
 (bit-identical under permutation and merge): the recovery and witness
 sketches of each sample, and the per-level l0 sketch, which is keyed by
-the node ids of the level's first sample. Node ids are uint64 throughout. `state_bytes` is `encode_state` of the one store.
+the node ids of the level's first sample. Node ids are uint64 throughout.
+`state_bytes` is `encode_state` of the one store.
 
 The decode is batched: the parent recovery evaluates its hash rows as one
 stack, each kappa of the child scan evaluates all of its (j, side, row)
@@ -63,7 +64,8 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state, stable_median,
+    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state,
+    stable_median,
 )
 from .emd_sketch import (
     CharacterSet, UniverseMap, check_config, config_from_json, default_universe_m, log2n,

@@ -90,7 +90,7 @@ def _key_words(key: Key) -> Tuple[int, ...]:
     return hx.int_words(key)
 
 
-def _hash_keys(prefix: tuple, keys) -> np.ndarray:
+def _hash_keys(prefix: tuple, keys: Keys) -> np.ndarray:
     """combine(*prefix, *words of key) for every key: an (n, k) uint64 word
     array in one combine call, a sequence of keys in one call per key width
     (elementwise, so both equal the per-key calls bit for bit). Array prefix
@@ -223,7 +223,8 @@ _STATE_MAGIC = b"GSKS"
 _STATE_VERSION = 2
 
 
-def encode_state(kind: int, shape: Sequence[int], stores: Sequence[SparseCounts | CountView]) -> bytes:
+def encode_state(kind: int, shape: Sequence[int],
+                 stores: Sequence[SparseCounts | CountView]) -> bytes:
     """The one serialized form of a sketch state: magic, version, kind, the
     shape/seed words (taken mod 2^64), then the count stores (or views) in
     order. It holds nothing that can be derived from the counts."""
