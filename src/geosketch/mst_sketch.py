@@ -39,14 +39,22 @@ sketches of each sample, and the per-level l0 sketch, which is keyed by
 the node ids of the level's first sample. Node ids are uint64 throughout.
 `state_bytes` is `encode_state` of the one store.
 
-The decode is batched: the parent recovery evaluates its hash rows as one
-stack, each kappa of the child scan evaluates all of its (j, side, row)
-sketches as one stack, and the witnesses of a node are built for every
-(eta, row) at once and validated with one hash call. The kappas stay a loop
-because the scan stops at the first kappa that isolates both children.
-Stacking is exact: every hash and draw is elementwise, and every
-accumulator adds its nodes in the same order, so the estimates equal those
-of the per-row loops bit for bit.
+The samples of a level are decoded as one stack, one call per stage for
+all of them: parent recovery evaluates every (sample, row) sketch at once;
+the child scan runs the kappas in lock step, one evaluation of every
+(sample, j, side, row) sketch per kappa, and a sample leaves the stack at
+its first kappa that isolates both children; the witnesses of every
+(v, side) pair are summed and validated in one pass. Only the (sketch,
+bucket) groups that are read are accumulated: parent recovery reads every
+node's bucket, the child scan only the buckets that hold a child of u*, so
+the draws of the other nodes are skipped. Every hash chain resumes from a
+(seed, salt, ...) prefix hashed once per sample. Stacking is exact: the
+hashes and draws are elementwise, and every group adds its nodes in node
+order, so the estimates equal those of decoding each sample alone bit for
+bit (`MstRepView` is the stack of one sample). The stacks are cut into
+blocks of at most `_BLOCK_DRAWS` stable draws per evaluation and
+`_BLOCK_WORDS` child-scan bucket hashes per stack, which bounds the
+decode's temporaries to a few MiB.
 """
 
 from __future__ import annotations
@@ -80,7 +88,13 @@ __all__ = [
 ]
 
 _P61 = (1 << 61) - 1  # fingerprint field for witness triples
-_DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None, None]  # (r, theta) salts
+_DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None]  # (r, theta) salts, by t
+# Block sizes of the stacked decode, which bound its temporaries to a few
+# MiB: stable draws per evaluation, and child-scan bucket hashes per kappa
+# of the samples stacked at once (a hash holds about a quarter of a draw's
+# temporaries). They cut the same work into pieces and change no value.
+_BLOCK_DRAWS = 10_000
+_BLOCK_WORDS = 40_000
 
 
 def _point_fps(seeds, values: Sequence[int]) -> np.ndarray:
@@ -94,7 +108,7 @@ class MstSketchConfig:
     n: int
     d: int
     seed: int = 0
-    samples: int = 0  # 0 -> ceil(log2 n)^3
+    samples: int = 0  # 0 -> max(ceil(log2 n)^3, 8)
     j_reps: int = 3  # subsample repetitions per kappa
     rec_rows: int = 5
     rec_buckets: int = 64
@@ -117,7 +131,8 @@ class MstSketchConfig:
                 f"(log2 n <= {len(_STABLE_MEDIAN_HEX)}), got n = {self.n}"
             )
         if self.samples == 0:
-            self.samples = log2n(self.n) ** 3
+            # L^3 is 1 at n = 2, where a single failed sample fails the level
+            self.samples = max(log2n(self.n) ** 3, 8)
         if self.universe_m == 0:
             self.universe_m = default_universe_m(self.n)
 
@@ -191,7 +206,7 @@ def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
 
 
 # ---------------------------------------------------------------------------
-# per-(level, sample) state and decode view
+# per-(level, sample) state and the stacked decode
 # ---------------------------------------------------------------------------
 
 
@@ -211,276 +226,391 @@ class _RepState:
         self.charset = CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4)[()]))
 
 
-class MstRepView:
-    """Decode view of one (level, sample) over its point entries (u, w,
-    point fingerprint) -> [net, net * chi]: parent/child recovery, witness
-    scans, and the sampled tuple."""
+def _blocks(sizes: Sequence[int], cap: int):
+    """Consecutive index ranges [lo, hi) of items with the given sizes, each
+    holding items of at most `cap` in all, or one larger item."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield lo, hi
+        lo = hi
 
-    def __init__(self, state: _RepState, points: CountView):
-        self.st = state
-        self.cfg = state.cfg
-        self.points = points
-        # node counts (u, w) -> [net, net * chi]; a node's entries are adjacent
-        self.nodes = CountView.summed(points.keys[:, :2], points.rows)
-        self.keys = self.nodes.keys
+
+def _representative(fps: np.ndarray):
+    """The token (fp, eta) of the first (eta, row), eta upward and rows in
+    order, whose unrestricted bucket validates a point, from a node's
+    validated fingerprints fps (2, eta_max + 1, rows); FAIL if none does.
+    The rows draw independent point subsamples, so every point of X_v is
+    equally likely to be the one."""
+    first = np.flatnonzero(fps[0] != 0)
+    if len(first) == 0:
+        return FAIL
+    eta, row = divmod(int(first[0]), fps.shape[-1])
+    return int(fps[0, eta, row]), eta
+
+
+def _character(fps: np.ndarray, token) -> int:
+    """+1 iff some row of the chi-restricted copy at the token's eta
+    validates the token's point, i.e. iff chi(r_v) = +1: that point is
+    alone in its row's bucket before the restriction and stays there
+    exactly when chi(r_v) = +1."""
+    fp, eta = token
+    return 1 if fp in fps[1, eta].tolist() else -1
+
+
+class _LevelStack:
+    """The decode arrays of some samples of one level, side by side in
+    sample order: the point entries (s, u, w, point fingerprint) -> [net,
+    net * chi] of each sample s, the node counts (s, u, w) -> [net, net *
+    chi] (a node's entries are adjacent), and the distinct parents (s, u).
+    Every stage of the tuple decode runs once for all samples of the stack:
+    `parents`, the lock-step kappa `scan` (a sample leaves it at its first
+    kappa that isolates both children), and `witnesses`. The bucketed l_p
+    sketches accumulate only the groups that are read, in blocks of at most
+    `_BLOCK_DRAWS` draws. Every hash chain starts from one (seed, salt, ...)
+    prefix per sample (`_prefix`) finished with `hashing.extend`, which
+    gives the bits of the whole chain."""
+
+    def __init__(self, reps: Sequence[_RepState], views: Sequence[CountView]):
+        self.cfg = cfg = reps[0].cfg
+        self.seeds = np.array([rep.seed for rep in reps], dtype=U64)
+        sample = np.repeat(np.arange(len(reps)), [len(v) for v in views])
+        keys = np.concatenate(
+            [sample.astype(U64)[:, None], np.concatenate([v.keys for v in views])], axis=1)
+        self.points = CountView(keys, np.concatenate([v.rows for v in views]))
+        self.pstart = np.searchsorted(sample, np.arange(len(reps) + 1))
+        nodes = CountView.summed(keys[:, :3], self.points.rows)
+        self.ns = nodes.keys[:, 0].astype(np.int64)
+        self.keys, self.node_rows = nodes.keys[:, 1:], nodes.rows
         self.u, self.w = self.keys.T
-        self.nx = self.nodes.rows[:, 0]
-        self.uu, self.u_inv = np.unique(self.u, return_inverse=True)
-        self.hk_u = hx.combine(state.seed, 0xAB, self.uu)
-        self.hk_v = self._node_hash(self.u, self.w)
-        self.t_u = np.clip(hx.exp1(hx.combine(state.seed, 0xE1, self.hk_u)), 1e-6, 50.0)
-        self.log_med = math.log(stable_median(self.cfg.p))
-        self._wit: Dict[Tuple[Tuple[int, int], int], np.ndarray] = {}
+        self.nx = nodes.rows[:, 0]
+        new = np.ones(len(self.ns), dtype=bool)  # first node of each parent
+        new[1:] = (nodes.keys[1:, :2] != nodes.keys[:-1, :2]).any(axis=1)
+        self.u_inv = np.cumsum(new) - 1
+        self.us, self.uu = self.ns[new], self.u[new]
+        self.hk_u = hx.extend(self._prefix(0xAB)[self.us], self.uu)
+        self.hk_v = self._node_hash(self.u, self.w, self.ns)
+        self.t_u = np.clip(hx.exp1(hx.extend(self._prefix(0xE1)[self.us], self.hk_u)), 1e-6, 50.0)
+        self.log_med = math.log(stable_median(cfg.p))
 
-    # -- membership hashes ---------------------------------------------------
-    def in_D(self, kappa: int, j, side) -> np.ndarray:
-        """Membership of every node in D_{kappa,j} (side 0) or D'_{kappa,j}
-        (side 1); j and side broadcast, so arrays give one row per (j, side)."""
-        u01 = hx.uniform01(hx.combine(self.st.seed, 0xDD, side, j, self.hk_v))
-        return u01 < 2.0**-kappa
+    # -- hashes ------------------------------------------------------------------
+    def _prefix(self, *words) -> np.ndarray:
+        """combine(seed, *words) of every sample, (samples, *broadcast shape
+        of the words): the shared head of that sample's hash chains."""
+        shape = np.broadcast_shapes(*(np.shape(x) for x in words))
+        return hx.combine(self.seeds.reshape((-1,) + (1,) * len(shape)), *words)
 
-    # -- bucketed l_p sketches -------------------------------------------------
-    def _lp_bucket_logs(self, b_nodes: np.ndarray, gamma_log: np.ndarray,
-                        salts, t0: int) -> np.ndarray:
-        """(..., t0, buckets) log|accumulator| of one bucketed l_p sketch per
-        entry of the leading batch axes: salts (...) keys the stable draws,
-        and b_nodes, gamma_log (..., N) (broadcast against salts) give each
-        node's bucket and log-weight; each node adds its stable draw times
-        exp(gamma_log) to its bucket. A stack equals the calls it replaces
-        bit for bit: the hashes and draws are elementwise, and every
-        accumulator still adds its nodes in node order. Nodes with
-        gamma_log = -inf (outside the subsample) would add exact zeros, so
-        their draws are skipped. parent_recover stacks its hash rows, and
-        the child scan stacks the (j, side, row) sketches of one kappa; it
-        does not stack the kappas, as it stops at the first kappa that
-        isolates both children."""
-        B = self.cfg.rec_buckets
-        salts = np.asarray(salts, dtype=U64)
-        shape = salts.shape + (len(self.hk_v),)
-        gamma_log = np.broadcast_to(gamma_log, shape).reshape(-1, shape[-1])
-        b_nodes = np.broadcast_to(b_nodes, shape).reshape(-1, shape[-1])
-        bi, ni = np.nonzero(np.isfinite(gamma_log))  # active (batch, node) pairs
-        tgrid = np.arange(t0)[:, None]
-        # the two hash words of each draw (salts 0x01, 0x02) in one stack
-        h_r, h_t = hx.combine(self.st.seed, salts.ravel()[bi], _DRAW_WORDS, tgrid,
-                              self.hk_v[ni])
-        sign, lmag = _log_stable_draws(h_r, h_t, self.cfg.p)  # (t0, pairs)
-        lmag = lmag + gamma_log[bi, ni]
-        flat = (bi * t0 + tgrid) * B + b_nodes[bi, ni]
-        out = _grouped_log_abs_sum(flat.ravel(), lmag.ravel(), sign.ravel(),
-                                   len(gamma_log) * t0 * B)
-        return out.reshape(salts.shape + (t0, B))
+    def _node_hash(self, u, w, s=0):
+        """hk_v of the (universe-reduced) node key (u, w) of sample s."""
+        return hx.extend(self._prefix(0xAC)[s], u, w)
 
-    def _row_bucket(self, idx_hash: np.ndarray, row, salt) -> np.ndarray:
-        return hx.bucket(hx.combine(self.st.seed, salt, 0xB0, row, idx_hash),
+    def _fp2(self, s, hk_v, pfp):
+        """Second fingerprint in [1, 2^61 - 1] (object array) of point pfp as
+        a member of the node hashed to hk_v, in sample s."""
+        return (hx.extend(self._prefix(0xF2)[s], hk_v, pfp).astype(object) % (_P61 - 1)) + 1
+
+    def _row_bucket(self, idx_hash, row, salt, s=0) -> np.ndarray:
+        """The rec_buckets bucket of combine(seed_s, salt, 0xB0, row,
+        idx_hash); indexing the (seed, salt, 0xB0, row) prefixes by s puts
+        the broadcast (salt, row) axes after those of s."""
+        return hx.bucket(hx.extend(self._prefix(salt, 0xB0, row)[s], idx_hash),
                          self.cfg.rec_buckets)
 
+    def in_D(self, kappa: int, j, side, nodes=slice(None)) -> np.ndarray:
+        """(len(nodes), *broadcast(j, side).shape) membership of the nodes
+        (default all) in D_{kappa,j} (side 0) or D'_{kappa,j} (side 1)."""
+        pre = self._prefix(0xDD, side, j)
+        hk = self.hk_v[nodes].reshape((-1,) + (1,) * (pre.ndim - 1))
+        return hx.uniform01(hx.extend(pre[self.ns[nodes]], hk)) < 2.0**-kappa
+
+    # -- bucketed l_p sketches -------------------------------------------------
+    def _bucket_estimates(self, read: np.ndarray, keys: np.ndarray, nodes: np.ndarray,
+                          gamma_log: np.ndarray, salts: np.ndarray, t0: int) -> np.ndarray:
+        """The median over t < t0 of log|accumulator| of each bucketed l_p
+        sketch group in `read` (same shape), keyed (sample * len(salts) +
+        sketch) * buckets + bucket. In every (sample, sketch) the pairs
+        (keys, nodes, gamma_log), given in node order, add their node's
+        stable draw (salt salts[sketch], t) times exp(gamma_log) to their
+        group. Only read groups are accumulated, so the draws of a pair
+        whose group nobody reads are skipped; a group without pairs reads
+        -inf.
+
+        The draws run in blocks of whole samples of at most `_BLOCK_DRAWS`
+        draws (or one sample); each block hashes every (seed, salt, draw
+        word, t) prefix once and takes its groups' medians. The values equal
+        those of one dense table per sketch bit for bit: the hashes and
+        draws are elementwise, and every group adds its nodes in node
+        order."""
+        B, nb = self.cfg.rec_buckets, len(salts)
+        groups, read_idx = np.unique(read, return_inverse=True)
+        g = np.minimum(np.searchsorted(groups, keys), len(groups) - 1)
+        kept = groups[g] == keys
+        g, nodes, gamma_log = g[kept], nodes[kept], gamma_log[kept]
+        seg = groups[g] // B  # (sample, sketch) of each pair
+        starts = np.searchsorted(seg // nb, np.arange(len(self.seeds) + 1))
+        tgrid = np.arange(t0, dtype=U64)
+        out = np.full(len(groups), -np.inf)
+        for lo, hi in _blocks(np.diff(starts) * t0, _BLOCK_DRAWS):
+            blk = slice(starts[lo], starts[hi])
+            if blk.start == blk.stop:
+                continue
+            useg, inv = np.unique(seg[blk], return_inverse=True)
+            pre = hx.combine(self.seeds[useg // nb][:, None, None], salts[useg % nb][:, None, None],
+                             _DRAW_WORDS, tgrid)  # (segments, 2, t0)
+            h_r, h_t = hx.extend(pre[inv], self.hk_v[nodes[blk], None, None]).swapaxes(0, 1)
+            sign, lmag = _log_stable_draws(h_r, h_t, self.cfg.p)  # (pairs, t0)
+            del h_r, h_t  # free the hash words before the accumulation
+            lmag += gamma_log[blk, None]
+            # the block's samples own the groups g0..g1-1
+            g0, g1 = g[blk].min(), g[blk].max() + 1
+            flat = (g[blk, None] - g0) * t0 + np.arange(t0)
+            logs = _grouped_log_abs_sum(flat.ravel(), lmag.ravel(), sign.ravel(), (g1 - g0) * t0)
+            out[g0:g1] = np.median(logs.reshape(-1, t0), axis=-1)
+        return out[read_idx.reshape(read.shape)]
+
     # -- parent recovery -------------------------------------------------------
-    def parent_recover(self) -> Optional[int]:
-        """The non-empty parent maximizing |C(u)|/t_u, recovered from the
-        bucketed l_p sketch (median over rows of per-bucket estimates); the
-        rec_rows hash rows are evaluated as one stack."""
-        if len(self.keys) == 0:
-            return None
-        cfg = self.cfg
-        mask = self.nx > 0
-        gamma_log = np.where(mask, np.log(np.maximum(self.nx, 1)), -np.inf)
-        gamma_log = gamma_log - np.log(self.t_u[self.u_inv]) / cfg.p
-        rows = np.arange(cfg.rec_rows, dtype=U64)
-        b_nodes = self._row_bucket(self.hk_u[self.u_inv], rows[:, None], 0x9A)
-        logs = self._lp_bucket_logs(b_nodes, gamma_log, 0x9A00 + rows, cfg.rec_t0_parent)
-        b_cand = self._row_bucket(self.hk_u, rows[:, None], 0x9A)
-        ests = np.median(np.take_along_axis(logs, b_cand[:, None, :], axis=-1), axis=-2)
-        med = np.median(ests, axis=0) - self.log_med
-        return int(self.uu[int(np.argmax(med))])
+    def parents(self) -> List[Optional[int]]:
+        """Per sample, the non-empty parent maximizing |C(u)|/t_u (None
+        without nodes), recovered from the bucketed l_p sketch (median over
+        rows of per-bucket estimates): every (sample, row) sketch is one
+        stacked _bucket_estimates evaluation, and a node falls into its
+        parent's bucket, so every parent's bucket is read."""
+        cfg, out = self.cfg, [None] * len(self.seeds)
+        if len(self.us) == 0:
+            return out
+        R = cfg.rec_rows
+        rows = np.arange(R, dtype=U64)
+        b = self._row_bucket(self.hk_u[:, None], rows, 0x9A, self.us)
+        keys = (self.us[:, None] * R + np.arange(R)) * cfg.rec_buckets + b  # (parents, R)
+        act = np.flatnonzero(self.nx > 0)
+        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / cfg.p
+        est = self._bucket_estimates(keys, keys[self.u_inv[act]].ravel(), np.repeat(act, R),
+                                     np.repeat(gamma_log, R), 0x9A00 + rows, cfg.rec_t0_parent)
+        med = np.median(est, axis=-1) - self.log_med
+        # per sample the first maximum, as argmax takes it
+        order = np.lexsort((-med, self.us))
+        first = order[np.flatnonzero(np.r_[True, self.us[1:] != self.us[:-1]])]
+        for s, c in zip(self.us[first].tolist(), first.tolist()):
+            out[s] = int(self.uu[c])
+        return out
 
     # -- child recovery ---------------------------------------------------------
-    def _children_present(self, u_star: int, kappa: int):
-        """(cand, hit): the indices of u_star's non-empty children, and the
-        (j_reps, 2, |cand|) matrix of which of them clear the presence
-        threshold 1/(3 t_{u*})^{1/p} in the D_{kappa,j} (side 0) and
-        D'_{kappa,j} (side 1) filtered sketches. Every (j, side, row) sketch
-        of the kappa is one stacked _lp_bucket_logs evaluation."""
+    def children_present(self, cand: np.ndarray, kappa: int) -> np.ndarray:
+        """(len(cand), j_reps, 2) presence of the nodes cand, the non-empty
+        children of one u* per sample in node order, in the D_{kappa,j}
+        (side 0) and D'_{kappa,j} (side 1) filtered sketches: whether each
+        clears the threshold 1/(3 t_{u*})^{1/p}. Every (sample, j, side,
+        row) sketch of the kappa is one stacked _bucket_estimates
+        evaluation over the non-empty nodes of cand's samples that are in
+        D, and only the buckets that hold a candidate are read."""
         cfg = self.cfg
-        cand = np.nonzero((self.u == u_star) & (self.nx > 0))[0]
-        if len(cand) == 0:
-            return cand, np.zeros((cfg.j_reps, 2, 0), dtype=bool)
-        j = np.arange(cfg.j_reps, dtype=U64)[:, None, None]
-        side = np.arange(2, dtype=U64)[None, :, None]
-        rows = np.arange(cfg.rec_rows, dtype=U64)
-        member = self.in_D(kappa, j, side)  # (j, side, N)
-        gamma_log = np.where(
-            member & (self.nx > 0), np.log(np.maximum(self.nx, 1)), -np.inf
-        )
-        gamma_log = gamma_log - np.log(self.t_u[self.u_inv]) / cfg.p
-        salt = side * 131 + kappa * 17 + j  # (j, side, 1)
-        b_nodes = self._row_bucket(self.hk_v, rows[:, None], 0x9B00 + salt[..., None])
-        logs = self._lp_bucket_logs(b_nodes, gamma_log[:, :, None, :],
-                                    0x9B0000 + salt + rows * 7717, cfg.rec_t0_child)
-        est = np.median(
-            np.take_along_axis(logs, b_nodes[..., None, cand], axis=-1), axis=-2
-        )
-        mins = est.min(axis=2) - self.log_med  # min over rows
-        iu = int(np.nonzero(self.uu == u_star)[0][0])
-        log_thr = -(math.log(3.0) + math.log(self.t_u[iu])) / cfg.p
-        return cand, mins >= log_thr
+        J, R, B = cfg.j_reps, cfg.rec_rows, cfg.rec_buckets
+        j = np.arange(J, dtype=U64)[:, None]
+        side = np.arange(2, dtype=U64)
+        rows = np.arange(R, dtype=U64)
+        salt = (side * 131 + kappa * 17 + j)[..., None]  # (j, side, 1)
+        # bucket prefixes by (sample, sketch j * 2 + side, row)
+        pre = self._prefix(0x9B00 + salt, 0xB0, rows).reshape(len(self.seeds), 2 * J, R)
+
+        def group_keys(s, sk, hk):  # (..., rows) keys of node hashes hk in sketches (s, sk)
+            b = hx.bucket(hx.extend(pre[s, sk], hk[..., None]), B)
+            return ((s * 2 * J + sk)[..., None] * R + np.arange(R)) * B + b
+
+        on = np.zeros(len(self.seeds), dtype=bool)
+        on[self.ns[cand]] = True
+        act = np.flatnonzero(on[self.ns] & (self.nx > 0))
+        a, sk = np.nonzero(self.in_D(kappa, j, side, act).reshape(len(act), 2 * J))
+        nodes = act[a]  # the (node, sketch) pairs of D, node-major
+        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / cfg.p
+        est = self._bucket_estimates(
+            group_keys(self.ns[cand][:, None], np.arange(2 * J), self.hk_v[cand][:, None]),
+            group_keys(self.ns[nodes], sk, self.hk_v[nodes]).ravel(), np.repeat(nodes, R),
+            np.repeat(gamma_log[a], R), (0x9B0000 + salt + rows * 7717).ravel(),
+            cfg.rec_t0_child)
+        mins = est.min(axis=-1).reshape(len(cand), J, 2) - self.log_med  # min over rows
+        log_thr = np.array([-(math.log(3.0) + math.log(t)) / cfg.p
+                            for t in self.t_u[self.u_inv[cand]].tolist()])
+        return mins >= log_thr[:, None, None]
+
+    def scan(self, u_stars: Sequence[Optional[int]]) -> list:
+        """Per sample, the node indices (v*, v**) of the downward kappa scan
+        under its u*, or FAIL: the first kappa with unique hits in both a D
+        and a D' repetition fixes (v*, v**), each from the first such j.
+        The samples scan in lock step, one children_present per kappa, and
+        a sample leaves the stack at its first kappa that isolates both
+        children, so each (sample, kappa) is evaluated as the sample's own
+        scan evaluates it."""
+        out = [FAIL] * len(self.seeds)
+        # u* is None only for a sample without nodes
+        want = np.array([0 if u is None else u for u in u_stars], dtype=U64)
+        cand = np.flatnonzero((self.u == want[self.ns]) & (self.nx > 0))
+        for kappa in range(self.cfg.kappa_max, -1, -1):
+            if len(cand) == 0:
+                break
+            hit = self.children_present(cand, kappa)
+            s = self.ns[cand]
+            new = np.r_[True, s[1:] != s[:-1]]
+            at = np.cumsum(new) - 1  # cand -> its sample's row below
+            single = np.add.reduceat(hit.astype(np.int64), np.flatnonzero(new), axis=0) == 1
+            done = single.any(axis=1).all(axis=1)
+            j = single.argmax(axis=1)  # first unique j per side
+            picks = [cand[hit[np.arange(len(cand)), j[at, side], side] & done[at]].tolist()
+                     for side in (0, 1)]
+            for k, v1, v2 in zip(s[new][done].tolist(), *picks):
+                out[k] = (v1, v2)
+            cand = cand[~done[at]]
+        return out
+
+    # -- representatives -----------------------------------------------------------
+    def witness_triples(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray):
+        """(count, fpsum, fp2sum) arrays (items, 2, eta_max + 1, rows) of the
+        items (sample s, node hash hv, side): per eta and row, the bucket the
+        node falls into, summed over the points of s kept by that row's
+        subsample at level eta, without (index 0) and with (index 1) the chi
+        restriction. The sums are exact integers (object arrays), the
+        fingerprint sums taken mod 2^61 - 1. One pass covers every (item,
+        point) pair whose point shares the item's bucket in some row; a
+        point's bucket is that of its own node, and fp2 is keyed by it."""
+        cfg = self.cfg
+        R, E = cfg.rec_rows, cfg.eta_max + 1
+        rows = np.arange(R, dtype=U64)
+        sides = np.arange(2, dtype=U64)[:, None]
+        n = self.pstart[s + 1] - self.pstart[s]
+        item = np.repeat(np.arange(len(s)), n)
+        pt = np.arange(n.sum()) + np.repeat(self.pstart[s] - np.cumsum(n) + n, n)
+        _, u, w, pfp = self.points.keys[pt].T
+        hkv = self._node_hash(u, w, s[item])
+        pre = self._prefix(0x9C00 + sides, 0xB0, rows)  # (samples, side, row)
+        bv = hx.bucket(hx.extend(pre[s, side], hv[:, None]), cfg.rec_buckets)
+        in_bkt = hx.bucket(hx.extend(pre[s[item], side[item]], hkv[:, None]),
+                           cfg.rec_buckets) == bv[item]  # (pairs, rows)
+        sel = np.flatnonzero(in_bkt.any(axis=1))
+        item, pt, in_bkt, hkv, pfp = item[sel], pt[sel], in_bkt[sel], hkv[sel], pfp[sel]
+        ps = s[item]
+        # every row is an independent point subsample
+        lvl = hx.uniform01(hx.extend(self._prefix(0xBE, sides, rows)[ps, side[item]], pfp[:, None]))
+        keep = (lvl[:, None, :] < 2.0 ** -np.arange(E)[:, None]) & in_bkt[:, None, :]
+        chi = self.points.rows[pt, 1] != 0  # net != 0 in every entry
+        p, k, e, r = np.nonzero(np.stack([keep, keep & chi[:, None, None]], axis=1))
+        at = ((item[p] * 2 + k) * E + e) * R + r
+        net = self.points.rows[pt, 0].astype(object)
+        sums = []
+        for x in (net, net * pfp.astype(object), net * self._fp2(ps, hkv, pfp)):
+            acc = np.zeros(len(s) * 2 * E * R, dtype=object)
+            np.add.at(acc, at, x[p])
+            sums.append(acc.reshape(len(s), 2, E, R))
+        cnt, fs, fs2 = sums
+        return cnt, fs % _P61, fs2 % _P61
+
+    def witnesses(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Validated fingerprint per (item, chi restriction, eta, row) of
+        the item's bucket (witness_triples), 0 where the single-distinct-
+        point test fails (it requires fp2sum = count * fp2(fpsum / count));
+        all entries are validated with one _fp2 call, and the modular
+        inverse is taken once per distinct count. fp2 is keyed by the node,
+        so a bucket that holds a single point of another node fails: every
+        fingerprint is a point of X_v (up to a 2^-61 fingerprint
+        collision)."""
+        cnt, fs, fs2 = self.witness_triples(s, hv, side)
+        fps = np.zeros(cnt.shape, dtype=object)
+        pos = np.nonzero(cnt > 0)
+        if len(pos[0]):
+            c = cnt[pos]
+            inv = {x: pow(x % _P61, _P61 - 2, _P61) for x in set(c.tolist())}
+            fp = (fs[pos] * np.array([inv[x] for x in c.tolist()], dtype=object)) % _P61
+            i = pos[0]
+            ok = (fp != 0) & ((c * self._fp2(s[i], hv[i], fp.astype(U64))) % _P61 == fs2[pos])
+            fps[pos] = np.where(ok, fp, 0)
+        return fps
+
+    # -- full tuples -----------------------------------------------------------
+    def sample_tuples(self) -> list:
+        """Per sample (u*, v*, v**, token_v, token_v', chi_v, chi_v') as a
+        dict, or FAIL; each stage runs once for the whole stack."""
+        u_stars = self.parents()
+        pairs = self.scan(u_stars)
+        ok = [k for k, pair in enumerate(pairs) if pair is not FAIL]
+        v = np.array([pairs[k] for k in ok], dtype=np.int64).reshape(-1)
+        fps = self.witnesses(np.repeat(ok, 2).astype(np.int64), self.hk_v[v],
+                             np.tile([0, 1], len(ok)))
+        out = [FAIL] * len(self.seeds)
+        for k, f1, f2, (v1, v2) in zip(ok, fps[0::2], fps[1::2], v.reshape(-1, 2).tolist()):
+            t1, t2 = _representative(f1), _representative(f2)
+            if t1 is FAIL or t2 is FAIL:
+                continue
+            out[k] = {
+                "u": u_stars[k],
+                "v": tuple(self.keys[v1].tolist()),
+                "v2": tuple(self.keys[v2].tolist()),
+                "r_v": t1[0],
+                "r_v2": t2[0],
+                "chi_v": _character(f1, t1),
+                "chi_v2": _character(f2, t2),
+            }
+        return out
+
+
+class MstRepView(_LevelStack):
+    """Decode view of one (level, sample): the level stack of that sample
+    alone. Its methods -- parent and child recovery, the kappa scan, the
+    witness scans and the sampled tuple -- are one-sample calls of the
+    stacked stages, which decode every sample of a level at once."""
+
+    def __init__(self, state: _RepState, points: CountView):
+        super().__init__([state], [points])
+        self.st = state
+        self.nodes = CountView(self.keys, self.node_rows)
+
+    def parent_recover(self) -> Optional[int]:
+        """The non-empty parent maximizing |C(u)|/t_u, or None."""
+        return self.parents()[0]
 
     def child_recover(self, u_star: int, kappa: int, j: int, side: int = 0) -> List[Tuple[int, int]]:
         """Children of u_star whose bucket estimate clears the presence
         threshold in the D_{kappa,j}-filtered sketch of the given side;
         equals C(u*) cap D when 2^kappa >= |C(u*)|."""
-        cand, hit = self._children_present(u_star, kappa)
-        return [tuple(k) for k in self.keys[cand[hit[j, side]]].tolist()]
+        cand = np.flatnonzero((self.u == u_star) & (self.nx > 0))
+        if len(cand) == 0:
+            return []
+        hit = self.children_present(cand, kappa)
+        return [tuple(k) for k in self.keys[cand[hit[:, j, side]]].tolist()]
 
     def scan_children(self, u_star: int):
-        """Downward kappa scan; the first kappa with unique hits in both a
-        D and a D' repetition fixes (v*, v**), each from the first such j.
-        One stacked evaluation per kappa covers all (j, side, row); the
-        kappas stay a loop because the scan stops early (about half of
-        them are evaluated), and stacking them too costs memory for no
-        saving."""
-        for kappa in range(self.cfg.kappa_max, -1, -1):
-            cand, hit = self._children_present(u_star, kappa)
-            single = hit.sum(axis=-1) == 1  # (j, side)
-            if single.any(axis=0).all():
-                j = single.argmax(axis=0)  # first unique j per side
-                return tuple(
-                    tuple(self.keys[cand[hit[j[s], s]][0]].tolist()) for s in (0, 1)
-                )
-        return FAIL
+        """(v*, v**) of the downward kappa scan under u_star, or FAIL."""
+        pair = self.scan([u_star])[0]
+        return FAIL if pair is FAIL else tuple(tuple(self.keys[v].tolist()) for v in pair)
 
-    # -- representatives -----------------------------------------------------------
-    def _point_arrays(self):
-        """Cached per-point-entry arrays: fingerprints, nets, chi flags,
-        per-(side, row) subsample uniforms and bucket assignments, and the
-        second fingerprints fp2 = h(seed, hk_v, pfp) keyed by each entry's
-        own node."""
-        cached = getattr(self, "_pts", None)
-        if cached is not None:
-            return cached
-        (u, w, pfp), rows = self.points.keys.T, self.points.rows
-        net = rows[:, 0]
-        chi = (rows[:, 1] != 0).astype(np.int64)  # net != 0 in every entry
-        hkv = self._node_hash(u, w)
-        sides = np.arange(2, dtype=U64)[:, None, None]
-        rows = np.arange(self.cfg.rec_rows, dtype=U64)[None, :, None]
-        # (2, rows, points): every row is an independent point subsample
-        lvl = hx.uniform01(hx.combine(self.st.seed, 0xBE, sides, rows, pfp[None, None, :]))
-        bkt = self._row_bucket(hkv[None, None, :], rows, 0x9C00 + sides)
-        fp2 = self._fp2(hkv, pfp)
-        self._pts = (pfp, net, chi, lvl, bkt, fp2)
-        return self._pts
-
-    def _node_hash(self, u, w):
-        """hk_v of the (universe-reduced) node key (u, w)."""
-        return hx.combine(self.st.seed, 0xAC, u, w)
-
-    def _fp2(self, hk_v, pfp):
-        """Second fingerprint of point pfp as a member of the node hashed to
-        hk_v, in [1, 2^61 - 1] (object array, or int for scalar input)."""
-        return (hx.combine(self.st.seed, 0xF2, hk_v, pfp).astype(object) % (_P61 - 1)) + 1
-
-    def _witness_triples(self, hv, side: int):
-        """(count, fpsum, fp2sum) arrays of shape (2, eta_max + 1, rows): per
-        eta and row, the bucket the node hashed to hv falls into, summed over
-        the points kept by that row's subsample at level eta, without (index
-        0) and with (index 1) the chi restriction. The sums are exact
-        integers (object arrays), the fingerprint sums taken mod 2^61 - 1."""
-        pfp, net, chi, lvl, bkt, fp2 = self._point_arrays()
-        cfg = self.cfg
-        bv = self._row_bucket(hv, np.arange(cfg.rec_rows, dtype=U64), 0x9C00 + side)
-        in_bkt = bkt[side] == bv[:, None]  # (rows, points)
-        sel = np.nonzero(in_bkt.any(axis=0))[0]
-        rate = 2.0 ** -np.arange(cfg.eta_max + 1)
-        keep = (lvl[side][:, sel] < rate[:, None, None]) & in_bkt[:, sel]
-        keep = np.stack([keep, keep & (chi[sel] == 1)]).astype(object)
-        w = net[sel].astype(object)
-        cnt = keep @ w
-        fs = (keep @ (w * pfp[sel].astype(object))) % _P61
-        fs2 = (keep @ (w * fp2[sel])) % _P61
-        return cnt, fs, fs2
+    def _witnesses(self, v_key: Tuple[int, int], side: int) -> np.ndarray:
+        hv = self._node_hash(U64(v_key[0]), U64(v_key[1]))
+        return self.witnesses(np.zeros(1, dtype=np.int64), np.atleast_1d(hv), np.array([side]))[0]
 
     def _witness_buckets(self, hv, eta: int, side: int,
                          chi_restricted: bool) -> List[Tuple[int, int, int]]:
         """Per row, the (count, fpsum, fp2sum) triple of the bucket the node
-        hashed to hv falls into at level eta (a slice of _witness_triples)."""
+        hashed to hv falls into at level eta."""
         k = int(chi_restricted)
-        cnt, fs, fs2 = (a[k, eta] for a in self._witness_triples(hv, side))
+        cnt, fs, fs2 = (a[0, k, eta] for a in self.witness_triples(
+            np.zeros(1, dtype=np.int64), np.atleast_1d(U64(hv)), np.array([side])))
         return [(int(c), int(f), int(f2)) for c, f, f2 in zip(cnt, fs, fs2)]
 
-    def _witnesses(self, v_key: Tuple[int, int], side: int) -> np.ndarray:
-        """Validated fingerprint per (chi restriction, eta, row) of v_key's
-        bucket, 0 where the single-distinct-point test fails (it requires
-        fp2sum = count * fp2(fpsum / count)); all entries are validated with
-        one _fp2 call. fp2 is keyed by the node, so a bucket that holds a
-        single point of another node fails: every fingerprint is a point of
-        X_v (up to a 2^-61 fingerprint collision). Cached per (v_key, side)."""
-        cached = self._wit.get((v_key, side))
-        if cached is not None:
-            return cached
-        hv = self._node_hash(U64(v_key[0]), U64(v_key[1]))
-        cnt, fs, fs2 = self._witness_triples(hv, side)
-        fps = np.zeros(cnt.shape, dtype=object)
-        pos = cnt > 0
-        if pos.any():
-            c = cnt[pos]
-            inv = np.array([pow(x % _P61, _P61 - 2, _P61) for x in c.tolist()], dtype=object)
-            fp = (fs[pos] * inv) % _P61
-            ok = (fp != 0) & ((c * self._fp2(hv, fp.astype(U64))) % _P61 == fs2[pos])
-            fps[pos] = np.where(ok, fp, 0)
-        self._wit[(v_key, side)] = fps
-        return fps
-
     def child_representative(self, v_key: Tuple[int, int], side: int = 0):
-        """The first (eta, row), eta upward and rows in order, whose
-        subsampled bucket validates a point of X_v yields the representative
-        token (fp, eta). The rows draw independent point subsamples, so every
-        point of X_v is equally likely to be the one."""
-        fps = self._witnesses(v_key, side)[0]
-        first = np.flatnonzero(fps != 0)
-        if len(first) == 0:
-            return FAIL
-        eta, row = divmod(int(first[0]), self.cfg.rec_rows)
-        return (int(fps[eta, row]), eta)
+        """The representative token (fp, eta) of v_key, or FAIL."""
+        return _representative(self._witnesses(v_key, side))
 
     def _witness_at(self, v_key, eta: int, side: int, chi_restricted: bool) -> List[int]:
         """Fingerprints validated in v_key's bucket at level eta, in row
-        order (a slice of _witnesses)."""
+        order."""
         return [int(f) for f in self._witnesses(v_key, side)[int(chi_restricted), eta] if f]
 
     def char_of_representative(self, v_key: Tuple[int, int], token, side: int = 0) -> int:
-        """+1 iff some row of the chi-restricted copy at the token's eta
-        validates the token's point, i.e. iff chi(r_v) = +1: that point is
-        alone in its row's bucket before the restriction and stays there
-        exactly when chi(r_v) = +1."""
-        fp, eta = token
-        return 1 if fp in self._witness_at(v_key, eta, side, chi_restricted=True) else -1
+        """chi of the token's point, read from the chi-restricted copy."""
+        return _character(self._witnesses(v_key, side), token)
 
-    # -- full tuple ------------------------------------------------------------
     def sample_tuple(self):
         """(u*, v*, v**, token_v, token_v', chi_v, chi_v') or FAIL."""
-        u_star = self.parent_recover()
-        if u_star is None:
-            return FAIL
-        pair = self.scan_children(u_star)
-        if pair is FAIL:
-            return FAIL
-        v1, v2 = pair
-        t1 = self.child_representative(v1, side=0)
-        t2 = self.child_representative(v2, side=1)
-        if t1 is FAIL or t2 is FAIL:
-            return FAIL
-        c1 = self.char_of_representative(v1, t1, side=0)
-        c2 = self.char_of_representative(v2, t2, side=1)
-        return {
-            "u": u_star,
-            "v": v1,
-            "v2": v2,
-            "r_v": t1[0],
-            "r_v2": t2[0],
-            "chi_v": c1,
-            "chi_v2": c2,
-        }
+        return self.sample_tuples()[0]
 
 
 class MstSketch:
@@ -547,20 +677,20 @@ class MstSketch:
     def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
         level i, from the views of its samples (built here if not given);
-        failed samples are dropped."""
+        failed samples are dropped. The samples are decoded in stacks of
+        at most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted
+        as if every point entry were a node in every D (or one sample)."""
         per_level = self.reps[i - 1]
-        mismatches = 0
-        successes = 0
-        for rep, points in zip(per_level, views or self.views(per_level)):
-            tup = MstRepView(rep, points).sample_tuple()
-            if tup is FAIL:
-                continue
-            successes += 1
-            if tup["chi_v"] != tup["chi_v2"]:
-                mismatches += 1
-        if successes == 0:
+        views = views or self.views(per_level)
+        words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
+        tuples = []
+        for lo, hi in _blocks([len(v) * words for v in views], _BLOCK_WORDS):
+            tuples += _LevelStack(per_level[lo:hi], views[lo:hi]).sample_tuples()
+        done = [tup for tup in tuples if tup is not FAIL]
+        if not done:
             raise SamplesFailed(f"all samples failed at level {i} (samples = {len(per_level)})")
-        mu = (mismatches / successes) / self.cfg.alpha(i)
+        mismatches = sum(tup["chi_v"] != tup["chi_v2"] for tup in done)
+        mu = (mismatches / len(done)) / self.cfg.alpha(i)
         return min(mu, self.cfg.mu_cap(i))
 
     def estimate(self) -> float:

@@ -123,12 +123,15 @@ def test_bad_config_is_reported_without_traceback(tmp_path, problem, config, mes
     assert r.stderr.count("\n") == 1
 
 
-def test_mst_level_without_a_sample_exits_2():
-    """At n = 2 the default is one sample per level; on this stream it fails
-    at level 1, which is reported as one error line naming the level and
-    the sample count and pointing to `samples` in a --config file."""
+def test_mst_level_without_a_sample_exits_2(tmp_path):
+    """With one sample per level (the config below; the default has at
+    least 8, so it no longer fails on this stream) the level-1 sample fails,
+    which is reported as one error line naming the level and the sample
+    count and pointing to `samples` in a --config file."""
     stream = _run_cli("gen", "--kind", "uniform", "--n", "2", "--d", "2", "--seed", "1").stdout
-    r = _run_cli("run", "--problem", "mst", "-", stdin=stream)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_MST, "n": 2, "d": 2, "samples": 1}))
+    r = _run_cli("run", "--problem", "mst", "--config", str(cfg), "-", stdin=stream)
     assert r.returncode == 2
     assert r.stderr == ("geosketch: error: all samples failed at level 1 (samples = 1); "
                         "raise `samples` in a --config file\n")

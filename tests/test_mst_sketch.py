@@ -21,7 +21,8 @@ from geosketch import (
     sample_quadtree,
     value_mst,
 )
-from geosketch.mst_sketch import _RepState, _point_fps
+from geosketch import mst_sketch
+from geosketch.mst_sketch import _LevelStack, _RepState, _point_fps
 
 from conftest import random_multiset, store_sizes, view_dict, view_of
 
@@ -474,6 +475,10 @@ def test_estimate_dominates_mst_usually():
                  id="clustered-1-0x1.bd580729a3666p+5"),
     ("uniform", 1, 16, 16, "0x1.1095661e89519p+8"),
     ("uniform", 2, 16, 16, "0x1.c2b6ebf5a1152p+7"),
+    # read from the per-sample decode, before a level's samples were stacked
+    ("uniform", 3, 16, 16, "0x1.00d5ca49ee501p+8"),
+    ("clustered", 1, 16, 16, "0x1.f7fff8cb0ee09p+6"),
+    ("uniform", 1, 32, 16, "0x1.f6e93d8cfd004p+7"),
 ])
 def test_estimate_bit_identical_to_pinned(kind, seed, n, d, want):
     """The decode is batched for speed only: the n=8 estimates are pinned to
@@ -483,6 +488,42 @@ def test_estimate_bit_identical_to_pinned(kind, seed, n, d, want):
     X = aggregate(gen_instance(kind, n, d, seed).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(n, d, seed=0)), X)
     assert sk.estimate().hex() == want
+
+
+def test_level_stack_matches_samples_decoded_alone(monkeypatch):
+    """The stacked stages of a level give every sample the u*, the
+    (v*, v**) pair, and the tokens and characters of decoding that sample
+    alone, also where its scan fails (one repetition per kappa makes that
+    common). Splitting the draws into blocks of one or a few samples, or
+    the level into several stacks, changes no value."""
+    X = aggregate(gen_instance("uniform", 16, 16, 1).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(16, 16, seed=0, samples=12, j_reps=1)), X)
+
+    def decode(i):
+        stack = _LevelStack(sk.reps[i - 1], sk.views(sk.reps[i - 1]))
+        u_stars = stack.parents()
+        pairs = [pair if pair is FAIL else tuple(tuple(stack.keys[v].tolist()) for v in pair)
+                 for pair in stack.scan(u_stars)]
+        return u_stars, pairs, stack.sample_tuples()
+
+    levels = (2, 3, 4)
+    whole = {i: decode(i) for i in levels}
+    scans = {"pair": 0, "fail": 0}
+    for i in levels:
+        for k, (rep, points) in enumerate(zip(sk.reps[i - 1], sk.views(sk.reps[i - 1]))):
+            alone = MstRepView(rep, points)
+            u_star, pair, tup = (stage[k] for stage in whole[i])
+            assert alone.parent_recover() == u_star
+            assert alone.scan_children(u_star) == pair
+            assert alone.sample_tuple() == tup
+            scans["fail" if pair is FAIL else "pair"] += 1
+    assert scans["pair"] > 0 and scans["fail"] > 0, scans
+    mu = [sk.level_mu(i) for i in levels]
+    for draws, words in ((1, 1), (2_000, 1_000)):
+        monkeypatch.setattr(mst_sketch, "_BLOCK_DRAWS", draws)
+        monkeypatch.setattr(mst_sketch, "_BLOCK_WORDS", words)
+        assert {i: decode(i) for i in levels} == whole
+        assert [sk.level_mu(i) for i in levels] == mu
 
 
 def test_default_universe_fits_uint64():
