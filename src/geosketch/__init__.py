@@ -46,7 +46,6 @@ from .emd_sketch import (
     split_probability,
 )
 from .mst_sketch import (
-    MstRepView,
     MstSketch,
     MstSketchConfig,
     reference_level_quantities,
@@ -75,7 +74,7 @@ __all__ = [
     "EmbeddingFamily", "embed_point", "sample_embedding",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
     "UniverseMap", "reference_I_i", "split_probability",
-    "MstRepView", "MstSketch", "MstSketchConfig", "reference_level_quantities",
+    "MstSketch", "MstSketchConfig", "reference_level_quantities",
     "TurnstileUpdate", "aggregate", "parse_stream", "parse_stream_binary",
     "write_stream", "write_stream_binary",
     "GeneratedInstance", "gen_instance", "rm1_codewords",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -87,6 +88,8 @@ def run_estimator(
     """Aggregate the stream (estimates are unchanged, by linearity), pad the
     points to a power-of-two dimension, run the requested estimator, and
     optionally the exact oracle. The report keeps the input dimension."""
+    if not 0 < eps < math.inf:  # the report carries eps for either problem
+        raise ValueError(f"eps must be a finite number greater than 0, got {eps!r}")
     t0 = time.monotonic()
     nets = aggregate(updates)
     if problem == "emd":

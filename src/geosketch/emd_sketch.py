@@ -210,14 +210,17 @@ def replica_node_ids(path: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
 
 def check_config(cfg) -> None:
     """Raise a ValueError naming the first field of the config dataclass
-    cfg with a wrong value: a float field must be a number, and an int
-    field an integer below 2^64 and at least 1, or at least 0 where 0 is
-    its default (the seed, and the sizes for which 0 selects a derived
-    value)."""
+    cfg with a wrong value: a float field must be a finite number, and
+    `eps` above 0; an int field an integer below 2^64 and at least 1, or at
+    least 0 where 0 is its default (the seed, and the sizes for which 0
+    selects a derived value)."""
     for f in fields(cfg):
         v, lo = getattr(cfg, f.name), 0 if f.default == 0 else 1
-        if isinstance(v, bool) or (f.type == "float" and not isinstance(v, (int, float))):
-            raise ValueError(f"config field {f.name!r} must be a number, got {v!r}")
+        finite = isinstance(v, (int, float)) and -math.inf < v < math.inf
+        if isinstance(v, bool) or (f.type == "float" and not finite):
+            raise ValueError(f"config field {f.name!r} must be a finite number, got {v!r}")
+        if f.name == "eps" and not v > 0:
+            raise ValueError(f"config field 'eps' must be greater than 0, got {v!r}")
         if f.type == "int" and not (isinstance(v, (int, np.integer)) and lo <= v < 2**64):
             raise ValueError(
                 f"config field {f.name!r} must be an integer in [{lo}, 2^64), got {v!r}")
@@ -275,18 +278,6 @@ class EmdSketchConfig:
     def L(self) -> int:
         return log2n(self.n)
 
-    @property
-    def tau(self) -> float:
-        return 1.0 / self.L**3
-
-    @property
-    def gamma(self) -> float:
-        return self.tau / self.L
-
-    @property
-    def beta(self) -> int:
-        return math.ceil(self.L**5 / (self.eps * self.tau * self.gamma**3))
-
     def alpha(self, i: int) -> float:
         return min(1.0, 2.0**i / (self.d * self.L**2))
 
@@ -305,9 +296,9 @@ class EmdSketchConfig:
             level_reps=log2n(d),
             n_sets=L**6,
             n_inner=L,
-            n_rounds=L**6,  # O(1/tau^2)
+            n_rounds=L**6,  # O(1/tau^2), tau = 1/L^3
             n_medreps=max(1, 3 * math.ceil(math.log2(L**3))),
-            ls1_reps=L**9,  # O(log n / gamma^2)
+            ls1_reps=L**9,  # O(log n / gamma^2), gamma = tau/L
         )
 
     def to_json(self) -> str:

@@ -28,16 +28,17 @@ State: the sketch keeps one `SparseCounts`, packed point -> [net count],
 plus seeds; an update adds one row to it and writes nothing else. That store
 is the aggregated input, the smallest exact state, not the paper's
 polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every (level,
-sample) reads a view of it, built once per read for all samples in one
-batch (`views`): a `CountView` of the point entries (u, w, point
-fingerprint) -> [net, net * chi], sorted by key. The node counts [sum net,
-sum net * chi] per universe-reduced node (u, w) are one grouped sum of
-those sorted arrays (a node's entries are adjacent), the witness arrays
-are columns of them, and every sketch is a view materialized from them
-(bit-identical under permutation and merge): the recovery and witness
-sketches of each sample, and the per-level l0 sketch, which is keyed by
-the node ids of the level's first sample. Node ids are uint64 throughout.
-`state_bytes` is `encode_state` of the one store.
+sample) reads a view of it, built when its level is read, in one batch for
+the samples of that level (`views`): a `CountView` of the point entries
+(u, w, point fingerprint) -> [net, net * chi], sorted by key. The node
+counts [sum net, sum net * chi] per universe-reduced node (u, w) are one
+grouped sum of those sorted arrays (a node's entries are adjacent), the
+witness arrays are columns of them, and every sketch is a view
+materialized from them (bit-identical under permutation and merge): the
+recovery and witness sketches of each sample, and the per-level l0
+sketch, which is keyed by the node ids of the level's first sample. Node
+ids are uint64 throughout. `state_bytes` is `encode_state` of the one
+store.
 
 The samples of a level are decoded as one stack, one call per stage for
 all of them: parent recovery evaluates every (sample, row) sketch at once;
@@ -51,10 +52,9 @@ the draws of the other nodes are skipped. Every hash chain resumes from a
 (seed, salt, ...) prefix hashed once per sample. Stacking is exact: the
 hashes and draws are elementwise, and every group adds its nodes in node
 order, so the estimates equal those of decoding each sample alone bit for
-bit (`MstRepView` is the stack of one sample). The stacks are cut into
-blocks of at most `_BLOCK_DRAWS` stable draws per evaluation and
-`_BLOCK_WORDS` child-scan bucket hashes per stack, which bounds the
-decode's temporaries to a few MiB.
+bit. The stacks are cut into blocks of at most `_BLOCK_DRAWS` stable draws
+per evaluation and `_BLOCK_WORDS` child-scan bucket hashes per stack, which
+bounds the decode's temporaries to a few MiB.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _hash_keys, encode_state,
-    stable_median,
+    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys,
+    encode_state, stable_median,
 )
 from .emd_sketch import (
     CharacterSet, UniverseMap, check_config, config_from_json, default_universe_m, log2n,
@@ -83,7 +83,6 @@ from .emd_sketch import (
 __all__ = [
     "MstSketchConfig",
     "MstSketch",
-    "MstRepView",
     "reference_level_quantities",
 ]
 
@@ -139,10 +138,6 @@ class MstSketchConfig:
     @property
     def L(self) -> int:
         return log2n(self.n)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / self.L**2
 
     @property
     def p(self) -> float:
@@ -302,7 +297,7 @@ class _LevelStack:
         shape = np.broadcast_shapes(*(np.shape(x) for x in words))
         return hx.combine(self.seeds.reshape((-1,) + (1,) * len(shape)), *words)
 
-    def _node_hash(self, u, w, s=0):
+    def _node_hash(self, u, w, s):
         """hk_v of the (universe-reduced) node key (u, w) of sample s."""
         return hx.extend(self._prefix(0xAC)[s], u, w)
 
@@ -311,16 +306,18 @@ class _LevelStack:
         a member of the node hashed to hk_v, in sample s."""
         return (hx.extend(self._prefix(0xF2)[s], hk_v, pfp).astype(object) % (_P61 - 1)) + 1
 
-    def _row_bucket(self, idx_hash, row, salt, s=0) -> np.ndarray:
-        """The rec_buckets bucket of combine(seed_s, salt, 0xB0, row,
-        idx_hash); indexing the (seed, salt, 0xB0, row) prefixes by s puts
-        the broadcast (salt, row) axes after those of s."""
-        return hx.bucket(hx.extend(self._prefix(salt, 0xB0, row)[s], idx_hash),
-                         self.cfg.rec_buckets)
+    def _buckets(self, salts, s, k, hk) -> np.ndarray:
+        """(*shape, rows) buckets of the node hashes hk in the bucketed l_p
+        sketches (sample s, salt salts[k]), with s, k and hk broadcast to
+        shape: the Count-Sketch bucket of hk in the rows combine(seed_s,
+        salt, 0xB0, row)."""
+        rows = np.arange(self.cfg.rec_rows, dtype=U64)
+        pre = self._prefix(np.asarray(salts, dtype=U64)[:, None], 0xB0, rows)
+        return _cs_buckets(pre[s, k], hk[..., None], self.cfg.rec_buckets)[..., 0]
 
-    def in_D(self, kappa: int, j, side, nodes=slice(None)) -> np.ndarray:
+    def in_D(self, kappa: int, j, side, nodes) -> np.ndarray:
         """(len(nodes), *broadcast(j, side).shape) membership of the nodes
-        (default all) in D_{kappa,j} (side 0) or D'_{kappa,j} (side 1)."""
+        in D_{kappa,j} (side 0) or D'_{kappa,j} (side 1)."""
         pre = self._prefix(0xDD, side, j)
         hk = self.hk_v[nodes].reshape((-1,) + (1,) * (pre.ndim - 1))
         return hx.uniform01(hx.extend(pre[self.ns[nodes]], hk)) < 2.0**-kappa
@@ -382,7 +379,7 @@ class _LevelStack:
             return out
         R = cfg.rec_rows
         rows = np.arange(R, dtype=U64)
-        b = self._row_bucket(self.hk_u[:, None], rows, 0x9A, self.us)
+        b = self._buckets([0x9A], self.us, 0, self.hk_u)
         keys = (self.us[:, None] * R + np.arange(R)) * cfg.rec_buckets + b  # (parents, R)
         act = np.flatnonzero(self.nx > 0)
         gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / cfg.p
@@ -411,11 +408,9 @@ class _LevelStack:
         side = np.arange(2, dtype=U64)
         rows = np.arange(R, dtype=U64)
         salt = (side * 131 + kappa * 17 + j)[..., None]  # (j, side, 1)
-        # bucket prefixes by (sample, sketch j * 2 + side, row)
-        pre = self._prefix(0x9B00 + salt, 0xB0, rows).reshape(len(self.seeds), 2 * J, R)
 
         def group_keys(s, sk, hk):  # (..., rows) keys of node hashes hk in sketches (s, sk)
-            b = hx.bucket(hx.extend(pre[s, sk], hk[..., None]), B)
+            b = self._buckets((0x9B00 + salt).ravel(), s, sk, hk)  # sketch j * 2 + side
             return ((s * 2 * J + sk)[..., None] * R + np.arange(R)) * B + b
 
         on = np.zeros(len(self.seeds), dtype=bool)
@@ -482,10 +477,9 @@ class _LevelStack:
         pt = np.arange(n.sum()) + np.repeat(self.pstart[s] - np.cumsum(n) + n, n)
         _, u, w, pfp = self.points.keys[pt].T
         hkv = self._node_hash(u, w, s[item])
-        pre = self._prefix(0x9C00 + sides, 0xB0, rows)  # (samples, side, row)
-        bv = hx.bucket(hx.extend(pre[s, side], hv[:, None]), cfg.rec_buckets)
-        in_bkt = hx.bucket(hx.extend(pre[s[item], side[item]], hkv[:, None]),
-                           cfg.rec_buckets) == bv[item]  # (pairs, rows)
+        salts = 0x9C00 + np.arange(2)  # by side
+        bv = self._buckets(salts, s, side, hv)
+        in_bkt = self._buckets(salts, s[item], side[item], hkv) == bv[item]  # (pairs, rows)
         sel = np.flatnonzero(in_bkt.any(axis=1))
         item, pt, in_bkt, hkv, pfp = item[sel], pt[sel], in_bkt[sel], hkv[sel], pfp[sel]
         ps = s[item]
@@ -552,67 +546,6 @@ class _LevelStack:
         return out
 
 
-class MstRepView(_LevelStack):
-    """Decode view of one (level, sample): the level stack of that sample
-    alone. Its methods -- parent and child recovery, the kappa scan, the
-    witness scans and the sampled tuple -- are one-sample calls of the
-    stacked stages, which decode every sample of a level at once."""
-
-    def __init__(self, state: _RepState, points: CountView):
-        super().__init__([state], [points])
-        self.st = state
-        self.nodes = CountView(self.keys, self.node_rows)
-
-    def parent_recover(self) -> Optional[int]:
-        """The non-empty parent maximizing |C(u)|/t_u, or None."""
-        return self.parents()[0]
-
-    def child_recover(self, u_star: int, kappa: int, j: int, side: int = 0) -> List[Tuple[int, int]]:
-        """Children of u_star whose bucket estimate clears the presence
-        threshold in the D_{kappa,j}-filtered sketch of the given side;
-        equals C(u*) cap D when 2^kappa >= |C(u*)|."""
-        cand = np.flatnonzero((self.u == u_star) & (self.nx > 0))
-        if len(cand) == 0:
-            return []
-        hit = self.children_present(cand, kappa)
-        return [tuple(k) for k in self.keys[cand[hit[:, j, side]]].tolist()]
-
-    def scan_children(self, u_star: int):
-        """(v*, v**) of the downward kappa scan under u_star, or FAIL."""
-        pair = self.scan([u_star])[0]
-        return FAIL if pair is FAIL else tuple(tuple(self.keys[v].tolist()) for v in pair)
-
-    def _witnesses(self, v_key: Tuple[int, int], side: int) -> np.ndarray:
-        hv = self._node_hash(U64(v_key[0]), U64(v_key[1]))
-        return self.witnesses(np.zeros(1, dtype=np.int64), np.atleast_1d(hv), np.array([side]))[0]
-
-    def _witness_buckets(self, hv, eta: int, side: int,
-                         chi_restricted: bool) -> List[Tuple[int, int, int]]:
-        """Per row, the (count, fpsum, fp2sum) triple of the bucket the node
-        hashed to hv falls into at level eta."""
-        k = int(chi_restricted)
-        cnt, fs, fs2 = (a[0, k, eta] for a in self.witness_triples(
-            np.zeros(1, dtype=np.int64), np.atleast_1d(U64(hv)), np.array([side])))
-        return [(int(c), int(f), int(f2)) for c, f, f2 in zip(cnt, fs, fs2)]
-
-    def child_representative(self, v_key: Tuple[int, int], side: int = 0):
-        """The representative token (fp, eta) of v_key, or FAIL."""
-        return _representative(self._witnesses(v_key, side))
-
-    def _witness_at(self, v_key, eta: int, side: int, chi_restricted: bool) -> List[int]:
-        """Fingerprints validated in v_key's bucket at level eta, in row
-        order."""
-        return [int(f) for f in self._witnesses(v_key, side)[int(chi_restricted), eta] if f]
-
-    def char_of_representative(self, v_key: Tuple[int, int], token, side: int = 0) -> int:
-        """chi of the token's point, read from the chi-restricted copy."""
-        return _character(self._witnesses(v_key, side), token)
-
-    def sample_tuple(self):
-        """(u*, v*, v**, token_v, token_v', chi_v, chi_v') or FAIL."""
-        return self.sample_tuples()[0]
-
-
 class MstSketch:
     """One-pass MST estimator (l0 per level plus t sampled tuples)."""
 
@@ -668,8 +601,8 @@ class MstSketch:
 
     @property
     def l0(self) -> List[L0Sketch]:
-        firsts = self.views([per_level[0] for per_level in self.reps])
-        return [self._l0(i, first) for i, first in enumerate(firsts, start=1)]
+        return [self._l0(i, self.views(per_level[:1])[0])
+                for i, per_level in enumerate(self.reps, start=1)]
 
     def level_counts(self) -> List[float]:
         return [l0.estimate() for l0 in self.l0]
@@ -696,13 +629,12 @@ class MstSketch:
     def estimate(self) -> float:
         if self.counts.total()[0] <= 0:
             raise ValueError("stream encodes an empty point set")
-        views = iter(self.views([rep for per_level in self.reps for rep in per_level]))
         total = 0.0
         for i, per_level in enumerate(self.reps, start=1):
-            level = [next(views) for _ in per_level]
-            ell = self._l0(i, level[0]).estimate()
+            views = self.views(per_level)  # one level's views at a time
+            ell = self._l0(i, views[0]).estimate()
             if ell > 1.5:
-                total += ell * (self.level_mu(i, level) + self.cfg.d / 2.0**i)
+                total += ell * (self.level_mu(i, views) + self.cfg.d / 2.0**i)
         return total
 
     def state_bytes(self) -> bytes:

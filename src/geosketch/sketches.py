@@ -294,14 +294,22 @@ class LinearSketch:
 # ---------------------------------------------------------------------------
 
 
+def _cs_buckets(rows_b: np.ndarray, hkeys: np.ndarray, buckets: int) -> np.ndarray:
+    """(..., rows, n) buckets of a batch of Count-Sketches for the keys
+    hashed to hkeys (..., n): extend(row state, key hash) picks each one,
+    from the row states (..., rows) combine(*seed words, row)."""
+    hk = np.asarray(hkeys, dtype=U64)[..., None, :]
+    return hx.bucket(hx.extend(rows_b[..., None], hk), buckets)
+
+
 def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray,
                buckets: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(..., rows, n) buckets and signs of a batch of Count-Sketches for the
-    keys hashed to hkeys (..., n): extend(row state, key hash) picks each
-    one, from the row states (..., rows) combine(*seed words, row)."""
-    hk = np.asarray(hkeys, dtype=U64)[..., None, :]
-    return (hx.bucket(hx.extend(rows_b[..., None], hk), buckets),
-            hx.sign_pm1(hx.extend(rows_s[..., None], hk)))
+    """(..., rows, n) buckets (`_cs_buckets`) and signs of a batch of
+    Count-Sketches, the signs picked the same way from the row states
+    rows_s."""
+    hk = np.asarray(hkeys, dtype=U64)
+    return (_cs_buckets(rows_b, hk, buckets),
+            hx.sign_pm1(hx.extend(rows_s[..., None], hk[..., None, :])))
 
 
 def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
@@ -513,10 +521,6 @@ class ExpScaler:
 
     def variates(self, indices: Sequence[Key]) -> np.ndarray:
         return hx.exp1(_hash_keys((self.seed, self._SALT), indices))
-
-    def variates_u64(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized variant for plain uint64 index arrays."""
-        return hx.exp1(hx.combine(self.seed, self._SALT, np.asarray(idx, dtype=U64)))
 
 
 def tail_truncated_norms(z: np.ndarray, beta: int) -> Tuple[float, float]:

@@ -71,11 +71,17 @@ def test_run_pads_dimension_to_power_of_two(tmp_path, capsys, kind, problem):
     ("+ A 0f\n+ A 1f\n+ B 2f\n", ["-"], "|A| = |B|"),
     ("+ A 0f\n+ B 1f\n", ["--config", "CFG", "-"], "unrecognized config kind 'foo'"),
     ("", ["MISSING"], "No such file"),
+    ("+ A 1\n+ B 2\n", ["--eps", "nan", "-"], "eps must be a finite number greater than 0"),
+    ("+ A 1\n+ B 2\n", ["--eps", "inf", "-"], "eps must be a finite number greater than 0"),
+    ("+ A 1\n+ B 2\n", ["--eps", "-1", "-"], "eps must be a finite number greater than 0"),
+    ("+ X 1\n+ X 2\n", ["--problem", "mst", "--eps", "nan", "-"], "eps must be a finite"),
 ])
 def test_bad_input_is_reported_without_traceback(tmp_path, stream, extra, message):
-    """Malformed streams, unbalanced A/B, an unknown config kind and a
-    missing stream file exit with status 2 and one `geosketch: error:` line
-    on stderr."""
+    """Malformed streams, unbalanced A/B, an unknown config kind, a missing
+    stream file and an --eps that is not a finite number above 0 (which
+    the report would print as invalid JSON, or which would lower an EMD
+    estimate) exit with status 2 and one `geosketch: error:` line on
+    stderr."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"kind": "foo"}')
     paths = {"CFG": str(cfg), "MISSING": str(tmp_path / "missing.txt")}
@@ -107,11 +113,16 @@ _EMD, _MST = {"kind": "emd-config", "version": 1}, {"kind": "mst-config", "versi
     ("emd", {**_EMD, "n": 4, "d": 4, "cs_buckets": 0}, "'cs_buckets' must be an integer in [1"),
     ("emd", {**_EMD, "n": 4, "d": 4, "n_sets": 0}, "'n_sets' must be an integer in [1"),
     ("emd", {**_EMD, "d": 4}, "missing field(s) 'n'"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "eps": float("nan")}, "'eps' must be a finite number"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "sampler_gamma": float("inf")},
+     "'sampler_gamma' must be a finite number"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "eps": -1}, "'eps' must be greater than 0"),
 ])
 def test_bad_config_is_reported_without_traceback(tmp_path, problem, config, message):
     """A config with an unknown field, one that is not a JSON object, a
-    missing field, or a count out of range exits with status 2 and one
-    `geosketch: error:` line naming it."""
+    missing field, a count out of range, a float field that is not finite
+    or an eps not above 0 exits with status 2 and one `geosketch: error:`
+    line naming it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     kind = "uniform" if problem == "mst" else "matched_noise"

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from geosketch import (
     FAIL,
     CharacterSet,
+    CountView,
     HypercubePoint,
     L0Sketch,
     aggregate,
     gen_instance,
-    MstRepView,
     MstSketch,
     MstSketchConfig,
     PointMultiset,
@@ -22,7 +22,7 @@ from geosketch import (
     value_mst,
 )
 from geosketch import mst_sketch
-from geosketch.mst_sketch import _LevelStack, _RepState, _point_fps
+from geosketch.mst_sketch import _LevelStack, _RepState, _character, _point_fps, _representative
 
 from conftest import random_multiset, store_sizes, view_dict, view_of
 
@@ -47,12 +47,13 @@ def feed(sk, X):
 
 
 def view_with_nodes(cfg, nodes, level=1, seed=7):
-    """A decode view of a bare replica with prescribed (u, w) -> count
-    nodes: each node holds one point entry of that net count and chi = -1."""
+    """A one-sample level stack of a bare replica with prescribed (u, w) ->
+    count nodes: each node holds one point entry of that net count and
+    chi = -1."""
     points = SparseCounts(2)
     for (u, w), cnt in nodes.items():
         points.add((u, w, 1), np.array([cnt, 0]))
-    view = MstRepView(_RepState(cfg, level, seed), view_of(points, k=3))
+    view = _LevelStack([_RepState(cfg, level, seed)], [view_of(points, k=3)])
     assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == nodes
     return view
 
@@ -118,7 +119,7 @@ def test_reference_upper_bounds_mst():
 
 def test_parent_recover_single_parent():
     cfg = small_cfg()
-    assert view_with_nodes(cfg, {(5, 1): 3, (5, 2): 1}).parent_recover() == 5
+    assert view_with_nodes(cfg, {(5, 1): 3, (5, 2): 1}).parents()[0] == 5
 
 
 def test_parent_recover_dominant_counts():
@@ -132,7 +133,7 @@ def test_parent_recover_dominant_counts():
         view = view_with_nodes(cfg, nodes, seed=s)
         # condition on favorable scalings: equal t makes |C|/t dominant
         view.t_u = np.ones(len(view.uu))
-        wins += view.parent_recover() == 1
+        wins += view.parents()[0] == 1
     assert wins >= 0.99 * trials, wins
 
 
@@ -163,7 +164,7 @@ def test_parent_recover_matches_exact_argmax_under_events():
         if order[0] < gap * order[1]:  # gap event fails: skip
             continue
         total += 1
-        hits += view.parent_recover() == int(view.uu[int(np.argmax(scaled))])
+        hits += view.parents()[0] == int(view.uu[int(np.argmax(scaled))])
     assert total >= 50
     assert hits >= 0.98 * total, (hits, total)
 
@@ -196,22 +197,29 @@ def test_child_recover_full_subsample_recovers_children():
         got = None
         for kappa in (0,):  # rate 1: D = everything
             for j in range(cfg.j_reps):
-                if view.in_D(kappa, j, 0).all():
-                    got = set(view.child_recover(1, kappa, j, 0))
+                if view.in_D(kappa, j, 0, slice(None)).all():
+                    got = set(_children(view, 1, kappa, j, 0))
                     break
-        if got is not None and got == {(1, w) for w in range(4)}:
+        if got is not None and got == set(np.flatnonzero(view.u == 1).tolist()):
             hits += 1
     assert hits >= 0.9 * trials, hits
 
 
+def _children(view, u_star, kappa, j, side):
+    """The node indices of the children of u_star whose presence the (kappa,
+    j, side) sketch of a one-sample stack detects."""
+    cand = np.flatnonzero((view.u == u_star) & (view.nx > 0))
+    return cand[view.children_present(cand, kappa)[:, j, side]].tolist()
+
+
 def _reference_scan(view, u_star):
-    """The scan spelled out with child_recover: down the kappas, per side the
+    """The scan spelled out with _children: down the kappas, per side the
     first j with a single hit; FAIL if no kappa gives both."""
     for kappa in range(view.cfg.kappa_max, -1, -1):
         picks = []
         for side in (0, 1):
             for j in range(view.cfg.j_reps):
-                got = view.child_recover(u_star, kappa, j, side)
+                got = _children(view, u_star, kappa, j, side)
                 if len(got) == 1:
                     picks.append(got[0])
                     break
@@ -232,13 +240,13 @@ def test_scan_children_matches_child_recover_reference():
         view = view_with_nodes(cfg, nodes, seed=s + 500)
         for u in map(int, view.uu):
             want = _reference_scan(view, u)
-            got = view.scan_children(u)
+            got = view.scan([u])[0]
             if want is FAIL:
                 assert got is FAIL
                 outcomes["fail"] += 1
             else:
                 assert got == want
-                assert all(v[0] == u for v in got)
+                assert all(view.u[v] == u for v in got)
                 outcomes["pair"] += 1
     assert outcomes["pair"] > 0 and outcomes["fail"] > 0, outcomes
 
@@ -250,11 +258,12 @@ def test_child_recover_empty_subsample():
     cfg = small_cfg(n=16, d=8)
     for seed in range(77, 87):
         view = view_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=seed)
-        empty = [k for k in range(cfg.kappa_max, -1, -1) if not view.in_D(k, 0, 0).any()]
+        empty = [k for k in range(cfg.kappa_max, -1, -1)
+                 if not view.in_D(k, 0, 0, slice(None)).any()]
         if empty:
             break
     assert empty, "no seed in 77..86 empties D at any kappa"
-    assert view.child_recover(1, empty[0], 0, 0) == []
+    assert _children(view, 1, empty[0], 0, 0) == []
 
 
 def test_child_pair_law_uniform():
@@ -290,25 +299,27 @@ def test_child_pair_law_uniform():
 
 
 def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
-    """Decode view of a replica over real points placed at prescribed (u, w)
-    nodes: (key, point, net) -> the entry (u, w, fp) -> [net, net * chi]."""
+    """A replica over real points placed at prescribed (u, w) nodes, (key,
+    point, net) -> the entry (u, w, fp) -> [net, net * chi], its one-sample
+    stack, and the validated witnesses of the first node (side 0)."""
     st = _RepState(cfg, level, seed)
     st.charset = charset or st.charset
     entries = SparseCounts(2)
     for key, p, c in points:
         entries.add((*key, _fp(st, p)), c * np.array([1, st.charset.eval(p) == 1]))
-    return MstRepView(st, view_of(entries, k=3))
+    stack = _LevelStack([st], [view_of(entries, k=3)])
+    return st, stack, stack.witnesses(np.array([0]), stack.hk_v[:1], np.array([0]))[0]
 
 
 def test_representative_singleton_found_at_eta_zero():
     cfg = small_cfg(n=8, d=8)
     x = pt([1, 0, 1, 0, 1, 0, 1, 0])
-    view = _witness_fixture(cfg, [((1, 10), x, 1)])
-    tok = view.child_representative((1, 10))
+    st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1)])
+    tok = _representative(fps)
     assert tok is not FAIL
     fp, eta = tok
     assert eta == 0
-    assert fp == _fp(view.st, x)
+    assert fp == _fp(st, x)
 
 
 def test_representative_two_points_balanced():
@@ -317,12 +328,12 @@ def test_representative_two_points_balanced():
     hits = {0: 0, 1: 0}
     succ = 0
     for s in range(2500):
-        view = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s)
-        tok = view.child_representative((1, 10))
+        st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s)
+        tok = _representative(fps)
         if tok is FAIL:
             continue
         succ += 1
-        hits[0 if tok[0] == _fp(view.st, x) else 1] += 1
+        hits[0 if tok[0] == _fp(st, x) else 1] += 1
     assert succ / 2500 >= 0.95
     frac = hits[0] / succ
     assert abs(frac - 0.5) < 0.05, frac
@@ -337,21 +348,19 @@ def test_representative_rejects_point_of_another_node():
     alien_alone = 0
     for s in range(40):
         # a sibling (1, w) that shares v's side-0 bucket in some row
-        probe = MstRepView(_RepState(cfg, 1, s), view_of(SparseCounts(2), k=3))
-        rows = np.arange(cfg.rec_rows, dtype=np.uint64)
+        probe = _LevelStack([_RepState(cfg, 1, s)], [view_of(SparseCounts(2), k=3)])
         ws = np.arange(11, 1000, dtype=np.uint64)
-        b_w = probe._row_bucket(probe._node_hash(np.uint64(1), ws[:, None]), rows, 0x9C00)
-        b_v = probe._row_bucket(probe._node_hash(np.uint64(1), np.uint64(10)), rows, 0x9C00)
+        b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), ws, 0))
+        b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), np.uint64(10), 0))
         other = (1, int(ws[np.argmax((b_w == b_v).any(axis=1))]))
-        view = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
-        fx, fz = _fp(view.st, x), _fp(view.st, z)
-        assert view.child_representative(v) == (fx, 0)
-        hv = view._node_hash(np.uint64(v[0]), np.uint64(v[1]))
+        # v sorts before other, so its witnesses are those of the first node
+        st, stack, fps = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
+        fx, fz = _fp(st, x), _fp(st, z)
+        assert _representative(fps) == (fx, 0)
+        cnt, fs, _ = stack.witness_triples(np.array([0]), stack.hk_v[:1], np.array([0]))
         for eta in range(cfg.eta_max + 1):
-            assert set(view._witness_at(v, eta, 0, chi_restricted=False)) <= {fx}
-            alien_alone += (1, fz) in [
-                (cnt, fs) for cnt, fs, _ in view._witness_buckets(hv, eta, 0, False)
-            ]
+            assert set(fps[0, eta].tolist()) <= {fx, 0}
+            alien_alone += (1, fz) in zip(cnt[0, 0, eta].tolist(), fs[0, 0, eta].tolist())
     # the guard was exercised: z sat alone in v's bucket in some (eta, row)
     assert alien_alone > 0
 
@@ -365,15 +374,15 @@ def test_char_of_representative_two_points_matches_direct_eval():
     trials = 200
     for s in range(trials):
         # a dense character, so that both signs occur across seeds
-        view = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s,
-                                charset=CharacterSet(cfg.d, 0.5, s))
-        tok = view.child_representative((1, 10))
+        st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s,
+                                      charset=CharacterSet(cfg.d, 0.5, s))
+        tok = _representative(fps)
         if tok is FAIL:
             continue
-        named = {_fp(view.st, x): x, _fp(view.st, y): y}[tok[0]]
-        want = view.st.charset.eval(named)
+        named = {_fp(st, x): x, _fp(st, y): y}[tok[0]]
+        want = st.charset.eval(named)
         minus += want == -1
-        agree += view.char_of_representative((1, 10), tok) == want
+        agree += _character(fps, tok) == want
     assert agree >= 0.98 * trials, agree
     assert minus >= 0.2 * trials, minus
 
@@ -384,11 +393,10 @@ def test_char_of_representative_matches_direct_eval():
     agree = 0
     trials = 200
     for s in range(trials):
-        view = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
-        tok = view.child_representative((1, 10))
+        st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
+        tok = _representative(fps)
         assert tok is not FAIL
-        got = view.char_of_representative((1, 10), tok)
-        agree += got == view.st.charset.eval(x)
+        agree += _character(fps, tok) == st.charset.eval(x)
     assert agree >= 0.98 * trials, agree
 
 
@@ -499,23 +507,25 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
     X = aggregate(gen_instance("uniform", 16, 16, 1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(16, 16, seed=0, samples=12, j_reps=1)), X)
 
+    def keyed(stack, pairs):
+        return [pair if pair is FAIL else tuple(tuple(stack.keys[v].tolist()) for v in pair)
+                for pair in pairs]
+
     def decode(i):
         stack = _LevelStack(sk.reps[i - 1], sk.views(sk.reps[i - 1]))
         u_stars = stack.parents()
-        pairs = [pair if pair is FAIL else tuple(tuple(stack.keys[v].tolist()) for v in pair)
-                 for pair in stack.scan(u_stars)]
-        return u_stars, pairs, stack.sample_tuples()
+        return u_stars, keyed(stack, stack.scan(u_stars)), stack.sample_tuples()
 
     levels = (2, 3, 4)
     whole = {i: decode(i) for i in levels}
     scans = {"pair": 0, "fail": 0}
     for i in levels:
         for k, (rep, points) in enumerate(zip(sk.reps[i - 1], sk.views(sk.reps[i - 1]))):
-            alone = MstRepView(rep, points)
+            alone = _LevelStack([rep], [points])
             u_star, pair, tup = (stage[k] for stage in whole[i])
-            assert alone.parent_recover() == u_star
-            assert alone.scan_children(u_star) == pair
-            assert alone.sample_tuple() == tup
+            assert alone.parents()[0] == u_star
+            assert keyed(alone, alone.scan([u_star])) == [pair]
+            assert alone.sample_tuples()[0] == tup
             scans["fail" if pair is FAIL else "pair"] += 1
     assert scans["pair"] > 0 and scans["fail"] > 0, scans
     mu = [sk.level_mu(i) for i in levels]
@@ -524,6 +534,25 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
         monkeypatch.setattr(mst_sketch, "_BLOCK_WORDS", words)
         assert {i: decode(i) for i in levels} == whole
         assert [sk.level_mu(i) for i in levels] == mu
+
+
+def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
+    """estimate, level_mu, level_counts and l0 build the views of a level
+    when they read it: no `views` call of the sketch gets the replicas of
+    two levels, and every level is read. The estimate is the pinned one."""
+    X = aggregate(gen_instance("uniform", 8, 8, 1).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
+    levels, views = [], MstSketch.views
+
+    def spy(self, reps):
+        levels.append({rep.level for rep in reps})
+        return views(self, reps)
+
+    monkeypatch.setattr(MstSketch, "views", spy)
+    assert sk.estimate().hex() == "0x1.b37caf8decf48p+6"
+    sk.level_mu(2), sk.level_counts(), sk.l0
+    assert all(len(lv) == 1 for lv in levels)
+    assert set.union(*levels) == set(range(1, sk.h + 1))
 
 
 def test_default_universe_fits_uint64():
@@ -619,7 +648,7 @@ def test_l0_views_equal_fed_reference():
                 assert l0.state_bytes() == f.state_bytes()
             assert sk.level_counts() == [f.estimate() for f in fed]
             zero_count_nodes += sum(
-                int((MstRepView(per_level[0], points).nodes.rows[:, 0] == 0).sum())
+                int((_LevelStack([per_level[0]], [points]).nx == 0).sum())
                 for per_level, points in zip(
                     sk.reps, sk.views([per_level[0] for per_level in sk.reps]))
             )
@@ -647,8 +676,8 @@ def test_node_counts_derived_from_point_entries():
             want_pts[(*key, _fp(rep, p))] = row
             want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
         assert view_dict(entries) == want_pts
-        view = MstRepView(rep, entries)
-        assert view_dict(view.nodes) == want_nodes
+        view = _LevelStack([rep], [entries])
+        assert view_dict(CountView(view.keys, view.node_rows)) == want_nodes
         assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == {
             k: r[0] for k, r in want_nodes.items()}
     left.merge(right)
@@ -666,7 +695,7 @@ def test_node_ids_above_2_63_stay_unsigned():
     keys = [k for points in views for k in points.keys.tolist()]
     assert min(min(k[:2]) for k in keys) >= 0
     assert max(max(k[:2]) for k in keys) >= 2**63
-    assert MstRepView(reps[0], views[0]).u.dtype == np.uint64
+    assert _LevelStack(reps[:1], views[:1]).u.dtype == np.uint64
     assert len(sk.state_bytes()) > 0
     assert math.isfinite(sk.estimate())
 
