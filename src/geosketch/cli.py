@@ -87,7 +87,8 @@ def run_estimator(
 ) -> EstimateReport:
     """Aggregate the stream (estimates are unchanged, by linearity), pad the
     points to a power-of-two dimension, run the requested estimator, and
-    optionally the exact oracle. The report keeps the input dimension."""
+    optionally the exact oracle. The report keeps the input dimension, and
+    for EMD the eps of the config the estimate used (`emd_config` if given)."""
     if not 0 < eps < math.inf:  # the report carries eps for either problem
         raise ValueError(f"eps must be a finite number greater than 0, got {eps!r}")
     t0 = time.monotonic()
@@ -134,7 +135,7 @@ def run_estimator(
         estimate=float(estimate),
         n=n,
         d=d,
-        eps=eps,
+        eps=cfg.eps if problem == "emd" else eps,  # the eps the estimate used
         seeds={"config": cfg.seed, "tree": sk.tree.seed},
         wall_time_s=round(time.monotonic() - t0, 6),
         exact=exact,

@@ -192,15 +192,18 @@ class UniverseMap:
         return self._ids(self._SALT_W, fp)
 
 
-def replica_node_ids(path: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
+def replica_node_ids(tree: QuadtreeSpec, X: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
     """(u, w), each (len(reps), n): each replica's ids (its `umap`, all of
     one size m) of the parent and the node at its `level` of the n points
-    with node paths `path` (n, h + 1, 2), in one hash call per id."""
+    with bits X (n, d), in one hash call per id. Only the depths the levels
+    of reps read are fingerprinted: i - 1 and i for each level i."""
     lv = np.array([rep.level for rep in reps], dtype=np.int64)
+    depths = np.union1d(lv - 1, lv)
+    fp = np.stack([tree.node_fingerprints(X, int(j)) for j in depths])
+    at = np.searchsorted(depths, lv)  # depth i - 1 sits just before depth i
     seeds = np.array([rep.umap.seed for rep in reps], dtype=U64)[:, None]
     umap = UniverseMap(reps[0].umap.m, seeds)
-    fp = path.swapaxes(0, 1)
-    return umap.u_of(fp[lv - 1]), umap.w_of(fp[lv])
+    return umap.u_of(fp[at - 1]), umap.w_of(fp[at])
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +554,6 @@ class _LsCells:
 # ---------------------------------------------------------------------------
 
 
-_LABEL_ROWS = {"A": np.array([1, 0], dtype=np.int64), "B": np.array([0, 1], dtype=np.int64)}
-
-
 class _EmdSketchBase:
     _KIND = 6  # of the serialized state
 
@@ -575,11 +575,12 @@ class _EmdSketchBase:
         self.counts = SparseCounts(2)  # packed point -> [net A, net B]
 
     def _add(self, store: SparseCounts, point: HypercubePoint, label: str, delta: int) -> None:
-        if label not in _LABEL_ROWS:
+        if label != "A" and label != "B":
             raise ValueError(f"label must be 'A' or 'B', got {label!r}")
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
-        store.add(point.value, int(delta) * _LABEL_ROWS[label])
+        delta = int(delta)
+        store.add(point.value, (delta, 0) if label == "A" else (0, delta))
 
     def views(self, counts: SparseCounts) -> List[List[CountView]]:
         """Every replica's counts, level by level, built from an aggregated
@@ -590,7 +591,7 @@ class _EmdSketchBase:
         values, ab = counts.sorted()
         X = values_to_matrix(values, self.cfg.d)
         reps = [rep for per_level in self.replicas for rep in per_level]
-        u, w = replica_node_ids(self.tree.node_path(X), reps)
+        u, w = replica_node_ids(self.tree, X, reps)
         plus = np.array([[cs.eval_matrix(X) == 1 for cs in rep.charsets] for rep in reps])
         plus = plus * ab.sum(axis=1)  # (replica, set, point)
         rows = np.concatenate(
@@ -601,7 +602,7 @@ class _EmdSketchBase:
 
     def _check_balanced(self) -> int:
         """|A|, which must equal |B|."""
-        n_a, n_b = map(int, self.counts.total())
+        n_a, n_b = self.counts.total()
         if n_a != n_b:
             raise ValueError(
                 f"stream does not encode equal-size multisets: |A|={n_a}, |B|={n_b}"

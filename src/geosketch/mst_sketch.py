@@ -581,11 +581,12 @@ class MstSketch:
     def views(self, reps: Sequence[_RepState]) -> List[CountView]:
         """The point entries (u, w, point fingerprint) -> [net, net * chi]
         of each replica in reps, built from the one count store in one
-        batch: one node path per distinct point, one hash call per id and
+        batch: the node fingerprints of each distinct point at the depths
+        i - 1 and i of the levels i of reps only, one hash call per id and
         per fingerprint for all replicas, and one grouped sum."""
         values, net = self.counts.sorted()
         X = values_to_matrix(values, self.cfg.d)
-        u, w = replica_node_ids(self.tree.node_path(X), reps)
+        u, w = replica_node_ids(self.tree, X, reps)
         pfp = _point_fps(np.array([rep.seed for rep in reps], dtype=U64)[:, None], values)
         plus = np.array([rep.charset.eval_matrix(X) == 1 for rep in reps])
         net = np.broadcast_to(net[:, 0], u.shape)

@@ -1,7 +1,9 @@
 """Reusable linear-sketch toolbox.
 
 State discipline: there is one count store, `SparseCounts`, which maps a key
-to a fixed-width int64 row and drops a row once it is all zero. Every sketch
+to a fixed-width row of Python ints (a tuple, checked against the int64
+range at every `add`, so an update makes no numpy call) and drops a row once
+it is all zero; it is read as an int64 matrix. Every sketch
 keeps its state in one such store, plus seeds. For the estimators that
 store is the aggregated input, the smallest exact state, not the paper's
 polylog-size sketch (a bounded mode is ROADMAP Direction 5). Accumulator
@@ -37,6 +39,7 @@ with one call per key width.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,6 +111,13 @@ def _hash_keys(prefix: tuple, keys: Keys) -> np.ndarray:
     return out
 
 
+def _bad_row(key: Key, row: tuple) -> Exception:
+    """The error for a row that its store's int64 check rejected."""
+    if all(isinstance(v, (int, np.integer)) for v in row):
+        return OverflowError(f"count row {list(row)} of key {key!r} leaves the int64 range")
+    return TypeError(f"count row {list(row)} of key {key!r} is not integer")
+
+
 def _encode_counts(width: int, words: Sequence[Sequence[int]], rows: np.ndarray) -> bytes:
     """The serialized counts: width, row count, then each (word count, key
     words, int64 row) record in the given order, little-endian."""
@@ -154,32 +164,62 @@ class CountView:
 
 
 class SparseCounts:
-    """Exact sparse counts: key -> fixed-width int64 row, the one count
-    store of the package. A row is dropped once it is all zero, so a store
-    depends on the net vector only, not on the order of the updates; `sorted`
-    and `to_bytes` list the rows in the canonical key order (`_key_words`)."""
+    """Exact sparse counts: key -> a row of `width` Python ints (a tuple),
+    the one count store of the package. A row is dropped once it is all
+    zero, so a store depends on the net vector only, not on the order of the
+    updates; `sorted` and `to_bytes` list the rows in the canonical key order
+    (`_key_words`) as an int64 matrix. Every entry stays in the int64 range:
+    `add` and `merge` check each sum before they write it. An update whose
+    delta is a tuple or an int makes no numpy call."""
 
-    __slots__ = ("width", "rows")
+    __slots__ = ("width", "rows", "_check")
 
     def __init__(self, width: int = 1):
         self.width = width
-        self.rows: Dict[Key, np.ndarray] = {}
+        self.rows: Dict[Key, Tuple[int, ...]] = {}
+        self._check = struct.Struct(f"<{width}q").pack  # struct.error outside int64
 
     def add(self, key: Key, delta) -> None:
-        """Add delta (a scalar or a row of the store's width) to key's row."""
+        """Add delta to key's row: a tuple of `width` ints, an integer added
+        to every column, or an integer numpy row. If an entry of the sum
+        leaves the int64 range, raise OverflowError naming the key and
+        change nothing."""
+        if type(delta) is not tuple or len(delta) != self.width:
+            delta = (delta,) * self.width if type(delta) is int else self._row(delta)
         row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = np.zeros(self.width, dtype=np.int64)
-        row += delta
-        if not row.any():
-            del self.rows[key]
+        new = delta if row is None else tuple(map(operator.add, row, delta))
+        if not any(new):
+            self.rows.pop(key, None)
+            return
+        try:
+            self._check(*new)
+        except struct.error:
+            raise _bad_row(key, new) from None
+        self.rows[key] = new
+
+    def _row(self, delta) -> Tuple[int, ...]:
+        """An integer or an integer row as a tuple of `width` ints."""
+        if isinstance(delta, (int, np.integer)):
+            return (int(delta),) * self.width
+        arr = np.asarray(delta)
+        if arr.dtype.kind not in "biu":
+            raise TypeError(f"a count delta must be an integer or an integer row, got {delta!r}")
+        if arr.shape != (self.width,):
+            raise ValueError(f"a count delta row must have {self.width} entries, got {delta!r}")
+        return tuple(map(int, arr.tolist()))
 
     def merge(self, other: "SparseCounts") -> None:
-        """Add another store of the same width."""
+        """Add another store of the same width; an OverflowError leaves
+        this store unchanged."""
         if other.width != self.width:
             raise ValueError("cannot merge count stores of different width")
-        for k, row in other.rows.items():
-            self.add(k, row)
+        before = dict(self.rows)  # the rows are tuples: a shallow copy restores
+        try:
+            for k, delta in other.rows.items():
+                self.add(k, delta)
+        except OverflowError:
+            self.rows = before
+            raise
 
     @staticmethod
     def grouped(keys: np.ndarray, rows: np.ndarray) -> List[CountView]:
@@ -194,15 +234,13 @@ class SparseCounts:
         cut = np.searchsorted(flat.keys[:, 0], np.arange(R + 1, dtype=U64))
         return [CountView(flat.keys[a:b, 1:], flat.rows[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
-    def total(self) -> np.ndarray:
+    def total(self) -> Tuple[int, ...]:
         """The column sums of the rows."""
-        return self._matrix(list(self.rows)).sum(axis=0)
+        return tuple(map(sum, zip(*self.rows.values()))) or (0,) * self.width
 
     def _matrix(self, keys: List[Key]) -> np.ndarray:
-        """The (len(keys), width) rows of the given keys."""
-        if not keys:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.concatenate([self.rows[k] for k in keys]).reshape(len(keys), self.width)
+        """The (len(keys), width) int64 rows of the given keys."""
+        return np.array([self.rows[k] for k in keys], dtype=np.int64).reshape(-1, self.width)
 
     def sorted(self) -> Tuple[List[Key], np.ndarray]:
         """Keys in canonical order and their (len, width) rows."""

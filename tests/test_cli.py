@@ -146,3 +146,19 @@ def test_mst_level_without_a_sample_exits_2(tmp_path):
     assert r.returncode == 2
     assert r.stderr == ("geosketch: error: all samples failed at level 1 (samples = 1); "
                         "raise `samples` in a --config file\n")
+
+
+def test_report_carries_the_config_eps(tmp_path, capsys):
+    """With --config the report's eps is the config's, which the estimate
+    used, not the --eps flag: the report equals that of `--eps 0.5`."""
+    stream = tmp_path / "s.txt"
+    stream.write_text(write_stream(gen_instance("matched_noise", 4, 4, seed=1).updates))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_EMD, "n": 4, "d": 4, "eps": 0.5}))
+    reports = []
+    for extra in (["--config", str(cfg)], ["--eps", "0.5"]):
+        assert main(["run", "--problem", "emd", *extra, str(stream)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    with_config, with_flag = reports
+    assert with_config["eps"] == 0.5
+    assert with_config["estimate"] == with_flag["estimate"]

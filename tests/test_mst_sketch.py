@@ -707,3 +707,30 @@ def test_config_rejects_n_beyond_stable_median_table():
     assert MstSketchConfig(n=2**25, d=8).L == 25
     with pytest.raises(ValueError, match=r"n <= 2\^25"):
         MstSketchConfig(n=2**25 + 1, d=8)
+
+
+def test_views_fingerprint_only_the_depths_of_their_level(monkeypatch):
+    """`views` fingerprints depths i - 1 and i for the replicas of level i,
+    and its views equal those built from the whole node path of every
+    point, bit for bit, also for replicas of mixed levels."""
+    sk = feed(MstSketch(small_cfg(n=16, d=8)), random_multiset(16, 8, 5))
+    depths = []
+    node_fingerprints = sk.tree.node_fingerprints
+    monkeypatch.setattr(sk.tree, "node_fingerprints",
+                        lambda X, j: depths.append(j) or node_fingerprints(X, j))
+    mixed = [sk.reps[0][0], sk.reps[-1][1], sk.reps[1][2]]
+    fast = []
+    for reps in [*sk.reps, mixed]:
+        depths.clear()
+        fast.append([v.to_bytes() for v in sk.views(reps)])
+        want = {r.level + k for r in reps for k in (-1, 0)}
+        assert sorted(depths) == sorted(want)
+
+    def full_path_ids(tree, X, reps):
+        path = tree.node_path(X)
+        return (np.stack([r.umap.u_of(path[:, r.level - 1]) for r in reps]),
+                np.stack([r.umap.w_of(path[:, r.level]) for r in reps]))
+
+    monkeypatch.setattr(mst_sketch, "replica_node_ids", full_path_ids)
+    slow = [[v.to_bytes() for v in sk.views(reps)] for reps in [*sk.reps, mixed]]
+    assert fast == slow

@@ -472,10 +472,56 @@ def test_sparse_counts_drop_zero_rows_and_merge():
     b.add(5, np.array([-1, 0]))
     b.add(7, 4)  # a scalar adds to every column
     a.merge(b)
-    assert a.rows.keys() == {5, 7}
-    assert a.rows[5].tolist() == [0, 1] and a.rows[7].tolist() == [4, 4]
+    keys, rows = a.sorted()
+    assert keys == [5, 7]
+    assert rows.tolist() == [[0, 1], [4, 4]]
     with pytest.raises(ValueError):
         a.merge(SparseCounts(3))
+
+
+def test_sparse_counts_delta_forms_give_equal_bytes():
+    """A delta added as an int, a numpy integer, an int64 row or a tuple
+    gives the same store, bit for bit."""
+    stores = []
+    for delta in (3, np.int64(3), np.array([3, 3], dtype=np.int64), (3, 3)):
+        st = SparseCounts(2)
+        st.add((1, 2), delta)
+        st.add(7, delta)
+        stores.append(st.to_bytes())
+    assert len(set(stores)) == 1
+    with pytest.raises(ValueError):
+        SparseCounts(2).add(1, (1, 2, 3))
+    for bad in (np.array([0.5, 1.0]), (0.5, 1)):
+        with pytest.raises(TypeError):
+            SparseCounts(2).add(1, bad)
+
+
+def test_sparse_counts_overflow_leaves_store_unchanged():
+    """A row whose sum leaves the int64 range raises OverflowError naming
+    its key, through add and through merge, and the store is unchanged; a
+    row that sums to zero is dropped."""
+    top = 2**63 - 1
+    a = SparseCounts(2)
+    a.add(5, (top, -3))
+    a.add(9, (1, 1))
+    before = a.to_bytes()
+    with pytest.raises(OverflowError, match="key 5"):
+        a.add(5, (1, 0))
+    with pytest.raises(OverflowError, match="key 11"):
+        a.add(11, 2**63)
+    b = SparseCounts(2)
+    b.add(9, (-1, -1))  # cancels key 9, but the merge fails at key 5
+    b.add(5, (0, -(2**63)))
+    with pytest.raises(OverflowError, match="key 5"):
+        a.merge(b)
+    assert a.to_bytes() == before
+    a.add(9, np.array([-1, -1]))
+    a.merge(SparseCounts(2))
+    assert a.sorted()[0] == [5] and a.total() == (top, -3)
+    b = SparseCounts(2)
+    b.add(5, (-top, 3))
+    a.merge(b)
+    assert len(a) == 0 and a.total() == (0, 0)
 
 
 def test_sparse_counts_grouped_equals_added_rows():
