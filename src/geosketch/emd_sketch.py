@@ -16,7 +16,7 @@ State discipline: the sketch keeps one `SparseCounts`, packed point ->
 [net |A| count, net |B| count], plus seeds (a two-pass sketch keeps a second
 one for pass 2); an update adds one row to it and writes nothing else. That
 store is the aggregated input, the smallest exact state, not the paper's
-polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every
+polylog-size sketch (a bounded mode is ROADMAP Direction 6). Every
 replica's counts are a view of it, built once per read for all replicas in
 one batch (`views`): a `CountView` whose sorted key array holds the
 universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
@@ -346,8 +346,7 @@ class _LevelReplica:
 
     def delta_sketch(self, q: CountView) -> CauchyL1Sketch:
         """The Delta-hat Cauchy l1 sketch of the discrepancies q."""
-        sk = CauchyL1Sketch(self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
-        return sk.with_counts(q)
+        return CauchyL1Sketch(q, self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
 
     def finalize_pass1(self, counts: CountView) -> None:
         """Build the Delta-hat sketch and the round-one l1 sampler of q per
@@ -356,11 +355,12 @@ class _LevelReplica:
         self.delta = self.delta_sketch(q)
         self.samplers = {
             (j, c): L1Sampler(
+                q,
                 int(hx.combine(self.seed, 0x2A, j, c)[()]),
                 rows=cfg.cs_rows,
                 buckets=cfg.sampler_buckets,
                 gamma=cfg.sampler_gamma,
-            ).with_counts(q)
+            )
             for j in range(cfg.n_sets)
             for c in range(cfg.n_inner)
         }

@@ -13,7 +13,7 @@ than the code (n > 2d) take unions of random cosets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -27,7 +27,7 @@ runs in (sign, log-magnitude) space.
 State: the sketch keeps one `SparseCounts`, packed point -> [net count],
 plus seeds; an update adds one row to it and writes nothing else. That store
 is the aggregated input, the smallest exact state, not the paper's
-polylog-size sketch (a bounded mode is ROADMAP Direction 5). Every (level,
+polylog-size sketch (a bounded mode is ROADMAP Direction 6). Every (level,
 sample) reads a view of it, built when its level is read, in one batch for
 the samples of that level (`views`): a `CountView` of the point entries
 (u, w, point fingerprint) -> [net, net * chi], sorted by key. The node
@@ -597,8 +597,8 @@ class MstSketch:
         """Level i's l0 sketch: the net node counts of the point entries
         `first` of its first sample, keyed by that sample's (u, w) ids."""
         nodes = CountView.summed(first.keys[:, :2], first.rows[:, :1])
-        return L0Sketch(int(hx.combine(self.cfg.seed, 0x10, i)[()]),
-                        buckets=self.cfg.l0_buckets).with_counts(nodes)
+        return L0Sketch(nodes, int(hx.combine(self.cfg.seed, 0x10, i)[()]),
+                        buckets=self.cfg.l0_buckets)
 
     @property
     def l0(self) -> List[L0Sketch]:

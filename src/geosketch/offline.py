@@ -13,7 +13,7 @@ with p_k the fraction of points in the node whose bit k is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

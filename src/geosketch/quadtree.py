@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .hashing import U64, bucket, combine, fingerprint_words
+from .hashing import bucket, combine, fingerprint_words
 from .points import HypercubePoint
 
 __all__ = ["QuadtreeSpec", "NodeId", "sample_quadtree", "node_at_depth", "lca_depth"]

@@ -3,15 +3,16 @@
 State discipline: there is one count store, `SparseCounts`, which maps a key
 to a fixed-width row of Python ints (a tuple, checked against the int64
 range at every `add`, so an update makes no numpy call) and drops a row once
-it is all zero; it is read as an int64 matrix. Every sketch
-keeps its state in one such store, plus seeds. For the estimators that
-store is the aggregated input, the smallest exact state, not the paper's
-polylog-size sketch (a bounded mode is ROADMAP Direction 5). Accumulator
-vectors -- the classical dense view -- are materialized on demand as a pure
-function of that state, in canonical key order. This keeps every state
-exactly linear: permuting, splitting or merging update streams yields
-bit-identical states and hence bit-identical estimates (floating-point
-accumulation in stream order could not promise that).
+it is all zero; it is read as an int64 matrix. An estimator keeps its state
+in one such store, plus seeds. That store is the aggregated input, the
+smallest exact state, not the paper's polylog-size sketch (a bounded mode is
+ROADMAP Direction 6). A sketch keeps no store: it is a seed, a shape and the
+width-1 counts it was built over, and it reads them. Accumulator vectors --
+the classical dense view -- are materialized on demand as a pure function of
+those counts, in canonical key order. This keeps every read exactly linear:
+permuting, splitting or merging update streams yields bit-identical counts
+and hence bit-identical estimates (floating-point accumulation in stream
+order could not promise that).
 
 Everything else is a view, not a second store. The estimators build every
 replica's counts from their one store once per read: `SparseCounts.grouped`
@@ -19,16 +20,16 @@ sums the rows of all replicas in one sort and one grouped sum, and slices
 each replica's `CountView` out of the result -- (n, k) uint64 key words in
 canonical order and (n, width) int64 rows, none all zero. Every reader
 takes those arrays as they are, and a sketch of a vector the estimators
-count exactly (Delta-hat, the round-one samplers, the per-level l0) takes
-a view with `with_counts`; a sketch reads a store or a view through the
-same `sorted`, `to_bytes` and `len`. The l1 sampler builds its Count-Sketch
-table and its Cauchy l1 sketch from its own counts. Each view has the keys
+count exactly (Delta-hat, the round-one samplers, the per-level l0) is built
+over such a view; a sketch reads a store or a view through the same
+`sorted` and `len`. The l1 sampler builds its Count-Sketch table and its
+Cauchy l1 sketch from those counts when it samples. Each view has the keys
 and the integers that feeding every update to it would have given.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
 encode with `_encode_counts`. It writes nothing that can be derived from
-the counts, so `state_bytes` holds no accumulator.
+the counts, so a serialized state holds no accumulator.
 
 Coefficients (Count-Sketch signs, Cauchy and p-stable scalars, exponential
 scalings) are derived from the seed and the index by keyed hashing, never
@@ -274,57 +275,20 @@ def encode_state(kind: int, shape: Sequence[int],
 
 
 class LinearSketch:
-    """Base class: a seed and the count store of the sketched vector."""
+    """Base class: a seed and the width-1 counts of the sketched vector, a
+    `SparseCounts` or a `CountView` given at construction. The sketch keeps
+    no store of its own and only reads those counts."""
 
-    _KIND = 0
-
-    def __init__(self, seed: int):
+    def __init__(self, counts: SparseCounts | CountView, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._counts = SparseCounts()
-
-    # -- state -------------------------------------------------------------
-    def update(self, index: Key, delta: int) -> None:
-        """Add delta to the implicit vector coordinate `index`."""
-        self._counts.add(index, int(delta))
-
-    def with_counts(self, counts: SparseCounts | CountView) -> "LinearSketch":
-        """Take the width-1 store or view `counts` as the state -- the state
-        that feeding its entries through update() gives -- and return self.
-        It is shared, not copied: the sketch is then a read-only view."""
-        self._counts = counts
-        return self
-
-    def merge(self, other: "LinearSketch") -> None:
-        """Add another state built with identical seeds/shape."""
-        if type(other) is not type(self) or other._shape() != self._shape():
-            raise ValueError("cannot merge sketches of different shape/seed")
-        self._counts.merge(other._counts)
-
-    def support_size(self) -> int:
-        return len(self._counts)
+        self.counts = counts
 
     def _sorted_items(self) -> Tuple[Keys, np.ndarray]:
-        keys, rows = self._counts.sorted()
+        keys, rows = self.counts.sorted()
         return keys, rows[:, 0].astype(np.float64)
 
     def _key_hashes(self, keys: Keys) -> np.ndarray:
         return _hash_keys((self.seed,), keys)
-
-    def _shape(self) -> tuple:
-        return (self.seed,)
-
-    def state_bytes(self) -> bytes:
-        return encode_state(self._KIND, self._shape(), [self._counts])
-
-    def _materialize(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self._shape() == other._shape()
-            and self._counts.to_bytes() == other._counts.to_bytes()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -378,42 +342,51 @@ def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray
     return _median(s * np.take_along_axis(table, b, axis=-1), -2)
 
 
+_CS_SALT_B = 0xC5B0
+_CS_SALT_S = 0xC551
+_CAUCHY_SALT = 0xCA0C
+
+
+def _sketch_coords(seed: int, rows: int, buckets: int,
+                   keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, n) buckets and signs at the keys of the Count-Sketch with this
+    seed and shape."""
+    r = np.arange(rows, dtype=U64)
+    return _cs_coords(hx.combine(_CS_SALT_B, r), hx.combine(_CS_SALT_S, r),
+                      _hash_keys((seed,), keys), buckets)
+
+
+def _cauchy_coefficients(seed: int, s: int, keys: Keys) -> np.ndarray:
+    """(s, n) Cauchy coefficients at the keys of the s-row l1 sketch with
+    this seed."""
+    r = np.arange(s, dtype=U64)[:, None]
+    return hx.cauchy(hx.combine(_CAUCHY_SALT, r, _hash_keys((seed,), keys)[None, :]))
+
+
 class CountSketch(LinearSketch):
     """Classic Count-Sketch: `rows` hash rows of `buckets` signed counters.
 
-    estimate(i) is the median over rows of sign(i) * bucket(h(i)); the error
-    is eps * ||x_{-1/eps^2}||_2 with high probability for buckets ~ 6/eps^2.
+    The estimate at i is the median over rows of sign(i) * bucket(h(i)); the
+    error is eps * ||x_{-1/eps^2}||_2 with high probability for buckets
+    ~ 6/eps^2.
     """
 
-    _KIND = 1
-    _SALT_B = 0xC5B0
-    _SALT_S = 0xC551
-
-    def __init__(self, rows: int, buckets: int, seed: int):
-        super().__init__(seed)
+    def __init__(self, counts: SparseCounts | CountView, rows: int, buckets: int, seed: int):
+        super().__init__(counts, seed)
         if rows < 1 or buckets < 1:
             raise ValueError("rows and buckets must be positive")
         self.rows = rows
         self.buckets = buckets
 
-    def _shape(self) -> tuple:
-        return (self.seed, self.rows, self.buckets)
-
-    def _coords(self, keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
-        r = np.arange(self.rows, dtype=U64)
-        return _cs_coords(hx.combine(self._SALT_B, r), hx.combine(self._SALT_S, r),
-                          self._key_hashes(keys), self.buckets)
-
     def _materialize(self) -> np.ndarray:
         keys, vals = self._sorted_items()
-        return _cs_table(*self._coords(keys), vals, self.buckets)
-
-    def estimate(self, index: Key) -> float:
-        return float(self.estimate_many([index])[0])
+        coords = _sketch_coords(self.seed, self.rows, self.buckets, keys)
+        return _cs_table(*coords, vals, self.buckets)
 
     def estimate_many(self, indices: Sequence[Key]) -> np.ndarray:
         """Median-of-rows estimates for a batch of indices."""
-        return _cs_estimates(self._materialize(), *self._coords(list(indices)))
+        coords = _sketch_coords(self.seed, self.rows, self.buckets, list(indices))
+        return _cs_estimates(self._materialize(), *coords)
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +398,17 @@ class CauchyL1Sketch(LinearSketch):
     """Indyk's l1 estimator: s Cauchy-weighted accumulators, report the
     median magnitude (median |Cauchy| = tan(pi/4) = 1, so no rescaling)."""
 
-    _KIND = 2
-    _SALT = 0xCA0C
-
-    def __init__(self, s: int, seed: int):
-        super().__init__(seed)
+    def __init__(self, counts: SparseCounts | CountView, s: int, seed: int):
+        super().__init__(counts, seed)
         if s < 1:
             raise ValueError("s must be positive")
         self.s = s
 
-    @classmethod
-    def for_accuracy(cls, eps: float, delta: float, seed: int) -> "CauchyL1Sketch":
-        s = max(8, math.ceil(8.0 * math.log(2.0 / delta) / eps**2))
-        return cls(s, seed)
-
-    def _shape(self) -> tuple:
-        return (self.seed, self.s)
-
-    def coefficients(self, indices: Keys) -> np.ndarray:
-        """(s, n) Cauchy coefficient matrix for the given indices."""
-        hk = self._key_hashes(indices)
-        r = np.arange(self.s, dtype=U64)[:, None]
-        return hx.cauchy(hx.combine(self._SALT, r, hk[None, :]))
-
     def _materialize(self) -> np.ndarray:
         keys, vals = self._sorted_items()
-        return self.coefficients(keys) @ vals if len(keys) else np.zeros(self.s)
+        if not len(keys):
+            return np.zeros(self.s)
+        return _cauchy_coefficients(self.seed, self.s, keys) @ vals
 
     def estimate(self) -> float:
         return float(np.median(np.abs(self._materialize())))
@@ -554,9 +512,6 @@ class ExpScaler:
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    def variate(self, index: Key) -> float:
-        return float(self.variates([index])[0])
-
     def variates(self, indices: Sequence[Key]) -> np.ndarray:
         return hx.exp1(_hash_keys((self.seed, self._SALT), indices))
 
@@ -590,33 +545,36 @@ class L1Sampler(LinearSketch):
     Conditioned on not failing, the returned index is distributed
     ~ |x_i| / ||x||_1 (the anti-rank law), up to recovery noise.
 
-    The count map of x is the whole state; the Count-Sketch and the Cauchy
-    l1 sketch are built from it when the sampler is read (`_views`).
+    The counts of x are all it reads: `sample` builds the Count-Sketch table
+    of the scaled vector and the Cauchy l1 sketch of x from them.
     """
 
-    _KIND = 4
     _SALT_EXP = 0x15A3
 
     def __init__(
         self,
+        counts: SparseCounts | CountView,
         seed: int,
         rows: int = 5,
         buckets: int = 256,
         gamma: float = 0.05,
         l1_rows: int = 128,
     ):
-        super().__init__(seed)
+        super().__init__(counts, seed)
         self.rows = rows
         self.buckets = buckets
         self.gamma = gamma
         self.l1_rows = l1_rows
         self.scaler = ExpScaler(int(hx.combine(self.seed, self._SALT_EXP)[()]))
-        # their seeds and shapes give the hashes of the Count-Sketch and l1 views
-        self._cs = CountSketch(rows, buckets, int(hx.combine(self.seed, 0xC5)[()]))
-        self._l1 = CauchyL1Sketch(l1_rows, int(hx.combine(self.seed, 0xCA)[()]))
+        self.cs_seed = int(hx.combine(self.seed, 0xC5)[()])
+        self.l1_seed = int(hx.combine(self.seed, 0xCA)[()])
 
-    def _shape(self) -> tuple:
-        return (self.seed, self.rows, self.buckets, self.l1_rows)
+    def state_bytes(self) -> bytes:
+        """The seed/shape words and the counts of x. No sketch of the package
+        serializes a sampler: this is kept, byte for byte, because
+        `perfbench/run.py` `state_size` sums it over the round-one samplers
+        of an `EmdTwoPassSketch`, which has no serializer of its own."""
+        return encode_state(4, (self.seed, self.rows, self.buckets, self.l1_rows), [self.counts])
 
     def _table(self, keys: Keys, vals: np.ndarray, coords) -> np.ndarray:
         """The Count-Sketch table of the scaled vector x_i / t_i at the
@@ -626,26 +584,17 @@ class L1Sampler(LinearSketch):
         inv_t = np.minimum(1.0 / self.scaler.variates(keys), _INV_EXP_CAP)
         return _cs_table(*coords, vals * np.round(inv_t * (1 << 20)), self.buckets)
 
-    def _views(self) -> Tuple[np.ndarray, CauchyL1Sketch]:
-        """The Count-Sketch table of the scaled vector and the Cauchy l1
-        sketch of x, built from the current count map."""
-        keys, vals = self._sorted_items()
-        return self._table(keys, vals, self._cs._coords(keys)), self._l1.with_counts(self._counts)
-
-    def _materialize(self) -> np.ndarray:
-        return self._views()[0]
-
     def sample(self):
         """Return an index (a view's key as a tuple of ints) or FAIL. The
         counts are read once: one sort, and one set of Count-Sketch coords
-        for both the table and its read; the l1 estimate is that of `_views`
-        on the same keys and values."""
+        for both the table and its read."""
         keys, vals = self._sorted_items()
         if not len(keys):
             return FAIL
-        coords = self._cs._coords(keys)
+        coords = _sketch_coords(self.cs_seed, self.rows, self.buckets, keys)
         est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
-        l1_hat = float(np.median(np.abs(self._l1.coefficients(keys) @ vals)))
+        l1 = _cauchy_coefficients(self.l1_seed, self.l1_rows, keys) @ vals
+        l1_hat = float(np.median(np.abs(l1)))
         top = int(np.argmax(est))
         best = est[top]
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
@@ -668,19 +617,16 @@ class L0Sketch(LinearSketch):
     0.7 * buckets is inverted by linear counting and inflated by 1.25, giving
     an estimate inside [c, 1.5c] with high probability."""
 
-    _KIND = 5
     _SALT_LVL = 0x10A0
     _SALT_BKT = 0x10A1
     _LOAD = 0.7
     _CENTER = 1.25
 
-    def __init__(self, seed: int, levels: int = 25, buckets: int = 4096):
-        super().__init__(seed)
+    def __init__(self, counts: SparseCounts | CountView, seed: int, levels: int = 25,
+                 buckets: int = 4096):
+        super().__init__(counts, seed)
         self.levels = levels
         self.buckets = buckets
-
-    def _shape(self) -> tuple:
-        return (self.seed, self.levels, self.buckets)
 
     def _materialize(self) -> np.ndarray:
         """Occupancy per level (the decoded view of the bucket tables)."""
@@ -697,7 +643,7 @@ class L0Sketch(LinearSketch):
         return occ
 
     def estimate(self) -> float:
-        if not self._counts:
+        if not self.counts:
             return 0.0
         occ = self._materialize()
         k = float(self.buckets)

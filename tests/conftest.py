@@ -6,8 +6,10 @@ import pytest
 
 from geosketch import hashing as hx
 from geosketch.hashing import U64
+from geosketch.sketches import _cauchy_coefficients, _sketch_coords
 from geosketch import (
-    CauchyL1Sketch, CountSketch, CountView, HypercubePoint, L1Sampler, PointMultiset,
+    FAIL, CauchyL1Sketch, CountSketch, CountView, ExpScaler, HypercubePoint, L1Sampler,
+    PointMultiset, SparseCounts,
 )
 
 
@@ -45,30 +47,67 @@ def rng():
     return np.random.default_rng(12345)
 
 
-class FedL1Sampler(L1Sampler):
-    """Reference l1 sampler that feeds its Count-Sketch of the scaled vector
-    and its Cauchy l1 sketch on every update, instead of building both from
-    its count map when it is read. L1Sampler must equal it bit for bit."""
+def counts_of(stream) -> SparseCounts:
+    """A width-1 store fed each (key, delta) of the stream in order."""
+    counts = SparseCounts()
+    for key, delta in stream:
+        counts.add(key, int(delta))
+    return counts
 
-    def __init__(self, seed, **kw):
-        super().__init__(seed, **kw)
-        self.cs = CountSketch(self.rows, self.buckets, int(hx.combine(seed, 0xC5)[()]))
-        self.l1 = CauchyL1Sketch(self.l1_rows, int(hx.combine(seed, 0xCA)[()]))
+
+class FedL1Sampler:
+    """Reference l1 sampler that feeds a store of x and a store of the
+    scaled integers x_i * round(min(1/t_i, 2^20) * 2^20) on every update,
+    and builds its Count-Sketch table and its Cauchy l1 sketch from them
+    when it is read, instead of scaling the counts of x there. L1Sampler
+    must equal it bit for bit."""
+
+    def __init__(self, seed, rows=5, buckets=256, gamma=0.05, l1_rows=128):
+        self.rows, self.buckets, self.gamma, self.l1_rows = rows, buckets, gamma, l1_rows
+        self.scaler = ExpScaler(int(hx.combine(seed, L1Sampler._SALT_EXP)[()]))
+        self.cs_seed = int(hx.combine(seed, 0xC5)[()])
+        self.l1_seed = int(hx.combine(seed, 0xCA)[()])
+        self.x, self.scaled = SparseCounts(), SparseCounts()
 
     def update(self, index, delta):
-        super().update(index, delta)
-        inv_t = min(1.0 / self.scaler.variate(index), 2.0**20)
-        self.cs.update(index, int(delta) * int(round(inv_t * (1 << 20))))
-        self.l1.update(index, delta)
+        self.x.add(index, int(delta))
+        inv_t = min(1.0 / float(self.scaler.variates([index])[0]), 2.0**20)
+        self.scaled.add(index, int(delta) * int(round(inv_t * (1 << 20))))
 
-    def _views(self):
-        return self.cs._materialize(), self.l1
+    def count_sketch(self) -> CountSketch:
+        return CountSketch(self.scaled, self.rows, self.buckets, self.cs_seed)
+
+    def l1(self) -> CauchyL1Sketch:
+        return CauchyL1Sketch(self.x, self.l1_rows, self.l1_seed)
+
+    def sample(self):
+        """The largest Count-Sketch estimate of the scaled vector if it
+        clears the mass and gap tests, otherwise FAIL."""
+        keys, _ = self.x.sorted()
+        if not keys:
+            return FAIL
+        est = np.abs(self.count_sketch().estimate_many(keys)) / float(1 << 20)
+        l1_hat = self.l1().estimate()
+        top = int(np.argmax(est))
+        second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
+        if est[top] < self.gamma * l1_hat or est[top] < (1.0 + self.gamma) * second:
+            return FAIL
+        return keys[top]
 
     @classmethod
     def like(cls, smp: L1Sampler) -> "FedL1Sampler":
         """An empty reference with the seed and shape of `smp`."""
         return cls(smp.seed, rows=smp.rows, buckets=smp.buckets, gamma=smp.gamma,
                    l1_rows=smp.l1_rows)
+
+
+def sampler_reads(smp: L1Sampler):
+    """The Count-Sketch table of the scaled vector and the Cauchy l1
+    accumulators of x that `smp.sample` reads, from the same helpers."""
+    keys, vals = smp._sorted_items()
+    coords = _sketch_coords(smp.cs_seed, smp.rows, smp.buckets, keys)
+    l1 = _cauchy_coefficients(smp.l1_seed, smp.l1_rows, keys) @ vals
+    return smp._table(keys, vals, coords), l1
 
 
 def store_sizes(blob: bytes):

@@ -26,7 +26,8 @@ from geosketch import emd_sketch
 from geosketch.emd_sketch import expected_split_probability, log2n
 
 from conftest import (
-    FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, store_sizes,
+    FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, sampler_reads,
+    store_sizes,
     view_of,
 )
 
@@ -624,10 +625,10 @@ def _node_key(tree, rep, p):
 def test_replica_views_equal_fed_reference():
     """Every replica's view of the counts equals a count store fed (key,
     delta * row) update by update, and the Delta-hat sketch and every
-    round-one sampler built from it equal sketches of the same type and seed
-    fed (key, +-delta) (the same materialized accumulators and tables, state
-    bytes and samples): read after half the stream, after the rest, and by a
-    second finalize_pass1."""
+    round-one sampler built from it equal a Cauchy sketch of the same seed
+    over a store fed (key, +-delta) and references fed the same (the same
+    materialized accumulators and tables, counts and samples): read after
+    half the stream, after the rest, and by a second finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
         sk = EmdTwoPassSketch(cfg)
@@ -635,7 +636,7 @@ def test_replica_views_equal_fed_reference():
         fed, fed_counts = [], [SparseCounts(2 + cfg.n_sets) for _ in reps]
         for rep in reps:
             rep.finalize_pass1(view_of(SparseCounts(2 + cfg.n_sets)))
-            fed.append((CauchyL1Sketch(rep.delta.s, rep.delta.seed),
+            fed.append((SparseCounts(),
                         {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()}))
         ups = _turnstile_stream(np.random.default_rng(s), cfg.d, 30)
         cut = len(ups) // 2
@@ -646,22 +647,23 @@ def test_replica_views_equal_fed_reference():
                     key = _node_key(sk.tree, rep, p)
                     chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
                     counts.add(key, c * np.array([label == "A", label == "B", *chi_plus]))
-                    delta.update(key, c if label == "A" else -c)
+                    delta.add(key, c if label == "A" else -c)
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
             views = [v for per_level in sk.views(sk.counts) for v in per_level]
             assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
-                assert np.array_equal(rep.delta._materialize(), delta._materialize())
-                assert rep.delta.state_bytes() == delta.state_bytes()
-                assert rep.delta.estimate() == delta.estimate()
+                fed_delta = CauchyL1Sketch(delta, rep.delta.s, rep.delta.seed)
+                assert np.array_equal(rep.delta._materialize(), fed_delta._materialize())
+                assert rep.delta.counts.to_bytes() == delta.to_bytes()
+                assert rep.delta.estimate() == fed_delta.estimate()
                 for jc, f in smps.items():
-                    assert np.array_equal(rep.samplers[jc]._materialize(), f._materialize())
-                    assert np.array_equal(rep.samplers[jc]._views()[1]._materialize(),
-                                          f._views()[1]._materialize())
-                got = {jc: smp.state_bytes() for jc, smp in rep.samplers.items()}
-                assert got == {jc: f.state_bytes() for jc, f in smps.items()}
+                    table, l1 = sampler_reads(rep.samplers[jc])
+                    assert np.array_equal(table, f.count_sketch()._materialize())
+                    assert np.array_equal(l1, f.l1()._materialize())
+                got = {jc: smp.counts.to_bytes() for jc, smp in rep.samplers.items()}
+                assert got == {jc: f.x.to_bytes() for jc, f in smps.items()}
         sk.finalize_pass1()
         sampled = [dict(rep.sampled) for rep in reps]
         assert sampled == [{jc: f.sample() for jc, f in smps.items()} for _, smps in fed]

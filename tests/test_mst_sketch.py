@@ -626,7 +626,7 @@ def test_l0_views_equal_fed_reference():
         rng = np.random.default_rng(s)
         # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
         sk = MstSketch(small_cfg(seed=s, n=2))
-        fed = [L0Sketch(l0.seed, levels=l0.levels, buckets=l0.buckets) for l0 in sk.l0]
+        fed = [SparseCounts() for _ in sk.l0]
         # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
         # holding both, and leave chi counts there when chi(x) != chi(y)
         ups = []
@@ -642,11 +642,13 @@ def test_l0_views_equal_fed_reference():
             for p, c in part:
                 sk.update(p, c)
                 for f, per_level in zip(fed, sk.reps):
-                    f.update(_node_key(sk.tree, per_level[0], p), c)
-            for l0, f in zip(sk.l0, fed):
+                    f.add(_node_key(sk.tree, per_level[0], p), c)
+            fed_l0 = [L0Sketch(f, l0.seed, levels=l0.levels, buckets=l0.buckets)
+                      for l0, f in zip(sk.l0, fed)]
+            for l0, f in zip(sk.l0, fed_l0):
                 assert np.array_equal(l0._materialize(), f._materialize())
-                assert l0.state_bytes() == f.state_bytes()
-            assert sk.level_counts() == [f.estimate() for f in fed]
+                assert l0.counts.to_bytes() == f.counts.to_bytes()
+            assert sk.level_counts() == [f.estimate() for f in fed_l0]
             zero_count_nodes += sum(
                 int((_LevelStack([per_level[0]], [points]).nx == 0).sum())
                 for per_level, points in zip(
