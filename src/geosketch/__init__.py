@@ -1,7 +1,7 @@
 """geosketch: streaming geometric estimation over the hypercube.
 
 Quadtree-based approximation of Earth Mover's Distance and minimum spanning
-tree cost in the turnstile model, with the underlying linear-sketch toolbox,
+tree cost in the turnstile model, with the linear sketches it reads,
 exact offline oracles, instance generators and a stream CLI.
 """
 
@@ -23,17 +23,13 @@ from .offline import (
 )
 from .sketches import (
     FAIL,
-    CauchyL1Sketch,
-    CountSketch,
     CountView,
-    ExpScaler,
-    L0Sketch,
     L1Sampler,
     SparseCounts,
+    cauchy_l1,
     encode_state,
-    sample_p_stable,
+    l0_estimate,
     stable_median,
-    tail_truncated_norms,
 )
 from .embedding import EmbeddingFamily, embed_point, sample_embedding
 from .emd_sketch import (
@@ -68,9 +64,8 @@ __all__ = [
     "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
     "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
     "total_inspector_payment", "value_emd", "value_mst",
-    "FAIL", "CauchyL1Sketch", "CountSketch", "CountView", "ExpScaler", "L0Sketch",
-    "L1Sampler", "SparseCounts", "encode_state", "sample_p_stable", "stable_median",
-    "tail_truncated_norms",
+    "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
+    "l0_estimate", "stable_median",
     "EmbeddingFamily", "embed_point", "sample_embedding",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
     "UniverseMap", "reference_I_i", "split_probability",

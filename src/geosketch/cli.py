@@ -145,7 +145,11 @@ def run_estimator(
 
 
 def _read_updates(path: str, fmt: str) -> List[TurnstileUpdate]:
-    data = sys.stdin.buffer.read() if path == "-" else open(path, "rb").read()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
     if fmt == "bin" or (fmt == "auto" and data[:4] == b"GSK1"):
         return parse_stream_binary(data)
     return parse_stream(data)
@@ -155,12 +159,16 @@ def _cmd_run(args) -> int:
     seed = int(os.environ.get("GEOSKETCH_SEED", args.seed))
     emd_cfg = mst_cfg = None
     if args.config:
-        obj = json.loads(open(args.config).read())
+        with open(args.config) as f:
+            obj = json.load(f)
         if not isinstance(obj, dict):
             raise ValueError("a --config file must hold a JSON object")
         kind = obj.get("kind")
         if kind not in ("emd-config", "mst-config"):
             raise ValueError(f"unrecognized config kind {kind!r}")
+        if kind != f"{args.problem}-config":
+            raise ValueError(f"--config holds an {kind}, which --problem {args.problem} "
+                             f"cannot use")
         if "GEOSKETCH_SEED" in os.environ:
             obj["seed"] = seed
         if kind == "emd-config":
@@ -209,18 +217,14 @@ def _cmd_gen(args) -> int:
     inst = gen_instance(args.kind, args.n, args.d, args.seed, **params)
     comments = [f"{k}={v}" for k, v in inst.meta.items()]
     if args.format == "bin":
-        blob = write_stream_binary(inst.updates)
-        out = sys.stdout.buffer if args.out is None else open(args.out, "wb")
-        out.write(blob)
-        if args.out is not None:
-            out.close()
+        data, mode, stdout = write_stream_binary(inst.updates), "wb", sys.stdout.buffer
     else:
-        text = write_stream(inst.updates, comments=comments)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as f:
-                f.write(text)
+        data, mode, stdout = write_stream(inst.updates, comments=comments), "w", sys.stdout
+    if args.out is None:
+        stdout.write(data)
+    else:
+        with open(args.out, mode) as f:
+            f.write(data)
     return 0
 
 

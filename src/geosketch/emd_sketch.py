@@ -21,11 +21,12 @@ replica's counts are a view of it, built once per read for all replicas in
 one batch (`views`): a `CountView` whose sorted key array holds the
 universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
 character set the positive-parity count. Every reader takes those arrays
-directly, and every sketch of a level is a view of them, built in
-canonical order: the LS1/LS2/LS3 Count-Sketch tables, the Delta-hat Cauchy
-sketch and the round-one l1 samplers (both of the node discrepancy
-q_v = |A_v| - |B_v|), and the round-two counters, sums of the pass-2 view
-at each sampled edge. By linearity the result is identical to eager
+directly, and every sketch of a level is a function of them, built in
+canonical order: the LS1/LS2/LS3 Count-Sketch tables, Delta-hat (the
+`cauchy_l1` estimate) and the round-one l1 samplers (both of the node
+discrepancy q_v = |A_v| - |B_v|), and the round-two counters, sums of the
+pass-2 view at each sampled edge. A two-pass replica keeps Delta-hat as a
+float from pass 1. By linearity the result is identical to eager
 per-update accumulation, but states merge and replay bit-for-bit. Node ids
 are uint64 throughout. `state_bytes` is `encode_state` of the one store.
 
@@ -55,7 +56,6 @@ from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import _decompose_pair
 from .sketches import (
     FAIL,
-    CauchyL1Sketch,
     CountView,
     L1Sampler,
     SparseCounts,
@@ -64,6 +64,7 @@ from .sketches import (
     _cs_table,
     _median,
     _scatter_sum,
+    cauchy_l1,
     encode_state,
 )
 
@@ -320,8 +321,9 @@ class EmdSketchConfig:
 class _LevelReplica:
     """Seeds, universe map and character sets of one (level, replica). Its
     counts, (u, w) -> [|A_v|, |B_v|, chi-plus count per set], are a view the
-    sketch passes in when it is read. A two-pass replica keeps its round-one
-    views, samples and round-two counters from `finalize_pass1` on."""
+    sketch passes in when it is read. A two-pass replica keeps Delta-hat,
+    its round-one samplers, samples and round-two counters from
+    `finalize_pass1` on."""
 
     def __init__(self, cfg: EmdSketchConfig, level: int, seed: int):
         self.cfg = cfg
@@ -332,7 +334,7 @@ class _LevelReplica:
             CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4, j)[()]))
             for j in range(cfg.n_sets)
         ]
-        self.delta: Optional[CauchyL1Sketch] = None
+        self.delta: Optional[float] = None  # Delta-hat of pass 1
         self.samplers: Dict[Tuple[int, int], L1Sampler] = {}
         self.sampled: Dict[Tuple[int, int], object] = {}
         self.pass2_counters: Dict[Tuple[int, int], np.ndarray] = {}
@@ -344,15 +346,15 @@ class _LevelReplica:
         that Delta-hat and the round-one samplers sketch."""
         return CountView.summed(counts.keys, counts.rows[:, :1] - counts.rows[:, 1:2])
 
-    def delta_sketch(self, q: CountView) -> CauchyL1Sketch:
-        """The Delta-hat Cauchy l1 sketch of the discrepancies q."""
-        return CauchyL1Sketch(q, self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
+    def delta_hat(self, q: CountView) -> float:
+        """Delta-hat: the Cauchy l1 estimate of the discrepancies q."""
+        return cauchy_l1(q, self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
 
     def finalize_pass1(self, counts: CountView) -> None:
-        """Build the Delta-hat sketch and the round-one l1 sampler of q per
+        """Estimate Delta-hat and build the round-one l1 sampler of q per
         (set, inner copy) from the pass-1 counts, and draw every sample."""
         q, cfg = self.discrepancies(counts), self.cfg
-        self.delta = self.delta_sketch(q)
+        self.delta = self.delta_hat(q)
         self.samplers = {
             (j, c): L1Sampler(
                 q,
@@ -465,12 +467,12 @@ class _LevelReplica:
         two-pass mode (Delta-hat then comes from `finalize_pass1`)."""
         cfg = self.cfg
         if mode == "one_pass":
-            delta_hat = self.delta_sketch(self.discrepancies(counts)).estimate()
+            delta_hat = self.delta_hat(self.discrepancies(counts))
             if delta_hat < cfg.delta_threshold():
                 return 0.0
             etas = self.one_round_estimates(counts)
         else:
-            delta_hat = self.delta.estimate()
+            delta_hat = self.delta
             if delta_hat == 0.0:
                 return 0.0
             etas = [e for e in self.two_round_estimates(counts) if e is not None] or [0.0]
@@ -557,7 +559,7 @@ class _LsCells:
 class _EmdSketchBase:
     _KIND = 6  # of the serialized state
 
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec]):
+    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
         self.cfg = cfg
         self.tree = tree if tree is not None else sample_quadtree(
             cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()])
@@ -612,9 +614,6 @@ class _EmdSketchBase:
 
 class EmdOnePassSketch(_EmdSketchBase):
     """One-pass estimator: eta = sum_i median-of-replicas eta_i + eps*n*d."""
-
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
-        super().__init__(cfg, tree)
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         self._add(self.counts, point, label, delta)

@@ -33,11 +33,11 @@ the samples of that level (`views`): a `CountView` of the point entries
 (u, w, point fingerprint) -> [net, net * chi], sorted by key. The node
 counts [sum net, sum net * chi] per universe-reduced node (u, w) are one
 grouped sum of those sorted arrays (a node's entries are adjacent), the
-witness arrays are columns of them, and every sketch is a view
-materialized from them (bit-identical under permutation and merge): the
-recovery and witness sketches of each sample, and the per-level l0
-sketch, which is keyed by the node ids of the level's first sample. Node
-ids are uint64 throughout. `state_bytes` is `encode_state` of the one
+witness arrays are columns of them, and every sketch is a function of
+them (bit-identical under permutation and merge): the recovery and
+witness sketches of each sample, and the per-level l0 estimate
+(`l0_estimate`) of the node counts of the level's first sample. Node ids
+are uint64 throughout. `state_bytes` is `encode_state` of the one
 store.
 
 The samples of a level are decoded as one stack, one call per stage for
@@ -72,8 +72,8 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, CountView, L0Sketch, SparseCounts, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys,
-    encode_state, stable_median,
+    FAIL, CountView, SparseCounts, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys,
+    encode_state, l0_estimate, stable_median,
 )
 from .emd_sketch import (
     CharacterSet, UniverseMap, check_config, config_from_json, default_universe_m, log2n,
@@ -593,20 +593,20 @@ class MstSketch:
         return SparseCounts.grouped(np.stack([u, w, pfp], axis=2),
                                     np.stack([net, net * plus], axis=2))
 
-    def _l0(self, i: int, first: CountView) -> L0Sketch:
-        """Level i's l0 sketch: the net node counts of the point entries
-        `first` of its first sample, keyed by that sample's (u, w) ids."""
-        nodes = CountView.summed(first.keys[:, :2], first.rows[:, :1])
-        return L0Sketch(nodes, int(hx.combine(self.cfg.seed, 0x10, i)[()]),
-                        buckets=self.cfg.l0_buckets)
+    @staticmethod
+    def _node_counts(first: CountView) -> CountView:
+        """The net node counts of the point entries `first` of a level's
+        first sample, keyed by that sample's (u, w) ids."""
+        return CountView.summed(first.keys[:, :2], first.rows[:, :1])
 
-    @property
-    def l0(self) -> List[L0Sketch]:
-        return [self._l0(i, self.views(per_level[:1])[0])
-                for i, per_level in enumerate(self.reps, start=1)]
+    def _l0(self, i: int, first: CountView) -> float:
+        """Level i's l0 estimate |L_i|-hat, of the node counts of `first`."""
+        return l0_estimate(self._node_counts(first), int(hx.combine(self.cfg.seed, 0x10, i)[()]),
+                           self.cfg.l0_buckets)
 
     def level_counts(self) -> List[float]:
-        return [l0.estimate() for l0 in self.l0]
+        return [self._l0(i, self.views(per_level[:1])[0])
+                for i, per_level in enumerate(self.reps, start=1)]
 
     def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
@@ -633,7 +633,7 @@ class MstSketch:
         total = 0.0
         for i, per_level in enumerate(self.reps, start=1):
             views = self.views(per_level)  # one level's views at a time
-            ell = self._l0(i, views[0]).estimate()
+            ell = self._l0(i, views[0])
             if ell > 1.5:
                 total += ell * (self.level_mu(i, views) + self.cfg.d / 2.0**i)
         return total

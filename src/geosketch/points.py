@@ -57,12 +57,6 @@ class HypercubePoint:
         nib = (self.d + 3) // 4
         return format(self.value << (nib * 4 - self.d), f"0{nib}x")
 
-    def bit(self, k: int) -> int:
-        """Value of coordinate k (0-indexed from the left)."""
-        if not 0 <= k < self.d:
-            raise IndexError(k)
-        return (self.value >> (self.d - 1 - k)) & 1
-
     def bits(self) -> np.ndarray:
         """Coordinates as a uint8 array of length d."""
         out = np.empty(self.d, dtype=np.uint8)

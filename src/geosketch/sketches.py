@@ -1,4 +1,4 @@
-"""Reusable linear-sketch toolbox.
+"""Linear sketches as functions of the counts they read.
 
 State discipline: there is one count store, `SparseCounts`, which maps a key
 to a fixed-width row of Python ints (a tuple, checked against the int64
@@ -6,25 +6,26 @@ range at every `add`, so an update makes no numpy call) and drops a row once
 it is all zero; it is read as an int64 matrix. An estimator keeps its state
 in one such store, plus seeds. That store is the aggregated input, the
 smallest exact state, not the paper's polylog-size sketch (a bounded mode is
-ROADMAP Direction 6). A sketch keeps no store: it is a seed, a shape and the
-width-1 counts it was built over, and it reads them. Accumulator vectors --
-the classical dense view -- are materialized on demand as a pure function of
-those counts, in canonical key order. This keeps every read exactly linear:
-permuting, splitting or merging update streams yields bit-identical counts
-and hence bit-identical estimates (floating-point accumulation in stream
-order could not promise that).
+ROADMAP Direction 6). A sketch keeps no state: it is a function of width-1
+counts, a seed and a shape (`cauchy_l1`, `l0_estimate`, `L1Sampler.sample`),
+which builds its accumulators -- the classical dense view -- from those
+counts in canonical key order each time it is read. This keeps every read
+exactly linear: permuting, splitting or merging update streams yields
+bit-identical counts and hence bit-identical estimates (floating-point
+accumulation in stream order could not promise that).
 
 Everything else is a view, not a second store. The estimators build every
 replica's counts from their one store once per read: `SparseCounts.grouped`
 sums the rows of all replicas in one sort and one grouped sum, and slices
 each replica's `CountView` out of the result -- (n, k) uint64 key words in
 canonical order and (n, width) int64 rows, none all zero. Every reader
-takes those arrays as they are, and a sketch of a vector the estimators
-count exactly (Delta-hat, the round-one samplers, the per-level l0) is built
-over such a view; a sketch reads a store or a view through the same
-`sorted` and `len`. The l1 sampler builds its Count-Sketch table and its
-Cauchy l1 sketch from those counts when it samples. Each view has the keys
-and the integers that feeding every update to it would have given.
+takes those arrays as they are. The vectors the estimators count exactly
+(the node discrepancies of Delta-hat and the round-one samplers, the
+per-level node counts of l0) are such views, and a sketch reads a store or
+a view through the same `sorted` and `len`. Each view has the keys and the
+integers that feeding every update to it would have given. `L1Sampler` is
+the one sketch kept as an object: a seed, a shape and its counts, from
+which `sample` builds its Count-Sketch table and its Cauchy l1 estimate.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
@@ -57,14 +58,10 @@ __all__ = [
     "SparseCounts",
     "CountView",
     "encode_state",
-    "CountSketch",
-    "CauchyL1Sketch",
-    "ExpScaler",
+    "cauchy_l1",
+    "l0_estimate",
     "L1Sampler",
-    "L0Sketch",
-    "sample_p_stable",
     "stable_median",
-    "tail_truncated_norms",
     "FAIL",
 ]
 
@@ -274,25 +271,15 @@ def encode_state(kind: int, shape: Sequence[int],
     return head + b"".join(st.to_bytes() for st in stores)
 
 
-class LinearSketch:
-    """Base class: a seed and the width-1 counts of the sketched vector, a
-    `SparseCounts` or a `CountView` given at construction. The sketch keeps
-    no store of its own and only reads those counts."""
-
-    def __init__(self, counts: SparseCounts | CountView, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counts = counts
-
-    def _sorted_items(self) -> Tuple[Keys, np.ndarray]:
-        keys, rows = self.counts.sorted()
-        return keys, rows[:, 0].astype(np.float64)
-
-    def _key_hashes(self, keys: Keys) -> np.ndarray:
-        return _hash_keys((self.seed,), keys)
+def _sorted_values(counts: SparseCounts | CountView) -> Tuple[Keys, np.ndarray]:
+    """The keys of width-1 counts in canonical order, and their values as
+    float64."""
+    keys, rows = counts.sorted()
+    return keys, rows[:, 0].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
-# Count-Sketch
+# Count-Sketch and the Cauchy l1 estimate
 # ---------------------------------------------------------------------------
 
 
@@ -350,7 +337,9 @@ _CAUCHY_SALT = 0xCA0C
 def _sketch_coords(seed: int, rows: int, buckets: int,
                    keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, n) buckets and signs at the keys of the Count-Sketch with this
-    seed and shape."""
+    seed and shape. Its estimate at i, the median over rows of
+    sign(i) * bucket(h(i)), is within eps * ||x_{-1/eps^2}||_2 of x_i with
+    high probability for buckets ~ 6/eps^2."""
     r = np.arange(rows, dtype=U64)
     return _cs_coords(hx.combine(_CS_SALT_B, r), hx.combine(_CS_SALT_S, r),
                       _hash_keys((seed,), keys), buckets)
@@ -363,55 +352,12 @@ def _cauchy_coefficients(seed: int, s: int, keys: Keys) -> np.ndarray:
     return hx.cauchy(hx.combine(_CAUCHY_SALT, r, _hash_keys((seed,), keys)[None, :]))
 
 
-class CountSketch(LinearSketch):
-    """Classic Count-Sketch: `rows` hash rows of `buckets` signed counters.
-
-    The estimate at i is the median over rows of sign(i) * bucket(h(i)); the
-    error is eps * ||x_{-1/eps^2}||_2 with high probability for buckets
-    ~ 6/eps^2.
-    """
-
-    def __init__(self, counts: SparseCounts | CountView, rows: int, buckets: int, seed: int):
-        super().__init__(counts, seed)
-        if rows < 1 or buckets < 1:
-            raise ValueError("rows and buckets must be positive")
-        self.rows = rows
-        self.buckets = buckets
-
-    def _materialize(self) -> np.ndarray:
-        keys, vals = self._sorted_items()
-        coords = _sketch_coords(self.seed, self.rows, self.buckets, keys)
-        return _cs_table(*coords, vals, self.buckets)
-
-    def estimate_many(self, indices: Sequence[Key]) -> np.ndarray:
-        """Median-of-rows estimates for a batch of indices."""
-        coords = _sketch_coords(self.seed, self.rows, self.buckets, list(indices))
-        return _cs_estimates(self._materialize(), *coords)
-
-
-# ---------------------------------------------------------------------------
-# Cauchy l1 sketch
-# ---------------------------------------------------------------------------
-
-
-class CauchyL1Sketch(LinearSketch):
-    """Indyk's l1 estimator: s Cauchy-weighted accumulators, report the
-    median magnitude (median |Cauchy| = tan(pi/4) = 1, so no rescaling)."""
-
-    def __init__(self, counts: SparseCounts | CountView, s: int, seed: int):
-        super().__init__(counts, seed)
-        if s < 1:
-            raise ValueError("s must be positive")
-        self.s = s
-
-    def _materialize(self) -> np.ndarray:
-        keys, vals = self._sorted_items()
-        if not len(keys):
-            return np.zeros(self.s)
-        return _cauchy_coefficients(self.seed, self.s, keys) @ vals
-
-    def estimate(self) -> float:
-        return float(np.median(np.abs(self._materialize())))
+def cauchy_l1(counts: SparseCounts | CountView, s: int, seed: int) -> float:
+    """Indyk's l1 estimate of width-1 counts: the median magnitude of s
+    Cauchy-weighted sums of them (median |Cauchy| = tan(pi/4) = 1, so no
+    rescaling); 0.0 for no counts."""
+    keys, vals = _sorted_values(counts)
+    return float(np.median(np.abs(_cauchy_coefficients(seed, s, keys) @ vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +374,6 @@ def sample_p_stable_array(p: float, r: np.ndarray, theta: np.ndarray) -> np.ndar
         return (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
             np.cos(theta * (1.0 - p)) / np.log(1.0 / r)
         ) ** ((1.0 - p) / p)
-
-
-def sample_p_stable(p: float, r: float, theta: float) -> float:
-    """One standard p-stable variate from uniforms r in (0,1) and
-    theta in (-pi/2, pi/2); monotone increasing in both on the positive
-    quadrant. Valid for p in (0,1) or (1,2]."""
-    if not (0.0 < p <= 2.0) or p == 1.0:
-        raise ValueError(f"p must be in (0,1) or (1,2], got {p}")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must be inside (0,1), got {r}")
-    if not -np.pi / 2 < theta < np.pi / 2:
-        raise ValueError(f"theta must be inside (-pi/2, pi/2), got {theta}")
-    return float(sample_p_stable_array(p, np.float64(r), np.float64(theta)))
 
 
 def _g_abs(p: float, r, theta):
@@ -500,44 +433,15 @@ def _stable_median_slow(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exponential scalings
-# ---------------------------------------------------------------------------
-
-
-class ExpScaler:
-    """Deterministic map index -> Exp(1) variate (keyed inverse CDF)."""
-
-    _SALT = 0xE259
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-
-    def variates(self, indices: Sequence[Key]) -> np.ndarray:
-        return hx.exp1(_hash_keys((self.seed, self._SALT), indices))
-
-
-def tail_truncated_norms(z: np.ndarray, beta: int) -> Tuple[float, float]:
-    """(l2, l1) norms of z after zeroing its beta largest-magnitude entries
-    (ties broken toward smaller index)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    z = np.asarray(z, dtype=np.float64)
-    if beta >= z.size:
-        return 0.0, 0.0
-    if beta > 0:
-        # primary key: magnitude descending; secondary: index ascending
-        order = np.lexsort((np.arange(z.size), -np.abs(z)))
-        z = z.copy()
-        z[order[:beta]] = 0.0
-    return float(np.sqrt((z**2).sum())), float(np.abs(z).sum())
-
-
-# ---------------------------------------------------------------------------
 # l1 sampler (precision sampling)
 # ---------------------------------------------------------------------------
 
+_L1_ROWS = 128  # rows of the sampler's Cauchy l1 estimate
+_EXP_SEED_SALT = 0x15A3
+_EXP_SALT = 0xE259
 
-class L1Sampler(LinearSketch):
+
+class L1Sampler:
     """Perfect-style l1 sampler: scale x_i by 1/t_i (t_i ~ Exp(1)), recover
     the scaled vector through a Count-Sketch, return the argmax if it clears
     the gap and mass validity tests, otherwise FAIL.
@@ -545,27 +449,19 @@ class L1Sampler(LinearSketch):
     Conditioned on not failing, the returned index is distributed
     ~ |x_i| / ||x||_1 (the anti-rank law), up to recovery noise.
 
-    The counts of x are all it reads: `sample` builds the Count-Sketch table
-    of the scaled vector and the Cauchy l1 sketch of x from them.
+    A seed, a shape and the width-1 counts of x, given at construction: the
+    counts are all it reads, and `sample` builds the Count-Sketch table of
+    the scaled vector and the Cauchy l1 estimate of x from them.
     """
 
-    _SALT_EXP = 0x15A3
-
-    def __init__(
-        self,
-        counts: SparseCounts | CountView,
-        seed: int,
-        rows: int = 5,
-        buckets: int = 256,
-        gamma: float = 0.05,
-        l1_rows: int = 128,
-    ):
-        super().__init__(counts, seed)
+    def __init__(self, counts: SparseCounts | CountView, seed: int, rows: int = 5,
+                 buckets: int = 256, gamma: float = 0.05):
+        self.counts = counts
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.rows = rows
         self.buckets = buckets
         self.gamma = gamma
-        self.l1_rows = l1_rows
-        self.scaler = ExpScaler(int(hx.combine(self.seed, self._SALT_EXP)[()]))
+        self.exp_seed = int(hx.combine(self.seed, _EXP_SEED_SALT)[()])
         self.cs_seed = int(hx.combine(self.seed, 0xC5)[()])
         self.l1_seed = int(hx.combine(self.seed, 0xCA)[()])
 
@@ -574,27 +470,26 @@ class L1Sampler(LinearSketch):
         serializes a sampler: this is kept, byte for byte, because
         `perfbench/run.py` `state_size` sums it over the round-one samplers
         of an `EmdTwoPassSketch`, which has no serializer of its own."""
-        return encode_state(4, (self.seed, self.rows, self.buckets, self.l1_rows), [self.counts])
+        return encode_state(4, (self.seed, self.rows, self.buckets, _L1_ROWS), [self.counts])
 
     def _table(self, keys: Keys, vals: np.ndarray, coords) -> np.ndarray:
         """The Count-Sketch table of the scaled vector x_i / t_i at the
         coords of keys. It is kept on an integer grid of step 2^-20,
         x_i * round(min(1/t_i, 2^20) * 2^20), so the table is as exactly
         linear as x."""
-        inv_t = np.minimum(1.0 / self.scaler.variates(keys), _INV_EXP_CAP)
+        t = hx.exp1(_hash_keys((self.exp_seed, _EXP_SALT), keys))
+        inv_t = np.minimum(1.0 / t, _INV_EXP_CAP)
         return _cs_table(*coords, vals * np.round(inv_t * (1 << 20)), self.buckets)
 
     def sample(self):
-        """Return an index (a view's key as a tuple of ints) or FAIL. The
-        counts are read once: one sort, and one set of Count-Sketch coords
-        for both the table and its read."""
-        keys, vals = self._sorted_items()
+        """Return an index (a view's key as a tuple of ints) or FAIL. One
+        set of Count-Sketch coords serves both the table and its read."""
+        keys, vals = _sorted_values(self.counts)
         if not len(keys):
             return FAIL
         coords = _sketch_coords(self.cs_seed, self.rows, self.buckets, keys)
         est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
-        l1 = _cauchy_coefficients(self.l1_seed, self.l1_rows, keys) @ vals
-        l1_hat = float(np.median(np.abs(l1)))
+        l1_hat = cauchy_l1(self.counts, _L1_ROWS, self.l1_seed)
         top = int(np.argmax(est))
         best = est[top]
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
@@ -607,50 +502,36 @@ class L1Sampler(LinearSketch):
 
 
 # ---------------------------------------------------------------------------
-# l0 (distinct support) estimator
+# l0 (distinct support) estimate
 # ---------------------------------------------------------------------------
 
+_L0_LEVELS = 25  # nested subsample levels
+_L0_SALT_LVL = 0x10A0
+_L0_SALT_BKT = 0x10A1
 
-class L0Sketch(LinearSketch):
-    """Distinct-support estimator: nested subsamples at rates 2^-eta feed
-    fingerprinted occupancy tables; the first level whose occupancy is below
-    0.7 * buckets is inverted by linear counting and inflated by 1.25, giving
-    an estimate inside [c, 1.5c] with high probability."""
 
-    _SALT_LVL = 0x10A0
-    _SALT_BKT = 0x10A1
-    _LOAD = 0.7
-    _CENTER = 1.25
+def _l0_occupancy(seed: int, buckets: int, keys: Keys) -> np.ndarray:
+    """The occupied buckets at each subsample level eta < `_L0_LEVELS`: the
+    decoded view of the fingerprinted bucket tables."""
+    hk = _hash_keys((seed,), keys)
+    u = hx.uniform01(hx.combine(_L0_SALT_LVL, hk))
+    b = hx.bucket(hx.combine(_L0_SALT_BKT, hk), buckets)
+    return np.array([len(np.unique(b[u < 2.0**-eta])) for eta in range(_L0_LEVELS)])
 
-    def __init__(self, counts: SparseCounts | CountView, seed: int, levels: int = 25,
-                 buckets: int = 4096):
-        super().__init__(counts, seed)
-        self.levels = levels
-        self.buckets = buckets
 
-    def _materialize(self) -> np.ndarray:
-        """Occupancy per level (the decoded view of the bucket tables)."""
-        keys, _ = self._sorted_items()
-        occ = np.zeros(self.levels)
-        if not len(keys):
-            return occ
-        hk = self._key_hashes(keys)
-        u = hx.uniform01(hx.combine(self._SALT_LVL, hk))
-        b = hx.bucket(hx.combine(self._SALT_BKT, hk), self.buckets)
-        for eta in range(self.levels):
-            member = u < 2.0**-eta
-            occ[eta] = len(np.unique(b[member]))
-        return occ
-
-    def estimate(self) -> float:
-        if not self.counts:
-            return 0.0
-        occ = self._materialize()
-        k = float(self.buckets)
-        for eta in range(self.levels):
-            if occ[eta] <= self._LOAD * k:
-                if occ[eta] == 0:
-                    return 0.0
-                c_eta = math.log1p(-occ[eta] / k) / math.log1p(-1.0 / k)
-                return self._CENTER * (2.0**eta) * c_eta
-        raise RuntimeError("all subsample levels saturated; raise `levels`")
+def l0_estimate(counts: SparseCounts | CountView, seed: int, buckets: int) -> float:
+    """Distinct-support estimate of width-1 counts: nested subsamples at
+    rates 2^-eta feed fingerprinted occupancy tables; the first level whose
+    occupancy is at most 0.7 * buckets is inverted by linear counting and
+    inflated by 1.25, giving an estimate inside [c, 1.5c] with high
+    probability; 0.0 for no counts."""
+    keys, _ = counts.sorted()
+    if not len(keys):
+        return 0.0
+    for eta, occ in enumerate(_l0_occupancy(seed, buckets, keys).tolist()):
+        if occ <= 0.7 * buckets:
+            if occ == 0:
+                return 0.0
+            c = math.log1p(-occ / buckets) / math.log1p(-1.0 / buckets)
+            return 1.25 * 2**eta * c
+    raise RuntimeError("all l0 subsample levels saturated")

@@ -6,10 +6,9 @@ import pytest
 
 from geosketch import hashing as hx
 from geosketch.hashing import U64
-from geosketch.sketches import _cauchy_coefficients, _sketch_coords
+from geosketch import sketches as sk
 from geosketch import (
-    FAIL, CauchyL1Sketch, CountSketch, CountView, ExpScaler, HypercubePoint, L1Sampler,
-    PointMultiset, SparseCounts,
+    FAIL, CountView, HypercubePoint, L1Sampler, PointMultiset, SparseCounts, cauchy_l1,
 )
 
 
@@ -55,30 +54,47 @@ def counts_of(stream) -> SparseCounts:
     return counts
 
 
+def count_sketch(counts, rows: int, buckets: int, seed: int, at=()):
+    """The (rows, buckets) Count-Sketch table of width-1 counts, as
+    `L1Sampler.sample` builds it, and its median-of-rows estimates at the
+    keys `at`."""
+    keys, vals = sk._sorted_values(counts)
+    table = sk._cs_table(*sk._sketch_coords(seed, rows, buckets, keys), vals, buckets)
+    return table, sk._cs_estimates(table, *sk._sketch_coords(seed, rows, buckets, list(at)))
+
+
+def cauchy_sums(counts, s: int, seed: int) -> np.ndarray:
+    """The s Cauchy-weighted sums of width-1 counts that `cauchy_l1` takes
+    the median magnitude of."""
+    keys, vals = sk._sorted_values(counts)
+    return sk._cauchy_coefficients(seed, s, keys) @ vals
+
+
 class FedL1Sampler:
     """Reference l1 sampler that feeds a store of x and a store of the
     scaled integers x_i * round(min(1/t_i, 2^20) * 2^20) on every update,
-    and builds its Count-Sketch table and its Cauchy l1 sketch from them
+    and builds its Count-Sketch table and its Cauchy l1 sums from them
     when it is read, instead of scaling the counts of x there. L1Sampler
     must equal it bit for bit."""
 
-    def __init__(self, seed, rows=5, buckets=256, gamma=0.05, l1_rows=128):
-        self.rows, self.buckets, self.gamma, self.l1_rows = rows, buckets, gamma, l1_rows
-        self.scaler = ExpScaler(int(hx.combine(seed, L1Sampler._SALT_EXP)[()]))
+    def __init__(self, seed, rows=5, buckets=256, gamma=0.05):
+        self.rows, self.buckets, self.gamma = rows, buckets, gamma
+        self.exp_seed = int(hx.combine(seed, sk._EXP_SEED_SALT)[()])
         self.cs_seed = int(hx.combine(seed, 0xC5)[()])
         self.l1_seed = int(hx.combine(seed, 0xCA)[()])
         self.x, self.scaled = SparseCounts(), SparseCounts()
 
     def update(self, index, delta):
         self.x.add(index, int(delta))
-        inv_t = min(1.0 / float(self.scaler.variates([index])[0]), 2.0**20)
+        t = float(hx.exp1(sk._hash_keys((self.exp_seed, sk._EXP_SALT), [index]))[0])
+        inv_t = min(1.0 / t, 2.0**20)
         self.scaled.add(index, int(delta) * int(round(inv_t * (1 << 20))))
 
-    def count_sketch(self) -> CountSketch:
-        return CountSketch(self.scaled, self.rows, self.buckets, self.cs_seed)
+    def table(self) -> np.ndarray:
+        return count_sketch(self.scaled, self.rows, self.buckets, self.cs_seed)[0]
 
-    def l1(self) -> CauchyL1Sketch:
-        return CauchyL1Sketch(self.x, self.l1_rows, self.l1_seed)
+    def l1(self) -> np.ndarray:
+        return cauchy_sums(self.x, sk._L1_ROWS, self.l1_seed)
 
     def sample(self):
         """The largest Count-Sketch estimate of the scaled vector if it
@@ -86,8 +102,9 @@ class FedL1Sampler:
         keys, _ = self.x.sorted()
         if not keys:
             return FAIL
-        est = np.abs(self.count_sketch().estimate_many(keys)) / float(1 << 20)
-        l1_hat = self.l1().estimate()
+        est = count_sketch(self.scaled, self.rows, self.buckets, self.cs_seed, at=keys)[1]
+        est = np.abs(est) / float(1 << 20)
+        l1_hat = cauchy_l1(self.x, sk._L1_ROWS, self.l1_seed)
         top = int(np.argmax(est))
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
         if est[top] < self.gamma * l1_hat or est[top] < (1.0 + self.gamma) * second:
@@ -97,17 +114,32 @@ class FedL1Sampler:
     @classmethod
     def like(cls, smp: L1Sampler) -> "FedL1Sampler":
         """An empty reference with the seed and shape of `smp`."""
-        return cls(smp.seed, rows=smp.rows, buckets=smp.buckets, gamma=smp.gamma,
-                   l1_rows=smp.l1_rows)
+        return cls(smp.seed, rows=smp.rows, buckets=smp.buckets, gamma=smp.gamma)
 
 
 def sampler_reads(smp: L1Sampler):
-    """The Count-Sketch table of the scaled vector and the Cauchy l1
-    accumulators of x that `smp.sample` reads, from the same helpers."""
-    keys, vals = smp._sorted_items()
-    coords = _sketch_coords(smp.cs_seed, smp.rows, smp.buckets, keys)
-    l1 = _cauchy_coefficients(smp.l1_seed, smp.l1_rows, keys) @ vals
-    return smp._table(keys, vals, coords), l1
+    """The Count-Sketch table of the scaled vector and the Cauchy l1 sums
+    of x that `smp.sample` reads, from the same helpers."""
+    keys, vals = sk._sorted_values(smp.counts)
+    coords = sk._sketch_coords(smp.cs_seed, smp.rows, smp.buckets, keys)
+    return smp._table(keys, vals, coords), cauchy_sums(smp.counts, sk._L1_ROWS, smp.l1_seed)
+
+
+def tail_truncated_norms(z: np.ndarray, beta: int) -> Tuple[float, float]:
+    """(l2, l1) norms of z after zeroing its beta largest-magnitude entries
+    (ties broken toward smaller index): the tail that the Count-Sketch and
+    the LS1 bounds are stated in."""
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    z = np.asarray(z, dtype=np.float64)
+    if beta >= z.size:
+        return 0.0, 0.0
+    if beta > 0:
+        # primary key: magnitude descending; secondary: index ascending
+        order = np.lexsort((np.arange(z.size), -np.abs(z)))
+        z = z.copy()
+        z[order[:beta]] = 0.0
+    return float(np.sqrt((z**2).sum())), float(np.abs(z).sum())
 
 
 def store_sizes(blob: bytes):

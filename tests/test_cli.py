@@ -134,6 +134,24 @@ def test_bad_config_is_reported_without_traceback(tmp_path, problem, config, mes
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("problem,config,kind", [
+    ("emd", {**_MST, "n": 2, "d": 4}, "mst-config"),
+    ("mst", {**_EMD, "n": 2, "d": 4}, "emd-config"),
+])
+def test_config_of_the_other_problem_exits_2(tmp_path, problem, config, kind):
+    """A --config whose kind does not match --problem is rejected with one
+    `geosketch: error:` line naming both, not ignored for the default
+    config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    stream = "+ A 1\n+ B 2\n" if problem == "emd" else "+ X 1\n+ X 2\n"
+    r = _run_cli("run", "--problem", problem, "--config", str(cfg), "-", stdin=stream)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("geosketch: error: ") and r.stderr.count("\n") == 1
+    assert kind in r.stderr and f"--problem {problem}" in r.stderr
+
+
 def test_mst_level_without_a_sample_exits_2(tmp_path):
     """With one sample per level (the config below; the default has at
     least 8, so it no longer fails on this stream) the level-1 sample fails,

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from geosketch import hashing as hx
 from geosketch import (
-    CauchyL1Sketch,
     CharacterSet,
     EmdOnePassSketch,
     EmdSketchConfig,
@@ -21,14 +20,14 @@ from geosketch import (
     sample_quadtree,
     split_probability,
     SparseCounts,
+    cauchy_l1,
 )
 from geosketch import emd_sketch
 from geosketch.emd_sketch import expected_split_probability, log2n
 
 from conftest import (
     FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, sampler_reads,
-    store_sizes,
-    view_of,
+    store_sizes, tail_truncated_norms, view_of,
 )
 
 
@@ -444,8 +443,6 @@ def test_event_frequencies_with_exact_side_computations():
             and (not others or qv[j_star] >= (1 + gamma) * np.max(qv[others]))
         )
         cu_scaled = C_u / tu
-        from geosketch import tail_truncated_norms
-
         e3 = (
             cu_scaled.sum() <= log_term * n
             and tail_truncated_norms(cu_scaled, beta)[0] <= 12 * n / math.sqrt(beta)
@@ -624,11 +621,12 @@ def _node_key(tree, rep, p):
 
 def test_replica_views_equal_fed_reference():
     """Every replica's view of the counts equals a count store fed (key,
-    delta * row) update by update, and the Delta-hat sketch and every
-    round-one sampler built from it equal a Cauchy sketch of the same seed
-    over a store fed (key, +-delta) and references fed the same (the same
-    materialized accumulators and tables, counts and samples): read after
-    half the stream, after the rest, and by a second finalize_pass1."""
+    delta * row) update by update, and Delta-hat and every round-one
+    sampler built from it equal a Cauchy l1 estimate of the same seed over
+    a store fed (key, +-delta) and references fed the same (the same
+    discrepancy counts and Delta-hat, the same sampler tables,
+    accumulators, counts and samples): read after half the stream, after
+    the rest, and by a second finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
         sk = EmdTwoPassSketch(cfg)
@@ -654,14 +652,13 @@ def test_replica_views_equal_fed_reference():
             assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
-                fed_delta = CauchyL1Sketch(delta, rep.delta.s, rep.delta.seed)
-                assert np.array_equal(rep.delta._materialize(), fed_delta._materialize())
-                assert rep.delta.counts.to_bytes() == delta.to_bytes()
-                assert rep.delta.estimate() == fed_delta.estimate()
+                assert rep.discrepancies(view).to_bytes() == delta.to_bytes()
+                delta_seed = int(hx.combine(rep.seed, 0xDE)[()])
+                assert rep.delta == cauchy_l1(delta, cfg.delta_rows, delta_seed)
                 for jc, f in smps.items():
                     table, l1 = sampler_reads(rep.samplers[jc])
-                    assert np.array_equal(table, f.count_sketch()._materialize())
-                    assert np.array_equal(l1, f.l1()._materialize())
+                    assert np.array_equal(table, f.table())
+                    assert np.array_equal(l1, f.l1())
                 got = {jc: smp.counts.to_bytes() for jc, smp in rep.samplers.items()}
                 assert got == {jc: f.x.to_bytes() for jc, f in smps.items()}
         sk.finalize_pass1()

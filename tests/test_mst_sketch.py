@@ -9,7 +9,6 @@ from geosketch import (
     CharacterSet,
     CountView,
     HypercubePoint,
-    L0Sketch,
     aggregate,
     gen_instance,
     MstSketch,
@@ -17,10 +16,12 @@ from geosketch import (
     PointMultiset,
     SparseCounts,
     exact_mst,
+    l0_estimate,
     reference_level_quantities,
     sample_quadtree,
     value_mst,
 )
+from geosketch import hashing as hx
 from geosketch import mst_sketch
 from geosketch.mst_sketch import _LevelStack, _RepState, _character, _point_fps, _representative
 
@@ -537,7 +538,7 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
 
 
 def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
-    """estimate, level_mu, level_counts and l0 build the views of a level
+    """estimate, level_mu and level_counts build the views of a level
     when they read it: no `views` call of the sketch gets the replicas of
     two levels, and every level is read. The estimate is the pinned one."""
     X = aggregate(gen_instance("uniform", 8, 8, 1).updates)["X"]
@@ -550,7 +551,7 @@ def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
 
     monkeypatch.setattr(MstSketch, "views", spy)
     assert sk.estimate().hex() == "0x1.b37caf8decf48p+6"
-    sk.level_mu(2), sk.level_counts(), sk.l0
+    sk.level_mu(2), sk.level_counts()
     assert all(len(lv) == 1 for lv in levels)
     assert set.union(*levels) == set(range(1, sk.h + 1))
 
@@ -613,20 +614,20 @@ def test_state_holds_one_entry_per_distinct_point():
 
 
 def test_l0_views_equal_fed_reference():
-    """The per-level l0 sketch, built from the node counts of the level's
-    first sample, equals an l0 sketch of the same seed fed ((u, w), +-delta)
-    update by update, with the ids of the sample's universe map at the
-    point's tree path (the same occupancy,
-    state bytes and estimate): read after half of a
-    turnstile stream with deletions and cancellations, and after the rest.
-    The streams include nodes whose net count is 0 while their chi count is
-    not, which the l0 sketch must not count."""
+    """The per-level l0 estimate, of the node counts of the level's first
+    sample, equals an l0 estimate of the same seed over a store fed
+    ((u, w), +-delta) update by update, with the ids of the sample's
+    universe map at the point's tree path (the same node counts and
+    estimate): read after half of a turnstile stream with deletions and
+    cancellations, and after the rest. The streams include nodes whose net
+    count is 0 while their chi count is not, which the l0 estimate must
+    not count."""
     zero_count_nodes = 0
     for s in range(4):
         rng = np.random.default_rng(s)
         # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
         sk = MstSketch(small_cfg(seed=s, n=2))
-        fed = [SparseCounts() for _ in sk.l0]
+        fed = [SparseCounts() for _ in sk.reps]
         # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
         # holding both, and leave chi counts there when chi(x) != chi(y)
         ups = []
@@ -643,16 +644,14 @@ def test_l0_views_equal_fed_reference():
                 sk.update(p, c)
                 for f, per_level in zip(fed, sk.reps):
                     f.add(_node_key(sk.tree, per_level[0], p), c)
-            fed_l0 = [L0Sketch(f, l0.seed, levels=l0.levels, buckets=l0.buckets)
-                      for l0, f in zip(sk.l0, fed)]
-            for l0, f in zip(sk.l0, fed_l0):
-                assert np.array_equal(l0._materialize(), f._materialize())
-                assert l0.counts.to_bytes() == f.counts.to_bytes()
-            assert sk.level_counts() == [f.estimate() for f in fed_l0]
+            firsts = sk.views([per_level[0] for per_level in sk.reps])
+            assert [sk._node_counts(v).to_bytes() for v in firsts] == [f.to_bytes() for f in fed]
+            seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
+            assert sk.level_counts() == [l0_estimate(f, seed, sk.cfg.l0_buckets)
+                                         for f, seed in zip(fed, seeds)]
             zero_count_nodes += sum(
                 int((_LevelStack([per_level[0]], [points]).nx == 0).sum())
-                for per_level, points in zip(
-                    sk.reps, sk.views([per_level[0] for per_level in sk.reps]))
+                for per_level, points in zip(sk.reps, firsts)
             )
     assert zero_count_nodes > 0
 

@@ -8,24 +8,24 @@ from scipy.stats import ks_2samp
 from geosketch import hashing as hx
 from geosketch import (
     FAIL,
-    CauchyL1Sketch,
-    CountSketch,
     CountView,
-    ExpScaler,
-    L0Sketch,
     L1Sampler,
     SparseCounts,
+    cauchy_l1,
     encode_state,
-    sample_p_stable,
+    l0_estimate,
     stable_median,
-    tail_truncated_norms,
 )
 from geosketch import MstSketchConfig
 from geosketch.sketches import (
-    _cs_coords, _cs_estimates, _cs_table, _stable_median_slow, sample_p_stable_array,
+    _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy,
+    _stable_median_slow, sample_p_stable_array,
 )
 
-from conftest import FedL1Sampler, counts_of, sampler_reads
+from conftest import (
+    FedL1Sampler, cauchy_sums, count_sketch, counts_of, sampler_reads, tail_truncated_norms,
+    view_of,
+)
 from conftest import _cs_coords as ref_cs_coords, _cs_estimates as ref_cs_estimates
 from conftest import _cs_table as ref_cs_table
 
@@ -53,14 +53,13 @@ def test_count_sketch_batch_equals_one_sketch_reference(rng):
 
 
 def test_cs_negate_cancels():
-    cs = CountSketch(counts_of([(42, 7), (42, -7)]), 5, 64, seed=1)
-    assert len(cs.counts) == 0
-    assert np.all(cs._materialize() == 0.0)
+    counts = counts_of([(42, 7), (42, -7)])
+    assert len(counts) == 0
+    assert np.all(count_sketch(counts, 5, 64, seed=1)[0] == 0.0)
 
 
 def test_cs_one_hot_exact():
-    cs = CountSketch(counts_of([(5, 11)]), 3, 8, seed=2)
-    assert cs.estimate_many([5])[0] == pytest.approx(11.0)
+    assert count_sketch(counts_of([(5, 11)]), 3, 8, seed=2, at=[5])[1][0] == pytest.approx(11.0)
 
 
 def test_cs_linf_guarantee_power_law():
@@ -73,23 +72,22 @@ def test_cs_linf_guarantee_power_law():
     ok = 0
     trials = 50
     rows = 3 * math.ceil(math.log2(n)) + 1
+    counts = counts_of(enumerate(x_int))
     for s in range(trials):
-        cs = CountSketch(counts_of(enumerate(x_int)), rows, math.ceil(8 / eps**2), seed=s)
-        est = cs.estimate_many(list(range(n)))
+        est = count_sketch(counts, rows, math.ceil(8 / eps**2), seed=s, at=range(n))[1]
         if np.max(np.abs(est - x_int)) <= eps * bound_tail + 1e-9:
             ok += 1
     assert ok >= 0.9 * trials, ok
 
 
-# -- Cauchy l1 sketch -------------------------------------------------------------
+# -- Cauchy l1 estimate -----------------------------------------------------------
 
 
 def test_l1_zero_and_one_hot():
     counts = SparseCounts()
-    sk = CauchyL1Sketch(counts, 301, seed=3)
-    assert sk.estimate() == 0.0
+    assert cauchy_l1(counts, 301, seed=3) == 0.0
     counts.add(0, 1)
-    assert 0.5 < sk.estimate() < 2.0
+    assert 0.5 < cauchy_l1(counts, 301, seed=3) < 2.0
 
 
 def test_l1_relative_accuracy():
@@ -101,8 +99,7 @@ def test_l1_relative_accuracy():
     ok = 0
     trials = 60
     for s in range(trials):
-        sk = CauchyL1Sketch(counts, rows, seed=s)
-        if abs(sk.estimate() - l1) <= 0.1 * l1:
+        if abs(cauchy_l1(counts, rows, seed=s) - l1) <= 0.1 * l1:
             ok += 1
     assert ok >= 0.92 * trials, ok
 
@@ -110,19 +107,10 @@ def test_l1_relative_accuracy():
 # -- p-stable generation ------------------------------------------------------------
 
 
-def test_p_stable_boundary_errors():
-    with pytest.raises(ValueError):
-        sample_p_stable(0.5, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        sample_p_stable(0.5, 0.5, np.pi / 2)
-    with pytest.raises(ValueError):
-        sample_p_stable(1.0, 0.5, 0.3)
-
-
 def test_p_stable_monotone():
     p = 0.1
-    assert sample_p_stable(p, 0.5, 0.5) < sample_p_stable(p, 0.6, 0.5)
-    assert sample_p_stable(p, 0.5, 0.5) < sample_p_stable(p, 0.5, 0.6)
+    assert sample_p_stable_array(p, 0.5, 0.5) < sample_p_stable_array(p, 0.6, 0.5)
+    assert sample_p_stable_array(p, 0.5, 0.5) < sample_p_stable_array(p, 0.5, 0.6)
 
 
 def test_p_stable_sum_stability_ks():
@@ -163,15 +151,19 @@ def test_stable_median_table_matches_slow_path(L):
 # -- exponentials ----------------------------------------------------------------
 
 
+def _scalings(seed, keys):
+    """The Exp(1) scalings of keys that an l1 sampler with exponential seed
+    `seed` reads (`L1Sampler._table`)."""
+    return hx.exp1(_hash_keys((seed, _EXP_SALT), keys))
+
+
 def test_exp_variate_deterministic():
-    sc = ExpScaler(9)
-    assert sc.variates([123])[0] == sc.variates([123])[0]
-    assert sc.variates([123])[0] != sc.variates([124])[0]
+    assert _scalings(9, [123])[0] == _scalings(9, [123])[0]
+    assert _scalings(9, [123])[0] != _scalings(9, [124])[0]
 
 
 def test_exp_variate_mean():
-    sc = ExpScaler(10)
-    v = sc.variates(np.arange(100_000, dtype=np.uint64)[:, None])
+    v = _scalings(10, np.arange(100_000, dtype=np.uint64)[:, None])
     assert abs(v.mean() - 1.0) < 0.02
 
 
@@ -327,12 +319,11 @@ def test_l1_sampler_fail_rate():
 
 def test_l0_empty_and_singleton():
     counts = SparseCounts()
-    sk = L0Sketch(counts, seed=6)
-    assert sk.estimate() == 0.0
+    assert l0_estimate(counts, 6, 4096) == 0.0
     counts.add(99, 1)
-    assert 1.0 <= sk.estimate() <= 1.5
+    assert 1.0 <= l0_estimate(counts, 6, 4096) <= 1.5
     counts.add(99, -1)
-    assert sk.estimate() == 0.0
+    assert l0_estimate(counts, 6, 4096) == 0.0
 
 
 def test_l0_medium_support():
@@ -340,7 +331,7 @@ def test_l0_medium_support():
     ok = 0
     trials = 30
     for s in range(trials):
-        if 700 <= L0Sketch(counts, seed=s).estimate() <= 1050:
+        if 700 <= l0_estimate(counts, s, 4096) <= 1050:
             ok += 1
     assert ok >= trials - 1, ok
 
@@ -354,14 +345,16 @@ stream_strategy = st.lists(
     max_size=40,
 )
 
-# every read of every sketch type, as bytes or as a value
+# every read of every sketch, as bytes or as a value: the Count-Sketch
+# table and estimates, the Cauchy sums and l1 estimate, the l0 occupancy
+# and estimate, and the l1 sampler's sample and state bytes
 _SKETCH_READS = [
-    lambda c: CountSketch(c, 3, 16, seed=8)._materialize().tobytes(),
-    lambda c: CountSketch(c, 3, 16, seed=8).estimate_many(range(31)).tobytes(),
-    lambda c: CauchyL1Sketch(c, 32, seed=8)._materialize().tobytes(),
-    lambda c: CauchyL1Sketch(c, 32, seed=8).estimate(),
-    lambda c: L0Sketch(c, seed=8, buckets=64)._materialize().tobytes(),
-    lambda c: L0Sketch(c, seed=8, buckets=64).estimate(),
+    lambda c: count_sketch(c, 3, 16, seed=8)[0].tobytes(),
+    lambda c: count_sketch(c, 3, 16, seed=8, at=range(31))[1].tobytes(),
+    lambda c: cauchy_sums(c, 32, seed=8).tobytes(),
+    lambda c: cauchy_l1(c, 32, seed=8),
+    lambda c: _l0_occupancy(8, 64, c.sorted()[0]).tobytes(),
+    lambda c: l0_estimate(c, 8, 64),
     lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).sample(),
     lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).state_bytes(),
 ]
@@ -401,8 +394,8 @@ def test_l1_sampler_views_equal_fed_reference(stream):
             x.add(i, dv)
             fed.update(i, dv)
         table, l1 = sampler_reads(smp)
-        assert np.array_equal(table, fed.count_sketch()._materialize())
-        assert np.array_equal(l1, fed.l1()._materialize())
+        assert np.array_equal(table, fed.table())
+        assert np.array_equal(l1, fed.l1())
         assert x.to_bytes() == fed.x.to_bytes()
         assert smp.sample() == fed.sample()
 
@@ -422,17 +415,15 @@ def test_key_hashes_match_per_key_combine():
             out.append(k % 2**64)
         return out
 
-    sk = CountSketch(SparseCounts(), 3, 16, seed=21)
     want = [int(hx.combine(21, *words(k))[()]) for k in keys]
-    assert sk._key_hashes(keys).tolist() == want
-    sc = ExpScaler(22)
-    want = hx.exp1(np.array([hx.combine(22, ExpScaler._SALT, *words(k)) for k in keys]))
-    assert np.array_equal(sc.variates(keys), want)
+    assert _hash_keys((21,), keys).tolist() == want
+    want = hx.exp1(np.array([hx.combine(22, _EXP_SALT, *words(k)) for k in keys]))
+    assert np.array_equal(_scalings(22, keys), want)
     for bad in ([3, -1], [(1, 2), (1, -2)]):
         with pytest.raises(ValueError):
-            sk._key_hashes(bad)
+            _hash_keys((21,), bad)
         with pytest.raises(ValueError):
-            sc.variates(bad)
+            _scalings(22, bad)
 
 
 def test_state_bytes_reflect_content():
@@ -545,6 +536,26 @@ def test_count_view_bytes_equal_store_bytes():
     view = CountView(keys[[0, 2]], rows[[0, 2], :1])
     assert view.to_bytes() == fed.to_bytes()
     assert L1Sampler(view, seed=3).sample() == L1Sampler(fed, seed=3).sample()
+
+
+_WORDS = st.sampled_from([0, 1, 2, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.tuples(_WORDS, _WORDS), st.integers(-5, 5).filter(bool)),
+                max_size=40))
+def test_reads_of_a_view_equal_reads_of_its_store(stream):
+    """`cauchy_l1`, `l0_estimate` and `L1Sampler.sample` read a `CountView`
+    as they read the `SparseCounts` that holds the same rows, bit for bit:
+    the estimators pass views, and the reference tests feed stores."""
+    store = counts_of(stream)
+    view = view_of(store)
+    assert view.to_bytes() == store.to_bytes()
+    for s in range(4):
+        assert cauchy_l1(view, 32, s).hex() == cauchy_l1(store, 32, s).hex()
+        assert l0_estimate(view, s, 16).hex() == l0_estimate(store, s, 16).hex()
+        smp = [L1Sampler(c, s, rows=3, buckets=16) for c in (view, store)]
+        assert smp[0].sample() == smp[1].sample()
 
 
 def test_sparse_counts_canonical_order_and_bytes():
