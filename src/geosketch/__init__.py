@@ -6,7 +6,7 @@ exact offline oracles, instance generators and a stream CLI.
 """
 
 from .points import HypercubePoint, PointMultiset, hamming_distance
-from .quadtree import NodeId, QuadtreeSpec, lca_depth, node_at_depth, sample_quadtree
+from .quadtree import QuadtreeSpec, lca_depth, sample_quadtree
 from .offline import (
     Matching,
     SpanningTree,
@@ -31,7 +31,6 @@ from .sketches import (
     l0_estimate,
     stable_median,
 )
-from .embedding import EmbeddingFamily, embed_point, sample_embedding
 from .emd_sketch import (
     CharacterSet,
     EmdOnePassSketch,
@@ -60,13 +59,12 @@ from .generators import GeneratedInstance, gen_instance, rm1_codewords
 # package, but are not part of the star-import surface.
 __all__ = [
     "HypercubePoint", "PointMultiset", "hamming_distance",
-    "NodeId", "QuadtreeSpec", "lca_depth", "node_at_depth", "sample_quadtree",
+    "QuadtreeSpec", "lca_depth", "sample_quadtree",
     "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
     "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
     "total_inspector_payment", "value_emd", "value_mst",
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",
-    "EmbeddingFamily", "embed_point", "sample_embedding",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
     "UniverseMap", "reference_I_i", "split_probability",
     "MstSketch", "MstSketchConfig", "reference_level_quantities",

@@ -39,6 +39,9 @@ from .streamio import (
 
 __all__ = ["EstimateReport", "run_estimator", "main"]
 
+# The stream labels each problem reads.
+_LABELS = {"emd": ("A", "B"), "mst": ("X",)}
+
 
 @dataclass
 class EstimateReport:
@@ -88,11 +91,19 @@ def run_estimator(
     """Aggregate the stream (estimates are unchanged, by linearity), pad the
     points to a power-of-two dimension, run the requested estimator, and
     optionally the exact oracle. The report keeps the input dimension, and
-    for EMD the eps of the config the estimate used (`emd_config` if given)."""
+    for EMD the eps of the config the estimate used (`emd_config` if given).
+    A stream label the problem does not read (EMD reads A and B, MST reads
+    X) raises ValueError."""
     if not 0 < eps < math.inf:  # the report carries eps for either problem
         raise ValueError(f"eps must be a finite number greater than 0, got {eps!r}")
+    if problem not in _LABELS:
+        raise ValueError(f"unknown problem {problem!r}")
     t0 = time.monotonic()
     nets = aggregate(updates)
+    unread = sorted(set(nets) - set(_LABELS[problem]))
+    if unread:
+        raise ValueError(f"{problem.upper()} streams read labels {', '.join(_LABELS[problem])} "
+                         f"only, got {', '.join(unread)}")
     if problem == "emd":
         A = nets.get("A")
         B = nets.get("B")
@@ -113,7 +124,7 @@ def run_estimator(
             raise ValueError("passes must be 1 or 2")
         estimate = sk.estimate()
         exact = float(exact_emd(A, B)) if oracle and n <= EMD_ORACLE_CAP else None
-    elif problem == "mst":
+    else:
         if passes != 1:
             raise ValueError("the MST estimator is one-pass")
         X = nets.get("X")
@@ -127,8 +138,6 @@ def run_estimator(
             sk.update(p, c)
         estimate = sk.estimate()
         exact = float(exact_mst(X)) if oracle and n <= MST_ORACLE_CAP else None
-    else:
-        raise ValueError(f"unknown problem {problem!r}")
 
     report = EstimateReport(
         problem=problem,
@@ -209,19 +218,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _param(token: str):
+    """(name, number) of a `--param name=number` token: an int if it reads as one."""
+    name, _, text = token.partition("=")
+    for number in (int, float):
+        try:
+            return name, number(text)
+        except ValueError:
+            pass
+    raise ValueError(f"--param {token!r} is not name=number")
+
+
 def _cmd_gen(args) -> int:
-    params = {}
-    for kv in args.param or []:
-        k, _, v = kv.partition("=")
-        params[k] = float(v) if "." in v else int(v)
+    params = dict(_param(kv) for kv in args.param or [])
     inst = gen_instance(args.kind, args.n, args.d, args.seed, **params)
     comments = [f"{k}={v}" for k, v in inst.meta.items()]
     if args.format == "bin":
-        data, mode, stdout = write_stream_binary(inst.updates), "wb", sys.stdout.buffer
+        data, mode = write_stream_binary(inst.updates), "wb"
     else:
-        data, mode, stdout = write_stream(inst.updates, comments=comments), "w", sys.stdout
+        data, mode = write_stream(inst.updates, comments=comments), "w"
     if args.out is None:
-        stdout.write(data)
+        (sys.stdout.buffer if mode == "wb" else sys.stdout).write(data)
     else:
         with open(args.out, mode) as f:
             f.write(data)

@@ -12,6 +12,7 @@ than the code (n > 2d) take unions of random cosets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -63,16 +64,44 @@ def _cluster_shape(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([code ^ off for off in offs])
 
 
+# The parameters each kind reads.
+_PARAMS = {"uniform": (), "clustered": ("k",), "matched_noise": ("eps",),
+           "hard_mst": ("k", "alpha", "z"), "hard_emd": ("alpha", "z")}
+
+
+def _check_params(kind: str, params: Dict[str, object]) -> None:
+    """Reject a kind, or a parameter name or value, that gen_instance cannot use."""
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    unknown = sorted(set(params) - set(_PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter(s) {', '.join(map(repr, unknown))} "
+                         f"(it reads: {', '.join(_PARAMS[kind]) or 'none'})")
+    k, alpha, eps, z = (params.get(name) for name in ("k", "alpha", "eps", "z"))
+    k_min = 2 if kind == "hard_mst" else 1
+    if k is not None and not (k >= k_min and k % 1 == 0):
+        raise ValueError(f"{kind} needs an integer k >= {k_min}, got {k!r}")
+    if alpha is not None and not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number greater than 0, got {alpha!r}")
+    if eps is not None and not 0 <= eps <= 1:
+        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    if z is not None and z not in (0, 1):
+        raise ValueError(f"z must be 0 or 1, got {z!r}")
+
+
 def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedInstance:
     """Reproducible stream for one instance family.
 
-    Kinds: uniform, clustered (MST inputs, label X); matched_noise(eps),
-    hard_emd(alpha) (EMD inputs, labels A/B); hard_mst(k, alpha) (MST input,
-    the planted bit Z lands in meta and a stream comment).
+    Kinds: uniform, clustered(k) (MST inputs, label X); matched_noise(eps),
+    hard_emd(alpha, z) (EMD inputs, labels A/B); hard_mst(k, alpha, z) (MST
+    input). The planted bit Z is drawn unless z is given, and lands in meta
+    and a stream comment. A parameter the kind does not read, or a value
+    out of its range, raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    _check_params(kind, params)
 
     if kind == "uniform":
         X = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
@@ -93,38 +122,22 @@ def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedIns
         ups = _insertions(A, "A") + _insertions(B, "B")
         return GeneratedInstance(kind, ups, {"n": n, "d": d, "eps": eps})
 
-    if kind == "hard_mst":
-        k = int(params.get("k", 5))
-        alpha = float(params.get("alpha", 4.0))
-        z = int(params.get("z", rng.integers(0, 2)))
-        if k < 2:
-            raise ValueError("hard_mst needs k >= 2")
-        eps = 1.0 / (200.0 * alpha)
-        shape = _cluster_shape(n, d, rng)
-        xs = [rng.integers(0, 2, size=d).astype(np.uint8)]
-        for _ in range(k - 1):
-            if z == 1:
-                xs.append(xs[-1] ^ (rng.random(d) < eps).astype(np.uint8))
-            else:
-                xs.append(rng.integers(0, 2, size=d).astype(np.uint8))
-        X = np.vstack([shape ^ x for x in xs])
-        ups = _insertions(X, "X")
-        meta = {"n": n, "d": d, "k": k, "alpha": alpha, "eps": eps, "Z": z}
-        return GeneratedInstance(kind, ups, meta)
-
-    if kind == "hard_emd":
-        alpha = float(params.get("alpha", 4.0))
-        z = int(params.get("z", rng.integers(0, 2)))
-        eps = 1.0 / (200.0 * alpha)
-        shape = _cluster_shape(n, d, rng)
-        x = rng.integers(0, 2, size=d).astype(np.uint8)
+    # hard_mst and hard_emd: a chain of k cluster centers; hard_emd's two
+    # clusters are A and B.
+    k = int(params.get("k", 5 if kind == "hard_mst" else 2))
+    alpha = float(params.get("alpha", 4.0))
+    z = int(params.get("z", rng.integers(0, 2)))
+    eps = 1.0 / (200.0 * alpha)
+    shape = _cluster_shape(n, d, rng)
+    xs = [rng.integers(0, 2, size=d).astype(np.uint8)]
+    for _ in range(k - 1):
         if z == 1:
-            y = x ^ (rng.random(d) < eps).astype(np.uint8)
+            xs.append(xs[-1] ^ (rng.random(d) < eps).astype(np.uint8))
         else:
-            y = rng.integers(0, 2, size=d).astype(np.uint8)
-        ups = _insertions(shape ^ x, "A") + _insertions(shape ^ y, "B")
-        return GeneratedInstance(
-            kind, ups, {"n": n, "d": d, "alpha": alpha, "eps": eps, "Z": z}
-        )
-
-    raise ValueError(f"unknown instance kind {kind!r}")
+            xs.append(rng.integers(0, 2, size=d).astype(np.uint8))
+    meta = {"n": n, "d": d, "k": k, "alpha": alpha, "eps": eps, "Z": z}
+    if kind == "hard_mst":
+        return GeneratedInstance(kind, _insertions(np.vstack([shape ^ x for x in xs]), "X"), meta)
+    del meta["k"]
+    ups = _insertions(shape ^ xs[0], "A") + _insertions(shape ^ xs[1], "B")
+    return GeneratedInstance(kind, ups, meta)

@@ -102,11 +102,6 @@ def sign_pm1(h: np.ndarray) -> np.ndarray:
     return ((np.asarray(h, dtype=U64) >> U64(16)) & U64(2)).astype(np.float64) - 1.0
 
 
-def bit01(h: np.ndarray) -> np.ndarray:
-    """Map hash words to a single {0,1} bit."""
-    return ((np.asarray(h, dtype=U64) >> U64(23)) & U64(1)).astype(np.uint8)
-
-
 def bucket(h: np.ndarray, k: int) -> np.ndarray:
     """Map hash words to buckets [0, k); modulo bias is ~k/2^64, negligible.
     For a power of two k the remainder is read off the low bits."""

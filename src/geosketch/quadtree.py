@@ -14,8 +14,6 @@ fingerprint collision, which tests assert absent).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -23,20 +21,11 @@ import numpy as np
 from .hashing import bucket, combine, fingerprint_words
 from .points import HypercubePoint
 
-__all__ = ["QuadtreeSpec", "NodeId", "sample_quadtree", "node_at_depth", "lca_depth"]
+__all__ = ["QuadtreeSpec", "sample_quadtree", "lca_depth"]
 
 _LEVEL_SALT = 0x51AD_7EE5
 _FP_SALT_A = 0xF1A9_0001
 _FP_SALT_B = 0xF1A9_0002
-
-
-@dataclass(frozen=True)
-class NodeId:
-    depth: int
-    fingerprint: int  # 128-bit
-
-    def __index__(self) -> int:
-        return self.fingerprint
 
 
 class QuadtreeSpec:
@@ -90,39 +79,10 @@ class QuadtreeSpec:
             [self.node_fingerprints(X, i) for i in range(self.h + 1)], axis=1
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"version": 1, "kind": "quadtree", "d": self.d, "seed": self.seed})
-
-    @classmethod
-    def from_json(cls, s: str) -> "QuadtreeSpec":
-        obj = json.loads(s)
-        if obj.get("kind") != "quadtree" or obj.get("version") != 1:
-            raise ValueError("not a serialized quadtree spec")
-        return cls(int(obj["d"]), int(obj["seed"]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadtreeSpec)
-            and self.d == other.d
-            and self.seed == other.seed
-        )
-
 
 def sample_quadtree(d: int, seed: int) -> QuadtreeSpec:
     """Draw a random quadtree for dimension d (a power of two)."""
     return QuadtreeSpec(d, seed)
-
-
-def _fp_int(pair: np.ndarray) -> int:
-    return (int(pair[0]) << 64) | int(pair[1])
-
-
-def node_at_depth(tree: QuadtreeSpec, x: HypercubePoint, i: int) -> NodeId:
-    """Node of the tree containing x at depth i (0 = root, h = leaf)."""
-    if x.d != tree.d:
-        raise ValueError(f"dimension mismatch: point {x.d}, tree {tree.d}")
-    fp = tree.node_fingerprints(x.bits()[None, :], i)[0]
-    return NodeId(i, _fp_int(fp))
 
 
 def lca_depth(tree: QuadtreeSpec, x: HypercubePoint, y: HypercubePoint) -> int:

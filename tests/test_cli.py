@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import geosketch
-from geosketch import HypercubePoint, TurnstileUpdate, gen_instance, run_estimator, write_stream
+from geosketch import (
+    HypercubePoint, TurnstileUpdate, gen_instance, run_estimator, write_stream,
+    write_stream_binary,
+)
 from geosketch.cli import main
 
 
@@ -180,3 +185,65 @@ def test_report_carries_the_config_eps(tmp_path, capsys):
     with_config, with_flag = reports
     assert with_config["eps"] == 0.5
     assert with_config["estimate"] == with_flag["estimate"]
+
+
+@pytest.mark.parametrize("problem,stream,labels", [
+    ("emd", "+ A 1\n+ B 2\n+ X 3\n", "got X"),
+    ("mst", "+ A 1\n+ B 2\n+ X 3\n+ X 0\n", "got A, B"),
+])
+def test_run_rejects_labels_the_problem_does_not_read(tmp_path, capsys, problem, stream, labels):
+    """A record whose label the problem does not read (X for EMD, A or B
+    for MST) is not dropped: the run exits 2 naming the labels."""
+    path = tmp_path / "s.txt"
+    path.write_text(stream)
+    assert main(["run", "--problem", problem, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("geosketch: error: ") and labels in out.err
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    ("hard_emd", ["alpha=0"], "alpha must be a finite number greater than 0, got 0"),
+    ("hard_emd", ["alpha=nan"], "alpha must be a finite number greater than 0"),
+    ("hard_emd", ["k"], "--param 'k' is not name=number"),
+    ("hard_emd", ["alpha=x"], "--param 'alpha=x' is not name=number"),
+    ("hard_emd", ["k=3"], "hard_emd takes no parameter(s) 'k'"),
+    ("uniform", ["bogus=3"], "uniform takes no parameter(s) 'bogus'"),
+    ("clustered", ["k=0"], "clustered needs an integer k >= 1, got 0"),
+    ("clustered", ["k=2.5"], "clustered needs an integer k >= 1, got 2.5"),
+    ("hard_mst", ["k=1"], "hard_mst needs an integer k >= 2, got 1"),
+    ("hard_mst", ["z=2"], "z must be 0 or 1, got 2"),
+    ("matched_noise", ["eps=1.5"], "eps must be in [0, 1], got 1.5"),
+])
+def test_gen_rejects_bad_params(capsys, kind, params, message):
+    """A --param that is not name=number, that the kind does not read, or
+    whose value is out of the kind's range exits 2 with one error line
+    naming it, and writes no stream."""
+    argv = ["gen", "--kind", kind, "--n", "32", "--d", "16"]
+    assert main(argv + [a for p in params for a in ("--param", p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("geosketch: error: ") and message in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_gen_reads_float_and_int_params(capsys):
+    """`alpha=1e-3` is read as a float and `z=1` as an int; the stream is
+    that of gen_instance with the same parameters."""
+    argv = ["gen", "--kind", "hard_emd", "--n", "32", "--d", "16", "--seed", "2"]
+    assert main(argv + ["--param", "alpha=1e-3", "--param", "z=1"]) == 0
+    inst = gen_instance("hard_emd", 32, 16, 2, alpha=1e-3, z=1)
+    assert inst.meta["alpha"] == 1e-3 and inst.meta["Z"] == 1
+    comments = [f"{k}={v}" for k, v in inst.meta.items()]
+    assert capsys.readouterr().out == write_stream(inst.updates, comments=comments)
+
+
+def test_gen_out_does_not_need_a_binary_stdout(tmp_path):
+    """With --out the binary stream goes to the file, so a stdout without a
+    byte buffer (a StringIO here) is never touched."""
+    out = tmp_path / "s.bin"
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["gen", "--kind", "uniform", "--n", "8", "--d", "4", "--seed", "1",
+                     "--format", "bin", "--out", str(out)]) == 0
+    assert text.getvalue() == ""
+    assert out.read_bytes() == write_stream_binary(gen_instance("uniform", 8, 4, 1).updates)

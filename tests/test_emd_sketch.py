@@ -172,6 +172,17 @@ def test_default_universe_fits_uint64():
         assert ids.shape == (2,)
 
 
+def test_paper_rates_at_n64_d16():
+    """The published log-power rates at n = 64 (L = 6), d = 16: level_reps
+    log2 d, n_sets and n_rounds L^6, n_inner L, n_medreps 3 log2 L^3 and
+    ls1_reps L^9; every other field keeps its default."""
+    cfg = EmdSketchConfig.paper_rates(64, 16, eps=0.25, seed=7)
+    assert cfg == EmdSketchConfig(
+        n=64, d=16, eps=0.25, seed=7, level_reps=4, n_sets=46_656, n_inner=6,
+        n_rounds=46_656, n_medreps=24, ls1_reps=10_077_696,
+    )
+
+
 # -- reference I_i ------------------------------------------------------------------
 
 

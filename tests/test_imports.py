@@ -58,3 +58,47 @@ def test_every_imported_name_is_used(path):
     used = set(_names(tree)) | set(_exported(tree))
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = [p for sub in ("src", "tests", "perfbench") for p in sorted((ROOT / sub).rglob("*.py"))]
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of the module-level functions and classes, and of the
+    public non-dunder methods of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("__"):
+            yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, defs) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.lineno
+
+
+@pytest.fixture(scope="module")
+def read_names():
+    """Every name read as a `Name`, and every attribute read, anywhere in
+    the package, its tests and the benchmark."""
+    names = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_read(path, read_names):
+    """Each function, class and public method the package defines is read
+    somewhere in the package, its tests or the benchmark: no definition
+    outlives its last caller."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = sorted(
+        f"{name} (line {line})" for name, line in _definitions(tree)
+        if name.rpartition(".")[2] not in read_names
+    )
+    assert not unread, f"{path.name} defines names nothing reads: {', '.join(unread)}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosketch import HypercubePoint, QuadtreeSpec, lca_depth, node_at_depth, sample_quadtree
+from geosketch import HypercubePoint, lca_depth, sample_quadtree
 from geosketch.points import points_to_matrix
 
 from conftest import random_multiset
@@ -20,12 +20,13 @@ def test_d2_shape():
 
 
 def test_determinism_and_serde():
+    """A tree is a pure function of its (d, seed) pair, so that pair is all
+    there is to store: rebuilding from it gives the same nodes."""
     t1 = sample_quadtree(16, seed=99)
-    t2 = sample_quadtree(16, seed=99)
+    t2 = sample_quadtree(t1.d, seed=t1.seed)
     assert all(np.array_equal(a, b) for a, b in zip(t1.levels, t2.levels))
-    t3 = QuadtreeSpec.from_json(t1.to_json())
-    assert t3 == t1
-    assert all(np.array_equal(a, b) for a, b in zip(t1.levels, t3.levels))
+    X = np.stack([HypercubePoint(16, v).bits() for v in range(0, 2**16, 997)])
+    assert np.array_equal(t1.node_path(X), t2.node_path(X))
 
 
 def test_level_sizes():
@@ -46,18 +47,20 @@ def test_level0_uniform_chi_square():
 
 def test_root_is_shared_and_leaves_separate():
     t = sample_quadtree(8, seed=3)
-    pts = [HypercubePoint(8, v) for v in range(40)]
-    roots = {node_at_depth(t, p, 0) for p in pts}
+    X = np.stack([HypercubePoint(8, v).bits() for v in range(40)])
+    roots = {tuple(fp) for fp in t.node_fingerprints(X, 0)}
     assert len(roots) == 1
-    leaves = {node_at_depth(t, p, t.h) for p in pts}
-    assert len(leaves) == len(pts)
+    leaves = {tuple(fp) for fp in t.node_fingerprints(X, t.h)}
+    assert len(leaves) == len(X)
 
 
 def test_depth_out_of_range():
     t = sample_quadtree(4, seed=1)
-    p = HypercubePoint(4, 0)
+    X = HypercubePoint(4, 0).bits()[None, :]
     with pytest.raises(ValueError):
-        node_at_depth(t, p, t.h + 1)
+        t.node_fingerprints(X, t.h + 1)
+    with pytest.raises(ValueError):
+        t.node_fingerprints(X, -1)
 
 
 def test_hand_built_split_depth():
@@ -71,9 +74,10 @@ def test_hand_built_split_depth():
         sampled = np.concatenate(t.levels)
         if 3 not in sampled:
             assert lca_depth(t, x, y) == t.h - 1
+            path = t.node_path(np.stack([x.bits(), y.bits()]))
             for i in range(t.h):
-                assert node_at_depth(t, x, i) == node_at_depth(t, y, i)
-            assert node_at_depth(t, x, t.h) != node_at_depth(t, y, t.h)
+                assert np.array_equal(path[0, i], path[1, i])
+            assert not np.array_equal(path[0, t.h], path[1, t.h])
             return
     pytest.fail("no tree avoiding the last coordinate in 200 seeds")
 
