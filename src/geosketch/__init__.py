@@ -36,7 +36,6 @@ from .emd_sketch import (
     EmdOnePassSketch,
     EmdSketchConfig,
     EmdTwoPassSketch,
-    UniverseMap,
     reference_I_i,
     split_probability,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
-    "UniverseMap", "reference_I_i", "split_probability",
+    "reference_I_i", "split_probability",
     "MstSketch", "MstSketchConfig", "reference_level_quantities",
     "TurnstileUpdate", "aggregate", "parse_stream", "parse_stream_binary",
     "write_stream", "write_stream_binary",

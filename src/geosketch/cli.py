@@ -165,7 +165,11 @@ def _read_updates(path: str, fmt: str) -> List[TurnstileUpdate]:
 
 
 def _cmd_run(args) -> int:
-    seed = int(os.environ.get("GEOSKETCH_SEED", args.seed))
+    try:
+        seed = int(os.environ.get("GEOSKETCH_SEED", args.seed))
+    except ValueError:  # args.seed is an int already
+        raise ValueError("GEOSKETCH_SEED must be an integer, got "
+                         f"{os.environ['GEOSKETCH_SEED']!r}") from None
     emd_cfg = mst_cfg = None
     if args.config:
         with open(args.config) as f:

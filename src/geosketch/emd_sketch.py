@@ -12,23 +12,19 @@ point of C_u and a random point of C_v. Summed over levels, I sandwiches
 EMD(A, B) within ~log n factors for most trees, and every factor of it is
 estimable by small linear sketches.
 
-State discipline: the sketch keeps one `SparseCounts`, packed point ->
-[net |A| count, net |B| count], plus seeds (a two-pass sketch keeps a second
-one for pass 2); an update adds one row to it and writes nothing else. That
-store is the aggregated input, the smallest exact state, not the paper's
-polylog-size sketch (a bounded mode is ROADMAP Direction 6). Every
-replica's counts are a view of it, built once per read for all replicas in
-one batch (`views`): a `CountView` whose sorted key array holds the
-universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
-character set the positive-parity count. Every reader takes those arrays
-directly, and every sketch of a level is a function of them, built in
-canonical order: the LS1/LS2/LS3 Count-Sketch tables, Delta-hat (the
-`cauchy_l1` estimate) and the round-one l1 samplers (both of the node
-discrepancy q_v = |A_v| - |B_v|), and the round-two counters, sums of the
-pass-2 view at each sampled edge. A two-pass replica keeps Delta-hat as a
-float from pass 1. By linearity the result is identical to eager
-per-update accumulation, but states merge and replay bit-for-bit. Node ids
-are uint64 throughout. `state_bytes` is `encode_state` of the one store.
+State discipline: the one-store rule of `_TreeSketch`, with a store of
+packed point -> [net |A| count, net |B| count] (a two-pass sketch keeps a
+second one for pass 2). Every replica's counts are a view of it, built
+once per read for all replicas in one batch (`views`): a `CountView`
+whose sorted key array holds the universe-reduced nodes (u, w) and whose
+rows hold |A_v|, |B_v|, and per character set the positive-parity count.
+Every reader takes those arrays directly, and every sketch of a level is
+a function of them, built in canonical order: the LS1/LS2/LS3
+Count-Sketch tables, Delta-hat (the `cauchy_l1` estimate) and the
+round-one l1 samplers (both of the node discrepancy q_v = |A_v| - |B_v|),
+and the round-two counters, sums of the pass-2 view at each sampled edge.
+A two-pass replica keeps Delta-hat as a float from pass 1. Node ids are
+uint64 throughout.
 
 One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes
 over a grid of (set, inner copy, round, repetition) cells, decoded in
@@ -70,7 +66,6 @@ from .sketches import (
 
 __all__ = [
     "CharacterSet",
-    "UniverseMap",
     "EmdSketchConfig",
     "EmdOnePassSketch",
     "EmdTwoPassSketch",
@@ -160,51 +155,21 @@ def expected_split_probability(dists: np.ndarray, weights: np.ndarray, rate: flo
 # ---------------------------------------------------------------------------
 
 
-def default_universe_m(n: int) -> int:
-    """The default universe size max(8, n^3), clamped to 2^64 - 1 so that
-    the node ids stay uint64 (the clamp acts for n > 2,642,245)."""
-    return min(max(8, n**3), 2**64 - 1)
-
-
-class UniverseMap:
-    """Keyed-hash reduction of parent/child node fingerprints into uint64
-    ids in [m]. The seed may be an array, which then broadcasts against the
-    fingerprints (one id per seed)."""
-
-    _SALT_U = 0x0E0A
-    _SALT_W = 0x0E0B
-
-    def __init__(self, m: int, seed: int):
-        if m < 2:
-            raise ValueError("m must be >= 2")
-        self.m = m
-        self.seed = seed
-
-    def _ids(self, salt: int, fp: np.ndarray) -> np.ndarray:
-        fp = np.atleast_2d(np.asarray(fp, dtype=U64))
-        return hx.combine(self.seed, salt, fp[..., 0], fp[..., 1]) % U64(self.m)
-
-    def u_of(self, fp: np.ndarray) -> np.ndarray:
-        """Parent ids in [m]; fp is a (..., 2) uint64 fingerprint array."""
-        return self._ids(self._SALT_U, fp)
-
-    def w_of(self, fp: np.ndarray) -> np.ndarray:
-        """Child slot ids in [m]."""
-        return self._ids(self._SALT_W, fp)
-
-
 def replica_node_ids(tree: QuadtreeSpec, X: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
-    """(u, w), each (len(reps), n): each replica's ids (its `umap`, all of
-    one size m) of the parent and the node at its `level` of the n points
-    with bits X (n, d), in one hash call per id. Only the depths the levels
-    of reps read are fingerprinted: i - 1 and i for each level i."""
+    """(u, w), each (len(reps), n) uint64: each replica's ids in [m] (m =
+    `universe_m` of their config) of the parent and the node at its `level`
+    of the n points with bits X (n, d). An id is a keyed hash of the node
+    fingerprint, keyed combine(replica seed, 0xD1), salted 0x0E0A for a
+    parent and 0x0E0B for a node, one hash call per id. Only the depths the
+    levels of reps read are fingerprinted: i - 1 and i for each level i."""
     lv = np.array([rep.level for rep in reps], dtype=np.int64)
     depths = np.union1d(lv - 1, lv)
     fp = np.stack([tree.node_fingerprints(X, int(j)) for j in depths])
     at = np.searchsorted(depths, lv)  # depth i - 1 sits just before depth i
-    seeds = np.array([rep.umap.seed for rep in reps], dtype=U64)[:, None]
-    umap = UniverseMap(reps[0].umap.m, seeds)
-    return umap.u_of(fp[at - 1]), umap.w_of(fp[at])
+    key = hx.combine(np.array([rep.seed for rep in reps], dtype=U64), 0xD1)[:, None]
+    m = U64(reps[0].cfg.universe_m)
+    return tuple(hx.combine(key, salt, f[..., 0], f[..., 1]) % m
+                 for salt, f in ((0x0E0A, fp[at - 1]), (0x0E0B, fp[at])))
 
 
 # ---------------------------------------------------------------------------
@@ -212,41 +177,60 @@ def replica_node_ids(tree: QuadtreeSpec, X: np.ndarray, reps) -> Tuple[np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def check_config(cfg) -> None:
-    """Raise a ValueError naming the first field of the config dataclass
-    cfg with a wrong value: a float field must be a finite number, and
-    `eps` above 0; an int field an integer below 2^64 and at least 1, or at
-    least 0 where 0 is its default (the seed, and the sizes for which 0
-    selects a derived value)."""
-    for f in fields(cfg):
-        v, lo = getattr(cfg, f.name), 0 if f.default == 0 else 1
-        finite = isinstance(v, (int, float)) and -math.inf < v < math.inf
-        if isinstance(v, bool) or (f.type == "float" and not finite):
-            raise ValueError(f"config field {f.name!r} must be a finite number, got {v!r}")
-        if f.name == "eps" and not v > 0:
-            raise ValueError(f"config field 'eps' must be greater than 0, got {v!r}")
-        if f.type == "int" and not (isinstance(v, (int, np.integer)) and lo <= v < 2**64):
-            raise ValueError(
-                f"config field {f.name!r} must be an integer in [{lo}, 2^64), got {v!r}")
+class _SketchConfig:
+    """What the EMD and MST config dataclasses share: the field check, the
+    default universe size, L, and the JSON form (an object of kind `_KIND`
+    and version 1 whose other keys are the fields)."""
 
+    def __post_init__(self):
+        """Raise a ValueError naming the first field with a wrong value: a
+        float field must be a finite number, and `eps` above 0; an int field
+        an integer below 2^64 and at least 1, or at least 0 where 0 is its
+        default (the seed, and the sizes for which 0 selects a derived
+        value); `universe_m` must be 0 or at least 2. A `universe_m` of 0
+        becomes max(8, n^3), clamped to 2^64 - 1 so that the node ids stay
+        uint64 (the clamp acts for n > 2,642,245)."""
+        for f in fields(self):
+            v, lo = getattr(self, f.name), 0 if f.default == 0 else 1
+            finite = isinstance(v, (int, float)) and -math.inf < v < math.inf
+            if isinstance(v, bool) or (f.type == "float" and not finite):
+                raise ValueError(f"config field {f.name!r} must be a finite number, got {v!r}")
+            if f.name == "eps" and not v > 0:
+                raise ValueError(f"config field 'eps' must be greater than 0, got {v!r}")
+            if f.type == "int" and not (isinstance(v, (int, np.integer)) and lo <= v < 2**64):
+                raise ValueError(
+                    f"config field {f.name!r} must be an integer in [{lo}, 2^64), got {v!r}")
+        if self.universe_m == 1:
+            raise ValueError("config field 'universe_m' must be 0 or at least 2, got 1")
+        if self.universe_m == 0:
+            self.universe_m = min(max(8, self.n**3), 2**64 - 1)
 
-def config_from_json(cls, text: str, kind: str):
-    """The config of dataclass cls serialized in text: a JSON object of the
-    given kind and version 1 whose other keys are fields of cls, each
-    required field present."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or obj.pop("kind", None) != kind or obj.pop("version", None) != 1:
-        raise ValueError(f"not a serialized {kind} (a JSON object with version 1)")
-    fs = fields(cls)
-    missing = [f.name for f in fs if f.default is MISSING and f.name not in obj]
-    for what, bad in (("unknown", sorted(set(obj) - {f.name for f in fs})), ("missing", missing)):
-        if bad:
-            raise ValueError(f"{kind}: {what} field(s) {', '.join(map(repr, bad))}")
-    return cls(**obj)
+    @property
+    def L(self) -> int:
+        return log2n(self.n)
+
+    def to_json(self) -> str:
+        return json.dumps({"kind": self._KIND, "version": 1, **asdict(self)})
+
+    @classmethod
+    def from_json(cls, text: str):
+        """The config serialized in text by `to_json`: every required field
+        present, and no key that is not a field."""
+        obj, kind = json.loads(text), cls._KIND
+        if not (isinstance(obj, dict) and obj.pop("kind", None) == kind
+                and obj.pop("version", None) == 1):
+            raise ValueError(f"not a serialized {kind} (a JSON object with version 1)")
+        fs = fields(cls)
+        unknown = sorted(set(obj) - {f.name for f in fs})
+        missing = [f.name for f in fs if f.default is MISSING and f.name not in obj]
+        for what, bad in (("unknown", unknown), ("missing", missing)):
+            if bad:
+                raise ValueError(f"{kind}: {what} field(s) {', '.join(map(repr, bad))}")
+        return cls(**obj)
 
 
 @dataclass
-class EmdSketchConfig:
+class EmdSketchConfig(_SketchConfig):
     """Shape of the per-level EMD sketch stack.
 
     `n_sets` character sets per level; `n_inner` independent inner sketches
@@ -269,18 +253,10 @@ class EmdSketchConfig:
     cs_rows: int = 5
     cs_buckets: int = 256
     delta_rows: int = 512
-    universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
+    universe_m: int = 0  # 0 -> about n^3
     sampler_buckets: int = 256  # two-pass round-1 sampler
     sampler_gamma: float = 0.05
-
-    def __post_init__(self):
-        check_config(self)
-        if self.universe_m == 0:
-            self.universe_m = default_universe_m(self.n)
-
-    @property
-    def L(self) -> int:
-        return log2n(self.n)
+    _KIND = "emd-config"
 
     def alpha(self, i: int) -> float:
         return min(1.0, 2.0**i / (self.d * self.L**2))
@@ -305,13 +281,6 @@ class EmdSketchConfig:
             ls1_reps=L**9,  # O(log n / gamma^2), gamma = tau/L
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": "emd-config", "version": 1, **asdict(self)})
-
-    @classmethod
-    def from_json(cls, s: str) -> "EmdSketchConfig":
-        return config_from_json(cls, s, "emd-config")
-
 
 # ---------------------------------------------------------------------------
 # per-level replica state
@@ -319,7 +288,7 @@ class EmdSketchConfig:
 
 
 class _LevelReplica:
-    """Seeds, universe map and character sets of one (level, replica). Its
+    """Seeds and character sets of one (level, replica). Its
     counts, (u, w) -> [|A_v|, |B_v|, chi-plus count per set], are a view the
     sketch passes in when it is read. A two-pass replica keeps Delta-hat,
     its round-one samplers, samples and round-two counters from
@@ -329,7 +298,6 @@ class _LevelReplica:
         self.cfg = cfg
         self.level = level
         self.seed = seed
-        self.umap = UniverseMap(cfg.universe_m, int(hx.combine(seed, 0xD1)[()]))
         self.charsets = [
             CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4, j)[()]))
             for j in range(cfg.n_sets)
@@ -556,10 +524,26 @@ class _LsCells:
 # ---------------------------------------------------------------------------
 
 
-class _EmdSketchBase:
-    _KIND = 6  # of the serialized state
+class _TreeSketch:
+    """What the EMD and MST estimators share: one random quadtree of depth
+    h, a grid of replicas per level (`replicas[i - 1]`, one seed each),
+    and the one count store, `counts`.
 
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
+    The one-store rule: the sketch keeps one `SparseCounts` keyed by the
+    packed point, plus seeds (a two-pass EMD sketch keeps a second one for
+    pass 2); an update adds one row to it and writes nothing else. That
+    store is the aggregated input, the smallest exact state, not the
+    paper's polylog-size sketch (a bounded mode is ROADMAP Direction 6).
+    Every replica reads a view of it, built when it is read, and every
+    sketch is a function of that view, so states merge and replay bit for
+    bit. `merge` adds the store of a sketch of the same config, and
+    `state_bytes` is `encode_state` of the store alone, under the
+    subclass's state kind `_KIND` and the config fields `_SHAPE`."""
+
+    def __init__(self, cfg, tree: Optional[QuadtreeSpec], replica, salt: int, count: int,
+                 width: int):
+        """`count` replicas replica(cfg, i, combine(cfg.seed, salt, i, r))
+        per level i, and a store of `width` counts per point."""
         self.cfg = cfg
         self.tree = tree if tree is not None else sample_quadtree(
             cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()])
@@ -568,13 +552,33 @@ class _EmdSketchBase:
             raise ValueError("tree dimension does not match config")
         self.h = self.tree.h
         self.replicas = [
-            [
-                _LevelReplica(cfg, i, int(hx.combine(cfg.seed, 0x11, i, r)[()]))
-                for r in range(cfg.level_reps)
-            ]
+            [replica(cfg, i, int(hx.combine(cfg.seed, salt, i, r)[()])) for r in range(count)]
             for i in range(1, self.h + 1)
         ]
-        self.counts = SparseCounts(2)  # packed point -> [net A, net B]
+        self.counts = SparseCounts(width)
+
+    def _read(self, counts: SparseCounts):
+        """(packed values, rows, bit matrix X) of a store, in canonical order."""
+        values, rows = counts.sorted()
+        return values, rows, values_to_matrix(values, self.cfg.d)
+
+    def merge(self, other: "_TreeSketch") -> None:
+        if self.cfg != other.cfg:
+            raise ValueError("cannot merge sketches with different configs")
+        self.counts.merge(other.counts)
+
+    def state_bytes(self) -> bytes:
+        """`encode_state` of the one count store (the pass-2 store of a
+        two-pass sketch is not included)."""
+        return encode_state(self._KIND, [getattr(self.cfg, f) for f in self._SHAPE], [self.counts])
+
+
+class _EmdSketchBase(_TreeSketch):
+    _KIND, _SHAPE = 6, ("seed", "d", "universe_m", "level_reps", "n_sets")
+
+    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
+        # packed point -> [net A, net B]
+        super().__init__(cfg, tree, _LevelReplica, 0x11, cfg.level_reps, width=2)
 
     def _add(self, store: SparseCounts, point: HypercubePoint, label: str, delta: int) -> None:
         if label != "A" and label != "B":
@@ -587,11 +591,10 @@ class _EmdSketchBase:
     def views(self, counts: SparseCounts) -> List[List[CountView]]:
         """Every replica's counts, level by level, built from an aggregated
         store (point -> [net A, net B]) in one batch: one node path per
-        distinct point, one universe-map hash per id for all replicas, one
+        distinct point, one hash call per id for all replicas, one
         character evaluation per set, and one grouped sum. A point with net
         (a, b) adds [a, b, (a + b) chi-plus per set] at its node."""
-        values, ab = counts.sorted()
-        X = values_to_matrix(values, self.cfg.d)
+        _, ab, X = self._read(counts)
         reps = [rep for per_level in self.replicas for rep in per_level]
         u, w = replica_node_ids(self.tree, X, reps)
         plus = np.array([[cs.eval_matrix(X) == 1 for cs in rep.charsets] for rep in reps])
@@ -618,27 +621,12 @@ class EmdOnePassSketch(_EmdSketchBase):
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         self._add(self.counts, point, label, delta)
 
-    def merge(self, other: "EmdOnePassSketch") -> None:
-        if self.cfg != other.cfg:
-            raise ValueError("cannot merge sketches with different configs")
-        self.counts.merge(other.counts)
-
     def estimate(self) -> float:
         n = self._check_balanced()
         total = 0.0
         for per_level, views in zip(self.replicas, self.views(self.counts)):
             total += float(np.median([rep.eta("one_pass", v) for rep, v in zip(per_level, views)]))
         return total + self.cfg.eps * n * self.cfg.d
-
-    def state_bytes(self) -> bytes:
-        """`encode_state` of the one count store (the pass-2 store of a
-        two-pass sketch is not included)."""
-        cfg = self.cfg
-        return encode_state(
-            self._KIND,
-            (cfg.seed, cfg.d, cfg.universe_m, cfg.level_reps, cfg.n_sets),
-            [self.counts],
-        )
 
 
 class EmdTwoPassSketch(_EmdSketchBase):
@@ -654,6 +642,12 @@ class EmdTwoPassSketch(_EmdSketchBase):
         if self._pass != 1:
             raise RuntimeError("pass 1 is finalized; use update_pass2()")
         self._add(self.counts, point, label, delta)
+
+    def merge(self, other: _EmdSketchBase) -> None:
+        """`_TreeSketch.merge` of the pass-1 counts, before `finalize_pass1`."""
+        if self._pass != 1:
+            raise RuntimeError("pass 1 is finalized; merge before finalize_pass1()")
+        super().merge(other)
 
     def finalize_pass1(self) -> None:
         """Close pass 1: its replica views are built once, here."""

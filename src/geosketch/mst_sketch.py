@@ -24,21 +24,17 @@ p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
 indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
 runs in (sign, log-magnitude) space.
 
-State: the sketch keeps one `SparseCounts`, packed point -> [net count],
-plus seeds; an update adds one row to it and writes nothing else. That store
-is the aggregated input, the smallest exact state, not the paper's
-polylog-size sketch (a bounded mode is ROADMAP Direction 6). Every (level,
-sample) reads a view of it, built when its level is read, in one batch for
-the samples of that level (`views`): a `CountView` of the point entries
-(u, w, point fingerprint) -> [net, net * chi], sorted by key. The node
-counts [sum net, sum net * chi] per universe-reduced node (u, w) are one
-grouped sum of those sorted arrays (a node's entries are adjacent), the
-witness arrays are columns of them, and every sketch is a function of
-them (bit-identical under permutation and merge): the recovery and
-witness sketches of each sample, and the per-level l0 estimate
-(`l0_estimate`) of the node counts of the level's first sample. Node ids
-are uint64 throughout. `state_bytes` is `encode_state` of the one
-store.
+State: the one-store rule of `_TreeSketch`, with a store of packed point
+-> [net count]. Every (level, sample) reads a view of it, built when its
+level is read, in one batch for the samples of that level (`views`): a
+`CountView` of the point entries (u, w, point fingerprint) -> [net, net *
+chi], sorted by key. The node counts [sum net, sum net * chi] per
+universe-reduced node (u, w) are one grouped sum of those sorted arrays
+(a node's entries are adjacent), the witness arrays are columns of them,
+and every sketch is a function of them (bit-identical under permutation
+and merge): the recovery and witness sketches of each sample, and the
+per-level l0 estimate (`l0_estimate`) of the node counts of the level's
+first sample. Node ids are uint64 throughout.
 
 The samples of a level are decoded as one stack, one call per stage for
 all of them: parent recovery evaluates every (sample, row) sketch at once;
@@ -59,26 +55,22 @@ bounds the decode's temporaries to a few MiB.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix, values_to_matrix
-from .quadtree import QuadtreeSpec, sample_quadtree
+from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix
+from .quadtree import QuadtreeSpec
 from .offline import LevelDecomposition
 from .sketches import (
     FAIL, CountView, SparseCounts, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys,
-    encode_state, l0_estimate, stable_median,
+    l0_estimate, stable_median,
 )
-from .emd_sketch import (
-    CharacterSet, UniverseMap, check_config, config_from_json, default_universe_m, log2n,
-    replica_node_ids,
-)
+from .emd_sketch import CharacterSet, _SketchConfig, _TreeSketch, log2n, replica_node_ids
 
 __all__ = [
     "MstSketchConfig",
@@ -103,7 +95,7 @@ def _point_fps(seeds, values: Sequence[int]) -> np.ndarray:
 
 
 @dataclass
-class MstSketchConfig:
+class MstSketchConfig(_SketchConfig):
     n: int
     d: int
     seed: int = 0
@@ -119,10 +111,11 @@ class MstSketchConfig:
     rec_t0_parent: int = 48
     rec_t0_child: int = 12
     l0_buckets: int = 4096
-    universe_m: int = 0  # 0 -> default_universe_m(n), about n^3
+    universe_m: int = 0  # 0 -> about n^3
+    _KIND = "mst-config"
 
     def __post_init__(self):
-        check_config(self)
+        super().__post_init__()
         if self.L > len(_STABLE_MEDIAN_HEX):
             # median(|D_p|) at p = 1/(4L) is tabulated, and solvable, up to there
             raise ValueError(
@@ -132,12 +125,6 @@ class MstSketchConfig:
         if self.samples == 0:
             # L^3 is 1 at n = 2, where a single failed sample fails the level
             self.samples = max(log2n(self.n) ** 3, 8)
-        if self.universe_m == 0:
-            self.universe_m = default_universe_m(self.n)
-
-    @property
-    def L(self) -> int:
-        return log2n(self.n)
 
     @property
     def p(self) -> float:
@@ -157,13 +144,6 @@ class MstSketchConfig:
 
     def mu_cap(self, i: int) -> float:
         return 10.0 * self.d * self.L / 2.0**i
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": "mst-config", "version": 1, **asdict(self)})
-
-    @classmethod
-    def from_json(cls, s: str) -> "MstSketchConfig":
-        return config_from_json(cls, s, "mst-config")
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +190,13 @@ class SamplesFailed(RuntimeError):
 
 
 class _RepState:
-    """Seeds, universe map and character of one (level, sample); its point
-    entries are a view that the sketch builds when it is read."""
+    """Seeds and character of one (level, sample); its point entries are a
+    view that the sketch builds when it is read."""
 
     def __init__(self, cfg: MstSketchConfig, level: int, seed: int):
         self.cfg = cfg
         self.level = level
         self.seed = seed
-        self.umap = UniverseMap(cfg.universe_m, int(hx.combine(seed, 0xD1)[()]))
         self.charset = CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4)[()]))
 
 
@@ -546,37 +525,19 @@ class _LevelStack:
         return out
 
 
-class MstSketch:
+class MstSketch(_TreeSketch):
     """One-pass MST estimator (l0 per level plus t sampled tuples)."""
 
-    _KIND = 7  # of the serialized state
+    _KIND, _SHAPE = 7, ("seed", "d", "universe_m", "samples")
 
     def __init__(self, cfg: MstSketchConfig, tree: Optional[QuadtreeSpec] = None):
-        self.cfg = cfg
-        self.tree = tree if tree is not None else sample_quadtree(
-            cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()])
-        )
-        if self.tree.d != cfg.d:
-            raise ValueError("tree dimension does not match config")
-        self.h = self.tree.h
-        self.reps: List[List[_RepState]] = [
-            [
-                _RepState(cfg, i, int(hx.combine(cfg.seed, 0x33, i, s)[()]))
-                for s in range(cfg.samples)
-            ]
-            for i in range(1, self.h + 1)
-        ]
-        self.counts = SparseCounts()  # packed point -> net count
+        # packed point -> net count
+        super().__init__(cfg, tree, _RepState, 0x33, cfg.samples, width=1)
 
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
         self.counts.add(point.value, int(delta))
-
-    def merge(self, other: "MstSketch") -> None:
-        if self.cfg != other.cfg:
-            raise ValueError("cannot merge sketches with different configs")
-        self.counts.merge(other.counts)
 
     def views(self, reps: Sequence[_RepState]) -> List[CountView]:
         """The point entries (u, w, point fingerprint) -> [net, net * chi]
@@ -584,8 +545,7 @@ class MstSketch:
         batch: the node fingerprints of each distinct point at the depths
         i - 1 and i of the levels i of reps only, one hash call per id and
         per fingerprint for all replicas, and one grouped sum."""
-        values, net = self.counts.sorted()
-        X = values_to_matrix(values, self.cfg.d)
+        values, net, X = self._read(self.counts)
         u, w = replica_node_ids(self.tree, X, reps)
         pfp = _point_fps(np.array([rep.seed for rep in reps], dtype=U64)[:, None], values)
         plus = np.array([rep.charset.eval_matrix(X) == 1 for rep in reps])
@@ -606,7 +566,7 @@ class MstSketch:
 
     def level_counts(self) -> List[float]:
         return [self._l0(i, self.views(per_level[:1])[0])
-                for i, per_level in enumerate(self.reps, start=1)]
+                for i, per_level in enumerate(self.replicas, start=1)]
 
     def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
@@ -614,7 +574,7 @@ class MstSketch:
         failed samples are dropped. The samples are decoded in stacks of
         at most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted
         as if every point entry were a node in every D (or one sample)."""
-        per_level = self.reps[i - 1]
+        per_level = self.replicas[i - 1]
         views = views or self.views(per_level)
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
         tuples = []
@@ -631,21 +591,12 @@ class MstSketch:
         if self.counts.total()[0] <= 0:
             raise ValueError("stream encodes an empty point set")
         total = 0.0
-        for i, per_level in enumerate(self.reps, start=1):
+        for i, per_level in enumerate(self.replicas, start=1):
             views = self.views(per_level)  # one level's views at a time
             ell = self._l0(i, views[0])
             if ell > 1.5:
                 total += ell * (self.level_mu(i, views) + self.cfg.d / 2.0**i)
         return total
-
-    def state_bytes(self) -> bytes:
-        """`encode_state` of the one count store."""
-        cfg = self.cfg
-        return encode_state(
-            self._KIND,
-            (cfg.seed, cfg.d, cfg.universe_m, cfg.samples),
-            [self.counts],
-        )
 
 
 def reference_level_quantities(

@@ -44,7 +44,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -399,12 +398,13 @@ _STABLE_MEDIAN = {1.0 / (4.0 * L): float.fromhex(h) for L, h in enumerate(_STABL
 
 
 def stable_median(p: float) -> float:
-    """median(|D_p|): from the committed table at p = 1/(4L), L = 1..25,
-    otherwise solved by `_stable_median_slow`."""
-    return _STABLE_MEDIAN[p] if p in _STABLE_MEDIAN else _stable_median_slow(p)
+    """median(|D_p|) from the committed table, at the p = 1/(4L), L = 1..25,
+    of the MST sketch; `_stable_median_slow` solves it at any p."""
+    if p not in _STABLE_MEDIAN:
+        raise ValueError(f"stable_median supports p = 1/(4L), L = 1..25, only; got p = {p}")
+    return _STABLE_MEDIAN[p]
 
 
-@lru_cache(maxsize=64)
 def _stable_median_slow(p: float) -> float:
     """median(|D_p|), found by bisection on t -> F(g(t, pi t / 2)).
 

@@ -48,7 +48,11 @@ def parse_stream(data: bytes | str, d: Optional[int] = None) -> List[TurnstileUp
     nibbles).
     """
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as e:  # the line of a stand-in for the bad byte
+            ln = len((data[:e.start] + b"x").decode("ascii").splitlines())
+            raise ValueError(f"line {ln}: byte {data[e.start]:#04x} is not ASCII") from None
     updates: List[TurnstileUpdate] = []
     for ln, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
@@ -59,8 +63,10 @@ def parse_stream(data: bytes | str, d: Optional[int] = None) -> List[TurnstileUp
             if d is None and body.startswith("d="):
                 try:
                     d = int(body[2:].split()[0])
-                except ValueError as e:
-                    raise ValueError(f"line {ln}: bad dimension comment {line!r}") from e
+                except (IndexError, ValueError):
+                    d = 0
+                if d < 1:
+                    raise ValueError(f"line {ln}: bad dimension comment {line!r}, want d >= 1")
             continue
         parts = line.split()
         if len(parts) != 3:

@@ -142,6 +142,28 @@ def tail_truncated_norms(z: np.ndarray, beta: int) -> Tuple[float, float]:
     return float(np.sqrt((z**2).sum())), float(np.abs(z).sum())
 
 
+def universe_ids(seed: int, m: int, salt: int, fp) -> np.ndarray:
+    """Ids in [m] of node fingerprints fp (..., 2) in the replica of the
+    given seed, with the keyed hash written out here (salt 0x0E0A for a
+    parent, 0x0E0B for a node), apart from `replica_node_ids`."""
+    fp = np.asarray(fp, dtype=U64)
+    return hx.combine(hx.combine(seed, 0xD1), salt, fp[..., 0], fp[..., 1]) % U64(m)
+
+
+def node_key(tree, rep, p):
+    """The (u, w) id of point p's node in a replica, from the tree path."""
+    path = tree.node_path(p.bits()[None, :])[0]
+    m = rep.cfg.universe_m
+    return (int(universe_ids(rep.seed, m, 0x0E0A, path[rep.level - 1])),
+            int(universe_ids(rep.seed, m, 0x0E0B, path[rep.level])))
+
+
+def state_header(kind: int, shape) -> bytes:
+    """The head of an `encode_state` blob of one store: magic, version 2,
+    kind, the shape words and the store count."""
+    return b"GSKS" + struct.pack(f"<HHB{len(shape)}QI", 2, kind, len(shape), *shape, 1)
+
+
 def store_sizes(blob: bytes):
     """(width, row count) of every count store of an `encode_state` blob."""
     off = 9 + 8 * blob[8]  # magic, version, kind, word count, words

@@ -38,11 +38,14 @@ def test_python_m_geosketch_cli_warns_nothing():
     assert r.stdout.startswith("usage: geosketch")
 
 
-def _run_cli(*args, stdin=None):
+def _run_cli(*args, stdin=None, env=None):
+    """`python -m geosketch *args`, with the given environment variables
+    and no GEOSKETCH_SEED beyond them."""
     src = str(Path(geosketch.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    extra, env = env or {}, dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     env.pop("GEOSKETCH_SEED", None)
+    env.update(extra)
     return subprocess.run([sys.executable, "-m", "geosketch", *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=120)
 
@@ -80,17 +83,28 @@ def test_run_pads_dimension_to_power_of_two(tmp_path, capsys, kind, problem):
     ("+ A 1\n+ B 2\n", ["--eps", "inf", "-"], "eps must be a finite number greater than 0"),
     ("+ A 1\n+ B 2\n", ["--eps", "-1", "-"], "eps must be a finite number greater than 0"),
     ("+ X 1\n+ X 2\n", ["--problem", "mst", "--eps", "nan", "-"], "eps must be a finite"),
+    ("+ A 1\n+ B 2\n", ["GEOSKETCH_SEED=abc", "-"], "GEOSKETCH_SEED must be an integer, got 'abc'"),
+    ("", ["NON_ASCII"], "line 2: byte 0xff is not ASCII"),
+    ("# d=0\n+ A 0\n+ B 1\n", ["-"], "line 1: bad dimension comment '# d=0'"),
+    ("\n# d=\n+ A 1\n+ B 2\n", ["-"], "line 2: bad dimension comment '# d='"),
 ])
 def test_bad_input_is_reported_without_traceback(tmp_path, stream, extra, message):
-    """Malformed streams, unbalanced A/B, an unknown config kind, a missing
-    stream file and an --eps that is not a finite number above 0 (which
-    the report would print as invalid JSON, or which would lower an EMD
-    estimate) exit with status 2 and one `geosketch: error:` line on
-    stderr."""
+    """Malformed streams (a bad point, a byte that is not ASCII, a `# d=`
+    without a dimension of at least 1), unbalanced A/B, an unknown config kind, a missing stream
+    file, a GEOSKETCH_SEED that is not an integer and an --eps that is not
+    a finite number above 0 (which the report would print as invalid JSON,
+    or which would lower an EMD estimate) exit with status 2 and one
+    `geosketch: error:` line on stderr, which names the line or the
+    variable. An `extra` of the form NAME=value sets that variable."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"kind": "foo"}')
-    paths = {"CFG": str(cfg), "MISSING": str(tmp_path / "missing.txt")}
-    r = _run_cli("run", "--problem", "emd", *[paths.get(a, a) for a in extra], stdin=stream)
+    non_ascii = tmp_path / "non_ascii.txt"
+    non_ascii.write_bytes(b"+ A 1\n\xff\n+ B 2\n")
+    paths = {"CFG": str(cfg), "MISSING": str(tmp_path / "missing.txt"),
+             "NON_ASCII": str(non_ascii)}
+    env = dict(a.split("=", 1) for a in extra if "=" in a)
+    argv = [paths.get(a, a) for a in extra if "=" not in a]
+    r = _run_cli("run", "--problem", "emd", *argv, stdin=stream, env=env)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("geosketch: error: ") and message in r.stderr
@@ -122,11 +136,13 @@ _EMD, _MST = {"kind": "emd-config", "version": 1}, {"kind": "mst-config", "versi
     ("emd", {**_EMD, "n": 4, "d": 4, "sampler_gamma": float("inf")},
      "'sampler_gamma' must be a finite number"),
     ("emd", {**_EMD, "n": 4, "d": 4, "eps": -1}, "'eps' must be greater than 0"),
+    ("emd", {**_EMD, "n": 4, "d": 4, "universe_m": 1}, "'universe_m' must be 0 or at least 2"),
+    ("mst", {**_MST, "n": 4, "d": 4, "universe_m": 1}, "'universe_m' must be 0 or at least 2"),
 ])
 def test_bad_config_is_reported_without_traceback(tmp_path, problem, config, message):
     """A config with an unknown field, one that is not a JSON object, a
-    missing field, a count out of range, a float field that is not finite
-    or an eps not above 0 exits with status 2 and one `geosketch: error:`
+    missing field, a count out of range, a universe of one node, a float
+    field that is not finite or an eps not above 0 exits with status 2 and one `geosketch: error:`
     line naming it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

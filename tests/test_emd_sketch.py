@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from geosketch import (
     EmdTwoPassSketch,
     HypercubePoint,
     PointMultiset,
-    UniverseMap,
     exact_emd,
     gen_instance,
     reference_I_i,
@@ -23,11 +24,11 @@ from geosketch import (
     cauchy_l1,
 )
 from geosketch import emd_sketch
-from geosketch.emd_sketch import expected_split_probability, log2n
+from geosketch.emd_sketch import expected_split_probability, log2n, replica_node_ids
 
 from conftest import (
-    FedL1Sampler, random_multiset, random_pair, reference_one_round_estimates, sampler_reads,
-    store_sizes, tail_truncated_norms, view_of,
+    FedL1Sampler, node_key, random_multiset, random_pair, reference_one_round_estimates,
+    sampler_reads, state_header, store_sizes, tail_truncated_norms, universe_ids, view_of,
 )
 
 
@@ -154,10 +155,9 @@ def test_universe_map_injective_on_nonempty_nodes():
     from geosketch.points import points_to_matrix
 
     mat, _ = points_to_matrix(X)
-    umap = UniverseMap(n**3, seed=11)
     for depth in range(tree.h + 1):
         fps = np.unique(tree.node_fingerprints(mat, depth), axis=0)
-        ids = umap.u_of(fps)
+        ids = universe_ids(11, n**3, 0x0E0A, fps)
         assert len(np.unique(ids)) == len(fps)
 
 
@@ -167,9 +167,10 @@ def test_default_universe_fits_uint64():
     assert EmdSketchConfig(n=2_642_245, d=8).universe_m == 2_642_245**3
     cfg = EmdSketchConfig(n=3_000_000, d=8)
     assert cfg.universe_m == 2**64 - 1
-    fps = np.array([[1, 2], [2**64 - 1, 0]], dtype=np.uint64)
-    for ids in (UniverseMap(cfg.universe_m, 5).u_of(fps), UniverseMap(cfg.universe_m, 5).w_of(fps)):
-        assert ids.shape == (2,)
+    sk = EmdOnePassSketch(cfg)
+    X = np.array([[0] * 8, [1] * 8], dtype=np.uint8)
+    for ids in replica_node_ids(sk.tree, X, sk.replicas[-1]):
+        assert ids.shape == (1, 2) and ids.dtype == np.uint64
 
 
 def test_paper_rates_at_n64_d16():
@@ -181,6 +182,27 @@ def test_paper_rates_at_n64_d16():
         n=64, d=16, eps=0.25, seed=7, level_reps=4, n_sets=46_656, n_inner=6,
         n_rounds=46_656, n_medreps=24, ls1_reps=10_077_696,
     )
+
+
+@pytest.mark.parametrize("cfg", [
+    EmdSketchConfig(n=5, d=8),
+    EmdSketchConfig(n=9, d=16, eps=0.25, seed=3, level_reps=2, universe_m=1000,
+                    sampler_gamma=0.125),
+    EmdSketchConfig.paper_rates(64, 16, eps=0.25, seed=7),
+])
+def test_config_json_round_trip(cfg):
+    """A config read back from its JSON form equals it, with the derived
+    universe size written out; the form names its kind and version."""
+    text = cfg.to_json()
+    assert EmdSketchConfig.from_json(text) == cfg
+    assert json.loads(text)["kind"] == "emd-config" and json.loads(text)["version"] == 1
+
+
+def test_config_rejects_universe_of_one():
+    """universe_m is 0 (about n^3) or at least 2, and the error names it."""
+    assert EmdSketchConfig(n=4, d=8, universe_m=2).universe_m == 2
+    with pytest.raises(ValueError, match="'universe_m' must be 0 or at least 2, got 1"):
+        EmdSketchConfig(n=4, d=8, universe_m=1)
 
 
 # -- reference I_i ------------------------------------------------------------------
@@ -562,6 +584,49 @@ def test_state_holds_one_entry_per_distinct_point():
         assert store_sizes(EmdOnePassSketch.state_bytes(sk)) == [(2, 4)]
 
 
+def test_state_bytes_pinned_for_a_small_sketch():
+    """The whole state of a one-point sketch: magic, version 2, kind 6, the
+    shape words (seed, d, universe_m, level_reps, n_sets), one store of
+    width 2 with one row, its key word and its [net A, net B] row. A
+    two-pass sketch serializes its pass-1 store the same way."""
+    cfg = EmdSketchConfig(n=4, d=8, seed=5, level_reps=2, n_sets=3)
+    for cls in (EmdOnePassSketch, EmdTwoPassSketch):
+        sk = cls(cfg)
+        sk.update(pt([1, 0, 0, 0, 0, 0, 0, 1]), "B", 3)
+        want = state_header(6, (5, 8, 64, 2, 3)) + struct.pack("<IIBQ2q", 2, 1, 1, 0x81, 0, 3)
+        assert sk.state_bytes() == want
+
+
+def test_merge_rejects_another_config():
+    """Sketches of different configs do not merge, whatever their kind."""
+    for cls in (EmdOnePassSketch, EmdTwoPassSketch):
+        sk = cls(EmdSketchConfig(n=4, d=8))
+        for other in (cls(EmdSketchConfig(n=4, d=8, seed=1)),
+                      cls(EmdSketchConfig(n=4, d=8, n_sets=3))):
+            with pytest.raises(ValueError, match="different configs"):
+                sk.merge(other)
+
+
+def test_two_pass_merges_in_pass_1_only(small_cfg):
+    """Two-pass sketches fed halves of pass 1 merge into the whole pass-1
+    state; after finalize_pass1 merge raises RuntimeError, as update does."""
+    A, B = random_pair(8, 8, 36)
+    ups = [(p, "A", c) for p, c in A.items()] + [(p, "B", c) for p, c in B.items()]
+    cut = len(ups) // 2
+    whole, left, right = (EmdTwoPassSketch(small_cfg) for _ in range(3))
+    for sk, part in ((whole, ups), (left, ups[:cut]), (right, ups[cut:])):
+        for p, label, c in part:
+            sk.update(p, label, c)
+    left.merge(right)
+    assert left.state_bytes() == whole.state_bytes()
+    left.finalize_pass1()
+    with pytest.raises(RuntimeError, match="pass 1 is finalized"):
+        left.merge(right)
+    with pytest.raises(RuntimeError, match="pass 1 is finalized"):
+        left.update(*ups[0])
+    assert left.state_bytes() == whole.state_bytes()
+
+
 def _two_pass(cfg, updates, pass1_order):
     sk = EmdTwoPassSketch(cfg)
     for p, l, c in pass1_order:
@@ -623,13 +688,6 @@ def _turnstile_stream(rng, d, n_updates):
     return ups
 
 
-def _node_key(tree, rep, p):
-    """The (u, w) id of p's node in a replica, from the tree path and the
-    replica's universe map."""
-    path = tree.node_path(p.bits()[None, :])[0]
-    return int(rep.umap.u_of(path[rep.level - 1])[0]), int(rep.umap.w_of(path[rep.level])[0])
-
-
 def test_replica_views_equal_fed_reference():
     """Every replica's view of the counts equals a count store fed (key,
     delta * row) update by update, and Delta-hat and every round-one
@@ -653,7 +711,7 @@ def test_replica_views_equal_fed_reference():
             for p, label, c in part:
                 sk.update(p, label, c)
                 for rep, counts, (delta, smps) in zip(reps, fed_counts, fed):
-                    key = _node_key(sk.tree, rep, p)
+                    key = node_key(sk.tree, rep, p)
                     chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
                     counts.add(key, c * np.array([label == "A", label == "B", *chi_plus]))
                     delta.add(key, c if label == "A" else -c)

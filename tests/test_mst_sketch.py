@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,9 +25,13 @@ from geosketch import (
 )
 from geosketch import hashing as hx
 from geosketch import mst_sketch
-from geosketch.mst_sketch import _LevelStack, _RepState, _character, _point_fps, _representative
+from geosketch.mst_sketch import (
+    _LevelStack, _RepState, _character, _point_fps, _representative, replica_node_ids,
+)
 
-from conftest import random_multiset, store_sizes, view_dict, view_of
+from conftest import (
+    node_key, random_multiset, state_header, store_sizes, universe_ids, view_dict, view_of,
+)
 
 
 def pt(bits):
@@ -62,13 +68,6 @@ def view_with_nodes(cfg, nodes, level=1, seed=7):
 def _fp(rep, p):
     """The fingerprint of point p in a replica's point entries."""
     return int(_point_fps(np.uint64(rep.seed), [p.value])[0])
-
-
-def _node_key(tree, rep, p):
-    """The (u, w) id of p's node in a replica, from the tree path and the
-    replica's universe map."""
-    path = tree.node_path(p.bits()[None, :])[0]
-    return int(rep.umap.u_of(path[rep.level - 1])[0]), int(rep.umap.w_of(path[rep.level])[0])
 
 
 # -- reference quantities ----------------------------------------------------------
@@ -513,7 +512,7 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
                 for pair in pairs]
 
     def decode(i):
-        stack = _LevelStack(sk.reps[i - 1], sk.views(sk.reps[i - 1]))
+        stack = _LevelStack(sk.replicas[i - 1], sk.views(sk.replicas[i - 1]))
         u_stars = stack.parents()
         return u_stars, keyed(stack, stack.scan(u_stars)), stack.sample_tuples()
 
@@ -521,7 +520,7 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
     whole = {i: decode(i) for i in levels}
     scans = {"pair": 0, "fail": 0}
     for i in levels:
-        for k, (rep, points) in enumerate(zip(sk.reps[i - 1], sk.views(sk.reps[i - 1]))):
+        for k, (rep, points) in enumerate(zip(sk.replicas[i - 1], sk.views(sk.replicas[i - 1]))):
             alone = _LevelStack([rep], [points])
             u_star, pair, tup = (stage[k] for stage in whole[i])
             assert alone.parents()[0] == u_star
@@ -560,12 +559,12 @@ def test_default_universe_fits_uint64():
     """The n^3 default is clamped to 2^64 - 1, so node ids can still be
     computed where n^3 overflows uint64; below that it is n^3."""
     assert MstSketchConfig(n=2_642_245, d=8).universe_m == 2_642_245**3
-    cfg = MstSketchConfig(n=3_000_000, d=8)
+    cfg = MstSketchConfig(n=3_000_000, d=8, samples=2)
     assert cfg.universe_m == 2**64 - 1
-    st = _RepState(cfg, 1, 3)
-    fps = np.array([[1, 2], [2**64 - 1, 0]], dtype=np.uint64)
-    assert st.umap.u_of(fps).shape == (2,)
-    assert st.umap.w_of(fps).shape == (2,)
+    sk = MstSketch(cfg)
+    X = np.array([[0] * 8, [1] * 8], dtype=np.uint8)
+    for ids in replica_node_ids(sk.tree, X, sk.replicas[-1]):
+        assert ids.shape == (2, 2) and ids.dtype == np.uint64
 
 
 _LIN_PTS = [pt(b) for b in np.random.default_rng(21).integers(0, 2, (8, 8))]
@@ -627,7 +626,7 @@ def test_l0_views_equal_fed_reference():
         rng = np.random.default_rng(s)
         # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
         sk = MstSketch(small_cfg(seed=s, n=2))
-        fed = [SparseCounts() for _ in sk.reps]
+        fed = [SparseCounts() for _ in sk.replicas]
         # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
         # holding both, and leave chi counts there when chi(x) != chi(y)
         ups = []
@@ -642,16 +641,16 @@ def test_l0_views_equal_fed_reference():
         for part in (ups[:cut], ups[cut:]):
             for p, c in part:
                 sk.update(p, c)
-                for f, per_level in zip(fed, sk.reps):
-                    f.add(_node_key(sk.tree, per_level[0], p), c)
-            firsts = sk.views([per_level[0] for per_level in sk.reps])
+                for f, per_level in zip(fed, sk.replicas):
+                    f.add(node_key(sk.tree, per_level[0], p), c)
+            firsts = sk.views([per_level[0] for per_level in sk.replicas])
             assert [sk._node_counts(v).to_bytes() for v in firsts] == [f.to_bytes() for f in fed]
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
             assert sk.level_counts() == [l0_estimate(f, seed, sk.cfg.l0_buckets)
                                          for f, seed in zip(fed, seeds)]
             zero_count_nodes += sum(
                 int((_LevelStack([per_level[0]], [points]).nx == 0).sum())
-                for per_level, points in zip(sk.reps, firsts)
+                for per_level, points in zip(sk.replicas, firsts)
             )
     assert zero_count_nodes > 0
 
@@ -668,12 +667,12 @@ def test_node_counts_derived_from_point_entries():
     for target, part in ((sk, ups), (left, ups[:1]), (right, ups[1:])):
         for p, c in part:
             target.update(p, c)
-    reps = [rep for per_level in sk.reps for rep in per_level]
+    reps = [rep for per_level in sk.replicas for rep in per_level]
     for rep, entries in zip(reps, sk.views(reps)):
         want_pts, want_nodes = {}, {}
         for p, c in {x: 3, y: 1, z: 2}.items():
             row = [c, c * int(rep.charset.eval(p) == 1)]
-            key = _node_key(sk.tree, rep, p)
+            key = node_key(sk.tree, rep, p)
             want_pts[(*key, _fp(rep, p))] = row
             want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
         assert view_dict(entries) == want_pts
@@ -691,7 +690,7 @@ def test_node_ids_above_2_63_stay_unsigned():
     they stay uint64, so the estimator decodes and serializes."""
     X = aggregate(gen_instance("uniform", 8, 8, seed=1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
-    reps = [rep for per_level in sk.reps for rep in per_level]
+    reps = [rep for per_level in sk.replicas for rep in per_level]
     views = sk.views(reps)
     keys = [k for points in views for k in points.keys.tolist()]
     assert min(min(k[:2]) for k in keys) >= 0
@@ -699,6 +698,43 @@ def test_node_ids_above_2_63_stay_unsigned():
     assert _LevelStack(reps[:1], views[:1]).u.dtype == np.uint64
     assert len(sk.state_bytes()) > 0
     assert math.isfinite(sk.estimate())
+
+
+def test_state_bytes_pinned_for_a_small_sketch():
+    """The whole state of a one-point sketch: magic, version 2, kind 7, the
+    shape words (seed, d, universe_m, samples), one store of width 1 with
+    one row, its key word and its net count."""
+    sk = MstSketch(small_cfg(n=4, seed=5, samples=3))
+    sk.update(pt([1, 0, 0, 0, 0, 0, 0, 1]), 2)
+    want = state_header(7, (5, 8, 64, 3)) + struct.pack("<IIBQq", 1, 1, 1, 0x81, 2)
+    assert sk.state_bytes() == want
+
+
+def test_merge_rejects_another_config():
+    """Sketches of different configs do not merge."""
+    sk = MstSketch(small_cfg())
+    for other in (MstSketch(small_cfg(seed=2)), MstSketch(small_cfg(samples=5))):
+        with pytest.raises(ValueError, match="different configs"):
+            sk.merge(other)
+
+
+@pytest.mark.parametrize("cfg", [
+    MstSketchConfig(n=5, d=8),
+    MstSketchConfig(n=9, d=16, seed=3, samples=4, j_reps=2, universe_m=1000),
+])
+def test_config_json_round_trip(cfg):
+    """A config read back from its JSON form equals it, with the derived
+    sample count and universe size written out."""
+    text = cfg.to_json()
+    assert MstSketchConfig.from_json(text) == cfg
+    assert json.loads(text)["kind"] == "mst-config" and json.loads(text)["version"] == 1
+
+
+def test_config_rejects_universe_of_one():
+    """universe_m is 0 (about n^3) or at least 2, and the error names it."""
+    assert MstSketchConfig(n=4, d=8, universe_m=2).universe_m == 2
+    with pytest.raises(ValueError, match="'universe_m' must be 0 or at least 2, got 1"):
+        MstSketchConfig(n=4, d=8, universe_m=1)
 
 
 def test_config_rejects_n_beyond_stable_median_table():
@@ -719,19 +755,19 @@ def test_views_fingerprint_only_the_depths_of_their_level(monkeypatch):
     node_fingerprints = sk.tree.node_fingerprints
     monkeypatch.setattr(sk.tree, "node_fingerprints",
                         lambda X, j: depths.append(j) or node_fingerprints(X, j))
-    mixed = [sk.reps[0][0], sk.reps[-1][1], sk.reps[1][2]]
+    mixed = [sk.replicas[0][0], sk.replicas[-1][1], sk.replicas[1][2]]
     fast = []
-    for reps in [*sk.reps, mixed]:
+    for reps in [*sk.replicas, mixed]:
         depths.clear()
         fast.append([v.to_bytes() for v in sk.views(reps)])
         want = {r.level + k for r in reps for k in (-1, 0)}
         assert sorted(depths) == sorted(want)
 
     def full_path_ids(tree, X, reps):
-        path = tree.node_path(X)
-        return (np.stack([r.umap.u_of(path[:, r.level - 1]) for r in reps]),
-                np.stack([r.umap.w_of(path[:, r.level]) for r in reps]))
+        path, m = tree.node_path(X), reps[0].cfg.universe_m
+        return (np.stack([universe_ids(r.seed, m, 0x0E0A, path[:, r.level - 1]) for r in reps]),
+                np.stack([universe_ids(r.seed, m, 0x0E0B, path[:, r.level]) for r in reps]))
 
     monkeypatch.setattr(mst_sketch, "replica_node_ids", full_path_ids)
-    slow = [[v.to_bytes() for v in sk.views(reps)] for reps in [*sk.reps, mixed]]
+    slow = [[v.to_bytes() for v in sk.views(reps)] for reps in [*sk.replicas, mixed]]
     assert fast == slow

@@ -131,13 +131,24 @@ def test_p_stable_sum_stability_ks():
 
 
 def test_stable_median_matches_empirical():
+    """The quadrature that the committed table was made with finds the
+    empirical median(|D_p|) also away from the table's p."""
     for p in (0.1, 0.3):
         rng = np.random.default_rng(int(p * 100))
         draws = sample_p_stable_array(
             p, rng.random(1_000_000), (rng.random(1_000_000) - 0.5) * np.pi
         )
         emp = np.median(np.abs(draws))
-        assert abs(emp - stable_median(p)) / stable_median(p) < 0.02
+        want = _stable_median_slow(p)
+        assert abs(emp - want) / want < 0.02
+
+
+def test_stable_median_rejects_untabulated_p():
+    """stable_median is a table lookup: a p that is not 1/(4L) for L in
+    1..25 raises, naming the supported values, instead of solving."""
+    for p in (0.1, 1.0 / (4.0 * 26)):
+        with pytest.raises(ValueError, match=r"p = 1/\(4L\), L = 1\.\.25"):
+            stable_median(p)
 
 
 @pytest.mark.parametrize("L", [1, 4, 25])
