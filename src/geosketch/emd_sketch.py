@@ -78,6 +78,8 @@ __all__ = [
 # Hashed words per block of one-round grid cells: a block's temporaries stay
 # in cache, and the memory they take does not grow with the grid.
 _LS_BLOCK_WORDS = 100_000
+# Hashed coordinates per block of character sets drawn at once (same reason).
+_CHAR_BLOCK_WORDS = 16_384
 
 
 def log2n(n: int) -> int:
@@ -89,39 +91,59 @@ def log2n(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def character_members(seeds, d: int, rates) -> Tuple[np.ndarray, np.ndarray]:
+    """(set, coordinate) index pairs, in order, of the members of the
+    character sets with the given seeds (flattened), each kept at its rate
+    (rates broadcast to the seeds): coordinate k of the set of seed s is
+    kept iff uniform01(combine(s, 0xC4A2, k)) < rate. The sets are drawn in
+    blocks of about `_CHAR_BLOCK_WORDS` coordinates."""
+    rates = np.broadcast_to(rates, np.shape(seeds)).reshape(-1, 1)
+    pre = hx.combine(np.reshape(seeds, (-1, 1)), 0xC4A2)
+    k, step = np.arange(d, dtype=U64), max(1, _CHAR_BLOCK_WORDS // d)
+    kept = [np.flatnonzero(hx.uniform01(hx.extend(pre[lo:lo + step], k)) < rates[lo:lo + step])
+            + lo * d for lo in range(0, len(pre), step)]
+    return np.divmod(np.concatenate(kept), d)
+
+
+def chi_plus(X: np.ndarray, seeds: np.ndarray, rates) -> np.ndarray:
+    """(*seeds.shape, n) whether chi_S(x) = +1, for the rows x of the bit
+    matrix X (n, d) and the sets S that `character_members` draws from the
+    seeds. A set's parity is the XOR of its member columns, all sets in one
+    `reduceat` over the member columns packed eight points to a word, so
+    the work is proportional to the members, not to d."""
+    sets, cols = character_members(seeds, X.shape[1], rates)
+    n = len(X)
+    bits = np.zeros((len(cols), n + -n % 8), dtype=np.uint8)  # rows of whole words
+    bits[:, :n] = X[:, cols].T
+    odd = np.zeros((seeds.size, bits.shape[1] // 8), dtype=np.uint64)
+    full = np.bincount(sets, minlength=seeds.size) > 0  # sets with members
+    if len(cols):
+        starts = np.searchsorted(sets, np.flatnonzero(full))
+        odd[full] = np.bitwise_xor.reduceat(bits.view(np.uint64), starts)
+    return (odd.view(np.uint8)[:, :n] == 0).reshape(seeds.shape + (n,))
+
+
 class CharacterSet:
-    """Random S subset of [d], each coordinate kept i.i.d. at `rate`.
+    """Random S subset of [d], each coordinate kept i.i.d. at `rate`, drawn
+    by `character_members`: the scalar character that `split_probability`
+    reads, and the oracle of the characters the sketches draw.
 
     chi_S(x) = (-1)^{sum_{k in S} x_k}; stored as a packed mask aligned with
     HypercubePoint.value.
     """
 
-    _SALT = 0xC4A2
-
     def __init__(self, d: int, rate: float, seed: int):
         self.d = d
         self.rate = min(1.0, max(0.0, rate))
         self.seed = seed
-        u = hx.uniform01(hx.combine(seed, self._SALT, np.arange(d, dtype=U64)))
-        member = u < self.rate
-        mask = 0
-        for k in np.nonzero(member)[0]:
-            mask |= 1 << (d - 1 - int(k))
-        self.mask = mask
-        self.indices = np.nonzero(member)[0]
+        self.indices = character_members(seed, d, self.rate)[1]
+        self.mask = sum(1 << (d - 1 - k) for k in self.indices.tolist())
 
     def eval(self, x: HypercubePoint) -> int:
         """chi_S(x) in {-1, +1}."""
         if x.d != self.d:
             raise ValueError("dimension mismatch")
         return -1 if (self.mask & x.value).bit_count() & 1 else 1
-
-    def eval_matrix(self, X: np.ndarray) -> np.ndarray:
-        """chi_S row-wise over a (n, d) bit matrix."""
-        if len(self.indices) == 0:
-            return np.ones(X.shape[0], dtype=np.int8)
-        par = X[:, self.indices].sum(axis=1) & 1
-        return np.where(par == 1, -1, 1).astype(np.int8)
 
 
 def split_probability(C_u: PointMultiset, C_v: PointMultiset, S: CharacterSet) -> float:
@@ -130,16 +152,7 @@ def split_probability(C_u: PointMultiset, C_v: PointMultiset, S: CharacterSet) -
     if len(C_u) == 0 or len(C_v) == 0:
         return 0.0
 
-    def plus_fraction(ms: PointMultiset) -> float:
-        tot = plus = 0
-        for p, c in ms.items():
-            tot += c
-            if S.eval(p) == 1:
-                plus += c
-        return plus / tot
-
-    qu = plus_fraction(C_u)
-    qv = plus_fraction(C_v)
+    qu, qv = (sum(c for p, c in ms.items() if S.eval(p) == 1) / ms.total for ms in (C_u, C_v))
     return qu * (1.0 - qv) + qv * (1.0 - qu)
 
 
@@ -287,21 +300,22 @@ class EmdSketchConfig(_SketchConfig):
 # ---------------------------------------------------------------------------
 
 
-class _LevelReplica:
-    """Seeds and character sets of one (level, replica). Its
-    counts, (u, w) -> [|A_v|, |B_v|, chi-plus count per set], are a view the
-    sketch passes in when it is read. A two-pass replica keeps Delta-hat,
-    its round-one samplers, samples and round-two counters from
-    `finalize_pass1` on."""
+class _Replica:
+    """One (level, replica) of a tree sketch: its config, level and seed,
+    from which everything it reads is drawn when it is read."""
+
+    def __init__(self, cfg, level: int, seed: int):
+        self.cfg, self.level, self.seed = cfg, level, seed
+
+
+class _LevelReplica(_Replica):
+    """One (level, replica) of an EMD sketch. Its counts, (u, w) -> [|A_v|,
+    |B_v|, chi-plus count per set], are a view the sketch passes in when it
+    is read. A two-pass replica keeps Delta-hat, its round-one samplers,
+    samples and round-two counters from `finalize_pass1` on."""
 
     def __init__(self, cfg: EmdSketchConfig, level: int, seed: int):
-        self.cfg = cfg
-        self.level = level
-        self.seed = seed
-        self.charsets = [
-            CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4, j)[()]))
-            for j in range(cfg.n_sets)
-        ]
+        super().__init__(cfg, level, seed)
         self.delta: Optional[float] = None  # Delta-hat of pass 1
         self.samplers: Dict[Tuple[int, int], L1Sampler] = {}
         self.sampled: Dict[Tuple[int, int], object] = {}
@@ -527,35 +541,48 @@ class _LsCells:
 class _TreeSketch:
     """What the EMD and MST estimators share: one random quadtree of depth
     h, a grid of replicas per level (`replicas[i - 1]`, one seed each),
-    and the one count store, `counts`.
+    and the one count store, `counts`. A sketch is a pure function of its
+    config: the tree and every seed are drawn from `cfg.seed`, and each
+    replica's character sets are drawn from its seed when it is read.
 
     The one-store rule: the sketch keeps one `SparseCounts` keyed by the
     packed point, plus seeds (a two-pass EMD sketch keeps a second one for
     pass 2); an update adds one row to it and writes nothing else. That
     store is the aggregated input, the smallest exact state, not the
-    paper's polylog-size sketch (a bounded mode is ROADMAP Direction 6).
-    Every replica reads a view of it, built when it is read, and every
-    sketch is a function of that view, so states merge and replay bit for
-    bit. `merge` adds the store of a sketch of the same config, and
-    `state_bytes` is `encode_state` of the store alone, under the
-    subclass's state kind `_KIND` and the config fields `_SHAPE`."""
+    paper's polylog-size sketch (a bounded mode is in the ROADMAP item on
+    the space claim). Every replica reads a view of it, built when it is
+    read (`views`), and every sketch is a function of that view, so states
+    merge and replay bit for bit. `merge` adds the store of a sketch of the
+    same config, and `state_bytes` is `encode_state` of the store alone,
+    under the subclass's state kind `_KIND` and the config fields `_SHAPE`."""
 
-    def __init__(self, cfg, tree: Optional[QuadtreeSpec], replica, salt: int, count: int,
-                 width: int):
+    def __init__(self, cfg, replica, salt: int, count: int, width: int):
         """`count` replicas replica(cfg, i, combine(cfg.seed, salt, i, r))
-        per level i, and a store of `width` counts per point."""
+        per level i, the seeds of a level drawn in one hash call, and a
+        store of `width` counts per point."""
         self.cfg = cfg
-        self.tree = tree if tree is not None else sample_quadtree(
-            cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()])
-        )
-        if self.tree.d != cfg.d:
-            raise ValueError("tree dimension does not match config")
+        self.tree = sample_quadtree(cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()]))
         self.h = self.tree.h
-        self.replicas = [
-            [replica(cfg, i, int(hx.combine(cfg.seed, salt, i, r)[()])) for r in range(count)]
-            for i in range(1, self.h + 1)
-        ]
+        r = np.arange(count, dtype=U64)
+        self.replicas = [[replica(cfg, i, s) for s in hx.combine(cfg.seed, salt, i, r).tolist()]
+                         for i in range(1, self.h + 1)]
         self.counts = SparseCounts(width)
+
+    def views(self, counts: SparseCounts, reps) -> List[CountView]:
+        """The view of a store (packed point -> counts) of each replica in
+        reps, built in one batch: a point with counts c adds [c, sum(c) *
+        chi-plus per character set] at its key, the node ids (u, w) of
+        `replica_node_ids` and then the key words of the subclass's
+        `_sets_and_keys`, which also seeds each replica's character sets;
+        `chi_plus` draws their members here, where they are read."""
+        values, rows, X = self._read(counts)
+        seeds = np.array([rep.seed for rep in reps], dtype=U64)
+        sets, keys = self._sets_and_keys(seeds, values)
+        rates = np.array([self.cfg.alpha(rep.level) for rep in reps])[:, None]
+        plus = (chi_plus(X, sets, rates) * rows.sum(axis=1)).transpose(0, 2, 1)
+        rows = np.concatenate([np.broadcast_to(rows, (len(reps),) + rows.shape), plus], axis=2)
+        return SparseCounts.grouped(
+            np.stack([*replica_node_ids(self.tree, X, reps), *keys], axis=2), rows)
 
     def _read(self, counts: SparseCounts):
         """(packed values, rows, bit matrix X) of a store, in canonical order."""
@@ -576,9 +603,14 @@ class _TreeSketch:
 class _EmdSketchBase(_TreeSketch):
     _KIND, _SHAPE = 6, ("seed", "d", "universe_m", "level_reps", "n_sets")
 
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
+    def __init__(self, cfg: EmdSketchConfig):
         # packed point -> [net A, net B]
-        super().__init__(cfg, tree, _LevelReplica, 0x11, cfg.level_reps, width=2)
+        super().__init__(cfg, _LevelReplica, 0x11, cfg.level_reps, width=2)
+
+    def _sets_and_keys(self, seeds: np.ndarray, values) -> tuple:
+        """The (replicas, n_sets) seeds of the character sets, combine(seed,
+        0xC4, j) for set j, and no key words after the node ids (u, w)."""
+        return hx.combine(seeds[:, None], 0xC4, np.arange(self.cfg.n_sets, dtype=U64)), ()
 
     def _add(self, store: SparseCounts, point: HypercubePoint, label: str, delta: int) -> None:
         if label != "A" and label != "B":
@@ -588,22 +620,12 @@ class _EmdSketchBase(_TreeSketch):
         delta = int(delta)
         store.add(point.value, (delta, 0) if label == "A" else (0, delta))
 
-    def views(self, counts: SparseCounts) -> List[List[CountView]]:
-        """Every replica's counts, level by level, built from an aggregated
-        store (point -> [net A, net B]) in one batch: one node path per
-        distinct point, one hash call per id for all replicas, one
-        character evaluation per set, and one grouped sum. A point with net
-        (a, b) adds [a, b, (a + b) chi-plus per set] at its node."""
-        _, ab, X = self._read(counts)
+    def _read_levels(self, counts: SparseCounts, read) -> List[list]:
+        """Per level, read(replica, view) of each of its replicas, with the
+        views of every replica built from the store in one batch."""
         reps = [rep for per_level in self.replicas for rep in per_level]
-        u, w = replica_node_ids(self.tree, X, reps)
-        plus = np.array([[cs.eval_matrix(X) == 1 for cs in rep.charsets] for rep in reps])
-        plus = plus * ab.sum(axis=1)  # (replica, set, point)
-        rows = np.concatenate(
-            [np.broadcast_to(ab, (len(reps),) + ab.shape), plus.transpose(0, 2, 1)], axis=2
-        )
-        views = iter(SparseCounts.grouped(np.stack([u, w], axis=2), rows))
-        return [[next(views) for _ in per_level] for per_level in self.replicas]
+        out = iter([read(rep, v) for rep, v in zip(reps, self.views(counts, reps))])
+        return [[next(out) for _ in per_level] for per_level in self.replicas]
 
     def _check_balanced(self) -> int:
         """|A|, which must equal |B|."""
@@ -623,18 +645,16 @@ class EmdOnePassSketch(_EmdSketchBase):
 
     def estimate(self) -> float:
         n = self._check_balanced()
-        total = 0.0
-        for per_level, views in zip(self.replicas, self.views(self.counts)):
-            total += float(np.median([rep.eta("one_pass", v) for rep, v in zip(per_level, views)]))
-        return total + self.cfg.eps * n * self.cfg.d
+        etas = self._read_levels(self.counts, lambda rep, v: rep.eta("one_pass", v))
+        return sum(float(np.median(e)) for e in etas) + self.cfg.eps * n * self.cfg.d
 
 
 class EmdTwoPassSketch(_EmdSketchBase):
     """Two-pass estimator: round 1 samples nodes ~ discrepancy, round 2 reads
     the four exact chi counters for each sampled edge; no additive eps term."""
 
-    def __init__(self, cfg: EmdSketchConfig, tree: Optional[QuadtreeSpec] = None):
-        super().__init__(cfg, tree)
+    def __init__(self, cfg: EmdSketchConfig):
+        super().__init__(cfg)
         self.pass2 = SparseCounts(2)
         self._pass = 1
 
@@ -652,9 +672,7 @@ class EmdTwoPassSketch(_EmdSketchBase):
     def finalize_pass1(self) -> None:
         """Close pass 1: its replica views are built once, here."""
         self._check_balanced()
-        for per_level, views in zip(self.replicas, self.views(self.counts)):
-            for rep, v in zip(per_level, views):
-                rep.finalize_pass1(v)
+        self._read_levels(self.counts, _LevelReplica.finalize_pass1)
         self._pass = 2
 
     def update_pass2(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
@@ -665,10 +683,8 @@ class EmdTwoPassSketch(_EmdSketchBase):
     def estimate(self) -> float:
         if self._pass != 2:
             raise RuntimeError("call finalize_pass1() and feed pass 2 first")
-        total = 0.0
-        for per_level, views in zip(self.replicas, self.views(self.pass2)):
-            total += float(np.median([rep.eta("two_pass", v) for rep, v in zip(per_level, views)]))
-        return total
+        etas = self._read_levels(self.pass2, lambda rep, v: rep.eta("two_pass", v))
+        return sum(float(np.median(e)) for e in etas)
 
 
 # ---------------------------------------------------------------------------

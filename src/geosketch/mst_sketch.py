@@ -67,10 +67,9 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, CountView, SparseCounts, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys,
-    l0_estimate, stable_median,
+    FAIL, CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
 )
-from .emd_sketch import CharacterSet, _SketchConfig, _TreeSketch, log2n, replica_node_ids
+from .emd_sketch import _Replica, _SketchConfig, _TreeSketch, log2n
 
 __all__ = [
     "MstSketchConfig",
@@ -189,17 +188,6 @@ class SamplesFailed(RuntimeError):
     """Every sample of a level failed; more `samples` make that rarer."""
 
 
-class _RepState:
-    """Seeds and character of one (level, sample); its point entries are a
-    view that the sketch builds when it is read."""
-
-    def __init__(self, cfg: MstSketchConfig, level: int, seed: int):
-        self.cfg = cfg
-        self.level = level
-        self.seed = seed
-        self.charset = CharacterSet(cfg.d, cfg.alpha(level), int(hx.combine(seed, 0xC4)[()]))
-
-
 def _blocks(sizes: Sequence[int], cap: int):
     """Consecutive index ranges [lo, hi) of items with the given sizes, each
     holding items of at most `cap` in all, or one larger item."""
@@ -247,7 +235,7 @@ class _LevelStack:
     prefix per sample (`_prefix`) finished with `hashing.extend`, which
     gives the bits of the whole chain."""
 
-    def __init__(self, reps: Sequence[_RepState], views: Sequence[CountView]):
+    def __init__(self, reps: Sequence[_Replica], views: Sequence[CountView]):
         self.cfg = cfg = reps[0].cfg
         self.seeds = np.array([rep.seed for rep in reps], dtype=U64)
         sample = np.repeat(np.arange(len(reps)), [len(v) for v in views])
@@ -530,28 +518,20 @@ class MstSketch(_TreeSketch):
 
     _KIND, _SHAPE = 7, ("seed", "d", "universe_m", "samples")
 
-    def __init__(self, cfg: MstSketchConfig, tree: Optional[QuadtreeSpec] = None):
+    def __init__(self, cfg: MstSketchConfig):
         # packed point -> net count
-        super().__init__(cfg, tree, _RepState, 0x33, cfg.samples, width=1)
+        super().__init__(cfg, _Replica, 0x33, cfg.samples, width=1)
 
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
         self.counts.add(point.value, int(delta))
 
-    def views(self, reps: Sequence[_RepState]) -> List[CountView]:
-        """The point entries (u, w, point fingerprint) -> [net, net * chi]
-        of each replica in reps, built from the one count store in one
-        batch: the node fingerprints of each distinct point at the depths
-        i - 1 and i of the levels i of reps only, one hash call per id and
-        per fingerprint for all replicas, and one grouped sum."""
-        values, net, X = self._read(self.counts)
-        u, w = replica_node_ids(self.tree, X, reps)
-        pfp = _point_fps(np.array([rep.seed for rep in reps], dtype=U64)[:, None], values)
-        plus = np.array([rep.charset.eval_matrix(X) == 1 for rep in reps])
-        net = np.broadcast_to(net[:, 0], u.shape)
-        return SparseCounts.grouped(np.stack([u, w, pfp], axis=2),
-                                    np.stack([net, net * plus], axis=2))
+    def _sets_and_keys(self, seeds: np.ndarray, values) -> tuple:
+        """The (samples, 1) seeds of the one character set of a sample,
+        combine(seed, 0xC4), and the point fingerprint as a key word after
+        the node ids (u, w), which makes a view's rows point entries."""
+        return hx.combine(seeds, 0xC4)[:, None], (_point_fps(seeds[:, None], values),)
 
     @staticmethod
     def _node_counts(first: CountView) -> CountView:
@@ -565,7 +545,7 @@ class MstSketch(_TreeSketch):
                            self.cfg.l0_buckets)
 
     def level_counts(self) -> List[float]:
-        return [self._l0(i, self.views(per_level[:1])[0])
+        return [self._l0(i, self.views(self.counts, per_level[:1])[0])
                 for i, per_level in enumerate(self.replicas, start=1)]
 
     def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
@@ -575,7 +555,7 @@ class MstSketch(_TreeSketch):
         at most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted
         as if every point entry were a node in every D (or one sample)."""
         per_level = self.replicas[i - 1]
-        views = views or self.views(per_level)
+        views = views or self.views(self.counts, per_level)
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
         tuples = []
         for lo, hi in _blocks([len(v) * words for v in views], _BLOCK_WORDS):
@@ -592,7 +572,7 @@ class MstSketch(_TreeSketch):
             raise ValueError("stream encodes an empty point set")
         total = 0.0
         for i, per_level in enumerate(self.replicas, start=1):
-            views = self.views(per_level)  # one level's views at a time
+            views = self.views(self.counts, per_level)  # one level's views at a time
             ell = self._l0(i, views[0])
             if ell > 1.5:
                 total += ell * (self.level_mu(i, views) + self.cfg.d / 2.0**i)

@@ -45,13 +45,14 @@ class HypercubePoint:
 
     @classmethod
     def from_hex(cls, s: str, d: int) -> "HypercubePoint":
-        nib = (d + 3) // 4
-        if len(s) != nib:
-            raise ValueError(f"hex point for d={d} must have {nib} digits, got {s!r}")
-        value = int(s, 16)
-        # hex is left-padded to whole nibbles: shift out the pad bits
-        value >>= nib * 4 - d
-        return cls(d, value)
+        """The point whose `to_hex` is s, in either case: ceil(d/4) hex
+        digits (no sign or `_`), left-aligned, with zero pad bits."""
+        nib, pad = (d + 3) // 4, -d % 4
+        value = int(s, 16) if len(s) == nib else -1
+        if value < 0 or format(value, f"0{nib}x") != s.lower() or value % (1 << pad):
+            raise ValueError(f"hex point for d={d} must be {nib} hex digits"
+                             + (f" ending in {pad} zero bits" if pad else "") + f", got {s!r}")
+        return cls(d, value >> pad)
 
     def to_hex(self) -> str:
         nib = (self.d + 3) // 4
@@ -59,12 +60,7 @@ class HypercubePoint:
 
     def bits(self) -> np.ndarray:
         """Coordinates as a uint8 array of length d."""
-        out = np.empty(self.d, dtype=np.uint8)
-        v = self.value
-        for k in range(self.d - 1, -1, -1):
-            out[k] = v & 1
-            v >>= 1
-        return out
+        return values_to_matrix([self.value], self.d)[0]
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits())

@@ -6,13 +6,13 @@ range at every `add`, so an update makes no numpy call) and drops a row once
 it is all zero; it is read as an int64 matrix. An estimator keeps its state
 in one such store, plus seeds. That store is the aggregated input, the
 smallest exact state, not the paper's polylog-size sketch (a bounded mode is
-ROADMAP Direction 6). A sketch keeps no state: it is a function of width-1
-counts, a seed and a shape (`cauchy_l1`, `l0_estimate`, `L1Sampler.sample`),
-which builds its accumulators -- the classical dense view -- from those
-counts in canonical key order each time it is read. This keeps every read
-exactly linear: permuting, splitting or merging update streams yields
-bit-identical counts and hence bit-identical estimates (floating-point
-accumulation in stream order could not promise that).
+in the ROADMAP item on the space claim). A sketch keeps no state: it is a
+function of width-1 counts, a seed and a shape (`cauchy_l1`, `l0_estimate`,
+`L1Sampler.sample`), which builds its accumulators -- the classical dense
+view -- from those counts in canonical key order each time it is read. This
+keeps every read exactly linear: permuting, splitting or merging update
+streams yields bit-identical counts and hence bit-identical estimates
+(floating-point accumulation in stream order could not promise that).
 
 Everything else is a view, not a second store. The estimators build every
 replica's counts from their one store once per read: `SparseCounts.grouped`
@@ -222,11 +222,12 @@ class SparseCounts:
     def grouped(keys: np.ndarray, rows: np.ndarray) -> List[CountView]:
         """One view per leading index r of keys (R, n, k) uint64 and rows
         (R, n, width) int64: rows[r] summed at equal keys[r], for all r in
-        one sort and one grouped sum, each view a slice of the result."""
+        one sort (a lexsort along the n axis, which sorts each r apart) and
+        one grouped sum, each view a slice of the result."""
         R, n, k = keys.shape
         rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
         flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
-        order = np.lexsort(flat.T[::-1])
+        order = (np.lexsort(keys.transpose(2, 0, 1)[::-1]) + n * np.arange(R)[:, None]).ravel()
         flat = CountView.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
         cut = np.searchsorted(flat.keys[:, 0], np.arange(R + 1, dtype=U64))
         return [CountView(flat.keys[a:b, 1:], flat.rows[a:b]) for a, b in zip(cut[:-1], cut[1:])]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .points import HypercubePoint, PointMultiset
 
@@ -40,13 +40,14 @@ class TurnstileUpdate:
             raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
 
 
-def parse_stream(data: bytes | str, d: Optional[int] = None) -> List[TurnstileUpdate]:
+def parse_stream(data: bytes | str) -> List[TurnstileUpdate]:
     """Parse the text format; malformed input raises with the line number.
 
-    The dimension is taken from a `# d=<int>` comment unless given; otherwise
-    it is inferred from the first point's hex width (a whole number of
-    nibbles).
+    The dimension is set by a `# d=<int>` comment before the first point,
+    or else by the first point's hex width (a whole number of nibbles).
+    A point must be canonical (`HypercubePoint.from_hex`).
     """
+    d = None
     if isinstance(data, bytes):
         try:
             data = data.decode("ascii")
@@ -76,13 +77,11 @@ def parse_stream(data: bytes | str, d: Optional[int] = None) -> List[TurnstileUp
             raise ValueError(f"line {ln}: sign must be '+' or '-', got {sign_s!r}")
         if label not in _LABELS:
             raise ValueError(f"line {ln}: label must be A, B or X, got {label!r}")
-        dim = d if d is not None else 4 * len(hexpt)
+        d = d or 4 * len(hexpt)  # the first point sets a dimension not yet set
         try:
-            point = HypercubePoint.from_hex(hexpt, dim)
+            point = HypercubePoint.from_hex(hexpt, d)
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from e
-        if d is None:
-            d = dim
         updates.append(TurnstileUpdate(1 if sign_s == "+" else -1, label, point))
     return updates
 
@@ -95,6 +94,8 @@ def write_stream(updates: Iterable[TurnstileUpdate], comments: Iterable[str] = (
     for c in comments:
         lines.append(f"# {c}")
     for u in updates:
+        if u.point.d != updates[0].point.d:
+            raise ValueError("mixed dimensions in one stream")
         lines.append(f"{'+' if u.sign > 0 else '-'} {u.label} {u.point.to_hex()}")
     return "\n".join(lines) + "\n"
 
@@ -121,13 +122,17 @@ def write_stream_binary(updates: Iterable[TurnstileUpdate]) -> bytes:
 
 def parse_stream_binary(data: bytes) -> List[TurnstileUpdate]:
     """Parse the binary format; malformed input raises ValueError naming the
-    header or the record index."""
+    header or the record index. A point's pad bits must be 0, and the
+    dimension at least 1 unless there are no records (as an empty stream
+    is written)."""
     if data[:4] != _MAGIC:
         raise ValueError("bad magic: not a GSK1 binary stream")
     off = 4 + 12
     if len(data) < off:
         raise ValueError(f"header: truncated, {len(data)} of {off} bytes")
     d, count = struct.unpack_from("<IQ", data, 4)
+    if d == 0 and count:
+        raise ValueError(f"header: dimension 0 with {count} records, want d >= 1")
     nbytes = (d + 7) // 8
     rec = 2 + nbytes
     if len(data) != off + rec * count:
@@ -140,7 +145,9 @@ def parse_stream_binary(data: bytes) -> List[TurnstileUpdate]:
             raise ValueError(f"record {i}: bad sign byte {sign_b!r}")
         if label_b not in _LABEL_BYTES:
             raise ValueError(f"record {i}: bad label byte {label_b!r}")
-        value = int.from_bytes(data[base + 2 : base + rec], "big") >> (nbytes * 8 - d)
+        value, pad = divmod(int.from_bytes(data[base + 2 : base + rec], "big"), 1 << (-d % 8))
+        if pad:
+            raise ValueError(f"record {i}: nonzero pad bits after the {d} point bits")
         updates.append(
             TurnstileUpdate(1 if sign_b == b"+" else -1, label_b.decode("ascii"),
                             HypercubePoint(d, value))

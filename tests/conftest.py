@@ -8,7 +8,8 @@ from geosketch import hashing as hx
 from geosketch.hashing import U64
 from geosketch import sketches as sk
 from geosketch import (
-    FAIL, CountView, HypercubePoint, L1Sampler, PointMultiset, SparseCounts, cauchy_l1,
+    FAIL, CharacterSet, CountView, EmdSketchConfig, HypercubePoint, L1Sampler, PointMultiset,
+    SparseCounts, cauchy_l1,
 )
 
 
@@ -156,6 +157,15 @@ def node_key(tree, rep, p):
     m = rep.cfg.universe_m
     return (int(universe_ids(rep.seed, m, 0x0E0A, path[rep.level - 1])),
             int(universe_ids(rep.seed, m, 0x0E0B, path[rep.level])))
+
+
+def charsets(rep):
+    """The character sets of a replica as scalar `CharacterSet`s, with their
+    seeds written out here: n_sets sets of seed combine(seed, 0xC4, j) for
+    an EMD replica, one of seed combine(seed, 0xC4) for an MST sample."""
+    cfg, rate = rep.cfg, rep.cfg.alpha(rep.level)
+    words = [(j,) for j in range(cfg.n_sets)] if isinstance(cfg, EmdSketchConfig) else [()]
+    return [CharacterSet(cfg.d, rate, int(hx.combine(rep.seed, 0xC4, *w)[()])) for w in words]
 
 
 def state_header(kind: int, shape) -> bytes:

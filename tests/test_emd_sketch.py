@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import struct
@@ -13,6 +14,8 @@ from geosketch import (
     EmdSketchConfig,
     EmdTwoPassSketch,
     HypercubePoint,
+    MstSketch,
+    MstSketchConfig,
     PointMultiset,
     exact_emd,
     gen_instance,
@@ -27,7 +30,7 @@ from geosketch import emd_sketch
 from geosketch.emd_sketch import expected_split_probability, log2n, replica_node_ids
 
 from conftest import (
-    FedL1Sampler, node_key, random_multiset, random_pair, reference_one_round_estimates,
+    FedL1Sampler, charsets, node_key, random_multiset, random_pair, reference_one_round_estimates,
     sampler_reads, state_header, store_sizes, tail_truncated_norms, universe_ids, view_of,
 )
 
@@ -76,13 +79,75 @@ def test_char_identity(rng):
         assert cs.eval(px) * cs.eval(py) == cs.eval(pxy)
 
 
-def test_char_matrix_agrees_with_scalar(rng):
+def test_char_matrix_agrees_with_scalar(rng, monkeypatch):
+    """`chi_plus` equals the scalar character of the same seed and rate on
+    every point, for sets without members, with every member, and between,
+    also where the sets are drawn in blocks of one set."""
     d = 10
-    cs = CharacterSet(d, 0.5, seed=3)
     X = rng.integers(0, 2, size=(20, d)).astype(np.uint8)
-    vec = cs.eval_matrix(X)
-    for r in range(20):
-        assert vec[r] == cs.eval(HypercubePoint.from_bits(X[r]))
+    seeds = np.array([[3, 4], [5, 6], [7, 8]], dtype=np.uint64)
+    rates = np.array([[0.0], [0.5], [1.0]])
+    plus = emd_sketch.chi_plus(X, seeds, rates)
+    assert plus.shape == (3, 2, 20) and plus[0].all()
+    assert emd_sketch.chi_plus(X[:0], seeds, rates).shape == (3, 2, 0)
+    for (a, b), s in np.ndenumerate(seeds):
+        cs = CharacterSet(d, float(rates[a, 0]), seed=int(s))
+        for r in range(20):
+            assert plus[a, b, r] == (cs.eval(HypercubePoint.from_bits(X[r])) == 1)
+    monkeypatch.setattr(emd_sketch, "_CHAR_BLOCK_WORDS", 1)
+    assert np.array_equal(emd_sketch.chi_plus(X, seeds, rates), plus)
+
+
+@pytest.mark.parametrize("cls", [EmdOnePassSketch, EmdTwoPassSketch, MstSketch])
+def test_sketch_is_a_function_of_its_config(cls, monkeypatch):
+    """A sketch takes only its config. Each replica holds its config, level
+    and seed (an EMD one also its two-pass state, empty before pass 1) and
+    no character set, and its seed is the scalar combine(cfg.seed, salt,
+    i, r). Construction hashes once for the tree and once per level,
+    whatever the number of replicas."""
+    assert list(inspect.signature(cls).parameters) == ["cfg"]
+    emd = cls is not MstSketch
+    salt, state = 0x33, set()
+    if emd:
+        salt, state = 0x11, {"delta", "samplers", "sampled", "pass2_counters"}
+    calls = []
+    combine = hx.combine
+    monkeypatch.setattr(hx, "combine", lambda *a: calls.append(a) or combine(*a))
+    for count in (1, 5):
+        calls.clear()
+        cfg = (EmdSketchConfig(n=16, d=16, seed=3, level_reps=count) if emd
+               else MstSketchConfig(n=16, d=16, seed=3, samples=count))
+        sk = cls(cfg)
+        assert len(calls) == sk.h + 1
+        for i, per_level in enumerate(sk.replicas, start=1):
+            assert [rep.seed for rep in per_level] == [
+                int(combine(3, salt, i, r)[()]) for r in range(count)]
+            for rep in per_level:
+                assert set(vars(rep)) == {"cfg", "level", "seed"} | state
+                assert (rep.cfg, rep.level) == (cfg, i)
+                assert not any(isinstance(v, CharacterSet) for v in vars(rep).values())
+
+
+@pytest.mark.parametrize("d", [16, 64, 256, 1024])
+def test_views_draw_the_scalar_character_sets(d):
+    """The characters a view counts are those of the scalar
+    `CharacterSet(d, alpha_i, seed')` of every replica, point by point: a
+    store of one point adds chi-plus of that point under every set, for
+    EMD (sets j of seed' combine(seed, 0xC4, j)) and MST (one set of seed'
+    combine(seed, 0xC4)). The sets are drawn at rates up to 1/2."""
+    rng = np.random.default_rng(d)
+    for sk in (EmdOnePassSketch(EmdSketchConfig(n=4, d=d, seed=2)),
+               MstSketch(MstSketchConfig(n=4, d=d, seed=2))):
+        reps = [rep for per_level in sk.replicas for rep in per_level]
+        sets = [charsets(rep) for rep in reps]
+        for _ in range(3):
+            p = HypercubePoint.from_bits(rng.integers(0, 2, d))
+            width = sk.counts.width  # also the sum of the point's counts
+            store = SparseCounts(width)
+            store.add(p.value, (1,) * width)
+            for view, cs in zip(sk.views(store, reps), sets):
+                assert view.rows[:, width:].tolist() == [[width * (c.eval(p) == 1) for c in cs]]
+        assert max(len(c.indices) for c in sets[-1]) >= d // 8
 
 
 # -- split probability -------------------------------------------------------------
@@ -245,7 +310,7 @@ def test_two_round_estimate_matches_exact_p():
     rep = EmdTwoPassSketch(cfg).replicas[1][0]
 
     def row(p, label):
-        chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
+        chi_plus = [cs.eval(p) == 1 for cs in charsets(rep)]
         return np.array([label == "A", label == "B", *chi_plus], dtype=np.int64)
 
     # two children under one parent, known populations
@@ -260,7 +325,7 @@ def test_two_round_estimate_matches_exact_p():
         pass2.add((1, 2), row(p, "A"))
     for p in popB:
         pass2.add((1, 3), row(p, "B"))  # sibling: counts to C_u only
-    want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in rep.charsets]
+    want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in charsets(rep)]
     assert any(want)
     assert rep.two_round_estimates(view_of(pass2)) == pytest.approx(want)
 
@@ -382,8 +447,8 @@ def _instance_views(cfg, kind="matched_noise", seed=1):
     sk = EmdOnePassSketch(cfg)
     for u in gen_instance(kind, cfg.n, cfg.d, seed=seed).updates:
         sk.update(u.point, u.label, u.sign)
-    return [(rep, v) for per_level, views in zip(sk.replicas, sk.views(sk.counts))
-            for rep, v in zip(per_level, views)]
+    reps = [rep for per_level in sk.replicas for rep in per_level]
+    return list(zip(reps, sk.views(sk.counts, reps)))
 
 
 _GRID_VARIANT = dict(n_sets=3, n_inner=2, n_rounds=9, n_medreps=3, ls1_reps=3)
@@ -712,12 +777,12 @@ def test_replica_views_equal_fed_reference():
                 sk.update(p, label, c)
                 for rep, counts, (delta, smps) in zip(reps, fed_counts, fed):
                     key = node_key(sk.tree, rep, p)
-                    chi_plus = [cs.eval(p) == 1 for cs in rep.charsets]
+                    chi_plus = [cs.eval(p) == 1 for cs in charsets(rep)]
                     counts.add(key, c * np.array([label == "A", label == "B", *chi_plus]))
                     delta.add(key, c if label == "A" else -c)
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
-            views = [v for per_level in sk.views(sk.counts) for v in per_level]
+            views = sk.views(sk.counts, reps)
             assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
@@ -750,11 +815,12 @@ def test_node_ids_above_2_63_stay_unsigned():
         for label in ("A", "B"):
             for p, c in nets[label].items():
                 sk.update(p, label, c)
-        views = sk.views(sk.counts)
-        keys = [k for per_level in views for v in per_level for k in v.keys.tolist()]
+        reps = [rep for per_level in sk.replicas for rep in per_level]
+        views = sk.views(sk.counts, reps)
+        keys = [k for v in views for k in v.keys.tolist()]
         assert min(min(k) for k in keys) >= 0
         assert max(max(k) for k in keys) >= 2**63
-        assert sk.replicas[-1][0].vectors(views[-1][0])[0].dtype == np.uint64
+        assert reps[-1].vectors(views[-1])[0].dtype == np.uint64
         assert len(EmdOnePassSketch.state_bytes(sk)) > 0
         if cls is EmdTwoPassSketch:
             sk.finalize_pass1()

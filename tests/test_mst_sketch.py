@@ -24,13 +24,13 @@ from geosketch import (
     value_mst,
 )
 from geosketch import hashing as hx
-from geosketch import mst_sketch
-from geosketch.mst_sketch import (
-    _LevelStack, _RepState, _character, _point_fps, _representative, replica_node_ids,
-)
+from geosketch import emd_sketch, mst_sketch
+from geosketch.emd_sketch import _Replica, replica_node_ids
+from geosketch.mst_sketch import _LevelStack, _character, _point_fps, _representative
 
 from conftest import (
-    node_key, random_multiset, state_header, store_sizes, universe_ids, view_dict, view_of,
+    charsets, node_key, random_multiset, state_header, store_sizes, universe_ids, view_dict,
+    view_of,
 )
 
 
@@ -60,7 +60,7 @@ def view_with_nodes(cfg, nodes, level=1, seed=7):
     points = SparseCounts(2)
     for (u, w), cnt in nodes.items():
         points.add((u, w, 1), np.array([cnt, 0]))
-    view = _LevelStack([_RepState(cfg, level, seed)], [view_of(points, k=3)])
+    view = _LevelStack([_Replica(cfg, level, seed)], [view_of(points, k=3)])
     assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == nodes
     return view
 
@@ -302,11 +302,11 @@ def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
     """A replica over real points placed at prescribed (u, w) nodes, (key,
     point, net) -> the entry (u, w, fp) -> [net, net * chi], its one-sample
     stack, and the validated witnesses of the first node (side 0)."""
-    st = _RepState(cfg, level, seed)
-    st.charset = charset or st.charset
+    st = _Replica(cfg, level, seed)
+    charset = charset or charsets(st)[0]
     entries = SparseCounts(2)
     for key, p, c in points:
-        entries.add((*key, _fp(st, p)), c * np.array([1, st.charset.eval(p) == 1]))
+        entries.add((*key, _fp(st, p)), c * np.array([1, charset.eval(p) == 1]))
     stack = _LevelStack([st], [view_of(entries, k=3)])
     return st, stack, stack.witnesses(np.array([0]), stack.hk_v[:1], np.array([0]))[0]
 
@@ -348,7 +348,7 @@ def test_representative_rejects_point_of_another_node():
     alien_alone = 0
     for s in range(40):
         # a sibling (1, w) that shares v's side-0 bucket in some row
-        probe = _LevelStack([_RepState(cfg, 1, s)], [view_of(SparseCounts(2), k=3)])
+        probe = _LevelStack([_Replica(cfg, 1, s)], [view_of(SparseCounts(2), k=3)])
         ws = np.arange(11, 1000, dtype=np.uint64)
         b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), ws, 0))
         b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), np.uint64(10), 0))
@@ -374,13 +374,14 @@ def test_char_of_representative_two_points_matches_direct_eval():
     trials = 200
     for s in range(trials):
         # a dense character, so that both signs occur across seeds
+        cs = CharacterSet(cfg.d, 0.5, s)
         st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s,
-                                      charset=CharacterSet(cfg.d, 0.5, s))
+                                      charset=cs)
         tok = _representative(fps)
         if tok is FAIL:
             continue
         named = {_fp(st, x): x, _fp(st, y): y}[tok[0]]
-        want = st.charset.eval(named)
+        want = cs.eval(named)
         minus += want == -1
         agree += _character(fps, tok) == want
     assert agree >= 0.98 * trials, agree
@@ -396,7 +397,7 @@ def test_char_of_representative_matches_direct_eval():
         st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
         tok = _representative(fps)
         assert tok is not FAIL
-        agree += _character(fps, tok) == st.charset.eval(x)
+        agree += _character(fps, tok) == charsets(st)[0].eval(x)
     assert agree >= 0.98 * trials, agree
 
 
@@ -512,7 +513,7 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
                 for pair in pairs]
 
     def decode(i):
-        stack = _LevelStack(sk.replicas[i - 1], sk.views(sk.replicas[i - 1]))
+        stack = _LevelStack(sk.replicas[i - 1], sk.views(sk.counts, sk.replicas[i - 1]))
         u_stars = stack.parents()
         return u_stars, keyed(stack, stack.scan(u_stars)), stack.sample_tuples()
 
@@ -520,7 +521,8 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
     whole = {i: decode(i) for i in levels}
     scans = {"pair": 0, "fail": 0}
     for i in levels:
-        for k, (rep, points) in enumerate(zip(sk.replicas[i - 1], sk.views(sk.replicas[i - 1]))):
+        reps = sk.replicas[i - 1]
+        for k, (rep, points) in enumerate(zip(reps, sk.views(sk.counts, reps))):
             alone = _LevelStack([rep], [points])
             u_star, pair, tup = (stage[k] for stage in whole[i])
             assert alone.parents()[0] == u_star
@@ -544,9 +546,9 @@ def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
     sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
     levels, views = [], MstSketch.views
 
-    def spy(self, reps):
+    def spy(self, counts, reps):
         levels.append({rep.level for rep in reps})
-        return views(self, reps)
+        return views(self, counts, reps)
 
     monkeypatch.setattr(MstSketch, "views", spy)
     assert sk.estimate().hex() == "0x1.b37caf8decf48p+6"
@@ -643,7 +645,7 @@ def test_l0_views_equal_fed_reference():
                 sk.update(p, c)
                 for f, per_level in zip(fed, sk.replicas):
                     f.add(node_key(sk.tree, per_level[0], p), c)
-            firsts = sk.views([per_level[0] for per_level in sk.replicas])
+            firsts = sk.views(sk.counts, [per_level[0] for per_level in sk.replicas])
             assert [sk._node_counts(v).to_bytes() for v in firsts] == [f.to_bytes() for f in fed]
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
             assert sk.level_counts() == [l0_estimate(f, seed, sk.cfg.l0_buckets)
@@ -668,10 +670,10 @@ def test_node_counts_derived_from_point_entries():
         for p, c in part:
             target.update(p, c)
     reps = [rep for per_level in sk.replicas for rep in per_level]
-    for rep, entries in zip(reps, sk.views(reps)):
+    for rep, entries in zip(reps, sk.views(sk.counts, reps)):
         want_pts, want_nodes = {}, {}
         for p, c in {x: 3, y: 1, z: 2}.items():
-            row = [c, c * int(rep.charset.eval(p) == 1)]
+            row = [c, c * int(charsets(rep)[0].eval(p) == 1)]
             key = node_key(sk.tree, rep, p)
             want_pts[(*key, _fp(rep, p))] = row
             want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
@@ -691,7 +693,7 @@ def test_node_ids_above_2_63_stay_unsigned():
     X = aggregate(gen_instance("uniform", 8, 8, seed=1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
     reps = [rep for per_level in sk.replicas for rep in per_level]
-    views = sk.views(reps)
+    views = sk.views(sk.counts, reps)
     keys = [k for points in views for k in points.keys.tolist()]
     assert min(min(k[:2]) for k in keys) >= 0
     assert max(max(k[:2]) for k in keys) >= 2**63
@@ -759,7 +761,7 @@ def test_views_fingerprint_only_the_depths_of_their_level(monkeypatch):
     fast = []
     for reps in [*sk.replicas, mixed]:
         depths.clear()
-        fast.append([v.to_bytes() for v in sk.views(reps)])
+        fast.append([v.to_bytes() for v in sk.views(sk.counts, reps)])
         want = {r.level + k for r in reps for k in (-1, 0)}
         assert sorted(depths) == sorted(want)
 
@@ -768,6 +770,6 @@ def test_views_fingerprint_only_the_depths_of_their_level(monkeypatch):
         return (np.stack([universe_ids(r.seed, m, 0x0E0A, path[:, r.level - 1]) for r in reps]),
                 np.stack([universe_ids(r.seed, m, 0x0E0B, path[:, r.level]) for r in reps]))
 
-    monkeypatch.setattr(mst_sketch, "replica_node_ids", full_path_ids)
-    slow = [[v.to_bytes() for v in sk.views(reps)] for reps in [*sk.replicas, mixed]]
+    monkeypatch.setattr(emd_sketch, "replica_node_ids", full_path_ids)
+    slow = [[v.to_bytes() for v in sk.views(sk.counts, reps)] for reps in [*sk.replicas, mixed]]
     assert fast == slow
