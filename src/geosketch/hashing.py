@@ -108,13 +108,3 @@ def bucket(h: np.ndarray, k: int) -> np.ndarray:
     h = np.asarray(h, dtype=U64)
     return (h & U64(k - 1) if k & (k - 1) == 0 else h % U64(k)).astype(np.int64)
 
-
-def fingerprint_words(words: np.ndarray, key: int) -> np.ndarray:
-    """Hash rows of a (n, w) uint64 matrix to single words (keyed, vectorized)."""
-    w = np.asarray(words, dtype=U64)
-    if w.ndim == 1:
-        w = w[:, None]
-    acc = np.full(w.shape[0], U64(key) ^ U64(w.shape[1]), dtype=U64)
-    for j in range(w.shape[1]):
-        acc = mix64(acc ^ w[:, j])
-    return acc

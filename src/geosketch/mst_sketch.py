@@ -13,11 +13,14 @@ Each of t independent samples per level recovers a tuple
 subsample scans D_{kappa,j}, representative points isolated by point
 subsamples P_eta with fingerprint witnesses, and the character values read
 from chi-restricted copies of the witness structure. Each hash row of the
-witness structure draws its own point subsample at every eta, and a bucket
-validates only a single point of the node it is read for (the second
-fingerprint is keyed by the node), so the first validated (eta, row) names a
-uniform point of X_v. mu_i is the mismatch frequency rescaled by
-d log^3 n / 2^i.
+witness structure draws its own point subsample at every eta, so the first
+validated (eta, row) names a uniform point of X_v. In the paper a bucket is
+a 1-sparse recovery sketch that a fingerprint test keyed by the node
+validates; the counts here are exact, so a bucket validates exactly when it
+holds one point entry, of the node it is read for, with a positive net
+count. The fingerprint test would add only its collisions (below 2^-60),
+the kind the quadtree's node fingerprints also treat as absent. mu_i is the
+mismatch frequency rescaled by d log^3 n / 2^i.
 
 The recovery sketches are bucketed l_p sketches with p = 1/(4 log n): the
 p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
@@ -40,11 +43,11 @@ The samples of a level are decoded as one stack, one call per stage for
 all of them: parent recovery evaluates every (sample, row) sketch at once;
 the child scan runs the kappas in lock step, one evaluation of every
 (sample, j, side, row) sketch per kappa, and a sample leaves the stack at
-its first kappa that isolates both children; the witnesses of every
-(v, side) pair are summed and validated in one pass. Only the (sketch,
-bucket) groups that are read are accumulated: parent recovery reads every
-node's bucket, the child scan only the buckets that hold a child of u*, so
-the draws of the other nodes are skipped. Every hash chain resumes from a
+its first kappa that isolates both children; the witness buckets of every
+(v, side) pair are counted in one pass. Only the (sketch, bucket) groups
+that are read are accumulated: parent recovery reads every node's bucket,
+the child scan only the buckets that hold a child of u*, so the draws of
+the other nodes are skipped. Every hash chain resumes from a
 (seed, salt, ...) prefix hashed once per sample. Stacking is exact: the
 hashes and draws are elementwise, and every group adds its nodes in node
 order, so the estimates equal those of decoding each sample alone bit for
@@ -77,7 +80,7 @@ __all__ = [
     "reference_level_quantities",
 ]
 
-_P61 = (1 << 61) - 1  # fingerprint field for witness triples
+_P61 = (1 << 61) - 1  # point fingerprints lie in [1, _P61 - 1]
 _DRAW_WORDS = np.array([0x01, 0x02], dtype=U64)[:, None]  # (r, theta) salts, by t
 # Block sizes of the stacked decode, which bound its temporaries to a few
 # MiB: stable draws per evaluation, and child-scan bucket hashes per kappa
@@ -156,10 +159,9 @@ def _grouped_log_abs_sum(
     """log | sum of sign * exp(log_mag) | per group (scaled LSE)."""
     m = np.full(size, -np.inf)
     np.maximum.at(m, flat_idx, log_mag)
-    mant = np.zeros(size)
     safe_m = m[flat_idx]
     safe_m = np.where(np.isneginf(safe_m), 0.0, safe_m)
-    np.add.at(mant, flat_idx, sign * np.exp(log_mag - safe_m))
+    mant = np.bincount(flat_idx, sign * np.exp(log_mag - safe_m), size)
     # groups without entries keep m = -inf, which is -inf + log(0)
     with np.errstate(divide="ignore"):
         m[flat_idx] += np.log(np.abs(mant[flat_idx]))
@@ -267,11 +269,6 @@ class _LevelStack:
     def _node_hash(self, u, w, s):
         """hk_v of the (universe-reduced) node key (u, w) of sample s."""
         return hx.extend(self._prefix(0xAC)[s], u, w)
-
-    def _fp2(self, s, hk_v, pfp):
-        """Second fingerprint in [1, 2^61 - 1] (object array) of point pfp as
-        a member of the node hashed to hk_v, in sample s."""
-        return (hx.extend(self._prefix(0xF2)[s], hk_v, pfp).astype(object) % (_P61 - 1)) + 1
 
     def _buckets(self, salts, s, k, hk) -> np.ndarray:
         """(*shape, rows) buckets of the node hashes hk in the bucketed l_p
@@ -426,15 +423,19 @@ class _LevelStack:
         return out
 
     # -- representatives -----------------------------------------------------------
-    def witness_triples(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray):
-        """(count, fpsum, fp2sum) arrays (items, 2, eta_max + 1, rows) of the
-        items (sample s, node hash hv, side): per eta and row, the bucket the
-        node falls into, summed over the points of s kept by that row's
-        subsample at level eta, without (index 0) and with (index 1) the chi
-        restriction. The sums are exact integers (object arrays), the
-        fingerprint sums taken mod 2^61 - 1. One pass covers every (item,
-        point) pair whose point shares the item's bucket in some row; a
-        point's bucket is that of its own node, and fp2 is keyed by it."""
+    def witnesses(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Validated point fingerprint (uint64, 0 where none) per (item,
+        chi restriction, eta, row) of the items (sample s, node hash hv,
+        side). The group of an (eta, row) is the item's bucket in that row,
+        over the point entries of s kept by the row's subsample at level
+        eta, without (index 0) and with (index 1) the chi restriction (the
+        entries of nonzero net * chi). It validates exactly when it holds
+        one entry, of the node hashed to hv, with a positive net count: the
+        outcome of a 1-sparse fingerprint test of the bucket's sums keyed
+        by the node, which would differ only on a fingerprint collision
+        (or a net count divisible by 2^61 - 1). One pass covers every
+        (item, point) pair whose point shares the item's bucket in some
+        row; a point's bucket is that of its node."""
         cfg = self.cfg
         R, E = cfg.rec_rows, cfg.eta_max + 1
         rows = np.arange(R, dtype=U64)
@@ -449,42 +450,19 @@ class _LevelStack:
         in_bkt = self._buckets(salts, s[item], side[item], hkv) == bv[item]  # (pairs, rows)
         sel = np.flatnonzero(in_bkt.any(axis=1))
         item, pt, in_bkt, hkv, pfp = item[sel], pt[sel], in_bkt[sel], hkv[sel], pfp[sel]
-        ps = s[item]
         # every row is an independent point subsample
-        lvl = hx.uniform01(hx.extend(self._prefix(0xBE, sides, rows)[ps, side[item]], pfp[:, None]))
+        lvl = hx.uniform01(hx.extend(self._prefix(0xBE, sides, rows)[s[item], side[item]],
+                                     pfp[:, None]))
         keep = (lvl[:, None, :] < 2.0 ** -np.arange(E)[:, None]) & in_bkt[:, None, :]
         chi = self.points.rows[pt, 1] != 0  # net != 0 in every entry
         p, k, e, r = np.nonzero(np.stack([keep, keep & chi[:, None, None]], axis=1))
         at = ((item[p] * 2 + k) * E + e) * R + r
-        net = self.points.rows[pt, 0].astype(object)
-        sums = []
-        for x in (net, net * pfp.astype(object), net * self._fp2(ps, hkv, pfp)):
-            acc = np.zeros(len(s) * 2 * E * R, dtype=object)
-            np.add.at(acc, at, x[p])
-            sums.append(acc.reshape(len(s), 2, E, R))
-        cnt, fs, fs2 = sums
-        return cnt, fs % _P61, fs2 % _P61
-
-    def witnesses(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray) -> np.ndarray:
-        """Validated fingerprint per (item, chi restriction, eta, row) of
-        the item's bucket (witness_triples), 0 where the single-distinct-
-        point test fails (it requires fp2sum = count * fp2(fpsum / count));
-        all entries are validated with one _fp2 call, and the modular
-        inverse is taken once per distinct count. fp2 is keyed by the node,
-        so a bucket that holds a single point of another node fails: every
-        fingerprint is a point of X_v (up to a 2^-61 fingerprint
-        collision)."""
-        cnt, fs, fs2 = self.witness_triples(s, hv, side)
-        fps = np.zeros(cnt.shape, dtype=object)
-        pos = np.nonzero(cnt > 0)
-        if len(pos[0]):
-            c = cnt[pos]
-            inv = {x: pow(x % _P61, _P61 - 2, _P61) for x in set(c.tolist())}
-            fp = (fs[pos] * np.array([inv[x] for x in c.tolist()], dtype=object)) % _P61
-            i = pos[0]
-            ok = (fp != 0) & ((c * self._fp2(s[i], hv[i], fp.astype(U64))) % _P61 == fs2[pos])
-            fps[pos] = np.where(ok, fp, 0)
-        return fps
+        size = len(s) * 2 * E * R
+        ok = ((np.bincount(at, minlength=size)[at] == 1) & (hkv[p] == hv[item[p]])
+              & (self.points.rows[pt[p], 0] > 0))
+        fps = np.zeros(size, dtype=U64)
+        fps[at[ok]] = pfp[p[ok]]
+        return fps.reshape(len(s), 2, E, R)
 
     # -- full tuples -----------------------------------------------------------
     def sample_tuples(self) -> list:

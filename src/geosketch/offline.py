@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .points import (
     HypercubePoint,
@@ -297,7 +296,10 @@ def total_inspector_payment(
 
 
 def exact_emd(A: PointMultiset, B: PointMultiset) -> int:
-    """Minimum-cost perfect matching cost (optimal assignment, exact)."""
+    """Minimum-cost perfect matching cost (optimal assignment, exact). scipy
+    is imported here: only the oracle loads it."""
+    from scipy.optimize import linear_sum_assignment
+
     n = len(A)
     if n != len(B):
         raise ValueError(f"|A| = {n} != |B| = {len(B)}")

@@ -62,9 +62,6 @@ class HypercubePoint:
         """Coordinates as a uint8 array of length d."""
         return values_to_matrix([self.value], self.d)[0]
 
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits())
-
 
 def hamming_distance(x: HypercubePoint, y: HypercubePoint) -> int:
     """Number of coordinates where x and y differ."""
@@ -101,9 +98,6 @@ class PointMultiset:
         else:
             self._counts[p] = c
 
-    def count(self, p: HypercubePoint) -> int:
-        return self._counts.get(p, 0)
-
     def items(self) -> Iterator[Tuple[HypercubePoint, int]]:
         return iter(self._counts.items())
 
@@ -116,12 +110,6 @@ class PointMultiset:
 
     def __len__(self) -> int:
         return self.total
-
-    def __iter__(self) -> Iterator[HypercubePoint]:
-        """Iterate points with multiplicity."""
-        for p, c in self._counts.items():
-            for _ in range(c):
-                yield p
 
     def __eq__(self, other) -> bool:
         return (

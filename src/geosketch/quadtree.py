@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .hashing import bucket, combine, fingerprint_words
+from .hashing import U64, bucket, combine, extend
 from .points import HypercubePoint
 
 __all__ = ["QuadtreeSpec", "sample_quadtree", "lca_depth"]
@@ -69,8 +69,9 @@ class QuadtreeSpec:
             if sub.shape[1]
             else np.zeros((X.shape[0], 1), dtype=np.uint64)
         )
-        fa = fingerprint_words(words, combine(self._key_a, depth)[()])
-        fb = fingerprint_words(words, combine(self._key_b, depth)[()])
+        # one keyed hash chain per half, over the words of each row
+        fa, fb = (extend(U64(combine(key, depth)[()]) ^ U64(words.shape[1]), *words.T)
+                  for key in (self._key_a, self._key_b))
         return np.stack([fa, fb], axis=1)
 
     def node_path(self, X: np.ndarray) -> np.ndarray:

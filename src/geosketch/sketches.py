@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import hashing as hx
 from .hashing import U64
@@ -411,7 +409,12 @@ def _stable_median_slow(p: float) -> float:
 
     The CDF F is evaluated by quadrature over theta of the inverse of the
     generator (monotone in r for p < 1); the solution t* lies in [1/10, 9/10].
+    scipy is imported here, so the estimate path, which reads the table,
+    never loads it.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
 

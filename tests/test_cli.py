@@ -38,6 +38,28 @@ def test_python_m_geosketch_cli_warns_nothing():
     assert r.stdout.startswith("usage: geosketch")
 
 
+def test_estimates_without_oracle_load_no_scipy():
+    """Only the exact oracle and the stable-median solver import scipy: a
+    fresh interpreter that imports geosketch and estimates EMD (one and two
+    passes) and MST without `oracle` loads no scipy module."""
+    src = str(Path(geosketch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = "\n".join([
+        "import sys",
+        "from geosketch import gen_instance, run_estimator",
+        "emd = gen_instance('matched_noise', 16, 8, 1).updates",
+        "for passes in (1, 2):",
+        "    run_estimator(emd, 'emd', passes=passes)",
+        "run_estimator(gen_instance('uniform', 8, 8, 1).updates, 'mst')",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    ])
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 def _run_cli(*args, stdin=None, env=None):
     """`python -m geosketch *args`, with the given environment variables
     and no GEOSKETCH_SEED beyond them."""

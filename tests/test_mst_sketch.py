@@ -311,6 +311,130 @@ def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
     return st, stack, stack.witnesses(np.array([0]), stack.hk_v[:1], np.array([0]))[0]
 
 
+def _witness_groups(stack, s, v, side):
+    """{(restriction, eta, row): point entry indices} of the item (sample s,
+    node index v, side), enumerated entry by entry with the hashes written
+    out here: an entry of sample s is in the group when its node's bucket
+    in the row's Count-Sketch (salt 0x9C00 + side) is v's, the row's point
+    subsample keeps it at eta and, for restriction 1, its net * chi is
+    nonzero."""
+    cfg, seed = stack.cfg, int(stack.seeds[s])
+
+    def buckets(u, w):  # per row
+        hk = hx.combine(seed, 0xAC, u, w)
+        return [int(hx.bucket(hx.combine(seed, 0x9C00 + side, 0xB0, r, hk), cfg.rec_buckets))
+                for r in range(cfg.rec_rows)]
+
+    mine = buckets(*stack.keys[v].tolist())
+    groups = {(k, e, r): [] for k in (0, 1) for e in range(cfg.eta_max + 1)
+              for r in range(cfg.rec_rows)}
+    for i in range(stack.pstart[s], stack.pstart[s + 1]):
+        _, u, w, fp = stack.points.keys[i].tolist()
+        for r, b in enumerate(buckets(u, w)):
+            lvl = float(hx.uniform01(hx.combine(seed, 0xBE, side, r, fp)))
+            for e in range(cfg.eta_max + 1):
+                if b == mine[r] and lvl < 2.0**-e:
+                    groups[0, e, r].append(i)
+                    if stack.points.rows[i, 1] != 0:
+                        groups[1, e, r].append(i)
+    return groups
+
+
+def _brute_witnesses(stack, s, v, side) -> np.ndarray:
+    """(2, eta_max + 1, rows) witnesses of the item from `_witness_groups`:
+    the fingerprint of a group's one entry where that entry is a point of v
+    with a positive net count, 0 elsewhere."""
+    cfg = stack.cfg
+    out = np.zeros((2, cfg.eta_max + 1, cfg.rec_rows), dtype=np.uint64)
+    for at, entries in _witness_groups(stack, s, v, side).items():
+        if len(entries) == 1:
+            _, u, w, fp = stack.points.keys[entries[0]].tolist()
+            if [u, w] == stack.keys[v].tolist() and stack.points.rows[entries[0], 0] > 0:
+                out[at] = fp
+    return out
+
+
+def _assert_witnesses_brute(stack):
+    """`witnesses` of every (sample, node, side) item of the stack, in one
+    call, equals the brute-force enumeration; returns the validated count."""
+    v = np.repeat(np.arange(len(stack.ns)), 2)
+    side = np.tile([0, 1], len(stack.ns))
+    got = stack.witnesses(stack.ns[v], stack.hk_v[v], side)
+    assert got.shape == (len(v), 2, stack.cfg.eta_max + 1, stack.cfg.rec_rows)
+    for k in range(len(v)):
+        assert np.array_equal(got[k], _brute_witnesses(stack, stack.ns[v[k]], v[k], side[k]))
+    return int((got != 0).sum())
+
+
+def _sibling_in_bucket(cfg, seed, v):
+    """A sibling (u, w) of node v that shares v's side-0 witness bucket in
+    some row of the sample of the given seed."""
+    probe = _LevelStack([_Replica(cfg, 1, seed)], [view_of(SparseCounts(2), k=3)])
+    ws = np.arange(v[1] + 1, v[1] + 1000, dtype=np.uint64)
+    b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), ws, 0))
+    b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), np.uint64(v[1]), 0))
+    return v[0], int(ws[np.argmax((b_w == b_v).any(axis=1))])
+
+
+@pytest.mark.parametrize("chi", ["mixed", "none", "all"])
+def test_witnesses_match_brute_force_enumeration(chi):
+    """On hand-built stacks of one and of three samples, with negative nets,
+    two or three points in one node, and another node's point alone in v's
+    bucket, `witnesses` equals the enumeration. chi sets the chi column:
+    the points' own characters, no entry with chi = +1 (an empty
+    restricted copy, so restriction 1 validates nothing), or every entry
+    (an empty character set S, so restriction 1 equals restriction 0)."""
+    cfg = small_cfg(n=8, d=8)
+    rng = np.random.default_rng(4)
+    pts = [HypercubePoint(8, int(x)) for x in rng.choice(256, 6, replace=False)]
+    v = (1, 10)
+    alien_alone = validated = 0
+    for seeds in ([3], [5, 8, 13]):
+        reps = [_Replica(cfg, 1, s) for s in seeds]
+        views = []
+        for rep in reps:
+            other = _sibling_in_bucket(cfg, rep.seed, v)
+            placed = [(v, pts[0], 2), (v, pts[1], -1), (v, pts[2], 1), (other, pts[3], 1),
+                      ((2, 7), pts[4], -3), ((2, 9), pts[5], 1)]
+            entries = SparseCounts(2)
+            for key, p, c in placed:
+                plus = {"mixed": charsets(rep)[0].eval(p) == 1, "none": 0, "all": 1}[chi]
+                entries.add((*key, _fp(rep, p)), c * np.array([1, plus]))
+            views.append(view_of(entries, k=3))
+        stack = _LevelStack(reps, views)
+        validated += _assert_witnesses_brute(stack)
+        for s in range(len(reps)):
+            fz = _fp(reps[s], pts[3])
+            iz = int(np.flatnonzero((stack.points.keys[:, 0] == s)
+                                    & (stack.points.keys[:, 3] == fz))[0])
+            v_idx = int(np.flatnonzero((stack.ns == s) & (stack.u == 1) & (stack.w == 10))[0])
+            groups = _witness_groups(stack, s, v_idx, 0)
+            alien_alone += sum(g == [iz] for g in groups.values())
+            got = stack.witnesses(np.array([s]), stack.hk_v[[v_idx]], np.array([0]))[0]
+            if chi == "none":
+                assert not got[1].any()
+            if chi == "all":
+                assert np.array_equal(got[1], got[0])
+    assert validated > 0
+    # another node's point sat alone in v's bucket, and was rejected
+    assert alien_alone > 0
+
+
+def test_witnesses_of_a_sketch_match_brute_force_enumeration():
+    """On the multi-sample stacks of a sketch's first two levels, over a
+    stream whose final nets include negative counts, `witnesses` equals the
+    enumeration for every node and side."""
+    cfg = small_cfg(n=8, d=8, samples=4)
+    sk = feed(MstSketch(cfg), random_multiset(8, 8, 3))
+    for value in (0x0F, 0xA5):
+        sk.update(HypercubePoint(8, value), -2)
+    assert min(r[0] for r in sk.counts.sorted()[1].tolist()) < 0
+    validated = 0
+    for per_level in sk.replicas[:2]:
+        validated += _assert_witnesses_brute(_LevelStack(per_level, sk.views(sk.counts, per_level)))
+    assert validated > 0
+
+
 def test_representative_singleton_found_at_eta_zero():
     cfg = small_cfg(n=8, d=8)
     x = pt([1, 0, 1, 0, 1, 0, 1, 0])
@@ -348,19 +472,16 @@ def test_representative_rejects_point_of_another_node():
     alien_alone = 0
     for s in range(40):
         # a sibling (1, w) that shares v's side-0 bucket in some row
-        probe = _LevelStack([_Replica(cfg, 1, s)], [view_of(SparseCounts(2), k=3)])
-        ws = np.arange(11, 1000, dtype=np.uint64)
-        b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), ws, 0))
-        b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(1), np.uint64(10), 0))
-        other = (1, int(ws[np.argmax((b_w == b_v).any(axis=1))]))
+        other = _sibling_in_bucket(cfg, s, v)
         # v sorts before other, so its witnesses are those of the first node
         st, stack, fps = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
         fx, fz = _fp(st, x), _fp(st, z)
         assert _representative(fps) == (fx, 0)
-        cnt, fs, _ = stack.witness_triples(np.array([0]), stack.hk_v[:1], np.array([0]))
+        iz = int(np.flatnonzero(stack.points.keys[:, 3] == fz)[0])
+        groups = _witness_groups(stack, 0, 0, 0)
         for eta in range(cfg.eta_max + 1):
             assert set(fps[0, eta].tolist()) <= {fx, 0}
-            alien_alone += (1, fz) in zip(cnt[0, 0, eta].tolist(), fs[0, 0, eta].tolist())
+            alien_alone += any(groups[0, eta, r] == [iz] for r in range(cfg.rec_rows))
     # the guard was exercised: z sat alone in v's bucket in some (eta, row)
     assert alien_alone > 0
 
@@ -609,8 +730,8 @@ def test_state_holds_one_entry_per_distinct_point():
     and a point whose updates cancel leaves none."""
     X = random_multiset(10, 8, 21)
     sk = feed(MstSketch(small_cfg()), X)
-    x = next(iter(X.support()))
-    sk.update(x, -X.count(x))
+    x, c = next(X.items())
+    sk.update(x, -c)
     assert store_sizes(sk.state_bytes()) == [(1, len(X.support()) - 1)]
 
 
