@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -617,7 +618,7 @@ class _EmdSketchBase(_TreeSketch):
             raise ValueError(f"label must be 'A' or 'B', got {label!r}")
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
-        delta = int(delta)
+        delta = operator.index(delta)  # an int: a float or str raises TypeError
         store.add(point.value, (delta, 0) if label == "A" else (0, delta))
 
     def _read_levels(self, counts: SparseCounts, read) -> List[list]:

@@ -19,8 +19,9 @@ a 1-sparse recovery sketch that a fingerprint test keyed by the node
 validates; the counts here are exact, so a bucket validates exactly when it
 holds one point entry, of the node it is read for, with a positive net
 count. The fingerprint test would add only its collisions (below 2^-60),
-the kind the quadtree's node fingerprints also treat as absent. mu_i is the
-mismatch frequency rescaled by d log^3 n / 2^i.
+the kind the quadtree's node fingerprints also treat as absent. A sample
+fails at parent recovery (no nodes), the child scan or the witnesses; mu_i
+is the mismatch frequency of the others, rescaled by d log^3 n / 2^i.
 
 The recovery sketches are bucketed l_p sketches with p = 1/(4 log n): the
 p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
@@ -40,25 +41,27 @@ per-level l0 estimate (`l0_estimate`) of the node counts of the level's
 first sample. Node ids are uint64 throughout.
 
 The samples of a level are decoded as one stack, one call per stage for
-all of them: parent recovery evaluates every (sample, row) sketch at once;
-the child scan runs the kappas in lock step, one evaluation of every
-(sample, j, side, row) sketch per kappa, and a sample leaves the stack at
-its first kappa that isolates both children; the witness buckets of every
-(v, side) pair are counted in one pass. Only the (sketch, bucket) groups
-that are read are accumulated: parent recovery reads every node's bucket,
-the child scan only the buckets that hold a child of u*, so the draws of
-the other nodes are skipped. Every hash chain resumes from a
-(seed, salt, ...) prefix hashed once per sample. Stacking is exact: the
-hashes and draws are elementwise, and every group adds its nodes in node
-order, so the estimates equal those of decoding each sample alone bit for
-bit. The stacks are cut into blocks of at most `_BLOCK_DRAWS` stable draws
-per evaluation and `_BLOCK_WORDS` child-scan bucket hashes per stack, which
-bounds the decode's temporaries to a few MiB.
+all of them, each handing the next arrays indexed by sample, down to the
+stage each sample failed at and whether its characters differ. Parent
+recovery evaluates every (sample, row) sketch at once; the child scan runs
+the kappas in lock step, one evaluation of every (sample, j, side, row)
+sketch per kappa, and a sample leaves the stack at its first kappa that
+isolates both children; the witness buckets of every (v, side) pair are
+counted in one pass. Only the (sketch, bucket) groups that are read are
+accumulated: parent recovery reads every node's bucket, the child scan
+only the buckets that hold a child of u*, so the other nodes' draws are
+skipped. Every hash chain resumes from a (seed, salt, ...) prefix hashed
+once per sample. Stacking is exact: the hashes and draws are elementwise,
+and every group adds its nodes in node order, so the estimates equal those
+of decoding each sample alone bit for bit. Blocks of at most `_BLOCK_DRAWS`
+stable draws per evaluation and `_BLOCK_WORDS` child-scan bucket hashes per
+stack bound the decode's temporaries to a few MiB.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,7 +73,7 @@ from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_mat
 from .quadtree import QuadtreeSpec
 from .offline import LevelDecomposition
 from .sketches import (
-    FAIL, CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
+    CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
 )
 from .emd_sketch import _Replica, _SketchConfig, _TreeSketch, log2n
 
@@ -202,26 +205,19 @@ def _blocks(sizes: Sequence[int], cap: int):
         lo = hi
 
 
-def _representative(fps: np.ndarray):
-    """The token (fp, eta) of the first (eta, row), eta upward and rows in
-    order, whose unrestricted bucket validates a point, from a node's
-    validated fingerprints fps (2, eta_max + 1, rows); FAIL if none does.
-    The rows draw independent point subsamples, so every point of X_v is
-    equally likely to be the one."""
-    first = np.flatnonzero(fps[0] != 0)
-    if len(first) == 0:
-        return FAIL
-    eta, row = divmod(int(first[0]), fps.shape[-1])
-    return int(fps[0, eta, row]), eta
-
-
-def _character(fps: np.ndarray, token) -> int:
-    """+1 iff some row of the chi-restricted copy at the token's eta
-    validates the token's point, i.e. iff chi(r_v) = +1: that point is
-    alone in its row's bucket before the restriction and stays there
-    exactly when chi(r_v) = +1."""
-    fp, eta = token
-    return 1 if fp in fps[1, eta].tolist() else -1
+def _representatives(fps: np.ndarray):
+    """Per item of the witnesses fps (items, 2, eta_max + 1, rows): the point
+    fingerprint fp of the first (eta, row), eta upward and rows in order,
+    whose unrestricted bucket validates a point (fp = eta = 0 if none), that
+    eta, and whether chi(r_v) = +1: whether a row of the chi-restricted copy
+    validates fp at that eta, as r_v, alone in its bucket, stays there
+    exactly when chi(r_v) = +1. The rows draw independent point subsamples,
+    so every point of X_v is equally likely to be r_v."""
+    n, _, E, R = fps.shape  # an explicit shape: there may be no items
+    eta, row = np.divmod((fps[:, 0].reshape(n, E * R) != 0).argmax(axis=1), R)
+    fp = fps[np.arange(n), 0, eta, row]
+    plus = (fps[np.arange(n), 1, eta] == fp[:, None]).any(axis=1) & (fp != 0)
+    return fp, eta, plus
 
 
 class _LevelStack:
@@ -229,13 +225,14 @@ class _LevelStack:
     sample order: the point entries (s, u, w, point fingerprint) -> [net,
     net * chi] of each sample s, the node counts (s, u, w) -> [net, net *
     chi] (a node's entries are adjacent), and the distinct parents (s, u).
-    Every stage of the tuple decode runs once for all samples of the stack:
-    `parents`, the lock-step kappa `scan` (a sample leaves it at its first
-    kappa that isolates both children), and `witnesses`. The bucketed l_p
-    sketches accumulate only the groups that are read, in blocks of at most
-    `_BLOCK_DRAWS` draws. Every hash chain starts from one (seed, salt, ...)
-    prefix per sample (`_prefix`) finished with `hashing.extend`, which
-    gives the bits of the whole chain."""
+    Every stage of the tuple decode runs once for all samples of the stack
+    and hands the next arrays indexed by sample: `parents`, the lock-step
+    kappa `scan` (-1 where it fails), and `witnesses`; `outcomes` runs them
+    and reads the representatives. The bucketed l_p sketches accumulate
+    only the groups that are read, in blocks of at most `_BLOCK_DRAWS`
+    draws. Every hash chain starts from one (seed, salt, ...) prefix per
+    sample (`_prefix`) finished with `hashing.extend`, which gives the bits
+    of the whole chain."""
 
     def __init__(self, reps: Sequence[_Replica], views: Sequence[CountView]):
         self.cfg = cfg = reps[0].cfg
@@ -332,13 +329,13 @@ class _LevelStack:
         return out[read_idx.reshape(read.shape)]
 
     # -- parent recovery -------------------------------------------------------
-    def parents(self) -> List[Optional[int]]:
-        """Per sample, the non-empty parent maximizing |C(u)|/t_u (None
-        without nodes), recovered from the bucketed l_p sketch (median over
-        rows of per-bucket estimates): every (sample, row) sketch is one
-        stacked _bucket_estimates evaluation, and a node falls into its
-        parent's bucket, so every parent's bucket is read."""
-        cfg, out = self.cfg, [None] * len(self.seeds)
+    def parents(self) -> np.ndarray:
+        """Per sample, the index into `uu` of the parent maximizing
+        |C(u)|/t_u (-1 without nodes), recovered from the bucketed l_p
+        sketch (median over rows of per-bucket estimates): every (sample,
+        row) sketch is one stacked _bucket_estimates evaluation, and a node
+        falls into its parent's bucket, so every parent's bucket is read."""
+        cfg, out = self.cfg, np.full(len(self.seeds), -1, dtype=np.int64)
         if len(self.us) == 0:
             return out
         R = cfg.rec_rows
@@ -353,8 +350,7 @@ class _LevelStack:
         # per sample the first maximum, as argmax takes it
         order = np.lexsort((-med, self.us))
         first = order[np.flatnonzero(np.r_[True, self.us[1:] != self.us[:-1]])]
-        for s, c in zip(self.us[first].tolist(), first.tolist()):
-            out[s] = int(self.uu[c])
+        out[self.us[first]] = first
         return out
 
     # -- child recovery ---------------------------------------------------------
@@ -393,18 +389,16 @@ class _LevelStack:
                             for t in self.t_u[self.u_inv[cand]].tolist()])
         return mins >= log_thr[:, None, None]
 
-    def scan(self, u_stars: Sequence[Optional[int]]) -> list:
-        """Per sample, the node indices (v*, v**) of the downward kappa scan
-        under its u*, or FAIL: the first kappa with unique hits in both a D
-        and a D' repetition fixes (v*, v**), each from the first such j.
-        The samples scan in lock step, one children_present per kappa, and
-        a sample leaves the stack at its first kappa that isolates both
-        children, so each (sample, kappa) is evaluated as the sample's own
-        scan evaluates it."""
-        out = [FAIL] * len(self.seeds)
-        # u* is None only for a sample without nodes
-        want = np.array([0 if u is None else u for u in u_stars], dtype=U64)
-        cand = np.flatnonzero((self.u == want[self.ns]) & (self.nx > 0))
+    def scan(self, parents: np.ndarray) -> np.ndarray:
+        """(samples, 2) node indices (v*, v**) of the downward kappa scan
+        under each sample's `parents` entry, -1 where no kappa isolates both
+        children: the first kappa with unique hits in both a D and a D'
+        repetition fixes (v*, v**), each from the first such j. The samples
+        scan in lock step, one children_present per kappa, and a sample
+        leaves the stack at its first kappa that isolates both children, so
+        each (sample, kappa) is evaluated as its own scan evaluates it."""
+        out = np.full((len(self.seeds), 2), -1, dtype=np.int64)
+        cand = np.flatnonzero((self.u_inv == parents[self.ns]) & (self.nx > 0))
         for kappa in range(self.cfg.kappa_max, -1, -1):
             if len(cand) == 0:
                 break
@@ -415,10 +409,9 @@ class _LevelStack:
             single = np.add.reduceat(hit.astype(np.int64), np.flatnonzero(new), axis=0) == 1
             done = single.any(axis=1).all(axis=1)
             j = single.argmax(axis=1)  # first unique j per side
-            picks = [cand[hit[np.arange(len(cand)), j[at, side], side] & done[at]].tolist()
-                     for side in (0, 1)]
-            for k, v1, v2 in zip(s[new][done].tolist(), *picks):
-                out[k] = (v1, v2)
+            for side in (0, 1):  # one pick per done sample, in sample order
+                out[s[new][done], side] = cand[hit[np.arange(len(cand)), j[at, side], side]
+                                               & done[at]]
             cand = cand[~done[at]]
         return out
 
@@ -464,31 +457,22 @@ class _LevelStack:
         fps[at[ok]] = pfp[p[ok]]
         return fps.reshape(len(s), 2, E, R)
 
-    # -- full tuples -----------------------------------------------------------
-    def sample_tuples(self) -> list:
-        """Per sample (u*, v*, v**, token_v, token_v', chi_v, chi_v') as a
-        dict, or FAIL; each stage runs once for the whole stack."""
-        u_stars = self.parents()
-        pairs = self.scan(u_stars)
-        ok = [k for k, pair in enumerate(pairs) if pair is not FAIL]
-        v = np.array([pairs[k] for k in ok], dtype=np.int64).reshape(-1)
-        fps = self.witnesses(np.repeat(ok, 2).astype(np.int64), self.hk_v[v],
-                             np.tile([0, 1], len(ok)))
-        out = [FAIL] * len(self.seeds)
-        for k, f1, f2, (v1, v2) in zip(ok, fps[0::2], fps[1::2], v.reshape(-1, 2).tolist()):
-            t1, t2 = _representative(f1), _representative(f2)
-            if t1 is FAIL or t2 is FAIL:
-                continue
-            out[k] = {
-                "u": u_stars[k],
-                "v": tuple(self.keys[v1].tolist()),
-                "v2": tuple(self.keys[v2].tolist()),
-                "r_v": t1[0],
-                "r_v2": t2[0],
-                "chi_v": _character(f1, t1),
-                "chi_v2": _character(f2, t2),
-            }
-        return out
+    # -- outcomes ----------------------------------------------------------------
+    def outcomes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per sample, the stage it failed at (0 = ok, 1 = no parent, 2 =
+        child scan, 3 = witnesses: no validated point of v* or v**) and
+        whether chi(r_v) != chi(r_v') (False unless ok)."""
+        parents = self.parents()
+        pairs = self.scan(parents)
+        ok = np.flatnonzero(pairs[:, 0] >= 0)
+        fp, _, plus = _representatives(self.witnesses(
+            np.repeat(ok, 2), self.hk_v[pairs[ok].ravel()], np.tile([0, 1], len(ok))))
+        found = (fp != 0).reshape(-1, 2).all(axis=1)
+        stage = np.where(parents < 0, 1, 2)
+        stage[ok] = np.where(found, 0, 3)
+        mismatch = np.zeros(len(self.seeds), dtype=bool)
+        mismatch[ok] = found & (plus[0::2] != plus[1::2])
+        return stage, mismatch
 
 
 class MstSketch(_TreeSketch):
@@ -503,7 +487,7 @@ class MstSketch(_TreeSketch):
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
-        self.counts.add(point.value, int(delta))
+        self.counts.add(point.value, operator.index(delta))
 
     def _sets_and_keys(self, seeds: np.ndarray, values) -> tuple:
         """The (samples, 1) seeds of the one character set of a sample,
@@ -528,21 +512,23 @@ class MstSketch(_TreeSketch):
 
     def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
-        level i, from the views of its samples (built here if not given);
-        failed samples are dropped. The samples are decoded in stacks of
-        at most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted
-        as if every point entry were a node in every D (or one sample)."""
+        level i, from the `outcomes` of its samples (views built here if not
+        given): mismatches over successes, over alpha_i, capped. The samples
+        are decoded in stacks of at most `_BLOCK_WORDS` child-scan bucket
+        hashes per kappa, counted as if every point entry were a node in
+        every D (or one sample)."""
         per_level = self.replicas[i - 1]
         views = views or self.views(self.counts, per_level)
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
-        tuples = []
-        for lo, hi in _blocks([len(v) * words for v in views], _BLOCK_WORDS):
-            tuples += _LevelStack(per_level[lo:hi], views[lo:hi]).sample_tuples()
-        done = [tup for tup in tuples if tup is not FAIL]
-        if not done:
-            raise SamplesFailed(f"all samples failed at level {i} (samples = {len(per_level)})")
-        mismatches = sum(tup["chi_v"] != tup["chi_v2"] for tup in done)
-        mu = (mismatches / len(done)) / self.cfg.alpha(i)
+        stage, mismatch = map(np.concatenate, zip(*(
+            _LevelStack(per_level[lo:hi], views[lo:hi]).outcomes()
+            for lo, hi in _blocks([len(v) * words for v in views], _BLOCK_WORDS))))
+        fails = np.bincount(stage, minlength=4)
+        if fails[0] == 0:
+            raise SamplesFailed(
+                f"all samples failed at level {i} (samples = {len(per_level)}: {fails[1]} at "
+                f"parent recovery, {fails[2]} at the child scan, {fails[3]} at the witnesses)")
+        mu = (int(mismatch.sum()) / int(fails[0])) / self.cfg.alpha(i)
         return min(mu, self.cfg.mu_cap(i))
 
     def estimate(self) -> float:

@@ -198,14 +198,16 @@ def test_config_of_the_other_problem_exits_2(tmp_path, problem, config, kind):
 def test_mst_level_without_a_sample_exits_2(tmp_path):
     """With one sample per level (the config below; the default has at
     least 8, so it no longer fails on this stream) the level-1 sample fails,
-    which is reported as one error line naming the level and the sample
-    count and pointing to `samples` in a --config file."""
+    at the child scan, which is reported as one error line naming the
+    level, the sample count, the failures per stage, and pointing to
+    `samples` in a --config file."""
     stream = _run_cli("gen", "--kind", "uniform", "--n", "2", "--d", "2", "--seed", "1").stdout
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_MST, "n": 2, "d": 2, "samples": 1}))
     r = _run_cli("run", "--problem", "mst", "--config", str(cfg), "-", stdin=stream)
     assert r.returncode == 2
-    assert r.stderr == ("geosketch: error: all samples failed at level 1 (samples = 1); "
+    assert r.stderr == ("geosketch: error: all samples failed at level 1 (samples = 1: "
+                        "0 at parent recovery, 1 at the child scan, 0 at the witnesses); "
                         "raise `samples` in a --config file\n")
 
 

@@ -662,6 +662,37 @@ def test_state_bytes_pinned_for_a_small_sketch():
         assert sk.state_bytes() == want
 
 
+@pytest.mark.parametrize("method", ["emd update", "emd update_pass2", "mst update"])
+def test_update_takes_only_integer_deltas(method):
+    """A delta is an integer: a float or str delta raises TypeError and
+    leaves the store unchanged (it is neither truncated nor parsed), and an
+    np.int64 or bool delta adds the int it equals, to the same bytes."""
+    def fed(deltas):
+        if method == "mst update":
+            sk = MstSketch(MstSketchConfig(n=4, d=8, samples=2))
+            up, store = sk.update, sk.counts
+        elif method == "emd update":
+            sk = EmdOnePassSketch(EmdSketchConfig(n=4, d=8, level_reps=2))
+            up, store = (lambda p, c: sk.update(p, "A", c)), sk.counts
+        else:
+            sk = EmdTwoPassSketch(EmdSketchConfig(n=4, d=8, level_reps=2))
+            sk.finalize_pass1()
+            up, store = (lambda p, c: sk.update_pass2(p, "A", c)), sk.pass2
+        for k, c in enumerate(deltas):
+            up(pt([k & 1, 1, 0, 0, 1, 0, 0, 1]), c)
+        return sk, up, store
+
+    sk, up, store = fed([2, 1])
+    before = store.to_bytes(), sk.state_bytes()
+    for bad in (0.7, 1.9, 3.0, "3", np.float64(2.0)):
+        with pytest.raises(TypeError):
+            up(pt([1] * 8), bad)
+        assert (store.to_bytes(), sk.state_bytes()) == before
+    for same in ([np.int64(2), True], [np.int32(2), np.uint8(1)]):
+        twin, _, twin_store = fed(same)
+        assert (twin_store.to_bytes(), twin.state_bytes()) == before
+
+
 def test_merge_rejects_another_config():
     """Sketches of different configs do not merge, whatever their kind."""
     for cls in (EmdOnePassSketch, EmdTwoPassSketch):

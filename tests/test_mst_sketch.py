@@ -26,7 +26,7 @@ from geosketch import (
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
 from geosketch.emd_sketch import _Replica, replica_node_ids
-from geosketch.mst_sketch import _LevelStack, _character, _point_fps, _representative
+from geosketch.mst_sketch import _LevelStack, _point_fps, _representatives
 
 from conftest import (
     charsets, node_key, random_multiset, state_header, store_sizes, universe_ids, view_dict,
@@ -119,7 +119,8 @@ def test_reference_upper_bounds_mst():
 
 def test_parent_recover_single_parent():
     cfg = small_cfg()
-    assert view_with_nodes(cfg, {(5, 1): 3, (5, 2): 1}).parents()[0] == 5
+    view = view_with_nodes(cfg, {(5, 1): 3, (5, 2): 1})
+    assert view.uu[view.parents()[0]] == 5
 
 
 def test_parent_recover_dominant_counts():
@@ -133,7 +134,7 @@ def test_parent_recover_dominant_counts():
         view = view_with_nodes(cfg, nodes, seed=s)
         # condition on favorable scalings: equal t makes |C|/t dominant
         view.t_u = np.ones(len(view.uu))
-        wins += view.parents()[0] == 1
+        wins += view.uu[view.parents()[0]] == 1
     assert wins >= 0.99 * trials, wins
 
 
@@ -164,7 +165,7 @@ def test_parent_recover_matches_exact_argmax_under_events():
         if order[0] < gap * order[1]:  # gap event fails: skip
             continue
         total += 1
-        hits += view.parents()[0] == int(view.uu[int(np.argmax(scaled))])
+        hits += view.parents()[0] == int(np.argmax(scaled))
     assert total >= 50
     assert hits >= 0.98 * total, (hits, total)
 
@@ -238,11 +239,11 @@ def test_scan_children_matches_child_recover_reference():
             for c in range(int(rng.integers(1, 9))):
                 nodes[(u, 100 * u + c)] = int(rng.integers(1, 4))
         view = view_with_nodes(cfg, nodes, seed=s + 500)
-        for u in map(int, view.uu):
+        for c, u in enumerate(view.uu.tolist()):
             want = _reference_scan(view, u)
-            got = view.scan([u])[0]
+            got = tuple(view.scan(np.array([c]))[0].tolist())
             if want is FAIL:
-                assert got is FAIL
+                assert got == (-1, -1)
                 outcomes["fail"] += 1
             else:
                 assert got == want
@@ -439,9 +440,8 @@ def test_representative_singleton_found_at_eta_zero():
     cfg = small_cfg(n=8, d=8)
     x = pt([1, 0, 1, 0, 1, 0, 1, 0])
     st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1)])
-    tok = _representative(fps)
-    assert tok is not FAIL
-    fp, eta = tok
+    fp, eta, _ = (int(a[0]) for a in _representatives(fps[None]))
+    assert fp != 0
     assert eta == 0
     assert fp == _fp(st, x)
 
@@ -453,11 +453,11 @@ def test_representative_two_points_balanced():
     succ = 0
     for s in range(2500):
         st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s)
-        tok = _representative(fps)
-        if tok is FAIL:
+        fp = int(_representatives(fps[None])[0][0])
+        if fp == 0:
             continue
         succ += 1
-        hits[0 if tok[0] == _fp(st, x) else 1] += 1
+        hits[0 if fp == _fp(st, x) else 1] += 1
     assert succ / 2500 >= 0.95
     frac = hits[0] / succ
     assert abs(frac - 0.5) < 0.05, frac
@@ -476,7 +476,7 @@ def test_representative_rejects_point_of_another_node():
         # v sorts before other, so its witnesses are those of the first node
         st, stack, fps = _witness_fixture(cfg, [(v, x, 1), (other, z, 1)], seed=s)
         fx, fz = _fp(st, x), _fp(st, z)
-        assert _representative(fps) == (fx, 0)
+        assert [int(a[0]) for a in _representatives(fps[None])[:2]] == [fx, 0]
         iz = int(np.flatnonzero(stack.points.keys[:, 3] == fz)[0])
         groups = _witness_groups(stack, 0, 0, 0)
         for eta in range(cfg.eta_max + 1):
@@ -498,13 +498,13 @@ def test_char_of_representative_two_points_matches_direct_eval():
         cs = CharacterSet(cfg.d, 0.5, s)
         st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1), ((1, 10), y, 1)], seed=s,
                                       charset=cs)
-        tok = _representative(fps)
-        if tok is FAIL:
+        fp, _, plus = (a[0] for a in _representatives(fps[None]))
+        if fp == 0:
             continue
-        named = {_fp(st, x): x, _fp(st, y): y}[tok[0]]
+        named = {_fp(st, x): x, _fp(st, y): y}[int(fp)]
         want = cs.eval(named)
         minus += want == -1
-        agree += _character(fps, tok) == want
+        agree += (1 if plus else -1) == want
     assert agree >= 0.98 * trials, agree
     assert minus >= 0.2 * trials, minus
 
@@ -516,10 +516,85 @@ def test_char_of_representative_matches_direct_eval():
     trials = 200
     for s in range(trials):
         st, _, fps = _witness_fixture(cfg, [((1, 10), x, 1)], seed=s)
-        tok = _representative(fps)
-        assert tok is not FAIL
-        agree += _character(fps, tok) == charsets(st)[0].eval(x)
+        fp, _, plus = (a[0] for a in _representatives(fps[None]))
+        assert fp != 0
+        agree += (1 if plus else -1) == charsets(st)[0].eval(x)
     assert agree >= 0.98 * trials, agree
+
+
+def _representative(fps: np.ndarray):
+    """Scalar reference of `_representatives` for one item's witnesses fps
+    (2, eta_max + 1, rows): the token (fp, eta) of the first (eta, row),
+    eta upward and rows in order, whose unrestricted bucket validates a
+    point; FAIL if none does."""
+    first = np.flatnonzero(fps[0] != 0)
+    if len(first) == 0:
+        return FAIL
+    eta, row = divmod(int(first[0]), fps.shape[-1])
+    return int(fps[0, eta, row]), eta
+
+
+def _character(fps: np.ndarray, token) -> int:
+    """Scalar reference of chi(r_v): +1 iff some row of the chi-restricted
+    copy at the token's eta validates the token's point."""
+    fp, eta = token
+    return 1 if fp in fps[1, eta].tolist() else -1
+
+
+def _stack_of_level(sk, i):
+    return _LevelStack(sk.replicas[i - 1], sk.views(sk.counts, sk.replicas[i - 1]))
+
+
+def test_outcomes_name_the_stage_each_sample_failed_at():
+    """Each sample's outcome is read off the stages: stage 1 iff `parents`
+    is -1, 2 iff its `scan` row is -1, 3 iff the restriction-0 witnesses
+    of v* or v** are all zero, 0 otherwise; mismatch is chi(r_v) !=
+    chi(r_v') of the scalar reference, and `_representatives` equals the
+    reference on every (v, side) item. One repetition per kappa and 4
+    buckets make scan and witness failures common. A stack without nodes
+    fails every sample at parent recovery."""
+    X = aggregate(gen_instance("uniform", 16, 16, 1).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(16, 16, seed=0, rec_buckets=4, j_reps=1)), X)
+    seen = np.zeros(4, dtype=np.int64)
+    for i in range(1, sk.h + 1):
+        stack = _stack_of_level(sk, i)
+        stage, mismatch = stack.outcomes()
+        parents = stack.parents()
+        pairs = stack.scan(parents)
+        ok = np.flatnonzero(pairs[:, 0] >= 0)
+        fps = stack.witnesses(np.repeat(ok, 2), stack.hk_v[pairs[ok].ravel()],
+                              np.tile([0, 1], len(ok)))
+        fp, eta, plus = _representatives(fps)
+        tokens = [_representative(f) for f in fps]
+        for k, tok in enumerate(tokens):
+            if tok is FAIL:
+                assert (fp[k], eta[k], plus[k]) == (0, 0, False)
+            else:
+                assert (int(fp[k]), int(eta[k])) == tok
+                assert plus[k] == (_character(fps[k], tok) == 1)
+        for s in range(len(stack.seeds)):
+            assert (stage[s] == 1) == (parents[s] == -1)
+            assert (pairs[s, 0] == -1) == (pairs[s, 1] == -1)
+            if stage[s] == 1:
+                assert (pairs[s] == -1).all()
+            assert (stage[s] == 2) == (parents[s] >= 0 and pairs[s, 0] == -1)
+            if s not in ok:
+                assert stage[s] in (1, 2) and not mismatch[s]
+                continue
+            k = 2 * int(np.searchsorted(ok, s))
+            assert (stage[s] == 3) == (not fps[k, 0].any() or not fps[k + 1, 0].any())
+            assert (stage[s] == 3) == (tokens[k] is FAIL or tokens[k + 1] is FAIL)
+            want = stage[s] == 0 and (_character(fps[k], tokens[k])
+                                      != _character(fps[k + 1], tokens[k + 1]))
+            assert mismatch[s] == want
+        seen += np.bincount(stage, minlength=4)
+    assert seen[0] > 0 and seen[2] > 0 and seen[3] > 0 and seen[1] == 0, seen
+    assert seen.sum() == sk.h * sk.cfg.samples
+    cfg = small_cfg()
+    empty = _LevelStack([_Replica(cfg, 1, s) for s in (3, 4)],
+                        [view_of(SparseCounts(2), k=3)] * 2)
+    stage, mismatch = empty.outcomes()
+    assert stage.tolist() == [1, 1] and mismatch.tolist() == [False, False]
 
 
 # -- level estimates ---------------------------------------------------------------
@@ -620,42 +695,47 @@ def test_estimate_bit_identical_to_pinned(kind, seed, n, d, want):
     assert sk.estimate().hex() == want
 
 
+def _decoded(stack):
+    """Per sample of a stack: u* (its key, None where `parents` is -1), the
+    (v*, v**) node keys (None where the `scan` row is -1), the
+    representatives' fingerprints and chi(r) = +1 bits of (v*, v**) (None
+    without a pair), and the `outcomes` stage and mismatch."""
+    parents = stack.parents()
+    pairs = stack.scan(parents)
+    ok = np.flatnonzero(pairs[:, 0] >= 0)
+    fp, _, plus = _representatives(stack.witnesses(
+        np.repeat(ok, 2), stack.hk_v[pairs[ok].ravel()], np.tile([0, 1], len(ok))))
+    reps = dict(zip(ok.tolist(), zip(fp.reshape(-1, 2).tolist(), plus.reshape(-1, 2).tolist())))
+    stage, mismatch = stack.outcomes()
+    return [(None if p < 0 else int(stack.uu[p]),
+             None if pair[0] < 0 else tuple(tuple(stack.keys[v].tolist()) for v in pair),
+             reps.get(k), int(stage[k]), bool(mismatch[k]))
+            for k, (p, pair) in enumerate(zip(parents.tolist(), pairs))]
+
+
 def test_level_stack_matches_samples_decoded_alone(monkeypatch):
     """The stacked stages of a level give every sample the u*, the
-    (v*, v**) pair, and the tokens and characters of decoding that sample
-    alone, also where its scan fails (one repetition per kappa makes that
-    common). Splitting the draws into blocks of one or a few samples, or
-    the level into several stacks, changes no value."""
+    (v*, v**) pair, the representatives and characters, and the outcome
+    of decoding that sample alone, also where its scan fails (one
+    repetition per kappa makes that common). Splitting the draws into
+    blocks of one or a few samples, or the level into several stacks,
+    changes no value."""
     X = aggregate(gen_instance("uniform", 16, 16, 1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(16, 16, seed=0, samples=12, j_reps=1)), X)
-
-    def keyed(stack, pairs):
-        return [pair if pair is FAIL else tuple(tuple(stack.keys[v].tolist()) for v in pair)
-                for pair in pairs]
-
-    def decode(i):
-        stack = _LevelStack(sk.replicas[i - 1], sk.views(sk.counts, sk.replicas[i - 1]))
-        u_stars = stack.parents()
-        return u_stars, keyed(stack, stack.scan(u_stars)), stack.sample_tuples()
-
     levels = (2, 3, 4)
-    whole = {i: decode(i) for i in levels}
+    whole = {i: _decoded(_stack_of_level(sk, i)) for i in levels}
     scans = {"pair": 0, "fail": 0}
     for i in levels:
         reps = sk.replicas[i - 1]
         for k, (rep, points) in enumerate(zip(reps, sk.views(sk.counts, reps))):
-            alone = _LevelStack([rep], [points])
-            u_star, pair, tup = (stage[k] for stage in whole[i])
-            assert alone.parents()[0] == u_star
-            assert keyed(alone, alone.scan([u_star])) == [pair]
-            assert alone.sample_tuples()[0] == tup
-            scans["fail" if pair is FAIL else "pair"] += 1
+            assert _decoded(_LevelStack([rep], [points])) == [whole[i][k]]
+            scans["fail" if whole[i][k][1] is None else "pair"] += 1
     assert scans["pair"] > 0 and scans["fail"] > 0, scans
     mu = [sk.level_mu(i) for i in levels]
     for draws, words in ((1, 1), (2_000, 1_000)):
         monkeypatch.setattr(mst_sketch, "_BLOCK_DRAWS", draws)
         monkeypatch.setattr(mst_sketch, "_BLOCK_WORDS", words)
-        assert {i: decode(i) for i in levels} == whole
+        assert {i: _decoded(_stack_of_level(sk, i)) for i in levels} == whole
         assert [sk.level_mu(i) for i in levels] == mu
 
 
