@@ -1,6 +1,6 @@
 """Turnstile-stream command line: run estimators, generate instances.
 
-    geosketch run  --problem {emd,mst} [--passes {1,2}] [--eps E] [--seed S]
+    geosketch run  --problem {emd,mst} [--passes {1,2}] [--eps E (EMD)] [--seed S]
                    [--oracle] [--config cfg.json] [--format {text,bin}]
                    [--report out.json] [--csv out.csv] STREAM
     geosketch gen  --kind KIND --n N --d D [--seed S] [--param k=v ...]
@@ -41,6 +41,12 @@ __all__ = ["EstimateReport", "run_estimator", "main"]
 
 # The stream labels each problem reads.
 _LABELS = {"emd": ("A", "B"), "mst": ("X",)}
+_EPS = 0.1  # the EMD eps of `geosketch run`
+
+
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number greater than 0, got {eps!r}")
 
 
 @dataclass
@@ -82,7 +88,7 @@ def run_estimator(
     updates: List[TurnstileUpdate],
     problem: str,
     passes: int = 1,
-    eps: float = 0.1,
+    eps: float = _EPS,
     seed: int = 0,
     oracle: bool = False,
     emd_config: Optional[EmdSketchConfig] = None,
@@ -90,12 +96,13 @@ def run_estimator(
 ) -> EstimateReport:
     """Aggregate the stream (estimates are unchanged, by linearity), pad the
     points to a power-of-two dimension, run the requested estimator, and
-    optionally the exact oracle. The report keeps the input dimension, and
-    for EMD the eps of the config the estimate used (`emd_config` if given).
-    A stream label the problem does not read (EMD reads A and B, MST reads
-    X) raises ValueError."""
-    if not 0 < eps < math.inf:  # the report carries eps for either problem
-        raise ValueError(f"eps must be a finite number greater than 0, got {eps!r}")
+    optionally the exact oracle. The report keeps the input dimension and
+    the eps the estimate used: the EMD config's (`emd_config` if given, else
+    `eps`), or the 1/2 at which every MST sketch is built
+    (`MstSketchConfig.eps`; the MST estimator reads no `eps`). A stream
+    label the problem does not read (EMD reads A and B, MST reads X) raises
+    ValueError."""
+    _check_eps(eps)
     if problem not in _LABELS:
         raise ValueError(f"unknown problem {problem!r}")
     t0 = time.monotonic()
@@ -144,7 +151,7 @@ def run_estimator(
         estimate=float(estimate),
         n=n,
         d=d,
-        eps=cfg.eps if problem == "emd" else eps,  # the eps the estimate used
+        eps=cfg.eps,  # the eps the estimate used
         seeds={"config": cfg.seed, "tree": sk.tree.seed},
         wall_time_s=round(time.monotonic() - t0, 6),
         exact=exact,
@@ -188,13 +195,17 @@ def _cmd_run(args) -> int:
             emd_cfg = EmdSketchConfig.from_json(json.dumps(obj))
         else:
             mst_cfg = MstSketchConfig.from_json(json.dumps(obj))
+    if args.eps is not None and args.problem == "mst":
+        _check_eps(args.eps)  # a bad value is named as such first
+        raise ValueError(f"--eps is not read by the MST estimator, which is built at "
+                         f"eps = {MstSketchConfig.eps}")
     updates = _read_updates(args.stream, args.format)
     try:
         report = run_estimator(
             updates,
             problem=args.problem,
             passes=args.passes,
-            eps=args.eps,
+            eps=_EPS if args.eps is None else args.eps,
             seed=seed,
             oracle=args.oracle,
             emd_config=emd_cfg,
@@ -258,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("stream", help="stream file, or '-' for stdin")
     run.add_argument("--problem", choices=["emd", "mst"], required=True)
     run.add_argument("--passes", type=int, choices=[1, 2], default=1)
-    run.add_argument("--eps", type=float, default=0.1)
+    run.add_argument("--eps", type=float,
+                     help=f"EMD additive error (default {_EPS}); MST reads none")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact value (size-capped)")

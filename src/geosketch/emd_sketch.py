@@ -27,9 +27,11 @@ A two-pass replica keeps Delta-hat as a float from pass 1. Node ids are
 uint64 throughout.
 
 One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes
-over a grid of (set, inner copy, round, repetition) cells, decoded in
-blocks of about `_LS_BLOCK_WORDS` hashed words with one stacked array call
-per stage; it equals one decode per cell bit for bit (`one_round_estimates`).
+over a grid of (set, inner copy, round, repetition) cells. The cells' seed
+states are hashed once per grid, and the keys in blocks of about
+`_LS_BLOCK_WORDS` words with one stacked array call per stage; a
+Count-Sketch read takes flat slots and compare-exchange medians
+(`sketches`). It equals one decode per cell bit for bit (`one_round_estimates`).
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -76,8 +78,11 @@ __all__ = [
 ]
 
 
-# Hashed words per block of one-round grid cells: a block's temporaries stay
-# in cache, and the memory they take does not grow with the grid.
+# Hashed words per block of one-round grid cells: a block's per-key
+# temporaries stay in cache, and the memory they take does not grow with the
+# grid. The cells' seed states are hashed once per grid, outside the blocks:
+# ls1_reps + 2 (ls1_reps + 5) cs_rows + 2 words per cell, 96 at the defaults
+# (98 KB for the default grid of 128 cells).
 _LS_BLOCK_WORDS = 100_000
 # Hashed coordinates per block of character sets drawn at once (same reason).
 _CHAR_BLOCK_WORDS = 16_384
@@ -373,49 +378,60 @@ class _LevelReplica(_Replica):
         return uu, u_inv, hx.combine(self.seed, 0xAB, uu), hx.combine(self.seed, 0xAC, u, w), \
             qv, cC, splus
 
-    def _seeds(self, j, c, r, m) -> tuple:
-        """(set, cell seed, round seed) of each grid cell at the broadcast
-        indices (j, c, r, m), flattened: one broadcast hash call per seed."""
+    def _cell_states(self, j, c, r, m) -> tuple:
+        """(set j, LS1 Cauchy states, Count-Sketch row states of buckets and
+        signs, t_u and t_v prefixes) of each grid cell at the broadcast
+        indices (j, c, r, m), flattened: one hash call per kind for all cells."""
         j, c, r, m = (np.ravel(a) for a in np.broadcast_arrays(j, c, r, m))
-        return j, hx.combine(self.seed, 0x0140, j, c, r, m), hx.combine(self.seed, 0x0141, j, c, r)
+        sub = hx.combine(self.seed, 0x0140, j, c, r, m)[:, None]
+        rnd = hx.combine(self.seed, 0x0141, j, c, r)[:, None]
+        # Count-Sketches: ls1_reps for LS1, then one for LS2 and four for LS3
+        ks = np.arange(self.cfg.ls1_reps, dtype=U64)
+        ls23 = np.array([0xCF, 0x31, 0x32, 0x33, 0x34], dtype=U64)
+        sketch = np.concatenate([hx.combine(sub, 0xCE, ks), hx.combine(sub, ls23)], 1)[..., None]
+        rows = np.arange(self.cfg.cs_rows, dtype=U64)
+        return (j, hx.combine(sub, 0xA1, ks), hx.combine(sketch, 0xB, rows),
+                hx.combine(sketch, 0x5, rows), hx.combine(rnd, 0xE1), hx.combine(rnd, 0xE2))
 
     def decoder(self, counts: CountView, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
                 t_u=None, t_v=None) -> "_LsCells":
         """The one-cell grid (j, c, r, m) over the given counts (used by
         tests that condition on explicit exponential scalings)."""
-        return _LsCells(self.cfg, self._decode_arrays(counts), *self._seeds(j, c, r, m), t_u, t_v)
+        return _LsCells(self.cfg, self._decode_arrays(counts), *self._cell_states(j, c, r, m),
+                        t_u, t_v)
 
     def one_round_estimates(self, counts: CountView) -> List[float]:
         """All inner estimates of E_v[p_{pi(v),v,S_j}], grouped per set:
         returns per set j the median over inner copies, where each copy is the
         mean over rounds of medians over LS-triple repetitions.
 
-        The (set, copy, round, repetition) grid is flattened and decoded in
-        blocks of at most `_LS_BLOCK_WORDS` hashed words (at least one cell),
-        each one `_LsCells`; the reductions then run over the grid axes. The
-        values equal one decode per cell bit for bit: `bincount` adds each
-        bucket's keys in key order from 0.0 as `np.add.at` does, a median of
-        an odd count (5 rows) picks the middle element and one of an even
-        count averages the middle two, and the mean over rounds reduces the
-        contiguous last axis, in numpy's pairwise order for n_rounds values."""
+        The seed states of the flattened (set, copy, round, repetition) grid
+        are hashed once (`_cell_states`), and the grid is decoded in blocks of
+        at most `_LS_BLOCK_WORDS` words hashed per key (at least one cell),
+        each one `_LsCells` over a slice of the states; the reductions, medians
+        by `_median`, then run over the grid axes. The values equal one
+        decode per cell bit for bit: `bincount` adds each bucket's keys in key
+        order from 0.0 as `np.add.at` does, a median of an odd count (5 rows)
+        picks the middle element and one of an even count averages the middle
+        two, and the mean over rounds reduces the contiguous last axis, in
+        numpy's pairwise order for n_rounds values."""
         cfg, nodes = self.cfg, self._decode_arrays(counts)
         n_u, n_v = len(nodes[0]), len(nodes[1])
         if n_u == 0:
             return [0.0] * cfg.n_sets
         shape = (cfg.n_sets, cfg.n_inner, cfg.n_rounds, cfg.n_medreps)
-        seeds = self._seeds(*np.indices(shape))
-        # words hashed per cell: its sketch seed states, t_u and t_v, LS1's
-        # Cauchy weights and coordinates, LS2's and LS3's coordinates
+        states = self._cell_states(*np.indices(shape))
+        # words hashed per cell and key: t_u and t_v, LS1's Cauchy weights
+        # and coordinates, LS2's and LS3's coordinates
         K, rows = cfg.ls1_reps, cfg.cs_rows
-        words = K + 2 * rows * (K + 5) + n_u + n_v + K * (n_v + 2 * rows * n_u) \
-            + 2 * rows * (3 * n_v + 2 * n_u)
+        words = n_u + n_v + K * (n_v + 2 * rows * n_u) + 2 * rows * (3 * n_v + 2 * n_u)
         step = max(1, _LS_BLOCK_WORDS // words)
         p = np.empty(math.prod(shape))
         for lo in range(0, p.size, step):
-            cells = _LsCells(cfg, nodes, *(a[lo:lo + step] for a in seeds))
+            cells = _LsCells(cfg, nodes, *(a[lo:lo + step] for a in states))
             p[lo:lo + step] = cells.ls3(cells.ls2(cells.ls1()))
-        rounds = np.median(p.reshape(shape), axis=3)
-        return np.median(rounds.mean(axis=2), axis=1).tolist()
+        rounds = _median(p.reshape(shape), 3)
+        return _median(rounds.mean(axis=2), 1).tolist()
 
     def two_round_estimates(self, counts: CountView) -> List[Optional[float]]:
         """Per set j: mean of the exact per-sample p values over successful
@@ -466,41 +482,32 @@ class _LevelReplica(_Replica):
 class _LsCells:
     """The LS1 -> LS2 -> LS3 decode of a block of B one-round grid cells,
     each stage one stacked array call over the block. A cell holds its set
-    j, its seeds (`_LevelReplica._seeds`) and its exponential
-    scalings t_u, t_v, which may be injected for conditioned tests. Every
-    Count-Sketch of a stage is one `_cs_table` over (cell, ..., row, bucket)."""
+    j, its seed states (a slice of `_LevelReplica._cell_states`) and its
+    exponential scalings t_u, t_v, which may be injected for conditioned
+    tests. Every Count-Sketch of a stage is one `_cs_table` over (cell, ...,
+    row, bucket), read at the slots that built it."""
 
-    def __init__(self, cfg, nodes, j, sub, rnd, t_u=None, t_v=None):
+    def __init__(self, cfg, nodes, j, cauchy, rows_b, rows_s, pre_u, pre_v, t_u=None, t_v=None):
         self.cfg = cfg
         self.uu, self.u_inv, self.hk_u, self.hk_v, self.qv, self.cC, splus = nodes
         self.splus = splus.T[j]  # (B, N): each cell's set
-        # the hash states every key of the block extends, one call per kind:
-        # LS1's Cauchy weights (one per ls1 rep), and the row states of the
-        # Count-Sketches (ls1_reps for LS1, then one for LS2, four for LS3)
-        sub = sub[:, None]
-        ks = np.arange(cfg.ls1_reps, dtype=U64)
-        self.cauchy = hx.combine(sub, 0xA1, ks)
-        ls23 = np.array([0xCF, 0x31, 0x32, 0x33, 0x34], dtype=U64)
-        sketch = np.concatenate([hx.combine(sub, 0xCE, ks), hx.combine(sub, ls23)], axis=1)
-        r = np.arange(cfg.cs_rows, dtype=U64)
-        self.rows_b, self.rows_s = (hx.combine(sketch[..., None], w, r) for w in (0xB, 0x5))
+        self.cauchy, self.rows_b, self.rows_s = cauchy, rows_b, rows_s
         # fresh exponentials per round (shared by the repetitions inside it),
         # unless a conditioned test injects the scalings
         self.t_u, t_v = (np.atleast_2d(t).astype(float) if t is not None else
-                         np.maximum(hx.exp1(hx.combine(rnd[:, None], salt, hk)), 1e-9)
-                         for salt, hk, t in ((0xE1, self.hk_u, t_u), (0xE2, self.hk_v, t_v)))
+                         np.maximum(hx.exp1(hx.extend(pre, hk)), 1e-9)
+                         for pre, hk, t in ((pre_u, self.hk_u, t_u), (pre_v, self.hk_v, t_v)))
         self.t_uv = self.t_u[:, self.u_inv] * t_v
 
     def _cs(self, i, hkeys, values, at=None) -> np.ndarray:
         """Estimates of the Count-Sketches `i` (an index or slice of the
         sketch axis) of the vectors `values` (B, ..., n) at all their keys,
         or at the key index `at` (B,) of each cell."""
-        b, s = _cs_coords(self.rows_b[:, i], self.rows_s[:, i], hkeys, self.cfg.cs_buckets)
-        table = _cs_table(b, s, values, self.cfg.cs_buckets)
-        if at is not None:
-            at = np.reshape(at, (-1,) + (1,) * (b.ndim - 1))
-            b, s = np.take_along_axis(b, at, -1), np.take_along_axis(s, at, -1)
-        return _cs_estimates(table, b, s)
+        f, s = _cs_coords(self.rows_b[:, i], self.rows_s[:, i], hkeys, self.cfg.cs_buckets)
+        table = _cs_table(f, s, values, self.cfg.cs_buckets)
+        if at is not None:  # (B, ..., rows, 1): each cell's key
+            f, s = (a[np.arange(len(at)), ..., at, None] for a in (f, s))
+        return _cs_estimates(table, f, s)
 
     def ls1(self) -> np.ndarray:
         """Per cell, the parent maximizing P_u / t_u (index into uu)."""

@@ -118,6 +118,7 @@ class MstSketchConfig(_SketchConfig):
     l0_buckets: int = 4096
     universe_m: int = 0  # 0 -> about n^3
     _KIND = "mst-config"
+    eps = 0.5  # every MST sketch is built at this eps: a constant, not a field
 
     def __post_init__(self):
         super().__post_init__()
@@ -133,8 +134,8 @@ class MstSketchConfig(_SketchConfig):
 
     @property
     def p(self) -> float:
-        # p = eps / (2 log n) at eps = 1/2
-        return 1.0 / (4.0 * self.L)
+        # p = eps / (2 log n), 1 / (4L) at eps = 1/2
+        return self.eps / (2.0 * self.L)
 
     @property
     def kappa_max(self) -> int:

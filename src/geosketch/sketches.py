@@ -291,12 +291,14 @@ def _cs_buckets(rows_b: np.ndarray, hkeys: np.ndarray, buckets: int) -> np.ndarr
 
 def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray,
                buckets: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(..., rows, n) buckets (`_cs_buckets`) and signs of a batch of
-    Count-Sketches, the signs picked the same way from the row states
-    rows_s."""
+    """(..., rows, n) slots and signs of a batch of Count-Sketches. A slot is
+    the index in the flattened (..., rows, buckets) tables, flat row times
+    buckets plus bucket (`_cs_buckets`): the table's `bincount` and the
+    read's gather share it. The signs come from the row states rows_s."""
     hk = np.asarray(hkeys, dtype=U64)
-    return (_cs_buckets(rows_b, hk, buckets),
-            hx.sign_pm1(hx.extend(rows_s[..., None], hk[..., None, :])))
+    b = _cs_buckets(rows_b, hk, buckets)
+    row = np.arange(math.prod(b.shape[:-1]), dtype=np.int64).reshape(b.shape[:-1] + (1,))
+    return row * buckets + b, hx.sign_pm1(hx.extend(rows_s[..., None], hk[..., None, :]))
 
 
 def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
@@ -308,23 +310,34 @@ def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(flat.ravel(), w.ravel(), cells * size).reshape(lead + (size,))
 
 
-def _cs_table(b: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
+def _cs_table(f: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
     """(..., rows, buckets) tables of the vectors with `values` (..., n) at
-    the keys of (b, s), every bucket added in key order."""
-    return _scatter_sum(b, s * np.asarray(values, dtype=np.float64)[..., None, :], buckets)
+    the keys of the slots and signs (f, s), in one `bincount` that adds each
+    bucket in key order from 0.0, as `np.add.at` does."""
+    lead = f.shape[:-1]
+    w = s * np.asarray(values, dtype=np.float64)[..., None, :]
+    return np.bincount(f.ravel(), w.ravel(), math.prod(lead) * buckets).reshape(lead + (buckets,))
 
 
 def _median(x: np.ndarray, axis: int) -> np.ndarray:
-    """`np.median` of finite values along axis, from one sort: the middle
-    element of an odd count, (a + b) / 2 of the middle two of an even one."""
-    x, n = np.sort(x, axis=axis), x.shape[axis]
-    mid = np.take(x, n // 2, axis)
-    return mid if n % 2 else (np.take(x, n // 2 - 1, axis) + mid) / 2
+    """`np.median` of finite values along axis: an insertion-order network of
+    n(n - 1)/2 compare-exchanges (`np.minimum`, `np.maximum`) sorts the n
+    slices, then the middle one of an odd n is taken, or (a + b) / 2 of the
+    middle two of an even n. Only the sign of a zero median can differ from
+    `np.median`'s."""
+    n = x.shape[axis]
+    xs = [np.take(x, i, axis) for i in range(n)]  # copies, which the network writes
+    for i in range(1, n):
+        for k in range(i, 0, -1):
+            lo, hi = xs[k - 1], xs[k]
+            xs[k - 1], xs[k] = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    return xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2
 
 
-def _cs_estimates(table: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(..., n) median-over-rows estimates at the keys of (b, s)."""
-    return _median(s * np.take_along_axis(table, b, axis=-1), -2)
+def _cs_estimates(table: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(..., n) median-over-rows estimates at the keys of the slots and signs
+    (f, s), gathered from the flattened tables with one `np.take`."""
+    return _median(s * np.take(table, f), -2)
 
 
 _CS_SALT_B = 0xC5B0
@@ -334,10 +347,10 @@ _CAUCHY_SALT = 0xCA0C
 
 def _sketch_coords(seed: int, rows: int, buckets: int,
                    keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, n) buckets and signs at the keys of the Count-Sketch with this
-    seed and shape. Its estimate at i, the median over rows of
-    sign(i) * bucket(h(i)), is within eps * ||x_{-1/eps^2}||_2 of x_i with
-    high probability for buckets ~ 6/eps^2."""
+    """(rows, n) slots and signs (`_cs_coords`) at the keys of the
+    Count-Sketch with this seed and shape. Its estimate at i, the median
+    over rows of sign(i) * bucket(h(i)), is within eps * ||x_{-1/eps^2}||_2
+    of x_i with high probability for buckets ~ 6/eps^2."""
     r = np.arange(rows, dtype=U64)
     return _cs_coords(hx.combine(_CS_SALT_B, r), hx.combine(_CS_SALT_S, r),
                       _hash_keys((seed,), keys), buckets)

@@ -10,8 +10,8 @@ import pytest
 
 import geosketch
 from geosketch import (
-    HypercubePoint, TurnstileUpdate, gen_instance, run_estimator, write_stream,
-    write_stream_binary,
+    HypercubePoint, MstSketchConfig, TurnstileUpdate, gen_instance, run_estimator,
+    write_stream, write_stream_binary,
 )
 from geosketch.cli import main
 
@@ -225,6 +225,32 @@ def test_report_carries_the_config_eps(tmp_path, capsys):
     with_config, with_flag = reports
     assert with_config["eps"] == 0.5
     assert with_config["estimate"] == with_flag["estimate"]
+
+
+def test_mst_report_states_the_eps_its_sketch_is_built_at():
+    """The MST estimator reads no eps: its sketch is built at eps = 1/2,
+    where p = eps / (2 log n) = 1/(4L), and the report states that eps
+    whatever `eps` `run_estimator` is given."""
+    updates = gen_instance("uniform", 8, 8, seed=1).updates
+    reports = [run_estimator(updates, "mst", eps=eps) for eps in (0.1, 0.5)]
+    assert [r.eps for r in reports] == [0.5, 0.5]
+    assert reports[0].estimate == reports[1].estimate
+    cfg = MstSketchConfig(n=8, d=8)
+    assert cfg.eps == 0.5 and cfg.p == 1.0 / (4.0 * cfg.L)
+
+
+def test_mst_run_with_an_eps_flag_exits_2():
+    """`--eps` given with `--problem mst` is rejected as unread, one
+    `geosketch: error:` line naming the flag; without it the run reports
+    eps = 0.5."""
+    stream = _run_cli("gen", "--kind", "uniform", "--n", "8", "--d", "8", "--seed", "1").stdout
+    r = _run_cli("run", "--problem", "mst", "--eps", "0.1", "-", stdin=stream)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("geosketch: error: --eps is not read by the MST estimator, "
+                        "which is built at eps = 0.5\n")
+    r = _run_cli("run", "--problem", "mst", "-", stdin=stream)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["eps"] == 0.5
 
 
 @pytest.mark.parametrize("problem,stream,labels", [

@@ -480,6 +480,35 @@ def test_one_round_grid_matches_reference(monkeypatch, case, block_words):
     assert case != "empty" or got == [0.0] * _GRID_VARIANT["n_sets"]
 
 
+def test_cell_seed_states_are_hashed_once_per_grid(monkeypatch):
+    """`one_round_estimates` hashes the seed states of its cells once per
+    grid, not once per block: on the deepest replica of matched_noise n=64
+    d=32 it makes as many `hashing.combine` calls with one cell per block as
+    with the default blocks, which are fewer."""
+    rep, view = _instance_views(EmdSketchConfig(n=64, d=32))[-1]
+    combine, ls1 = hx.combine, emd_sketch._LsCells.ls1
+    calls = {"combine": 0, "blocks": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(hx, "combine", counted("combine", combine))
+    monkeypatch.setattr(emd_sketch._LsCells, "ls1", counted("blocks", ls1))
+    seen = []
+    for block_words in (emd_sketch._LS_BLOCK_WORDS, 1):
+        monkeypatch.setattr(emd_sketch, "_LS_BLOCK_WORDS", block_words)
+        calls.update(combine=0, blocks=0)
+        rep.one_round_estimates(view)
+        seen.append((calls["combine"], calls["blocks"]))
+    (default, default_blocks), (one_cell, cells) = seen
+    cfg = rep.cfg
+    assert cells == cfg.n_sets * cfg.n_inner * cfg.n_rounds * cfg.n_medreps > default_blocks > 0
+    assert one_cell == default > 0
+
+
 # -- exponential selection law (two-stage equivalence) --------------------------------
 
 

@@ -18,7 +18,7 @@ from geosketch import (
 )
 from geosketch import MstSketchConfig
 from geosketch.sketches import (
-    _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy,
+    _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy, _median,
     _stable_median_slow, sample_p_stable_array,
 )
 
@@ -36,7 +36,8 @@ from conftest import _cs_table as ref_cs_table
 def test_count_sketch_batch_equals_one_sketch_reference(rng):
     """A (3, 2) batch of Count-Sketches, each with its own seed and vector,
     built and read in one call, equals each sketch built row by row with
-    np.add.at and read on its own."""
+    np.add.at and read on its own; a key's slot is its bucket plus 64 times
+    the flat index of its sketch row."""
     hk = rng.integers(0, 2**63, 40, dtype=np.int64).astype(np.uint64)
     seeds = np.arange(11, 17, dtype=np.uint64).reshape(3, 2)
     vals = rng.standard_normal((3, 2, 40))
@@ -47,9 +48,29 @@ def test_count_sketch_batch_equals_one_sketch_reference(rng):
     est = _cs_estimates(table, b, s)
     for i, j in np.ndindex(3, 2):
         rb, rs = ref_cs_coords((int(seeds[i, j]), 0xB), (int(seeds[i, j]), 0x5), hk, 5, 64)
-        assert np.array_equal(b[i, j], rb) and np.array_equal(s[i, j], rs)
+        row = 5 * (2 * i + j) + np.arange(5)[:, None]
+        assert np.array_equal(b[i, j], 64 * row + rb) and np.array_equal(s[i, j], rs)
         assert table[i, j].tobytes() == ref_cs_table(rb, rs, vals[i, j], 64).tobytes()
         assert np.array_equal(est[i, j], ref_cs_estimates(ref_cs_table(rb, rs, vals[i, j], 64), rb, rs))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_median_matches_numpy_median(rng, n, at):
+    """`_median` of n = 1..9 values along the first, a middle and the last
+    axis equals `np.median`, on halves of small integers, so most slices
+    hold ties, zeros of both signs among them. Equality is by value, so a
+    zero is compared by its magnitude, the one thing the compare-exchange
+    network may give a different sign; the input is left as it was."""
+    shape = [3, 4]
+    shape.insert(at, n)
+    x = rng.integers(-3, 4, shape) / 2.0
+    x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+    before = x.tobytes()
+    got, want = _median(x, at), np.median(x, axis=at)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert x.tobytes() == before
 
 
 def test_cs_negate_cancels():
