@@ -172,13 +172,22 @@ def _read_updates(path: str, fmt: str) -> List[TurnstileUpdate]:
 
 
 def _cmd_run(args) -> int:
+    if args.eps is not None:
+        _check_eps(args.eps)  # a bad value is named as such first
+        if args.problem == "mst":
+            raise ValueError(f"--eps is not read by the MST estimator, which is built at "
+                             f"eps = {MstSketchConfig.eps}")
     try:
-        seed = int(os.environ.get("GEOSKETCH_SEED", args.seed))
+        seed = int(os.environ.get("GEOSKETCH_SEED", args.seed or 0))
     except ValueError:  # args.seed is an int already
         raise ValueError("GEOSKETCH_SEED must be an integer, got "
                          f"{os.environ['GEOSKETCH_SEED']!r}") from None
     emd_cfg = mst_cfg = None
     if args.config:
+        for flag, value in (("--eps", args.eps), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be given with --config: the config file "
+                                 f"sets the {flag[2:]}")
         with open(args.config) as f:
             obj = json.load(f)
         if not isinstance(obj, dict):
@@ -195,10 +204,6 @@ def _cmd_run(args) -> int:
             emd_cfg = EmdSketchConfig.from_json(json.dumps(obj))
         else:
             mst_cfg = MstSketchConfig.from_json(json.dumps(obj))
-    if args.eps is not None and args.problem == "mst":
-        _check_eps(args.eps)  # a bad value is named as such first
-        raise ValueError(f"--eps is not read by the MST estimator, which is built at "
-                         f"eps = {MstSketchConfig.eps}")
     updates = _read_updates(args.stream, args.format)
     try:
         report = run_estimator(
@@ -271,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--passes", type=int, choices=[1, 2], default=1)
     run.add_argument("--eps", type=float,
                      help=f"EMD additive error (default {_EPS}); MST reads none")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int,
+                     help="sketch seed (default 0); a --config file sets its own")
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact value (size-capped)")
     run.add_argument("--config", help="estimator config JSON")

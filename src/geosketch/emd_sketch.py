@@ -15,9 +15,10 @@ estimable by small linear sketches.
 State discipline: the one-store rule of `_TreeSketch`, with a store of
 packed point -> [net |A| count, net |B| count] (a two-pass sketch keeps a
 second one for pass 2). Every replica's counts are a view of it, built
-once per read for all replicas in one batch (`views`): a `CountView`
-whose sorted key array holds the universe-reduced nodes (u, w) and whose
-rows hold |A_v|, |B_v|, and per character set the positive-parity count.
+once per read for all replicas in one stacked view (`views`) and sliced
+per replica: a `CountView` whose sorted key array holds the
+universe-reduced nodes (u, w) and whose rows hold |A_v|, |B_v|, and per
+character set the positive-parity count.
 Every reader takes those arrays directly, and every sketch of a level is
 a function of them, built in canonical order: the LS1/LS2/LS3
 Count-Sketch tables, Delta-hat (the `cauchy_l1` estimate) and the
@@ -174,21 +175,17 @@ def expected_split_probability(dists: np.ndarray, weights: np.ndarray, rate: flo
 # ---------------------------------------------------------------------------
 
 
-def replica_node_ids(tree: QuadtreeSpec, X: np.ndarray, reps) -> Tuple[np.ndarray, np.ndarray]:
-    """(u, w), each (len(reps), n) uint64: each replica's ids in [m] (m =
-    `universe_m` of their config) of the parent and the node at its `level`
-    of the n points with bits X (n, d). An id is a keyed hash of the node
+def replica_node_ids(path: np.ndarray, levels, seeds: np.ndarray,
+                     m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, w), each (len(seeds), n) uint64: each replica's ids in [m] of
+    the parent and the node at its level of the n points whose node
+    fingerprints along the tree path are path (n, h + 1, 2)
+    (`QuadtreeSpec.node_path`). An id is a keyed hash of the node
     fingerprint, keyed combine(replica seed, 0xD1), salted 0x0E0A for a
-    parent and 0x0E0B for a node, one hash call per id. Only the depths the
-    levels of reps read are fingerprinted: i - 1 and i for each level i."""
-    lv = np.array([rep.level for rep in reps], dtype=np.int64)
-    depths = np.union1d(lv - 1, lv)
-    fp = np.stack([tree.node_fingerprints(X, int(j)) for j in depths])
-    at = np.searchsorted(depths, lv)  # depth i - 1 sits just before depth i
-    key = hx.combine(np.array([rep.seed for rep in reps], dtype=U64), 0xD1)[:, None]
-    m = U64(reps[0].cfg.universe_m)
-    return tuple(hx.combine(key, salt, f[..., 0], f[..., 1]) % m
-                 for salt, f in ((0x0E0A, fp[at - 1]), (0x0E0B, fp[at])))
+    parent and 0x0E0B for a node, one hash call per id."""
+    key = hx.combine(seeds, 0xD1)[:, None]
+    return tuple(hx.combine(key, salt, *path[:, np.add(levels, k)].transpose(2, 1, 0)) % U64(m)
+                 for salt, k in ((0x0E0A, -1), (0x0E0B, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +303,15 @@ class EmdSketchConfig(_SketchConfig):
 # ---------------------------------------------------------------------------
 
 
-class _Replica:
-    """One (level, replica) of a tree sketch: its config, level and seed,
-    from which everything it reads is drawn when it is read."""
-
-    def __init__(self, cfg, level: int, seed: int):
-        self.cfg, self.level, self.seed = cfg, level, seed
-
-
-class _LevelReplica(_Replica):
-    """One (level, replica) of an EMD sketch. Its counts, (u, w) -> [|A_v|,
-    |B_v|, chi-plus count per set], are a view the sketch passes in when it
-    is read. A two-pass replica keeps Delta-hat, its round-one samplers,
-    samples and round-two counters from `finalize_pass1` on."""
+class _LevelReplica:
+    """One (level, replica) of an EMD sketch: a config, level and seed. Its
+    counts, (u, w) -> [|A_v|, |B_v|, chi-plus count per set], are a view the
+    sketch passes in when it is read. A two-pass replica keeps Delta-hat,
+    its round-one samplers, samples and round-two counters from
+    `finalize_pass1` on."""
 
     def __init__(self, cfg: EmdSketchConfig, level: int, seed: int):
-        super().__init__(cfg, level, seed)
+        self.cfg, self.level, self.seed = cfg, level, seed
         self.delta: Optional[float] = None  # Delta-hat of pass 1
         self.samplers: Dict[Tuple[int, int], L1Sampler] = {}
         self.sampled: Dict[Tuple[int, int], object] = {}
@@ -548,54 +538,53 @@ class _LsCells:
 
 class _TreeSketch:
     """What the EMD and MST estimators share: one random quadtree of depth
-    h, a grid of replicas per level (`replicas[i - 1]`, one seed each),
-    and the one count store, `counts`. A sketch is a pure function of its
-    config: the tree and every seed are drawn from `cfg.seed`, and each
-    replica's character sets are drawn from its seed when it is read.
+    h, the seeds of the replicas of each level (`seeds[i - 1]`, a uint64
+    array), and the one count store, `counts`. A sketch is a pure function
+    of its config: the tree and every seed are drawn from `cfg.seed`, and
+    each replica's character sets are drawn from its seed when it is read.
 
     The one-store rule: the sketch keeps one `SparseCounts` keyed by the
     packed point, plus seeds (a two-pass EMD sketch keeps a second one for
     pass 2); an update adds one row to it and writes nothing else. That
     store is the aggregated input, the smallest exact state, not the
     paper's polylog-size sketch (a bounded mode is in the ROADMAP item on
-    the space claim). Every replica reads a view of it, built when it is
-    read (`views`), and every sketch is a function of that view, so states
+    the space claim). A read sorts the store and fingerprints the tree
+    path of its points once (`_read`), and every replica reads a view built
+    from that (`views`); every sketch is a function of its view, so states
     merge and replay bit for bit. `merge` adds the store of a sketch of the
     same config, and `state_bytes` is `encode_state` of the store alone,
     under the subclass's state kind `_KIND` and the config fields `_SHAPE`."""
 
-    def __init__(self, cfg, replica, salt: int, count: int, width: int):
-        """`count` replicas replica(cfg, i, combine(cfg.seed, salt, i, r))
-        per level i, the seeds of a level drawn in one hash call, and a
-        store of `width` counts per point."""
+    def __init__(self, cfg, salt: int, count: int, width: int):
+        """`count` replicas per level i, of seeds combine(cfg.seed, salt, i,
+        r) drawn in one hash call, and a store of `width` counts per point."""
         self.cfg = cfg
         self.tree = sample_quadtree(cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()]))
         self.h = self.tree.h
         r = np.arange(count, dtype=U64)
-        self.replicas = [[replica(cfg, i, s) for s in hx.combine(cfg.seed, salt, i, r).tolist()]
-                         for i in range(1, self.h + 1)]
+        self.seeds = [hx.combine(cfg.seed, salt, i, r) for i in range(1, self.h + 1)]
         self.counts = SparseCounts(width)
 
-    def views(self, counts: SparseCounts, reps) -> List[CountView]:
-        """The view of a store (packed point -> counts) of each replica in
-        reps, built in one batch: a point with counts c adds [c, sum(c) *
-        chi-plus per character set] at its key, the node ids (u, w) of
-        `replica_node_ids` and then the key words of the subclass's
-        `_sets_and_keys`, which also seeds each replica's character sets;
-        `chi_plus` draws their members here, where they are read."""
-        values, rows, X = self._read(counts)
-        seeds = np.array([rep.seed for rep in reps], dtype=U64)
-        sets, keys = self._sets_and_keys(seeds, values)
-        rates = np.array([self.cfg.alpha(rep.level) for rep in reps])[:, None]
-        plus = (chi_plus(X, sets, rates) * rows.sum(axis=1)).transpose(0, 2, 1)
-        rows = np.concatenate([np.broadcast_to(rows, (len(reps),) + rows.shape), plus], axis=2)
-        return SparseCounts.grouped(
-            np.stack([*replica_node_ids(self.tree, X, reps), *keys], axis=2), rows)
-
-    def _read(self, counts: SparseCounts):
-        """(packed values, rows, bit matrix X) of a store, in canonical order."""
+    def _read(self, counts: SparseCounts) -> tuple:
+        """(packed values, rows, bit matrix X, `node_path` of X) of a store, sorted once."""
         values, rows = counts.sorted()
-        return values, rows, values_to_matrix(values, self.cfg.d)
+        X = values_to_matrix(values, self.cfg.d)
+        return values, rows, X, self.tree.node_path(X)
+
+    def views(self, read: tuple, levels, seeds: np.ndarray) -> CountView:
+        """The stacked view of a `_read` store for the replicas r of the
+        given levels and seeds: a point with counts c adds [c, sum(c) *
+        chi-plus per character set] at the key (r, node ids (u, w) of
+        `replica_node_ids`, the key words of the subclass's `_sets_and_keys`,
+        which also seeds the character sets); `chi_plus` draws their
+        members here, where they are read."""
+        values, rows, X, path = read
+        sets, keys = self._sets_and_keys(seeds, values)
+        rates = np.array([self.cfg.alpha(i) for i in levels])[:, None]
+        plus = (chi_plus(X, sets, rates) * rows.sum(axis=1)).transpose(0, 2, 1)
+        rows = np.concatenate([np.broadcast_to(rows, (len(seeds),) + rows.shape), plus], axis=2)
+        ids = replica_node_ids(path, levels, seeds, self.cfg.universe_m)
+        return SparseCounts.grouped(np.stack([*ids, *keys], axis=2), rows)
 
     def merge(self, other: "_TreeSketch") -> None:
         if self.cfg != other.cfg:
@@ -613,7 +602,9 @@ class _EmdSketchBase(_TreeSketch):
 
     def __init__(self, cfg: EmdSketchConfig):
         # packed point -> [net A, net B]
-        super().__init__(cfg, _LevelReplica, 0x11, cfg.level_reps, width=2)
+        super().__init__(cfg, 0x11, cfg.level_reps, width=2)
+        self.replicas = [[_LevelReplica(cfg, i, s) for s in seeds.tolist()]
+                         for i, seeds in enumerate(self.seeds, start=1)]
 
     def _sets_and_keys(self, seeds: np.ndarray, values) -> tuple:
         """The (replicas, n_sets) seeds of the character sets, combine(seed,
@@ -628,11 +619,15 @@ class _EmdSketchBase(_TreeSketch):
         delta = operator.index(delta)  # an int: a float or str raises TypeError
         store.add(point.value, (delta, 0) if label == "A" else (0, delta))
 
-    def _read_levels(self, counts: SparseCounts, read) -> List[list]:
-        """Per level, read(replica, view) of each of its replicas, with the
-        views of every replica built from the store in one batch."""
+    def _read_levels(self, counts: SparseCounts, fn) -> List[list]:
+        """Per level, fn(replica, view) of each of its replicas, each view a
+        slice of the one stacked view of every replica of the store."""
         reps = [rep for per_level in self.replicas for rep in per_level]
-        out = iter([read(rep, v) for rep, v in zip(reps, self.views(counts, reps))])
+        view = self.views(self._read(counts), [rep.level for rep in reps],
+                          np.concatenate(self.seeds))
+        cut = view.cuts(len(reps))
+        out = iter([fn(rep, CountView(view.keys[a:b, 1:], view.rows[a:b]))
+                    for rep, a, b in zip(reps, cut[:-1], cut[1:])])
         return [[next(out) for _ in per_level] for per_level in self.replicas]
 
     def _check_balanced(self) -> int:

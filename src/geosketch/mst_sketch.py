@@ -29,16 +29,16 @@ indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
 runs in (sign, log-magnitude) space.
 
 State: the one-store rule of `_TreeSketch`, with a store of packed point
--> [net count]. Every (level, sample) reads a view of it, built when its
-level is read, in one batch for the samples of that level (`views`): a
-`CountView` of the point entries (u, w, point fingerprint) -> [net, net *
-chi], sorted by key. The node counts [sum net, sum net * chi] per
-universe-reduced node (u, w) are one grouped sum of those sorted arrays
-(a node's entries are adjacent), the witness arrays are columns of them,
-and every sketch is a function of them (bit-identical under permutation
-and merge): the recovery and witness sketches of each sample, and the
-per-level l0 estimate (`l0_estimate`) of the node counts of the level's
-first sample. Node ids are uint64 throughout.
+-> [net count]. An estimate reads it once, and builds each level's view
+from that read when it reads the level, one stacked view of all its
+samples (`views`): a `CountView` of the point entries (sample, u, w,
+point fingerprint) -> [net, net * chi], sorted by key. The node counts
+[sum net, sum net * chi] per universe-reduced node (sample, u, w) are one
+grouped sum of those sorted arrays (a node's entries are adjacent), the
+witness arrays are columns of them, and every sketch is a function of
+them (bit-identical under permutation and merge): the recovery and
+witness sketches of each sample, and the per-level l0 estimate
+(`l0_estimate`) of the node counts of sample 0. Node ids are uint64.
 
 The samples of a level are decoded as one stack, one call per stage for
 all of them, each handing the next arrays indexed by sample, down to the
@@ -75,7 +75,7 @@ from .offline import LevelDecomposition
 from .sketches import (
     CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
 )
-from .emd_sketch import _Replica, _SketchConfig, _TreeSketch, log2n
+from .emd_sketch import _SketchConfig, _TreeSketch, log2n
 
 __all__ = [
     "MstSketchConfig",
@@ -222,10 +222,10 @@ def _representatives(fps: np.ndarray):
 
 
 class _LevelStack:
-    """The decode arrays of some samples of one level, side by side in
+    """The decode arrays of the samples of some seeds of one level, in
     sample order: the point entries (s, u, w, point fingerprint) -> [net,
-    net * chi] of each sample s, the node counts (s, u, w) -> [net, net *
-    chi] (a node's entries are adjacent), and the distinct parents (s, u).
+    net * chi] of each sample s from 0, the node counts (s, u, w) -> [net,
+    net * chi] (a node's entries are adjacent), the distinct parents (s, u).
     Every stage of the tuple decode runs once for all samples of the stack
     and hands the next arrays indexed by sample: `parents`, the lock-step
     kappa `scan` (-1 where it fails), and `witnesses`; `outcomes` runs them
@@ -235,15 +235,10 @@ class _LevelStack:
     sample (`_prefix`) finished with `hashing.extend`, which gives the bits
     of the whole chain."""
 
-    def __init__(self, reps: Sequence[_Replica], views: Sequence[CountView]):
-        self.cfg = cfg = reps[0].cfg
-        self.seeds = np.array([rep.seed for rep in reps], dtype=U64)
-        sample = np.repeat(np.arange(len(reps)), [len(v) for v in views])
-        keys = np.concatenate(
-            [sample.astype(U64)[:, None], np.concatenate([v.keys for v in views])], axis=1)
-        self.points = CountView(keys, np.concatenate([v.rows for v in views]))
-        self.pstart = np.searchsorted(sample, np.arange(len(reps) + 1))
-        nodes = CountView.summed(keys[:, :3], self.points.rows)
+    def __init__(self, cfg: MstSketchConfig, seeds: np.ndarray, points: CountView):
+        self.cfg, self.seeds, self.points = cfg, seeds, points
+        self.pstart = points.cuts(len(seeds))
+        nodes = CountView.summed(points.keys[:, :3], points.rows)
         self.ns = nodes.keys[:, 0].astype(np.int64)
         self.keys, self.node_rows = nodes.keys[:, 1:], nodes.rows
         self.u, self.w = self.keys.T
@@ -483,7 +478,7 @@ class MstSketch(_TreeSketch):
 
     def __init__(self, cfg: MstSketchConfig):
         # packed point -> net count
-        super().__init__(cfg, _Replica, 0x33, cfg.samples, width=1)
+        super().__init__(cfg, 0x33, cfg.samples, width=1)
 
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
         if point.d != self.cfg.d:
@@ -496,38 +491,43 @@ class MstSketch(_TreeSketch):
         the node ids (u, w), which makes a view's rows point entries."""
         return hx.combine(seeds, 0xC4)[:, None], (_point_fps(seeds[:, None], values),)
 
-    @staticmethod
-    def _node_counts(first: CountView) -> CountView:
-        """The net node counts of the point entries `first` of a level's
-        first sample, keyed by that sample's (u, w) ids."""
-        return CountView.summed(first.keys[:, :2], first.rows[:, :1])
-
-    def _l0(self, i: int, first: CountView) -> float:
-        """Level i's l0 estimate |L_i|-hat, of the node counts of `first`."""
-        return l0_estimate(self._node_counts(first), int(hx.combine(self.cfg.seed, 0x10, i)[()]),
+    def _l0(self, i: int, view: CountView) -> float:
+        """Level i's l0 estimate |L_i|-hat, of the net node counts (u, w) of
+        sample 0's slice of `view`, the level's stacked view."""
+        n0 = view.cuts(1)[1]
+        nodes = CountView.summed(view.keys[:n0, 1:3], view.rows[:n0, :1])
+        return l0_estimate(nodes, int(hx.combine(self.cfg.seed, 0x10, i)[()]),
                            self.cfg.l0_buckets)
 
     def level_counts(self) -> List[float]:
-        return [self._l0(i, self.views(self.counts, per_level[:1])[0])
-                for i, per_level in enumerate(self.replicas, start=1)]
+        read = self._read(self.counts)
+        return [self._l0(i, self.views(read, [i], seeds[:1]))
+                for i, seeds in enumerate(self.seeds, start=1)]
 
-    def level_mu(self, i: int, views: Optional[Sequence[CountView]] = None) -> float:
+    def level_mu(self, i: int, view: Optional[CountView] = None) -> float:
         """Mismatch-frequency estimate of the representative distance at
-        level i, from the `outcomes` of its samples (views built here if not
-        given): mismatches over successes, over alpha_i, capped. The samples
-        are decoded in stacks of at most `_BLOCK_WORDS` child-scan bucket
-        hashes per kappa, counted as if every point entry were a node in
-        every D (or one sample)."""
-        per_level = self.replicas[i - 1]
-        views = views or self.views(self.counts, per_level)
+        level i, from the `outcomes` of its samples (its stacked view built
+        here if not given): mismatches over successes, over alpha_i, capped.
+        The samples are decoded in stacks, slices of the view with the
+        sample column rebased to 0, of at most `_BLOCK_WORDS` child-scan
+        bucket hashes per kappa, counted as if every point entry were a
+        node in every D (or one sample)."""
+        seeds = self.seeds[i - 1]
+        if view is None:
+            view = self.views(self._read(self.counts), [i] * len(seeds), seeds)
+        cut = view.cuts(len(seeds))
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
-        stage, mismatch = map(np.concatenate, zip(*(
-            _LevelStack(per_level[lo:hi], views[lo:hi]).outcomes()
-            for lo, hi in _blocks([len(v) * words for v in views], _BLOCK_WORDS))))
+        stacks = []
+        for lo, hi in _blocks(np.diff(cut) * words, _BLOCK_WORDS):
+            keys = view.keys[cut[lo]:cut[hi]].copy()
+            keys[:, 0] -= U64(lo)
+            points = CountView(keys, view.rows[cut[lo]:cut[hi]])
+            stacks.append(_LevelStack(self.cfg, seeds[lo:hi], points).outcomes())
+        stage, mismatch = map(np.concatenate, zip(*stacks))
         fails = np.bincount(stage, minlength=4)
         if fails[0] == 0:
             raise SamplesFailed(
-                f"all samples failed at level {i} (samples = {len(per_level)}: {fails[1]} at "
+                f"all samples failed at level {i} (samples = {len(seeds)}: {fails[1]} at "
                 f"parent recovery, {fails[2]} at the child scan, {fails[3]} at the witnesses)")
         mu = (int(mismatch.sum()) / int(fails[0])) / self.cfg.alpha(i)
         return min(mu, self.cfg.mu_cap(i))
@@ -535,12 +535,12 @@ class MstSketch(_TreeSketch):
     def estimate(self) -> float:
         if self.counts.total()[0] <= 0:
             raise ValueError("stream encodes an empty point set")
-        total = 0.0
-        for i, per_level in enumerate(self.replicas, start=1):
-            views = self.views(self.counts, per_level)  # one level's views at a time
-            ell = self._l0(i, views[0])
+        read, total = self._read(self.counts), 0.0
+        for i, seeds in enumerate(self.seeds, start=1):
+            view = self.views(read, [i] * len(seeds), seeds)  # one level at a time
+            ell = self._l0(i, view)
             if ell > 1.5:
-                total += ell * (self.level_mu(i, views) + self.cfg.d / 2.0**i)
+                total += ell * (self.level_mu(i, view) + self.cfg.d / 2.0**i)
         return total
 
 

@@ -16,16 +16,16 @@ streams yields bit-identical counts and hence bit-identical estimates
 
 Everything else is a view, not a second store. The estimators build every
 replica's counts from their one store once per read: `SparseCounts.grouped`
-sums the rows of all replicas in one sort and one grouped sum, and slices
-each replica's `CountView` out of the result -- (n, k) uint64 key words in
-canonical order and (n, width) int64 rows, none all zero. Every reader
-takes those arrays as they are. The vectors the estimators count exactly
-(the node discrepancies of Delta-hat and the round-one samplers, the
-per-level node counts of l0) are such views, and a sketch reads a store or
-a view through the same `sorted` and `len`. Each view has the keys and the
-integers that feeding every update to it would have given. `L1Sampler` is
-the one sketch kept as an object: a seed, a shape and its counts, from
-which `sample` builds its Count-Sketch table and its Cauchy l1 estimate.
+sums the rows of all replicas in one sort and one grouped sum, into one
+`CountView` whose slices are the replicas' views -- (n, k) uint64 key words
+in canonical order, the first the replica, and (n, width) int64 rows, none
+all zero. Every reader takes those arrays as they are. The vectors the
+estimators count exactly (the node discrepancies of Delta-hat and the
+round-one samplers, the per-level node counts of l0) are such views, and a
+sketch reads a store or a view through the same `sorted` and `len`. Each
+view has the keys and the integers that feeding every update to it would
+have given. `L1Sampler` is the one sketch kept as an object: a seed, a shape
+and its counts, from which `sample` builds its Count-Sketch and Cauchy l1.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
@@ -126,8 +126,8 @@ def _encode_counts(width: int, words: Sequence[Sequence[int]], rows: np.ndarray)
 class CountView:
     """Read-only counts: keys (n, k) uint64, each key the tuple of its k
     words, in canonical (lexicographic) order without repeats, and their
-    rows (n, width) int64, none all zero. Every replica's counts are one of
-    these (`SparseCounts.grouped`), and every reader takes the arrays."""
+    rows (n, width) int64, none all zero. All replicas' counts are one, keyed
+    (replica, ...) (`SparseCounts.grouped`), sliced by `cuts`."""
 
     keys: np.ndarray
     rows: np.ndarray
@@ -149,6 +149,10 @@ class CountView:
 
     def sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.keys, self.rows  # already in canonical order
+
+    def cuts(self, R: int) -> np.ndarray:
+        """The R + 1 bounds of the slices of first key word 0..R-1 (`grouped`)."""
+        return np.searchsorted(self.keys[:, 0], np.arange(R + 1, dtype=U64))
 
     def to_bytes(self) -> bytes:
         """The bytes of the `SparseCounts` that holds the same rows."""
@@ -217,18 +221,16 @@ class SparseCounts:
             raise
 
     @staticmethod
-    def grouped(keys: np.ndarray, rows: np.ndarray) -> List[CountView]:
-        """One view per leading index r of keys (R, n, k) uint64 and rows
-        (R, n, width) int64: rows[r] summed at equal keys[r], for all r in
-        one sort (a lexsort along the n axis, which sorts each r apart) and
-        one grouped sum, each view a slice of the result."""
+    def grouped(keys: np.ndarray, rows: np.ndarray) -> CountView:
+        """One view of rows[r] summed at equal keys[r], keyed (r, *keys[r]),
+        for each leading index r of keys (R, n, k) uint64 and rows (R, n,
+        width) int64: one sort (a lexsort along the n axis, which sorts each
+        r apart) and one grouped sum."""
         R, n, k = keys.shape
         rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
         flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
         order = (np.lexsort(keys.transpose(2, 0, 1)[::-1]) + n * np.arange(R)[:, None]).ravel()
-        flat = CountView.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
-        cut = np.searchsorted(flat.keys[:, 0], np.arange(R + 1, dtype=U64))
-        return [CountView(flat.keys[a:b, 1:], flat.rows[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+        return CountView.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
 
     def total(self) -> Tuple[int, ...]:
         """The column sums of the rows."""

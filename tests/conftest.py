@@ -1,4 +1,5 @@
 import struct
+from collections import namedtuple
 from typing import Tuple
 
 import numpy as np
@@ -32,9 +33,33 @@ def random_pair(n: int, d: int, seed: int, noise: float = 0.25):
 
 def view_of(store, k: int = 2) -> CountView:
     """The read-only view of a hand-built store whose keys are tuples of k
-    words: what a sketch's `views` gives for those counts."""
+    words: what a replica's slice of a sketch's `views` gives for those
+    counts."""
     keys, rows = store.sorted()
     return CountView(np.array(keys, dtype=U64).reshape(len(keys), k), rows)
+
+
+def split_view(view: CountView, R: int) -> list:
+    """The R views of a stacked view (`SparseCounts.grouped`), each without
+    its leading replica column."""
+    cut = view.cuts(R)
+    return [CountView(view.keys[a:b, 1:], view.rows[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+
+
+Replica = namedtuple("Replica", "cfg level seed")
+
+
+def replicas(sk) -> list:
+    """Per level, the (cfg, level, seed) of each replica of a tree sketch."""
+    return [[Replica(sk.cfg, i, s) for s in seeds.tolist()]
+            for i, seeds in enumerate(sk.seeds, start=1)]
+
+
+def replica_views(sk, counts, reps) -> list:
+    """Per replica in reps (anything with a level and a seed), its view of
+    the store `counts`: its slice of the sketch's one stacked view."""
+    seeds = np.array([rep.seed for rep in reps], dtype=U64)
+    return split_view(sk.views(sk._read(counts), [rep.level for rep in reps], seeds), len(reps))
 
 
 def view_dict(view: CountView) -> dict:

@@ -227,6 +227,29 @@ def test_report_carries_the_config_eps(tmp_path, capsys):
     assert with_config["estimate"] == with_flag["estimate"]
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "0.3"), ("--seed", "7")])
+def test_run_with_config_rejects_an_explicit_flag(tmp_path, capsys, monkeypatch, flag, value):
+    """A flag whose value a --config file sets, given next to it, exits 2
+    with one line naming the flag and the config file instead of being
+    dropped. Without the flag the run uses the config's values (its seed
+    defaults to 0), and GEOSKETCH_SEED still overrides the config's seed."""
+    monkeypatch.delenv("GEOSKETCH_SEED", raising=False)
+    stream = tmp_path / "s.txt"
+    stream.write_text(write_stream(gen_instance("matched_noise", 4, 4, seed=1).updates))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_EMD, "n": 4, "d": 4, "eps": 0.5}))
+    argv = ["run", "--problem", "emd", "--config", str(cfg), str(stream)]
+    assert main([*argv, flag, value]) == 2
+    assert capsys.readouterr() == ("", f"geosketch: error: {flag} cannot be given with "
+                                       f"--config: the config file sets the {flag[2:]}\n")
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["eps"], report["seeds"]["config"]) == (0.5, 0)
+    monkeypatch.setenv("GEOSKETCH_SEED", "7")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seeds"]["config"] == 7
+
+
 def test_mst_report_states_the_eps_its_sketch_is_built_at():
     """The MST estimator reads no eps: its sketch is built at eps = 1/2,
     where p = eps / (2 log n) = 1/(4L), and the report states that eps

@@ -28,10 +28,12 @@ from geosketch import (
 )
 from geosketch import emd_sketch
 from geosketch.emd_sketch import expected_split_probability, log2n, replica_node_ids
+from geosketch.quadtree import QuadtreeSpec
 
 from conftest import (
     FedL1Sampler, charsets, node_key, random_multiset, random_pair, reference_one_round_estimates,
-    sampler_reads, state_header, store_sizes, tail_truncated_norms, universe_ids, view_of,
+    replica_views, replicas, sampler_reads, state_header, store_sizes, tail_truncated_norms,
+    universe_ids, view_of,
 )
 
 
@@ -100,11 +102,12 @@ def test_char_matrix_agrees_with_scalar(rng, monkeypatch):
 
 @pytest.mark.parametrize("cls", [EmdOnePassSketch, EmdTwoPassSketch, MstSketch])
 def test_sketch_is_a_function_of_its_config(cls, monkeypatch):
-    """A sketch takes only its config. Each replica holds its config, level
-    and seed (an EMD one also its two-pass state, empty before pass 1) and
-    no character set, and its seed is the scalar combine(cfg.seed, salt,
-    i, r). Construction hashes once for the tree and once per level,
-    whatever the number of replicas."""
+    """A sketch takes only its config. It keeps the seeds of each level i,
+    the uint64 array of combine(cfg.seed, salt, i, r) over the replicas
+    r. An EMD sketch builds one replica per seed, holding its config, level
+    and seed, its two-pass state (empty before pass 1) and no character
+    set; an MST sketch keeps no replica objects. Construction hashes once
+    for the tree and once per level, whatever the number of replicas."""
     assert list(inspect.signature(cls).parameters) == ["cfg"]
     emd = cls is not MstSketch
     salt, state = 0x33, set()
@@ -119,9 +122,12 @@ def test_sketch_is_a_function_of_its_config(cls, monkeypatch):
                else MstSketchConfig(n=16, d=16, seed=3, samples=count))
         sk = cls(cfg)
         assert len(calls) == sk.h + 1
-        for i, per_level in enumerate(sk.replicas, start=1):
-            assert [rep.seed for rep in per_level] == [
-                int(combine(3, salt, i, r)[()]) for r in range(count)]
+        for i, seeds in enumerate(sk.seeds, start=1):
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [int(combine(3, salt, i, r)[()]) for r in range(count)]
+        assert hasattr(sk, "replicas") == emd
+        for i, per_level in enumerate(sk.replicas if emd else [], start=1):
+            assert [rep.seed for rep in per_level] == sk.seeds[i - 1].tolist()
             for rep in per_level:
                 assert set(vars(rep)) == {"cfg", "level", "seed"} | state
                 assert (rep.cfg, rep.level) == (cfg, i)
@@ -138,16 +144,55 @@ def test_views_draw_the_scalar_character_sets(d):
     rng = np.random.default_rng(d)
     for sk in (EmdOnePassSketch(EmdSketchConfig(n=4, d=d, seed=2)),
                MstSketch(MstSketchConfig(n=4, d=d, seed=2))):
-        reps = [rep for per_level in sk.replicas for rep in per_level]
+        reps = [rep for per_level in replicas(sk) for rep in per_level]
         sets = [charsets(rep) for rep in reps]
         for _ in range(3):
             p = HypercubePoint.from_bits(rng.integers(0, 2, d))
             width = sk.counts.width  # also the sum of the point's counts
             store = SparseCounts(width)
             store.add(p.value, (1,) * width)
-            for view, cs in zip(sk.views(store, reps), sets):
+            for view, cs in zip(replica_views(sk, store, reps), sets):
                 assert view.rows[:, width:].tolist() == [[width * (c.eval(p) == 1) for c in cs]]
         assert max(len(c.indices) for c in sets[-1]) >= d // 8
+
+
+@pytest.mark.parametrize("kind", ["mst", "emd1", "emd2"])
+def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeypatch, kind):
+    """A read of a tree sketch sorts its store once (`SparseCounts.sorted`)
+    and fingerprints every depth 0..h of the tree once
+    (`QuadtreeSpec.node_fingerprints`): `MstSketch.estimate`, and its
+    standalone `level_mu` and `level_counts`, `EmdOnePassSketch.estimate`,
+    and `EmdTwoPassSketch.finalize_pass1` and `estimate`, each for itself.
+    The estimates are the pinned ones."""
+    sorts, depths = [], []
+    sort, fingerprints = SparseCounts.sorted, QuadtreeSpec.node_fingerprints
+    monkeypatch.setattr(SparseCounts, "sorted", lambda self: sorts.append(1) or sort(self))
+    monkeypatch.setattr(QuadtreeSpec, "node_fingerprints",
+                        lambda self, X, j: depths.append(j) or fingerprints(self, X, j))
+
+    def read(step):
+        sorts.clear(), depths.clear()
+        out = step()
+        assert len(sorts) == 1 and sorted(depths) == list(range(sk.h + 1))
+        return out
+
+    if kind == "mst":
+        sk = MstSketch(MstSketchConfig(16, 16, seed=0))
+        for u in gen_instance("uniform", 16, 16, seed=1).updates:
+            sk.update(u.point, u.sign)
+        assert read(sk.estimate).hex() == "0x1.1095661e89519p+8"
+        read(lambda: sk.level_mu(2)), read(sk.level_counts)
+        return
+    updates = gen_instance("matched_noise", 16, 16, seed=1).updates
+    sk = (EmdOnePassSketch if kind == "emd1" else EmdTwoPassSketch)(EmdSketchConfig(16, 16))
+    for u in updates:
+        sk.update(u.point, u.label, u.sign)
+    if kind == "emd2":
+        read(sk.finalize_pass1)
+        for u in updates:
+            sk.update_pass2(u.point, u.label, u.sign)
+    want = {"emd1": "0x1.4c657a8cde545p+8", "emd2": "0x1.0c4db4440299bp+8"}[kind]
+    assert read(sk.estimate).hex() == want
 
 
 # -- split probability -------------------------------------------------------------
@@ -234,7 +279,8 @@ def test_default_universe_fits_uint64():
     assert cfg.universe_m == 2**64 - 1
     sk = EmdOnePassSketch(cfg)
     X = np.array([[0] * 8, [1] * 8], dtype=np.uint8)
-    for ids in replica_node_ids(sk.tree, X, sk.replicas[-1]):
+    seeds = sk.seeds[-1]
+    for ids in replica_node_ids(sk.tree.node_path(X), [sk.h] * len(seeds), seeds, cfg.universe_m):
         assert ids.shape == (1, 2) and ids.dtype == np.uint64
 
 
@@ -448,7 +494,7 @@ def _instance_views(cfg, kind="matched_noise", seed=1):
     for u in gen_instance(kind, cfg.n, cfg.d, seed=seed).updates:
         sk.update(u.point, u.label, u.sign)
     reps = [rep for per_level in sk.replicas for rep in per_level]
-    return list(zip(reps, sk.views(sk.counts, reps)))
+    return list(zip(reps, replica_views(sk, sk.counts, reps)))
 
 
 _GRID_VARIANT = dict(n_sets=3, n_inner=2, n_rounds=9, n_medreps=3, ls1_reps=3)
@@ -787,13 +833,17 @@ def test_two_pass_permutation_invariance(small_cfg):
     (1, 2, 64, 32, "0x1.16bea25a84d6cp+12"),
     (2, 1, 64, 32, "0x1.f551520a864fcp+11"),
     (2, 2, 64, 32, "0x1.b467e9eb9f09cp+11"),
+    (1, 1, 256, 64, "0x1.d69bc3f6ee55cp+15"),
+    (2, 1, 256, 64, "0x1.85e087d42f47ep+15"),
 ])
 def test_estimate_bit_identical_to_pinned(passes, seed, n, d, want):
     """Pinned to the estimates of the replicas that fed the Delta-hat sketch
     and every round-one sampler on each update, before those became views
     of the replica counts; the n=64 d=32 one-pass pins are those of the
     per-decoder LS loop, before the grid decode, and the two-pass ones
-    those of the dict-store views, before the views became sorted arrays."""
+    those of the dict-store views, before the views became sorted arrays.
+    The n=256 d=64 ones are the reference estimates of the `emd1-matched`
+    and `emd2-matched` benchmark workloads."""
     updates = gen_instance("matched_noise", n, d, seed=seed).updates
     assert run_estimator(updates, "emd", passes=passes).estimate.hex() == want
 
@@ -842,7 +892,7 @@ def test_replica_views_equal_fed_reference():
                     delta.add(key, c if label == "A" else -c)
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
-            views = sk.views(sk.counts, reps)
+            views = replica_views(sk, sk.counts, reps)
             assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
@@ -876,7 +926,7 @@ def test_node_ids_above_2_63_stay_unsigned():
             for p, c in nets[label].items():
                 sk.update(p, label, c)
         reps = [rep for per_level in sk.replicas for rep in per_level]
-        views = sk.views(sk.counts, reps)
+        views = replica_views(sk, sk.counts, reps)
         keys = [k for v in views for k in v.keys.tolist()]
         assert min(min(k) for k in keys) >= 0
         assert max(max(k) for k in keys) >= 2**63

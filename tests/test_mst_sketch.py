@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ from geosketch import (
 )
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
-from geosketch.emd_sketch import _Replica, replica_node_ids
-from geosketch.mst_sketch import _LevelStack, _point_fps, _representatives
+from geosketch.emd_sketch import replica_node_ids
+from geosketch.mst_sketch import (
+    _LevelStack, _grouped_log_abs_sum, _log_stable_draws, _point_fps, _representatives,
+)
+from geosketch.sketches import sample_p_stable_array
 
 from conftest import (
-    charsets, node_key, random_multiset, state_header, store_sizes, universe_ids, view_dict,
-    view_of,
+    Replica, charsets, node_key, random_multiset, replica_views, replicas, state_header,
+    store_sizes, universe_ids, view_dict, view_of,
 )
 
 
@@ -53,14 +57,30 @@ def feed(sk, X):
     return sk
 
 
-def view_with_nodes(cfg, nodes, level=1, seed=7):
-    """A one-sample level stack of a bare replica with prescribed (u, w) ->
+def stack_of(cfg, seeds, views):
+    """The `_LevelStack` of samples with the given seeds and views of their
+    point entries (u, w, fp), stacked with the sample as first key word."""
+    sample = np.repeat(np.arange(len(views), dtype=np.uint64), [len(v) for v in views])
+    keys = np.concatenate([v.keys for v in views]).reshape(-1, 3)
+    points = CountView(np.concatenate([sample[:, None], keys], axis=1),
+                       np.concatenate([v.rows for v in views]).reshape(-1, 2))
+    return _LevelStack(cfg, np.array(seeds, dtype=np.uint64), points)
+
+
+def _level_view(sk, i):
+    """The stacked view of every sample of level i."""
+    seeds = sk.seeds[i - 1]
+    return sk.views(sk._read(sk.counts), [i] * len(seeds), seeds)
+
+
+def view_with_nodes(cfg, nodes, seed=7):
+    """A one-sample level stack of a bare sample with prescribed (u, w) ->
     count nodes: each node holds one point entry of that net count and
     chi = -1."""
     points = SparseCounts(2)
     for (u, w), cnt in nodes.items():
         points.add((u, w, 1), np.array([cnt, 0]))
-    view = _LevelStack([_Replica(cfg, level, seed)], [view_of(points, k=3)])
+    view = stack_of(cfg, [seed], [view_of(points, k=3)])
     assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == nodes
     return view
 
@@ -112,6 +132,51 @@ def test_reference_upper_bounds_mst():
             if ell > 1:
                 total += ell * mu
         assert exact_mst(X) <= total + 1e-9
+
+
+# -- log-space arithmetic ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("L", [1, 4, 8, 25])
+def test_log_stable_draws_match_the_reference_generator(L):
+    """At p = 1/(4L), the (sign, log|x|) of `_log_stable_draws` equal the
+    sign and log|x| of `sample_p_stable_array` at the r and theta drawn
+    from the same hash words, wherever the reference is finite and
+    nonzero (nearly everywhere), and they warn about nothing."""
+    p, n = 1.0 / (4.0 * L), 20_000
+    h_r, h_t = hx.combine(0x5EED, L, np.array([[1], [2]], dtype=np.uint64),
+                          np.arange(n, dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, log_mag = _log_stable_draws(h_r, h_t, p)
+        x = sample_p_stable_array(p, hx.uniform01(h_r), np.pi * (hx.uniform01(h_t) - 0.5))
+    ok = np.isfinite(x) & (x != 0)
+    assert ok.mean() > 0.99
+    assert np.array_equal(sign[ok], np.sign(x[ok]))
+    np.testing.assert_allclose(log_mag[ok], np.log(np.abs(x[ok])), rtol=1e-13, atol=1e-12)
+
+
+def test_grouped_log_abs_sum_matches_a_direct_sum():
+    """`_grouped_log_abs_sum` equals log|sum of sign * exp(log_mag)| per
+    group, summed directly with `np.add.at`, within rounding scaled by the
+    cancellation of each group (sum of |terms| over |sum|); groups without
+    entries, also between groups with entries, read -inf; and it warns
+    about nothing."""
+    rng = np.random.default_rng(3)
+    size, n = 50, 300
+    idx = rng.choice([g for g in range(45) if g % 7], n)  # 0, 7, .., 42 and 45.. stay empty
+    log_mag, sign = rng.uniform(-30.0, 30.0, n), rng.choice([-1.0, 1.0], n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _grouped_log_abs_sum(idx, log_mag, sign, size)
+    total, mass = np.zeros(size), np.zeros(size)
+    np.add.at(total, idx, sign * np.exp(log_mag))
+    np.add.at(mass, idx, np.exp(log_mag))
+    empty = np.bincount(idx, minlength=size) == 0
+    assert np.isneginf(got[empty]).all() and empty.sum() == size - 38
+    want = np.log(np.abs(total[~empty]))
+    np.testing.assert_array_less(np.abs(got[~empty] - want),
+                                 1e-13 * mass[~empty] / np.abs(total[~empty]))
 
 
 # -- parent recovery -----------------------------------------------------------------
@@ -303,12 +368,12 @@ def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
     """A replica over real points placed at prescribed (u, w) nodes, (key,
     point, net) -> the entry (u, w, fp) -> [net, net * chi], its one-sample
     stack, and the validated witnesses of the first node (side 0)."""
-    st = _Replica(cfg, level, seed)
+    st = Replica(cfg, level, seed)
     charset = charset or charsets(st)[0]
     entries = SparseCounts(2)
     for key, p, c in points:
         entries.add((*key, _fp(st, p)), c * np.array([1, charset.eval(p) == 1]))
-    stack = _LevelStack([st], [view_of(entries, k=3)])
+    stack = stack_of(cfg, [seed], [view_of(entries, k=3)])
     return st, stack, stack.witnesses(np.array([0]), stack.hk_v[:1], np.array([0]))[0]
 
 
@@ -370,7 +435,7 @@ def _assert_witnesses_brute(stack):
 def _sibling_in_bucket(cfg, seed, v):
     """A sibling (u, w) of node v that shares v's side-0 witness bucket in
     some row of the sample of the given seed."""
-    probe = _LevelStack([_Replica(cfg, 1, seed)], [view_of(SparseCounts(2), k=3)])
+    probe = stack_of(cfg, [seed], [view_of(SparseCounts(2), k=3)])
     ws = np.arange(v[1] + 1, v[1] + 1000, dtype=np.uint64)
     b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), ws, 0))
     b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), np.uint64(v[1]), 0))
@@ -391,7 +456,7 @@ def test_witnesses_match_brute_force_enumeration(chi):
     v = (1, 10)
     alien_alone = validated = 0
     for seeds in ([3], [5, 8, 13]):
-        reps = [_Replica(cfg, 1, s) for s in seeds]
+        reps = [Replica(cfg, 1, s) for s in seeds]
         views = []
         for rep in reps:
             other = _sibling_in_bucket(cfg, rep.seed, v)
@@ -402,7 +467,7 @@ def test_witnesses_match_brute_force_enumeration(chi):
                 plus = {"mixed": charsets(rep)[0].eval(p) == 1, "none": 0, "all": 1}[chi]
                 entries.add((*key, _fp(rep, p)), c * np.array([1, plus]))
             views.append(view_of(entries, k=3))
-        stack = _LevelStack(reps, views)
+        stack = stack_of(cfg, seeds, views)
         validated += _assert_witnesses_brute(stack)
         for s in range(len(reps)):
             fz = _fp(reps[s], pts[3])
@@ -431,8 +496,8 @@ def test_witnesses_of_a_sketch_match_brute_force_enumeration():
         sk.update(HypercubePoint(8, value), -2)
     assert min(r[0] for r in sk.counts.sorted()[1].tolist()) < 0
     validated = 0
-    for per_level in sk.replicas[:2]:
-        validated += _assert_witnesses_brute(_LevelStack(per_level, sk.views(sk.counts, per_level)))
+    for i in (1, 2):
+        validated += _assert_witnesses_brute(_stack_of_level(sk, i))
     assert validated > 0
 
 
@@ -542,7 +607,7 @@ def _character(fps: np.ndarray, token) -> int:
 
 
 def _stack_of_level(sk, i):
-    return _LevelStack(sk.replicas[i - 1], sk.views(sk.counts, sk.replicas[i - 1]))
+    return _LevelStack(sk.cfg, sk.seeds[i - 1], _level_view(sk, i))
 
 
 def test_outcomes_name_the_stage_each_sample_failed_at():
@@ -591,8 +656,7 @@ def test_outcomes_name_the_stage_each_sample_failed_at():
     assert seen[0] > 0 and seen[2] > 0 and seen[3] > 0 and seen[1] == 0, seen
     assert seen.sum() == sk.h * sk.cfg.samples
     cfg = small_cfg()
-    empty = _LevelStack([_Replica(cfg, 1, s) for s in (3, 4)],
-                        [view_of(SparseCounts(2), k=3)] * 2)
+    empty = stack_of(cfg, [3, 4], [view_of(SparseCounts(2), k=3)] * 2)
     stage, mismatch = empty.outcomes()
     assert stage.tolist() == [1, 1] and mismatch.tolist() == [False, False]
 
@@ -726,9 +790,9 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
     whole = {i: _decoded(_stack_of_level(sk, i)) for i in levels}
     scans = {"pair": 0, "fail": 0}
     for i in levels:
-        reps = sk.replicas[i - 1]
-        for k, (rep, points) in enumerate(zip(reps, sk.views(sk.counts, reps))):
-            assert _decoded(_LevelStack([rep], [points])) == [whole[i][k]]
+        reps = replicas(sk)[i - 1]
+        for k, (rep, points) in enumerate(zip(reps, replica_views(sk, sk.counts, reps))):
+            assert _decoded(stack_of(sk.cfg, [rep.seed], [points])) == [whole[i][k]]
             scans["fail" if whole[i][k][1] is None else "pair"] += 1
     assert scans["pair"] > 0 and scans["fail"] > 0, scans
     mu = [sk.level_mu(i) for i in levels]
@@ -747,9 +811,9 @@ def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
     sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
     levels, views = [], MstSketch.views
 
-    def spy(self, counts, reps):
-        levels.append({rep.level for rep in reps})
-        return views(self, counts, reps)
+    def spy(self, read, lv, seeds):
+        levels.append(set(lv))
+        return views(self, read, lv, seeds)
 
     monkeypatch.setattr(MstSketch, "views", spy)
     assert sk.estimate().hex() == "0x1.b37caf8decf48p+6"
@@ -766,7 +830,8 @@ def test_default_universe_fits_uint64():
     assert cfg.universe_m == 2**64 - 1
     sk = MstSketch(cfg)
     X = np.array([[0] * 8, [1] * 8], dtype=np.uint8)
-    for ids in replica_node_ids(sk.tree, X, sk.replicas[-1]):
+    seeds = sk.seeds[-1]
+    for ids in replica_node_ids(sk.tree.node_path(X), [sk.h] * len(seeds), seeds, cfg.universe_m):
         assert ids.shape == (2, 2) and ids.dtype == np.uint64
 
 
@@ -829,7 +894,8 @@ def test_l0_views_equal_fed_reference():
         rng = np.random.default_rng(s)
         # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
         sk = MstSketch(small_cfg(seed=s, n=2))
-        fed = [SparseCounts() for _ in sk.replicas]
+        firsts = [per_level[0] for per_level in replicas(sk)]
+        fed = [SparseCounts() for _ in firsts]
         # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
         # holding both, and leave chi counts there when chi(x) != chi(y)
         ups = []
@@ -844,16 +910,19 @@ def test_l0_views_equal_fed_reference():
         for part in (ups[:cut], ups[cut:]):
             for p, c in part:
                 sk.update(p, c)
-                for f, per_level in zip(fed, sk.replicas):
-                    f.add(node_key(sk.tree, per_level[0], p), c)
-            firsts = sk.views(sk.counts, [per_level[0] for per_level in sk.replicas])
-            assert [sk._node_counts(v).to_bytes() for v in firsts] == [f.to_bytes() for f in fed]
+                for f, first in zip(fed, firsts):
+                    f.add(node_key(sk.tree, first, p), c)
+            views = [_level_view(sk, i) for i in range(1, sk.h + 1)]
+            nodes = [CountView.summed(v.keys[:, :2], v.rows[:, :1])
+                     for v in replica_views(sk, sk.counts, firsts)]
+            assert [n.to_bytes() for n in nodes] == [f.to_bytes() for f in fed]
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
-            assert sk.level_counts() == [l0_estimate(f, seed, sk.cfg.l0_buckets)
-                                         for f, seed in zip(fed, seeds)]
+            want = [l0_estimate(f, seed, sk.cfg.l0_buckets) for f, seed in zip(fed, seeds)]
+            assert sk.level_counts() == want
+            assert [sk._l0(i, v) for i, v in enumerate(views, start=1)] == want
             zero_count_nodes += sum(
-                int((_LevelStack([per_level[0]], [points]).nx == 0).sum())
-                for per_level, points in zip(sk.replicas, firsts)
+                int((stack_of(sk.cfg, [first.seed], [points]).nx == 0).sum())
+                for first, points in zip(firsts, replica_views(sk, sk.counts, firsts))
             )
     assert zero_count_nodes > 0
 
@@ -870,8 +939,8 @@ def test_node_counts_derived_from_point_entries():
     for target, part in ((sk, ups), (left, ups[:1]), (right, ups[1:])):
         for p, c in part:
             target.update(p, c)
-    reps = [rep for per_level in sk.replicas for rep in per_level]
-    for rep, entries in zip(reps, sk.views(sk.counts, reps)):
+    reps = [rep for per_level in replicas(sk) for rep in per_level]
+    for rep, entries in zip(reps, replica_views(sk, sk.counts, reps)):
         want_pts, want_nodes = {}, {}
         for p, c in {x: 3, y: 1, z: 2}.items():
             row = [c, c * int(charsets(rep)[0].eval(p) == 1)]
@@ -879,7 +948,7 @@ def test_node_counts_derived_from_point_entries():
             want_pts[(*key, _fp(rep, p))] = row
             want_nodes[key] = [a + b for a, b in zip(want_nodes.get(key, [0, 0]), row)]
         assert view_dict(entries) == want_pts
-        view = _LevelStack([rep], [entries])
+        view = stack_of(cfg, [rep.seed], [entries])
         assert view_dict(CountView(view.keys, view.node_rows)) == want_nodes
         assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == {
             k: r[0] for k, r in want_nodes.items()}
@@ -893,12 +962,12 @@ def test_node_ids_above_2_63_stay_unsigned():
     they stay uint64, so the estimator decodes and serializes."""
     X = aggregate(gen_instance("uniform", 8, 8, seed=1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(n=8, d=8, samples=4, universe_m=2**64 - 1)), X)
-    reps = [rep for per_level in sk.replicas for rep in per_level]
-    views = sk.views(sk.counts, reps)
+    reps = [rep for per_level in replicas(sk) for rep in per_level]
+    views = replica_views(sk, sk.counts, reps)
     keys = [k for points in views for k in points.keys.tolist()]
     assert min(min(k[:2]) for k in keys) >= 0
     assert max(max(k[:2]) for k in keys) >= 2**63
-    assert _LevelStack(reps[:1], views[:1]).u.dtype == np.uint64
+    assert stack_of(sk.cfg, [reps[0].seed], views[:1]).u.dtype == np.uint64
     assert len(sk.state_bytes()) > 0
     assert math.isfinite(sk.estimate())
 
@@ -949,28 +1018,22 @@ def test_config_rejects_n_beyond_stable_median_table():
         MstSketchConfig(n=2**25 + 1, d=8)
 
 
-def test_views_fingerprint_only_the_depths_of_their_level(monkeypatch):
-    """`views` fingerprints depths i - 1 and i for the replicas of level i,
-    and its views equal those built from the whole node path of every
-    point, bit for bit, also for replicas of mixed levels."""
+def test_views_equal_per_replica_ids_of_the_node_path(monkeypatch):
+    """The stacked view of the samples of a level, or of samples of mixed
+    levels, equals the one built with each sample's node ids written out
+    from the node path of every point (`universe_ids`), bit for bit."""
     sk = feed(MstSketch(small_cfg(n=16, d=8)), random_multiset(16, 8, 5))
-    depths = []
-    node_fingerprints = sk.tree.node_fingerprints
-    monkeypatch.setattr(sk.tree, "node_fingerprints",
-                        lambda X, j: depths.append(j) or node_fingerprints(X, j))
-    mixed = [sk.replicas[0][0], sk.replicas[-1][1], sk.replicas[1][2]]
-    fast = []
-    for reps in [*sk.replicas, mixed]:
-        depths.clear()
-        fast.append([v.to_bytes() for v in sk.views(sk.counts, reps)])
-        want = {r.level + k for r in reps for k in (-1, 0)}
-        assert sorted(depths) == sorted(want)
+    per_level = replicas(sk)
+    mixed = [per_level[0][0], per_level[-1][1], per_level[1][2]]
+    fast = [[v.to_bytes() for v in replica_views(sk, sk.counts, reps)]
+            for reps in [*per_level, mixed]]
 
-    def full_path_ids(tree, X, reps):
-        path, m = tree.node_path(X), reps[0].cfg.universe_m
-        return (np.stack([universe_ids(r.seed, m, 0x0E0A, path[:, r.level - 1]) for r in reps]),
-                np.stack([universe_ids(r.seed, m, 0x0E0B, path[:, r.level]) for r in reps]))
+    def per_replica_ids(path, levels, seeds, m):
+        return tuple(np.stack([universe_ids(s, m, salt, path[:, i + k])
+                               for i, s in zip(levels, seeds.tolist())])
+                     for salt, k in ((0x0E0A, -1), (0x0E0B, 0)))
 
-    monkeypatch.setattr(emd_sketch, "replica_node_ids", full_path_ids)
-    slow = [[v.to_bytes() for v in sk.views(sk.counts, reps)] for reps in [*sk.replicas, mixed]]
+    monkeypatch.setattr(emd_sketch, "replica_node_ids", per_replica_ids)
+    slow = [[v.to_bytes() for v in replica_views(sk, sk.counts, reps)]
+            for reps in [*per_level, mixed]]
     assert fast == slow

@@ -23,8 +23,8 @@ from geosketch.sketches import (
 )
 
 from conftest import (
-    FedL1Sampler, cauchy_sums, count_sketch, counts_of, sampler_reads, tail_truncated_norms,
-    view_of,
+    FedL1Sampler, cauchy_sums, count_sketch, counts_of, sampler_reads, split_view,
+    tail_truncated_norms, view_of,
 )
 from conftest import _cs_coords as ref_cs_coords, _cs_estimates as ref_cs_estimates
 from conftest import _cs_table as ref_cs_table
@@ -533,8 +533,9 @@ def test_sparse_counts_overflow_leaves_store_unchanged():
 
 
 def test_sparse_counts_grouped_equals_added_rows():
-    """`grouped` gives, per leading index, the view of the store that adding
-    each row at its key gives: rows at equal keys summed, a sum of zero
+    """`grouped` gives one view whose first key column is the leading index,
+    and its slice of each index is the view of the store that adding each
+    row at its key gives: rows at equal keys summed, a sum of zero
     dropped, and keys of any word up to 2^64 - 1."""
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 3, size=(4, 30, 2)).astype(np.uint64)
@@ -542,7 +543,7 @@ def test_sparse_counts_grouped_equals_added_rows():
     rows = rng.integers(-2, 3, size=(4, 30, 3))
     rows[2, :2] = [[1, -1, 2], [-1, 1, -2]]
     keys[2, :2] = 9  # a key whose rows cancel
-    stores = SparseCounts.grouped(keys, rows)
+    stores = split_view(SparseCounts.grouped(keys, rows), 4)
     for r in range(4):
         want = SparseCounts(3)
         for k, row in zip(keys[r].tolist(), rows[r]):
@@ -550,7 +551,7 @@ def test_sparse_counts_grouped_equals_added_rows():
         assert stores[r].to_bytes() == want.to_bytes()
     assert [9, 9] not in stores[2].keys.tolist()
     empty = SparseCounts.grouped(np.zeros((2, 0, 3), dtype=np.uint64), np.zeros((2, 0, 1), dtype=np.int64))
-    assert [len(st) for st in empty] == [0, 0] and empty[0].width == 1
+    assert [len(st) for st in split_view(empty, 2)] == [0, 0] and empty.width == 1
 
 
 def test_count_view_bytes_equal_store_bytes():
