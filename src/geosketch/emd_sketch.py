@@ -51,9 +51,8 @@ import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix, values_to_matrix
-from .quadtree import QuadtreeSpec, sample_quadtree
-from .offline import _decompose_pair
+from .points import HypercubePoint, PointMultiset, values_to_matrix
+from .quadtree import sample_quadtree
 from .sketches import (
     FAIL,
     CountView,
@@ -74,8 +73,6 @@ __all__ = [
     "EmdOnePassSketch",
     "EmdTwoPassSketch",
     "split_probability",
-    "reference_I_i",
-    "expected_split_probability",
 ]
 
 
@@ -161,13 +158,6 @@ def split_probability(C_u: PointMultiset, C_v: PointMultiset, S: CharacterSet) -
 
     qu, qv = (sum(c for p, c in ms.items() if S.eval(p) == 1) / ms.total for ms in (C_u, C_v))
     return qu * (1.0 - qv) + qv * (1.0 - qu)
-
-
-def expected_split_probability(dists: np.ndarray, weights: np.ndarray, rate: float) -> float:
-    """E_S[p_{u,v,S}] in closed form: a pair at distance D disagrees with
-    probability (1 - (1-2a)^D)/2 over S with keep-rate a."""
-    rho = (1.0 - (1.0 - 2.0 * rate) ** dists) / 2.0
-    return float((rho * weights).sum() / weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -688,36 +678,3 @@ class EmdTwoPassSketch(_EmdSketchBase):
             raise RuntimeError("call finalize_pass1() and feed pass 2 first")
         etas = self._read_levels(self.pass2, lambda rep, v: rep.eta("two_pass", v))
         return sum(float(np.median(e)) for e in etas)
-
-
-# ---------------------------------------------------------------------------
-# exact reference (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def reference_I_i(
-    tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset, i: int, n: Optional[int] = None
-) -> float:
-    """Exact I_i computed offline: (2 Delta_i / alpha_i) E_{v,S}[p], with the
-    expectation over S evaluated in closed form per point pair."""
-    if len(A) != len(B):
-        raise ValueError("|A| != |B|")
-    if not 1 <= i <= tree.h:
-        raise ValueError(f"level must be in [1, {tree.h}]")
-    n = n if n is not None else len(A)
-    alpha = min(1.0, 2.0**i / (tree.d * log2n(n) ** 2))
-    dec = _decompose_pair(tree, A, B)
-    disc = np.abs(dec.sum_a[i] - dec.sum_b[i])
-    delta_i = float(disc.sum())
-    if delta_i == 0.0:
-        return 0.0
-    X = dec.X
-    wc = (dec.wa + dec.wb).astype(np.float64)
-    total = 0.0
-    for g in np.nonzero(disc)[0]:
-        rows_v = np.nonzero(dec.group_of[i] == g)[0]
-        rows_u = np.nonzero(dec.group_of[i - 1] == dec.parent[i][g])[0]
-        dists = hamming_matrix(X[rows_u], X[rows_v]).astype(np.float64)
-        wts = np.outer(wc[rows_u], wc[rows_v])
-        total += disc[g] * expected_split_probability(dists, wts, alpha)
-    return (2.0 / alpha) * total

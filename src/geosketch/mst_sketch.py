@@ -63,15 +63,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, hamming_matrix, points_to_matrix
-from .quadtree import QuadtreeSpec
-from .offline import LevelDecomposition
+from .points import HypercubePoint
 from .sketches import (
     CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
 )
@@ -80,7 +78,6 @@ from .emd_sketch import _SketchConfig, _TreeSketch, log2n
 __all__ = [
     "MstSketchConfig",
     "MstSketch",
-    "reference_level_quantities",
 ]
 
 _P61 = (1 << 61) - 1  # point fingerprints lie in [1, _P61 - 1]
@@ -542,35 +539,3 @@ class MstSketch(_TreeSketch):
             if ell > 1.5:
                 total += ell * (self.level_mu(i, view) + self.cfg.d / 2.0**i)
         return total
-
-
-def reference_level_quantities(
-    tree: QuadtreeSpec, X: PointMultiset, i: int
-) -> Tuple[int, float]:
-    """Exact (|L_i|, E_{v ~ L_i}[ ||r_v - c_{pi(v)}||_1 ]) where r_v is
-    uniform over the distinct points of X_v and the parent representative is
-    drawn by picking a uniform child v' of pi(v), then a uniform point of
-    X_{v'} (test oracle; enumerated in closed form)."""
-    if len(X) < 1:
-        raise ValueError("X must be non-empty")
-    if not 1 <= i <= tree.h:
-        raise ValueError(f"level must be in [1, {tree.h}]")
-    mx, _ = points_to_matrix(X)
-    dec = LevelDecomposition(tree, mx, np.ones(mx.shape[0], dtype=np.int64),
-                             np.zeros(mx.shape[0], dtype=np.int64))
-    g = dec.node_count(i)
-    if g == 0:
-        return 0, 0.0
-    rows_of = [np.nonzero(dec.group_of[i] == gi)[0] for gi in range(g)]
-    children_of: Dict[int, List[int]] = {}
-    for gi in range(g):
-        children_of.setdefault(int(dec.parent[i][gi]), []).append(gi)
-    total = 0.0
-    for gi in range(g):
-        sibs = children_of[int(dec.parent[i][gi])]
-        inner = 0.0
-        for gj in sibs:
-            dmat = hamming_matrix(mx[rows_of[gi]], mx[rows_of[gj]])
-            inner += float(dmat.mean())
-        total += inner / len(sibs)
-    return g, total / g

@@ -1,8 +1,17 @@
-"""Offline quantities on a fixed quadtree, plus exact EMD/MST oracles.
+"""Exact offline quantities on a fixed quadtree, and the exact EMD/MST oracles.
 
-Everything here sees the full input (no streaming): depth-greedy matchings
-and spanning trees, the tree values that sandwich EMD/MST, inspector
-payments, and brute-force optima used as test oracles.
+Everything here sees the full input (no streaming):
+- `LevelDecomposition` groups the distinct points of A u B (or of one set)
+  by quadtree node. Its `level_table` is the one home of the exact
+  per-level quantities: Delta_i, E_S[p], I_i, |L_i|, mu_i and the EMD and
+  MST tree-value terms. `reference_I_i`, `reference_level_quantities`,
+  `value_emd` and `value_mst` read it; the values read only the closed-form
+  tree columns, so they never build the pairwise matrix.
+- `exact_emd` and `exact_mst` are the brute-force optima behind `--oracle`.
+- The depth-greedy matchings and spanning trees and the inspector payments
+  are called only by tests. They stay as the references the paper's
+  sandwich lemmas are tested against: matching cost <= tree value <=
+  2 x payment, and spanning-tree cost / 2 <= tree value.
 
 Average inter-node distances are computed in closed form per coordinate from
 bit-count accumulators: for uniform c ~ C_u, c' ~ C_v,
@@ -13,16 +22,18 @@ with p_k the fraction of points in the node whose bit k is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .emd_sketch import log2n
 from .points import (
     HypercubePoint,
     PointMultiset,
     hamming_distance,
     hamming_matrix,
     points_to_matrix,
+    values_to_matrix,
 )
 from .quadtree import QuadtreeSpec
 
@@ -30,6 +41,10 @@ __all__ = [
     "Matching",
     "SpanningTree",
     "LevelDecomposition",
+    "LevelTable",
+    "expected_split_probability",
+    "reference_I_i",
+    "reference_level_quantities",
     "depth_greedy_matching",
     "matching_cost",
     "value_emd",
@@ -60,23 +75,50 @@ class SpanningTree:
     edges: List[Tuple[HypercubePoint, HypercubePoint, int]]
 
 
-class LevelDecomposition:
-    """Per-depth grouping of a weighted point matrix by quadtree node.
+def _disagree(dists: np.ndarray, rate: float) -> np.ndarray:
+    """Pr_S[chi_S(x) != chi_S(y)] at ||x - y||_1 = D, S keeping each coordinate
+    with probability rate: (1 - (1 - 2 rate)^D) / 2."""
+    return (1.0 - (1.0 - 2.0 * rate) ** dists) / 2.0
 
-    For each depth i it stores, per non-empty node: the member row indices,
-    the two weight totals (e.g. |A_v| and |B_v|), the weighted bit-count
-    vector of C_v = A_v u B_v, and the index of the parent group at depth
-    i-1. Children partition parents by construction.
+
+def expected_split_probability(dists: np.ndarray, weights: np.ndarray, rate: float) -> float:
+    """E_S[p] over weighted point pairs at Hamming distances dists."""
+    return float((_disagree(dists, rate) * weights).sum() / weights.sum())
+
+
+@dataclass
+class LevelTable:
+    """Exact per-level quantities; entry i - 1 of each array is level i."""
+
+    delta: np.ndarray  # Delta_i = sum_v ||A_v| - |B_v||
+    esp: np.ndarray  # E_S[p_{pi(v), v, S}], v weighted by its discrepancy (0 if Delta_i = 0)
+    I: np.ndarray  # I_i = (2 Delta_i / alpha_i) E_S[p]
+    ell: np.ndarray  # |L_i|, the non-empty nodes
+    mu: np.ndarray  # E_{v ~ L_i} ||r_v - c_pi(v)||_1 (`reference_level_quantities`)
+    tree_emd: np.ndarray  # sum_v ||A_v| - |B_v|| avg_{pi(v), v}
+    tree_mst: np.ndarray  # sum_v avg_{pi(v), v} where |L_i| > 1, else 0
+
+
+class LevelDecomposition:
+    """Per-depth grouping of the distinct points of A u B by quadtree node.
+
+    Row r of X is a distinct point (rows sorted by packed value) with
+    multiplicity wa[r] in A and wb[r] in B; B is empty when one set X is
+    decomposed. For each depth i it stores each row's node (group) index and,
+    per non-empty node: the two weight totals |A_v| and |B_v|, the weighted
+    bit-count vector of C_v = A_v u B_v, and the index of the parent group at
+    depth i-1. Children partition parents by construction.
     """
 
-    def __init__(self, tree: QuadtreeSpec, X: np.ndarray, wa: np.ndarray, wb: np.ndarray):
+    def __init__(self, tree: QuadtreeSpec, A: PointMultiset, B: Optional[PointMultiset] = None):
+        ca, cb = dict(A.items()), dict(B.items()) if B is not None else {}
+        pts = sorted(ca.keys() | cb.keys(), key=lambda p: p.value)
         self.tree = tree
-        self.X = np.asarray(X, dtype=np.uint8)
-        self.wa = np.asarray(wa, dtype=np.int64)
-        self.wb = np.asarray(wb, dtype=np.int64)
+        self.X = values_to_matrix([p.value for p in pts], tree.d)
+        self.wa = np.array([ca.get(p, 0) for p in pts], dtype=np.int64)
+        self.wb = np.array([cb.get(p, 0) for p in pts], dtype=np.int64)
         self.h = tree.h
-        n = self.X.shape[0]
-        path = tree.node_path(self.X) if n else np.zeros((0, self.h + 1, 2), np.uint64)
+        path = tree.node_path(self.X)
         wc = (self.wa + self.wb).astype(np.float64)
 
         self.group_of: List[np.ndarray] = []  # depth -> group index per row
@@ -86,30 +128,18 @@ class LevelDecomposition:
         self.bitsum: List[np.ndarray] = []  # depth -> (g, d) weighted bit counts
         self.parent: List[np.ndarray] = []  # depth -> parent group index (depth-1)
         for i in range(self.h + 1):
-            fps, inv = (
-                np.unique(path[:, i, :], axis=0, return_inverse=True)
-                if n
-                else (np.zeros((0, 2), np.uint64), np.zeros(0, np.int64))
-            )
-            inv = inv.reshape(-1)
-            g = fps.shape[0]
-            sa = np.zeros(g)
-            sb = np.zeros(g)
+            fps, inv = np.unique(path[:, i, :], axis=0, return_inverse=True)
+            inv, g = inv.reshape(-1), fps.shape[0]
             bs = np.zeros((g, tree.d))
-            np.add.at(sa, inv, self.wa)
-            np.add.at(sb, inv, self.wb)
             np.add.at(bs, inv, self.X * wc[:, None])
+            par = np.zeros(g, dtype=np.int64)
+            par[inv] = self.group_of[i - 1] if i else 0
             self.group_of.append(inv)
             self.fp.append(fps)
-            self.sum_a.append(sa)
-            self.sum_b.append(sb)
+            self.sum_a.append(np.bincount(inv, self.wa, g))
+            self.sum_b.append(np.bincount(inv, self.wb, g))
             self.bitsum.append(bs)
-            if i == 0:
-                self.parent.append(np.zeros(g, dtype=np.int64))
-            else:
-                par = np.zeros(g, dtype=np.int64)
-                par[inv] = self.group_of[i - 1]
-                self.parent.append(par)
+            self.parent.append(par)
 
     def node_count(self, i: int) -> int:
         return self.fp[i].shape[0]
@@ -125,34 +155,60 @@ class LevelDecomposition:
         pv = self.bit_fraction(i)
         return (pu * (1.0 - pv) + pv * (1.0 - pu)).sum(axis=1)
 
+    def tree_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The EMD and the MST tree-value terms of levels 1..h, in closed form
+        from the bit counts: O(n d) per level, no pairwise matrix."""
+        emd, mst = np.zeros(self.h), np.zeros(self.h)
+        for i in range(1, self.h + 1):
+            avg = self.edge_avgs(i)
+            emd[i - 1] = (np.abs(self.sum_a[i] - self.sum_b[i]) * avg).sum()
+            mst[i - 1] = avg.sum() if self.node_count(i) > 1 else 0.0
+        return emd, mst
 
-def _decompose_pair(
-    tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset
-) -> LevelDecomposition:
-    ma, ca = points_to_matrix(A)
-    mb, cb = points_to_matrix(B)
-    X = np.vstack([ma, mb])
-    wa = np.concatenate([ca, np.zeros(len(cb), np.int64)])
-    wb = np.concatenate([np.zeros(len(ca), np.int64), cb])
-    return LevelDecomposition(tree, X, wa, wb)
+    def level_table(self) -> LevelTable:
+        """The exact per-level quantities of levels 1..h.
 
-
-def _decompose_single(tree: QuadtreeSpec, X: PointMultiset) -> LevelDecomposition:
-    mx, cx = points_to_matrix(X)
-    return LevelDecomposition(tree, mx, cx, np.zeros(len(cx), np.int64))
+        The pairwise columns read one Hamming matrix D over the rows. At
+        level i, D is masked to the pairs under one depth-(i-1) node, so that
+        a column sum over it runs over the population of a row's parent, and
+        a node's pair sums are grouped sums of its rows:
+        - E_S[p] of node v is sum_{r in pi(v), s in v} w_r w_s rho(D_rs) /
+          (|C_pi(v)| |C_v|), with w the multiplicities in A u B and rho the
+          closed form (`_disagree`) at rate alpha_i = 2^i / (d log^2 |A|);
+        - |L_i| mu_i is sum_v (1 / k_pi(v)) sum_{v' sibling of v} of the mean
+          of D over X_v x X_v', each distinct point weighted 1, with k_u the
+          number of children of u.
+        """
+        h, d, n = self.h, self.tree.d, int(self.wa.sum())
+        D = hamming_matrix(self.X, self.X)
+        wc = (self.wa + self.wb).astype(np.float64)
+        ell = np.array([self.node_count(i) for i in range(1, h + 1)])
+        delta, esp, I, mu = (np.zeros(h) for _ in range(4))
+        for i in range(1, h + 1):
+            g, up, par = self.group_of[i], self.group_of[i - 1], self.parent[i]
+            Dm = np.where(up[:, None] == up[None, :], D, 0)
+            alpha = min(1.0, 2.0**i / (d * log2n(n) ** 2))
+            tot = self.sum_a[i] + self.sum_b[i]
+            tot_up = self.sum_a[i - 1] + self.sum_b[i - 1]
+            pair = np.bincount(g, wc * (wc @ _disagree(np.arange(d + 1), alpha)[Dm]),
+                               minlength=len(tot))
+            disc = np.abs(self.sum_a[i] - self.sum_b[i])
+            total = float((disc * pair / (tot_up[par] * tot)).sum())
+            delta[i - 1] = disc.sum()
+            esp[i - 1] = total / delta[i - 1] if delta[i - 1] else 0.0
+            I[i - 1] = (2.0 / alpha) * total
+            # unit weight per distinct point: 1 / |X_v| for each row of v
+            w = 1.0 / np.bincount(g)[g]
+            kids = np.bincount(par)[up]
+            mu[i - 1] = (w / kids) @ (Dm @ w) / max(ell[i - 1], 1)
+        return LevelTable(delta, esp, I, ell, mu, *self.tree_terms())
 
 
 def value_emd(tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset) -> float:
     """Value of (A, B) in the tree: sum over edges of discrepancy x avg."""
     if len(A) != len(B):
         raise ValueError(f"|A| = {len(A)} != |B| = {len(B)}")
-    dec = _decompose_pair(tree, A, B)
-    total = 0.0
-    for i in range(1, tree.h + 1):
-        disc = np.abs(dec.sum_a[i] - dec.sum_b[i])
-        if disc.any():
-            total += float((disc * dec.edge_avgs(i)).sum())
-    return total
+    return float(LevelDecomposition(tree, A, B).tree_terms()[0].sum())
 
 
 def value_mst(tree: QuadtreeSpec, X: PointMultiset) -> float:
@@ -160,12 +216,32 @@ def value_mst(tree: QuadtreeSpec, X: PointMultiset) -> float:
     sum over nodes of the parent-child average distance."""
     if len(X) < 1:
         raise ValueError("X must be non-empty")
-    dec = _decompose_single(tree, X)
-    total = 0.0
-    for i in range(1, tree.h + 1):
-        if dec.node_count(i) > 1:
-            total += float(dec.edge_avgs(i).sum())
-    return total
+    return float(LevelDecomposition(tree, X).tree_terms()[1].sum())
+
+
+def reference_I_i(tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset, i: int) -> float:
+    """Exact I_i = (2 Delta_i / alpha_i) E_{v,S}[p], with alpha_i set by n =
+    |A| (test oracle; the `level_table` column)."""
+    if len(A) != len(B):
+        raise ValueError("|A| != |B|")
+    if not 1 <= i <= tree.h:
+        raise ValueError(f"level must be in [1, {tree.h}]")
+    return float(LevelDecomposition(tree, A, B).level_table().I[i - 1])
+
+
+def reference_level_quantities(
+    tree: QuadtreeSpec, X: PointMultiset, i: int
+) -> Tuple[int, float]:
+    """Exact (|L_i|, E_{v ~ L_i}[ ||r_v - c_{pi(v)}||_1 ]) where r_v is
+    uniform over the distinct points of X_v and the parent representative is
+    drawn by picking a uniform child v' of pi(v), then a uniform point of
+    X_{v'} (test oracle; the `level_table` columns)."""
+    if len(X) < 1:
+        raise ValueError("X must be non-empty")
+    if not 1 <= i <= tree.h:
+        raise ValueError(f"level must be in [1, {tree.h}]")
+    table = LevelDecomposition(tree, X).level_table()
+    return int(table.ell[i - 1]), float(table.mu[i - 1])
 
 
 def depth_greedy_matching(
@@ -176,11 +252,11 @@ def depth_greedy_matching(
     Within every node, surviving points of the two sides are paired off; the
     number of pairs matched strictly above any node v is then exactly
     ||A_v| - |B_v||. Determinism: children are merged in ascending
-    fingerprint order, survivors keep (sorted point, input) order.
+    fingerprint order, survivors keep sorted point order.
     """
     if len(A) != len(B):
         raise ValueError(f"|A| = {len(A)} != |B| = {len(B)}")
-    dec = _decompose_pair(tree, A, B)
+    dec = LevelDecomposition(tree, A, B)
     X = dec.X
     n_rows = X.shape[0]
     pts = [HypercubePoint.from_bits(X[r]) for r in range(n_rows)]
@@ -283,7 +359,7 @@ def inspector_payment(
     """Total charge of the pair (a, b) against the population C: at every
     depth where their nodes differ, pay the average distances to their
     depth-(i-1) node populations."""
-    return _payment_with_dec(_decompose_single(tree, C), tree, a, b)
+    return _payment_with_dec(LevelDecomposition(tree, C), tree, a, b)
 
 
 def total_inspector_payment(
@@ -291,7 +367,7 @@ def total_inspector_payment(
 ) -> float:
     """Sum of inspector payments over the pairs of a matching (with
     multiplicity), decomposing C only once."""
-    dec = _decompose_single(tree, C)
+    dec = LevelDecomposition(tree, C)
     return sum(c * _payment_with_dec(dec, tree, a, b) for a, b, c in m.pairs)
 
 

@@ -27,7 +27,8 @@ from geosketch import (
     cauchy_l1,
 )
 from geosketch import emd_sketch
-from geosketch.emd_sketch import expected_split_probability, log2n, replica_node_ids
+from geosketch.emd_sketch import log2n, replica_node_ids
+from geosketch.offline import expected_split_probability
 from geosketch.quadtree import QuadtreeSpec
 
 from conftest import (

@@ -102,3 +102,27 @@ def test_every_definition_is_read(path, read_names):
         if name.rpartition(".")[2] not in read_names
     )
     assert not unread, f"{path.name} defines names nothing reads: {', '.join(unread)}"
+
+
+def _imports_offline(tree: ast.Module) -> bool:
+    """Whether a module imports `offline`, in any of the forms `from
+    .offline import ...`, `from . import offline` or `import
+    geosketch.offline`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.rpartition(".")[2] == "offline" or (
+                module in ("", "geosketch") and any(a.name == "offline" for a in node.names)
+            ):
+                return True
+        elif isinstance(node, ast.Import) and any(a.name == "geosketch.offline" for a in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_imports_offline():
+    """The exact oracles and the level table sit above the sketches: no
+    module but the CLI and the package's namespace imports `offline`, so a
+    sketch never depends on the code it is checked against."""
+    importers = [p.name for p in MODULES if _imports_offline(ast.parse(p.read_text()))]
+    assert set(importers) <= {"cli.py", "__init__.py"}, importers

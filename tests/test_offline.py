@@ -8,6 +8,7 @@ from geosketch import (
     depth_greedy_spanning_tree,
     exact_emd,
     exact_mst,
+    hamming_distance,
     inspector_payment,
     lca_depth,
     matching_cost,
@@ -17,6 +18,8 @@ from geosketch import (
     value_emd,
     value_mst,
 )
+from geosketch.emd_sketch import log2n
+from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.points import points_to_matrix, hamming_matrix
 
 from conftest import random_multiset, random_pair
@@ -143,9 +146,7 @@ def test_matching_is_depth_greedy_class_member():
         # count pairs whose LCA depth < i but both endpoints in the node at
         # depth i, for every node: compare against the discrepancy via a
         # per-depth census
-        from geosketch.offline import _decompose_pair
-
-        dec = _decompose_pair(t, A, B)
+        dec = LevelDecomposition(t, A, B)
         for i in range(1, t.h + 1):
             disc = np.abs(dec.sum_a[i] - dec.sum_b[i])
             fps = dec.fp[i]
@@ -222,11 +223,9 @@ def test_value_emd_sandwich_with_oracle():
 
 def test_avg_formula_matches_sampling(rng):
     """Closed-form per-coordinate avg equals Monte-Carlo pair sampling."""
-    from geosketch.offline import _decompose_pair
-
     A, B = random_pair(12, 8, 77)
     t = sample_quadtree(8, seed=13)
-    dec = _decompose_pair(t, A, B)
+    dec = LevelDecomposition(t, A, B)
     i = 2
     avgs = dec.edge_avgs(i)
     X = dec.X
@@ -345,3 +344,96 @@ def test_value_bounded_by_payments():
         m = depth_greedy_matching(t, A, B)
         total = total_inspector_payment(t, m, C)
         assert value_emd(t, A, B) <= 2 * total + 1e-9
+
+
+# -- the level table ------------------------------------------------------------
+
+
+def _enumerated_levels(t, A, B):
+    """Rows (Delta_i, E_S[p], I_i, |L_i|, mu_i, EMD tree term, MST tree term)
+    of levels 1..h, by explicit enumeration of the nodes and sibling pairs,
+    the definitions the level table computes in grouped sums. Points are the
+    distinct points of A u B, weighted by multiplicity in E_S[p] and the
+    tree terms and by one in mu_i."""
+    wa, wb = dict(A.items()), dict(B.items())
+    pts = wa.keys() | wb.keys()
+    w = {p: wa.get(p, 0) + wb.get(p, 0) for p in pts}
+
+    def node(p, i):
+        return (i, *t.node_fingerprints(p.bits()[None, :], i)[0])
+
+    def dists(us, vs):
+        return np.array([[hamming_distance(u, v) for v in vs] for u in us], dtype=float)
+
+    rows = []
+    for i in range(1, t.h + 1):
+        alpha = min(1.0, 2.0**i / (t.d * log2n(len(A)) ** 2))
+        members, children = {}, {}
+        for p in pts:
+            members.setdefault(node(p, i - 1), []).append(p)
+            members.setdefault(node(p, i), []).append(p)
+            children.setdefault(node(p, i - 1), set()).add(node(p, i))
+        delta = total = tree_emd = tree_mst = mu = 0.0
+        nodes = [v for kids in children.values() for v in kids]
+        for u, kids in children.items():
+            for v in kids:
+                cu, cv = members[u], members[v]
+                wts = np.outer([w[p] for p in cu], [w[p] for p in cv])
+                disc = abs(sum(wa.get(p, 0) for p in cv) - sum(wb.get(p, 0) for p in cv))
+                avg = float((dists(cu, cv) * wts).sum() / wts.sum())
+                delta += disc
+                if disc:
+                    total += disc * expected_split_probability(dists(cu, cv), wts, alpha)
+                tree_emd += disc * avg
+                tree_mst += avg if len(nodes) > 1 else 0.0
+                mu += sum(dists(cv, members[s]).mean() for s in kids) / len(kids)
+        rows.append((delta, total / delta if delta else 0.0, 2.0 / alpha * total,
+                     len(nodes), mu / len(nodes), tree_emd, tree_mst))
+    return np.array(rows)
+
+
+def _table_instances():
+    """Random pairs whose points repeat and are shared by A and B, pairs
+    that differ in one point by one bit (Delta_i = 0 above their split),
+    single sets (B empty, as `value_mst` decomposes X) and single points."""
+    rng = np.random.default_rng(2111)
+    for s in range(30):
+        d = (8, 16)[s % 2]
+        support = [HypercubePoint.from_bits(rng.integers(0, 2, d)) for _ in range(6)]
+        A, B = PointMultiset(d), PointMultiset(d)
+        for _ in range(12):
+            A.add(support[rng.integers(6)])
+            B.add(support[rng.integers(6)])
+        if s % 3 == 0:
+            B = PointMultiset(d)
+            for p, c in A.items():
+                B.add(p, c)
+            x = next(iter(A.support()))
+            flipped = x.bits()
+            flipped[rng.integers(d)] ^= 1
+            B.add(x, -1)
+            B.add(HypercubePoint.from_bits(flipped))
+        yield sample_quadtree(d, seed=s), A, B if s % 5 else PointMultiset(d)
+    x = HypercubePoint.from_bits(rng.integers(0, 2, 8))
+    for B in (pm(x), pm(HypercubePoint.from_bits(1 - x.bits())), PointMultiset(8)):
+        yield sample_quadtree(8, seed=99), pm(x), B
+
+
+def test_level_table_matches_enumeration():
+    """Every column of the level table equals the per-node enumeration of
+    its definition, at relative error 1e-12, on instances that cover
+    points in both A and B, multiplicities above 1, levels with Delta_i = 0
+    and with Delta_i > 0, one set alone and a single point."""
+    seen = set()
+    for t, A, B in _table_instances():
+        want = _enumerated_levels(t, A, B)
+        got = LevelDecomposition(t, A, B).level_table()
+        cols = np.column_stack([got.delta, got.esp, got.I, got.ell, got.mu,
+                                got.tree_emd, got.tree_mst])
+        np.testing.assert_allclose(cols, want, rtol=1e-12, atol=0)
+        seen |= {"shared" if A.support() & B.support() else None,
+                 "repeated" if max(c for _, c in A.items()) > 1 else None,
+                 "alone" if len(B) == 0 else None,
+                 "single" if len(A) == 1 else None}
+        seen |= {"zero delta" if dl == 0 else "positive delta" for dl in got.delta}
+    assert {"shared", "repeated", "alone", "single", "zero delta", "positive delta"} <= seen
