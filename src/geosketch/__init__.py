@@ -16,8 +16,6 @@ from .offline import (
     exact_mst,
     inspector_payment,
     matching_cost,
-    reference_I_i,
-    reference_level_quantities,
     spanning_tree_cost,
     total_inspector_payment,
     value_emd,
@@ -42,7 +40,7 @@ from .emd_sketch import (
 )
 from .mst_sketch import MstSketch, MstSketchConfig
 from .streamio import (
-    TurnstileUpdate,
+    Stream,
     aggregate,
     parse_stream,
     parse_stream_binary,
@@ -58,14 +56,13 @@ __all__ = [
     "QuadtreeSpec", "lca_depth", "sample_quadtree",
     "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
     "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
-    "total_inspector_payment", "value_emd", "value_mst", "reference_I_i",
-    "reference_level_quantities",
+    "total_inspector_payment", "value_emd", "value_mst",
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",
     "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
     "split_probability",
     "MstSketch", "MstSketchConfig",
-    "TurnstileUpdate", "aggregate", "parse_stream", "parse_stream_binary",
+    "Stream", "aggregate", "parse_stream", "parse_stream_binary",
     "write_stream", "write_stream_binary",
     "GeneratedInstance", "gen_instance", "rm1_codewords",
     "EstimateReport", "run_estimator",

@@ -1,15 +1,16 @@
 """Turnstile-stream command line: run estimators, generate instances.
 
     geosketch run  --problem {emd,mst} [--passes {1,2}] [--eps E (EMD)] [--seed S]
-                   [--oracle] [--config cfg.json] [--format {text,bin}]
-                   [--report out.json] [--csv out.csv] STREAM
+                   [--oracle] [--config cfg.json] [--report out.json]
+                   [--csv out.csv] STREAM
     geosketch gen  --kind KIND --n N --d D [--seed S] [--param k=v ...]
                    [--format {text,bin}] [--out FILE]
 
-Reports are machine-readable JSON. The environment variable GEOSKETCH_SEED
-overrides any configured seed. A dimension that is not a power of two is
-zero-padded to the next one, which changes no distance. Bad input is
-reported as `geosketch: error: <message>` with exit status 2.
+`run` reads a stream as binary if it starts with the magic `GSK1`, else as
+text. Reports are machine-readable JSON. The environment variable
+GEOSKETCH_SEED overrides any configured seed. A dimension that is not a
+power of two is zero-padded to the next one, which changes no distance. Bad
+input is reported as `geosketch: error: <message>` with exit status 2.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch
 from .generators import gen_instance
 from .mst_sketch import MstSketch, MstSketchConfig, SamplesFailed
 from .offline import EMD_ORACLE_CAP, MST_ORACLE_CAP, exact_emd, exact_mst
-from .points import HypercubePoint, PointMultiset
 from .streamio import (
-    TurnstileUpdate,
+    Stream,
     aggregate,
     parse_stream,
     parse_stream_binary,
@@ -74,18 +74,8 @@ def _feed_emd(sk, A, B, second_pass: bool = False):
         up(p, "B", c)
 
 
-def _pad(ms: PointMultiset) -> PointMultiset:
-    """ms with every point zero-padded on the right to the next power-of-two
-    dimension, which the quadtree needs; Hamming distances are unchanged."""
-    d = 1 << (ms.d - 1).bit_length()
-    out = PointMultiset(d)
-    for p, c in ms.items():
-        out.add(HypercubePoint(d, p.value << (d - ms.d)), c)
-    return out
-
-
 def run_estimator(
-    updates: List[TurnstileUpdate],
+    stream: Stream,
     problem: str,
     passes: int = 1,
     eps: float = _EPS,
@@ -94,9 +84,9 @@ def run_estimator(
     emd_config: Optional[EmdSketchConfig] = None,
     mst_config: Optional[MstSketchConfig] = None,
 ) -> EstimateReport:
-    """Aggregate the stream (estimates are unchanged, by linearity), pad the
-    points to a power-of-two dimension, run the requested estimator, and
-    optionally the exact oracle. The report keeps the input dimension and
+    """Pad the stream's points to a power-of-two dimension (`Stream.padded`),
+    aggregate it (estimates are unchanged, by linearity), run the requested
+    estimator, and optionally the exact oracle. The report keeps the input dimension and
     the eps the estimate used: the EMD config's (`emd_config` if given, else
     `eps`), or the 1/2 at which every MST sketch is built
     (`MstSketchConfig.eps`; the MST estimator reads no `eps`). A stream
@@ -106,7 +96,7 @@ def run_estimator(
     if problem not in _LABELS:
         raise ValueError(f"unknown problem {problem!r}")
     t0 = time.monotonic()
-    nets = aggregate(updates)
+    nets = aggregate(stream.padded(1 << (stream.d - 1).bit_length()))
     unread = sorted(set(nets) - set(_LABELS[problem]))
     if unread:
         raise ValueError(f"{problem.upper()} streams read labels {', '.join(_LABELS[problem])} "
@@ -116,8 +106,7 @@ def run_estimator(
         B = nets.get("B")
         if A is None or B is None or len(A) != len(B) or len(A) == 0:
             raise ValueError("EMD streams must end with non-empty |A| = |B|")
-        n, d = len(A), A.d
-        A, B = _pad(A), _pad(B)
+        n = len(A)
         cfg = emd_config or EmdSketchConfig(n=n, d=A.d, eps=eps, seed=seed)
         if passes == 2:
             sk = EmdTwoPassSketch(cfg)
@@ -137,8 +126,7 @@ def run_estimator(
         X = nets.get("X")
         if X is None or len(X) == 0:
             raise ValueError("MST streams must end with a non-empty X")
-        n, d = len(X), X.d
-        X = _pad(X)
+        n = len(X)
         cfg = mst_config or MstSketchConfig(n=n, d=X.d, seed=seed)
         sk = MstSketch(cfg)
         for p, c in X.items():
@@ -150,7 +138,7 @@ def run_estimator(
         problem=problem,
         estimate=float(estimate),
         n=n,
-        d=d,
+        d=stream.d,
         eps=cfg.eps,  # the eps the estimate used
         seeds={"config": cfg.seed, "tree": sk.tree.seed},
         wall_time_s=round(time.monotonic() - t0, 6),
@@ -160,13 +148,13 @@ def run_estimator(
     return report
 
 
-def _read_updates(path: str, fmt: str) -> List[TurnstileUpdate]:
+def _read_stream(path: str) -> Stream:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as f:
             data = f.read()
-    if fmt == "bin" or (fmt == "auto" and data[:4] == b"GSK1"):
+    if data[:4] == b"GSK1":
         return parse_stream_binary(data)
     return parse_stream(data)
 
@@ -204,10 +192,10 @@ def _cmd_run(args) -> int:
             emd_cfg = EmdSketchConfig.from_json(json.dumps(obj))
         else:
             mst_cfg = MstSketchConfig.from_json(json.dumps(obj))
-    updates = _read_updates(args.stream, args.format)
+    stream = _read_stream(args.stream)
     try:
         report = run_estimator(
-            updates,
+            stream,
             problem=args.problem,
             passes=args.passes,
             eps=_EPS if args.eps is None else args.eps,
@@ -281,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="also compute the exact value (size-capped)")
     run.add_argument("--config", help="estimator config JSON")
-    run.add_argument("--format", choices=["auto", "text", "bin"], default="auto")
     run.add_argument("--report", help="write the JSON report here too")
     run.add_argument("--csv", help="append a CSV row here")
     run.set_defaults(func=_cmd_run)

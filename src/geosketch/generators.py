@@ -14,20 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from .points import HypercubePoint
-from .streamio import TurnstileUpdate
+from .streamio import Stream
 
 __all__ = ["GeneratedInstance", "gen_instance", "rm1_codewords"]
 
 
 @dataclass
 class GeneratedInstance:
+    """One instance: `updates` is its `Stream` (insertions only, label by
+    label), and `meta` its parameters, which `gen` writes as comments."""
+
     kind: str
-    updates: List[TurnstileUpdate]
+    updates: Stream
     meta: Dict[str, object] = field(default_factory=dict)
 
 
@@ -41,14 +43,6 @@ def rm1_codewords(d: int) -> np.ndarray:
     basis = np.vstack([basis, np.ones((1, d), np.uint8)])
     sel = ((np.arange(2 * d)[:, None] >> np.arange(m + 1)[None, :]) & 1).astype(np.uint8)
     return (sel @ basis) % 2
-
-
-def _points_of(mat: np.ndarray) -> List[HypercubePoint]:
-    return [HypercubePoint.from_bits(row) for row in mat]
-
-
-def _insertions(mat: np.ndarray, label: str) -> List[TurnstileUpdate]:
-    return [TurnstileUpdate(1, label, p) for p in _points_of(mat)]
 
 
 def _cluster_shape(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,7 +99,7 @@ def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedIns
 
     if kind == "uniform":
         X = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
-        return GeneratedInstance(kind, _insertions(X, "X"), {"n": n, "d": d})
+        return GeneratedInstance(kind, Stream.insertions(X=X), {"n": n, "d": d})
 
     if kind == "clustered":
         k = int(params.get("k", 4))
@@ -113,14 +107,13 @@ def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedIns
         who = rng.integers(0, k, size=n)
         noise = (rng.random((n, d)) < 1.0 / 16).astype(np.uint8)
         X = centers[who] ^ noise
-        return GeneratedInstance(kind, _insertions(X, "X"), {"n": n, "d": d, "k": k})
+        return GeneratedInstance(kind, Stream.insertions(X=X), {"n": n, "d": d, "k": k})
 
     if kind == "matched_noise":
         eps = float(params.get("eps", 0.1))
         A = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
         B = A ^ (rng.random((n, d)) < eps).astype(np.uint8)
-        ups = _insertions(A, "A") + _insertions(B, "B")
-        return GeneratedInstance(kind, ups, {"n": n, "d": d, "eps": eps})
+        return GeneratedInstance(kind, Stream.insertions(A=A, B=B), {"n": n, "d": d, "eps": eps})
 
     # hard_mst and hard_emd: a chain of k cluster centers; hard_emd's two
     # clusters are A and B.
@@ -137,7 +130,6 @@ def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedIns
             xs.append(rng.integers(0, 2, size=d).astype(np.uint8))
     meta = {"n": n, "d": d, "k": k, "alpha": alpha, "eps": eps, "Z": z}
     if kind == "hard_mst":
-        return GeneratedInstance(kind, _insertions(np.vstack([shape ^ x for x in xs]), "X"), meta)
+        return GeneratedInstance(kind, Stream.insertions(X=np.vstack([shape ^ x for x in xs])), meta)
     del meta["k"]
-    ups = _insertions(shape ^ xs[0], "A") + _insertions(shape ^ xs[1], "B")
-    return GeneratedInstance(kind, ups, meta)
+    return GeneratedInstance(kind, Stream.insertions(A=shape ^ xs[0], B=shape ^ xs[1]), meta)

@@ -4,9 +4,8 @@ Everything here sees the full input (no streaming):
 - `LevelDecomposition` groups the distinct points of A u B (or of one set)
   by quadtree node. Its `level_table` is the one home of the exact
   per-level quantities: Delta_i, E_S[p], I_i, |L_i|, mu_i and the EMD and
-  MST tree-value terms. `reference_I_i`, `reference_level_quantities`,
-  `value_emd` and `value_mst` read it; the values read only the closed-form
-  tree columns, so they never build the pairwise matrix.
+  MST tree-value terms. `value_emd` and `value_mst` read it; they read only
+  the closed-form tree columns, so they never build the pairwise matrix.
 - `exact_emd` and `exact_mst` are the brute-force optima behind `--oracle`.
 - The depth-greedy matchings and spanning trees and the inspector payments
   are called only by tests. They stay as the references the paper's
@@ -43,8 +42,6 @@ __all__ = [
     "LevelDecomposition",
     "LevelTable",
     "expected_split_probability",
-    "reference_I_i",
-    "reference_level_quantities",
     "depth_greedy_matching",
     "matching_cost",
     "value_emd",
@@ -92,9 +89,12 @@ class LevelTable:
 
     delta: np.ndarray  # Delta_i = sum_v ||A_v| - |B_v||
     esp: np.ndarray  # E_S[p_{pi(v), v, S}], v weighted by its discrepancy (0 if Delta_i = 0)
-    I: np.ndarray  # I_i = (2 Delta_i / alpha_i) E_S[p]
+    I: np.ndarray  # I_i = (2 Delta_i / alpha_i) E_S[p], alpha_i set by n = |A|
     ell: np.ndarray  # |L_i|, the non-empty nodes
-    mu: np.ndarray  # E_{v ~ L_i} ||r_v - c_pi(v)||_1 (`reference_level_quantities`)
+    # mu_i = E_{v ~ L_i} ||r_v - c_pi(v)||_1, r_v uniform over the distinct
+    # points of X_v, and c_pi(v) a uniform point of X_v' for a uniform child
+    # v' of pi(v)
+    mu: np.ndarray
     tree_emd: np.ndarray  # sum_v ||A_v| - |B_v|| avg_{pi(v), v}
     tree_mst: np.ndarray  # sum_v avg_{pi(v), v} where |L_i| > 1, else 0
 
@@ -217,31 +217,6 @@ def value_mst(tree: QuadtreeSpec, X: PointMultiset) -> float:
     if len(X) < 1:
         raise ValueError("X must be non-empty")
     return float(LevelDecomposition(tree, X).tree_terms()[1].sum())
-
-
-def reference_I_i(tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset, i: int) -> float:
-    """Exact I_i = (2 Delta_i / alpha_i) E_{v,S}[p], with alpha_i set by n =
-    |A| (test oracle; the `level_table` column)."""
-    if len(A) != len(B):
-        raise ValueError("|A| != |B|")
-    if not 1 <= i <= tree.h:
-        raise ValueError(f"level must be in [1, {tree.h}]")
-    return float(LevelDecomposition(tree, A, B).level_table().I[i - 1])
-
-
-def reference_level_quantities(
-    tree: QuadtreeSpec, X: PointMultiset, i: int
-) -> Tuple[int, float]:
-    """Exact (|L_i|, E_{v ~ L_i}[ ||r_v - c_{pi(v)}||_1 ]) where r_v is
-    uniform over the distinct points of X_v and the parent representative is
-    drawn by picking a uniform child v' of pi(v), then a uniform point of
-    X_{v'} (test oracle; the `level_table` columns)."""
-    if len(X) < 1:
-        raise ValueError("X must be non-empty")
-    if not 1 <= i <= tree.h:
-        raise ValueError(f"level must be in [1, {tree.h}]")
-    table = LevelDecomposition(tree, X).level_table()
-    return int(table.ell[i - 1]), float(table.mu[i - 1])
 
 
 def depth_greedy_matching(

@@ -17,6 +17,7 @@ __all__ = [
     "PointMultiset",
     "hamming_distance",
     "hamming_matrix",
+    "packed_from_hex",
     "points_to_matrix",
     "values_to_matrix",
 ]
@@ -45,14 +46,8 @@ class HypercubePoint:
 
     @classmethod
     def from_hex(cls, s: str, d: int) -> "HypercubePoint":
-        """The point whose `to_hex` is s, in either case: ceil(d/4) hex
-        digits (no sign or `_`), left-aligned, with zero pad bits."""
-        nib, pad = (d + 3) // 4, -d % 4
-        value = int(s, 16) if len(s) == nib else -1
-        if value < 0 or format(value, f"0{nib}x") != s.lower() or value % (1 << pad):
-            raise ValueError(f"hex point for d={d} must be {nib} hex digits"
-                             + (f" ending in {pad} zero bits" if pad else "") + f", got {s!r}")
-        return cls(d, value >> pad)
+        """The point whose `to_hex` is s (`packed_from_hex`)."""
+        return cls(d, int.from_bytes(packed_from_hex(s, d), "big") >> (-d % 8))
 
     def to_hex(self) -> str:
         nib = (self.d + 3) // 4
@@ -61,6 +56,18 @@ class HypercubePoint:
     def bits(self) -> np.ndarray:
         """Coordinates as a uint8 array of length d."""
         return values_to_matrix([self.value], self.d)[0]
+
+
+def packed_from_hex(s: str, d: int) -> bytes:
+    """The point whose `to_hex` is s, packed most-significant-bit first in
+    ceil(d/8) bytes with zero pad bits. s is in either case: ceil(d/4) hex
+    digits (no sign or `_`), left-aligned, with zero pad bits."""
+    nib, pad = (d + 3) // 4, -d % 4
+    value = int(s, 16) if len(s) == nib else -1
+    if value < 0 or format(value, f"0{nib}x") != s.lower() or value % (1 << pad):
+        raise ValueError(f"hex point for d={d} must be {nib} hex digits"
+                         + (f" ending in {pad} zero bits" if pad else "") + f", got {s!r}")
+    return (value << 4 * (nib % 2)).to_bytes((d + 7) // 8, "big")
 
 
 def hamming_distance(x: HypercubePoint, y: HypercubePoint) -> int:

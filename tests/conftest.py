@@ -10,7 +10,7 @@ from geosketch.hashing import U64
 from geosketch import sketches as sk
 from geosketch import (
     FAIL, CharacterSet, CountView, EmdSketchConfig, HypercubePoint, L1Sampler, PointMultiset,
-    SparseCounts, cauchy_l1,
+    SparseCounts, Stream, cauchy_l1,
 )
 
 
@@ -29,6 +29,23 @@ def random_pair(n: int, d: int, seed: int, noise: float = 0.25):
     A = PointMultiset.from_points([HypercubePoint.from_bits(r) for r in a])
     B = PointMultiset.from_points([HypercubePoint.from_bits(r) for r in b])
     return A, B
+
+
+def stream_of(d: int, updates) -> Stream:
+    """The d-dimensional stream of (sign, label, packed value) updates, its
+    records built byte by byte: the sign and label characters, then the
+    value shifted to the top of ceil(d/8) big-endian bytes."""
+    nb = (d + 7) // 8
+    blob = b"".join(f"{'+' if sign > 0 else '-'}{label}".encode("ascii")
+                    + (value << (8 * nb - d)).to_bytes(nb, "big") for sign, label, value in updates)
+    return Stream(d, np.frombuffer(blob, np.uint8).reshape(-1, 2 + nb))
+
+
+def updates_of(stream: Stream) -> list:
+    """The (sign, label, packed value) of each record, decoded byte by byte."""
+    return [(1 if r[0] == ord("+") else -1, chr(r[1]),
+             int.from_bytes(bytes(r[2:]), "big") >> (-stream.d % 8))
+            for r in stream.records.tolist()]
 
 
 def view_of(store, k: int = 2) -> CountView:

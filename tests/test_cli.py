@@ -10,10 +10,11 @@ import pytest
 
 import geosketch
 from geosketch import (
-    HypercubePoint, MstSketchConfig, TurnstileUpdate, gen_instance, run_estimator,
-    write_stream, write_stream_binary,
+    MstSketchConfig, gen_instance, run_estimator, write_stream, write_stream_binary,
 )
 from geosketch.cli import main
+
+from conftest import stream_of, updates_of
 
 
 def test_python_m_geosketch_help():
@@ -72,12 +73,11 @@ def _run_cli(*args, stdin=None, env=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def _padded(updates, d):
-    """The updates with every point zero-padded on the right to dimension d."""
-    return [
-        TurnstileUpdate(u.sign, u.label, HypercubePoint(d, u.point.value << (d - u.point.d)))
-        for u in updates
-    ]
+def _padded(stream, d):
+    """The stream with every point zero-padded on the right to dimension d,
+    by hand: each record's packed value shifted left by d - stream.d."""
+    return stream_of(d, [(sign, label, value << (d - stream.d))
+                         for sign, label, value in updates_of(stream)])
 
 
 @pytest.mark.parametrize("kind,problem", [("uniform", "mst"), ("matched_noise", "emd")])
@@ -94,6 +94,24 @@ def test_run_pads_dimension_to_power_of_two(tmp_path, capsys, kind, problem):
     assert got["d"] == 24 and want.d == 32
     assert got["estimate"] == want.estimate
     assert got["exact"] == want.exact
+
+
+@pytest.mark.parametrize("kind,problem", [("uniform", "mst"), ("matched_noise", "emd")])
+def test_run_reads_binary_streams(tmp_path, capsys, monkeypatch, kind, problem):
+    """`run` tells a binary stream by its magic: on the binary form, from a
+    file and from stdin, it prints the report of the text form."""
+    updates = gen_instance(kind, 8, 16, seed=1).updates
+    text, blob = tmp_path / "s.txt", tmp_path / "s.bin"
+    text.write_text(write_stream(updates))
+    blob.write_bytes(write_stream_binary(updates))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blob.read_bytes())))
+    reports = []
+    for path in (str(text), str(blob), "-"):
+        assert main(["run", "--problem", problem, path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0]["d"] == 16 and reports[1:] == [reports[0]] * 2
 
 
 @pytest.mark.parametrize("stream,extra,message", [

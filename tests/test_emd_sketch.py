@@ -17,9 +17,9 @@ from geosketch import (
     MstSketch,
     MstSketchConfig,
     PointMultiset,
+    aggregate,
     exact_emd,
     gen_instance,
-    reference_I_i,
     run_estimator,
     sample_quadtree,
     split_probability,
@@ -28,7 +28,7 @@ from geosketch import (
 )
 from geosketch import emd_sketch
 from geosketch.emd_sketch import log2n, replica_node_ids
-from geosketch.offline import expected_split_probability
+from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.quadtree import QuadtreeSpec
 
 from conftest import (
@@ -179,19 +179,21 @@ def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeyp
 
     if kind == "mst":
         sk = MstSketch(MstSketchConfig(16, 16, seed=0))
-        for u in gen_instance("uniform", 16, 16, seed=1).updates:
-            sk.update(u.point, u.sign)
+        for p, c in aggregate(gen_instance("uniform", 16, 16, seed=1).updates)["X"].items():
+            sk.update(p, c)
         assert read(sk.estimate).hex() == "0x1.1095661e89519p+8"
         read(lambda: sk.level_mu(2)), read(sk.level_counts)
         return
-    updates = gen_instance("matched_noise", 16, 16, seed=1).updates
+    nets = aggregate(gen_instance("matched_noise", 16, 16, seed=1).updates)
     sk = (EmdOnePassSketch if kind == "emd1" else EmdTwoPassSketch)(EmdSketchConfig(16, 16))
-    for u in updates:
-        sk.update(u.point, u.label, u.sign)
+    for label in ("A", "B"):
+        for p, c in nets[label].items():
+            sk.update(p, label, c)
     if kind == "emd2":
         read(sk.finalize_pass1)
-        for u in updates:
-            sk.update_pass2(u.point, u.label, u.sign)
+        for label in ("A", "B"):
+            for p, c in nets[label].items():
+                sk.update_pass2(p, label, c)
     want = {"emd1": "0x1.4c657a8cde545p+8", "emd2": "0x1.0c4db4440299bp+8"}[kind]
     assert read(sk.estimate).hex() == want
 
@@ -324,8 +326,9 @@ def test_reference_zero_cases():
     d = 16
     A = random_multiset(8, d, 5)
     tree = sample_quadtree(d, seed=6)
+    I = LevelDecomposition(tree, A, A).level_table().I
     for i in range(1, tree.h + 1):
-        assert reference_I_i(tree, A, A, i) == 0.0
+        assert I[i - 1] == 0.0
 
 
 def test_reference_sum_sandwiches_emd():
@@ -336,7 +339,7 @@ def test_reference_sum_sandwiches_emd():
     for s in range(trials):
         A, B = random_pair(12, 16, s)
         tree = sample_quadtree(16, seed=1000 + s)
-        total = sum(reference_I_i(tree, A, B, i) for i in range(1, tree.h + 1))
+        total = sum(LevelDecomposition(tree, A, B).level_table().I)
         emd = exact_emd(A, B)
         lo += total >= emd
         hi += total <= 60 * log2n(12) * max(emd, 1)
@@ -492,8 +495,10 @@ def _instance_views(cfg, kind="matched_noise", seed=1):
     """(replica, view) of every replica of a one-pass sketch of the instance
     gen_instance(kind, cfg.n, cfg.d, seed)."""
     sk = EmdOnePassSketch(cfg)
-    for u in gen_instance(kind, cfg.n, cfg.d, seed=seed).updates:
-        sk.update(u.point, u.label, u.sign)
+    nets = aggregate(gen_instance(kind, cfg.n, cfg.d, seed=seed).updates)
+    for label in ("A", "B"):
+        for p, c in nets[label].items():
+            sk.update(p, label, c)
     reps = [rep for per_level in sk.replicas for rep in per_level]
     return list(zip(reps, replica_views(sk, sk.counts, reps)))
 
@@ -916,10 +921,7 @@ def test_replica_views_equal_fed_reference():
 def test_node_ids_above_2_63_stay_unsigned():
     """With a universe of 2^64 - 1 about half the node ids are 2^63 or more;
     they stay uint64, so both estimators decode and serialize."""
-    updates = gen_instance("matched_noise", 8, 8, seed=1).updates
-    nets = {"A": {}, "B": {}}
-    for u in updates:
-        nets[u.label][u.point] = nets[u.label].get(u.point, 0) + u.sign
+    nets = aggregate(gen_instance("matched_noise", 8, 8, seed=1).updates)
     cfg = EmdSketchConfig(n=8, d=8, universe_m=2**64 - 1)
     for cls in (EmdOnePassSketch, EmdTwoPassSketch):
         sk = cls(cfg)

@@ -20,13 +20,13 @@ from geosketch import (
     SparseCounts,
     exact_mst,
     l0_estimate,
-    reference_level_quantities,
     sample_quadtree,
     value_mst,
 )
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
 from geosketch.emd_sketch import replica_node_ids
+from geosketch.offline import LevelDecomposition
 from geosketch.mst_sketch import (
     _LevelStack, _grouped_log_abs_sum, _log_stable_draws, _point_fps, _representatives,
 )
@@ -97,8 +97,9 @@ def test_reference_single_point():
     t = sample_quadtree(8, seed=2)
     X = PointMultiset(8)
     X.add(pt([0] * 8), 1)
+    table = LevelDecomposition(t, X).level_table()
     for i in range(1, t.h + 1):
-        assert reference_level_quantities(t, X, i) == (1, 0.0)
+        assert (table.ell[i - 1], table.mu[i - 1]) == (1, 0.0)
 
 
 def test_reference_two_points_after_split():
@@ -109,8 +110,9 @@ def test_reference_two_points_after_split():
     from geosketch import lca_depth
 
     split = lca_depth(t, x, y)
+    table = LevelDecomposition(t, X).level_table()
     for i in range(split + 1, t.h + 1):
-        ell, mu = reference_level_quantities(t, X, i)
+        ell, mu = table.ell[i - 1], table.mu[i - 1]
         assert ell == 2
         if i == split + 1:
             # parent holds both points: parent representative is uniform on
@@ -127,8 +129,9 @@ def test_reference_upper_bounds_mst():
         X = random_multiset(12, 16, s + 70)
         t = sample_quadtree(16, seed=s)
         total = 0.0
+        table = LevelDecomposition(t, X).level_table()
         for i in range(1, t.h + 1):
-            ell, mu = reference_level_quantities(t, X, i)
+            ell, mu = table.ell[i - 1], table.mu[i - 1]
             if ell > 1:
                 total += ell * mu
         assert exact_mst(X) <= total + 1e-9
@@ -689,7 +692,8 @@ def test_level_mu_two_clusters_tracks_expectation():
     from geosketch import lca_depth
 
     split = lca_depth(tree, *list(X.support())) + 1
-    ell, mu_exact = reference_level_quantities(tree, X, split)
+    table = LevelDecomposition(tree, X).level_table()
+    ell, mu_exact = table.ell[split - 1], table.mu[split - 1]
     assert ell == 2
     mu_hat = sk.level_mu(split)
     slack = d / 2**split + 6.0 / np.sqrt(64) / cfg.alpha(split)
