@@ -27,12 +27,13 @@ and the round-two counters, sums of the pass-2 view at each sampled edge.
 A two-pass replica keeps Delta-hat as a float from pass 1. Node ids are
 uint64 throughout.
 
-One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes
-over a grid of (set, inner copy, round, repetition) cells. The cells' seed
-states are hashed once per grid, and the keys in blocks of about
-`_LS_BLOCK_WORDS` words with one stacked array call per stage; a
-Count-Sketch read takes flat slots and compare-exchange medians
-(`sketches`). It equals one decode per cell bit for bit (`one_round_estimates`).
+One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes over
+a grid of (set, inner copy, round, repetition) cells. The cells' seed states
+are hashed once per grid, and the keys in blocks of about `_LS_BLOCK_WORDS`
+words with one stacked array call per stage; a Count-Sketch read takes flat
+slots and compare-exchange medians (`sketches`). LS2 and LS3 hash signs and
+sum only in the buckets they read; LS2 reads nothing where the parent has one
+child. It equals one decode per cell bit for bit (`one_round_estimates`).
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -76,12 +77,12 @@ __all__ = [
 ]
 
 
-# Hashed words per block of one-round grid cells: a block's per-key
-# temporaries stay in cache, and the memory they take does not grow with the
-# grid. The cells' seed states are hashed once per grid, outside the blocks:
-# ls1_reps + 2 (ls1_reps + 5) cs_rows + 2 words per cell, 96 at the defaults
-# (98 KB for the default grid of 128 cells).
-_LS_BLOCK_WORDS = 100_000
+# Hashed words per block of one-round grid cells: a block's temporaries do
+# not grow with the grid, and its fixed numpy calls serve several cells (a
+# deepest-level cell of matched_noise n=256 d=64 hashes about 36k words;
+# 400k was the fastest of 100k-800k). The cells' seed states, 96 words per
+# cell at the defaults, are hashed once per grid, outside the blocks.
+_LS_BLOCK_WORDS = 400_000
 # Hashed coordinates per block of character sets drawn at once (same reason).
 _CHAR_BLOCK_WORDS = 16_384
 
@@ -387,10 +388,10 @@ class _LevelReplica:
 
         The seed states of the flattened (set, copy, round, repetition) grid
         are hashed once (`_cell_states`), and the grid is decoded in blocks of
-        at most `_LS_BLOCK_WORDS` words hashed per key (at least one cell),
-        each one `_LsCells` over a slice of the states; the reductions, medians
-        by `_median`, then run over the grid axes. The values equal one
-        decode per cell bit for bit: `bincount` adds each bucket's keys in key
+        at most `_LS_BLOCK_WORDS` hashed words (at least one cell), each one
+        `_LsCells` over a slice of the states; the reductions, medians by
+        `_median`, then run over the grid axes. The values equal one decode
+        per cell bit for bit: `bincount` adds each read bucket's keys in key
         order from 0.0 as `np.add.at` does, a median of an odd count (5 rows)
         picks the middle element and one of an even count averages the middle
         two, and the mean over rounds reduces the contiguous last axis, in
@@ -401,10 +402,10 @@ class _LevelReplica:
             return [0.0] * cfg.n_sets
         shape = (cfg.n_sets, cfg.n_inner, cfg.n_rounds, cfg.n_medreps)
         states = self._cell_states(*np.indices(shape))
-        # words hashed per cell and key: t_u and t_v, LS1's Cauchy weights
-        # and coordinates, LS2's and LS3's coordinates
+        # words hashed per cell: t_u and t_v, LS1's Cauchy weights, buckets
+        # and signs, and LS2's and LS3's buckets (their read signs are few)
         K, rows = cfg.ls1_reps, cfg.cs_rows
-        words = n_u + n_v + K * (n_v + 2 * rows * n_u) + 2 * rows * (3 * n_v + 2 * n_u)
+        words = n_u + n_v + K * (n_v + 2 * rows * n_u) + rows * (3 * n_v + 2 * n_u)
         step = max(1, _LS_BLOCK_WORDS // words)
         p = np.empty(math.prod(shape))
         for lo in range(0, p.size, step):
@@ -465,7 +466,7 @@ class _LsCells:
     j, its seed states (a slice of `_LevelReplica._cell_states`) and its
     exponential scalings t_u, t_v, which may be injected for conditioned
     tests. Every Count-Sketch of a stage is one `_cs_table` over (cell, ...,
-    row, bucket), read at the slots that built it."""
+    row, bucket); LS2's and LS3's sum only the buckets they read (`_cs`)."""
 
     def __init__(self, cfg, nodes, j, cauchy, rows_b, rows_s, pre_u, pre_v, t_u=None, t_v=None):
         self.cfg = cfg
@@ -479,31 +480,41 @@ class _LsCells:
                          for pre, hk, t in ((pre_u, self.hk_u, t_u), (pre_v, self.hk_v, t_v)))
         self.t_uv = self.t_u[:, self.u_inv] * t_v
 
-    def _cs(self, i, hkeys, values, at=None) -> np.ndarray:
-        """Estimates of the Count-Sketches `i` (an index or slice of the
-        sketch axis) of the vectors `values` (B, ..., n) at all their keys,
-        or at the key index `at` (B,) of each cell."""
-        f, s = _cs_coords(self.rows_b[:, i], self.rows_s[:, i], hkeys, self.cfg.cs_buckets)
-        table = _cs_table(f, s, values, self.cfg.cs_buckets)
-        if at is not None:  # (B, ..., rows, 1): each cell's key
-            f, s = (a[np.arange(len(at)), ..., at, None] for a in (f, s))
-        return _cs_estimates(table, f, s)
+    def _cs(self, idx, hkeys, values, read) -> np.ndarray:
+        """Estimates of the Count-Sketches at `idx` (an index of the cell and
+        sketch axes) of the vectors `values` (B', ..., n) at the keys of a
+        read mask that broadcasts to them, flat in its order (`_cs_coords`)."""
+        buckets, rows = self.cfg.cs_buckets, self.cfg.cs_rows
+        read = np.broadcast_to(read, values.shape)
+        f, s, at = _cs_coords(self.rows_b[idx], self.rows_s[idx], hkeys, buckets, read)
+        table = _cs_table(f, s, values.reshape(-1)[at], buckets)
+        r = np.flatnonzero(read.reshape(-1)[at])
+        r = r[np.argsort(at[r], kind="stable")]  # each read key's rows, in row order
+        return _cs_estimates(table, f[r].reshape(-1, rows).T, s[r].reshape(-1, rows).T)
 
     def ls1(self) -> np.ndarray:
         """Per cell, the parent maximizing P_u / t_u (index into uu)."""
-        K = self.cfg.ls1_reps
+        K, buckets = self.cfg.ls1_reps, self.cfg.cs_buckets
         alpha = hx.cauchy(hx.extend(self.cauchy[..., None], self.hk_v))
         per_u = _scatter_sum(self.u_inv, alpha * self.qv, len(self.uu))
         per_u *= (1.0 / self.t_u)[:, None, :]
-        med = _median(np.abs(self._cs(slice(0, K), self.hk_u, per_u)), 1)
+        f, s = _cs_coords(self.rows_b[:, :K], self.rows_s[:, :K], self.hk_u, buckets)
+        med = _median(np.abs(_cs_estimates(_cs_table(f, s, per_u, buckets), f, s)), 1)
         return np.argmax(med, axis=-1)
 
     def ls2(self, u_idx) -> np.ndarray:
-        """Per cell, the child of uu[u_idx] maximizing Q_v/(t_u t_v): the
-        first maximum among that parent's children, as a node index."""
-        est = np.abs(self._cs(self.cfg.ls1_reps, self.hk_v, self.qv / self.t_uv))
-        child = self.u_inv == np.reshape(u_idx, (-1, 1))
-        return np.argmax(np.where(child, est, -np.inf), axis=-1)
+        """Per cell, the child of uu[u_idx] maximizing Q_v/(t_u t_v), the first
+        maximum, as a node index; an only child is taken without a read."""
+        u_idx = np.broadcast_to(u_idx, len(self.t_u))
+        v_idx = np.searchsorted(self.u_inv, u_idx)  # each parent's first child
+        multi = np.flatnonzero(np.bincount(self.u_inv)[u_idx] > 1)
+        if len(multi):
+            child = self.u_inv == u_idx[multi, None]
+            est = np.full(child.shape, -np.inf)
+            est[child] = np.abs(self._cs(np.s_[multi, self.cfg.ls1_reps], self.hk_v,
+                                         self.qv / self.t_uv[multi], child))
+            v_idx[multi] = np.argmax(est, axis=-1)
+        return v_idx
 
     def ls3(self, v_idx) -> np.ndarray:
         """Per cell, p_{u,v,S} from four Count-Sketches of the chi counters,
@@ -511,9 +522,10 @@ class _LsCells:
         v_idx, K = np.broadcast_to(v_idx, len(self.t_u)), self.cfg.ls1_reps
         chi = np.stack([np.broadcast_to(self.cC, self.splus.shape), self.splus], 1)
         at_u = _scatter_sum(self.u_inv, chi.astype(float), len(self.uu)) * (1.0 / self.t_u)[:, None]
-        s1, s2 = self._cs(slice(K + 1, K + 3), self.hk_u, at_u, self.u_inv[v_idx])[..., 0].T
-        s3, s4 = self._cs(slice(K + 3, K + 5), self.hk_v, chi * (1.0 / self.t_uv)[:, None],
-                          v_idx)[..., 0].T
+        s1, s2 = self._cs(np.s_[:, K + 1:K + 3], self.hk_u, at_u,
+                          np.arange(len(self.uu)) == self.u_inv[v_idx, None, None]).reshape(-1, 2).T
+        s3, s4 = self._cs(np.s_[:, K + 3:K + 5], self.hk_v, chi * (1.0 / self.t_uv)[:, None],
+                          np.arange(len(self.u_inv)) == v_idx[:, None, None]).reshape(-1, 2).T
         ok = ~((s1 <= 0.0) | (s3 <= 0.0))
         qu = np.divide(s2, s1, out=np.zeros_like(s2), where=ok)
         qv = np.divide(s4, s3, out=np.zeros_like(s4), where=ok)

@@ -291,16 +291,28 @@ def _cs_buckets(rows_b: np.ndarray, hkeys: np.ndarray, buckets: int) -> np.ndarr
     return hx.bucket(hx.extend(rows_b[..., None], hk), buckets)
 
 
-def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray,
-               buckets: int) -> Tuple[np.ndarray, np.ndarray]:
+def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray, buckets: int,
+               read: np.ndarray | None = None) -> tuple:
     """(..., rows, n) slots and signs of a batch of Count-Sketches. A slot is
     the index in the flattened (..., rows, buckets) tables, flat row times
     buckets plus bucket (`_cs_buckets`): the table's `bincount` and the
-    read's gather share it. The signs come from the row states rows_s."""
+    read's gather share it. The signs come from the row states rows_s. A
+    read mask (..., n) of the keys each sketch is read at keeps only the
+    entries whose slot a read key takes, the ones its estimates sum, and
+    hashes only their signs: slots and signs are then flat in (..., row,
+    key) order, and a third array holds their flat indices into the mask."""
     hk = np.asarray(hkeys, dtype=U64)
-    b = _cs_buckets(rows_b, hk, buckets)
-    row = np.arange(math.prod(b.shape[:-1]), dtype=np.int64).reshape(b.shape[:-1] + (1,))
-    return row * buckets + b, hx.sign_pm1(hx.extend(rows_s[..., None], hk[..., None, :]))
+    f = _cs_buckets(rows_b, hk, buckets)
+    row = np.arange(math.prod(f.shape[:-1]), dtype=np.int64).reshape(f.shape[:-1] + (1,))
+    f += row * buckets
+    rs, hk = rows_s[..., None], hk[..., None, :]
+    if read is None:
+        return f, hx.sign_pm1(hx.extend(rs, hk))
+    hot = np.zeros(row.size * buckets, dtype=bool)
+    hot[np.swapaxes(f, -1, -2)[read]] = True
+    at = np.nonzero(hot.take(f))
+    rs, hk = (np.broadcast_to(a, f.shape)[at] for a in (rs, hk))
+    return f[at], hx.sign_pm1(hx.extend(rs, hk)), np.ravel_multi_index(at[:-2] + at[-1:], read.shape)
 
 
 def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
@@ -314,11 +326,11 @@ def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
 
 def _cs_table(f: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
     """(..., rows, buckets) tables of the vectors with `values` (..., n) at
-    the keys of the slots and signs (f, s), in one `bincount` that adds each
-    bucket in key order from 0.0, as `np.add.at` does."""
+    the keys of the slots and signs (f, s), or flat ones, in one `bincount`
+    that adds each bucket in key order from 0.0, as `np.add.at` does."""
     lead = f.shape[:-1]
     w = s * np.asarray(values, dtype=np.float64)[..., None, :]
-    return np.bincount(f.ravel(), w.ravel(), math.prod(lead) * buckets).reshape(lead + (buckets,))
+    return np.bincount(f.ravel(), w.ravel(), math.prod(lead) * buckets).reshape(lead + (-1,))
 
 
 def _median(x: np.ndarray, axis: int) -> np.ndarray:
@@ -502,19 +514,19 @@ class L1Sampler:
 
     def sample(self):
         """Return an index (a view's key as a tuple of ints) or FAIL. One
-        set of Count-Sketch coords serves both the table and its read."""
+        set of Count-Sketch coords serves both the table and its read. The
+        gap test runs first, so its failures draw no Cauchy l1 estimate."""
         keys, vals = _sorted_values(self.counts)
         if not len(keys):
             return FAIL
         coords = _sketch_coords(self.cs_seed, self.rows, self.buckets, keys)
         est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
-        l1_hat = cauchy_l1(self.counts, _L1_ROWS, self.l1_seed)
         top = int(np.argmax(est))
         best = est[top]
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
-        if best < self.gamma * l1_hat:
-            return FAIL
         if best < (1.0 + self.gamma) * second:
+            return FAIL
+        if best < self.gamma * cauchy_l1(self.counts, _L1_ROWS, self.l1_seed):
             return FAIL
         key = keys[top]
         return tuple(key.tolist()) if isinstance(key, np.ndarray) else key

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from geosketch.emd_sketch import log2n, replica_node_ids
 from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.quadtree import QuadtreeSpec
 
+from conftest import _cs_coords as ref_cs_coords
 from conftest import (
     FedL1Sampler, charsets, node_key, random_multiset, random_pair, reference_one_round_estimates,
     replica_views, replicas, sampler_reads, state_header, store_sizes, tail_truncated_norms,
@@ -526,10 +528,30 @@ def test_one_round_grid_matches_reference(monkeypatch, case, block_words):
     else:
         counts = {(3, 1): (2, 0, 1)} if case == "one-node" else {}
         pairs = [_replica_with_counts(counts, **_GRID_VARIANT)]
+    kids = []  # children per parent, over the instance's replicas
     for rep, view in pairs:
         got = rep.one_round_estimates(view)
         assert [x.hex() for x in got] == [x.hex() for x in reference_one_round_estimates(rep, view)]
+        kids += np.unique(view.keys[:, 0], return_counts=True)[1].tolist()
     assert case != "empty" or got == [0.0] * _GRID_VARIANT["n_sets"]
+    # LS2's skip of a single child and its masked reads of several both ran
+    assert case in ("one-node", "empty") or (1 in kids and max(kids) > 1)
+
+
+def test_one_round_memory_is_a_block_not_the_grid():
+    """The tracemalloc peak of one `one_round_estimates` on the deepest
+    replica of matched_noise n=64 d=32 stays under three float64 arrays of
+    `_LS_BLOCK_WORDS` words: a block's temporaries, whatever the grid. Its
+    128 cells take three blocks; one block of them all peaks near 17 MB."""
+    rep, view = _instance_views(EmdSketchConfig(n=64, d=32))[-1]
+    rep.one_round_estimates(view)  # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        rep.one_round_estimates(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * emd_sketch._LS_BLOCK_WORDS, peak
 
 
 def test_cell_seed_states_are_hashed_once_per_grid(monkeypatch):
@@ -559,6 +581,56 @@ def test_cell_seed_states_are_hashed_once_per_grid(monkeypatch):
     cfg = rep.cfg
     assert cells == cfg.n_sets * cfg.n_inner * cfg.n_rounds * cfg.n_medreps > default_blocks > 0
     assert one_cell == default > 0
+
+
+def _read_bucket_entries(rep, sub, salt, hkeys, read) -> int:
+    """The (row, key) entries of the Count-Sketch combine(sub, salt) of a
+    grid cell whose bucket holds one of the keys `read`, from the
+    reference coords."""
+    seed = int(hx.combine(sub, salt)[()])
+    b, _ = ref_cs_coords((seed, 0xB), (seed, 0x5), hkeys, rep.cfg.cs_rows, rep.cfg.cs_buckets)
+    return sum(int(np.isin(row, row[read]).sum()) for row in b)
+
+
+def test_ls2_and_ls3_hash_signs_only_in_read_buckets(monkeypatch):
+    """On the deepest replica of matched_noise n=64 d=32, with every cell of
+    the default grid in one decoder, LS2 and LS3 hash the Count-Sketch signs
+    (`hashing.sign_pm1`) of exactly the entries whose bucket holds a read
+    key: LS2's the children of the cell's parent, LS3's the parent and the
+    node. A cell whose parent has one child makes no LS2 read and gets that
+    child."""
+    rep, view = _instance_views(EmdSketchConfig(n=64, d=32))[-1]
+    cfg = rep.cfg
+    cells = np.indices((cfg.n_sets, cfg.n_inner, cfg.n_rounds, cfg.n_medreps)).reshape(4, -1).T
+    dec = rep.decoder(view, *cells.T)
+    u = dec.ls1()
+    kids = np.bincount(dec.u_inv)[u]
+    assert (kids == 1).any() and (kids > 1).any()
+    sign, signed = hx.sign_pm1, []
+    monkeypatch.setattr(hx, "sign_pm1", lambda h: signed.append(np.size(h)) or sign(h))
+    v = dec.ls2(u)
+    ls2_signed, signed[:] = sum(signed), []
+    dec.ls3(v)
+    ls3_signed = sum(signed)
+    monkeypatch.setattr(hx, "sign_pm1", sign)
+    want2 = want3 = 0
+    for cell, ui, vi in zip(cells.tolist(), u.tolist(), v.tolist()):
+        sub = hx.combine(rep.seed, 0x0140, *cell)
+        children = np.flatnonzero(dec.u_inv == ui)
+        if len(children) > 1:
+            want2 += _read_bucket_entries(rep, sub, 0xCF, dec.hk_v, children)
+        else:
+            assert vi == children[0]
+        want3 += sum(_read_bucket_entries(rep, sub, salt, hk, [at]) for salt, hk, at in (
+            (0x31, dec.hk_u, ui), (0x32, dec.hk_u, ui), (0x33, dec.hk_v, vi), (0x34, dec.hk_v, vi)))
+    assert (ls2_signed, ls3_signed) == (want2, want3)
+    # one cell whose parent has one child: its LS2 builds no Count-Sketch
+    c = int(np.flatnonzero(kids == 1)[0])
+    one, built, coords = rep.decoder(view, *cells[c]), [], emd_sketch._cs_coords
+    monkeypatch.setattr(emd_sketch, "_cs_coords", lambda *a: built.append(a) or coords(*a))
+    u_one = one.ls1()
+    built[:] = []
+    assert one.ls2(u_one).tolist() == [v[c]] and built == []
 
 
 # -- exponential selection law (two-stage equivalence) --------------------------------

@@ -78,29 +78,53 @@ def _definitions(tree: ast.Module):
 
 
 @pytest.fixture(scope="module")
-def read_names():
-    """Every name read as a `Name`, and every attribute read, anywhere in
-    the package, its tests and the benchmark."""
-    names = set()
+def reads():
+    """Per file of the package, its tests and the benchmark: the names it
+    reads, as a `Name` or an attribute, and the names it mentions, which
+    add the names it imports and each part of their module paths."""
+    out = []
     for path in READERS:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        read = {n.id for n in nodes if isinstance(n, ast.Name)}
+        read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        imported = {part for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for name in [getattr(n, "module", None) or ""] + [a.name for a in n.names]
+                    for part in name.split(".")}
+        out.append((read, read | imported))
+    return out
+
+
+@pytest.fixture(scope="module")
+def subclasses():
+    """Each class of the package -> the names of it and of its subclasses
+    there, direct or not (a base matched by its name)."""
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)}
+
+    def family(c):
+        return {c}.union(*(family(s) for s, bs in bases.items() if c in bs))
+    return {c: family(c) for c in bases}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_definition_is_read(path, read_names):
+def test_every_definition_is_read(path, reads, subclasses):
     """Each function, class and public method the package defines is read
     somewhere in the package, its tests or the benchmark: no definition
-    outlives its last caller."""
+    outlives its last caller. A function or class counts as read where any
+    file reads its name. A method C.m counts only where a file that reads an
+    attribute m also mentions C, a subclass of C, or C's module: a read of
+    `x.m` in a file that cannot reach C is some other class's m."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    unread = sorted(
-        f"{name} (line {line})" for name, line in _definitions(tree)
-        if name.rpartition(".")[2] not in read_names
-    )
+
+    def is_read(name: str) -> bool:
+        cls, _, attr = name.rpartition(".")
+        reach = subclasses.get(cls, set()) | {path.stem} if cls else None
+        return any(attr in read and (reach is None or reach & mentioned)
+                   for read, mentioned in reads)
+
+    unread = sorted(f"{name} (line {line})" for name, line in _definitions(tree)
+                    if not is_read(name))
     assert not unread, f"{path.name} defines names nothing reads: {', '.join(unread)}"
 
 

@@ -17,6 +17,7 @@ from geosketch import (
     stable_median,
 )
 from geosketch import MstSketchConfig
+from geosketch import sketches
 from geosketch.sketches import (
     _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy, _median,
     _stable_median_slow, sample_p_stable_array,
@@ -344,6 +345,29 @@ def test_l1_sampler_fail_rate():
         if L1Sampler(counts, seed=s + 50_000).sample() is FAIL:
             fails += 1
     assert fails / trials <= 1 / 3 + 0.05, fails / trials
+
+
+def test_l1_sampler_gap_test_runs_before_the_l1_estimate(monkeypatch):
+    """On the inputs of `test_l1_sampler_fail_rate`, a sampler whose top
+    estimate fails the gap test never computes the Cauchy l1 estimate, and
+    every sample, key or FAIL, equals that of the reference, which computes
+    the estimate first."""
+    rng = np.random.default_rng(3)
+    x = rng.integers(1, 6, size=16)
+    counts = counts_of(enumerate(x))
+    calls = []
+    monkeypatch.setattr(sketches, "cauchy_l1", lambda *a: calls.append(a) or cauchy_l1(*a))
+    gap_passes = 0
+    for s in range(1500):
+        smp = L1Sampler(counts, seed=s + 50_000)
+        ref = FedL1Sampler.like(smp)
+        for i, c in enumerate(x):
+            ref.update(i, c)
+        est = np.sort(np.abs(count_sketch(ref.scaled, smp.rows, smp.buckets, smp.cs_seed,
+                                          at=range(16))[1]))
+        gap_passes += bool(est[-1] >= (1.0 + smp.gamma) * est[-2])
+        assert smp.sample() == ref.sample()
+    assert 0 < len(calls) == gap_passes < 1500
 
 
 # -- l0 -----------------------------------------------------------------------------
