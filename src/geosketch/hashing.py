@@ -104,7 +104,8 @@ def sign_pm1(h: np.ndarray) -> np.ndarray:
 
 def bucket(h: np.ndarray, k: int) -> np.ndarray:
     """Map hash words to buckets [0, k); modulo bias is ~k/2^64, negligible.
-    For a power of two k the remainder is read off the low bits."""
+    For a power of two k the remainder is read off the low bits. The int64
+    result views the uint64 remainders (below k < 2^63) without a copy."""
     h = np.asarray(h, dtype=U64)
-    return (h & U64(k - 1) if k & (k - 1) == 0 else h % U64(k)).astype(np.int64)
+    return (h & U64(k - 1) if k & (k - 1) == 0 else h % U64(k)).view(np.int64)
 

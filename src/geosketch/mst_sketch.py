@@ -51,9 +51,11 @@ counted in one pass. Only the (sketch, bucket) groups that are read are
 accumulated: parent recovery reads every node's bucket, the child scan
 only the buckets that hold a child of u*, so the other nodes' draws are
 skipped. Every hash chain resumes from a (seed, salt, ...) prefix hashed
-once per sample. Stacking is exact: the hashes and draws are elementwise,
-and every group adds its nodes in node order, so the estimates equal those
-of decoding each sample alone bit for bit. Blocks of at most `_BLOCK_DRAWS`
+once per sample, and the stable draws from a (seed, salt, draw word, t)
+prefix hashed once per evaluation; a group's median over t is read off one
+sort. Stacking is exact: the hashes and draws are elementwise, and every
+group adds its nodes in node order, so the estimates equal those of
+decoding each sample alone bit for bit. Blocks of at most `_BLOCK_DRAWS`
 stable draws per evaluation and `_BLOCK_WORDS` child-scan bucket hashes per
 stack bound the decode's temporaries to a few MiB.
 """
@@ -71,7 +73,7 @@ from . import hashing as hx
 from .hashing import U64
 from .points import HypercubePoint
 from .sketches import (
-    CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, l0_estimate, stable_median,
+    CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, _median, l0_estimate, stable_median,
 )
 from .emd_sketch import _SketchConfig, _TreeSketch, log2n
 
@@ -161,25 +163,27 @@ def _grouped_log_abs_sum(
     m = np.full(size, -np.inf)
     np.maximum.at(m, flat_idx, log_mag)
     safe_m = m[flat_idx]
-    safe_m = np.where(np.isneginf(safe_m), 0.0, safe_m)
+    safe_m[np.isneginf(safe_m)] = 0.0
     mant = np.bincount(flat_idx, sign * np.exp(log_mag - safe_m), size)
-    # groups without entries keep m = -inf, which is -inf + log(0)
+    # one log per group: a group without entries keeps -inf = -inf + log(0)
     with np.errstate(divide="ignore"):
-        m[flat_idx] += np.log(np.abs(mant[flat_idx]))
+        m += np.log(np.abs(mant, out=mant), out=mant)
     return m
 
 
 def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
-    """(sign, log|x|) of standard p-stable draws from two hash-word arrays."""
+    """(sign, log|x|) of standard p-stable draws from two hash-word arrays,
+    p <= 1/4. sin(p |theta|) needs no abs: p |theta| <= pi/8. theta = 0
+    (where h_t >> 11 = 2^52: `uniform01` rounds 1/2 + 2^-54 to 1/2) needs no
+    case: copysign gives it sign +1, and log|x| = -inf, a draw of 0."""
     r = hx.uniform01(h_r)
     theta = np.pi * (hx.uniform01(h_t) - 0.5)
-    at = np.abs(theta)
-    log_mag = (
-        np.log(np.abs(np.sin(p * at)))
-        - np.log(np.cos(at)) / p
-        + ((1.0 - p) / p) * (np.log(np.cos(at * (1.0 - p))) - np.log(np.log(1.0 / r)))
-    )
-    return np.sign(theta) + (theta == 0), log_mag
+    sign = np.copysign(1.0, theta)
+    at = np.abs(theta, out=theta)
+    log_mag = np.log(np.sin(p * at))  # in place, adding the terms in the formula's order
+    log_mag -= np.log(np.cos(at)) / p
+    log_mag += ((1.0 - p) / p) * (np.log(np.cos(at * (1.0 - p))) - np.log(np.log(1.0 / r)))
+    return sign, log_mag
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,8 @@ class _LevelStack:
         self.hk_u = hx.extend(self._prefix(0xAB)[self.us], self.uu)
         self.hk_v = self._node_hash(self.u, self.w, self.ns)
         self.t_u = np.clip(hx.exp1(hx.extend(self._prefix(0xE1)[self.us], self.hk_u)), 1e-6, 50.0)
-        self.log_med = math.log(stable_median(cfg.p))
+        self.p = cfg.p  # a property that recomputes log2 n
+        self.log_med = math.log(stable_median(self.p))
 
     # -- hashes ------------------------------------------------------------------
     def _prefix(self, *words) -> np.ndarray:
@@ -288,37 +293,36 @@ class _LevelStack:
         whose group nobody reads are skipped; a group without pairs reads
         -inf.
 
-        The draws run in blocks of whole samples of at most `_BLOCK_DRAWS`
-        draws (or one sample); each block hashes every (seed, salt, draw
-        word, t) prefix once and takes its groups' medians. The values equal
-        those of one dense table per sketch bit for bit: the hashes and
-        draws are elementwise, and every group adds its nodes in node
-        order."""
+        The (seed, salt, draw word, t) prefix of every (sample, sketch)
+        that has pairs is hashed once per call. The draws run in blocks of
+        whole samples of at most `_BLOCK_DRAWS` draws (or one sample), and
+        each block takes its groups' medians with one sort (`_median`).
+        The values equal those of one dense table per sketch bit for bit:
+        the hashes and draws are elementwise, and every group adds its
+        nodes in node order."""
         B, nb = self.cfg.rec_buckets, len(salts)
         groups, read_idx = np.unique(read, return_inverse=True)
         g = np.minimum(np.searchsorted(groups, keys), len(groups) - 1)
         kept = groups[g] == keys
         g, nodes, gamma_log = g[kept], nodes[kept], gamma_log[kept]
-        seg = groups[g] // B  # (sample, sketch) of each pair
-        starts = np.searchsorted(seg // nb, np.arange(len(self.seeds) + 1))
-        tgrid = np.arange(t0, dtype=U64)
+        useg, seg = np.unique(groups[g] // B, return_inverse=True)  # (sample, sketch) of each pair
+        pre = hx.combine(self.seeds[useg // nb][:, None, None], salts[useg % nb][:, None, None],
+                         _DRAW_WORDS, np.arange(t0, dtype=U64))  # (segments, 2, t0)
+        starts = np.searchsorted(useg[seg] // nb, np.arange(len(self.seeds) + 1))
         out = np.full(len(groups), -np.inf)
         for lo, hi in _blocks(np.diff(starts) * t0, _BLOCK_DRAWS):
             blk = slice(starts[lo], starts[hi])
             if blk.start == blk.stop:
                 continue
-            useg, inv = np.unique(seg[blk], return_inverse=True)
-            pre = hx.combine(self.seeds[useg // nb][:, None, None], salts[useg % nb][:, None, None],
-                             _DRAW_WORDS, tgrid)  # (segments, 2, t0)
-            h_r, h_t = hx.extend(pre[inv], self.hk_v[nodes[blk], None, None]).swapaxes(0, 1)
-            sign, lmag = _log_stable_draws(h_r, h_t, self.cfg.p)  # (pairs, t0)
+            h_r, h_t = hx.extend(pre[seg[blk]], self.hk_v[nodes[blk], None, None]).swapaxes(0, 1)
+            sign, lmag = _log_stable_draws(h_r, h_t, self.p)  # (pairs, t0)
             del h_r, h_t  # free the hash words before the accumulation
             lmag += gamma_log[blk, None]
             # the block's samples own the groups g0..g1-1
             g0, g1 = g[blk].min(), g[blk].max() + 1
             flat = (g[blk, None] - g0) * t0 + np.arange(t0)
             logs = _grouped_log_abs_sum(flat.ravel(), lmag.ravel(), sign.ravel(), (g1 - g0) * t0)
-            out[g0:g1] = np.median(logs.reshape(-1, t0), axis=-1)
+            out[g0:g1] = _median(logs.reshape(-1, t0), -1)
         return out[read_idx.reshape(read.shape)]
 
     # -- parent recovery -------------------------------------------------------
@@ -336,10 +340,10 @@ class _LevelStack:
         b = self._buckets([0x9A], self.us, 0, self.hk_u)
         keys = (self.us[:, None] * R + np.arange(R)) * cfg.rec_buckets + b  # (parents, R)
         act = np.flatnonzero(self.nx > 0)
-        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / cfg.p
+        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / self.p
         est = self._bucket_estimates(keys, keys[self.u_inv[act]].ravel(), np.repeat(act, R),
                                      np.repeat(gamma_log, R), 0x9A00 + rows, cfg.rec_t0_parent)
-        med = np.median(est, axis=-1) - self.log_med
+        med = _median(est, -1) - self.log_med
         # per sample the first maximum, as argmax takes it
         order = np.lexsort((-med, self.us))
         first = order[np.flatnonzero(np.r_[True, self.us[1:] != self.us[:-1]])]
@@ -371,14 +375,14 @@ class _LevelStack:
         act = np.flatnonzero(on[self.ns] & (self.nx > 0))
         a, sk = np.nonzero(self.in_D(kappa, j, side, act).reshape(len(act), 2 * J))
         nodes = act[a]  # the (node, sketch) pairs of D, node-major
-        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / cfg.p
+        gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / self.p
         est = self._bucket_estimates(
             group_keys(self.ns[cand][:, None], np.arange(2 * J), self.hk_v[cand][:, None]),
             group_keys(self.ns[nodes], sk, self.hk_v[nodes]).ravel(), np.repeat(nodes, R),
             np.repeat(gamma_log[a], R), (0x9B0000 + salt + rows * 7717).ravel(),
             cfg.rec_t0_child)
         mins = est.min(axis=-1).reshape(len(cand), J, 2) - self.log_med  # min over rows
-        log_thr = np.array([-(math.log(3.0) + math.log(t)) / cfg.p
+        log_thr = np.array([-(math.log(3.0) + math.log(t)) / self.p
                             for t in self.t_u[self.u_inv[cand]].tolist()])
         return mins >= log_thr[:, None, None]
 

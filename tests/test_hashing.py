@@ -29,3 +29,17 @@ def test_bucket_sign_and_extend_match_their_definitions():
     assert np.array_equal(hx.sign_pm1(h), np.where(bit, 1.0, -1.0))
     assert np.array_equal(hx.extend(hx.combine(5, 7), h), hx.combine(5, 7, h))
     assert int(hx.extend(hx.combine(5), 7, 9)) == int(hx.combine(5, 7, 9))
+
+
+def test_bucket_of_words_from_2_63_reads_the_remainders_as_int64():
+    """bucket's int64 array reads the same values as an `astype` copy of
+    the uint64 remainders, on words of 2^63 and above, for k a power of two
+    and not (k < 2^63, so every remainder fits), for an array and a 0-d
+    word."""
+    h = np.random.default_rng(5).integers(0, 2**63, 1000, dtype=np.int64).astype(np.uint64)
+    h |= np.uint64(1 << 63)
+    for k in (2, 64, 1 << 62, 3, 1000, (1 << 63) - 25):
+        want = (h % np.uint64(k)).astype(np.int64)
+        got = hx.bucket(h, k)
+        assert got.dtype == np.int64 and np.array_equal(got, want) and (got >= 0).all()
+        assert int(hx.bucket(h[7], k)) == int(want[7])

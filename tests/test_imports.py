@@ -1,4 +1,5 @@
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -77,20 +78,41 @@ def _definitions(tree: ast.Module):
                         yield f"{node.name}.{sub.name}", sub.lineno
 
 
+# Builtins whose call returns a builtin type: every builtin class but `type`
+# and `super`, and the functions that return a str, a number or a list.
+_BUILTIN_VALUED = ({n for n, v in vars(builtins).items() if isinstance(v, type)} - {"type", "super"}
+                   | {"ascii", "bin", "chr", "format", "hash", "hex", "id", "len", "oct", "ord",
+                      "repr", "sorted"})
+_DISPLAYS = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Dict, ast.Set,
+             ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _of_builtin_type(node: ast.expr) -> bool:
+    """Whether the expression shows that its value is of a builtin type: a
+    literal, a display or comprehension, an f-string, or a call of one of
+    `_BUILTIN_VALUED`, such as `bin(i)`."""
+    return isinstance(node, _DISPLAYS) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in _BUILTIN_VALUED)
+
+
 @pytest.fixture(scope="module")
 def reads():
     """Per file of the package, its tests and the benchmark: the names it
-    reads, as a `Name` or an attribute, and the names it mentions, which
-    add the names it imports and each part of their module paths."""
+    reads as a `Name`, those it reads as an attribute, and the names it
+    mentions, which add the names it imports and each part of their module
+    paths. An attribute of a value of a builtin type (`_of_builtin_type`)
+    is not read: `bin(i).count` reads no `count` of the package."""
     out = []
     for path in READERS:
         nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
-        read = {n.id for n in nodes if isinstance(n, ast.Name)}
-        read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in nodes
+                 if isinstance(n, ast.Attribute) and not _of_builtin_type(n.value)}
         imported = {part for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
                     for name in [getattr(n, "module", None) or ""] + [a.name for a in n.names]
                     for part in name.split(".")}
-        out.append((read, read | imported))
+        out.append((names, attrs, names | attrs | imported))
     return out
 
 
@@ -112,16 +134,18 @@ def test_every_definition_is_read(path, reads, subclasses):
     """Each function, class and public method the package defines is read
     somewhere in the package, its tests or the benchmark: no definition
     outlives its last caller. A function or class counts as read where any
-    file reads its name. A method C.m counts only where a file that reads an
-    attribute m also mentions C, a subclass of C, or C's module: a read of
-    `x.m` in a file that cannot reach C is some other class's m."""
+    file reads its name. A method C.m counts only where a file reads an
+    attribute m, not of a builtin-typed value, and mentions C, a subclass
+    of C, or C's module: a read of `x.m` in a file that cannot reach C is
+    some other class's m, and a `Name` m is a variable, not the method."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def is_read(name: str) -> bool:
         cls, _, attr = name.rpartition(".")
-        reach = subclasses.get(cls, set()) | {path.stem} if cls else None
-        return any(attr in read and (reach is None or reach & mentioned)
-                   for read, mentioned in reads)
+        if not cls:
+            return any(attr in names | attrs for names, attrs, _ in reads)
+        reach = subclasses.get(cls, set()) | {path.stem}
+        return any(attr in attrs and reach & mentioned for _, attrs, mentioned in reads)
 
     unread = sorted(f"{name} (line {line})" for name, line in _definitions(tree)
                     if not is_read(name))

@@ -159,6 +159,32 @@ def test_log_stable_draws_match_the_reference_generator(L):
     np.testing.assert_allclose(log_mag[ok], np.log(np.abs(x[ok])), rtol=1e-13, atol=1e-12)
 
 
+@pytest.mark.parametrize("L", [1, 4, 25])
+def test_log_stable_draws_have_unit_signs_and_finite_magnitudes(L):
+    """Over 10^6 hashed words at p = 1/(4L), `_log_stable_draws` gives signs
+    in {-1, +1} only and a finite log|x| (it takes sin(p |theta|) without
+    an abs). The one theta word `uniform01` maps to 1/2 (h >> 11 = 2^52)
+    gives sign +1 and log|x| = -inf, a draw of 0: it leaves its group's
+    `_grouped_log_abs_sum` as it was, bit for bit."""
+    p, n = 1.0 / (4.0 * L), 10**6
+    h_r, h_t = hx.combine(0xD1CE, L, np.array([[1], [2]], dtype=np.uint64),
+                          np.arange(n, dtype=np.uint64))
+    sign, log_mag = _log_stable_draws(h_r, h_t, p)
+    assert np.isin(sign, (-1.0, 1.0)).all() and np.isfinite(log_mag).all()
+    assert 0.49 < (sign > 0).mean() < 0.51
+    half = np.array([1 << 63], dtype=np.uint64)
+    assert hx.uniform01(half)[0] == 0.5
+    with np.errstate(divide="ignore"):
+        zero_sign, zero_log = _log_stable_draws(h_r[:1], half, p)
+    assert zero_sign.tolist() == [1.0] and zero_log.tolist() == [-np.inf]
+    idx = np.array([0, 0, 1, 1])
+    want = _grouped_log_abs_sum(idx, log_mag[:4], sign[:4], 2)
+    for g in (0, 1):
+        got = _grouped_log_abs_sum(np.r_[idx, g], np.r_[log_mag[:4], zero_log],
+                                   np.r_[sign[:4], zero_sign], 2)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_grouped_log_abs_sum_matches_a_direct_sum():
     """`_grouped_log_abs_sum` equals log|sum of sign * exp(log_mag)| per
     group, summed directly with `np.add.at`, within rounding scaled by the

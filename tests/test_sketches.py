@@ -55,18 +55,21 @@ def test_count_sketch_batch_equals_one_sketch_reference(rng):
         assert np.array_equal(est[i, j], ref_cs_estimates(ref_cs_table(rb, rs, vals[i, j], 64), rb, rs))
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", [*range(1, 10), 12, 47, 48, 49])
 @pytest.mark.parametrize("at", [0, 1, 2])
 def test_median_matches_numpy_median(rng, n, at):
-    """`_median` of n = 1..9 values along the first, a middle and the last
-    axis equals `np.median`, on halves of small integers, so most slices
-    hold ties, zeros of both signs among them. Equality is by value, so a
-    zero is compared by its magnitude, the one thing the compare-exchange
-    network may give a different sign; the input is left as it was."""
+    """`_median` of n = 1..9 values (the compare-exchange network, and the
+    sort from n = 9) and of n = 12, 47, 48, 49 (the sort) along the first,
+    a middle and the last axis equals `np.median`, on halves of small
+    integers and -inf, so most slices hold ties, zeros of both signs among
+    them. Equality is by value, so a zero is compared by its magnitude, the
+    one thing the median may give a different sign; the input is left as it
+    was."""
     shape = [3, 4]
     shape.insert(at, n)
     x = rng.integers(-3, 4, shape) / 2.0
     x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+    x[rng.random(shape) < 0.1] = -np.inf
     before = x.tobytes()
     got, want = _median(x, at), np.median(x, axis=at)
     assert got.shape == want.shape
