@@ -6,7 +6,7 @@ exact offline oracles, instance generators and a stream CLI.
 """
 
 from .points import HypercubePoint, PointMultiset, hamming_distance
-from .quadtree import QuadtreeSpec, lca_depth, sample_quadtree
+from .quadtree import QuadtreeSpec, sample_quadtree
 from .offline import (
     Matching,
     SpanningTree,
@@ -31,13 +31,7 @@ from .sketches import (
     l0_estimate,
     stable_median,
 )
-from .emd_sketch import (
-    CharacterSet,
-    EmdOnePassSketch,
-    EmdSketchConfig,
-    EmdTwoPassSketch,
-    split_probability,
-)
+from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch
 from .mst_sketch import MstSketch, MstSketchConfig
 from .streamio import (
     Stream,
@@ -53,14 +47,13 @@ from .generators import GeneratedInstance, gen_instance, rm1_codewords
 # package, but are not part of the star-import surface.
 __all__ = [
     "HypercubePoint", "PointMultiset", "hamming_distance",
-    "QuadtreeSpec", "lca_depth", "sample_quadtree",
+    "QuadtreeSpec", "sample_quadtree",
     "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
     "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
     "total_inspector_payment", "value_emd", "value_mst",
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",
-    "CharacterSet", "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
-    "split_probability",
+    "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",
     "MstSketch", "MstSketchConfig",
     "Stream", "aggregate", "parse_stream", "parse_stream_binary",
     "write_stream", "write_stream_binary",

@@ -81,20 +81,25 @@ def run_estimator(
     eps: float = _EPS,
     seed: int = 0,
     oracle: bool = False,
-    emd_config: Optional[EmdSketchConfig] = None,
-    mst_config: Optional[MstSketchConfig] = None,
+    config: EmdSketchConfig | MstSketchConfig | None = None,
 ) -> EstimateReport:
     """Pad the stream's points to a power-of-two dimension (`Stream.padded`),
     aggregate it (estimates are unchanged, by linearity), run the requested
-    estimator, and optionally the exact oracle. The report keeps the input dimension and
-    the eps the estimate used: the EMD config's (`emd_config` if given, else
-    `eps`), or the 1/2 at which every MST sketch is built
+    estimator, and optionally the exact oracle. The sketch is built from
+    `config` if given, which must be the problem's (`EmdSketchConfig` or
+    `MstSketchConfig`, else ValueError), and otherwise from `eps` and
+    `seed`. The report keeps the input dimension and the eps the estimate
+    used: the EMD config's, or the 1/2 at which every MST sketch is built
     (`MstSketchConfig.eps`; the MST estimator reads no `eps`). A stream
     label the problem does not read (EMD reads A and B, MST reads X) raises
     ValueError."""
     _check_eps(eps)
     if problem not in _LABELS:
         raise ValueError(f"unknown problem {problem!r}")
+    want = EmdSketchConfig if problem == "emd" else MstSketchConfig
+    if config is not None and not isinstance(config, want):
+        raise ValueError(f"the {problem.upper()} estimator takes a {want.__name__}, "
+                         f"got a {type(config).__name__}")
     t0 = time.monotonic()
     nets = aggregate(stream.padded(1 << (stream.d - 1).bit_length()))
     unread = sorted(set(nets) - set(_LABELS[problem]))
@@ -107,7 +112,7 @@ def run_estimator(
         if A is None or B is None or len(A) != len(B) or len(A) == 0:
             raise ValueError("EMD streams must end with non-empty |A| = |B|")
         n = len(A)
-        cfg = emd_config or EmdSketchConfig(n=n, d=A.d, eps=eps, seed=seed)
+        cfg = config or EmdSketchConfig(n=n, d=A.d, eps=eps, seed=seed)
         if passes == 2:
             sk = EmdTwoPassSketch(cfg)
             _feed_emd(sk, A, B)
@@ -127,7 +132,7 @@ def run_estimator(
         if X is None or len(X) == 0:
             raise ValueError("MST streams must end with a non-empty X")
         n = len(X)
-        cfg = mst_config or MstSketchConfig(n=n, d=X.d, seed=seed)
+        cfg = config or MstSketchConfig(n=n, d=X.d, seed=seed)
         sk = MstSketch(cfg)
         for p, c in X.items():
             sk.update(p, c)
@@ -170,7 +175,7 @@ def _cmd_run(args) -> int:
     except ValueError:  # args.seed is an int already
         raise ValueError("GEOSKETCH_SEED must be an integer, got "
                          f"{os.environ['GEOSKETCH_SEED']!r}") from None
-    emd_cfg = mst_cfg = None
+    config = None
     if args.config:
         for flag, value in (("--eps", args.eps), ("--seed", args.seed)):
             if value is not None:
@@ -188,10 +193,8 @@ def _cmd_run(args) -> int:
                              f"cannot use")
         if "GEOSKETCH_SEED" in os.environ:
             obj["seed"] = seed
-        if kind == "emd-config":
-            emd_cfg = EmdSketchConfig.from_json(json.dumps(obj))
-        else:
-            mst_cfg = MstSketchConfig.from_json(json.dumps(obj))
+        cls = EmdSketchConfig if kind == "emd-config" else MstSketchConfig
+        config = cls.from_json(json.dumps(obj))
     stream = _read_stream(args.stream)
     try:
         report = run_estimator(
@@ -201,8 +204,7 @@ def _cmd_run(args) -> int:
             eps=_EPS if args.eps is None else args.eps,
             seed=seed,
             oracle=args.oracle,
-            emd_config=emd_cfg,
-            mst_config=mst_cfg,
+            config=config,
         )
     except SamplesFailed as e:
         raise ValueError(f"{e}; raise `samples` in a --config file") from e

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import hashing as hx
 from .hashing import U64
-from .points import HypercubePoint, PointMultiset, values_to_matrix
+from .points import HypercubePoint, values_to_matrix
 from .quadtree import sample_quadtree
 from .sketches import (
     FAIL,
@@ -69,11 +69,9 @@ from .sketches import (
 )
 
 __all__ = [
-    "CharacterSet",
     "EmdSketchConfig",
     "EmdOnePassSketch",
     "EmdTwoPassSketch",
-    "split_probability",
 ]
 
 
@@ -126,39 +124,6 @@ def chi_plus(X: np.ndarray, seeds: np.ndarray, rates) -> np.ndarray:
         starts = np.searchsorted(sets, np.flatnonzero(full))
         odd[full] = np.bitwise_xor.reduceat(bits.view(np.uint64), starts)
     return (odd.view(np.uint8)[:, :n] == 0).reshape(seeds.shape + (n,))
-
-
-class CharacterSet:
-    """Random S subset of [d], each coordinate kept i.i.d. at `rate`, drawn
-    by `character_members`: the scalar character that `split_probability`
-    reads, and the oracle of the characters the sketches draw.
-
-    chi_S(x) = (-1)^{sum_{k in S} x_k}; stored as a packed mask aligned with
-    HypercubePoint.value.
-    """
-
-    def __init__(self, d: int, rate: float, seed: int):
-        self.d = d
-        self.rate = min(1.0, max(0.0, rate))
-        self.seed = seed
-        self.indices = character_members(seed, d, self.rate)[1]
-        self.mask = sum(1 << (d - 1 - k) for k in self.indices.tolist())
-
-    def eval(self, x: HypercubePoint) -> int:
-        """chi_S(x) in {-1, +1}."""
-        if x.d != self.d:
-            raise ValueError("dimension mismatch")
-        return -1 if (self.mask & x.value).bit_count() & 1 else 1
-
-
-def split_probability(C_u: PointMultiset, C_v: PointMultiset, S: CharacterSet) -> float:
-    """Pr[chi_S(c_u) != chi_S(c_v)] for independent uniform draws from the two
-    populations; 0 when either population is empty (the avg = 0 convention)."""
-    if len(C_u) == 0 or len(C_v) == 0:
-        return 0.0
-
-    qu, qv = (sum(c for p, c in ms.items() if S.eval(p) == 1) / ms.total for ms in (C_u, C_v))
-    return qu * (1.0 - qv) + qv * (1.0 - qu)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +551,7 @@ class _TreeSketch:
         plus = (chi_plus(X, sets, rates) * rows.sum(axis=1)).transpose(0, 2, 1)
         rows = np.concatenate([np.broadcast_to(rows, (len(seeds),) + rows.shape), plus], axis=2)
         ids = replica_node_ids(path, levels, seeds, self.cfg.universe_m)
-        return SparseCounts.grouped(np.stack([*ids, *keys], axis=2), rows)
+        return CountView.grouped(np.stack([*ids, *keys], axis=2), rows)
 
     def merge(self, other: "_TreeSketch") -> None:
         if self.cfg != other.cfg:

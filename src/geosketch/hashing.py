@@ -23,6 +23,7 @@ _S30, _S27, _S31 = U64(30), U64(27), U64(31)
 # fills the low 53 bits after shift; keeps uniforms inside the open interval
 _INV53 = float(2.0**-53)
 _HALF54 = float(2.0**-54)
+_BELOW1 = 1.0 - _INV53  # the largest float64 below 1
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray:
@@ -82,8 +83,11 @@ def int_words(v: int) -> tuple:
 
 
 def uniform01(h: np.ndarray) -> np.ndarray:
-    """Map hash words to uniforms in the open interval (0, 1)."""
-    return (np.asarray(h, dtype=U64) >> U64(11)).astype(np.float64) * _INV53 + _HALF54
+    """Map hash words to uniforms in the open interval (0, 1): the top 53
+    bits k give (k + 1/2) 2^-53, which rounds to 1.0 at k = 2^53 - 1 only;
+    that one value is clamped to 1 - 2^-53."""
+    return np.minimum((np.asarray(h, dtype=U64) >> U64(11)).astype(np.float64) * _INV53 + _HALF54,
+                      _BELOW1)
 
 
 def exp1(h: np.ndarray) -> np.ndarray:

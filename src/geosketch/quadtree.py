@@ -19,9 +19,8 @@ from typing import List
 import numpy as np
 
 from .hashing import U64, bucket, combine, extend
-from .points import HypercubePoint
 
-__all__ = ["QuadtreeSpec", "sample_quadtree", "lca_depth"]
+__all__ = ["QuadtreeSpec", "sample_quadtree"]
 
 _LEVEL_SALT = 0x51AD_7EE5
 _FP_SALT_A = 0xF1A9_0001
@@ -84,20 +83,3 @@ class QuadtreeSpec:
 def sample_quadtree(d: int, seed: int) -> QuadtreeSpec:
     """Draw a random quadtree for dimension d (a power of two)."""
     return QuadtreeSpec(d, seed)
-
-
-def lca_depth(tree: QuadtreeSpec, x: HypercubePoint, y: HypercubePoint) -> int:
-    """Depth of the least common ancestor of the leaves of x and y."""
-    if x.d != y.d:
-        raise ValueError(f"dimension mismatch: {x.d} != {y.d}")
-    X = np.stack([x.bits(), y.bits()])
-    path = tree.node_path(X)
-    same = np.all(path[0] == path[1], axis=1)
-    # equality is monotone down the path: find the deepest agreeing depth
-    depth = 0
-    for i in range(tree.h + 1):
-        if same[i]:
-            depth = i
-        else:
-            break
-    return depth

@@ -1,31 +1,30 @@
 """Linear sketches as functions of the counts they read.
 
-State discipline: there is one count store, `SparseCounts`, which maps a key
-to a fixed-width row of Python ints (a tuple, checked against the int64
-range at every `add`, so an update makes no numpy call) and drops a row once
-it is all zero; it is read as an int64 matrix. An estimator keeps its state
-in one such store, plus seeds. That store is the aggregated input, the
-smallest exact state, not the paper's polylog-size sketch (a bounded mode is
-in the ROADMAP item on the space claim). A sketch keeps no state: it is a
-function of width-1 counts, a seed and a shape (`cauchy_l1`, `l0_estimate`,
-`L1Sampler.sample`), which builds its accumulators -- the classical dense
-view -- from those counts in canonical key order each time it is read. This
+State discipline: there is one count store, `SparseCounts`, the ingest
+store. It maps a packed point (a nonnegative int) to a fixed-width row of
+Python ints (a tuple, checked against the int64 range at every `add`, so an
+update makes no numpy call) and drops a row once it is all zero. An
+estimator keeps its state in one such store, plus seeds. That store is the
+aggregated input, the smallest exact state, not the paper's polylog-size
+sketch (a bounded mode is in the ROADMAP item on the space claim).
+
+Everything that reads counts reads a view, not a second store: a
+`CountView` holds (n, k) uint64 key words in canonical (lexicographic)
+order without repeats and their (n, width) int64 rows, none all zero. The
+estimators sort their store once per read and build every replica's counts
+from it: `CountView.grouped` sums the rows of all replicas in one sort and
+one grouped sum, into one view whose slices are the replicas' views, the
+first key word the replica. The vectors the estimators count exactly (the
+node discrepancies of Delta-hat and the round-one samplers, the per-level
+node counts of l0) are such views. A sketch keeps no state: it is a
+function of a width-1 view, a seed and a shape (`cauchy_l1`,
+`l0_estimate`, `L1Sampler.sample`), which builds its accumulators -- the
+classical dense view -- from those arrays each time it is read. This
 keeps every read exactly linear: permuting, splitting or merging update
 streams yields bit-identical counts and hence bit-identical estimates
 (floating-point accumulation in stream order could not promise that).
-
-Everything else is a view, not a second store. The estimators build every
-replica's counts from their one store once per read: `SparseCounts.grouped`
-sums the rows of all replicas in one sort and one grouped sum, into one
-`CountView` whose slices are the replicas' views -- (n, k) uint64 key words
-in canonical order, the first the replica, and (n, width) int64 rows, none
-all zero. Every reader takes those arrays as they are. The vectors the
-estimators count exactly (the node discrepancies of Delta-hat and the
-round-one samplers, the per-level node counts of l0) are such views, and a
-sketch reads a store or a view through the same `sorted` and `len`. Each
-view has the keys and the integers that feeding every update to it would
-have given. `L1Sampler` is the one sketch kept as an object: a seed, a shape
-and its counts, from which `sample` builds its Count-Sketch and Cauchy l1.
+`L1Sampler` is the one sketch kept as an object: a seed, a shape and its
+counts, from which `sample` builds its Count-Sketch and Cauchy l1.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
@@ -34,8 +33,8 @@ the counts, so a serialized state holds no accumulator.
 
 Coefficients (Count-Sketch signs, Cauchy and p-stable scalars, exponential
 scalings) are derived from the seed and the index by keyed hashing, never
-stored; a view's key words are hashed with one call, and a list of keys
-with one call per key width.
+stored; a view's key words are hashed with one call, and a list of packed
+points with one call per word count.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -75,27 +74,19 @@ class _Fail:
 
 FAIL = _Fail()
 
-Key = Union[int, Tuple[int, ...]]
-Keys = Union[Sequence[Key], np.ndarray]  # a store's key list, a view's word array
-
 # 1/t scalings are capped here; Pr[t < 1/cap] ~ 1e-6 per index
 _INV_EXP_CAP = 2.0**20
 
 
-def _key_words(key: Key) -> Tuple[int, ...]:
-    if isinstance(key, tuple):
-        return tuple(w for part in key for w in _key_words(part))
-    return hx.int_words(key)
-
-
-def _hash_keys(prefix: tuple, keys: Keys) -> np.ndarray:
+def _hash_keys(prefix: tuple, keys: Sequence[int] | np.ndarray) -> np.ndarray:
     """combine(*prefix, *words of key) for every key: an (n, k) uint64 word
-    array in one combine call, a sequence of keys in one call per key width
-    (elementwise, so both equal the per-key calls bit for bit). Array prefix
-    parts broadcast: the keys run along the last axis."""
+    array in one combine call, a sequence of packed points in one call per
+    word count (`hashing.int_words`; elementwise, so both equal the per-key
+    calls bit for bit). Array prefix parts broadcast: the keys run along
+    the last axis."""
     if isinstance(keys, np.ndarray):
         return hx.combine(*prefix, *keys.T)
-    words = [_key_words(k) for k in keys]
+    words = [hx.int_words(k) for k in keys]
     by_width: Dict[int, List[int]] = {}
     for i, w in enumerate(words):
         by_width.setdefault(len(w), []).append(i)
@@ -106,7 +97,7 @@ def _hash_keys(prefix: tuple, keys: Keys) -> np.ndarray:
     return out
 
 
-def _bad_row(key: Key, row: tuple) -> Exception:
+def _bad_row(key: int, row: tuple) -> Exception:
     """The error for a row that its store's int64 check rejected."""
     if all(isinstance(v, (int, np.integer)) for v in row):
         return OverflowError(f"count row {list(row)} of key {key!r} leaves the int64 range")
@@ -127,7 +118,7 @@ class CountView:
     """Read-only counts: keys (n, k) uint64, each key the tuple of its k
     words, in canonical (lexicographic) order without repeats, and their
     rows (n, width) int64, none all zero. All replicas' counts are one, keyed
-    (replica, ...) (`SparseCounts.grouped`), sliced by `cuts`."""
+    (replica, ...) (`grouped`), sliced by `cuts`."""
 
     keys: np.ndarray
     rows: np.ndarray
@@ -143,19 +134,28 @@ class CountView:
             keys, rows = keys[starts[nz]], rows[nz]
         return cls(keys, rows)
 
+    @classmethod
+    def grouped(cls, keys: np.ndarray, rows: np.ndarray) -> "CountView":
+        """One view of rows[r] summed at equal keys[r], keyed (r, *keys[r]),
+        for each leading index r of keys (R, n, k) uint64 and rows (R, n,
+        width) int64: one sort (a lexsort along the n axis, which sorts each
+        r apart) and one grouped sum."""
+        R, n, k = keys.shape
+        rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
+        flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
+        order = (np.lexsort(keys.transpose(2, 0, 1)[::-1]) + n * np.arange(R)[:, None]).ravel()
+        return cls.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
+
     @property
     def width(self) -> int:
         return self.rows.shape[1]
-
-    def sorted(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.keys, self.rows  # already in canonical order
 
     def cuts(self, R: int) -> np.ndarray:
         """The R + 1 bounds of the slices of first key word 0..R-1 (`grouped`)."""
         return np.searchsorted(self.keys[:, 0], np.arange(R + 1, dtype=U64))
 
     def to_bytes(self) -> bytes:
-        """The bytes of the `SparseCounts` that holds the same rows."""
+        """The rows serialized as `SparseCounts.to_bytes` serializes a store's."""
         return _encode_counts(self.width, self.keys.tolist(), self.rows)
 
     def __len__(self) -> int:
@@ -163,28 +163,32 @@ class CountView:
 
 
 class SparseCounts:
-    """Exact sparse counts: key -> a row of `width` Python ints (a tuple),
-    the one count store of the package. A row is dropped once it is all
-    zero, so a store depends on the net vector only, not on the order of the
-    updates; `sorted` and `to_bytes` list the rows in the canonical key order
-    (`_key_words`) as an int64 matrix. Every entry stays in the int64 range:
-    `add` and `merge` check each sum before they write it. An update whose
-    delta is a tuple or an int makes no numpy call."""
+    """Exact sparse counts: packed point (a nonnegative int) -> a row of
+    `width` Python ints (a tuple), the ingest store of the package. A row is
+    dropped once it is all zero, so a store depends on the net vector only,
+    not on the order of the updates; `sorted` and `to_bytes` list the rows
+    in the canonical key order (by `hashing.int_words`) as an int64 matrix.
+    Every entry stays in the int64 range: `add` and `merge` check each sum
+    before they write it. An update makes no numpy call."""
 
     __slots__ = ("width", "rows", "_check")
 
     def __init__(self, width: int = 1):
         self.width = width
-        self.rows: Dict[Key, Tuple[int, ...]] = {}
+        self.rows: Dict[int, Tuple[int, ...]] = {}
         self._check = struct.Struct(f"<{width}q").pack  # struct.error outside int64
 
-    def add(self, key: Key, delta) -> None:
-        """Add delta to key's row: a tuple of `width` ints, an integer added
-        to every column, or an integer numpy row. If an entry of the sum
+    def add(self, key: int, delta) -> None:
+        """Add delta to key's row: a tuple of `width` ints, or an int added
+        to every column (any other delta raises ValueError, and a tuple
+        entry that is not an integer TypeError). If an entry of the sum
         leaves the int64 range, raise OverflowError naming the key and
         change nothing."""
         if type(delta) is not tuple or len(delta) != self.width:
-            delta = (delta,) * self.width if type(delta) is int else self._row(delta)
+            if type(delta) is not int:
+                raise ValueError(f"a count delta must be an int or a tuple of {self.width} "
+                                 f"ints, got {delta!r}")
+            delta = (delta,) * self.width
         row = self.rows.get(key)
         new = delta if row is None else tuple(map(operator.add, row, delta))
         if not any(new):
@@ -195,17 +199,6 @@ class SparseCounts:
         except struct.error:
             raise _bad_row(key, new) from None
         self.rows[key] = new
-
-    def _row(self, delta) -> Tuple[int, ...]:
-        """An integer or an integer row as a tuple of `width` ints."""
-        if isinstance(delta, (int, np.integer)):
-            return (int(delta),) * self.width
-        arr = np.asarray(delta)
-        if arr.dtype.kind not in "biu":
-            raise TypeError(f"a count delta must be an integer or an integer row, got {delta!r}")
-        if arr.shape != (self.width,):
-            raise ValueError(f"a count delta row must have {self.width} entries, got {delta!r}")
-        return tuple(map(int, arr.tolist()))
 
     def merge(self, other: "SparseCounts") -> None:
         """Add another store of the same width; an OverflowError leaves
@@ -220,36 +213,20 @@ class SparseCounts:
             self.rows = before
             raise
 
-    @staticmethod
-    def grouped(keys: np.ndarray, rows: np.ndarray) -> CountView:
-        """One view of rows[r] summed at equal keys[r], keyed (r, *keys[r]),
-        for each leading index r of keys (R, n, k) uint64 and rows (R, n,
-        width) int64: one sort (a lexsort along the n axis, which sorts each
-        r apart) and one grouped sum."""
-        R, n, k = keys.shape
-        rep = np.repeat(np.arange(R, dtype=U64), n)[:, None]
-        flat = np.concatenate([rep, keys.reshape(R * n, k)], axis=1)
-        order = (np.lexsort(keys.transpose(2, 0, 1)[::-1]) + n * np.arange(R)[:, None]).ravel()
-        return CountView.summed(flat[order], rows.reshape(R * n, rows.shape[-1])[order])
-
     def total(self) -> Tuple[int, ...]:
         """The column sums of the rows."""
         return tuple(map(sum, zip(*self.rows.values()))) or (0,) * self.width
 
-    def _matrix(self, keys: List[Key]) -> np.ndarray:
-        """The (len(keys), width) int64 rows of the given keys."""
-        return np.array([self.rows[k] for k in keys], dtype=np.int64).reshape(-1, self.width)
-
-    def sorted(self) -> Tuple[List[Key], np.ndarray]:
-        """Keys in canonical order and their (len, width) rows."""
-        keys = sorted(self.rows, key=_key_words)
-        return keys, self._matrix(keys)
+    def sorted(self) -> Tuple[List[int], np.ndarray]:
+        """Keys in canonical order and their (len, width) int64 rows."""
+        keys = sorted(self.rows, key=hx.int_words)
+        return keys, np.array([self.rows[k] for k in keys], dtype=np.int64).reshape(-1, self.width)
 
     def to_bytes(self) -> bytes:
         """Width, row count, then each (key words, int64 row) in canonical
         order, little-endian."""
         keys, rows = self.sorted()
-        return _encode_counts(self.width, [_key_words(k) for k in keys], rows)
+        return _encode_counts(self.width, [hx.int_words(k) for k in keys], rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -269,13 +246,6 @@ def encode_state(kind: int, shape: Sequence[int],
         f"<HHB{len(words)}QI", _STATE_VERSION, kind, len(words), *words, len(stores)
     )
     return head + b"".join(st.to_bytes() for st in stores)
-
-
-def _sorted_values(counts: SparseCounts | CountView) -> Tuple[Keys, np.ndarray]:
-    """The keys of width-1 counts in canonical order, and their values as
-    float64."""
-    keys, rows = counts.sorted()
-    return keys, rows[:, 0].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +337,7 @@ _CAUCHY_SALT = 0xCA0C
 
 
 def _sketch_coords(seed: int, rows: int, buckets: int,
-                   keys: Keys) -> Tuple[np.ndarray, np.ndarray]:
+                   keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, n) slots and signs (`_cs_coords`) at the keys of the
     Count-Sketch with this seed and shape. Its estimate at i, the median
     over rows of sign(i) * bucket(h(i)), is within eps * ||x_{-1/eps^2}||_2
@@ -377,45 +347,30 @@ def _sketch_coords(seed: int, rows: int, buckets: int,
                       _hash_keys((seed,), keys), buckets)
 
 
-def _cauchy_coefficients(seed: int, s: int, keys: Keys) -> np.ndarray:
+def _cauchy_coefficients(seed: int, s: int, keys: np.ndarray) -> np.ndarray:
     """(s, n) Cauchy coefficients at the keys of the s-row l1 sketch with
     this seed."""
     r = np.arange(s, dtype=U64)[:, None]
     return hx.cauchy(hx.combine(_CAUCHY_SALT, r, _hash_keys((seed,), keys)[None, :]))
 
 
-def cauchy_l1(counts: SparseCounts | CountView, s: int, seed: int) -> float:
+def cauchy_l1(counts: CountView, s: int, seed: int) -> float:
     """Indyk's l1 estimate of width-1 counts: the median magnitude of s
     Cauchy-weighted sums of them (median |Cauchy| = tan(pi/4) = 1, so no
     rescaling); 0.0 for no counts."""
-    keys, vals = _sorted_values(counts)
-    return float(np.median(np.abs(_cauchy_coefficients(seed, s, keys) @ vals)))
+    sums = _cauchy_coefficients(seed, s, counts.keys) @ counts.rows[:, 0].astype(np.float64)
+    return float(_median(np.abs(sums), 0))
 
 
 # ---------------------------------------------------------------------------
-# p-stable generation and the median of |D_p|
+# the median of |D_p|
 # ---------------------------------------------------------------------------
-
-
-def sample_p_stable_array(p: float, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Vectorized Chambers-Mallows-Stuck p-stable generator; extreme inputs
-    saturate to inf/0, which is the right semantics for the heavy tails."""
-    r = np.asarray(r, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        return (np.sin(p * theta) / np.cos(theta) ** (1.0 / p)) * (
-            np.cos(theta * (1.0 - p)) / np.log(1.0 / r)
-        ) ** ((1.0 - p) / p)
-
-
-def _g_abs(p: float, r, theta):
-    """|D_p| generator g(r, theta) on (0,1) x (0, pi/2)."""
-    return np.abs(sample_p_stable_array(p, r, theta))
 
 
 # median(|D_p|) at the MST sketch's p = 1/(4L), L = 1..25, as float.hex: the
-# values of `_stable_median_slow(1.0 / (4.0 * L))`, which take 0.5-2 s each.
-# At L >= 26 its quadrature fails ("function value at x=1e-12 is NaN").
+# values of `_stable_median_slow(1.0 / (4.0 * L))` in tests/reference.py,
+# which take 0.5-2 s each. At L >= 26 its quadrature fails ("function value
+# at x=1e-12 is NaN").
 _STABLE_MEDIAN_HEX = (
     "0x1.449e6b63d5ac6p+1", "0x1.57988ce8f6340p+3", "0x1.71932c5c9316fp+5",  # L = 1..3
     "0x1.8ef6e824a8f38p+7", "0x1.af47c67cac3e7p+9", "0x1.d2850c4f7aa2dp+11",  # L = 4..6
@@ -432,42 +387,11 @@ _STABLE_MEDIAN = {1.0 / (4.0 * L): float.fromhex(h) for L, h in enumerate(_STABL
 
 def stable_median(p: float) -> float:
     """median(|D_p|) from the committed table, at the p = 1/(4L), L = 1..25,
-    of the MST sketch; `_stable_median_slow` solves it at any p."""
+    of the MST sketch; `_stable_median_slow` in tests/reference.py solves
+    it at any p."""
     if p not in _STABLE_MEDIAN:
         raise ValueError(f"stable_median supports p = 1/(4L), L = 1..25, only; got p = {p}")
     return _STABLE_MEDIAN[p]
-
-
-def _stable_median_slow(p: float) -> float:
-    """median(|D_p|), found by bisection on t -> F(g(t, pi t / 2)).
-
-    The CDF F is evaluated by quadrature over theta of the inverse of the
-    generator (monotone in r for p < 1); the solution t* lies in [1/10, 9/10].
-    scipy is imported here, so the estimate path, which reads the table,
-    never loads it.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-
-    def r_bar(theta: float, z: float) -> float:
-        lo, hi = 1e-12, 1.0 - 1e-12
-        if _g_abs(p, hi, theta) <= z:
-            return 1.0
-        if _g_abs(p, lo, theta) >= z:
-            return 0.0
-        return brentq(lambda r: _g_abs(p, r, theta) - z, lo, hi, xtol=1e-12)
-
-    def cdf(z: float) -> float:
-        val, _ = quad(lambda th: r_bar(th, z), 1e-9, np.pi / 2 - 1e-9, limit=200)
-        return val / (np.pi / 2)
-
-    t_star = brentq(
-        lambda t: cdf(_g_abs(p, t, np.pi * t / 2)) - 0.5, 0.02, 0.98, rtol=1e-9
-    )
-    return float(_g_abs(p, t_star, np.pi * t_star / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +416,7 @@ class L1Sampler:
     the scaled vector and the Cauchy l1 estimate of x from them.
     """
 
-    def __init__(self, counts: SparseCounts | CountView, seed: int, rows: int = 5,
+    def __init__(self, counts: CountView, seed: int, rows: int = 5,
                  buckets: int = 256, gamma: float = 0.05):
         self.counts = counts
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -510,7 +434,7 @@ class L1Sampler:
         of an `EmdTwoPassSketch`, which has no serializer of its own."""
         return encode_state(4, (self.seed, self.rows, self.buckets, _L1_ROWS), [self.counts])
 
-    def _table(self, keys: Keys, vals: np.ndarray, coords) -> np.ndarray:
+    def _table(self, keys: np.ndarray, vals: np.ndarray, coords) -> np.ndarray:
         """The Count-Sketch table of the scaled vector x_i / t_i at the
         coords of keys. It is kept on an integer grid of step 2^-20,
         x_i * round(min(1/t_i, 2^20) * 2^20), so the table is as exactly
@@ -520,10 +444,10 @@ class L1Sampler:
         return _cs_table(*coords, vals * np.round(inv_t * (1 << 20)), self.buckets)
 
     def sample(self):
-        """Return an index (a view's key as a tuple of ints) or FAIL. One
-        set of Count-Sketch coords serves both the table and its read. The
-        gap test runs first, so its failures draw no Cauchy l1 estimate."""
-        keys, vals = _sorted_values(self.counts)
+        """Return an index (a key of the view as a tuple of ints) or FAIL.
+        One set of Count-Sketch coords serves both the table and its read.
+        The gap test runs first, so its failures draw no Cauchy l1 estimate."""
+        keys, vals = self.counts.keys, self.counts.rows[:, 0].astype(np.float64)
         if not len(keys):
             return FAIL
         coords = _sketch_coords(self.cs_seed, self.rows, self.buckets, keys)
@@ -535,8 +459,7 @@ class L1Sampler:
             return FAIL
         if best < self.gamma * cauchy_l1(self.counts, _L1_ROWS, self.l1_seed):
             return FAIL
-        key = keys[top]
-        return tuple(key.tolist()) if isinstance(key, np.ndarray) else key
+        return tuple(keys[top].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +471,7 @@ _L0_SALT_LVL = 0x10A0
 _L0_SALT_BKT = 0x10A1
 
 
-def _l0_occupancy(seed: int, buckets: int, keys: Keys) -> np.ndarray:
+def _l0_occupancy(seed: int, buckets: int, keys: np.ndarray) -> np.ndarray:
     """The occupied buckets at each subsample level eta < `_L0_LEVELS`: the
     decoded view of the fingerprinted bucket tables."""
     hk = _hash_keys((seed,), keys)
@@ -557,16 +480,15 @@ def _l0_occupancy(seed: int, buckets: int, keys: Keys) -> np.ndarray:
     return np.array([len(np.unique(b[u < 2.0**-eta])) for eta in range(_L0_LEVELS)])
 
 
-def l0_estimate(counts: SparseCounts | CountView, seed: int, buckets: int) -> float:
+def l0_estimate(counts: CountView, seed: int, buckets: int) -> float:
     """Distinct-support estimate of width-1 counts: nested subsamples at
     rates 2^-eta feed fingerprinted occupancy tables; the first level whose
     occupancy is at most 0.7 * buckets is inverted by linear counting and
     inflated by 1.25, giving an estimate inside [c, 1.5c] with high
     probability; 0.0 for no counts."""
-    keys, _ = counts.sorted()
-    if not len(keys):
+    if not len(counts):
         return 0.0
-    for eta, occ in enumerate(_l0_occupancy(seed, buckets, keys).tolist()):
+    for eta, occ in enumerate(_l0_occupancy(seed, buckets, counts.keys).tolist()):
         if occ <= 0.7 * buckets:
             if occ == 0:
                 return 0.0

@@ -10,7 +10,8 @@ import pytest
 
 import geosketch
 from geosketch import (
-    MstSketchConfig, gen_instance, run_estimator, write_stream, write_stream_binary,
+    EmdSketchConfig, MstSketchConfig, gen_instance, run_estimator, write_stream,
+    write_stream_binary,
 )
 from geosketch.cli import main
 
@@ -278,6 +279,19 @@ def test_mst_report_states_the_eps_its_sketch_is_built_at():
     assert reports[0].estimate == reports[1].estimate
     cfg = MstSketchConfig(n=8, d=8)
     assert cfg.eps == 0.5 and cfg.p == 1.0 / (4.0 * cfg.L)
+
+
+def test_run_estimator_takes_one_config_of_its_problem():
+    """`config` builds the sketch of its own problem, here at seed 5, and a
+    config of the other problem raises ValueError naming both, instead of
+    being ignored for the defaults."""
+    mst = gen_instance("uniform", 8, 8, seed=1).updates
+    emd = gen_instance("matched_noise", 8, 8, seed=1).updates
+    assert run_estimator(mst, "mst", config=MstSketchConfig(n=8, d=8, seed=5)).seeds["config"] == 5
+    assert run_estimator(emd, "emd", config=EmdSketchConfig(n=8, d=8, seed=5)).seeds["config"] == 5
+    for stream, problem, other in ((mst, "mst", EmdSketchConfig), (emd, "emd", MstSketchConfig)):
+        with pytest.raises(ValueError, match=f"takes a .*, got a {other.__name__}"):
+            run_estimator(stream, problem, config=other(n=8, d=8, seed=5))
 
 
 def test_mst_run_with_an_eps_flag_exits_2():

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from geosketch import hashing as hx
 from geosketch import (
-    CharacterSet,
     EmdOnePassSketch,
     EmdSketchConfig,
     EmdTwoPassSketch,
@@ -23,7 +22,6 @@ from geosketch import (
     gen_instance,
     run_estimator,
     sample_quadtree,
-    split_probability,
     SparseCounts,
     cauchy_l1,
 )
@@ -32,11 +30,14 @@ from geosketch.emd_sketch import log2n, replica_node_ids
 from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.quadtree import QuadtreeSpec
 
-from conftest import _cs_coords as ref_cs_coords
 from conftest import (
-    FedL1Sampler, charsets, node_key, random_multiset, random_pair, reference_one_round_estimates,
-    replica_views, replicas, sampler_reads, state_header, store_sizes, tail_truncated_norms,
-    universe_ids, view_of,
+    assert_view_is, random_multiset, random_pair, replica_views, replicas, sampler_reads,
+    state_header, store_sizes,
+)
+from reference import _cs_coords as ref_cs_coords
+from reference import (
+    CharacterSet, FedL1Sampler, add_count, charsets, dict_view, node_key,
+    reference_one_round_estimates, split_probability, tail_truncated_norms, tally, universe_ids,
 )
 
 
@@ -368,18 +369,14 @@ def test_two_round_estimate_matches_exact_p():
     # two children under one parent, known populations
     popA = [pt(rng.integers(0, 2, d)) for _ in range(4)]
     popB = [pt(rng.integers(0, 2, d)) for _ in range(3)]
-    pass1 = SparseCounts(2 + cfg.n_sets)
-    pass1.add((1, 2), 4 * row(popA[0], "A"))
-    rep.finalize_pass1(view_of(pass1))
+    pass1 = tally([((1, 2), 4 * row(popA[0], "A"))])
+    rep.finalize_pass1(dict_view(pass1, 2, 2 + cfg.n_sets))
     assert set(rep.sampled.values()) == {(1, 2)}
-    pass2 = SparseCounts(2 + cfg.n_sets)
-    for p in popA:
-        pass2.add((1, 2), row(p, "A"))
-    for p in popB:
-        pass2.add((1, 3), row(p, "B"))  # sibling: counts to C_u only
+    # sibling (1, 3): counts to C_u only
+    pass2 = tally([((1, 2), row(p, "A")) for p in popA] + [((1, 3), row(p, "B")) for p in popB])
     want = [split_probability(pm(*popA, *popB), pm(*popA), cs) for cs in charsets(rep)]
     assert any(want)
-    assert rep.two_round_estimates(view_of(pass2)) == pytest.approx(want)
+    assert rep.two_round_estimates(dict_view(pass2, 2, 2 + cfg.n_sets)) == pytest.approx(want)
 
 
 # -- one-round LS1/LS2/LS3 ---------------------------------------------------------
@@ -389,13 +386,9 @@ def _replica_with_counts(counts, n=64, d=16, seed=0, **cfg_kw):
     """A level-1 replica and a view of its counts with the given rows."""
     cfg = EmdSketchConfig(n=n, d=d, seed=seed, **cfg_kw)
     rep = EmdOnePassSketch(cfg).replicas[0][0]
-    view = SparseCounts(2 + cfg.n_sets)
-    for key, (na, nb, chi_plus) in counts.items():
-        row = np.zeros(2 + cfg.n_sets, dtype=np.int64)
-        row[0], row[1] = na, nb
-        row[2:] = chi_plus
-        view.add(key, row)
-    return rep, view_of(view)
+    rows = tally((key, [na, nb] + [chi_plus] * cfg.n_sets)
+                 for key, (na, nb, chi_plus) in counts.items())
+    return rep, dict_view(rows, 2, 2 + cfg.n_sets)
 
 
 def test_ls1_single_parent():
@@ -942,22 +935,21 @@ def _turnstile_stream(rng, d, n_updates):
 
 
 def test_replica_views_equal_fed_reference():
-    """Every replica's view of the counts equals a count store fed (key,
-    delta * row) update by update, and Delta-hat and every round-one
-    sampler built from it equal a Cauchy l1 estimate of the same seed over
-    a store fed (key, +-delta) and references fed the same (the same
-    discrepancy counts and Delta-hat, the same sampler tables,
-    accumulators, counts and samples): read after half the stream, after
-    the rest, and by a second finalize_pass1."""
+    """Every replica's view of the counts is in canonical order and equals a
+    dict reference fed (key, delta * row) update by update, and Delta-hat
+    and every round-one sampler built from it equal a Cauchy l1 estimate of
+    the same seed over a reference fed (key, +-delta) and references fed
+    the same (the same discrepancy counts and Delta-hat, the same sampler
+    tables, accumulators, counts and samples): read after half the stream,
+    after the rest, and by a second finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
         sk = EmdTwoPassSketch(cfg)
         reps = [rep for per_level in sk.replicas for rep in per_level]
-        fed, fed_counts = [], [SparseCounts(2 + cfg.n_sets) for _ in reps]
+        fed, fed_counts = [], [{} for _ in reps]
         for rep in reps:
-            rep.finalize_pass1(view_of(SparseCounts(2 + cfg.n_sets)))
-            fed.append((SparseCounts(),
-                        {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()}))
+            rep.finalize_pass1(dict_view({}, 2, 2 + cfg.n_sets))
+            fed.append(({}, {jc: FedL1Sampler.like(smp) for jc, smp in rep.samplers.items()}))
         ups = _turnstile_stream(np.random.default_rng(s), cfg.d, 30)
         cut = len(ups) // 2
         for part in (ups[:cut], ups[cut:]):
@@ -966,23 +958,23 @@ def test_replica_views_equal_fed_reference():
                 for rep, counts, (delta, smps) in zip(reps, fed_counts, fed):
                     key = node_key(sk.tree, rep, p)
                     chi_plus = [cs.eval(p) == 1 for cs in charsets(rep)]
-                    counts.add(key, c * np.array([label == "A", label == "B", *chi_plus]))
-                    delta.add(key, c if label == "A" else -c)
+                    add_count(counts, key, c * np.array([label == "A", label == "B", *chi_plus]))
+                    add_count(delta, key, c if label == "A" else -c)
                     for f in smps.values():
                         f.update(key, c if label == "A" else -c)
             views = replica_views(sk, sk.counts, reps)
-            assert [v.to_bytes() for v in views] == [c.to_bytes() for c in fed_counts]
+            for view, counts in zip(views, fed_counts):
+                assert_view_is(view, counts)
             for rep, view, (delta, smps) in zip(reps, views, fed):
                 rep.finalize_pass1(view)
-                assert rep.discrepancies(view).to_bytes() == delta.to_bytes()
+                assert_view_is(rep.discrepancies(view), delta)
                 delta_seed = int(hx.combine(rep.seed, 0xDE)[()])
-                assert rep.delta == cauchy_l1(delta, cfg.delta_rows, delta_seed)
+                assert rep.delta == cauchy_l1(dict_view(delta, 2), cfg.delta_rows, delta_seed)
                 for jc, f in smps.items():
                     table, l1 = sampler_reads(rep.samplers[jc])
                     assert np.array_equal(table, f.table())
                     assert np.array_equal(l1, f.l1())
-                got = {jc: smp.counts.to_bytes() for jc, smp in rep.samplers.items()}
-                assert got == {jc: f.x.to_bytes() for jc, f in smps.items()}
+                    assert_view_is(rep.samplers[jc].counts, f.x)
         sk.finalize_pass1()
         sampled = [dict(rep.sampled) for rep in reps]
         assert sampled == [{jc: f.sample() for jc, f in smps.items()} for _, smps in fed]

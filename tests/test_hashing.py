@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 
 from geosketch import hashing as hx
+from geosketch.mst_sketch import _log_stable_draws
 
 
 def test_mix64_scalar_matches_array_without_warnings():
@@ -43,3 +44,18 @@ def test_bucket_of_words_from_2_63_reads_the_remainders_as_int64():
         got = hx.bucket(h, k)
         assert got.dtype == np.int64 and np.array_equal(got, want) and (got >= 0).all()
         assert int(hx.bucket(h[7], k)) == int(want[7])
+
+
+def test_uniform01_stays_below_one_at_the_top_word():
+    """The word whose top 53 bits are all set, the one (k + 1/2) 2^-53
+    rounds to 1.0 at, maps to 1 - 2^-53, so the interval stays open: its
+    exponential is positive and a p-stable draw at it is finite. Its
+    neighbour below and the bottom word keep their values."""
+    top = np.array([((1 << 53) - 1) << 11, ((1 << 53) - 2) << 11, 0], dtype=np.uint64)
+    u = hx.uniform01(top)
+    assert u.tolist() == [1.0 - 2.0**-53, (2**53 - 2) * 2.0**-53 + 2.0**-54, 2.0**-54]
+    assert hx.uniform01(top[0]) < 1.0 and hx.exp1(top[0]) > 0.0
+    theta = np.array([3 << 62], dtype=np.uint64)  # uniform 3/4, theta = pi/4
+    for p in (1.0 / 4.0, 1.0 / 100.0):
+        sign, log_mag = _log_stable_draws(top[:1], theta, p)
+        assert np.isfinite(log_mag).all() and sign.tolist() == [1.0]

@@ -7,6 +7,10 @@ import pytest
 import geosketch
 
 MODULES = sorted(Path(geosketch.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# The package's modules and the references the tests check it against: no
+# import or definition in either outlives its last reader.
+CHECKED = MODULES + [ROOT / "tests" / "reference.py"]
 
 
 def _annotation_names(node: ast.AST):
@@ -43,7 +47,7 @@ def _exported(tree: ast.Module):
             yield from ast.literal_eval(node.value)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     """Each name a module imports is read in it or listed in its
     `__all__`: no import is left behind when the code that used it goes."""
@@ -61,7 +65,6 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
 
 
-ROOT = Path(__file__).resolve().parents[1]
 READERS = [p for sub in ("src", "tests", "perfbench") for p in sorted((ROOT / sub).rglob("*.py"))]
 
 
@@ -118,10 +121,10 @@ def reads():
 
 @pytest.fixture(scope="module")
 def subclasses():
-    """Each class of the package -> the names of it and of its subclasses
-    there, direct or not (a base matched by its name)."""
+    """Each class of the checked files -> the names of it and of its
+    subclasses there, direct or not (a base matched by its name)."""
     bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
-             for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             for path in CHECKED for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.ClassDef)}
 
     def family(c):
@@ -129,15 +132,16 @@ def subclasses():
     return {c: family(c) for c in bases}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_every_definition_is_read(path, reads, subclasses):
-    """Each function, class and public method the package defines is read
-    somewhere in the package, its tests or the benchmark: no definition
-    outlives its last caller. A function or class counts as read where any
-    file reads its name. A method C.m counts only where a file reads an
-    attribute m, not of a builtin-typed value, and mentions C, a subclass
-    of C, or C's module: a read of `x.m` in a file that cannot reach C is
-    some other class's m, and a `Name` m is a variable, not the method."""
+    """Each function, class and public method the package or the tests'
+    references define is read somewhere in the package, its tests or the
+    benchmark: no definition outlives its last caller. A function or class
+    counts as read where any file reads its name. A method C.m counts only
+    where a file reads an attribute m, not of a builtin-typed value, and
+    mentions C, a subclass of C, or C's module: a read of `x.m` in a file
+    that cannot reach C is some other class's m, and a `Name` m is a
+    variable, not the method."""
     tree = ast.parse(path.read_text(), filename=str(path))
 
     def is_read(name: str) -> bool:

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from geosketch import (
     FAIL,
-    CharacterSet,
     CountView,
     HypercubePoint,
     aggregate,
@@ -17,7 +16,6 @@ from geosketch import (
     MstSketch,
     MstSketchConfig,
     PointMultiset,
-    SparseCounts,
     exact_mst,
     l0_estimate,
     sample_quadtree,
@@ -30,11 +28,14 @@ from geosketch.offline import LevelDecomposition
 from geosketch.mst_sketch import (
     _LevelStack, _grouped_log_abs_sum, _log_stable_draws, _point_fps, _representatives,
 )
-from geosketch.sketches import sample_p_stable_array
 
 from conftest import (
-    Replica, charsets, node_key, random_multiset, replica_views, replicas, state_header,
-    store_sizes, universe_ids, view_dict, view_of,
+    Replica, assert_view_is, random_multiset, replica_views, replicas, state_header, store_sizes,
+    view_dict,
+)
+from reference import (
+    CharacterSet, add_count, charsets, dict_view, lca_depth, node_key, sample_p_stable_array,
+    tally, universe_ids,
 )
 
 
@@ -77,10 +78,8 @@ def view_with_nodes(cfg, nodes, seed=7):
     """A one-sample level stack of a bare sample with prescribed (u, w) ->
     count nodes: each node holds one point entry of that net count and
     chi = -1."""
-    points = SparseCounts(2)
-    for (u, w), cnt in nodes.items():
-        points.add((u, w, 1), np.array([cnt, 0]))
-    view = stack_of(cfg, [seed], [view_of(points, k=3)])
+    points = tally(((u, w, 1), [cnt, 0]) for (u, w), cnt in nodes.items())
+    view = stack_of(cfg, [seed], [dict_view(points, 3, 2)])
     assert dict(zip(map(tuple, view.keys.tolist()), view.nx.tolist())) == nodes
     return view
 
@@ -107,8 +106,6 @@ def test_reference_two_points_after_split():
     x, y = pt([0] * d), pt([1] * d)
     X = PointMultiset.from_points([x, y])
     t = sample_quadtree(d, seed=3)
-    from geosketch import lca_depth
-
     split = lca_depth(t, x, y)
     table = LevelDecomposition(t, X).level_table()
     for i in range(split + 1, t.h + 1):
@@ -399,10 +396,9 @@ def _witness_fixture(cfg, points, seed=5, level=1, charset=None):
     stack, and the validated witnesses of the first node (side 0)."""
     st = Replica(cfg, level, seed)
     charset = charset or charsets(st)[0]
-    entries = SparseCounts(2)
-    for key, p, c in points:
-        entries.add((*key, _fp(st, p)), c * np.array([1, charset.eval(p) == 1]))
-    stack = stack_of(cfg, [seed], [view_of(entries, k=3)])
+    entries = tally(((*key, _fp(st, p)), c * np.array([1, charset.eval(p) == 1]))
+                    for key, p, c in points)
+    stack = stack_of(cfg, [seed], [dict_view(entries, 3, 2)])
     return st, stack, stack.witnesses(np.array([0]), stack.hk_v[:1], np.array([0]))[0]
 
 
@@ -464,7 +460,7 @@ def _assert_witnesses_brute(stack):
 def _sibling_in_bucket(cfg, seed, v):
     """A sibling (u, w) of node v that shares v's side-0 witness bucket in
     some row of the sample of the given seed."""
-    probe = stack_of(cfg, [seed], [view_of(SparseCounts(2), k=3)])
+    probe = stack_of(cfg, [seed], [dict_view({}, 3, 2)])
     ws = np.arange(v[1] + 1, v[1] + 1000, dtype=np.uint64)
     b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), ws, 0))
     b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), np.uint64(v[1]), 0))
@@ -491,11 +487,11 @@ def test_witnesses_match_brute_force_enumeration(chi):
             other = _sibling_in_bucket(cfg, rep.seed, v)
             placed = [(v, pts[0], 2), (v, pts[1], -1), (v, pts[2], 1), (other, pts[3], 1),
                       ((2, 7), pts[4], -3), ((2, 9), pts[5], 1)]
-            entries = SparseCounts(2)
+            entries = {}
             for key, p, c in placed:
                 plus = {"mixed": charsets(rep)[0].eval(p) == 1, "none": 0, "all": 1}[chi]
-                entries.add((*key, _fp(rep, p)), c * np.array([1, plus]))
-            views.append(view_of(entries, k=3))
+                add_count(entries, (*key, _fp(rep, p)), c * np.array([1, plus]))
+            views.append(dict_view(entries, 3, 2))
         stack = stack_of(cfg, seeds, views)
         validated += _assert_witnesses_brute(stack)
         for s in range(len(reps)):
@@ -685,7 +681,7 @@ def test_outcomes_name_the_stage_each_sample_failed_at():
     assert seen[0] > 0 and seen[2] > 0 and seen[3] > 0 and seen[1] == 0, seen
     assert seen.sum() == sk.h * sk.cfg.samples
     cfg = small_cfg()
-    empty = stack_of(cfg, [3, 4], [view_of(SparseCounts(2), k=3)] * 2)
+    empty = stack_of(cfg, [3, 4], [dict_view({}, 3, 2)] * 2)
     stage, mismatch = empty.outcomes()
     assert stage.tolist() == [1, 1] and mismatch.tolist() == [False, False]
 
@@ -715,8 +711,6 @@ def test_level_mu_two_clusters_tracks_expectation():
     cfg = MstSketchConfig(n=2, d=d, seed=13, samples=64, j_reps=2)
     sk = feed(MstSketch(cfg), X)
     tree = sk.tree
-    from geosketch import lca_depth
-
     split = lca_depth(tree, *list(X.support())) + 1
     table = LevelDecomposition(tree, X).level_table()
     ell, mu_exact = table.ell[split - 1], table.mu[split - 1]
@@ -912,7 +906,7 @@ def test_state_holds_one_entry_per_distinct_point():
 
 def test_l0_views_equal_fed_reference():
     """The per-level l0 estimate, of the node counts of the level's first
-    sample, equals an l0 estimate of the same seed over a store fed
+    sample, equals an l0 estimate of the same seed over a dict reference fed
     ((u, w), +-delta) update by update, with the ids of the sample's
     universe map at the point's tree path (the same node counts and
     estimate): read after half of a turnstile stream with deletions and
@@ -925,7 +919,7 @@ def test_l0_views_equal_fed_reference():
         # n = 2 puts alpha_i at 1/4, 1/2, 1, so points differ in chi
         sk = MstSketch(small_cfg(seed=s, n=2))
         firsts = [per_level[0] for per_level in replicas(sk)]
-        fed = [SparseCounts() for _ in firsts]
+        fed = [{} for _ in firsts]
         # pairs (x, c), (y, -c) with y one bit from x cancel in the nodes
         # holding both, and leave chi counts there when chi(x) != chi(y)
         ups = []
@@ -941,13 +935,15 @@ def test_l0_views_equal_fed_reference():
             for p, c in part:
                 sk.update(p, c)
                 for f, first in zip(fed, firsts):
-                    f.add(node_key(sk.tree, first, p), c)
+                    add_count(f, node_key(sk.tree, first, p), c)
             views = [_level_view(sk, i) for i in range(1, sk.h + 1)]
             nodes = [CountView.summed(v.keys[:, :2], v.rows[:, :1])
                      for v in replica_views(sk, sk.counts, firsts)]
-            assert [n.to_bytes() for n in nodes] == [f.to_bytes() for f in fed]
+            for node_counts, f in zip(nodes, fed):
+                assert_view_is(node_counts, f)
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
-            want = [l0_estimate(f, seed, sk.cfg.l0_buckets) for f, seed in zip(fed, seeds)]
+            want = [l0_estimate(dict_view(f, 2), seed, sk.cfg.l0_buckets)
+                    for f, seed in zip(fed, seeds)]
             assert sk.level_counts() == want
             assert [sk._l0(i, v) for i, v in enumerate(views, start=1)] == want
             zero_count_nodes += sum(

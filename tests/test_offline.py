@@ -10,7 +10,6 @@ from geosketch import (
     exact_mst,
     hamming_distance,
     inspector_payment,
-    lca_depth,
     matching_cost,
     sample_quadtree,
     spanning_tree_cost,
@@ -23,6 +22,7 @@ from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.points import points_to_matrix, hamming_matrix
 
 from conftest import random_multiset, random_pair
+from reference import lca_depth
 
 
 def pt(bits):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from geosketch import HypercubePoint, lca_depth, sample_quadtree
+from geosketch import HypercubePoint, sample_quadtree
 from geosketch.points import points_to_matrix
 
 from conftest import random_multiset
+from reference import lca_depth
 
 
 def test_power_of_two_required():
