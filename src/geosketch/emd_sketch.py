@@ -27,6 +27,12 @@ and the round-two counters, sums of the pass-2 view at each sampled edge.
 A two-pass replica keeps Delta-hat as a float from pass 1. Node ids are
 uint64 throughout.
 
+Two-pass decode: round one reads one l1 estimate per replica, Delta-hat,
+which every sampler's mass test reads (the test needs ||q||_1 only up to a
+constant factor), and draws all (set, inner copy) samples of the replica
+in one `l1_samples` call over their seeds. Round two sums the counters of
+every sampled edge in one pass over the sorted pass-2 view.
+
 One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes over
 a grid of (set, inner copy, round, repetition) cells. The cells' seed states
 are hashed once per grid, and the keys in blocks of about `_LS_BLOCK_WORDS`
@@ -66,6 +72,7 @@ from .sketches import (
     _scatter_sum,
     cauchy_l1,
     encode_state,
+    l1_samples,
 )
 
 __all__ = [
@@ -77,9 +84,14 @@ __all__ = [
 
 # Hashed words per block of one-round grid cells: a block's temporaries do
 # not grow with the grid, and its fixed numpy calls serve several cells (a
-# deepest-level cell of matched_noise n=256 d=64 hashes about 36k words;
-# 400k was the fastest of 100k-800k). The cells' seed states, 96 words per
-# cell at the defaults, are hashed once per grid, outside the blocks.
+# deepest-level cell of matched_noise n=256 d=64 hashes about 36k words).
+# 400k was the fastest of 100k-800k. Smaller blocks, whose temporaries stay
+# under the ~64k elements past which numpy runs slower per element, are
+# slower end to end: the one-pass decode of that instance took 0.25, 0.36,
+# 0.52, 0.55 and 0.59 CPU s at 400k, 100k, 32k, 16k and 8k words (median of
+# 7, 2-vCPU VM), as the per-block numpy and Python overhead grows. The
+# cells' seed states, 96 words per cell at the defaults, are hashed once
+# per grid, outside the blocks.
 _LS_BLOCK_WORDS = 400_000
 # Hashed coordinates per block of character sets drawn at once (same reason).
 _CHAR_BLOCK_WORDS = 16_384
@@ -285,27 +297,21 @@ class _LevelReplica:
         return cauchy_l1(q, self.cfg.delta_rows, int(hx.combine(self.seed, 0xDE)[()]))
 
     def finalize_pass1(self, counts: CountView) -> None:
-        """Estimate Delta-hat and build the round-one l1 sampler of q per
-        (set, inner copy) from the pass-1 counts, and draw every sample."""
+        """Estimate Delta-hat, the one Cauchy l1 estimate of q of the
+        replica, build the round-one l1 sampler of q per (set, inner copy),
+        and draw every sample in one `l1_samples` call over their seeds
+        combine(seed, 0x2A, j, c), whose mass test reads Delta-hat."""
         q, cfg = self.discrepancies(counts), self.cfg
         self.delta = self.delta_hat(q)
-        self.samplers = {
-            (j, c): L1Sampler(
-                q,
-                int(hx.combine(self.seed, 0x2A, j, c)[()]),
-                rows=cfg.cs_rows,
-                buckets=cfg.sampler_buckets,
-                gamma=cfg.sampler_gamma,
-            )
-            for j in range(cfg.n_sets)
-            for c in range(cfg.n_inner)
-        }
-        self.sampled = {jc: smp.sample() for jc, smp in self.samplers.items()}
-        self.pass2_counters = {
-            jc: np.zeros(4, dtype=np.int64)
-            for jc, v in self.sampled.items()
-            if v is not FAIL
-        }
+        jc = [(j, c) for j in range(cfg.n_sets) for c in range(cfg.n_inner)]
+        seeds = hx.combine(self.seed, 0x2A, *np.array(jc, dtype=U64).T)
+        shape = dict(rows=cfg.cs_rows, buckets=cfg.sampler_buckets, gamma=cfg.sampler_gamma)
+        self.samplers = {k: L1Sampler(q, s, **shape) for k, s in zip(jc, seeds.tolist())}
+        picks = l1_samples(q, seeds, self.delta, **shape)
+        self.sampled = {k: FAIL if i < 0 else tuple(q.keys[i].tolist())
+                        for k, i in zip(jc, picks.tolist())}
+        self.pass2_counters = {k: np.zeros(4, dtype=np.int64)
+                               for k, v in self.sampled.items() if v is not FAIL}
 
     # -- decode ---------------------------------------------------------------
     @staticmethod
@@ -383,27 +389,33 @@ class _LevelReplica:
         """Per set j: mean of the exact per-sample p values over successful
         inner copies (None when every copy failed). Each sampled edge
         (u*, w*) sums its round-two counters [|C_u*|, chi-plus count of
-        C_u*, |C_v*|, chi-plus count of C_v*] from the pass-2 counts."""
-        u, w, _, cC, splus = self.vectors(counts)
-        out: List[Optional[float]] = []
-        for j in range(self.cfg.n_sets):
-            vals = []
-            for c in range(self.cfg.n_inner):
-                v = self.sampled.get((j, c), FAIL)
-                if v is FAIL:
-                    continue
-                in_u = u == U64(v[0])
-                at_v = in_u & (w == U64(v[1]))
-                ctr = self.pass2_counters[(j, c)]
-                ctr[:] = [cC[in_u].sum(), splus[in_u, j].sum(), cC[at_v].sum(), splus[at_v, j].sum()]
-                cu, cup, cv, cvp = ctr.tolist()
-                if cu <= 0 or cv <= 0:
-                    vals.append(0.0)
-                    continue
-                quu, qvv = cup / cu, cvp / cv
-                vals.append(quu * (1 - qvv) + qvv * (1 - quu))
-            out.append(float(np.mean(vals)) if vals else None)
-        return out
+        C_u*, |C_v*|, chi-plus count of C_v*] from the pass-2 counts, every
+        edge in one pass over the sorted view: C_u* is the run of keys of
+        first word u*, and C_v* that of key (u*, w*) (empty where absent),
+        each summed from prefix sums between two `searchsorted` bounds."""
+        _, _, _, cC, splus = self.vectors(counts)
+        jc = [k for k, v in self.sampled.items() if v is not FAIL]
+        j = np.array([k[0] for k in jc], dtype=np.int64)
+        pair = np.dtype([("u", U64), ("w", U64)])
+        edges = np.array([self.sampled[k] for k in jc], dtype=U64).reshape(-1, 2).view(pair)[:, 0]
+        keys = np.ascontiguousarray(counts.keys).view(pair)[:, 0]
+        cum = np.cumsum(np.column_stack([cC, splus]), axis=0)  # [|C|, chi-plus per set]
+        cum = np.concatenate([np.zeros((1, cum.shape[1]), dtype=np.int64), cum])
+
+        def run_sums(sorted_keys, at):  # [|C|, chi-plus of set j] over the keys equal to at
+            lo, hi = (np.searchsorted(sorted_keys, at, side) for side in ("left", "right"))
+            sums = cum[hi] - cum[lo]
+            return sums[:, 0], sums[np.arange(len(at)), j + 1]
+
+        ctr = np.stack([*run_sums(keys["u"], edges["u"]), *run_sums(keys, edges)], axis=1)
+        self.pass2_counters = dict(zip(jc, ctr))
+        cu, cup, cv, cvp = ctr.T
+        ok = (cu > 0) & (cv > 0)
+        quu = np.divide(cup, cu, out=np.zeros(len(jc)), where=ok)
+        qvv = np.divide(cvp, cv, out=np.zeros(len(jc)), where=ok)
+        p = quu * (1 - qvv) + qvv * (1 - quu)
+        return [float(np.mean(p[j == k])) if (j == k).any() else None
+                for k in range(self.cfg.n_sets)]
 
     def eta(self, mode: str, counts: CountView) -> float:
         """Level estimate: 3 Delta-hat / alpha * (avg_j eta_j + 1/(8 log^2 n)),

@@ -144,6 +144,14 @@ class MstSketchConfig(_SketchConfig):
     def eta_max(self) -> int:
         return self.L
 
+    @property
+    def wit_buckets(self) -> int:
+        """Buckets per row of the witness sketches, max(rec_buckets, 2n): a
+        witness needs its node's point alone in its bucket in some row, so
+        the count grows with |L_i| <= n. Parent recovery and the child scan
+        keep `rec_buckets`."""
+        return max(self.rec_buckets, 2 * self.n)
+
     def alpha(self, i: int) -> float:
         return min(1.0, 2.0**i / (self.d * self.L**3))
 
@@ -265,14 +273,14 @@ class _LevelStack:
         """hk_v of the (universe-reduced) node key (u, w) of sample s."""
         return hx.extend(self._prefix(0xAC)[s], u, w)
 
-    def _buckets(self, salts, s, k, hk) -> np.ndarray:
-        """(*shape, rows) buckets of the node hashes hk in the bucketed l_p
-        sketches (sample s, salt salts[k]), with s, k and hk broadcast to
-        shape: the Count-Sketch bucket of hk in the rows combine(seed_s,
-        salt, 0xB0, row)."""
+    def _buckets(self, salts, s, k, hk, buckets: int) -> np.ndarray:
+        """(*shape, rows) buckets of the node hashes hk in the bucketed
+        sketches (sample s, salt salts[k]) of that many buckets, with s, k
+        and hk broadcast to shape: the Count-Sketch bucket of hk in the rows
+        combine(seed_s, salt, 0xB0, row)."""
         rows = np.arange(self.cfg.rec_rows, dtype=U64)
         pre = self._prefix(np.asarray(salts, dtype=U64)[:, None], 0xB0, rows)
-        return _cs_buckets(pre[s, k], hk[..., None], self.cfg.rec_buckets)[..., 0]
+        return _cs_buckets(pre[s, k], hk[..., None], buckets)[..., 0]
 
     def in_D(self, kappa: int, j, side, nodes) -> np.ndarray:
         """(len(nodes), *broadcast(j, side).shape) membership of the nodes
@@ -337,7 +345,7 @@ class _LevelStack:
             return out
         R = cfg.rec_rows
         rows = np.arange(R, dtype=U64)
-        b = self._buckets([0x9A], self.us, 0, self.hk_u)
+        b = self._buckets([0x9A], self.us, 0, self.hk_u, cfg.rec_buckets)
         keys = (self.us[:, None] * R + np.arange(R)) * cfg.rec_buckets + b  # (parents, R)
         act = np.flatnonzero(self.nx > 0)
         gamma_log = np.log(self.nx[act]) - np.log(self.t_u[self.u_inv[act]]) / self.p
@@ -367,7 +375,7 @@ class _LevelStack:
         salt = (side * 131 + kappa * 17 + j)[..., None]  # (j, side, 1)
 
         def group_keys(s, sk, hk):  # (..., rows) keys of node hashes hk in sketches (s, sk)
-            b = self._buckets((0x9B00 + salt).ravel(), s, sk, hk)  # sketch j * 2 + side
+            b = self._buckets((0x9B00 + salt).ravel(), s, sk, hk, B)  # sketch j * 2 + side
             return ((s * 2 * J + sk)[..., None] * R + np.arange(R)) * B + b
 
         on = np.zeros(len(self.seeds), dtype=bool)
@@ -416,16 +424,16 @@ class _LevelStack:
     def witnesses(self, s: np.ndarray, hv: np.ndarray, side: np.ndarray) -> np.ndarray:
         """Validated point fingerprint (uint64, 0 where none) per (item,
         chi restriction, eta, row) of the items (sample s, node hash hv,
-        side). The group of an (eta, row) is the item's bucket in that row,
-        over the point entries of s kept by the row's subsample at level
-        eta, without (index 0) and with (index 1) the chi restriction (the
-        entries of nonzero net * chi). It validates exactly when it holds
-        one entry, of the node hashed to hv, with a positive net count: the
-        outcome of a 1-sparse fingerprint test of the bucket's sums keyed
-        by the node, which would differ only on a fingerprint collision
-        (or a net count divisible by 2^61 - 1). One pass covers every
-        (item, point) pair whose point shares the item's bucket in some
-        row; a point's bucket is that of its node."""
+        side). The group of an (eta, row) is the item's bucket in that row
+        (of `wit_buckets`), over the point entries of s kept by the row's
+        subsample at level eta, without (index 0) and with (index 1) the chi
+        restriction (the entries of nonzero net * chi). It validates exactly
+        when it holds one entry, of the node hashed to hv, with a positive
+        net count: the outcome of a 1-sparse fingerprint test of the
+        bucket's sums keyed by the node, which would differ only on a
+        fingerprint collision (or a net count divisible by 2^61 - 1). One
+        pass covers every (item, point) pair whose point shares the item's
+        bucket in some row; a point's bucket is that of its node."""
         cfg = self.cfg
         R, E = cfg.rec_rows, cfg.eta_max + 1
         rows = np.arange(R, dtype=U64)
@@ -436,8 +444,9 @@ class _LevelStack:
         _, u, w, pfp = self.points.keys[pt].T
         hkv = self._node_hash(u, w, s[item])
         salts = 0x9C00 + np.arange(2)  # by side
-        bv = self._buckets(salts, s, side, hv)
-        in_bkt = self._buckets(salts, s[item], side[item], hkv) == bv[item]  # (pairs, rows)
+        B = cfg.wit_buckets
+        bv = self._buckets(salts, s, side, hv, B)
+        in_bkt = self._buckets(salts, s[item], side[item], hkv, B) == bv[item]  # (pairs, rows)
         sel = np.flatnonzero(in_bkt.any(axis=1))
         item, pt, in_bkt, hkv, pfp = item[sel], pt[sel], in_bkt[sel], hkv[sel], pfp[sel]
         # every row is an independent point subsample

@@ -17,14 +17,17 @@ one grouped sum, into one view whose slices are the replicas' views, the
 first key word the replica. The vectors the estimators count exactly (the
 node discrepancies of Delta-hat and the round-one samplers, the per-level
 node counts of l0) are such views. A sketch keeps no state: it is a
-function of a width-1 view, a seed and a shape (`cauchy_l1`,
-`l0_estimate`, `L1Sampler.sample`), which builds its accumulators -- the
+function of a width-1 view, seeds and a shape (`cauchy_l1`,
+`l0_estimate`, `l1_samples`), which builds its accumulators -- the
 classical dense view -- from those arrays each time it is read. This
 keeps every read exactly linear: permuting, splitting or merging update
 streams yields bit-identical counts and hence bit-identical estimates
 (floating-point accumulation in stream order could not promise that).
-`L1Sampler` is the one sketch kept as an object: a seed, a shape and its
-counts, from which `sample` builds its Count-Sketch and Cauchy l1.
+`l1_samples` decodes many samplers of one view at once, over a seed axis,
+and its mass test reads an l1 estimate the caller gives (a two-pass EMD
+replica gives its Delta-hat). `L1Sampler` is the one sketch kept as an
+object: a seed, a shape and its counts; its `sample(l1)` is `l1_samples`
+at that one seed.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
@@ -57,6 +60,7 @@ __all__ = [
     "cauchy_l1",
     "l0_estimate",
     "L1Sampler",
+    "l1_samples",
     "stable_median",
     "FAIL",
 ]
@@ -336,10 +340,11 @@ _CS_SALT_S = 0xC551
 _CAUCHY_SALT = 0xCA0C
 
 
-def _sketch_coords(seed: int, rows: int, buckets: int,
+def _sketch_coords(seed, rows: int, buckets: int,
                    keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, n) slots and signs (`_cs_coords`) at the keys of the
-    Count-Sketch with this seed and shape. Its estimate at i, the median
+    Count-Sketch with this seed and shape, or (m, rows, n) those of m
+    sketches for an (m, 1) seed array. Its estimate at i, the median
     over rows of sign(i) * bucket(h(i)), is within eps * ||x_{-1/eps^2}||_2
     of x_i with high probability for buckets ~ 6/eps^2."""
     r = np.arange(rows, dtype=U64)
@@ -398,23 +403,61 @@ def stable_median(p: float) -> float:
 # l1 sampler (precision sampling)
 # ---------------------------------------------------------------------------
 
-_L1_ROWS = 128  # rows of the sampler's Cauchy l1 estimate
+# The fourth shape word of `L1Sampler.state_bytes`, kept only so that those
+# bytes stay as they were: no read uses it (`l1_samples` is given its l1).
+_L1_ROWS = 128
 _EXP_SEED_SALT = 0x15A3
 _EXP_SALT = 0xE259
 
 
+def _sampler_tables(counts: CountView, seeds: np.ndarray, rows: int, buckets: int) -> tuple:
+    """The (m, rows, buckets) Count-Sketch tables of the scaled vectors of
+    the samplers with the given seeds (m,), and their (m, rows, n) slots
+    and signs at the keys (`_cs_coords`). The exponential and Count-Sketch
+    seeds are combine(seed, 0x15A3) and combine(seed, 0xC5), one call each.
+    A scaled vector x_i / t_i (t_i ~ Exp(1)) is kept on an integer grid of
+    step 2^-20, x_i * round(min(1/t_i, 2^20) * 2^20), so a table is as
+    exactly linear as x."""
+    t = hx.exp1(_hash_keys((hx.combine(seeds, _EXP_SEED_SALT)[:, None], _EXP_SALT), counts.keys))
+    inv_t = np.minimum(1.0 / t, _INV_EXP_CAP)
+    scaled = counts.rows[:, 0].astype(np.float64) * np.round(inv_t * (1 << 20))
+    f, s = _sketch_coords(hx.combine(seeds, 0xC5)[:, None], rows, buckets, counts.keys)
+    return _cs_table(f, s, scaled, buckets), f, s
+
+
+def l1_samples(counts: CountView, seeds, l1: float, rows: int, buckets: int,
+               gamma: float) -> np.ndarray:
+    """Precision sampling (Andoni-Krauthgamer-Onak 2011) of width-1 counts x
+    by m samplers at once, one per seed: per sampler, the index into the
+    view of its sample, or -1 for FAIL.
+
+    A sampler scales x_i by 1/t_i (t_i ~ Exp(1)), recovers the scaled
+    vector through a rows x buckets Count-Sketch, and returns its largest
+    estimate (the first maximum) if it clears the gap test (at least
+    (1 + gamma) times the second largest, 0 for one key) and the mass test
+    (at least gamma * l1, for l1 a constant-factor estimate of ||x||_1
+    that the caller gives); no counts FAIL. Conditioned on not failing,
+    index i is returned with probability ~ |x_i| / ||x||_1 (the anti-rank
+    law), up to recovery noise.
+
+    All m tables are one (m, rows, buckets) `_cs_table` (`_sampler_tables`),
+    read with one `_cs_estimates`; a sampler's bucket sums add its keys in
+    key order from 0.0, so its outcome equals that of its seed alone."""
+    seeds = np.asarray(seeds, dtype=U64)
+    if not len(counts):
+        return np.full(len(seeds), -1)
+    est = np.abs(_cs_estimates(*_sampler_tables(counts, seeds, rows, buckets))) / float(1 << 20)
+    top, best = np.argmax(est, axis=1), est.max(axis=1)
+    second = np.partition(est, -2, axis=1)[:, -2] if len(counts) > 1 else 0.0
+    ok = (best >= (1.0 + gamma) * second) & (best >= gamma * l1)
+    return np.where(ok, top, -1)
+
+
 class L1Sampler:
-    """Perfect-style l1 sampler: scale x_i by 1/t_i (t_i ~ Exp(1)), recover
-    the scaled vector through a Count-Sketch, return the argmax if it clears
-    the gap and mass validity tests, otherwise FAIL.
-
-    Conditioned on not failing, the returned index is distributed
-    ~ |x_i| / ||x||_1 (the anti-rank law), up to recovery noise.
-
-    A seed, a shape and the width-1 counts of x, given at construction: the
-    counts are all it reads, and `sample` builds the Count-Sketch table of
-    the scaled vector and the Cauchy l1 estimate of x from them.
-    """
+    """One l1 sampler of width-1 counts x: a seed, a shape (Count-Sketch
+    rows and buckets, the validity factor gamma) and the counts, given at
+    construction. `sample(l1)` is `l1_samples` at its one seed; a two-pass
+    EMD replica decodes all of its samplers in one `l1_samples` call."""
 
     def __init__(self, counts: CountView, seed: int, rows: int = 5,
                  buckets: int = 256, gamma: float = 0.05):
@@ -423,43 +466,20 @@ class L1Sampler:
         self.rows = rows
         self.buckets = buckets
         self.gamma = gamma
-        self.exp_seed = int(hx.combine(self.seed, _EXP_SEED_SALT)[()])
-        self.cs_seed = int(hx.combine(self.seed, 0xC5)[()])
-        self.l1_seed = int(hx.combine(self.seed, 0xCA)[()])
 
     def state_bytes(self) -> bytes:
-        """The seed/shape words and the counts of x. No sketch of the package
-        serializes a sampler: this is kept, byte for byte, because
-        `perfbench/run.py` `state_size` sums it over the round-one samplers
-        of an `EmdTwoPassSketch`, which has no serializer of its own."""
+        """The seed/shape words (seed, rows, buckets, `_L1_ROWS`) and the
+        counts of x. No sketch of the package serializes a sampler: this is
+        kept, byte for byte, because `perfbench/run.py` `state_size` sums it
+        over the round-one samplers of an `EmdTwoPassSketch`, which has no
+        serializer of its own."""
         return encode_state(4, (self.seed, self.rows, self.buckets, _L1_ROWS), [self.counts])
 
-    def _table(self, keys: np.ndarray, vals: np.ndarray, coords) -> np.ndarray:
-        """The Count-Sketch table of the scaled vector x_i / t_i at the
-        coords of keys. It is kept on an integer grid of step 2^-20,
-        x_i * round(min(1/t_i, 2^20) * 2^20), so the table is as exactly
-        linear as x."""
-        t = hx.exp1(_hash_keys((self.exp_seed, _EXP_SALT), keys))
-        inv_t = np.minimum(1.0 / t, _INV_EXP_CAP)
-        return _cs_table(*coords, vals * np.round(inv_t * (1 << 20)), self.buckets)
-
-    def sample(self):
-        """Return an index (a key of the view as a tuple of ints) or FAIL.
-        One set of Count-Sketch coords serves both the table and its read.
-        The gap test runs first, so its failures draw no Cauchy l1 estimate."""
-        keys, vals = self.counts.keys, self.counts.rows[:, 0].astype(np.float64)
-        if not len(keys):
-            return FAIL
-        coords = _sketch_coords(self.cs_seed, self.rows, self.buckets, keys)
-        est = np.abs(_cs_estimates(self._table(keys, vals, coords), *coords)) / float(1 << 20)
-        top = int(np.argmax(est))
-        best = est[top]
-        second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
-        if best < (1.0 + self.gamma) * second:
-            return FAIL
-        if best < self.gamma * cauchy_l1(self.counts, _L1_ROWS, self.l1_seed):
-            return FAIL
-        return tuple(keys[top].tolist())
+    def sample(self, l1: float):
+        """A key of the view, as a tuple of ints, or FAIL (`l1_samples`,
+        whose mass test reads the given l1 estimate of ||x||_1)."""
+        i = int(l1_samples(self.counts, [self.seed], l1, self.rows, self.buckets, self.gamma)[0])
+        return FAIL if i < 0 else tuple(self.counts.keys[i].tolist())
 
 
 # ---------------------------------------------------------------------------

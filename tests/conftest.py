@@ -8,8 +8,6 @@ from geosketch.hashing import U64
 from geosketch import sketches as sk
 from geosketch import CountView, HypercubePoint, L1Sampler, PointMultiset, SparseCounts, Stream
 
-from reference import cauchy_sums
-
 
 def random_multiset(n: int, d: int, seed: int) -> PointMultiset:
     rng = np.random.default_rng(seed)
@@ -102,12 +100,11 @@ def counts_of(stream) -> SparseCounts:
     return counts
 
 
-def sampler_reads(smp: L1Sampler):
-    """The Count-Sketch table of the scaled vector and the Cauchy l1 sums
-    of x that `smp.sample` reads, from the same helpers."""
-    keys, vals = smp.counts.keys, smp.counts.rows[:, 0].astype(np.float64)
-    coords = sk._sketch_coords(smp.cs_seed, smp.rows, smp.buckets, keys)
-    return smp._table(keys, vals, coords), cauchy_sums(smp.counts, sk._L1_ROWS, smp.l1_seed)
+def sampler_reads(smp: L1Sampler) -> np.ndarray:
+    """The Count-Sketch table of the scaled vector that `smp.sample` reads,
+    from the same helper."""
+    return sk._sampler_tables(smp.counts, np.array([smp.seed], dtype=U64), smp.rows,
+                              smp.buckets)[0][0]
 
 
 def state_header(kind: int, shape) -> bytes:

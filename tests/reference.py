@@ -185,6 +185,14 @@ def dict_view(counts: dict, k: int, width: int = 1) -> CountView:
 # -- the l1 sampler --------------------------------------------------------------------
 
 
+def own_l1(counts: CountView, seed: int) -> float:
+    """The 128-row Cauchy l1 estimate of x that an l1 sampler of this seed
+    drew for itself before its mass test read a given one,
+    cauchy_l1(x, 128, combine(seed, 0xCA)): the standalone sampler tests
+    pass it, so their outcomes are those of that sampler."""
+    return cauchy_l1(counts, 128, int(hx.combine(seed, 0xCA)[()]))
+
+
 def count_sketch(counts: CountView, rows: int, buckets: int, seed: int, at=()):
     """The (rows, buckets) Count-Sketch table of width-1 counts, as
     `L1Sampler.sample` builds it, and its median-of-rows estimates at the
@@ -204,15 +212,15 @@ def cauchy_sums(counts: CountView, s: int, seed: int) -> np.ndarray:
 class FedL1Sampler:
     """Reference l1 sampler over keys of k words that adds every update to
     a dict reference of x and one of the scaled integers x_i * round(min(1/t_i,
-    2^20) * 2^20) (`add_count`), and builds its Count-Sketch table and its
-    Cauchy l1 sums from their views when it is read, instead of scaling the
-    counts of x there. L1Sampler must equal it bit for bit."""
+    2^20) * 2^20) (`add_count`), and builds its Count-Sketch table from the
+    view of the scaled ones when it is read, instead of scaling the counts
+    of x there. Its mass test reads the l1 estimate it is given. L1Sampler
+    must equal it bit for bit."""
 
     def __init__(self, seed, k=1, rows=5, buckets=256, gamma=0.05):
         self.k, self.rows, self.buckets, self.gamma = k, rows, buckets, gamma
         self.exp_seed = int(hx.combine(seed, sk._EXP_SEED_SALT)[()])
         self.cs_seed = int(hx.combine(seed, 0xC5)[()])
-        self.l1_seed = int(hx.combine(seed, 0xCA)[()])
         self.x, self.scaled = {}, {}
 
     def update(self, index: tuple, delta):
@@ -226,22 +234,18 @@ class FedL1Sampler:
         return count_sketch(dict_view(self.scaled, self.k), self.rows, self.buckets,
                             self.cs_seed)[0]
 
-    def l1(self) -> np.ndarray:
-        return cauchy_sums(dict_view(self.x, self.k), sk._L1_ROWS, self.l1_seed)
-
-    def sample(self):
+    def sample(self, l1: float):
         """The largest Count-Sketch estimate of the scaled vector if it
-        clears the mass and gap tests, otherwise FAIL."""
+        clears the mass test against l1 and the gap test, otherwise FAIL."""
         keys = sorted(self.x)
         if not keys:
             return FAIL
         est = count_sketch(dict_view(self.scaled, self.k), self.rows, self.buckets, self.cs_seed,
                            at=keys)[1]
         est = np.abs(est) / float(1 << 20)
-        l1_hat = cauchy_l1(dict_view(self.x, self.k), sk._L1_ROWS, self.l1_seed)
         top = int(np.argmax(est))
         second = np.max(np.delete(est, top)) if len(keys) > 1 else 0.0
-        if est[top] < self.gamma * l1_hat or est[top] < (1.0 + self.gamma) * second:
+        if est[top] < self.gamma * l1 or est[top] < (1.0 + self.gamma) * second:
             return FAIL
         return keys[top]
 
@@ -410,3 +414,34 @@ def reference_one_round_estimates(rep, counts):
             copies.append(float(np.mean(rounds)))
         out.append(float(np.median(copies)))
     return out
+
+
+# -- reference round-two read ------------------------------------------------------------
+
+
+def reference_two_round_estimates(rep, counts: CountView) -> Tuple[list, dict]:
+    """The round-two estimates of a two-pass replica's samples, read edge by
+    edge with full-array masks of the pass-2 view, and the counters [|C_u*|,
+    chi-plus count of C_u*, |C_v*|, chi-plus count of C_v*] of each
+    successful (set, copy), as lists."""
+    u, w, _, cC, splus = rep.vectors(counts)
+    out, counters = [], {}
+    for j in range(rep.cfg.n_sets):
+        vals = []
+        for c in range(rep.cfg.n_inner):
+            v = rep.sampled.get((j, c), FAIL)
+            if v is FAIL:
+                continue
+            in_u = u == U64(v[0])
+            at_v = in_u & (w == U64(v[1]))
+            ctr = [int(cC[in_u].sum()), int(splus[in_u, j].sum()), int(cC[at_v].sum()),
+                   int(splus[at_v, j].sum())]
+            counters[j, c] = ctr
+            cu, cup, cv, cvp = ctr
+            if cu <= 0 or cv <= 0:
+                vals.append(0.0)
+                continue
+            quu, qvv = cup / cu, cvp / cv
+            vals.append(quu * (1 - qvv) + qvv * (1 - quu))
+        out.append(float(np.mean(vals)) if vals else None)
+    return out, counters

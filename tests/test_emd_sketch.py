@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -37,7 +38,8 @@ from conftest import (
 from reference import _cs_coords as ref_cs_coords
 from reference import (
     CharacterSet, FedL1Sampler, add_count, charsets, dict_view, node_key,
-    reference_one_round_estimates, split_probability, tail_truncated_norms, tally, universe_ids,
+    reference_one_round_estimates, reference_two_round_estimates, split_probability,
+    tail_truncated_norms, tally, universe_ids,
 )
 
 
@@ -869,6 +871,28 @@ def test_two_pass_merges_in_pass_1_only(small_cfg):
     assert left.state_bytes() == whole.state_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_two_round_estimates_equal_edge_by_edge_reference(data):
+    """The round-two estimates and counters of a replica's samples, read for
+    every edge in one pass over the sorted pass-2 view, equal those read
+    edge by edge with full-array masks, on random pass-1 and pass-2 views
+    of few nodes (so sampled edges share parents, lack siblings or are
+    absent from pass 2) with signed counts, and node ids from 2^63 on."""
+    cfg = EmdSketchConfig(n=4, d=8, seed=data.draw(st.integers(0, 99)), n_sets=4, n_inner=3)
+    rep = EmdTwoPassSketch(cfg).replicas[0][0]
+    width = 2 + cfg.n_sets
+    ids = st.sampled_from([0, 1, 2, 2**63, 2**64 - 1])
+    rows = st.lists(st.tuples(st.tuples(ids, ids),
+                              st.lists(st.integers(-3, 3), min_size=width, max_size=width)),
+                    max_size=10)
+    rep.finalize_pass1(dict_view(tally(data.draw(rows)), 2, width))
+    view = dict_view(tally(data.draw(rows)), 2, width)
+    want, counters = reference_two_round_estimates(rep, view)
+    assert rep.two_round_estimates(view) == want
+    assert {k: v.tolist() for k, v in rep.pass2_counters.items()} == counters
+
+
 def _two_pass(cfg, updates, pass1_order):
     sk = EmdTwoPassSketch(cfg)
     for p, l, c in pass1_order:
@@ -885,6 +909,26 @@ def _sampler_bytes(sk):
         for per_level in sk.replicas
         for rep in per_level
     ]
+
+
+@pytest.mark.parametrize("n,d,seed,want", [
+    (32, 16, 1, "a002949f7f7540cd034ed37f0b0a3ead7a8ea8d4"),
+    (64, 32, 2, "8fadd3a8a9756a116d64ff0f5bbb039d9e78631b"),
+])
+def test_two_pass_sampler_bytes_pinned(n, d, seed, want):
+    """The `state_bytes` of every round-one sampler of a two-pass sketch fed
+    matched_noise (n, d) at this seed, hashed in replica and (set, copy)
+    order, pinned to those of the samplers that drew their own Cauchy l1
+    estimate, before the samplers of a replica were decoded at once."""
+    nets = aggregate(gen_instance("matched_noise", n, d, seed=seed).updates)
+    sk = EmdTwoPassSketch(EmdSketchConfig(n=n, d=d, seed=seed))
+    for label in "AB":
+        for p, c in nets[label].items():
+            sk.update(p, label, c)
+    sk.finalize_pass1()
+    blobs = [b for rep in _sampler_bytes(sk) for b in rep.values()]
+    assert len(blobs) == 16 * sum(map(len, sk.replicas))
+    assert hashlib.sha1(b"".join(blobs)).hexdigest() == want
 
 
 def test_two_pass_permutation_invariance(small_cfg):
@@ -939,9 +983,10 @@ def test_replica_views_equal_fed_reference():
     dict reference fed (key, delta * row) update by update, and Delta-hat
     and every round-one sampler built from it equal a Cauchy l1 estimate of
     the same seed over a reference fed (key, +-delta) and references fed
-    the same (the same discrepancy counts and Delta-hat, the same sampler
-    tables, accumulators, counts and samples): read after half the stream,
-    after the rest, and by a second finalize_pass1."""
+    the same, whose mass tests read that Delta-hat (the same discrepancy
+    counts and Delta-hat, the same sampler tables, counts and samples):
+    read after half the stream, after the rest, and by a second
+    finalize_pass1."""
     for s in range(4):
         cfg = EmdSketchConfig(n=8, d=8, seed=s, n_sets=3, n_inner=2)
         sk = EmdTwoPassSketch(cfg)
@@ -971,13 +1016,13 @@ def test_replica_views_equal_fed_reference():
                 delta_seed = int(hx.combine(rep.seed, 0xDE)[()])
                 assert rep.delta == cauchy_l1(dict_view(delta, 2), cfg.delta_rows, delta_seed)
                 for jc, f in smps.items():
-                    table, l1 = sampler_reads(rep.samplers[jc])
-                    assert np.array_equal(table, f.table())
-                    assert np.array_equal(l1, f.l1())
+                    assert np.array_equal(sampler_reads(rep.samplers[jc]), f.table())
+                    assert rep.sampled[jc] == f.sample(rep.delta)
                     assert_view_is(rep.samplers[jc].counts, f.x)
         sk.finalize_pass1()
         sampled = [dict(rep.sampled) for rep in reps]
-        assert sampled == [{jc: f.sample() for jc, f in smps.items()} for _, smps in fed]
+        assert sampled == [{jc: f.sample(rep.delta) for jc, f in smps.items()}
+                           for rep, (_, smps) in zip(reps, fed)]
         sk.finalize_pass1()
         assert [dict(rep.sampled) for rep in reps] == sampled
 

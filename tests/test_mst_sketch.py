@@ -406,14 +406,14 @@ def _witness_groups(stack, s, v, side):
     """{(restriction, eta, row): point entry indices} of the item (sample s,
     node index v, side), enumerated entry by entry with the hashes written
     out here: an entry of sample s is in the group when its node's bucket
-    in the row's Count-Sketch (salt 0x9C00 + side) is v's, the row's point
-    subsample keeps it at eta and, for restriction 1, its net * chi is
-    nonzero."""
+    in the row's Count-Sketch (salt 0x9C00 + side, `wit_buckets` buckets)
+    is v's, the row's point subsample keeps it at eta and, for restriction
+    1, its net * chi is nonzero."""
     cfg, seed = stack.cfg, int(stack.seeds[s])
 
     def buckets(u, w):  # per row
         hk = hx.combine(seed, 0xAC, u, w)
-        return [int(hx.bucket(hx.combine(seed, 0x9C00 + side, 0xB0, r, hk), cfg.rec_buckets))
+        return [int(hx.bucket(hx.combine(seed, 0x9C00 + side, 0xB0, r, hk), cfg.wit_buckets))
                 for r in range(cfg.rec_rows)]
 
     mine = buckets(*stack.keys[v].tolist())
@@ -462,8 +462,9 @@ def _sibling_in_bucket(cfg, seed, v):
     some row of the sample of the given seed."""
     probe = stack_of(cfg, [seed], [dict_view({}, 3, 2)])
     ws = np.arange(v[1] + 1, v[1] + 1000, dtype=np.uint64)
-    b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), ws, 0))
-    b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), np.uint64(v[1]), 0))
+    b_w = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), ws, 0), cfg.wit_buckets)
+    b_v = probe._buckets([0x9C00], 0, 0, probe._node_hash(np.uint64(v[0]), np.uint64(v[1]), 0),
+                         cfg.wit_buckets)
     return v[0], int(ws[np.argmax((b_w == b_v).any(axis=1))])
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from geosketch import hashing as hx
@@ -16,15 +16,15 @@ from geosketch import (
     l0_estimate,
     stable_median,
 )
-from geosketch import MstSketchConfig
-from geosketch import sketches
+from geosketch import EmdSketchConfig, EmdTwoPassSketch, MstSketchConfig, aggregate, gen_instance
+from geosketch import emd_sketch, sketches
 from geosketch.sketches import (
     _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy, _median,
 )
 
 from conftest import assert_view_is, counts_of, sampler_reads, split_view, view_of
 from reference import (
-    FedL1Sampler, _stable_median_slow, cauchy_sums, count_sketch, dict_view,
+    FedL1Sampler, _stable_median_slow, cauchy_sums, count_sketch, dict_view, own_l1,
     sample_p_stable_array, tail_truncated_norms, tally,
 )
 from reference import _cs_coords as ref_cs_coords, _cs_estimates as ref_cs_estimates
@@ -288,14 +288,14 @@ def test_l1_sampler_one_hot():
     hits = 0
     for s in range(30):
         smp = L1Sampler(view_of(counts_of([(7, 3)])), seed=s)
-        if smp.sample() == (7,):
+        if smp.sample(own_l1(smp.counts, s)) == (7,):
             hits += 1
     assert hits >= 28  # never FAILs beyond gap-test noise
 
 
 def test_l1_sampler_single_tuple_key_always_sampled():
     smp = L1Sampler(dict_view(tally([((5, 9), 3), ((5, 9), -1)]), 2), seed=13)
-    assert smp.sample() == (5, 9)
+    assert smp.sample(own_l1(smp.counts, 13)) == (5, 9)
 
 
 def test_l1_sampler_tuple_keys_distribution_tv():
@@ -308,7 +308,7 @@ def test_l1_sampler_tuple_keys_distribution_tv():
     x = dict_view(tally(zip(keys, discs)), 2)
     succ = 0
     for s in range(4000):
-        v = L1Sampler(x, seed=s).sample()
+        v = L1Sampler(x, seed=s).sample(own_l1(x, s))
         if v is not FAIL:
             succ += 1
             counts[v] += 1
@@ -321,7 +321,7 @@ def test_l1_sampler_two_equal_entries():
     succ = 0
     x = view_of(counts_of([(0, 1), (1, 1)]))
     for s in range(3000):
-        out = L1Sampler(x, seed=s).sample()
+        out = L1Sampler(x, seed=s).sample(own_l1(x, s))
         if out is not FAIL:
             succ += 1
             counts[out] += 1
@@ -335,7 +335,7 @@ def test_l1_sampler_dominant_entry():
     succ = 0
     x = view_of(counts_of([(0, 9), (1, 1)]))
     for s in range(2000):
-        out = L1Sampler(x, seed=s + 10_000).sample()
+        out = L1Sampler(x, seed=s + 10_000).sample(own_l1(x, s + 10_000))
         if out is not FAIL:
             succ += 1
             freq += out == (0,)
@@ -349,32 +349,82 @@ def test_l1_sampler_fail_rate():
     fails = 0
     trials = 1500
     for s in range(trials):
-        if L1Sampler(counts, seed=s + 50_000).sample() is FAIL:
+        if L1Sampler(counts, seed=s + 50_000).sample(own_l1(counts, s + 50_000)) is FAIL:
             fails += 1
     assert fails / trials <= 1 / 3 + 0.05, fails / trials
 
 
-def test_l1_sampler_gap_test_runs_before_the_l1_estimate(monkeypatch):
-    """On the inputs of `test_l1_sampler_fail_rate`, a sampler whose top
-    estimate fails the gap test never computes the Cauchy l1 estimate, and
-    every sample, key or FAIL, equals that of the reference, which computes
-    the estimate first."""
+def test_l1_samplers_read_the_given_l1_and_pass1_draws_one_per_replica(monkeypatch):
+    """No l1 sampler draws a Cauchy l1 estimate of its own: on the inputs of
+    `test_l1_sampler_fail_rate`, every sample, key or FAIL, equals that of
+    the reference given the same l1, an l1 past every estimate fails them
+    all, and no sample calls `cauchy_l1`. A two-pass EMD sketch's
+    `finalize_pass1` calls it once per replica, for Delta-hat, whatever the
+    number of samplers per replica."""
     rng = np.random.default_rng(3)
     x = rng.integers(1, 6, size=16)
     counts = view_of(counts_of(enumerate(x)))
+    l1s = [own_l1(counts, s + 50_000) for s in range(1500)]
     calls = []
-    monkeypatch.setattr(sketches, "cauchy_l1", lambda *a: calls.append(a) or cauchy_l1(*a))
-    gap_passes = 0
-    for s in range(1500):
+
+    def counted(*a):
+        calls.append(a)
+        return cauchy_l1(*a)
+
+    monkeypatch.setattr(sketches, "cauchy_l1", counted)
+    monkeypatch.setattr(emd_sketch, "cauchy_l1", counted)
+    fails = 0
+    for s, l1 in enumerate(l1s):
         smp = L1Sampler(counts, seed=s + 50_000)
         ref = FedL1Sampler.like(smp)
         for i, c in enumerate(x):
             ref.update((i,), c)
-        est = np.sort(np.abs(count_sketch(dict_view(ref.scaled, 1), smp.rows, smp.buckets,
-                                          smp.cs_seed, at=range(16))[1]))
-        gap_passes += bool(est[-1] >= (1.0 + smp.gamma) * est[-2])
-        assert smp.sample() == ref.sample()
-    assert 0 < len(calls) == gap_passes < 1500
+        out = smp.sample(l1)
+        assert out == ref.sample(l1)
+        assert smp.sample(1e6 * l1) is FAIL
+        fails += out is FAIL
+    assert not calls and 0 < fails < 1500
+    nets = aggregate(gen_instance("matched_noise", 16, 16, seed=1).updates)
+    cfg = EmdSketchConfig(n=16, d=16, seed=1, level_reps=2, n_inner=2)
+    sk = EmdTwoPassSketch(cfg)
+    for label in "AB":
+        for p, c in nets[label].items():
+            sk.update(p, label, c)
+    sk.finalize_pass1()
+    reps = [rep for per_level in sk.replicas for rep in per_level]
+    assert all(len(rep.samplers) == 2 * cfg.n_sets for rep in reps)
+    assert len(calls) == len(reps)
+    for a, rep in zip(calls, reps):
+        assert a[1:] == (cfg.delta_rows, int(hx.combine(rep.seed, 0xDE)[()]))
+        assert rep.delta == cauchy_l1(*a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.dictionaries(st.integers(0, 40), st.integers(-4, 4).filter(bool), max_size=12),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       rows=st.sampled_from([1, 2, 5]), buckets=st.sampled_from([1, 2, 16]),
+       l1=st.sampled_from([0.0, 1.0, 7.5, 40.0]))
+@example(x={}, seeds=[0, 1], rows=5, buckets=16, l1=1.0)  # no counts: FAIL
+@example(x={3: -2}, seeds=[0, 1, 2], rows=5, buckets=16, l1=40.0)  # one key: second = 0
+@example(x={1: 1, 2: 3, 5: -2}, seeds=[0, 7], rows=1, buckets=1, l1=1.0)  # tied estimates
+@example(x={1: 1, 2: 3, 5: -2}, seeds=[4, 9, 11], rows=5, buckets=16, l1=0.0)  # Delta-hat 0
+def test_stacked_l1_samples_equal_one_seed_samples(x, seeds, rows, buckets, l1):
+    """`l1_samples` over a seed axis gives each seed the outcome of the
+    one-seed `L1Sampler.sample(l1)` and of the reference (`FedL1Sampler`,
+    whose gap test takes `np.delete` and `max` after the first maximum):
+    with no counts, one key (second largest 0), tied top estimates (one
+    bucket and one row give every key the same magnitude) and l1 = 0 (no
+    mass test, as when Delta-hat is 0)."""
+    view = dict_view(tally(((k,), v) for k, v in x.items()), 1)
+    picks = sketches.l1_samples(view, np.array(seeds, dtype=np.uint64), l1, rows, buckets, 0.05)
+    assert picks.shape == (len(seeds),)
+    for s, i in zip(seeds, picks.tolist()):
+        smp = L1Sampler(view, seed=s, rows=rows, buckets=buckets)
+        ref = FedL1Sampler.like(smp)
+        for k, v in x.items():
+            ref.update((k,), v)
+        want = ref.sample(l1)
+        assert smp.sample(l1) == want == (FAIL if i < 0 else tuple(view.keys[i].tolist()))
 
 
 # -- l0 -----------------------------------------------------------------------------
@@ -418,7 +468,7 @@ _SKETCH_READS = [
     lambda c: cauchy_l1(c, 32, seed=8),
     lambda c: _l0_occupancy(8, 64, c.keys).tobytes(),
     lambda c: l0_estimate(c, 8, 64),
-    lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).sample(),
+    lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).sample(own_l1(c, 8)),
     lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).state_bytes(),
 ]
 
@@ -443,11 +493,11 @@ def test_linearity_bit_for_bit(stream, perm_seed):
 @settings(max_examples=25, deadline=None)
 @given(stream_strategy)
 def test_l1_sampler_views_equal_fed_reference(stream):
-    """The Count-Sketch table and the l1 sketch that the sampler builds from
-    the view of its counts equal those a reference builds from dict
-    references fed update by update: the same materialized table and
-    accumulators, the same counts and the same sample, read after part of
-    the stream and again after the rest."""
+    """The Count-Sketch table that the sampler builds from the view of its
+    counts, and the l1 estimate of that view, equal those a reference
+    builds from dict references fed update by update: the same
+    materialized table, the same l1 estimate, the same counts and the same
+    sample, read after part of the stream and again after the rest."""
     x = SparseCounts()
     fed = FedL1Sampler(8, rows=3, buckets=16)
     cut = len(stream) // 2
@@ -456,11 +506,11 @@ def test_l1_sampler_views_equal_fed_reference(stream):
             x.add(i, dv)
             fed.update((i,), dv)
         smp = L1Sampler(view_of(x), seed=8, rows=3, buckets=16)
-        table, l1 = sampler_reads(smp)
-        assert np.array_equal(table, fed.table())
-        assert np.array_equal(l1, fed.l1())
+        l1 = own_l1(smp.counts, 8)
+        assert np.array_equal(sampler_reads(smp), fed.table())
+        assert l1 == own_l1(dict_view(fed.x, 1), 8)
         assert_view_is(smp.counts, fed.x)
-        assert smp.sample() == fed.sample()
+        assert smp.sample(l1) == fed.sample(l1)
 
 
 def test_key_hashes_match_per_key_combine():
