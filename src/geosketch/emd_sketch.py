@@ -24,8 +24,11 @@ a function of them, built in canonical order: the LS1/LS2/LS3
 Count-Sketch tables, Delta-hat (the `cauchy_l1` estimate) and the
 round-one l1 samplers (both of the node discrepancy q_v = |A_v| - |B_v|),
 and the round-two counters, sums of the pass-2 view at each sampled edge.
-A two-pass replica keeps Delta-hat as a float from pass 1. Node ids are
-uint64 throughout.
+A two-pass replica keeps Delta-hat as a float from pass 1. Delta-hat
+(`delta_rows` Cauchy sums of q, 512 by default) is the same estimate in
+both decodes, and `cauchy_l1` builds its coefficients a cache-sized block
+of rows at a time, hashed and mapped in place, never as the whole
+(rows, nodes) matrix. Node ids are uint64 throughout.
 
 Two-pass decode: round one reads one l1 estimate per replica, Delta-hat,
 which every sampler's mass test reads (the test needs ||q||_1 only up to a

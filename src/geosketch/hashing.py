@@ -6,7 +6,11 @@ seed and an index, computed with the splitmix64 finalizer. That makes all
 states replayable, mergeable and order-invariant: two processes with the same
 seed always derive the same coefficient for the same index.
 
-Functions accept and return numpy uint64 arrays so callers can batch.
+Functions accept and return numpy uint64 arrays so callers can batch. Their
+inputs are never written: a mix is finished in place on the fresh array
+that its first step (the xor with the chain word, or a copy) returns, so
+hashing n words allocates two arrays of n words, that one and one scratch
+array for the shifts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ U64 = np.uint64
 _GAMMA = U64(0x9E3779B97F4A7C15)
 _M1 = U64(0xBF58476D1CE4E5B9)
 _M2 = U64(0x94D049BB133111EB)
-_S30, _S27, _S31 = U64(30), U64(27), U64(31)
+_S30, _S27, _S31, _S11 = U64(30), U64(27), U64(31), U64(11)
 
 # fills the low 53 bits after shift; keeps uniforms inside the open interval
 _INV53 = float(2.0**-53)
@@ -36,7 +40,7 @@ def mix64(x: np.ndarray | int) -> np.ndarray:
     if z.ndim == 0:
         with np.errstate(over="ignore"):
             return _splitmix(z)
-    return _splitmix(z)
+    return _splitmix_(z.copy())
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -44,6 +48,22 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
     return z ^ (z >> _S31)
+
+
+def _splitmix_(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """`_splitmix` of a uint64 array that the caller owns, in place: every
+    step writes z, and the three shifts write one scratch array t of z's
+    shape (made if None)."""
+    z += _GAMMA
+    t = np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _M1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 _ACC0 = U64(0x8421_5A5A_C3C3_1E1E)
@@ -63,7 +83,12 @@ def extend(acc, *parts) -> np.ndarray:
     shared by many calls is hashed once (broadcasts like combine)."""
     acc = np.asarray(acc, dtype=U64)
     for p in parts:
-        acc = mix64(acc ^ np.asarray(p, dtype=U64))
+        z = acc ^ np.asarray(p, dtype=U64)  # fresh, or a numpy scalar for 0-d
+        if z.ndim == 0:
+            with np.errstate(over="ignore"):
+                acc = _splitmix(z)
+        else:
+            acc = _splitmix_(z)
     return acc
 
 
@@ -86,8 +111,18 @@ def uniform01(h: np.ndarray) -> np.ndarray:
     """Map hash words to uniforms in the open interval (0, 1): the top 53
     bits k give (k + 1/2) 2^-53, which rounds to 1.0 at k = 2^53 - 1 only;
     that one value is clamped to 1 - 2^-53."""
-    return np.minimum((np.asarray(h, dtype=U64) >> U64(11)).astype(np.float64) * _INV53 + _HALF54,
-                      _BELOW1)
+    h = np.array(h, dtype=U64)  # a copy, which _uniform01_ overwrites
+    return _uniform01_(h, np.empty(h.shape))
+
+
+def _uniform01_(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`uniform01` of a uint64 array that the caller owns, in place: h is
+    overwritten, and the uniforms are written to out, a float64 array of
+    h's shape."""
+    h >>= _S11
+    np.multiply(h, _INV53, out=out)
+    out += _HALF54
+    return np.minimum(out, _BELOW1, out=out)
 
 
 def exp1(h: np.ndarray) -> np.ndarray:
@@ -97,7 +132,17 @@ def exp1(h: np.ndarray) -> np.ndarray:
 
 def cauchy(h: np.ndarray) -> np.ndarray:
     """Map hash words to standard Cauchy variates, tan(pi (u - 1/2))."""
-    return np.tan(np.pi * (uniform01(h) - 0.5))
+    h = np.array(h, dtype=U64)  # a copy, which _cauchy_ overwrites
+    return _cauchy_(h, np.empty(h.shape))
+
+
+def _cauchy_(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`cauchy` of a uint64 array that the caller owns, in place, as
+    `_uniform01_`."""
+    u = _uniform01_(h, out)
+    u -= 0.5
+    u *= np.pi
+    return np.tan(u, out=u)
 
 
 def sign_pm1(h: np.ndarray) -> np.ndarray:

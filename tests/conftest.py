@@ -1,5 +1,14 @@
+import os
 import struct
 from collections import namedtuple
+
+# One BLAS thread, set before numpy is imported, as perfbench runs: BLAS
+# splits the rows of a matrix-vector product among its threads, and a split
+# inside a group of 4 rows sums those rows in another order, so the dense
+# Cauchy sums of tests/reference.py, which `cauchy_l1`'s blocked sums must
+# equal bit for bit, would depend on the machine's core count.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

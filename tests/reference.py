@@ -205,8 +205,11 @@ def count_sketch(counts: CountView, rows: int, buckets: int, seed: int, at=()):
 
 def cauchy_sums(counts: CountView, s: int, seed: int) -> np.ndarray:
     """The s Cauchy-weighted sums of width-1 counts that `cauchy_l1` takes
-    the median magnitude of."""
-    return sk._cauchy_coefficients(seed, s, counts.keys) @ counts.rows[:, 0].astype(np.float64)
+    the median magnitude of, from the whole (s, n) coefficient matrix,
+    which `cauchy_l1` builds a block of rows at a time."""
+    r = np.arange(s, dtype=U64)[:, None]
+    hk = sk._hash_keys((seed,), counts.keys)[None, :]
+    return hx.cauchy(hx.combine(sk._CAUCHY_SALT, r, hk)) @ counts.rows[:, 0].astype(np.float64)
 
 
 class FedL1Sampler:

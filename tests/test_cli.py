@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -292,6 +293,17 @@ def test_run_estimator_takes_one_config_of_its_problem():
     for stream, problem, other in ((mst, "mst", EmdSketchConfig), (emd, "emd", MstSketchConfig)):
         with pytest.raises(ValueError, match=f"takes a .*, got a {other.__name__}"):
             run_estimator(stream, problem, config=other(n=8, d=8, seed=5))
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("delta_rows", [2, 5, 8])
+def test_emd_estimate_at_a_few_delta_rows_is_finite(passes, delta_rows):
+    """Delta-hat of 2 to 8 rows takes the median of a 1-D array with the
+    compare-exchange network (`sketches._median`), which raised a TypeError
+    on such an array: both EMD estimators now give a finite estimate."""
+    emd = gen_instance("matched_noise", 16, 8, seed=1).updates
+    cfg = EmdSketchConfig(n=16, d=8, delta_rows=delta_rows)
+    assert math.isfinite(run_estimator(emd, "emd", passes=passes, config=cfg).estimate)
 
 
 def test_mst_run_with_an_eps_flag_exits_2():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def test_count_sketch_batch_equals_one_sketch_reference(rng):
         assert np.array_equal(b[i, j], 64 * row + rb) and np.array_equal(s[i, j], rs)
         assert table[i, j].tobytes() == ref_cs_table(rb, rs, vals[i, j], 64).tobytes()
         assert np.array_equal(est[i, j], ref_cs_estimates(ref_cs_table(rb, rs, vals[i, j], 64), rb, rs))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_median_of_1d_values_matches_numpy_median(rng, n):
+    """`_median` of a 1-D array of n = 1..9 values equals `np.median`: the
+    compare-exchange network (n <= 8) writes its slices, which must be
+    arrays, not the numpy scalars a 1-D array's slices are."""
+    x = rng.integers(-3, 4, n) / 2.0
+    assert _median(x, 0) == np.median(x)
+    assert _median(np.abs(x), -1) == np.median(np.abs(x))
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 12, 47, 48, 49, 128])
@@ -131,6 +142,71 @@ def test_l1_relative_accuracy():
         if abs(cauchy_l1(counts, rows, seed=s) - l1) <= 0.1 * l1:
             ok += 1
     assert ok >= 0.92 * trials, ok
+
+
+_CAUCHY_ROWS = ("1", "2", "8", "9", "block-1", "block", "block+1", "512", "513")
+
+
+def _cauchy_rows(which: str, n: int) -> int:
+    """The row count named `which` for n keys: a number, or one off the
+    rows of a Cauchy block over n keys."""
+    block = sketches._cauchy_block_rows(n)
+    return {"block-1": block - 1, "block": block, "block+1": block + 1}.get(which) or int(which)
+
+
+def _explicit_cauchy_cases(test):
+    """Every named row count at 0 keys, 1 key, a few hundred (64-row blocks)
+    and thousands (8-row blocks), with keys of one and of two words."""
+    for which in _CAUCHY_ROWS:
+        for n in (0, 1, 500, 3001):
+            for k in (1, 2):
+                test = example(n=n, k=k, which=which, draw_seed=n + k, seed=2**64 - 1 - n)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@_explicit_cauchy_cases
+@given(n=st.one_of(st.integers(0, 80), st.integers(1000, 4096)), k=st.sampled_from([1, 2]),
+       which=st.sampled_from(_CAUCHY_ROWS), draw_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**64 - 1))
+def test_cauchy_l1_equals_the_median_of_the_dense_sums(n, k, which, draw_seed, seed):
+    """`cauchy_l1`, which builds its coefficients a block of rows at a time,
+    equals the median magnitude of the dense reference's sums (the whole
+    (s, n) coefficient matrix times the counts) bit for bit: row counts
+    inside one block, at its edges, and over many blocks with a last block
+    of one row or of a whole one; keys from the whole 64-bit range, of one
+    and two words. One BLAS thread (conftest) fixes the dense product's
+    summation order."""
+    rng = np.random.default_rng(draw_seed)
+    keys = np.unique(rng.integers(0, 2**64, (n, k), dtype=np.uint64), axis=0)
+    keys[-1:] = np.uint64(2**64 - 1)  # the top word, kept sorted and unique
+    rows = rng.integers(1, 50, (len(keys), 1)) * rng.choice([-1, 1], (len(keys), 1))
+    view = CountView(keys, rows.astype(np.int64))
+    s = _cauchy_rows(which, len(keys))
+    want = float(np.median(np.abs(cauchy_sums(view, s, seed))))
+    assert cauchy_l1(view, s, seed).hex() == want.hex()
+
+
+def test_cauchy_l1_peak_memory_is_a_fraction_of_the_dense_matrix():
+    """At s = 512 rows over 4,096 keys, the tracemalloc peak of `cauchy_l1`
+    stays below a quarter of the dense (512, 4096) float64 coefficient
+    matrix, 4 MiB. The blocked build holds two (b + 1, n) arrays of 8-byte
+    words with b = 8 rows at n = 4,096 (2 x 9 x 4,096 x 8 B = 576 KiB), plus
+    arrays of n words (key hashes, the counts as floats, 96 KiB) and of s
+    words (row prefixes, sums, their magnitudes, 12 KiB): about 0.7 MiB.
+    The dense build, which held the whole (512, 4096) hash and coefficient
+    matrices and their temporaries, peaked at 48 MiB."""
+    rng = np.random.default_rng(3)
+    keys = np.unique(rng.integers(0, 2**63, 4096, dtype=np.int64)).astype(np.uint64)
+    view = CountView(keys.reshape(-1, 1), rng.integers(1, 9, (len(keys), 1)).astype(np.int64))
+    assert len(view) == 4096
+    tracemalloc.start()
+    try:
+        cauchy_l1(view, 512, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 4096 * 8 / 4, peak
 
 
 # -- p-stable generation ------------------------------------------------------------
