@@ -126,8 +126,11 @@ def _uniform01_(h: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def exp1(h: np.ndarray) -> np.ndarray:
-    """Map hash words to Exp(1) variates via inverse CDF."""
-    return -np.log(uniform01(h))
+    """Map hash words to Exp(1) variates via inverse CDF, -log(u), in place
+    on the uniforms' array."""
+    u = uniform01(h)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 def cauchy(h: np.ndarray) -> np.ndarray:

@@ -26,7 +26,15 @@ is the mismatch frequency of the others, rescaled by d log^3 n / 2^i.
 The recovery sketches are bucketed l_p sketches with p = 1/(4 log n): the
 p-th powers of counts are ~1, so bucket masses act as t_u-weighted node
 indicators. Their accumulators span e^{+-O(1/p)}, so all recovery arithmetic
-runs in (sign, log-magnitude) space.
+runs in (sign, log-magnitude) space. A stable draw (Chambers-Mallows-Stuck)
+takes its three sines in float32, of complementary angles where a cosine
+is due, and everything else in float64 (`_log_stable_draws`): its log|x|
+is within 6 * 2^-24 (1 + 1/p + (1 - p)/p) of the float64 formula. The
+decode reads the draws only through decisions (an argmax over parents,
+presence thresholds), which such an error moves only at a near-tie; as
+numpy's float32 sines come from SIMD kernels whose last bit may depend on
+the CPU's dispatch target, only a near-tie decision could differ between
+machines.
 
 State: the one-store rule of `_TreeSketch`, with a store of packed point
 -> [net count]. An estimate reads it once, and builds each level's view
@@ -181,17 +189,55 @@ def _grouped_log_abs_sum(
 
 def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
     """(sign, log|x|) of standard p-stable draws from two hash-word arrays,
-    p <= 1/4. sin(p |theta|) needs no abs: p |theta| <= pi/8. theta = 0
-    (where h_t >> 11 = 2^52: `uniform01` rounds 1/2 + 2^-54 to 1/2) needs no
-    case: copysign gives it sign +1, and log|x| = -inf, a draw of 0."""
-    r = hx.uniform01(h_r)
-    theta = np.pi * (hx.uniform01(h_t) - 0.5)
-    sign = np.copysign(1.0, theta)
-    at = np.abs(theta, out=theta)
-    log_mag = np.log(np.sin(p * at))  # in place, adding the terms in the formula's order
-    log_mag -= np.log(np.cos(at)) / p
-    log_mag += ((1.0 - p) / p) * (np.log(np.cos(at * (1.0 - p))) - np.log(np.log(1.0 / r)))
-    return sign, log_mag
+    p <= 1/4, by Chambers-Mallows-Stuck at r = uniform01(h_r) and theta =
+    pi (uniform01(h_t) - 1/2):
+
+        log|x| = log sin(p|theta|) - log cos|theta| / p
+                 + ((1 - p) / p) (log cos((1 - p)|theta|) - log log(1/r)).
+
+    The angles are formed in float64 and their three sines taken in
+    float32, where numpy runs them in SIMD (its float64 sines are scalar
+    libm, several times slower); every log and the sum are float64, in the
+    formula's order. The cosines are sines of the complementary angles,
+    pi/2 - |theta| = pi (1/2 - |u - 1/2|), from the uniform (1/2 - |u -
+    1/2| is exact), and pi/2 - (1 - p)|theta| = that + p|theta|, so no
+    angle near pi/2 loses digits to a cancellation. All three angles x lie in [0, pi/2],
+    where rounding x to float32 moves sin x by at most 2^-24 relative (x
+    cot x <= 1), and numpy gates its float32 sine at 2 ulp of the correctly
+    rounded result (2.5 ulp <= 5 * 2^-24 relative): each sine is within
+    6 * 2^-24 of its value, relative, so log|x| is within
+    6 * 2^-24 (1 + 1/p + (1 - p)/p) of the float64 formula (7.2e-5 at
+    p = 1/100). The float32 kernels are picked by the CPU's dispatch
+    target, whose last bit may differ between machines, so only a decision
+    at a near-tie of the decode could differ across them.
+
+    sin(p |theta|) needs no abs: p |theta| <= pi/8. theta = 0 (where h_t
+    >> 11 = 2^52: `uniform01` rounds 1/2 + 2^-54 to 1/2) needs no case:
+    copysign gives it sign +1, and log|x| = -inf, a draw of 0."""
+    a = hx.uniform01(h_t)
+    a -= 0.5  # exact, as is every step to 1/2 - |u - 1/2|
+    sign = np.copysign(1.0, a)
+    np.abs(a, out=a)
+    pa = np.multiply(a, np.pi)
+    pa *= p  # p |theta|
+    np.subtract(0.5, a, out=a)
+    a *= np.pi  # pi/2 - |theta|
+    sines = np.empty((3,) + a.shape, dtype=np.float32)
+    sines[0], sines[1] = pa, a
+    a += pa  # pi/2 - (1 - p) |theta|
+    sines[2] = a
+    logs = np.log(np.sin(sines, out=sines), dtype=np.float64)
+    del a, pa, sines
+    r = hx.uniform01(h_r)  # the log|x| terms, in place
+    np.divide(1.0, r, out=r)
+    np.log(r, out=r)
+    np.log(r, out=r)
+    np.subtract(logs[2], r, out=r)
+    r *= (1.0 - p) / p
+    logs[1] /= p
+    logs[0] -= logs[1]
+    r += logs[0]
+    return sign, r
 
 
 # ---------------------------------------------------------------------------

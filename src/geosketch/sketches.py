@@ -410,7 +410,9 @@ def cauchy_l1(counts: CountView, s: int, seed: int) -> float:
 # median(|D_p|) at the MST sketch's p = 1/(4L), L = 1..25, as float.hex: the
 # values of `_stable_median_slow(1.0 / (4.0 * L))` in tests/reference.py,
 # which take 0.5-2 s each. At L >= 26 its quadrature fails ("function value
-# at x=1e-12 is NaN").
+# at x=1e-12 is NaN"). The table is of the float64 law: the MST decode's
+# draws take their sines in float32 (`mst_sketch._log_stable_draws`), and
+# this median still centres them (tests/test_mst_sketch.py).
 _STABLE_MEDIAN_HEX = (
     "0x1.449e6b63d5ac6p+1", "0x1.57988ce8f6340p+3", "0x1.71932c5c9316fp+5",  # L = 1..3
     "0x1.8ef6e824a8f38p+7", "0x1.af47c67cac3e7p+9", "0x1.d2850c4f7aa2dp+11",  # L = 4..6

@@ -25,6 +25,7 @@ from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
 from geosketch.emd_sketch import replica_node_ids
 from geosketch.offline import LevelDecomposition
+from geosketch.sketches import stable_median
 from geosketch.mst_sketch import (
     _LevelStack, _grouped_log_abs_sum, _log_stable_draws, _point_fps, _representatives,
 )
@@ -137,12 +138,34 @@ def test_reference_upper_bounds_mst():
 # -- log-space arithmetic ------------------------------------------------------------
 
 
+# Each float32 sine of `_log_stable_draws` is within _SINE_UNITS * 2^-24 of
+# its value, relative: rounding its angle x in [0, pi/2] to float32 moves x
+# by at most 2^-24 relative and sin(x) by at most x cot(x) <= 1 times that
+# (one unit), and numpy gates its float32 sine at 2 ulp of the correctly
+# rounded result, which is within 1/2 ulp of sin: 2.5 ulp <= 2.5 * 2^-23
+# (five units). A relative error e of a sine moves its log by about e, and
+# log|x| weighs the logs of the three sines by 1, 1/p and (1 - p)/p.
+_SINE_UNITS = 6
+# The reference rounds theta = pi (u - 1/2) by up to 1.7e-16, so where
+# pi/2 - |theta| >= this its float64 cos(theta) is within 2^-32 relative (a
+# 256th of a unit above), and closer to pi/2 it may be off by more; the
+# draw's complementary angle keeps its relative accuracy there.
+_COS_WINDOW = 2.0**-20
+
+
+def _log_draw_bound(p: float) -> float:
+    """The largest |log|x| - reference log|x|| of a float32-sine draw at p."""
+    return _SINE_UNITS * 2.0**-24 * (1.0 + 1.0 / p + (1.0 - p) / p)
+
+
 @pytest.mark.parametrize("L", [1, 4, 8, 25])
 def test_log_stable_draws_match_the_reference_generator(L):
     """At p = 1/(4L), the (sign, log|x|) of `_log_stable_draws` equal the
-    sign and log|x| of `sample_p_stable_array` at the r and theta drawn
-    from the same hash words, wherever the reference is finite and
-    nonzero (nearly everywhere), and they warn about nothing."""
+    sign and log|x| of `sample_p_stable_array` (the float64 formula) at the
+    r and theta drawn from the same hash words, wherever the reference is
+    finite and nonzero (nearly everywhere): the signs exactly, and log|x|
+    within `_log_draw_bound(p)` (the float32 rounding of its three sines)
+    wherever pi/2 - |theta| >= `_COS_WINDOW`. They warn about nothing."""
     p, n = 1.0 / (4.0 * L), 20_000
     h_r, h_t = hx.combine(0x5EED, L, np.array([[1], [2]], dtype=np.uint64),
                           np.arange(n, dtype=np.uint64))
@@ -153,7 +176,52 @@ def test_log_stable_draws_match_the_reference_generator(L):
     ok = np.isfinite(x) & (x != 0)
     assert ok.mean() > 0.99
     assert np.array_equal(sign[ok], np.sign(x[ok]))
-    np.testing.assert_allclose(log_mag[ok], np.log(np.abs(x[ok])), rtol=1e-13, atol=1e-12)
+    inside = ok & (np.pi * (0.5 - np.abs(hx.uniform01(h_t) - 0.5)) >= _COS_WINDOW)
+    err = np.abs(log_mag[inside] - np.log(np.abs(x[inside])))
+    assert err.max() <= _log_draw_bound(p), (err.max(), _log_draw_bound(p))
+
+
+@pytest.mark.parametrize("L", [1, 4, 7, 25])
+def test_log_stable_draws_are_centred_by_the_float64_median(L):
+    """Over 10^6 hashed words at p = 1/(4L), the share of float32-sine draws
+    with |x| <= `stable_median(p)`, the median of the float64 law's |x|, is
+    within 0.002 (4 sigma at this count) of 1/2."""
+    p, n = 1.0 / (4.0 * L), 10**6
+    h_r, h_t = hx.combine(0xCE17, L, np.array([[1], [2]], dtype=np.uint64),
+                          np.arange(n, dtype=np.uint64))
+    _, log_mag = _log_stable_draws(h_r, h_t, p)
+    share = (log_mag <= math.log(stable_median(p))).mean()
+    assert abs(share - 0.5) <= 0.002, share
+
+
+@pytest.mark.parametrize("L", [1, 4, 25])
+def test_log_stable_draws_at_the_edge_words(L):
+    """The theta words at the ends of the interval, h_t = 0 (theta next to
+    -pi/2) and the top word (next to +pi/2), give signs -1 and +1 and a
+    finite log|x|, with the top r word (r = 1 - 2^-53) and a middle one,
+    and warn about nothing, the float32 casts of their angles included.
+    log|x| is within `_log_draw_bound(p)` of the formula in float64 sines of
+    the exact angles, pi/2 - |theta| = pi (1/2 - |u - 1/2|) among them (the
+    float64 pi/2 - |theta| is 2.2e-16 at h_t = 0, 1.27 times pi 2^-54). The
+    theta = 0 word gives sign +1 and log|x| = -inf, a draw of 0, with no
+    warning but log's division by zero."""
+    p = 1.0 / (4.0 * L)
+    top_r = ((1 << 53) - 1) << 11
+    h_r = np.array([top_r, top_r, 1 << 62, 1 << 62], dtype=np.uint64)
+    h_t = np.array([0, 2**64 - 1, 0, 2**64 - 1], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, log_mag = _log_stable_draws(h_r, h_t, p)
+        with np.errstate(divide="ignore"):
+            zero_sign, zero_log = _log_stable_draws(h_r[:1], np.array([1 << 63], np.uint64), p)
+    assert sign.tolist() == [-1.0, 1.0, -1.0, 1.0]
+    assert np.isfinite(log_mag).all()
+    r, u = hx.uniform01(h_r), hx.uniform01(h_t)
+    at, comp = np.pi * np.abs(u - 0.5), np.pi * (0.5 - np.abs(u - 0.5))
+    want = (np.log(np.sin(p * at)) - np.log(np.sin(comp)) / p
+            + (1.0 - p) / p * (np.log(np.sin(comp + p * at)) - np.log(np.log(1.0 / r))))
+    assert np.abs(log_mag - want).max() <= _log_draw_bound(p)
+    assert zero_sign.tolist() == [1.0] and zero_log.tolist() == [-np.inf]
 
 
 @pytest.mark.parametrize("L", [1, 4, 25])
@@ -773,6 +841,8 @@ def test_estimate_dominates_mst_usually():
     ("uniform", 3, 16, 16, "0x1.00d5ca49ee501p+8"),
     ("clustered", 1, 16, 16, "0x1.f7fff8cb0ee09p+6"),
     ("uniform", 1, 32, 16, "0x1.f6e93d8cfd004p+7"),
+    # near-ties of the draws are likelier at this size: it guards their precision
+    ("uniform", 1, 64, 32, "0x1.d7098780e8fc6p+10"),
 ])
 def test_estimate_bit_identical_to_pinned(kind, seed, n, d, want):
     """The decode is batched for speed only: the n=8 estimates are pinned to
