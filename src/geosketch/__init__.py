@@ -5,22 +5,9 @@ tree cost in the turnstile model, with the linear sketches it reads,
 exact offline oracles, instance generators and a stream CLI.
 """
 
-from .points import HypercubePoint, PointMultiset, hamming_distance
+from .points import HypercubePoint, PointMultiset
 from .quadtree import QuadtreeSpec, sample_quadtree
-from .offline import (
-    Matching,
-    SpanningTree,
-    depth_greedy_matching,
-    depth_greedy_spanning_tree,
-    exact_emd,
-    exact_mst,
-    inspector_payment,
-    matching_cost,
-    spanning_tree_cost,
-    total_inspector_payment,
-    value_emd,
-    value_mst,
-)
+from .offline import exact_emd, exact_mst
 from .sketches import (
     FAIL,
     CountView,
@@ -46,11 +33,9 @@ from .generators import GeneratedInstance, gen_instance, rm1_codewords
 # The submodules (hashing, sketches, emd_sketch, ...) stay attributes of the
 # package, but are not part of the star-import surface.
 __all__ = [
-    "HypercubePoint", "PointMultiset", "hamming_distance",
+    "HypercubePoint", "PointMultiset",
     "QuadtreeSpec", "sample_quadtree",
-    "Matching", "SpanningTree", "depth_greedy_matching", "depth_greedy_spanning_tree",
-    "exact_emd", "exact_mst", "inspector_payment", "matching_cost", "spanning_tree_cost",
-    "total_inspector_payment", "value_emd", "value_mst",
+    "exact_emd", "exact_mst",
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",
     "EmdOnePassSketch", "EmdSketchConfig", "EmdTwoPassSketch",

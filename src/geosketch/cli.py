@@ -208,6 +208,10 @@ def _cmd_run(args) -> int:
         )
     except SamplesFailed as e:
         raise ValueError(f"{e}; raise `samples` in a --config file") from e
+    if args.oracle and report.exact is None:
+        cap = EMD_ORACLE_CAP if args.problem == "emd" else MST_ORACLE_CAP
+        print(f"geosketch: --oracle skipped: exact_{args.problem} is capped at n = {cap}, "
+              f"and this stream has n = {report.n}", file=sys.stderr)
     text = report.to_json()
     if args.report:
         with open(args.report, "w") as f:
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int,
                      help="sketch seed (default 0); a --config file sets its own")
     run.add_argument("--oracle", action="store_true",
-                     help="also compute the exact value (size-capped)")
+                     help=f"also compute the exact value, up to n = {EMD_ORACLE_CAP} (EMD) "
+                          f"or {MST_ORACLE_CAP} (MST)")
     run.add_argument("--config", help="estimator config JSON")
     run.add_argument("--report", help="write the JSON report here too")
     run.add_argument("--csv", help="append a CSV row here")
@@ -279,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True,
                      choices=["uniform", "clustered", "matched_noise",
                               "hard_mst", "hard_emd"])
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=int, required=True,
+                     help="points per label; hard_mst writes k clusters of n points "
+                          "(k n in all), and the hard kinds need n a multiple of 2d")
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--param", action="append",

@@ -91,6 +91,12 @@ def gen_instance(kind: str, n: int, d: int, seed: int, **params) -> GeneratedIns
     input). The planted bit Z is drawn unless z is given, and lands in meta
     and a stream comment. A parameter the kind does not read, or a value
     out of its range, raises ValueError.
+
+    n counts the points of each label, and meta's `n` is that n: uniform,
+    clustered and matched_noise write n points per label, hard_emd one
+    cluster of n points each to A and B, and hard_mst k clusters of n
+    points, k n in all, to X. The hard kinds build their clusters from
+    cosets of RM(1, log2 d), so they need n to be a multiple of 2d.
     """
     rng = np.random.default_rng(seed)
     if n < 1 or d < 1:

@@ -30,20 +30,8 @@ _HALF54 = float(2.0**-54)
 _BELOW1 = 1.0 - _INV53  # the largest float64 below 1
 
 
-def mix64(x: np.ndarray | int) -> np.ndarray:
-    """splitmix64 finalizer: a bijective mixer on 64-bit words.
-
-    uint64 arrays wrap silently, but 0-d input computes on numpy scalars,
-    which warn on overflow; only that case enters an errstate guard (it is
-    costly next to the mixing of a small array)."""
-    z = np.asarray(x, dtype=U64)
-    if z.ndim == 0:
-        with np.errstate(over="ignore"):
-            return _splitmix(z)
-    return _splitmix_(z.copy())
-
-
 def _splitmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, a bijective mixer on 64-bit words."""
     z = z + _GAMMA
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
@@ -80,7 +68,11 @@ def combine(*parts) -> np.ndarray:
 
 def extend(acc, *parts) -> np.ndarray:
     """combine(*prefix, *parts), given acc = combine(*prefix): a prefix
-    shared by many calls is hashed once (broadcasts like combine)."""
+    shared by many calls is hashed once (broadcasts like combine). uint64
+    arrays wrap silently, but 0-d words compute on numpy scalars, which
+    warn on overflow; only they enter an errstate guard (it is costly next
+    to the mixing of a small array). extend(0, x) is splitmix64's finalizer
+    of x."""
     acc = np.asarray(acc, dtype=U64)
     for p in parts:
         z = acc ^ np.asarray(p, dtype=U64)  # fresh, or a numpy scalar for 0-d

@@ -4,13 +4,10 @@ Everything here sees the full input (no streaming):
 - `LevelDecomposition` groups the distinct points of A u B (or of one set)
   by quadtree node. Its `level_table` is the one home of the exact
   per-level quantities: Delta_i, E_S[p], I_i, |L_i|, mu_i and the EMD and
-  MST tree-value terms. `value_emd` and `value_mst` read it; they read only
-  the closed-form tree columns, so they never build the pairwise matrix.
+  MST tree-value terms. The tree values of EMD and MST are the sums of
+  `tree_terms`, the closed-form tree columns, which never build the
+  pairwise matrix.
 - `exact_emd` and `exact_mst` are the brute-force optima behind `--oracle`.
-- The depth-greedy matchings and spanning trees and the inspector payments
-  are called only by tests. They stay as the references the paper's
-  sandwich lemmas are tested against: matching cost <= tree value <=
-  2 x payment, and spanning-tree cost / 2 <= tree value.
 
 Average inter-node distances are computed in closed form per coordinate from
 bit-count accumulators: for uniform c ~ C_u, c' ~ C_v,
@@ -26,50 +23,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .emd_sketch import log2n
-from .points import (
-    HypercubePoint,
-    PointMultiset,
-    hamming_distance,
-    hamming_matrix,
-    points_to_matrix,
-    values_to_matrix,
-)
+from .points import PointMultiset, hamming_matrix, points_to_matrix, values_to_matrix
 from .quadtree import QuadtreeSpec
 
-__all__ = [
-    "Matching",
-    "SpanningTree",
-    "LevelDecomposition",
-    "LevelTable",
-    "expected_split_probability",
-    "depth_greedy_matching",
-    "matching_cost",
-    "value_emd",
-    "depth_greedy_spanning_tree",
-    "spanning_tree_cost",
-    "value_mst",
-    "inspector_payment",
-    "total_inspector_payment",
-    "exact_emd",
-    "exact_mst",
-]
+__all__ = ["LevelDecomposition", "LevelTable", "expected_split_probability", "exact_emd",
+           "exact_mst"]
 
 EMD_ORACLE_CAP = 512
 MST_ORACLE_CAP = 2048
-
-
-@dataclass
-class Matching:
-    """Perfect matching between equal-size multisets, pairs with multiplicity."""
-
-    pairs: List[Tuple[HypercubePoint, HypercubePoint, int]]
-
-
-@dataclass
-class SpanningTree:
-    """Spanning tree over a multiset, edges with multiplicity."""
-
-    edges: List[Tuple[HypercubePoint, HypercubePoint, int]]
 
 
 def _disagree(dists: np.ndarray, rate: float) -> np.ndarray:
@@ -122,7 +83,6 @@ class LevelDecomposition:
         wc = (self.wa + self.wb).astype(np.float64)
 
         self.group_of: List[np.ndarray] = []  # depth -> group index per row
-        self.fp: List[np.ndarray] = []  # depth -> (g, 2) fingerprints
         self.sum_a: List[np.ndarray] = []
         self.sum_b: List[np.ndarray] = []
         self.bitsum: List[np.ndarray] = []  # depth -> (g, d) weighted bit counts
@@ -135,14 +95,13 @@ class LevelDecomposition:
             par = np.zeros(g, dtype=np.int64)
             par[inv] = self.group_of[i - 1] if i else 0
             self.group_of.append(inv)
-            self.fp.append(fps)
             self.sum_a.append(np.bincount(inv, self.wa, g))
             self.sum_b.append(np.bincount(inv, self.wb, g))
             self.bitsum.append(bs)
             self.parent.append(par)
 
     def node_count(self, i: int) -> int:
-        return self.fp[i].shape[0]
+        return len(self.parent[i])
 
     def bit_fraction(self, i: int) -> np.ndarray:
         """(g, d) matrix of per-coordinate set-bit fractions of C_v."""
@@ -202,148 +161,6 @@ class LevelDecomposition:
             kids = np.bincount(par)[up]
             mu[i - 1] = (w / kids) @ (Dm @ w) / max(ell[i - 1], 1)
         return LevelTable(delta, esp, I, ell, mu, *self.tree_terms())
-
-
-def value_emd(tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset) -> float:
-    """Value of (A, B) in the tree: sum over edges of discrepancy x avg."""
-    if len(A) != len(B):
-        raise ValueError(f"|A| = {len(A)} != |B| = {len(B)}")
-    return float(LevelDecomposition(tree, A, B).tree_terms()[0].sum())
-
-
-def value_mst(tree: QuadtreeSpec, X: PointMultiset) -> float:
-    """Value of X in the tree: levels with >1 non-empty node contribute the
-    sum over nodes of the parent-child average distance."""
-    if len(X) < 1:
-        raise ValueError("X must be non-empty")
-    return float(LevelDecomposition(tree, X).tree_terms()[1].sum())
-
-
-def depth_greedy_matching(
-    tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset
-) -> Matching:
-    """A matching maximizing the total LCA depth, built bottom-up.
-
-    Within every node, surviving points of the two sides are paired off; the
-    number of pairs matched strictly above any node v is then exactly
-    ||A_v| - |B_v||. Determinism: children are merged in ascending
-    fingerprint order, survivors keep sorted point order.
-    """
-    if len(A) != len(B):
-        raise ValueError(f"|A| = {len(A)} != |B| = {len(B)}")
-    dec = LevelDecomposition(tree, A, B)
-    X = dec.X
-    n_rows = X.shape[0]
-    pts = [HypercubePoint.from_bits(X[r]) for r in range(n_rows)]
-
-    # surviving multiplicity per row, updated as we match upward
-    live_a = dec.wa.copy()
-    live_b = dec.wb.copy()
-    pairs: List[Tuple[HypercubePoint, HypercubePoint, int]] = []
-
-    for i in range(tree.h, -1, -1):
-        g = dec.node_count(i)
-        if g == 0:
-            break
-        # rows grouped by node, node order = ascending fingerprint (np.unique
-        # sorts), rows inside a node in matrix order
-        order = np.argsort(dec.group_of[i], kind="stable")
-        bounds = np.searchsorted(dec.group_of[i][order], np.arange(g + 1))
-        for gi in range(g):
-            rows = order[bounds[gi] : bounds[gi + 1]]
-            ra = [r for r in rows if live_a[r] > 0]
-            rb = [r for r in rows if live_b[r] > 0]
-            ia = ib = 0
-            while ia < len(ra) and ib < len(rb):
-                m = min(live_a[ra[ia]], live_b[rb[ib]])
-                pairs.append((pts[ra[ia]], pts[rb[ib]], int(m)))
-                live_a[ra[ia]] -= m
-                live_b[rb[ib]] -= m
-                if live_a[ra[ia]] == 0:
-                    ia += 1
-                if live_b[rb[ib]] == 0:
-                    ib += 1
-        if not live_a.any() and not live_b.any():
-            break
-    assert not live_a.any() and not live_b.any()
-    return Matching(pairs)
-
-
-def matching_cost(m: Matching) -> int:
-    return sum(c * hamming_distance(a, b) for a, b, c in m.pairs)
-
-
-def depth_greedy_spanning_tree(tree: QuadtreeSpec, X: PointMultiset) -> SpanningTree:
-    """Spanning tree from a DFS walk of the quadtree (children in ascending
-    fingerprint order): consecutive points in the walk are joined."""
-    if len(X) < 1:
-        raise ValueError("X must be non-empty")
-    mx, cx = points_to_matrix(X)
-    path = tree.node_path(mx)
-    # DFS visit order = lexicographic order of the fingerprint path
-    keys = [
-        tuple(int(path[r, i, w]) for i in range(1, tree.h + 1) for w in (0, 1))
-        for r in range(mx.shape[0])
-    ]
-    order = sorted(range(mx.shape[0]), key=lambda r: (keys[r], r))
-    pts = [HypercubePoint.from_bits(mx[r]) for r in order]
-    counts = [int(cx[r]) for r in order]
-    edges: List[Tuple[HypercubePoint, HypercubePoint, int]] = []
-    for j, (p, c) in enumerate(zip(pts, counts)):
-        if c > 1:
-            edges.append((p, p, c - 1))
-        if j + 1 < len(pts):
-            edges.append((p, pts[j + 1], 1))
-    return SpanningTree(edges)
-
-
-def spanning_tree_cost(t: SpanningTree) -> int:
-    return sum(c * hamming_distance(a, b) for a, b, c in t.edges)
-
-
-def _payment_with_dec(
-    dec: LevelDecomposition, tree: QuadtreeSpec, a: HypercubePoint, b: HypercubePoint
-) -> float:
-    if a == b:
-        return 0.0
-    pts = np.stack([a.bits(), b.bits()])
-    path = tree.node_path(pts)
-
-    # locate the node groups of a and b at each depth; both must be in C's
-    # support for the averages to be over their own populations
-    def avg_to_node(point_bits: np.ndarray, fp_pair: np.ndarray, i: int) -> float:
-        fps = dec.fp[i]
-        g = np.nonzero((fps[:, 0] == fp_pair[0]) & (fps[:, 1] == fp_pair[1]))[0]
-        if len(g) == 0:
-            raise ValueError("point does not belong to the population C")
-        pk = dec.bit_fraction(i)[g[0]]
-        x = point_bits.astype(np.float64)
-        return float((x * (1.0 - pk) + (1.0 - x) * pk).sum())
-
-    total = 0.0
-    for i in range(1, tree.h + 1):
-        if not np.array_equal(path[0, i], path[1, i]):
-            total += avg_to_node(pts[0], path[0, i - 1], i - 1)
-            total += avg_to_node(pts[1], path[1, i - 1], i - 1)
-    return total
-
-
-def inspector_payment(
-    tree: QuadtreeSpec, a: HypercubePoint, b: HypercubePoint, C: PointMultiset
-) -> float:
-    """Total charge of the pair (a, b) against the population C: at every
-    depth where their nodes differ, pay the average distances to their
-    depth-(i-1) node populations."""
-    return _payment_with_dec(LevelDecomposition(tree, C), tree, a, b)
-
-
-def total_inspector_payment(
-    tree: QuadtreeSpec, m: Matching, C: PointMultiset
-) -> float:
-    """Sum of inspector payments over the pairs of a matching (with
-    multiplicity), decomposing C only once."""
-    dec = LevelDecomposition(tree, C)
-    return sum(c * _payment_with_dec(dec, tree, a, b) for a, b, c in m.pairs)
 
 
 def exact_emd(A: PointMultiset, B: PointMultiset) -> int:

@@ -1,4 +1,4 @@
-"""Hypercube points, Hamming distance and point multisets.
+"""Hypercube points, point multisets and Hamming distance matrices.
 
 A point is a bit vector of fixed dimension d, stored packed (one Python int,
 bit 0 of the vector being the most significant bit of the integer, so the hex
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "HypercubePoint",
     "PointMultiset",
-    "hamming_distance",
     "hamming_matrix",
     "packed_from_hex",
     "points_to_matrix",
@@ -70,13 +69,6 @@ def packed_from_hex(s: str, d: int) -> bytes:
     return (value << 4 * (nib % 2)).to_bytes((d + 7) // 8, "big")
 
 
-def hamming_distance(x: HypercubePoint, y: HypercubePoint) -> int:
-    """Number of coordinates where x and y differ."""
-    if x.d != y.d:
-        raise ValueError(f"dimension mismatch: {x.d} != {y.d}")
-    return (x.value ^ y.value).bit_count()
-
-
 class PointMultiset:
     """Multiset of hypercube points: map point -> nonnegative multiplicity."""
 
@@ -86,8 +78,12 @@ class PointMultiset:
 
     @classmethod
     def from_points(cls, points: Iterable[HypercubePoint]) -> "PointMultiset":
+        """The multiset of the points, of the first point's dimension."""
         it = iter(points)
-        first = next(it)
+        first = next(it, None)
+        if first is None:
+            raise ValueError("from_points needs at least one point: the dimension "
+                             "is read from the first point")
         ms = cls(first.d)
         ms.add(first)
         for p in it:

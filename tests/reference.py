@@ -3,9 +3,16 @@ forms of what the package computes on arrays, kept apart from it so that no
 estimator runs them. The scalar character and split probability, the
 p-stable generator and the quadrature of median(|D_p|), the LCA depth of
 two points, dict references of a view's counts, the fed l1 sampler, and
-the per-decoder one-round LS decode."""
+the per-decoder one-round LS decode.
 
-from typing import Tuple
+Also the references of the paper's sandwich lemmas, which bound the tree
+values of `offline.LevelDecomposition.tree_terms` by exact costs: the
+Hamming distance of two points, the depth-greedy matching and spanning
+tree as (a, b, multiplicity) lists with their one `cost`, and the
+inspector payments. The lemmas are matching cost <= EMD tree value <= 2 x
+payment, and spanning-tree cost / 2 <= MST tree value."""
+
+from typing import List, Tuple
 
 import numpy as np
 
@@ -13,7 +20,8 @@ from geosketch import hashing as hx
 from geosketch import sketches as sk
 from geosketch.emd_sketch import EmdSketchConfig, character_members
 from geosketch.hashing import U64
-from geosketch.points import HypercubePoint, PointMultiset
+from geosketch.offline import LevelDecomposition
+from geosketch.points import HypercubePoint, PointMultiset, points_to_matrix
 from geosketch.quadtree import QuadtreeSpec
 from geosketch.sketches import FAIL, CountView, L1Sampler, cauchy_l1
 
@@ -448,3 +456,116 @@ def reference_two_round_estimates(rep, counts: CountView) -> Tuple[list, dict]:
             vals.append(quu * (1 - qvv) + qvv * (1 - quu))
         out.append(float(np.mean(vals)) if vals else None)
     return out, counters
+
+
+# -- the sandwich lemmas: depth-greedy matchings and spanning trees, payments ------------
+
+Pairs = List[Tuple[HypercubePoint, HypercubePoint, int]]
+
+
+def hamming_distance(x: HypercubePoint, y: HypercubePoint) -> int:
+    """Number of coordinates where x and y differ."""
+    if x.d != y.d:
+        raise ValueError(f"dimension mismatch: {x.d} != {y.d}")
+    return (x.value ^ y.value).bit_count()
+
+
+def cost(pairs: Pairs) -> int:
+    """Cost of a matching or a spanning tree given as (a, b, multiplicity)."""
+    return sum(c * hamming_distance(a, b) for a, b, c in pairs)
+
+
+def depth_greedy_matching(tree: QuadtreeSpec, A: PointMultiset, B: PointMultiset) -> Pairs:
+    """A matching maximizing the total LCA depth, built bottom-up.
+
+    Within every node, surviving points of the two sides are paired off; the
+    number of pairs matched strictly above any node v is then exactly
+    ||A_v| - |B_v||. Determinism: children are merged in ascending
+    fingerprint order, survivors keep sorted point order.
+    """
+    if len(A) != len(B):
+        raise ValueError(f"|A| = {len(A)} != |B| = {len(B)}")
+    dec = LevelDecomposition(tree, A, B)
+    X = dec.X
+    n_rows = X.shape[0]
+    pts = [HypercubePoint.from_bits(X[r]) for r in range(n_rows)]
+
+    # surviving multiplicity per row, updated as we match upward
+    live_a = dec.wa.copy()
+    live_b = dec.wb.copy()
+    pairs: Pairs = []
+
+    for i in range(tree.h, -1, -1):
+        g = dec.node_count(i)
+        if g == 0:
+            break
+        # rows grouped by node, node order = ascending fingerprint (np.unique
+        # sorts), rows inside a node in matrix order
+        order = np.argsort(dec.group_of[i], kind="stable")
+        bounds = np.searchsorted(dec.group_of[i][order], np.arange(g + 1))
+        for gi in range(g):
+            rows = order[bounds[gi] : bounds[gi + 1]]
+            ra = [r for r in rows if live_a[r] > 0]
+            rb = [r for r in rows if live_b[r] > 0]
+            ia = ib = 0
+            while ia < len(ra) and ib < len(rb):
+                m = min(live_a[ra[ia]], live_b[rb[ib]])
+                pairs.append((pts[ra[ia]], pts[rb[ib]], int(m)))
+                live_a[ra[ia]] -= m
+                live_b[rb[ib]] -= m
+                if live_a[ra[ia]] == 0:
+                    ia += 1
+                if live_b[rb[ib]] == 0:
+                    ib += 1
+        if not live_a.any() and not live_b.any():
+            break
+    assert not live_a.any() and not live_b.any()
+    return pairs
+
+
+def depth_greedy_spanning_tree(tree: QuadtreeSpec, X: PointMultiset) -> Pairs:
+    """Spanning tree from a DFS walk of the quadtree (children in ascending
+    fingerprint order): consecutive points in the walk are joined, and a
+    point of multiplicity c to itself c - 1 times."""
+    if len(X) < 1:
+        raise ValueError("X must be non-empty")
+    mx, cx = points_to_matrix(X)
+    path = tree.node_path(mx)
+    # DFS visit order = lexicographic order of the fingerprint path
+    keys = [
+        tuple(int(path[r, i, w]) for i in range(1, tree.h + 1) for w in (0, 1))
+        for r in range(mx.shape[0])
+    ]
+    order = sorted(range(mx.shape[0]), key=lambda r: (keys[r], r))
+    pts = [HypercubePoint.from_bits(mx[r]) for r in order]
+    counts = [int(cx[r]) for r in order]
+    edges: Pairs = []
+    for j, (p, c) in enumerate(zip(pts, counts)):
+        if c > 1:
+            edges.append((p, p, c - 1))
+        if j + 1 < len(pts):
+            edges.append((p, pts[j + 1], 1))
+    return edges
+
+
+def inspector_payment(tree: QuadtreeSpec, pairs: Pairs, C: PointMultiset) -> float:
+    """Total charge of the (a, b, multiplicity) pairs against the population
+    C, with multiplicity: at every depth i where the nodes of a and b differ,
+    each pays its average distance to the population of its depth-(i-1)
+    node. a and b must be points of C, so that the averages are over their
+    own populations."""
+    dec = LevelDecomposition(tree, C)
+    row = {HypercubePoint.from_bits(x): r for r, x in enumerate(dec.X)}
+    total = 0.0
+    for a, b, c in pairs:
+        if a not in row or b not in row:
+            raise ValueError("point does not belong to the population C")
+        payment = 0.0
+        for i in range(1, tree.h + 1):
+            if dec.group_of[i][row[a]] != dec.group_of[i][row[b]]:
+                for r in (row[a], row[b]):
+                    pk = dec.bit_fraction(i - 1)[dec.group_of[i - 1][r]]
+                    x = dec.X[r].astype(np.float64)
+                    payment += float((x * (1.0 - pk) + (1.0 - x) * pk).sum())
+        total += c * payment
+    return total

@@ -14,6 +14,7 @@ from geosketch import (
     EmdSketchConfig, MstSketchConfig, gen_instance, run_estimator, write_stream,
     write_stream_binary,
 )
+from geosketch import cli
 from geosketch.cli import main
 
 from conftest import stream_of, updates_of
@@ -114,6 +115,30 @@ def test_run_reads_binary_streams(tmp_path, capsys, monkeypatch, kind, problem):
         del report["wall_time_s"]
         reports.append(report)
     assert reports[0]["d"] == 16 and reports[1:] == [reports[0]] * 2
+
+
+@pytest.mark.parametrize("problem,kind,cap", [("emd", "matched_noise", "EMD_ORACLE_CAP"),
+                                              ("mst", "uniform", "MST_ORACLE_CAP")])
+def test_oracle_above_its_cap_says_so(tmp_path, capsys, monkeypatch, problem, kind, cap):
+    """With --oracle above the oracle's cap (lowered here below n = 8) the
+    report is the one without --oracle, which has no exact value, and one
+    stderr line names the oracle, its cap and n; the exit status is 0. At
+    the cap the oracle runs and stderr stays empty."""
+    stream = tmp_path / "s.txt"
+    stream.write_text(write_stream(gen_instance(kind, 8, 16, seed=1).updates))
+    reports = []
+    for lowered, flags in ((7, ["--oracle"]), (7, []), (8, ["--oracle"])):
+        monkeypatch.setattr(cli, cap, lowered)
+        assert main(["run", "--problem", problem, *flags, str(stream)]) == 0
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        del report["wall_time_s"]
+        reports.append((report, out.err))
+    (above, err), (plain, plain_err), (at, at_err) = reports
+    assert above == plain and "exact" not in above
+    assert err == (f"geosketch: --oracle skipped: exact_{problem} is capped at n = 7, "
+                   "and this stream has n = 8\n")
+    assert plain_err == at_err == "" and at["exact"] > 0
 
 
 @pytest.mark.parametrize("stream,extra,message", [
@@ -369,6 +394,22 @@ def test_gen_reads_float_and_int_params(capsys):
     assert inst.meta["alpha"] == 1e-3 and inst.meta["Z"] == 1
     comments = [f"{k}={v}" for k, v in inst.meta.items()]
     assert capsys.readouterr().out == write_stream(inst.updates, comments=comments)
+
+
+def test_planted_kinds_write_n_points_per_cluster():
+    """n counts the points of one cluster, as meta's `n` says: hard_mst
+    writes k clusters of n points (k n records, all X), hard_emd n records
+    each to A and B, and a hard kind needs n to be a multiple of 2d."""
+    for k, inst in ((5, gen_instance("hard_mst", 16, 8, 1)),
+                    (3, gen_instance("hard_mst", 32, 8, 1, k=3))):
+        assert inst.meta["k"] == k
+        assert [label for _, label, _ in updates_of(inst.updates)] == ["X"] * (k * inst.meta["n"])
+    inst = gen_instance("hard_emd", 16, 8, 1)
+    labels = [label for _, label, _ in updates_of(inst.updates)]
+    assert inst.meta["n"] == 16 and labels == ["A"] * 16 + ["B"] * 16
+    for kind in ("hard_mst", "hard_emd"):
+        with pytest.raises(ValueError, match="multiple of 2d = 16, got n = 24"):
+            gen_instance(kind, 24, 8, 1)
 
 
 def test_gen_out_does_not_need_a_binary_stdout(tmp_path):

@@ -8,15 +8,16 @@ from geosketch.mst_sketch import _log_stable_draws
 
 
 def test_mix64_scalar_matches_array_without_warnings():
-    """Scalar input is guarded against numpy's scalar overflow warnings and
-    mixes to the same word as the matching element of an array."""
+    """The splitmix64 finalizer, `extend(0, .)`, of scalar input is guarded
+    against numpy's scalar overflow warnings and mixes to the same word as
+    the matching element of an array."""
     words = [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        arr = hx.mix64(np.array(words, dtype=np.uint64))
+        arr = hx.extend(0, np.array(words, dtype=np.uint64))
         for i, w in enumerate(words):
-            assert int(hx.mix64(w)) == int(arr[i])
-            assert int(hx.mix64(np.uint64(w))) == int(arr[i])
+            assert int(hx.extend(0, w)) == int(arr[i])
+            assert int(hx.extend(0, np.uint64(w))) == int(arr[i])
             assert int(hx.combine(w, 7)) == int(hx.combine(np.array(words, dtype=np.uint64), 7)[i])
 
 
@@ -98,10 +99,10 @@ def _chains(draw):
 @example(([0, 2**64 - 1, 5], [[2**64 - 1, 2**63, 1, 7]]))
 @given(_chains())
 def test_extend_equals_a_python_int_splitmix_chain(chain):
-    """`extend` (and so `combine` and `mix64`), which finishes each mix in
-    place, equals a splitmix64 chain on Python ints: on 0-d words, on 1-d
-    arrays, and on an (m, 1) column of chain words broadcast against an (n,)
-    row of part words. It writes none of its inputs and raises no
+    """`extend` (and so `combine`, and splitmix64's finalizer `extend(0, .)`),
+    which finishes each mix in place, equals a splitmix64 chain on Python
+    ints: on 0-d words, on 1-d arrays, and on an (m, 1) column of chain
+    words broadcast against an (n,) row of part words. It writes none of its inputs and raises no
     RuntimeWarning (0-d words compute on numpy scalars, which would warn on
     overflow outside `extend`'s errstate guard)."""
     acc, parts = chain
@@ -113,7 +114,7 @@ def test_extend_equals_a_python_int_splitmix_chain(chain):
         grid = hx.extend(col, *rows)  # (m, n_1), then broadcast part by part
         first = hx.extend(np.uint64(acc[0]), *(np.uint64(p[0]) for p in parts))
         line = hx.extend(col[:, 0], *(np.uint64(p[0]) for p in parts))
-        mixed = hx.mix64(col)
+        mixed = hx.extend(0, col)
         word = hx.combine(acc[0], parts[0][0])
     for a, b in zip(kept, [col, *rows]):
         assert np.array_equal(a, b)

@@ -8,6 +8,7 @@ import geosketch
 
 MODULES = sorted(Path(geosketch.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # The package's modules and the references the tests check it against: no
 # import or definition in either outlives its last reader.
 CHECKED = MODULES + [ROOT / "tests" / "reference.py"]
@@ -47,10 +48,11 @@ def _exported(tree: ast.Module):
             yield from ast.literal_eval(node.value)
 
 
-@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    """Each name a module imports is read in it or listed in its
-    `__all__`: no import is left behind when the code that used it goes."""
+    """Each name a module of the package or of its tests imports is read in
+    it or listed in its `__all__`: no import is left behind when the code
+    that used it goes."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
@@ -154,6 +156,24 @@ def test_every_definition_is_read(path, reads, subclasses):
     unread = sorted(f"{name} (line {line})" for name, line in _definitions(tree)
                     if not is_read(name))
     assert not unread, f"{path.name} defines names nothing reads: {', '.join(unread)}"
+
+
+def test_every_export_has_a_program_reader():
+    """Each name of `geosketch.__all__` is read, as a `Name` or as an
+    attribute, by a module of the package other than `__init__.py` or by
+    the benchmark: the package exports what the CLI, the estimators, the
+    oracles and the benchmark run, not what only the tests call."""
+    program = [p for p in MODULES if p.name != "__init__.py"]
+    program += sorted((ROOT / "perfbench").rglob("*.py"))
+    read = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(set(geosketch.__all__) - read)
+    assert not unread, f"geosketch exports names no program file reads: {', '.join(unread)}"
 
 
 def _imports_offline(tree: ast.Module) -> bool:

@@ -19,7 +19,6 @@ from geosketch import (
     exact_mst,
     l0_estimate,
     sample_quadtree,
-    value_mst,
 )
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch

@@ -1,28 +1,16 @@
 import numpy as np
 import pytest
 
-from geosketch import (
-    HypercubePoint,
-    PointMultiset,
-    depth_greedy_matching,
-    depth_greedy_spanning_tree,
-    exact_emd,
-    exact_mst,
-    hamming_distance,
-    inspector_payment,
-    matching_cost,
-    sample_quadtree,
-    spanning_tree_cost,
-    total_inspector_payment,
-    value_emd,
-    value_mst,
-)
+from geosketch import HypercubePoint, PointMultiset, exact_emd, exact_mst, sample_quadtree
 from geosketch.emd_sketch import log2n
 from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.points import points_to_matrix, hamming_matrix
 
 from conftest import random_multiset, random_pair
-from reference import lca_depth
+from reference import (
+    cost, depth_greedy_matching, depth_greedy_spanning_tree, hamming_distance, inspector_payment,
+    lca_depth,
+)
 
 
 def pt(bits):
@@ -31,6 +19,16 @@ def pt(bits):
 
 def pm(*points):
     return PointMultiset.from_points(points)
+
+
+def value_emd(t, A, B):
+    """Value_T(A, B), the sum of the level table's EMD tree terms."""
+    return LevelDecomposition(t, A, B).tree_terms()[0].sum()
+
+
+def value_mst(t, X):
+    """Value_T(X), the sum of the level table's MST tree terms."""
+    return LevelDecomposition(t, X).tree_terms()[1].sum()
 
 
 # -- exact oracles ------------------------------------------------------------
@@ -120,14 +118,14 @@ def test_matching_identical_sets_is_free():
     A = random_multiset(8, 8, 3)
     t = sample_quadtree(8, seed=1)
     m = depth_greedy_matching(t, A, A)
-    assert matching_cost(m) == 0
+    assert cost(m) == 0
 
 
 def test_matching_forced_pair():
     A, B = pm(pt([0] * 4)), pm(pt([1] * 4))
     t = sample_quadtree(4, seed=2)
     m = depth_greedy_matching(t, A, B)
-    assert len(m.pairs) == 1 and matching_cost(m) == 4
+    assert len(m) == 1 and cost(m) == 4
 
 
 def test_matching_size_mismatch():
@@ -149,9 +147,9 @@ def test_matching_is_depth_greedy_class_member():
         dec = LevelDecomposition(t, A, B)
         for i in range(1, t.h + 1):
             disc = np.abs(dec.sum_a[i] - dec.sum_b[i])
-            fps = dec.fp[i]
+            fps = np.unique(t.node_fingerprints(dec.X, i), axis=0)
             crossing = np.zeros(len(fps))
-            for a, b, c in m.pairs:
+            for a, b, c in m:
                 fa = t.node_fingerprints(a.bits()[None, :], i)[0]
                 fb = t.node_fingerprints(b.bits()[None, :], i)[0]
                 if not np.array_equal(fa, fb):
@@ -166,7 +164,7 @@ def test_matching_cost_bounded_by_value():
     A, B = random_pair(8, 8, 7)
     for seed in range(500):
         t = sample_quadtree(8, seed=seed)
-        assert matching_cost(depth_greedy_matching(t, A, B)) <= value_emd(t, A, B) + 1e-9
+        assert cost(depth_greedy_matching(t, A, B)) <= value_emd(t, A, B) + 1e-9
 
 
 # -- values -------------------------------------------------------------------
@@ -247,11 +245,11 @@ def test_avg_formula_matches_sampling(rng):
 def test_spanning_tree_trivial_cases():
     t = sample_quadtree(8, seed=21)
     single = pm(pt([0] * 8))
-    assert depth_greedy_spanning_tree(t, single).edges == []
+    assert depth_greedy_spanning_tree(t, single) == []
     dup = PointMultiset(8)
     dup.add(pt([1] * 8), 4)
     g = depth_greedy_spanning_tree(t, dup)
-    assert spanning_tree_cost(g) == 0
+    assert cost(g) == 0
 
 
 def test_spanning_tree_cost_vs_value():
@@ -259,7 +257,7 @@ def test_spanning_tree_cost_vs_value():
     for seed in range(500):
         t = sample_quadtree(8, seed=seed)
         g = depth_greedy_spanning_tree(t, X)
-        assert spanning_tree_cost(g) / 2 <= value_mst(t, X) + 1e-9
+        assert cost(g) / 2 <= value_mst(t, X) + 1e-9
 
 
 def test_spanning_tree_is_dfs_order():
@@ -269,7 +267,7 @@ def test_spanning_tree_is_dfs_order():
     X = random_multiset(12, 16, 41)
     t = sample_quadtree(16, seed=77)
     g = depth_greedy_spanning_tree(t, X)
-    pts = [g.edges[0][0]] + [b for _, b, _ in g.edges]
+    pts = [g[0][0]] + [b for _, b, _ in g]
     # every prefix of the walk stays connected inside each node it visits:
     # once the walk leaves a node it never returns
     seen_at = {}
@@ -307,7 +305,7 @@ def test_payment_zero_for_equal_points():
     t = sample_quadtree(8, seed=61)
     C = random_multiset(6, 8, 3)
     p = next(iter(C.support()))
-    assert inspector_payment(t, p, p, C) == 0.0
+    assert inspector_payment(t, [(p, p, 1)], C) == 0.0
 
 
 def test_payment_two_point_population_hand_check():
@@ -327,7 +325,7 @@ def test_payment_two_point_population_hand_check():
         if i > split:
             term = d / 2 if (i - 1) <= split else 0.0
             expected += 2 * term
-    assert inspector_payment(t, a, b, C) == pytest.approx(expected)
+    assert inspector_payment(t, [(a, b, 1)], C) == pytest.approx(expected)
 
 
 def test_value_bounded_by_payments():
@@ -342,7 +340,7 @@ def test_value_bounded_by_payments():
             C.add(p, c)
         t = sample_quadtree(8, seed=seed + 300)
         m = depth_greedy_matching(t, A, B)
-        total = total_inspector_payment(t, m, C)
+        total = inspector_payment(t, m, C)
         assert value_emd(t, A, B) <= 2 * total + 1e-9
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geosketch import HypercubePoint, PointMultiset, hamming_distance
+from geosketch import HypercubePoint, PointMultiset
 from geosketch.points import hamming_matrix, points_to_matrix
+
+from reference import hamming_distance
 
 
 def pt(bits):
@@ -69,6 +71,14 @@ def test_multiset_counts_and_negative():
     assert pt([0, 0, 0, 0]) not in ms.support()
     with pytest.raises(ValueError):
         ms.add(pt([1, 1, 1, 1]), -5)
+
+
+def test_multiset_from_no_points_raises():
+    """The dimension is read from the first point, so no points is a
+    ValueError that says so."""
+    with pytest.raises(ValueError, match="the dimension is read from the first point"):
+        PointMultiset.from_points([])
+    assert PointMultiset.from_points(iter([pt([1, 0]), pt([1, 0])])).total == 2
 
 
 def test_hamming_matrix_matches_scalar(rng):
