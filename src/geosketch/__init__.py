@@ -6,7 +6,7 @@ exact offline oracles, instance generators and a stream CLI.
 """
 
 from .points import HypercubePoint, PointMultiset
-from .quadtree import QuadtreeSpec, sample_quadtree
+from .quadtree import QuadtreeSpec
 from .offline import exact_emd, exact_mst
 from .sketches import (
     FAIL,
@@ -34,7 +34,7 @@ from .generators import GeneratedInstance, gen_instance, rm1_codewords
 # package, but are not part of the star-import surface.
 __all__ = [
     "HypercubePoint", "PointMultiset",
-    "QuadtreeSpec", "sample_quadtree",
+    "QuadtreeSpec",
     "exact_emd", "exact_mst",
     "FAIL", "CountView", "L1Sampler", "SparseCounts", "cauchy_l1", "encode_state",
     "l0_estimate", "stable_median",

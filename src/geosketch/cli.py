@@ -92,7 +92,9 @@ def run_estimator(
     used: the EMD config's, or the 1/2 at which every MST sketch is built
     (`MstSketchConfig.eps`; the MST estimator reads no `eps`). A stream
     label the problem does not read (EMD reads A and B, MST reads X) raises
-    ValueError."""
+    ValueError. `oracle` runs the exact oracle only up to n =
+    `EMD_ORACLE_CAP` (512) or `MST_ORACLE_CAP` (2048): above its cap the
+    report's `exact` and `ratio` are None."""
     _check_eps(eps)
     if problem not in _LABELS:
         raise ValueError(f"unknown problem {problem!r}")

@@ -62,7 +62,7 @@ import numpy as np
 from . import hashing as hx
 from .hashing import U64
 from .points import HypercubePoint, values_to_matrix
-from .quadtree import sample_quadtree
+from .quadtree import QuadtreeSpec
 from .sketches import (
     FAIL,
     CountView,
@@ -420,23 +420,10 @@ class _LevelReplica:
         return [float(np.mean(p[j == k])) if (j == k).any() else None
                 for k in range(self.cfg.n_sets)]
 
-    def eta(self, mode: str, counts: CountView) -> float:
-        """Level estimate: 3 Delta-hat / alpha * (avg_j eta_j + 1/(8 log^2 n)),
-        with the one-pass zero branch below the Delta threshold. counts is
-        this replica's view of pass 1 in one-pass mode, and of pass 2 in
-        two-pass mode (Delta-hat then comes from `finalize_pass1`)."""
-        cfg = self.cfg
-        if mode == "one_pass":
-            delta_hat = self.delta_hat(self.discrepancies(counts))
-            if delta_hat < cfg.delta_threshold():
-                return 0.0
-            etas = self.one_round_estimates(counts)
-        else:
-            delta_hat = self.delta
-            if delta_hat == 0.0:
-                return 0.0
-            etas = [e for e in self.two_round_estimates(counts) if e is not None] or [0.0]
-        avg = float(np.mean(etas))
+    def eta(self, delta_hat: float, etas: List[float]) -> float:
+        """Level estimate 3 Delta-hat / alpha_i * (mean etas + 1/(8 log^2 n))
+        of the Delta-hat and set estimates etas that a sketch's `levels` reads."""
+        avg, cfg = float(np.mean(etas)), self.cfg
         return (3.0 * delta_hat / cfg.alpha(self.level)) * (avg + 1.0 / (8.0 * cfg.L**2))
 
 
@@ -541,7 +528,7 @@ class _TreeSketch:
         """`count` replicas per level i, of seeds combine(cfg.seed, salt, i,
         r) drawn in one hash call, and a store of `width` counts per point."""
         self.cfg = cfg
-        self.tree = sample_quadtree(cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()]))
+        self.tree = QuadtreeSpec(cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()]))
         self.h = self.tree.h
         r = np.arange(count, dtype=U64)
         self.seeds = [hx.combine(cfg.seed, salt, i, r) for i in range(1, self.h + 1)]
@@ -628,10 +615,18 @@ class EmdOnePassSketch(_EmdSketchBase):
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         self._add(self.counts, point, label, delta)
 
+    def levels(self) -> List[List[float]]:
+        """Per level, each replica's eta_i: 0 where the Delta-hat of its view
+        is below `delta_threshold`, else `eta` of it and the LS estimates."""
+        def eta(rep: _LevelReplica, view: CountView) -> float:
+            delta_hat = rep.delta_hat(rep.discrepancies(view))
+            return (0.0 if delta_hat < self.cfg.delta_threshold()
+                    else rep.eta(delta_hat, rep.one_round_estimates(view)))
+        return self._read_levels(self.counts, eta)
+
     def estimate(self) -> float:
         n = self._check_balanced()
-        etas = self._read_levels(self.counts, lambda rep, v: rep.eta("one_pass", v))
-        return sum(float(np.median(e)) for e in etas) + self.cfg.eps * n * self.cfg.d
+        return sum(float(np.median(e)) for e in self.levels()) + self.cfg.eps * n * self.cfg.d
 
 
 class EmdTwoPassSketch(_EmdSketchBase):
@@ -665,8 +660,18 @@ class EmdTwoPassSketch(_EmdSketchBase):
             raise RuntimeError("call finalize_pass1() first")
         self._add(self.pass2, point, label, delta)
 
-    def estimate(self) -> float:
+    def levels(self) -> List[List[float]]:
+        """Per level, each replica's eta_i: 0 where its pass-1 Delta-hat is 0,
+        else `eta` of it and the round-two estimates of the pass-2 store."""
         if self._pass != 2:
             raise RuntimeError("call finalize_pass1() and feed pass 2 first")
-        etas = self._read_levels(self.pass2, lambda rep, v: rep.eta("two_pass", v))
-        return sum(float(np.median(e)) for e in etas)
+
+        def eta(rep: _LevelReplica, view: CountView) -> float:
+            if rep.delta == 0.0:
+                return 0.0
+            etas = [e for e in rep.two_round_estimates(view) if e is not None]
+            return rep.eta(rep.delta, etas or [0.0])
+        return self._read_levels(self.pass2, eta)
+
+    def estimate(self) -> float:
+        return sum(float(np.median(e)) for e in self.levels())

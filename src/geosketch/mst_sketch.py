@@ -36,16 +36,16 @@ numpy's float32 sines come from SIMD kernels whose last bit may depend on
 the CPU's dispatch target, only a near-tie decision could differ between
 machines.
 
-State: the one-store rule of `_TreeSketch`, with a store of packed point
--> [net count]. An estimate reads it once, and builds each level's view
-from that read when it reads the level, one stacked view of all its
-samples (`views`): a `CountView` of the point entries (sample, u, w,
-point fingerprint) -> [net, net * chi], sorted by key. The node counts
-[sum net, sum net * chi] per universe-reduced node (sample, u, w) are one
-grouped sum of those sorted arrays (a node's entries are adjacent), the
-witness arrays are columns of them, and every sketch is a function of
-them (bit-identical under permutation and merge): the recovery and
-witness sketches of each sample, and the per-level l0 estimate
+State: the one-store rule of `_TreeSketch`, with a store of packed point ->
+[net count]. `levels` reads it once, and builds each level's view from that
+read when it reads the level, one stacked view of all its samples (`views`);
+`estimate` sums its per-level records. A view is a `CountView` of the point
+entries (sample, u, w, point fingerprint) -> [net, net * chi], sorted by key.
+The node counts [sum net, sum net * chi] per universe-reduced node (sample,
+u, w) are one grouped sum of those sorted arrays (a node's entries are
+adjacent), the witness arrays are columns of them, and every sketch is a
+function of them (bit-identical under permutation and merge): the recovery
+and witness sketches of each sample, and the per-level l0 estimate
 (`l0_estimate`) of the node counts of sample 0. Node ids are uint64.
 
 The samples of a level are decoded as one stack, one call per stage for
@@ -73,7 +73,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -143,14 +143,6 @@ class MstSketchConfig(_SketchConfig):
     def p(self) -> float:
         # p = eps / (2 log n), 1 / (4L) at eps = 1/2
         return self.eps / (2.0 * self.L)
-
-    @property
-    def kappa_max(self) -> int:
-        return self.L
-
-    @property
-    def eta_max(self) -> int:
-        return self.L
 
     @property
     def wit_buckets(self) -> int:
@@ -262,7 +254,7 @@ def _blocks(sizes: Sequence[int], cap: int):
 
 
 def _representatives(fps: np.ndarray):
-    """Per item of the witnesses fps (items, 2, eta_max + 1, rows): the point
+    """Per item of the witnesses fps (items, 2, L + 1, rows): the point
     fingerprint fp of the first (eta, row), eta upward and rows in order,
     whose unrestricted bucket validates a point (fp = eta = 0 if none), that
     eta, and whether chi(r_v) = +1: whether a row of the chi-restricted copy
@@ -450,7 +442,7 @@ class _LevelStack:
         each (sample, kappa) is evaluated as its own scan evaluates it."""
         out = np.full((len(self.seeds), 2), -1, dtype=np.int64)
         cand = np.flatnonzero((self.u_inv == parents[self.ns]) & (self.nx > 0))
-        for kappa in range(self.cfg.kappa_max, -1, -1):
+        for kappa in range(self.cfg.L, -1, -1):  # kappa from log n down to 0
             if len(cand) == 0:
                 break
             hit = self.children_present(cand, kappa)
@@ -481,7 +473,7 @@ class _LevelStack:
         pass covers every (item, point) pair whose point shares the item's
         bucket in some row; a point's bucket is that of its node."""
         cfg = self.cfg
-        R, E = cfg.rec_rows, cfg.eta_max + 1
+        R, E = cfg.rec_rows, cfg.L + 1
         rows = np.arange(R, dtype=U64)
         sides = np.arange(2, dtype=U64)[:, None]
         n = self.pstart[s + 1] - self.pstart[s]
@@ -561,46 +553,48 @@ class MstSketch(_TreeSketch):
         return l0_estimate(nodes, int(hx.combine(self.cfg.seed, 0x10, i)[()]),
                            self.cfg.l0_buckets)
 
-    def level_counts(self) -> List[float]:
-        read = self._read(self.counts)
-        return [self._l0(i, self.views(read, [i], seeds[:1]))
-                for i, seeds in enumerate(self.seeds, start=1)]
-
-    def level_mu(self, i: int, view: Optional[CountView] = None) -> float:
-        """Mismatch-frequency estimate of the representative distance at
-        level i, from the `outcomes` of its samples (its stacked view built
-        here if not given): mismatches over successes, over alpha_i, capped.
-        The samples are decoded in stacks, slices of the view with the
-        sample column rebased to 0, of at most `_BLOCK_WORDS` child-scan
-        bucket hashes per kappa, counted as if every point entry were a
-        node in every D (or one sample)."""
-        seeds = self.seeds[i - 1]
-        if view is None:
-            view = self.views(self._read(self.counts), [i] * len(seeds), seeds)
-        cut = view.cuts(len(seeds))
+    def levels(self) -> List[tuple]:
+        """Per level i, the record (ell, stages, mismatches, mu) of one read
+        of the store: ell = |L_i|-hat (`_l0`); where ell > 1.5 (the levels
+        `estimate` sums, the only ones decoded) the `np.bincount` of the
+        samples' `outcomes` stages (else all 0), the number of ok samples
+        whose characters differ, and their frequency over alpha_i, capped
+        at `mu_cap(i)` (None without an ok sample). The samples are decoded
+        in stacks (view slices with the sample column rebased to 0) of at
+        most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted as
+        if every point entry were a node in every D (or one sample)."""
+        read, out = self._read(self.counts), []
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
-        stacks = []
-        for lo, hi in _blocks(np.diff(cut) * words, _BLOCK_WORDS):
-            keys = view.keys[cut[lo]:cut[hi]].copy()
-            keys[:, 0] -= U64(lo)
-            points = CountView(keys, view.rows[cut[lo]:cut[hi]])
-            stacks.append(_LevelStack(self.cfg, seeds[lo:hi], points).outcomes())
-        stage, mismatch = map(np.concatenate, zip(*stacks))
-        fails = np.bincount(stage, minlength=4)
-        if fails[0] == 0:
-            raise SamplesFailed(
-                f"all samples failed at level {i} (samples = {len(seeds)}: {fails[1]} at "
-                f"parent recovery, {fails[2]} at the child scan, {fails[3]} at the witnesses)")
-        mu = (int(mismatch.sum()) / int(fails[0])) / self.cfg.alpha(i)
-        return min(mu, self.cfg.mu_cap(i))
-
-    def estimate(self) -> float:
-        if self.counts.total()[0] <= 0:
-            raise ValueError("stream encodes an empty point set")
-        read, total = self._read(self.counts), 0.0
         for i, seeds in enumerate(self.seeds, start=1):
             view = self.views(read, [i] * len(seeds), seeds)  # one level at a time
             ell = self._l0(i, view)
+            stage, mismatch = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
             if ell > 1.5:
-                total += ell * (self.level_mu(i, view) + self.cfg.d / 2.0**i)
+                cut = view.cuts(len(seeds))
+                stacks = []
+                for lo, hi in _blocks(np.diff(cut) * words, _BLOCK_WORDS):
+                    keys = view.keys[cut[lo]:cut[hi]].copy()
+                    keys[:, 0] -= U64(lo)
+                    points = CountView(keys, view.rows[cut[lo]:cut[hi]])
+                    stacks.append(_LevelStack(self.cfg, seeds[lo:hi], points).outcomes())
+                stage, mismatch = map(np.concatenate, zip(*stacks))
+            stages, mismatches = np.bincount(stage, minlength=4), int(mismatch.sum())
+            mu = (min(mismatches / int(stages[0]) / self.cfg.alpha(i), self.cfg.mu_cap(i))
+                  if stages[0] else None)
+            out.append((ell, stages, mismatches, mu))
+        return out
+
+    def estimate(self) -> float:
+        """sum_i ell (mu + d / 2^i) over the `levels` with ell > 1.5."""
+        if self.counts.total()[0] <= 0:
+            raise ValueError("stream encodes an empty point set")
+        total = 0.0
+        for i, (ell, stages, _, mu) in enumerate(self.levels(), start=1):
+            if ell <= 1.5:
+                continue
+            if mu is None:
+                raise SamplesFailed(
+                    f"all samples failed at level {i} (samples = {stages.sum()}: {stages[1]} at "
+                    f"parent recovery, {stages[2]} at the child scan, {stages[3]} at the witnesses)")
+            total += ell * (mu + self.cfg.d / 2.0**i)
         return total

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hashing import U64, bucket, combine, extend
 
-__all__ = ["QuadtreeSpec", "sample_quadtree"]
+__all__ = ["QuadtreeSpec"]
 
 _LEVEL_SALT = 0x51AD_7EE5
 _FP_SALT_A = 0xF1A9_0001
@@ -79,7 +79,3 @@ class QuadtreeSpec:
             [self.node_fingerprints(X, i) for i in range(self.h + 1)], axis=1
         )
 
-
-def sample_quadtree(d: int, seed: int) -> QuadtreeSpec:
-    """Draw a random quadtree for dimension d (a power of two)."""
-    return QuadtreeSpec(d, seed)

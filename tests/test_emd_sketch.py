@@ -22,7 +22,6 @@ from geosketch import (
     exact_emd,
     gen_instance,
     run_estimator,
-    sample_quadtree,
     SparseCounts,
     cauchy_l1,
 )
@@ -166,10 +165,9 @@ def test_views_draw_the_scalar_character_sets(d):
 def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeypatch, kind):
     """A read of a tree sketch sorts its store once (`SparseCounts.sorted`)
     and fingerprints every depth 0..h of the tree once
-    (`QuadtreeSpec.node_fingerprints`): `MstSketch.estimate`, and its
-    standalone `level_mu` and `level_counts`, `EmdOnePassSketch.estimate`,
-    and `EmdTwoPassSketch.finalize_pass1` and `estimate`, each for itself.
-    The estimates are the pinned ones."""
+    (`QuadtreeSpec.node_fingerprints`): `levels` and `estimate` of each
+    sketch, and `EmdTwoPassSketch.finalize_pass1`, each for itself. The
+    estimates are the pinned ones."""
     sorts, depths = [], []
     sort, fingerprints = SparseCounts.sorted, QuadtreeSpec.node_fingerprints
     monkeypatch.setattr(SparseCounts, "sorted", lambda self: sorts.append(1) or sort(self))
@@ -187,7 +185,7 @@ def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeyp
         for p, c in aggregate(gen_instance("uniform", 16, 16, seed=1).updates)["X"].items():
             sk.update(p, c)
         assert read(sk.estimate).hex() == "0x1.1095661e89519p+8"
-        read(lambda: sk.level_mu(2)), read(sk.level_counts)
+        read(sk.levels)
         return
     nets = aggregate(gen_instance("matched_noise", 16, 16, seed=1).updates)
     sk = (EmdOnePassSketch if kind == "emd1" else EmdTwoPassSketch)(EmdSketchConfig(16, 16))
@@ -201,6 +199,53 @@ def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeyp
                 sk.update_pass2(p, label, c)
     want = {"emd1": "0x1.4c657a8cde545p+8", "emd2": "0x1.0c4db4440299bp+8"}[kind]
     assert read(sk.estimate).hex() == want
+    read(sk.levels)
+
+
+@pytest.mark.parametrize("kind,want", [
+    ("mst", "0x1.1095661e89519p+8"),
+    ("emd1", "0x1.d69bc3f6ee55cp+15"),
+    ("emd2", "0x1.85e087d42f47ep+15"),
+])
+def test_estimate_is_the_sum_of_its_levels(kind, want):
+    """On the instances of the benchmark workloads at generator seed 1
+    (`mst1-uniform`, `emd1-matched`, `emd2-matched`, at the CLI's eps and
+    seed), the estimate is rebuilt from `levels` bit for bit: MST sums
+    ell (mu + d / 2^i) over the levels with ell > 1.5, where each record's
+    mu is its mismatches over its ok samples, over alpha_i, capped; EMD
+    sums the median eta_i of each level, plus eps n d in one pass. Only
+    the summed MST levels are decoded, every sample of them once."""
+    if kind == "mst":
+        X = aggregate(gen_instance("uniform", 16, 16, seed=1).updates)["X"]
+        sk = MstSketch(MstSketchConfig(len(X), X.d))
+        for p, c in X.items():
+            sk.update(p, c)
+        cfg, total = sk.cfg, 0.0
+        for i, (ell, stages, mismatches, mu) in enumerate(sk.levels(), start=1):
+            ok = int(stages[0])
+            assert stages.sum() == (cfg.samples if ell > 1.5 else 0) and mismatches <= ok
+            assert mu == (min(mismatches / ok / cfg.alpha(i), cfg.mu_cap(i)) if ok else None)
+            if ell > 1.5:
+                total += ell * (mu + cfg.d / 2.0**i)
+    else:
+        nets = aggregate(gen_instance("matched_noise", 256, 64, seed=1).updates)
+        cfg = EmdSketchConfig(len(nets["A"]), 64)
+        sk = (EmdOnePassSketch if kind == "emd1" else EmdTwoPassSketch)(cfg)
+
+        def feed(update):
+            for label in ("A", "B"):
+                for p, c in nets[label].items():
+                    update(p, label, c)
+        feed(sk.update)
+        if kind == "emd2":
+            sk.finalize_pass1()
+            feed(sk.update_pass2)
+        levels = sk.levels()
+        assert [len(etas) for etas in levels] == [cfg.level_reps] * sk.h
+        total = sum(float(np.median(etas)) for etas in levels)
+        if kind == "emd1":
+            total += cfg.eps * cfg.n * cfg.d
+    assert total.hex() == sk.estimate().hex() == want
 
 
 # -- split probability -------------------------------------------------------------
@@ -269,7 +314,7 @@ def test_universe_map_injective_on_nonempty_nodes():
     small instance; checked directly."""
     n, d = 64, 32
     X = random_multiset(n, d, 3)
-    tree = sample_quadtree(d, seed=4)
+    tree = QuadtreeSpec(d, seed=4)
     from geosketch.points import points_to_matrix
 
     mat, _ = points_to_matrix(X)
@@ -330,7 +375,7 @@ def test_config_rejects_universe_of_one():
 def test_reference_zero_cases():
     d = 16
     A = random_multiset(8, d, 5)
-    tree = sample_quadtree(d, seed=6)
+    tree = QuadtreeSpec(d, seed=6)
     I = LevelDecomposition(tree, A, A).level_table().I
     for i in range(1, tree.h + 1):
         assert I[i - 1] == 0.0
@@ -343,7 +388,7 @@ def test_reference_sum_sandwiches_emd():
     trials = 40
     for s in range(trials):
         A, B = random_pair(12, 16, s)
-        tree = sample_quadtree(16, seed=1000 + s)
+        tree = QuadtreeSpec(16, seed=1000 + s)
         total = sum(LevelDecomposition(tree, A, B).level_table().I)
         emd = exact_emd(A, B)
         lo += total >= emd

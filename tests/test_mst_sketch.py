@@ -18,7 +18,7 @@ from geosketch import (
     PointMultiset,
     exact_mst,
     l0_estimate,
-    sample_quadtree,
+    QuadtreeSpec,
 )
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
@@ -93,7 +93,7 @@ def _fp(rep, p):
 
 
 def test_reference_single_point():
-    t = sample_quadtree(8, seed=2)
+    t = QuadtreeSpec(8, seed=2)
     X = PointMultiset(8)
     X.add(pt([0] * 8), 1)
     table = LevelDecomposition(t, X).level_table()
@@ -105,7 +105,7 @@ def test_reference_two_points_after_split():
     d = 8
     x, y = pt([0] * d), pt([1] * d)
     X = PointMultiset.from_points([x, y])
-    t = sample_quadtree(d, seed=3)
+    t = QuadtreeSpec(d, seed=3)
     split = lca_depth(t, x, y)
     table = LevelDecomposition(t, X).level_table()
     for i in range(split + 1, t.h + 1):
@@ -124,7 +124,7 @@ def test_reference_upper_bounds_mst():
     representative choice spans X)."""
     for s in range(15):
         X = random_multiset(12, 16, s + 70)
-        t = sample_quadtree(16, seed=s)
+        t = QuadtreeSpec(16, seed=s)
         total = 0.0
         table = LevelDecomposition(t, X).level_table()
         for i in range(1, t.h + 1):
@@ -374,7 +374,7 @@ def _children(view, u_star, kappa, j, side):
 def _reference_scan(view, u_star):
     """The scan spelled out with _children: down the kappas, per side the
     first j with a single hit; FAIL if no kappa gives both."""
-    for kappa in range(view.cfg.kappa_max, -1, -1):
+    for kappa in range(view.cfg.L, -1, -1):
         picks = []
         for side in (0, 1):
             for j in range(view.cfg.j_reps):
@@ -417,7 +417,7 @@ def test_child_recover_empty_subsample():
     cfg = small_cfg(n=16, d=8)
     for seed in range(77, 87):
         view = view_with_nodes(cfg, {(1, w): 1 for w in range(4)}, seed=seed)
-        empty = [k for k in range(cfg.kappa_max, -1, -1)
+        empty = [k for k in range(cfg.L, -1, -1)
                  if not view.in_D(k, 0, 0, slice(None)).any()]
         if empty:
             break
@@ -484,13 +484,13 @@ def _witness_groups(stack, s, v, side):
                 for r in range(cfg.rec_rows)]
 
     mine = buckets(*stack.keys[v].tolist())
-    groups = {(k, e, r): [] for k in (0, 1) for e in range(cfg.eta_max + 1)
+    groups = {(k, e, r): [] for k in (0, 1) for e in range(cfg.L + 1)
               for r in range(cfg.rec_rows)}
     for i in range(stack.pstart[s], stack.pstart[s + 1]):
         _, u, w, fp = stack.points.keys[i].tolist()
         for r, b in enumerate(buckets(u, w)):
             lvl = float(hx.uniform01(hx.combine(seed, 0xBE, side, r, fp)))
-            for e in range(cfg.eta_max + 1):
+            for e in range(cfg.L + 1):
                 if b == mine[r] and lvl < 2.0**-e:
                     groups[0, e, r].append(i)
                     if stack.points.rows[i, 1] != 0:
@@ -499,11 +499,11 @@ def _witness_groups(stack, s, v, side):
 
 
 def _brute_witnesses(stack, s, v, side) -> np.ndarray:
-    """(2, eta_max + 1, rows) witnesses of the item from `_witness_groups`:
+    """(2, L + 1, rows) witnesses of the item from `_witness_groups`:
     the fingerprint of a group's one entry where that entry is a point of v
     with a positive net count, 0 elsewhere."""
     cfg = stack.cfg
-    out = np.zeros((2, cfg.eta_max + 1, cfg.rec_rows), dtype=np.uint64)
+    out = np.zeros((2, cfg.L + 1, cfg.rec_rows), dtype=np.uint64)
     for at, entries in _witness_groups(stack, s, v, side).items():
         if len(entries) == 1:
             _, u, w, fp = stack.points.keys[entries[0]].tolist()
@@ -518,7 +518,7 @@ def _assert_witnesses_brute(stack):
     v = np.repeat(np.arange(len(stack.ns)), 2)
     side = np.tile([0, 1], len(stack.ns))
     got = stack.witnesses(stack.ns[v], stack.hk_v[v], side)
-    assert got.shape == (len(v), 2, stack.cfg.eta_max + 1, stack.cfg.rec_rows)
+    assert got.shape == (len(v), 2, stack.cfg.L + 1, stack.cfg.rec_rows)
     for k in range(len(v)):
         assert np.array_equal(got[k], _brute_witnesses(stack, stack.ns[v[k]], v[k], side[k]))
     return int((got != 0).sum())
@@ -637,7 +637,7 @@ def test_representative_rejects_point_of_another_node():
         assert [int(a[0]) for a in _representatives(fps[None])[:2]] == [fx, 0]
         iz = int(np.flatnonzero(stack.points.keys[:, 3] == fz)[0])
         groups = _witness_groups(stack, 0, 0, 0)
-        for eta in range(cfg.eta_max + 1):
+        for eta in range(cfg.L + 1):
             assert set(fps[0, eta].tolist()) <= {fx, 0}
             alien_alone += any(groups[0, eta, r] == [iz] for r in range(cfg.rec_rows))
     # the guard was exercised: z sat alone in v's bucket in some (eta, row)
@@ -682,7 +682,7 @@ def test_char_of_representative_matches_direct_eval():
 
 def _representative(fps: np.ndarray):
     """Scalar reference of `_representatives` for one item's witnesses fps
-    (2, eta_max + 1, rows): the token (fp, eta) of the first (eta, row),
+    (2, L + 1, rows): the token (fp, eta) of the first (eta, row),
     eta upward and rows in order, whose unrestricted bucket validates a
     point; FAIL if none does."""
     first = np.flatnonzero(fps[0] != 0)
@@ -757,13 +757,23 @@ def test_outcomes_name_the_stage_each_sample_failed_at():
 # -- level estimates ---------------------------------------------------------------
 
 
+def _records(sk):
+    """`levels` with each record's stages as a list, comparable with ==."""
+    return [(ell, stages.tolist(), m, mu) for ell, stages, m, mu in sk.levels()]
+
+
 def test_level_mu_identical_points_is_zero():
+    """One point, eight times: every level has one node, so ell = 1.25 and
+    `levels` decodes none of them. Decoded anyway, every sample is ok and
+    the characters of r_v and r_v' agree: the mismatch count is 0."""
     cfg = small_cfg()
     X = PointMultiset(8)
     X.add(pt([0] * 8), 8)
     sk = feed(MstSketch(cfg), X)
-    # every node holds one distinct point: chi values agree, mu = 0
-    assert sk.level_mu(1) == 0.0
+    assert _records(sk) == [(1.25, [0, 0, 0, 0], 0, None)] * sk.h
+    for i in range(1, sk.h + 1):
+        stage, mismatch = _stack_of_level(sk, i).outcomes()
+        assert stage.tolist() == [0] * cfg.samples and not mismatch.any()
 
 
 def test_level_mu_two_clusters_tracks_expectation():
@@ -783,7 +793,7 @@ def test_level_mu_two_clusters_tracks_expectation():
     table = LevelDecomposition(tree, X).level_table()
     ell, mu_exact = table.ell[split - 1], table.mu[split - 1]
     assert ell == 2
-    mu_hat = sk.level_mu(split)
+    mu_hat = sk.levels()[split - 1][3]
     slack = d / 2**split + 6.0 / np.sqrt(64) / cfg.alpha(split)
     assert abs(mu_hat - mu_exact) <= slack, (mu_hat, mu_exact, slack)
 
@@ -792,11 +802,9 @@ def test_level_mu_clamped():
     cfg = small_cfg()
     X = random_multiset(8, 8, 17)
     sk = feed(MstSketch(cfg), X)
-    for i in range(1, sk.h + 1):
-        try:
-            mu = sk.level_mu(i)
-        except RuntimeError:
-            continue
+    mus = [(i, mu) for i, (*_, mu) in enumerate(sk.levels(), start=1) if mu is not None]
+    assert mus
+    for i, mu in mus:
         assert mu <= cfg.mu_cap(i) + 1e-9
 
 
@@ -889,18 +897,19 @@ def test_level_stack_matches_samples_decoded_alone(monkeypatch):
             assert _decoded(stack_of(sk.cfg, [rep.seed], [points])) == [whole[i][k]]
             scans["fail" if whole[i][k][1] is None else "pair"] += 1
     assert scans["pair"] > 0 and scans["fail"] > 0, scans
-    mu = [sk.level_mu(i) for i in levels]
+    records = _records(sk)
+    assert all(records[i - 1][3] is not None for i in levels)
     for draws, words in ((1, 1), (2_000, 1_000)):
         monkeypatch.setattr(mst_sketch, "_BLOCK_DRAWS", draws)
         monkeypatch.setattr(mst_sketch, "_BLOCK_WORDS", words)
         assert {i: _decoded(_stack_of_level(sk, i)) for i in levels} == whole
-        assert [sk.level_mu(i) for i in levels] == mu
+        assert _records(sk) == records
 
 
 def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
-    """estimate, level_mu and level_counts build the views of a level
-    when they read it: no `views` call of the sketch gets the replicas of
-    two levels, and every level is read. The estimate is the pinned one."""
+    """estimate and levels build the views of a level when they read it:
+    no `views` call of the sketch gets the replicas of two levels, and
+    every level is read. The estimate is the pinned one."""
     X = aggregate(gen_instance("uniform", 8, 8, 1).updates)["X"]
     sk = feed(MstSketch(MstSketchConfig(8, 8, seed=0)), X)
     levels, views = [], MstSketch.views
@@ -911,7 +920,7 @@ def test_sketch_passes_one_level_to_each_views_call(monkeypatch):
 
     monkeypatch.setattr(MstSketch, "views", spy)
     assert sk.estimate().hex() == "0x1.b37caf8decf48p+6"
-    sk.level_mu(2), sk.level_counts()
+    sk.levels()
     assert all(len(lv) == 1 for lv in levels)
     assert set.union(*levels) == set(range(1, sk.h + 1))
 
@@ -1014,7 +1023,7 @@ def test_l0_views_equal_fed_reference():
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
             want = [l0_estimate(dict_view(f, 2), seed, sk.cfg.l0_buckets)
                     for f, seed in zip(fed, seeds)]
-            assert sk.level_counts() == want
+            assert [ell for ell, *_ in sk.levels()] == want
             assert [sk._l0(i, v) for i, v in enumerate(views, start=1)] == want
             zero_count_nodes += sum(
                 int((stack_of(sk.cfg, [first.seed], [points]).nx == 0).sum())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosketch import HypercubePoint, PointMultiset, exact_emd, exact_mst, sample_quadtree
+from geosketch import HypercubePoint, PointMultiset, QuadtreeSpec, exact_emd, exact_mst
 from geosketch.emd_sketch import log2n
 from geosketch.offline import LevelDecomposition, expected_split_probability
 from geosketch.points import points_to_matrix, hamming_matrix
@@ -116,20 +116,20 @@ def test_exact_mst_brute_force_agreement():
 
 def test_matching_identical_sets_is_free():
     A = random_multiset(8, 8, 3)
-    t = sample_quadtree(8, seed=1)
+    t = QuadtreeSpec(8, seed=1)
     m = depth_greedy_matching(t, A, A)
     assert cost(m) == 0
 
 
 def test_matching_forced_pair():
     A, B = pm(pt([0] * 4)), pm(pt([1] * 4))
-    t = sample_quadtree(4, seed=2)
+    t = QuadtreeSpec(4, seed=2)
     m = depth_greedy_matching(t, A, B)
     assert len(m) == 1 and cost(m) == 4
 
 
 def test_matching_size_mismatch():
-    t = sample_quadtree(4, seed=2)
+    t = QuadtreeSpec(4, seed=2)
     with pytest.raises(ValueError):
         depth_greedy_matching(t, pm(pt([0] * 4)), pm(pt([1] * 4), pt([0] * 4)))
 
@@ -139,7 +139,7 @@ def test_matching_is_depth_greedy_class_member():
     ||A_v| - |B_v||."""
     for seed in range(10):
         A, B = random_pair(8, 8, seed)
-        t = sample_quadtree(8, seed=seed + 100)
+        t = QuadtreeSpec(8, seed=seed + 100)
         m = depth_greedy_matching(t, A, B)
         # count pairs whose LCA depth < i but both endpoints in the node at
         # depth i, for every node: compare against the discrepancy via a
@@ -163,7 +163,7 @@ def test_matching_cost_bounded_by_value():
     """Cost(M) <= Value_T(A,B) for the produced matching, many trees."""
     A, B = random_pair(8, 8, 7)
     for seed in range(500):
-        t = sample_quadtree(8, seed=seed)
+        t = QuadtreeSpec(8, seed=seed)
         assert cost(depth_greedy_matching(t, A, B)) <= value_emd(t, A, B) + 1e-9
 
 
@@ -172,7 +172,7 @@ def test_matching_cost_bounded_by_value():
 
 def test_value_emd_zero_for_equal_sets():
     A = random_multiset(10, 16, 9)
-    t = sample_quadtree(16, seed=4)
+    t = QuadtreeSpec(16, seed=4)
     assert value_emd(t, A, A) == 0.0
 
 
@@ -183,7 +183,7 @@ def test_value_emd_singletons_first_principles():
     singleton, so the average distance is zero): Value = 2 * avg = 4."""
     d = 4
     A, B = pm(pt([0] * d)), pm(pt([1] * d))
-    t = sample_quadtree(d, seed=11)
+    t = QuadtreeSpec(d, seed=11)
     x, y = pt([0] * d), pt([1] * d)
     expected = 0.0
     for i in range(1, t.h + 1):
@@ -215,14 +215,14 @@ def test_value_emd_sandwich_with_oracle():
     for seed in range(60):
         n = int(np.random.default_rng(seed).integers(2, 16))
         A, B = random_pair(n, 16, seed)
-        t = sample_quadtree(16, seed=seed + 999)
+        t = QuadtreeSpec(16, seed=seed + 999)
         assert exact_emd(A, B) <= value_emd(t, A, B) + 1e-9
 
 
 def test_avg_formula_matches_sampling(rng):
     """Closed-form per-coordinate avg equals Monte-Carlo pair sampling."""
     A, B = random_pair(12, 8, 77)
-    t = sample_quadtree(8, seed=13)
+    t = QuadtreeSpec(8, seed=13)
     dec = LevelDecomposition(t, A, B)
     i = 2
     avgs = dec.edge_avgs(i)
@@ -243,7 +243,7 @@ def test_avg_formula_matches_sampling(rng):
 
 
 def test_spanning_tree_trivial_cases():
-    t = sample_quadtree(8, seed=21)
+    t = QuadtreeSpec(8, seed=21)
     single = pm(pt([0] * 8))
     assert depth_greedy_spanning_tree(t, single) == []
     dup = PointMultiset(8)
@@ -255,7 +255,7 @@ def test_spanning_tree_trivial_cases():
 def test_spanning_tree_cost_vs_value():
     X = random_multiset(8, 8, 31)
     for seed in range(500):
-        t = sample_quadtree(8, seed=seed)
+        t = QuadtreeSpec(8, seed=seed)
         g = depth_greedy_spanning_tree(t, X)
         assert cost(g) / 2 <= value_mst(t, X) + 1e-9
 
@@ -265,7 +265,7 @@ def test_spanning_tree_is_dfs_order():
     sorts by fingerprint path, so LCA depths along the walk dominate any
     crossing pair."""
     X = random_multiset(12, 16, 41)
-    t = sample_quadtree(16, seed=77)
+    t = QuadtreeSpec(16, seed=77)
     g = depth_greedy_spanning_tree(t, X)
     pts = [g[0][0]] + [b for _, b, _ in g]
     # every prefix of the walk stays connected inside each node it visits:
@@ -282,7 +282,7 @@ def test_spanning_tree_is_dfs_order():
 
 
 def test_value_mst_trivial():
-    t = sample_quadtree(8, seed=51)
+    t = QuadtreeSpec(8, seed=51)
     single = pm(pt([0] * 8))
     assert value_mst(t, single) == 0.0
     dup = PointMultiset(8)
@@ -294,7 +294,7 @@ def test_value_mst_sandwich():
     for seed in range(30):
         X = random_multiset(16, 16, seed)
         mst = exact_mst(X)
-        t = sample_quadtree(16, seed=seed + 500)
+        t = QuadtreeSpec(16, seed=seed + 500)
         assert mst / 2 <= value_mst(t, X) + 1e-9
 
 
@@ -302,7 +302,7 @@ def test_value_mst_sandwich():
 
 
 def test_payment_zero_for_equal_points():
-    t = sample_quadtree(8, seed=61)
+    t = QuadtreeSpec(8, seed=61)
     C = random_multiset(6, 8, 3)
     p = next(iter(C.support()))
     assert inspector_payment(t, [(p, p, 1)], C) == 0.0
@@ -314,7 +314,7 @@ def test_payment_two_point_population_hand_check():
     the split terms vanish; hand-derive for one fixed tree."""
     d = 8
     a, b = pt([0] * d), pt([1] * d)
-    t = sample_quadtree(d, seed=71)
+    t = QuadtreeSpec(d, seed=71)
     C = pm(a, b)
     split = lca_depth(t, a, b)
     # for i > split the nodes differ: avg_{a,i-1} is the mean distance from a
@@ -338,7 +338,7 @@ def test_value_bounded_by_payments():
             C.add(p, c)
         for p, c in B.items():
             C.add(p, c)
-        t = sample_quadtree(8, seed=seed + 300)
+        t = QuadtreeSpec(8, seed=seed + 300)
         m = depth_greedy_matching(t, A, B)
         total = inspector_payment(t, m, C)
         assert value_emd(t, A, B) <= 2 * total + 1e-9
@@ -411,10 +411,10 @@ def _table_instances():
             flipped[rng.integers(d)] ^= 1
             B.add(x, -1)
             B.add(HypercubePoint.from_bits(flipped))
-        yield sample_quadtree(d, seed=s), A, B if s % 5 else PointMultiset(d)
+        yield QuadtreeSpec(d, seed=s), A, B if s % 5 else PointMultiset(d)
     x = HypercubePoint.from_bits(rng.integers(0, 2, 8))
     for B in (pm(x), pm(HypercubePoint.from_bits(1 - x.bits())), PointMultiset(8)):
-        yield sample_quadtree(8, seed=99), pm(x), B
+        yield QuadtreeSpec(8, seed=99), pm(x), B
 
 
 def test_level_table_matches_enumeration():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosketch import HypercubePoint, sample_quadtree
+from geosketch import HypercubePoint, QuadtreeSpec
 from geosketch.points import points_to_matrix
 
 from conftest import random_multiset
@@ -10,11 +10,11 @@ from reference import lca_depth
 
 def test_power_of_two_required():
     with pytest.raises(ValueError):
-        sample_quadtree(6, seed=1)
+        QuadtreeSpec(6, seed=1)
 
 
 def test_d2_shape():
-    t = sample_quadtree(2, seed=0)
+    t = QuadtreeSpec(2, seed=0)
     assert t.h == 2
     assert len(t.levels) == 1 and len(t.levels[0]) == 1
     assert 0 <= t.levels[0][0] < 2
@@ -23,15 +23,15 @@ def test_d2_shape():
 def test_determinism_and_serde():
     """A tree is a pure function of its (d, seed) pair, so that pair is all
     there is to store: rebuilding from it gives the same nodes."""
-    t1 = sample_quadtree(16, seed=99)
-    t2 = sample_quadtree(t1.d, seed=t1.seed)
+    t1 = QuadtreeSpec(16, seed=99)
+    t2 = QuadtreeSpec(t1.d, seed=t1.seed)
     assert all(np.array_equal(a, b) for a, b in zip(t1.levels, t2.levels))
     X = np.stack([HypercubePoint(16, v).bits() for v in range(0, 2**16, 997)])
     assert np.array_equal(t1.node_path(X), t2.node_path(X))
 
 
 def test_level_sizes():
-    t = sample_quadtree(32, seed=5)
+    t = QuadtreeSpec(32, seed=5)
     assert [len(l) for l in t.levels] == [1, 2, 4, 8, 16]
 
 
@@ -41,13 +41,13 @@ def test_level0_uniform_chi_square():
     trials = 10_000
     counts = np.zeros(d)
     for s in range(trials):
-        counts[sample_quadtree(d, seed=s).levels[0][0]] += 1
+        counts[QuadtreeSpec(d, seed=s).levels[0][0]] += 1
     tv = 0.5 * np.abs(counts / trials - 1.0 / d).sum()
     assert tv < 0.02, tv
 
 
 def test_root_is_shared_and_leaves_separate():
-    t = sample_quadtree(8, seed=3)
+    t = QuadtreeSpec(8, seed=3)
     X = np.stack([HypercubePoint(8, v).bits() for v in range(40)])
     roots = {tuple(fp) for fp in t.node_fingerprints(X, 0)}
     assert len(roots) == 1
@@ -56,7 +56,7 @@ def test_root_is_shared_and_leaves_separate():
 
 
 def test_depth_out_of_range():
-    t = sample_quadtree(4, seed=1)
+    t = QuadtreeSpec(4, seed=1)
     X = HypercubePoint(4, 0).bits()[None, :]
     with pytest.raises(ValueError):
         t.node_fingerprints(X, t.h + 1)
@@ -71,7 +71,7 @@ def test_hand_built_split_depth():
     x = HypercubePoint.from_bits([0, 0, 0, 0])
     y = HypercubePoint.from_bits([0, 0, 0, 1])
     for seed in range(200):
-        t = sample_quadtree(d, seed)
+        t = QuadtreeSpec(d, seed)
         sampled = np.concatenate(t.levels)
         if 3 not in sampled:
             assert lca_depth(t, x, y) == t.h - 1
@@ -84,7 +84,7 @@ def test_hand_built_split_depth():
 
 
 def test_lca_depth_extremes():
-    t = sample_quadtree(8, seed=17)
+    t = QuadtreeSpec(8, seed=17)
     x = HypercubePoint(8, 0b10110010)
     assert lca_depth(t, x, x) == t.h
     y = HypercubePoint(8, 0b01001101)  # differs in every coordinate
@@ -103,7 +103,7 @@ def test_lca_tail_probability_closed_form():
     x, y = HypercubePoint.from_bits(xb), HypercubePoint.from_bits(yb)
     dist_frac = 4 / d
     trials = 6000
-    depths = np.array([lca_depth(sample_quadtree(d, seed=s), x, y) for s in range(trials)])
+    depths = np.array([lca_depth(QuadtreeSpec(d, seed=s), x, y) for s in range(trials)])
     for i in (1, 2, 3):
         emp = (depths >= i).mean()
         expect = (1 - dist_frac) ** (2**i - 1)
@@ -112,7 +112,7 @@ def test_lca_tail_probability_closed_form():
 
 def test_partition_refinement():
     """Same node at depth i+1 implies same node at depth i."""
-    t = sample_quadtree(16, seed=23)
+    t = QuadtreeSpec(16, seed=23)
     X, _ = points_to_matrix(random_multiset(64, 16, 4))
     path = t.node_path(X)
     n = X.shape[0]
@@ -126,7 +126,7 @@ def test_partition_refinement():
 
 def test_no_fingerprint_collisions_bulk():
     """Distinct points never share a leaf fingerprint (128-bit keyed hash)."""
-    t = sample_quadtree(16, seed=31)
+    t = QuadtreeSpec(16, seed=31)
     vals = np.random.default_rng(1).choice(2**16, size=2000, replace=False)
     X = np.stack([HypercubePoint(16, int(v)).bits() for v in vals])
     leaf = t.node_fingerprints(X, t.h)
