@@ -40,9 +40,10 @@ One-pass decode: a replica averages one-round LS1 -> LS2 -> LS3 decodes over
 a grid of (set, inner copy, round, repetition) cells. The cells' seed states
 are hashed once per grid, and the keys in blocks of about `_LS_BLOCK_WORDS`
 words with one stacked array call per stage; a Count-Sketch read takes flat
-slots and compare-exchange medians (`sketches`). LS2 and LS3 hash signs and
-sum only in the buckets they read; LS2 reads nothing where the parent has one
-child. It equals one decode per cell bit for bit (`one_round_estimates`).
+slots and compare-exchange medians (`sketches`). LS2 and LS3 read a few keys
+each with one point read (`_cs_read`), which hashes signs and sums only in
+the read buckets; LS2 reads nothing where the parent has one child. It
+equals one decode per cell bit for bit (`one_round_estimates`).
 
 Repetition counts are configuration. Paper-rate defaults (log-power laws) are
 provided for reference but are far too heavy for interactive use; the desk
@@ -70,6 +71,7 @@ from .sketches import (
     SparseCounts,
     _cs_coords,
     _cs_estimates,
+    _cs_read,
     _cs_table,
     _median,
     _scatter_sum,
@@ -88,13 +90,9 @@ __all__ = [
 # Hashed words per block of one-round grid cells: a block's temporaries do
 # not grow with the grid, and its fixed numpy calls serve several cells (a
 # deepest-level cell of matched_noise n=256 d=64 hashes about 36k words).
-# 400k was the fastest of 100k-800k. Smaller blocks, whose temporaries stay
-# under the ~64k elements past which numpy runs slower per element, are
-# slower end to end: the one-pass decode of that instance took 0.25, 0.36,
-# 0.52, 0.55 and 0.59 CPU s at 400k, 100k, 32k, 16k and 8k words (median of
-# 7, 2-vCPU VM), as the per-block numpy and Python overhead grows. The
-# cells' seed states, 96 words per cell at the defaults, are hashed once
-# per grid, outside the blocks.
+# A one-pass job on that instance took 0.167, 0.157 and 0.175 CPU s at 200k,
+# 400k and 800k words (interleaved medians of 9, 2-vCPU VM); smaller blocks
+# lose to per-block overhead. Cell seed states are hashed once per grid.
 _LS_BLOCK_WORDS = 400_000
 # Hashed coordinates per block of character sets drawn at once (same reason).
 _CHAR_BLOCK_WORDS = 16_384
@@ -432,8 +430,8 @@ class _LsCells:
     each stage one stacked array call over the block. A cell holds its set
     j, its seed states (a slice of `_LevelReplica._cell_states`) and its
     exponential scalings t_u, t_v, which may be injected for conditioned
-    tests. Every Count-Sketch of a stage is one `_cs_table` over (cell, ...,
-    row, bucket); LS2's and LS3's sum only the buckets they read (`_cs`)."""
+    tests. LS1's Count-Sketches are one `_cs_table` over (cell, sketch, row,
+    bucket); LS2 and LS3 read theirs at a few keys (`_cs_read`)."""
 
     def __init__(self, cfg, nodes, j, cauchy, rows_b, rows_s, pre_u, pre_v, t_u=None, t_v=None):
         self.cfg = cfg
@@ -447,22 +445,11 @@ class _LsCells:
                          for pre, hk, t in ((pre_u, self.hk_u, t_u), (pre_v, self.hk_v, t_v)))
         self.t_uv = self.t_u[:, self.u_inv] * t_v
 
-    def _cs(self, idx, hkeys, values, read) -> np.ndarray:
-        """Estimates of the Count-Sketches at `idx` (an index of the cell and
-        sketch axes) of the vectors `values` (B', ..., n) at the keys of a
-        read mask that broadcasts to them, flat in its order (`_cs_coords`)."""
-        buckets, rows = self.cfg.cs_buckets, self.cfg.cs_rows
-        read = np.broadcast_to(read, values.shape)
-        f, s, at = _cs_coords(self.rows_b[idx], self.rows_s[idx], hkeys, buckets, read)
-        table = _cs_table(f, s, values.reshape(-1)[at], buckets)
-        r = np.flatnonzero(read.reshape(-1)[at])
-        r = r[np.argsort(at[r], kind="stable")]  # each read key's rows, in row order
-        return _cs_estimates(table, f[r].reshape(-1, rows).T, s[r].reshape(-1, rows).T)
-
     def ls1(self) -> np.ndarray:
         """Per cell, the parent maximizing P_u / t_u (index into uu)."""
         K, buckets = self.cfg.ls1_reps, self.cfg.cs_buckets
-        alpha = hx.cauchy(hx.extend(self.cauchy[..., None], self.hk_v))
+        h = hx.extend(self.cauchy[..., None], self.hk_v)  # fresh: mapped in place
+        alpha = hx._cauchy_(h, np.empty(h.shape))
         per_u = _scatter_sum(self.u_inv, alpha * self.qv, len(self.uu))
         per_u *= (1.0 / self.t_u)[:, None, :]
         f, s = _cs_coords(self.rows_b[:, :K], self.rows_s[:, :K], self.hk_u, buckets)
@@ -477,9 +464,9 @@ class _LsCells:
         multi = np.flatnonzero(np.bincount(self.u_inv)[u_idx] > 1)
         if len(multi):
             child = self.u_inv == u_idx[multi, None]
-            est = np.full(child.shape, -np.inf)
-            est[child] = np.abs(self._cs(np.s_[multi, self.cfg.ls1_reps], self.hk_v,
-                                         self.qv / self.t_uv[multi], child))
+            est, at = np.full(child.shape, -np.inf), np.s_[multi, self.cfg.ls1_reps]
+            est[child] = np.abs(_cs_read(self.rows_b[at], self.rows_s[at], self.hk_v,
+                                         self.qv / self.t_uv[multi], child, self.cfg.cs_buckets))
             v_idx[multi] = np.argmax(est, axis=-1)
         return v_idx
 
@@ -489,10 +476,12 @@ class _LsCells:
         v_idx, K = np.broadcast_to(v_idx, len(self.t_u)), self.cfg.ls1_reps
         chi = np.stack([np.broadcast_to(self.cC, self.splus.shape), self.splus], 1)
         at_u = _scatter_sum(self.u_inv, chi.astype(float), len(self.uu)) * (1.0 / self.t_u)[:, None]
-        s1, s2 = self._cs(np.s_[:, K + 1:K + 3], self.hk_u, at_u,
-                          np.arange(len(self.uu)) == self.u_inv[v_idx, None, None]).reshape(-1, 2).T
-        s3, s4 = self._cs(np.s_[:, K + 3:K + 5], self.hk_v, chi * (1.0 / self.t_uv)[:, None],
-                          np.arange(len(self.u_inv)) == v_idx[:, None, None]).reshape(-1, 2).T
+        reads = ((K + 1, self.hk_u, at_u, self.u_inv[v_idx]),  # sketches k, k + 1 at a key
+                 (K + 3, self.hk_v, chi * (1.0 / self.t_uv)[:, None], v_idx))
+        (s1, s2), (s3, s4) = (_cs_read(
+            self.rows_b[:, k:k + 2], self.rows_s[:, k:k + 2], hk, x,
+            np.arange(len(hk)) == key[:, None, None], self.cfg.cs_buckets).reshape(-1, 2).T
+            for k, hk, x, key in reads)
         ok = ~((s1 <= 0.0) | (s3 <= 0.0))
         qu = np.divide(s2, s1, out=np.zeros_like(s2), where=ok)
         qv = np.divide(s4, s3, out=np.zeros_like(s4), where=ok)

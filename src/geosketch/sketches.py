@@ -23,6 +23,8 @@ classical dense view -- from those arrays each time it is read. This
 keeps every read exactly linear: permuting, splitting or merging update
 streams yields bit-identical counts and hence bit-identical estimates
 (floating-point accumulation in stream order could not promise that).
+A Count-Sketch read at a few keys (`_cs_read`) signs and sums only the
+entries in the read buckets, for the whole tables' estimates bit for bit.
 `l1_samples` decodes many samplers of one view at once, over a seed axis,
 and its mass test reads an l1 estimate the caller gives (a two-pass EMD
 replica gives its Delta-hat). `L1Sampler` is the one sketch kept as an
@@ -265,28 +267,13 @@ def _cs_buckets(rows_b: np.ndarray, hkeys: np.ndarray, buckets: int) -> np.ndarr
     return hx.bucket(hx.extend(rows_b[..., None], hk), buckets)
 
 
-def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray, buckets: int,
-               read: np.ndarray | None = None) -> tuple:
-    """(..., rows, n) slots and signs of a batch of Count-Sketches. A slot is
-    the index in the flattened (..., rows, buckets) tables, flat row times
-    buckets plus bucket (`_cs_buckets`): the table's `bincount` and the
-    read's gather share it. The signs come from the row states rows_s. A
-    read mask (..., n) of the keys each sketch is read at keeps only the
-    entries whose slot a read key takes, the ones its estimates sum, and
-    hashes only their signs: slots and signs are then flat in (..., row,
-    key) order, and a third array holds their flat indices into the mask."""
-    hk = np.asarray(hkeys, dtype=U64)
-    f = _cs_buckets(rows_b, hk, buckets)
-    row = np.arange(math.prod(f.shape[:-1]), dtype=np.int64).reshape(f.shape[:-1] + (1,))
-    f += row * buckets
-    rs, hk = rows_s[..., None], hk[..., None, :]
-    if read is None:
-        return f, hx.sign_pm1(hx.extend(rs, hk))
-    hot = np.zeros(row.size * buckets, dtype=bool)
-    hot[np.swapaxes(f, -1, -2)[read]] = True
-    at = np.nonzero(hot.take(f))
-    rs, hk = (np.broadcast_to(a, f.shape)[at] for a in (rs, hk))
-    return f[at], hx.sign_pm1(hx.extend(rs, hk)), np.ravel_multi_index(at[:-2] + at[-1:], read.shape)
+def _cs_coords(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray, buckets: int) -> tuple:
+    """(..., rows, n) slots and signs of a batch of Count-Sketches: a slot
+    indexes the flattened (..., rows, buckets) tables, flat row times buckets
+    plus bucket (`_cs_buckets`); the signs come from the row states rows_s."""
+    f = _cs_buckets(rows_b, hkeys, buckets)
+    f += np.arange(math.prod(f.shape[:-1]), dtype=np.int64).reshape(f.shape[:-1] + (1,)) * buckets
+    return f, hx.sign_pm1(hx.extend(rows_s[..., None], hkeys[..., None, :]))
 
 
 def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
@@ -300,8 +287,8 @@ def _scatter_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
 
 def _cs_table(f: np.ndarray, s: np.ndarray, values: np.ndarray, buckets: int) -> np.ndarray:
     """(..., rows, buckets) tables of the vectors with `values` (..., n) at
-    the keys of the slots and signs (f, s), or flat ones, in one `bincount`
-    that adds each bucket in key order from 0.0, as `np.add.at` does."""
+    the keys of the slots and signs (f, s), in one `bincount` that adds each
+    bucket in key order from 0.0, as `np.add.at` does."""
     lead = f.shape[:-1]
     w = s * np.asarray(values, dtype=np.float64)[..., None, :]
     return np.bincount(f.ravel(), w.ravel(), math.prod(lead) * buckets).reshape(lead + (-1,))
@@ -337,6 +324,30 @@ def _cs_estimates(table: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray
     """(..., n) median-over-rows estimates at the keys of the slots and signs
     (f, s), gathered from the flattened tables with one `np.take`."""
     return _median(s * np.take(table, f), -2)
+
+
+def _cs_read(rows_b: np.ndarray, rows_s: np.ndarray, hkeys: np.ndarray, values: np.ndarray,
+             read: np.ndarray, buckets: int) -> np.ndarray:
+    """Estimates, in (sketch, key) order, at the keys of a read mask (broadcast
+    to values) of Count-Sketches with row states rows_b, rows_s (..., rows)
+    of the vectors `values` (..., n) at the key hashes hkeys (n,), from only
+    the entries in the read keys' slots (`_cs_coords`), found in one flat
+    pass. One `bincount` adds each bucket's keys in key order from 0.0, as
+    `_cs_table` does, so they equal `_cs_estimates` of the whole tables."""
+    n, rows = len(hkeys), rows_b.shape[-1]
+    read = np.broadcast_to(read, values.shape).reshape(-1, n)
+    f = _cs_buckets(rows_b.reshape(-1, rows), hkeys, buckets)  # (sketch, row, key)
+    f += np.arange(f.size // n, dtype=np.int64).reshape(-1, rows, 1) * buckets  # slots
+    hot = np.zeros(f.size // n * buckets, dtype=bool)
+    hot[f.transpose(0, 2, 1)[read]] = True
+    hit = np.flatnonzero(hot.take(f))
+    sketch_row, key = np.divmod(hit, n)
+    slot, at = f.reshape(-1)[hit], sketch_row // rows * n + key  # at: index into the mask
+    s = hx.sign_pm1(hx.extend(rows_s.reshape(-1)[sketch_row], hkeys[key]))
+    table = np.bincount(slot, s * values.reshape(-1)[at])
+    mine = np.flatnonzero(read.reshape(-1)[at])
+    mine = mine[np.argsort(at[mine], kind="stable")]  # each read key's rows, in row order
+    return _cs_estimates(table, slot[mine].reshape(-1, rows).T, s[mine].reshape(-1, rows).T)
 
 
 _CS_SALT_B = 0xC5B0

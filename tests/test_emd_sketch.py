@@ -664,13 +664,15 @@ def test_ls2_and_ls3_hash_signs_only_in_read_buckets(monkeypatch):
         want3 += sum(_read_bucket_entries(rep, sub, salt, hk, [at]) for salt, hk, at in (
             (0x31, dec.hk_u, ui), (0x32, dec.hk_u, ui), (0x33, dec.hk_v, vi), (0x34, dec.hk_v, vi)))
     assert (ls2_signed, ls3_signed) == (want2, want3)
-    # one cell whose parent has one child: its LS2 builds no Count-Sketch
-    c = int(np.flatnonzero(kids == 1)[0])
-    one, built, coords = rep.decoder(view, *cells[c]), [], emd_sketch._cs_coords
-    monkeypatch.setattr(emd_sketch, "_cs_coords", lambda *a: built.append(a) or coords(*a))
-    u_one = one.ls1()
-    built[:] = []
-    assert one.ls2(u_one).tolist() == [v[c]] and built == []
+    # one cell whose parent has one child: its LS2 reads no Count-Sketch,
+    # where one whose parent has several reads one
+    read, built = emd_sketch._cs_read, []
+    monkeypatch.setattr(emd_sketch, "_cs_read", lambda *a: built.append(a) or read(*a))
+    for c in (int(np.flatnonzero(kids == 1)[0]), int(np.flatnonzero(kids > 1)[0])):
+        one = rep.decoder(view, *cells[c])
+        u_one = one.ls1()
+        built[:] = []
+        assert one.ls2(u_one).tolist() == [v[c]] and len(built) == (kids[c] > 1)
 
 
 # -- exponential selection law (two-stage equivalence) --------------------------------
@@ -994,6 +996,8 @@ def test_two_pass_permutation_invariance(small_cfg):
     (2, 1, 64, 32, "0x1.f551520a864fcp+11"),
     (2, 2, 64, 32, "0x1.b467e9eb9f09cp+11"),
     (1, 1, 256, 64, "0x1.d69bc3f6ee55cp+15"),
+    (1, 2, 256, 64, "0x1.a212184ab053ap+15"),
+    (1, 3, 256, 64, "0x1.b5575edd72a9bp+15"),
     (2, 1, 256, 64, "0x1.85e087d42f47ep+15"),
 ])
 def test_estimate_bit_identical_to_pinned(passes, seed, n, d, want):
@@ -1003,7 +1007,8 @@ def test_estimate_bit_identical_to_pinned(passes, seed, n, d, want):
     per-decoder LS loop, before the grid decode, and the two-pass ones
     those of the dict-store views, before the views became sorted arrays.
     The n=256 d=64 ones are the reference estimates of the `emd1-matched`
-    and `emd2-matched` benchmark workloads."""
+    and `emd2-matched` benchmark workloads, at generator seeds 1-3 for the
+    one-pass one."""
     updates = gen_instance("matched_noise", n, d, seed=seed).updates
     assert run_estimator(updates, "emd", passes=passes).estimate.hex() == want
 

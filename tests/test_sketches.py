@@ -20,7 +20,8 @@ from geosketch import (
 from geosketch import EmdSketchConfig, EmdTwoPassSketch, MstSketchConfig, aggregate, gen_instance
 from geosketch import emd_sketch, sketches
 from geosketch.sketches import (
-    _EXP_SALT, _cs_coords, _cs_estimates, _cs_table, _hash_keys, _l0_occupancy, _median,
+    _EXP_SALT, _cs_coords, _cs_estimates, _cs_read, _cs_table, _hash_keys, _l0_occupancy,
+    _median,
 )
 
 from conftest import assert_view_is, counts_of, sampler_reads, split_view, view_of
@@ -54,6 +55,42 @@ def test_count_sketch_batch_equals_one_sketch_reference(rng):
         assert np.array_equal(b[i, j], 64 * row + rb) and np.array_equal(s[i, j], rs)
         assert table[i, j].tobytes() == ref_cs_table(rb, rs, vals[i, j], 64).tobytes()
         assert np.array_equal(est[i, j], ref_cs_estimates(ref_cs_table(rb, rs, vals[i, j], 64), rb, rs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(G=st.integers(1, 5), R=st.integers(1, 6), n=st.integers(1, 40),
+       buckets=st.sampled_from([256, 7, 2, 1]), seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["mask", "no key in a group", "every key in a group", "one key"]))
+@example(G=3, R=5, n=30, buckets=256, seed=0, case="no key in a group")
+@example(G=3, R=5, n=30, buckets=7, seed=1, case="every key in a group")
+@example(G=4, R=4, n=12, buckets=7, seed=2, case="one key")
+def test_cs_read_equals_the_dense_read(G, R, n, buckets, seed, case):
+    """`_cs_read` of G Count-Sketches, each with its own seed and vector, at
+    a read mask equals bit for bit the estimates at the read keys of each
+    sketch's dense table, built row by row with np.add.at from the
+    reference coords and read in (sketch, key) order: at power-of-two and
+    other bucket counts, with a group that reads no key, one that reads
+    every key, and one key read in all."""
+    rng = np.random.default_rng(seed)
+    hk = rng.integers(0, 2**63, n, dtype=np.int64).astype(np.uint64)
+    seeds = rng.integers(0, 2**63, G, dtype=np.int64).astype(np.uint64)
+    vals = rng.standard_normal((G, n))
+    read = rng.random((G, n)) < 0.3
+    if case == "no key in a group":
+        read[rng.integers(G)] = False
+    elif case == "every key in a group":
+        read[rng.integers(G)] = True
+    elif case == "one key":
+        read[:] = False
+        read[rng.integers(G), rng.integers(n)] = True
+    r = np.arange(R, dtype=np.uint64)
+    got = _cs_read(hx.combine(seeds[:, None], 0xB, r), hx.combine(seeds[:, None], 0x5, r),
+                   hk, vals, read, buckets)
+    want = []
+    for g in range(G):
+        b, s = ref_cs_coords((int(seeds[g]), 0xB), (int(seeds[g]), 0x5), hk, R, buckets)
+        want.append(ref_cs_estimates(ref_cs_table(b, s, vals[g], buckets), b, s)[read[g]])
+    assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
