@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional
 
-from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch
+from .emd_sketch import EmdOnePassSketch, EmdSketchConfig, EmdTwoPassSketch, SamplesFailed
 from .generators import gen_instance
-from .mst_sketch import MstSketch, MstSketchConfig, SamplesFailed
+from .mst_sketch import MstSketch, MstSketchConfig
 from .offline import EMD_ORACLE_CAP, MST_ORACLE_CAP, exact_emd, exact_mst
 from .streamio import (
     Stream,

@@ -346,13 +346,6 @@ class _LevelReplica:
         return (j, hx.combine(sub, 0xA1, ks), hx.combine(sketch, 0xB, rows),
                 hx.combine(sketch, 0x5, rows), hx.combine(rnd, 0xE1), hx.combine(rnd, 0xE2))
 
-    def decoder(self, counts: CountView, j: int = 0, c: int = 0, r: int = 0, m: int = 0,
-                t_u=None, t_v=None) -> "_LsCells":
-        """The one-cell grid (j, c, r, m) over the given counts (used by
-        tests that condition on explicit exponential scalings)."""
-        return _LsCells(self.cfg, self._decode_arrays(counts), *self._cell_states(j, c, r, m),
-                        t_u, t_v)
-
     def one_round_estimates(self, counts: CountView) -> List[float]:
         """All inner estimates of E_v[p_{pi(v),v,S_j}], grouped per set:
         returns per set j the median over inner copies, where each copy is the
@@ -429,20 +422,18 @@ class _LsCells:
     """The LS1 -> LS2 -> LS3 decode of a block of B one-round grid cells,
     each stage one stacked array call over the block. A cell holds its set
     j, its seed states (a slice of `_LevelReplica._cell_states`) and its
-    exponential scalings t_u, t_v, which may be injected for conditioned
-    tests. LS1's Count-Sketches are one `_cs_table` over (cell, sketch, row,
-    bucket); LS2 and LS3 read theirs at a few keys (`_cs_read`)."""
+    exponential scalings t_u, t_v. LS1's Count-Sketches are one `_cs_table`
+    over (cell, sketch, row, bucket); LS2 and LS3 read theirs at a few keys
+    (`_cs_read`)."""
 
-    def __init__(self, cfg, nodes, j, cauchy, rows_b, rows_s, pre_u, pre_v, t_u=None, t_v=None):
+    def __init__(self, cfg, nodes, j, cauchy, rows_b, rows_s, pre_u, pre_v):
         self.cfg = cfg
         self.uu, self.u_inv, self.hk_u, self.hk_v, self.qv, self.cC, splus = nodes
         self.splus = splus.T[j]  # (B, N): each cell's set
         self.cauchy, self.rows_b, self.rows_s = cauchy, rows_b, rows_s
-        # fresh exponentials per round (shared by the repetitions inside it),
-        # unless a conditioned test injects the scalings
-        self.t_u, t_v = (np.atleast_2d(t).astype(float) if t is not None else
-                         np.maximum(hx.exp1(hx.extend(pre, hk)), 1e-9)
-                         for pre, hk, t in ((pre_u, self.hk_u, t_u), (pre_v, self.hk_v, t_v)))
+        # fresh exponentials per round (shared by the repetitions inside it)
+        self.t_u, t_v = (np.maximum(hx.exp1(hx.extend(pre, hk)), 1e-9)
+                         for pre, hk in ((pre_u, self.hk_u), (pre_v, self.hk_v)))
         self.t_uv = self.t_u[:, self.u_inv] * t_v
 
     def ls1(self) -> np.ndarray:
@@ -494,12 +485,31 @@ class _LsCells:
 # ---------------------------------------------------------------------------
 
 
+class SamplesFailed(RuntimeError):
+    """Every sample of a level failed; more `samples` make that rarer."""
+
+
+@dataclass
+class LevelRecord:
+    """Level i of a sketch's `levels`: `terms`, each replica's part of the
+    estimate (EMD's eta_i, MST's ell (mu + d / 2^i); none if no sample was
+    ok), and MST's evidence: ell = |L_i|-hat, stage counts, mismatches, mu."""
+
+    level: int
+    terms: List[float]
+    ell: Optional[float] = None
+    stages: Optional[np.ndarray] = None
+    mismatches: int = 0
+    mu: Optional[float] = None
+
+
 class _TreeSketch:
-    """What the EMD and MST estimators share: one random quadtree of depth
-    h, the seeds of the replicas of each level (`seeds[i - 1]`, a uint64
-    array), and the one count store, `counts`. A sketch is a pure function
-    of its config: the tree and every seed are drawn from `cfg.seed`, and
-    each replica's character sets are drawn from its seed when it is read.
+    """What the EMD and MST estimators share: one random quadtree of depth h,
+    the seeds of the replicas of each level (`seeds[i - 1]`, a uint64 array),
+    the one count store, `counts`, and `estimate`, the sum of the medians of
+    the terms of the `LevelRecord` of each level (`levels`). A sketch is a pure
+    function of its config: the tree and every seed are drawn from `cfg.seed`,
+    and each replica's character sets are drawn from its seed when it is read.
 
     The one-store rule: the sketch keeps one `SparseCounts` keyed by the
     packed point, plus seeds (a two-pass EMD sketch keeps a second one for
@@ -544,6 +554,22 @@ class _TreeSketch:
         ids = replica_node_ids(path, levels, seeds, self.cfg.universe_m)
         return CountView.grouped(np.stack([*ids, *keys], axis=2), rows)
 
+    def _additive(self) -> float:  # added to the levels' sum, after checking the stream
+        return 0.0
+
+    def estimate(self) -> float:
+        """The sum over `levels` of the median of each record's terms, plus
+        `_additive`; SamplesFailed for a record without terms."""
+        extra, total = self._additive(), 0.0
+        for rec in self.levels():
+            if not rec.terms:
+                s = rec.stages
+                raise SamplesFailed(
+                    f"all samples failed at level {rec.level} (samples = {s.sum()}: {s[1]} at "
+                    f"parent recovery, {s[2]} at the child scan, {s[3]} at the witnesses)")
+            total += float(np.median(rec.terms))
+        return total + extra
+
     def merge(self, other: "_TreeSketch") -> None:
         if self.cfg != other.cfg:
             raise ValueError("cannot merge sketches with different configs")
@@ -577,16 +603,17 @@ class _EmdSketchBase(_TreeSketch):
         delta = operator.index(delta)  # an int: a float or str raises TypeError
         store.add(point.value, (delta, 0) if label == "A" else (0, delta))
 
-    def _read_levels(self, counts: SparseCounts, fn) -> List[list]:
-        """Per level, fn(replica, view) of each of its replicas, each view a
-        slice of the one stacked view of every replica of the store."""
+    def _read_levels(self, counts: SparseCounts, fn) -> List[LevelRecord]:
+        """Per level, a record of fn(replica, view) of its replicas, each view
+        a slice of the one stacked view of every replica of the store."""
         reps = [rep for per_level in self.replicas for rep in per_level]
         view = self.views(self._read(counts), [rep.level for rep in reps],
                           np.concatenate(self.seeds))
         cut = view.cuts(len(reps))
         out = iter([fn(rep, CountView(view.keys[a:b, 1:], view.rows[a:b]))
                     for rep, a, b in zip(reps, cut[:-1], cut[1:])])
-        return [[next(out) for _ in per_level] for per_level in self.replicas]
+        return [LevelRecord(i, [next(out) for _ in per_level])
+                for i, per_level in enumerate(self.replicas, start=1)]
 
     def _check_balanced(self) -> int:
         """|A|, which must equal |B|."""
@@ -599,28 +626,29 @@ class _EmdSketchBase(_TreeSketch):
 
 
 class EmdOnePassSketch(_EmdSketchBase):
-    """One-pass estimator: eta = sum_i median-of-replicas eta_i + eps*n*d."""
+    """One-pass estimator: eta = sum_i median-of-replicas eta_i (the terms of
+    the `levels` records) + eps*n*d (`_additive`, once |A| = |B|)."""
 
     def update(self, point: HypercubePoint, label: str, delta: int = 1) -> None:
         self._add(self.counts, point, label, delta)
 
-    def levels(self) -> List[List[float]]:
-        """Per level, each replica's eta_i: 0 where the Delta-hat of its view
-        is below `delta_threshold`, else `eta` of it and the LS estimates."""
+    def _additive(self) -> float:
+        return self.cfg.eps * self._check_balanced() * self.cfg.d
+
+    def levels(self) -> List[LevelRecord]:
+        """Per level, a record of each replica's eta_i: 0 where the Delta-hat of
+        its view is below `delta_threshold`, else `eta` of it and the LS estimates."""
         def eta(rep: _LevelReplica, view: CountView) -> float:
             delta_hat = rep.delta_hat(rep.discrepancies(view))
             return (0.0 if delta_hat < self.cfg.delta_threshold()
                     else rep.eta(delta_hat, rep.one_round_estimates(view)))
         return self._read_levels(self.counts, eta)
 
-    def estimate(self) -> float:
-        n = self._check_balanced()
-        return sum(float(np.median(e)) for e in self.levels()) + self.cfg.eps * n * self.cfg.d
-
 
 class EmdTwoPassSketch(_EmdSketchBase):
     """Two-pass estimator: round 1 samples nodes ~ discrepancy, round 2 reads
-    the four exact chi counters for each sampled edge; no additive eps term."""
+    the four exact chi counters for each sampled edge; eta = sum_i
+    median-of-replicas eta_i (the `levels` records), no additive eps term."""
 
     def __init__(self, cfg: EmdSketchConfig):
         super().__init__(cfg)
@@ -649,9 +677,9 @@ class EmdTwoPassSketch(_EmdSketchBase):
             raise RuntimeError("call finalize_pass1() first")
         self._add(self.pass2, point, label, delta)
 
-    def levels(self) -> List[List[float]]:
-        """Per level, each replica's eta_i: 0 where its pass-1 Delta-hat is 0,
-        else `eta` of it and the round-two estimates of the pass-2 store."""
+    def levels(self) -> List[LevelRecord]:
+        """Per level, a record of each replica's eta_i: 0 where its pass-1 Delta-hat
+        is 0, else `eta` of it and the round-two estimates of the pass-2 store."""
         if self._pass != 2:
             raise RuntimeError("call finalize_pass1() and feed pass 2 first")
 
@@ -661,6 +689,3 @@ class EmdTwoPassSketch(_EmdSketchBase):
             etas = [e for e in rep.two_round_estimates(view) if e is not None]
             return rep.eta(rep.delta, etas or [0.0])
         return self._read_levels(self.pass2, eta)
-
-    def estimate(self) -> float:
-        return sum(float(np.median(e)) for e in self.levels())

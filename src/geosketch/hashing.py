@@ -125,15 +125,9 @@ def exp1(h: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def cauchy(h: np.ndarray) -> np.ndarray:
-    """Map hash words to standard Cauchy variates, tan(pi (u - 1/2))."""
-    h = np.array(h, dtype=U64)  # a copy, which _cauchy_ overwrites
-    return _cauchy_(h, np.empty(h.shape))
-
-
 def _cauchy_(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`cauchy` of a uint64 array that the caller owns, in place, as
-    `_uniform01_`."""
+    """Standard Cauchy variates tan(pi (u - 1/2)) of a uint64 array that the
+    caller owns, in place, as `_uniform01_`."""
     u = _uniform01_(h, out)
     u -= 0.5
     u *= np.pi

@@ -39,13 +39,13 @@ machines.
 State: the one-store rule of `_TreeSketch`, with a store of packed point ->
 [net count]. `levels` reads it once, and builds each level's view from that
 read when it reads the level, one stacked view of all its samples (`views`);
-`estimate` sums its per-level records. A view is a `CountView` of the point
-entries (sample, u, w, point fingerprint) -> [net, net * chi], sorted by key.
-The node counts [sum net, sum net * chi] per universe-reduced node (sample,
-u, w) are one grouped sum of those sorted arrays (a node's entries are
-adjacent), the witness arrays are columns of them, and every sketch is a
-function of them (bit-identical under permutation and merge): the recovery
-and witness sketches of each sample, and the per-level l0 estimate
+`estimate` sums its per-level `LevelRecord`s (`_TreeSketch.estimate`). A view
+is a `CountView` of the point entries (sample, u, w, point fingerprint) ->
+[net, net * chi], sorted by key. The node counts [sum net, sum net * chi] per
+universe-reduced node (sample, u, w) are one grouped sum of those sorted arrays
+(a node's entries are adjacent), the witness arrays are columns of them, and
+every sketch is a function of them (bit-identical under permutation and merge):
+the recovery and witness sketches of each sample, and the per-level l0 estimate
 (`l0_estimate`) of the node counts of sample 0. Node ids are uint64.
 
 The samples of a level are decoded as one stack, one call per stage for
@@ -83,7 +83,7 @@ from .points import HypercubePoint
 from .sketches import (
     CountView, _STABLE_MEDIAN_HEX, _cs_buckets, _hash_keys, _median, l0_estimate, stable_median,
 )
-from .emd_sketch import _SketchConfig, _TreeSketch, log2n
+from .emd_sketch import LevelRecord, _SketchConfig, _TreeSketch, log2n
 
 __all__ = [
     "MstSketchConfig",
@@ -235,10 +235,6 @@ def _log_stable_draws(h_r: np.ndarray, h_t: np.ndarray, p: float):
 # ---------------------------------------------------------------------------
 # per-(level, sample) state and the stacked decode
 # ---------------------------------------------------------------------------
-
-
-class SamplesFailed(RuntimeError):
-    """Every sample of a level failed; more `samples` make that rarer."""
 
 
 def _blocks(sizes: Sequence[int], cap: int):
@@ -553,16 +549,17 @@ class MstSketch(_TreeSketch):
         return l0_estimate(nodes, int(hx.combine(self.cfg.seed, 0x10, i)[()]),
                            self.cfg.l0_buckets)
 
-    def levels(self) -> List[tuple]:
-        """Per level i, the record (ell, stages, mismatches, mu) of one read
-        of the store: ell = |L_i|-hat (`_l0`); where ell > 1.5 (the levels
-        `estimate` sums, the only ones decoded) the `np.bincount` of the
-        samples' `outcomes` stages (else all 0), the number of ok samples
-        whose characters differ, and their frequency over alpha_i, capped
-        at `mu_cap(i)` (None without an ok sample). The samples are decoded
-        in stacks (view slices with the sample column rebased to 0) of at
-        most `_BLOCK_WORDS` child-scan bucket hashes per kappa, counted as
-        if every point entry were a node in every D (or one sample)."""
+    def levels(self) -> List[LevelRecord]:
+        """Per level i, the `LevelRecord` of one read of the store: ell =
+        |L_i|-hat (`_l0`); where ell > 1.5 (the levels `estimate` sums, the
+        only ones decoded) the `np.bincount` of the samples' `outcomes`
+        stages (else all 0), the number of ok samples whose characters
+        differ, their frequency mu over alpha_i, capped at `mu_cap(i)`, and
+        the term ell (mu + d / 2^i) (no mu and no term without an ok sample;
+        a term 0.0 at ell <= 1.5). The samples are decoded in stacks (view
+        slices with the sample column rebased to 0) of at most `_BLOCK_WORDS`
+        child-scan bucket hashes per kappa, counted as if every point entry
+        were a node in every D (or one sample)."""
         read, out = self._read(self.counts), []
         words = 2 * self.cfg.j_reps * self.cfg.rec_rows  # per point entry
         for i, seeds in enumerate(self.seeds, start=1):
@@ -581,20 +578,11 @@ class MstSketch(_TreeSketch):
             stages, mismatches = np.bincount(stage, minlength=4), int(mismatch.sum())
             mu = (min(mismatches / int(stages[0]) / self.cfg.alpha(i), self.cfg.mu_cap(i))
                   if stages[0] else None)
-            out.append((ell, stages, mismatches, mu))
+            terms = [] if mu is None else [ell * (mu + self.cfg.d / 2.0**i)]
+            out.append(LevelRecord(i, terms if ell > 1.5 else [0.0], ell, stages, mismatches, mu))
         return out
 
-    def estimate(self) -> float:
-        """sum_i ell (mu + d / 2^i) over the `levels` with ell > 1.5."""
+    def _additive(self) -> float:
         if self.counts.total()[0] <= 0:
             raise ValueError("stream encodes an empty point set")
-        total = 0.0
-        for i, (ell, stages, _, mu) in enumerate(self.levels(), start=1):
-            if ell <= 1.5:
-                continue
-            if mu is None:
-                raise SamplesFailed(
-                    f"all samples failed at level {i} (samples = {stages.sum()}: {stages[1]} at "
-                    f"parent recovery, {stages[2]} at the child scan, {stages[3]} at the witnesses)")
-            total += ell * (mu + self.cfg.d / 2.0**i)
-        return total
+        return 0.0

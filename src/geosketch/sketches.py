@@ -28,8 +28,7 @@ entries in the read buckets, for the whole tables' estimates bit for bit.
 `l1_samples` decodes many samplers of one view at once, over a seed axis,
 and its mass test reads an l1 estimate the caller gives (a two-pass EMD
 replica gives its Delta-hat). `L1Sampler` is the one sketch kept as an
-object: a seed, a shape and its counts; its `sample(l1)` is `l1_samples`
-at that one seed.
+object: a seed, a shape and its counts, read by `l1_samples` at that seed.
 
 `encode_state` is the one serializer: magic, version, kind, the shape/seed
 words, then the sorted counts of each store or view, whose records both
@@ -504,8 +503,8 @@ def l1_samples(counts: CountView, seeds, l1: float, rows: int, buckets: int,
 class L1Sampler:
     """One l1 sampler of width-1 counts x: a seed, a shape (Count-Sketch
     rows and buckets, the validity factor gamma) and the counts, given at
-    construction. `sample(l1)` is `l1_samples` at its one seed; a two-pass
-    EMD replica decodes all of its samplers in one `l1_samples` call."""
+    construction. It is read by `l1_samples`: a two-pass EMD replica
+    decodes all of its samplers in one call over their seeds."""
 
     def __init__(self, counts: CountView, seed: int, rows: int = 5,
                  buckets: int = 256, gamma: float = 0.05):
@@ -522,12 +521,6 @@ class L1Sampler:
         over the round-one samplers of an `EmdTwoPassSketch`, which has no
         serializer of its own."""
         return encode_state(4, (self.seed, self.rows, self.buckets, _L1_ROWS), [self.counts])
-
-    def sample(self, l1: float):
-        """A key of the view, as a tuple of ints, or FAIL (`l1_samples`,
-        whose mass test reads the given l1 estimate of ||x||_1)."""
-        i = int(l1_samples(self.counts, [self.seed], l1, self.rows, self.buckets, self.gamma)[0])
-        return FAIL if i < 0 else tuple(self.counts.keys[i].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,16 @@ def counts_of(stream) -> SparseCounts:
     return counts
 
 
+def sample(smp: L1Sampler, l1: float):
+    """The key of smp's view, as a tuple of ints, that `l1_samples` draws at
+    smp's one seed and shape, its mass test reading l1; FAIL for -1."""
+    i = int(sk.l1_samples(smp.counts, [smp.seed], l1, smp.rows, smp.buckets, smp.gamma)[0])
+    return sk.FAIL if i < 0 else tuple(smp.counts.keys[i].tolist())
+
+
 def sampler_reads(smp: L1Sampler) -> np.ndarray:
-    """The Count-Sketch table of the scaled vector that `smp.sample` reads,
-    from the same helper."""
+    """The Count-Sketch table of the scaled vector that `sample` reads, from
+    the same helper."""
     return sk._sampler_tables(smp.counts, np.array([smp.seed], dtype=U64), smp.rows,
                               smp.buckets)[0][0]
 

@@ -2,8 +2,9 @@
 forms of what the package computes on arrays, kept apart from it so that no
 estimator runs them. The scalar character and split probability, the
 p-stable generator and the quadrature of median(|D_p|), the LCA depth of
-two points, dict references of a view's counts, the fed l1 sampler, and
-the per-decoder one-round LS decode.
+two points, dict references of a view's counts, the fed l1 sampler, the
+per-decoder one-round LS decode, the Cauchy map of a copy of hash words,
+and the LS cells of conditioned tests.
 
 Also the references of the paper's sandwich lemmas, which bound the tree
 values of `offline.LevelDecomposition.tree_terms` by exact costs: the
@@ -18,12 +19,19 @@ import numpy as np
 
 from geosketch import hashing as hx
 from geosketch import sketches as sk
-from geosketch.emd_sketch import EmdSketchConfig, character_members
+from geosketch.emd_sketch import EmdSketchConfig, _LsCells, character_members
 from geosketch.hashing import U64
 from geosketch.offline import LevelDecomposition
 from geosketch.points import HypercubePoint, PointMultiset, points_to_matrix
 from geosketch.quadtree import QuadtreeSpec
 from geosketch.sketches import FAIL, CountView, L1Sampler, cauchy_l1
+
+
+def cauchy(h: np.ndarray) -> np.ndarray:
+    """Standard Cauchy variates of hash words, tan(pi (u - 1/2)), from a copy
+    of them that `hashing._cauchy_` maps in place."""
+    h = np.array(h, dtype=U64)
+    return hx._cauchy_(h, np.empty(h.shape))
 
 
 # -- characters and the split probability ----------------------------------------
@@ -203,8 +211,8 @@ def own_l1(counts: CountView, seed: int) -> float:
 
 def count_sketch(counts: CountView, rows: int, buckets: int, seed: int, at=()):
     """The (rows, buckets) Count-Sketch table of width-1 counts, as
-    `L1Sampler.sample` builds it, and its median-of-rows estimates at the
-    keys `at` (of as many words as the view's keys)."""
+    `l1_samples` builds it for one seed, and its median-of-rows estimates
+    at the keys `at` (of as many words as the view's keys)."""
     vals = counts.rows[:, 0].astype(np.float64)
     table = sk._cs_table(*sk._sketch_coords(seed, rows, buckets, counts.keys), vals, buckets)
     at = np.array(at, dtype=U64).reshape(len(at), counts.keys.shape[1])
@@ -217,7 +225,7 @@ def cauchy_sums(counts: CountView, s: int, seed: int) -> np.ndarray:
     which `cauchy_l1` builds a block of rows at a time."""
     r = np.arange(s, dtype=U64)[:, None]
     hk = sk._hash_keys((seed,), counts.keys)[None, :]
-    return hx.cauchy(hx.combine(sk._CAUCHY_SALT, r, hk)) @ counts.rows[:, 0].astype(np.float64)
+    return cauchy(hx.combine(sk._CAUCHY_SALT, r, hk)) @ counts.rows[:, 0].astype(np.float64)
 
 
 class FedL1Sampler:
@@ -356,7 +364,7 @@ class _OneRoundDecoder:
         inv_tu = 1.0 / self.t_u
         ests = np.empty((cfg.ls1_reps, len(self.uu)))
         for k in range(cfg.ls1_reps):
-            alpha = hx.cauchy(hx.combine(self.sub, 0xA1, k, self.hk_v))
+            alpha = cauchy(hx.combine(self.sub, 0xA1, k, self.hk_v))
             per_u = np.zeros(len(self.uu))
             np.add.at(per_u, self.u_inv, alpha * self.qv)
             per_u *= inv_tu
@@ -400,6 +408,18 @@ class _OneRoundDecoder:
         qv = s4 / s3
         p = qu * (1.0 - qv) + qv * (1.0 - qu)
         return float(min(1.0, max(0.0, p)))
+
+
+def ls_cells(rep, counts: CountView, j=0, c=0, r=0, m=0, t_u=None, t_v=None) -> _LsCells:
+    """The `_LsCells` of the one-round grid cells (j, c, r, m) (broadcast)
+    of a one-pass replica over its counts. Given t_u and t_v, the cells'
+    exponential scalings are those instead, for tests that condition on
+    them."""
+    cells = _LsCells(rep.cfg, rep._decode_arrays(counts), *rep._cell_states(j, c, r, m))
+    if t_u is not None:
+        cells.t_u = np.atleast_2d(t_u).astype(float)
+        cells.t_uv = cells.t_u[:, cells.u_inv] * np.atleast_2d(t_v).astype(float)
+    return cells
 
 
 def reference_one_round_estimates(rep, counts):

@@ -36,7 +36,7 @@ from conftest import (
 )
 from reference import _cs_coords as ref_cs_coords
 from reference import (
-    CharacterSet, FedL1Sampler, add_count, charsets, dict_view, node_key,
+    CharacterSet, FedL1Sampler, add_count, charsets, dict_view, ls_cells, node_key,
     reference_one_round_estimates, reference_two_round_estimates, split_probability,
     tail_truncated_norms, tally, universe_ids,
 )
@@ -210,23 +210,26 @@ def test_each_read_sorts_the_store_once_and_fingerprints_each_depth_once(monkeyp
 def test_estimate_is_the_sum_of_its_levels(kind, want):
     """On the instances of the benchmark workloads at generator seed 1
     (`mst1-uniform`, `emd1-matched`, `emd2-matched`, at the CLI's eps and
-    seed), the estimate is rebuilt from `levels` bit for bit: MST sums
-    ell (mu + d / 2^i) over the levels with ell > 1.5, where each record's
-    mu is its mismatches over its ok samples, over alpha_i, capped; EMD
-    sums the median eta_i of each level, plus eps n d in one pass. Only
-    the summed MST levels are decoded, every sample of them once."""
+    seed), the estimate is rebuilt from the `levels` records, numbered 1 to
+    h, bit for bit: MST sums ell (mu + d / 2^i) over the levels with ell >
+    1.5, where each record's mu is its mismatches over its ok samples,
+    over alpha_i, capped; EMD sums the median eta_i of each level, plus
+    eps n d in one pass. Only the summed MST levels are decoded, every
+    sample of them once."""
     if kind == "mst":
         X = aggregate(gen_instance("uniform", 16, 16, seed=1).updates)["X"]
         sk = MstSketch(MstSketchConfig(len(X), X.d))
         for p, c in X.items():
             sk.update(p, c)
-        cfg, total = sk.cfg, 0.0
-        for i, (ell, stages, mismatches, mu) in enumerate(sk.levels(), start=1):
-            ok = int(stages[0])
-            assert stages.sum() == (cfg.samples if ell > 1.5 else 0) and mismatches <= ok
-            assert mu == (min(mismatches / ok / cfg.alpha(i), cfg.mu_cap(i)) if ok else None)
-            if ell > 1.5:
-                total += ell * (mu + cfg.d / 2.0**i)
+        cfg, total, levels = sk.cfg, 0.0, sk.levels()
+        for i, rec in enumerate(levels, start=1):
+            ok = int(rec.stages[0])
+            assert rec.stages.sum() == (cfg.samples if rec.ell > 1.5 else 0)
+            assert rec.mismatches <= ok
+            assert rec.mu == (min(rec.mismatches / ok / cfg.alpha(i), cfg.mu_cap(i))
+                              if ok else None)
+            if rec.ell > 1.5:
+                total += rec.ell * (rec.mu + cfg.d / 2.0**i)
     else:
         nets = aggregate(gen_instance("matched_noise", 256, 64, seed=1).updates)
         cfg = EmdSketchConfig(len(nets["A"]), 64)
@@ -241,10 +244,11 @@ def test_estimate_is_the_sum_of_its_levels(kind, want):
             sk.finalize_pass1()
             feed(sk.update_pass2)
         levels = sk.levels()
-        assert [len(etas) for etas in levels] == [cfg.level_reps] * sk.h
-        total = sum(float(np.median(etas)) for etas in levels)
+        assert [len(rec.terms) for rec in levels] == [cfg.level_reps] * sk.h
+        total = sum(float(np.median(rec.terms)) for rec in levels)
         if kind == "emd1":
             total += cfg.eps * cfg.n * cfg.d
+    assert [rec.level for rec in levels] == list(range(1, sk.h + 1))
     assert total.hex() == sk.estimate().hex() == want
 
 
@@ -440,7 +444,7 @@ def _replica_with_counts(counts, n=64, d=16, seed=0, **cfg_kw):
 
 def test_ls1_single_parent():
     rep, view = _replica_with_counts({(3, 1): (2, 0, 1)})
-    dec = rep.decoder(view)
+    dec = ls_cells(rep, view)
     assert dec.uu[dec.ls1()] == 3
 
 
@@ -452,7 +456,7 @@ def test_ls1_dominant_parent_with_unit_scalings():
         rep, view = _replica_with_counts(
             {(1, 10): (100, 0, 50), (2, 20): (1, 0, 1)}, seed=s, ls1_reps=6
         )
-        dec = rep.decoder(view, t_u=np.ones(2), t_v=np.ones(2))
+        dec = ls_cells(rep, view, t_u=np.ones(2), t_v=np.ones(2))
         wins += dec.uu[dec.ls1()] == 1
     assert wins >= 0.99 * trials, wins
 
@@ -461,7 +465,7 @@ def test_ls2_returns_child_of_given_parent():
     rep, view = _replica_with_counts(
         {(1, 10): (5, 0, 2), (1, 11): (1, 0, 1), (2, 20): (50, 0, 10)}
     )
-    dec = rep.decoder(view)
+    dec = ls_cells(rep, view)
     u_idx = int(np.nonzero(dec.uu == 1)[0][0])
     v_idx = dec.ls2(u_idx)
     assert dec.u_inv[v_idx] == u_idx
@@ -474,7 +478,7 @@ def test_ls2_recovers_dominant_child():
         rep, view = _replica_with_counts(
             {(1, 10): (100, 0, 40), (1, 11): (1, 0, 0)}, seed=s
         )
-        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
+        dec = ls_cells(rep, view, t_u=np.ones(1), t_v=np.ones(2))
         v_idx = dec.ls2(0)
         wins += (rep.vectors(view)[1][v_idx]) == 10
     assert wins >= 0.99 * trials, wins
@@ -486,14 +490,14 @@ def test_ls2_takes_the_first_of_equal_children():
     the per-decoder loop did."""
     for s in range(10):
         rep, view = _replica_with_counts({(1, 10): (5, 0, 2), (1, 11): (5, 0, 3)}, seed=s)
-        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
+        dec = ls_cells(rep, view, t_u=np.ones(1), t_v=np.ones(2))
         assert dec.ls2(0)[0] == 0
 
 
 def test_ls3_all_identical_points_gives_zero():
     # every point has chi = +1: q_u = q_v = 1 so p = 0
     rep, view = _replica_with_counts({(1, 10): (4, 4, 8)})
-    dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(1))
+    dec = ls_cells(rep, view, t_u=np.ones(1), t_v=np.ones(1))
     assert dec.ls3(0) == pytest.approx(0.0, abs=0.05)
 
 
@@ -506,7 +510,7 @@ def test_ls3_known_half_split():
             {(1, 10): (8, 0, 8), (1, 11): (8, 0, 0)}, seed=s,
             cs_buckets=512,
         )
-        dec = rep.decoder(view, t_u=np.ones(1), t_v=np.ones(2))
+        dec = ls_cells(rep, view, t_u=np.ones(1), t_v=np.ones(2))
         v_idx = int(np.nonzero(rep.vectors(view)[1] == 10)[0][0])
         vals.append(dec.ls3(v_idx))
     # tau at this config is coarse; the mean lands near 0.5
@@ -528,7 +532,7 @@ def test_ls3_clamps_to_unit_interval():
         if not counts:
             continue
         rep, view = _replica_with_counts(counts, seed=s)
-        dec = rep.decoder(view)
+        dec = ls_cells(rep, view)
         for v_idx in range(len(rep.vectors(view)[0])):
             assert 0.0 <= dec.ls3(v_idx) <= 1.0
 
@@ -634,15 +638,15 @@ def _read_bucket_entries(rep, sub, salt, hkeys, read) -> int:
 
 def test_ls2_and_ls3_hash_signs_only_in_read_buckets(monkeypatch):
     """On the deepest replica of matched_noise n=64 d=32, with every cell of
-    the default grid in one decoder, LS2 and LS3 hash the Count-Sketch signs
-    (`hashing.sign_pm1`) of exactly the entries whose bucket holds a read
-    key: LS2's the children of the cell's parent, LS3's the parent and the
-    node. A cell whose parent has one child makes no LS2 read and gets that
-    child."""
+    the default grid in one `_LsCells`, LS2 and LS3 hash the Count-Sketch
+    signs (`hashing.sign_pm1`) of exactly the entries whose bucket holds a
+    read key: LS2's the children of the cell's parent, LS3's the parent and
+    the node. A cell whose parent has one child makes no LS2 read and gets
+    that child."""
     rep, view = _instance_views(EmdSketchConfig(n=64, d=32))[-1]
     cfg = rep.cfg
     cells = np.indices((cfg.n_sets, cfg.n_inner, cfg.n_rounds, cfg.n_medreps)).reshape(4, -1).T
-    dec = rep.decoder(view, *cells.T)
+    dec = ls_cells(rep, view, *cells.T)
     u = dec.ls1()
     kids = np.bincount(dec.u_inv)[u]
     assert (kids == 1).any() and (kids > 1).any()
@@ -669,7 +673,7 @@ def test_ls2_and_ls3_hash_signs_only_in_read_buckets(monkeypatch):
     read, built = emd_sketch._cs_read, []
     monkeypatch.setattr(emd_sketch, "_cs_read", lambda *a: built.append(a) or read(*a))
     for c in (int(np.flatnonzero(kids == 1)[0]), int(np.flatnonzero(kids > 1)[0])):
-        one = rep.decoder(view, *cells[c])
+        one = ls_cells(rep, view, *cells[c])
         u_one = one.ls1()
         built[:] = []
         assert one.ls2(u_one).tolist() == [v[c]] and len(built) == (kids[c] > 1)

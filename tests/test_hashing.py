@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from geosketch import hashing as hx
 from geosketch.mst_sketch import _log_stable_draws
 
+from reference import cauchy
+
 
 def test_mix64_scalar_matches_array_without_warnings():
     """The splitmix64 finalizer, `extend(0, .)`, of scalar input is guarded
@@ -131,8 +133,9 @@ def test_extend_equals_a_python_int_splitmix_chain(chain):
 
 
 def test_variates_leave_their_words_unwritten():
-    """`uniform01`, `exp1` and `cauchy` map a copy of their words in place
-    (`exp1` takes its log on the uniforms' array): the words are as they
+    """`uniform01`, `exp1` and `cauchy` (of tests/reference.py, over
+    `hashing._cauchy_`) map a copy of their words in place (`exp1` takes
+    its log on the uniforms' array): the words are as they
     were, and the values are those of the formulas, `exp1`'s bit for bit,
     at an array and at a 0-d word."""
     h = np.random.default_rng(9).integers(0, 2**64, 1000, dtype=np.uint64)
@@ -143,6 +146,6 @@ def test_variates_leave_their_words_unwritten():
                                         + 2.0**-54, 1.0 - 2.0**-53))
     assert hx.exp1(h).tobytes() == (-np.log(hx.uniform01(h))).tobytes()
     assert float(hx.exp1(h[5])).hex() == float(-np.log(u[5])).hex()
-    assert np.array_equal(hx.cauchy(h), np.tan(np.pi * (u - 0.5)))
+    assert np.array_equal(cauchy(h), np.tan(np.pi * (u - 0.5)))
     assert np.array_equal(h, kept)
-    assert float(hx.cauchy(h[5])) == float(hx.cauchy(h)[5])
+    assert float(cauchy(h[5])) == float(cauchy(h)[5])

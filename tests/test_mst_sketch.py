@@ -22,7 +22,7 @@ from geosketch import (
 )
 from geosketch import hashing as hx
 from geosketch import emd_sketch, mst_sketch
-from geosketch.emd_sketch import replica_node_ids
+from geosketch.emd_sketch import SamplesFailed, replica_node_ids
 from geosketch.offline import LevelDecomposition
 from geosketch.sketches import stable_median
 from geosketch.mst_sketch import (
@@ -758,8 +758,9 @@ def test_outcomes_name_the_stage_each_sample_failed_at():
 
 
 def _records(sk):
-    """`levels` with each record's stages as a list, comparable with ==."""
-    return [(ell, stages.tolist(), m, mu) for ell, stages, m, mu in sk.levels()]
+    """`levels` as (ell, stages, mismatches, mu) tuples, each record's
+    stages as a list, comparable with ==."""
+    return [(rec.ell, rec.stages.tolist(), rec.mismatches, rec.mu) for rec in sk.levels()]
 
 
 def test_level_mu_identical_points_is_zero():
@@ -793,7 +794,7 @@ def test_level_mu_two_clusters_tracks_expectation():
     table = LevelDecomposition(tree, X).level_table()
     ell, mu_exact = table.ell[split - 1], table.mu[split - 1]
     assert ell == 2
-    mu_hat = sk.levels()[split - 1][3]
+    mu_hat = sk.levels()[split - 1].mu
     slack = d / 2**split + 6.0 / np.sqrt(64) / cfg.alpha(split)
     assert abs(mu_hat - mu_exact) <= slack, (mu_hat, mu_exact, slack)
 
@@ -802,7 +803,7 @@ def test_level_mu_clamped():
     cfg = small_cfg()
     X = random_multiset(8, 8, 17)
     sk = feed(MstSketch(cfg), X)
-    mus = [(i, mu) for i, (*_, mu) in enumerate(sk.levels(), start=1) if mu is not None]
+    mus = [(rec.level, rec.mu) for rec in sk.levels() if rec.mu is not None]
     assert mus
     for i, mu in mus:
         assert mu <= cfg.mu_cap(i) + 1e-9
@@ -819,6 +820,22 @@ def test_estimate_single_and_identical_points():
     X2 = PointMultiset(8)
     X2.add(pt([1] * 8), 8)
     assert feed(MstSketch(cfg), X2).estimate() == 0.0
+
+
+def test_a_level_without_an_ok_sample_is_a_record():
+    """On the stream and config of the CLI's
+    `test_mst_level_without_a_sample_exits_2` (uniform n=2 d=2 seed 1, one
+    sample per level), level 1's one sample fails at the child scan: its
+    record has no terms, and `estimate` raises SamplesFailed with the
+    message that the CLI prints."""
+    X = aggregate(gen_instance("uniform", 2, 2, seed=1).updates)["X"]
+    sk = feed(MstSketch(MstSketchConfig(n=2, d=2, samples=1)), X)
+    rec = sk.levels()[0]
+    assert (rec.level, rec.terms, rec.stages.tolist(), rec.mu) == (1, [], [0, 0, 1, 0], None)
+    with pytest.raises(SamplesFailed) as e:
+        sk.estimate()
+    assert str(e.value) == ("all samples failed at level 1 (samples = 1: 0 at parent recovery, "
+                            "1 at the child scan, 0 at the witnesses)")
 
 
 def test_estimate_empty_raises():
@@ -1023,7 +1040,7 @@ def test_l0_views_equal_fed_reference():
             seeds = [int(hx.combine(sk.cfg.seed, 0x10, i)[()]) for i in range(1, sk.h + 1)]
             want = [l0_estimate(dict_view(f, 2), seed, sk.cfg.l0_buckets)
                     for f, seed in zip(fed, seeds)]
-            assert [ell for ell, *_ in sk.levels()] == want
+            assert [rec.ell for rec in sk.levels()] == want
             assert [sk._l0(i, v) for i, v in enumerate(views, start=1)] == want
             zero_count_nodes += sum(
                 int((stack_of(sk.cfg, [first.seed], [points]).nx == 0).sum())

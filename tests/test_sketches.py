@@ -24,7 +24,7 @@ from geosketch.sketches import (
     _median,
 )
 
-from conftest import assert_view_is, counts_of, sampler_reads, split_view, view_of
+from conftest import assert_view_is, counts_of, sample, sampler_reads, split_view, view_of
 from reference import (
     FedL1Sampler, _stable_median_slow, cauchy_sums, count_sketch, dict_view, own_l1,
     sample_p_stable_array, tail_truncated_norms, tally,
@@ -401,14 +401,14 @@ def test_l1_sampler_one_hot():
     hits = 0
     for s in range(30):
         smp = L1Sampler(view_of(counts_of([(7, 3)])), seed=s)
-        if smp.sample(own_l1(smp.counts, s)) == (7,):
+        if sample(smp, own_l1(smp.counts, s)) == (7,):
             hits += 1
     assert hits >= 28  # never FAILs beyond gap-test noise
 
 
 def test_l1_sampler_single_tuple_key_always_sampled():
     smp = L1Sampler(dict_view(tally([((5, 9), 3), ((5, 9), -1)]), 2), seed=13)
-    assert smp.sample(own_l1(smp.counts, 13)) == (5, 9)
+    assert sample(smp, own_l1(smp.counts, 13)) == (5, 9)
 
 
 def test_l1_sampler_tuple_keys_distribution_tv():
@@ -421,7 +421,7 @@ def test_l1_sampler_tuple_keys_distribution_tv():
     x = dict_view(tally(zip(keys, discs)), 2)
     succ = 0
     for s in range(4000):
-        v = L1Sampler(x, seed=s).sample(own_l1(x, s))
+        v = sample(L1Sampler(x, seed=s), own_l1(x, s))
         if v is not FAIL:
             succ += 1
             counts[v] += 1
@@ -434,7 +434,7 @@ def test_l1_sampler_two_equal_entries():
     succ = 0
     x = view_of(counts_of([(0, 1), (1, 1)]))
     for s in range(3000):
-        out = L1Sampler(x, seed=s).sample(own_l1(x, s))
+        out = sample(L1Sampler(x, seed=s), own_l1(x, s))
         if out is not FAIL:
             succ += 1
             counts[out] += 1
@@ -448,7 +448,7 @@ def test_l1_sampler_dominant_entry():
     succ = 0
     x = view_of(counts_of([(0, 9), (1, 1)]))
     for s in range(2000):
-        out = L1Sampler(x, seed=s + 10_000).sample(own_l1(x, s + 10_000))
+        out = sample(L1Sampler(x, seed=s + 10_000), own_l1(x, s + 10_000))
         if out is not FAIL:
             succ += 1
             freq += out == (0,)
@@ -462,7 +462,7 @@ def test_l1_sampler_fail_rate():
     fails = 0
     trials = 1500
     for s in range(trials):
-        if L1Sampler(counts, seed=s + 50_000).sample(own_l1(counts, s + 50_000)) is FAIL:
+        if sample(L1Sampler(counts, seed=s + 50_000), own_l1(counts, s + 50_000)) is FAIL:
             fails += 1
     assert fails / trials <= 1 / 3 + 0.05, fails / trials
 
@@ -492,9 +492,9 @@ def test_l1_samplers_read_the_given_l1_and_pass1_draws_one_per_replica(monkeypat
         ref = FedL1Sampler.like(smp)
         for i, c in enumerate(x):
             ref.update((i,), c)
-        out = smp.sample(l1)
+        out = sample(smp, l1)
         assert out == ref.sample(l1)
-        assert smp.sample(1e6 * l1) is FAIL
+        assert sample(smp, 1e6 * l1) is FAIL
         fails += out is FAIL
     assert not calls and 0 < fails < 1500
     nets = aggregate(gen_instance("matched_noise", 16, 16, seed=1).updates)
@@ -523,7 +523,7 @@ def test_l1_samplers_read_the_given_l1_and_pass1_draws_one_per_replica(monkeypat
 @example(x={1: 1, 2: 3, 5: -2}, seeds=[4, 9, 11], rows=5, buckets=16, l1=0.0)  # Delta-hat 0
 def test_stacked_l1_samples_equal_one_seed_samples(x, seeds, rows, buckets, l1):
     """`l1_samples` over a seed axis gives each seed the outcome of the
-    one-seed `L1Sampler.sample(l1)` and of the reference (`FedL1Sampler`,
+    one-seed `sample(smp, l1)` and of the reference (`FedL1Sampler`,
     whose gap test takes `np.delete` and `max` after the first maximum):
     with no counts, one key (second largest 0), tied top estimates (one
     bucket and one row give every key the same magnitude) and l1 = 0 (no
@@ -537,7 +537,7 @@ def test_stacked_l1_samples_equal_one_seed_samples(x, seeds, rows, buckets, l1):
         for k, v in x.items():
             ref.update((k,), v)
         want = ref.sample(l1)
-        assert smp.sample(l1) == want == (FAIL if i < 0 else tuple(view.keys[i].tolist()))
+        assert sample(smp, l1) == want == (FAIL if i < 0 else tuple(view.keys[i].tolist()))
 
 
 # -- l0 -----------------------------------------------------------------------------
@@ -581,7 +581,7 @@ _SKETCH_READS = [
     lambda c: cauchy_l1(c, 32, seed=8),
     lambda c: _l0_occupancy(8, 64, c.keys).tobytes(),
     lambda c: l0_estimate(c, 8, 64),
-    lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).sample(own_l1(c, 8)),
+    lambda c: sample(L1Sampler(c, seed=8, rows=3, buckets=16), own_l1(c, 8)),
     lambda c: L1Sampler(c, seed=8, rows=3, buckets=16).state_bytes(),
 ]
 
@@ -623,7 +623,7 @@ def test_l1_sampler_views_equal_fed_reference(stream):
         assert np.array_equal(sampler_reads(smp), fed.table())
         assert l1 == own_l1(dict_view(fed.x, 1), 8)
         assert_view_is(smp.counts, fed.x)
-        assert smp.sample(l1) == fed.sample(l1)
+        assert sample(smp, l1) == fed.sample(l1)
 
 
 def test_key_hashes_match_per_key_combine():
