@@ -505,18 +505,20 @@ class LevelRecord:
 
 class _TreeSketch:
     """What the EMD and MST estimators share: one random quadtree of depth h,
-    the seeds of the replicas of each level (`seeds[i - 1]`, a uint64 array),
-    the one count store, `counts`, and `estimate`, the sum of the medians of
-    the terms of the `LevelRecord` of each level (`levels`). A sketch is a pure
-    function of its config: the tree and every seed are drawn from `cfg.seed`,
-    and each replica's character sets are drawn from its seed when it is read.
+    the seeds of the replicas of each level (`seeds[i - 1]`, row i - 1 of an
+    (h, replicas) uint64 array), the one count store, `counts`, and
+    `estimate`, the sum of the medians of the terms of the `LevelRecord` of
+    each level (`levels`). A sketch is a pure function of its config: the
+    tree and every seed are drawn from `cfg.seed`, and each replica's
+    character sets are drawn from its seed when it is read.
 
     The one-store rule: the sketch keeps one `SparseCounts` keyed by the
     packed point, plus seeds (a two-pass EMD sketch keeps a second one for
-    pass 2); an update adds one row to it and writes nothing else. That
-    store is the aggregated input, the smallest exact state, not the
-    paper's polylog-size sketch (a bounded mode is in the ROADMAP item on
-    the space claim). A read sorts the store and fingerprints the tree
+    pass 2); an update adds its int delta to one column of it
+    (`SparseCounts.add_to`) and writes nothing else. That store is the
+    aggregated input, the smallest exact state, not the paper's
+    polylog-size sketch (a bounded mode is in the ROADMAP item on the
+    space claim). A read sorts the store and fingerprints the tree
     path of its points once (`_read`), and every replica reads a view built
     from that (`views`); every sketch is a function of its view, so states
     merge and replay bit for bit. `merge` adds the store of a sketch of the
@@ -525,12 +527,13 @@ class _TreeSketch:
 
     def __init__(self, cfg, salt: int, count: int, width: int):
         """`count` replicas per level i, of seeds combine(cfg.seed, salt, i,
-        r) drawn in one hash call, and a store of `width` counts per point."""
+        r), all levels' drawn in one (h, count) hash call, and a store of
+        `width` counts per point."""
         self.cfg = cfg
         self.tree = QuadtreeSpec(cfg.d, int(hx.combine(cfg.seed, 0x7EEE)[()]))
         self.h = self.tree.h
-        r = np.arange(count, dtype=U64)
-        self.seeds = [hx.combine(cfg.seed, salt, i, r) for i in range(1, self.h + 1)]
+        i = np.arange(1, self.h + 1, dtype=U64)[:, None]
+        self.seeds = hx.combine(cfg.seed, salt, i, np.arange(count, dtype=U64))
         self.counts = SparseCounts(width)
 
     def _read(self, counts: SparseCounts) -> tuple:
@@ -600,8 +603,8 @@ class _EmdSketchBase(_TreeSketch):
             raise ValueError(f"label must be 'A' or 'B', got {label!r}")
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
-        delta = operator.index(delta)  # an int: a float or str raises TypeError
-        store.add(point.value, (delta, 0) if label == "A" else (0, delta))
+        # an int delta (a float or str raises TypeError) to column 0 (A) or 1 (B)
+        store.add_to(label == "B", point.value, operator.index(delta))
 
     def _read_levels(self, counts: SparseCounts, fn) -> List[LevelRecord]:
         """Per level, a record of fn(replica, view) of its replicas, each view

@@ -527,7 +527,7 @@ class MstSketch(_TreeSketch):
     def update(self, point: HypercubePoint, delta: int = 1) -> None:
         if point.d != self.cfg.d:
             raise ValueError(f"point dimension {point.d} does not match config d={self.cfg.d}")
-        self.counts.add(point.value, operator.index(delta))
+        self.counts.add_to(0, point.value, operator.index(delta))
 
     def _sets_and_keys(self, seeds: np.ndarray, values) -> tuple:
         """The (samples, 1) seeds of the one character set of a sample,

@@ -37,19 +37,20 @@ class QuadtreeSpec:
         self.h = (2 * d).bit_length() - 1  # log2(2d)
         self.seed = seed
         # levels[j] holds the 2^j coordinates queried by depth-j nodes,
-        # j = 0 .. h-2; the depth-(h-1) label (1..d) is implicit.
-        self.levels: List[np.ndarray] = []
-        for j in range(self.h - 1):
-            idx = np.arange(2**j, dtype=np.uint64)
-            self.levels.append(bucket(combine(seed, _LEVEL_SALT, j, idx), d))
-        all_coords = (
-            np.concatenate(self.levels) if self.levels else np.zeros(0, dtype=np.int64)
-        )
+        # j = 0 .. h-2; the depth-(h-1) label (1..d) is implicit. Index k of
+        # depth j is bucket(combine(seed, salt, j, k), d), every (depth,
+        # index) pair hashed in one combine, in depth order.
+        depth = np.repeat(np.arange(self.h - 1), 1 << np.arange(self.h - 1))  # d - 1 pairs
+        index = np.arange(len(depth)) - (1 << depth) + 1
+        all_coords = bucket(combine(seed, _LEVEL_SALT, depth, index), d)
+        self.levels: List[np.ndarray] = [
+            all_coords[(1 << j) - 1:(2 << j) - 1] for j in range(self.h - 1)
+        ]
         # prefix of coordinates determining the node at each depth
         self._coords_at = [all_coords[: (1 << i) - 1] for i in range(self.h)]
         self._coords_at.append(np.concatenate([all_coords, np.arange(d)]))
-        self._key_a = int(combine(seed, _FP_SALT_A)[()])
-        self._key_b = int(combine(seed, _FP_SALT_B)[()])
+        # the two fingerprint keys, combine(seed, salt) of each salt, in one call
+        self._key_a, self._key_b = combine(seed, np.array([_FP_SALT_A, _FP_SALT_B], U64)).tolist()
 
     def node_fingerprints(self, X: np.ndarray, depth: int) -> np.ndarray:
         """Fingerprints of the depth-`depth` nodes of the rows of X.

@@ -1,12 +1,14 @@
 """Linear sketches as functions of the counts they read.
 
 State discipline: there is one count store, `SparseCounts`, the ingest
-store. It maps a packed point (a nonnegative int) to a fixed-width row of
-Python ints (a tuple, checked against the int64 range at every `add`, so an
-update makes no numpy call) and drops a row once it is all zero. An
-estimator keeps its state in one such store, plus seeds. That store is the
-aggregated input, the smallest exact state, not the paper's polylog-size
-sketch (a bounded mode is in the ROADMAP item on the space claim).
+store. It keeps one dict of Python ints per column, packed point (a
+nonnegative int) -> nonzero count, and drops a point from a column whose
+count sums to zero. An update adds an int to one column: one dict read,
+one int add, one int64 range check and one dict write or pop, with no
+numpy call and no row allocated. An estimator keeps its state in one such
+store, plus seeds. That store is the aggregated input, the smallest exact
+state, not the paper's polylog-size sketch (a bounded mode is in the
+ROADMAP item on the space claim).
 
 Everything that reads counts reads a view, not a second store: a
 `CountView` holds (n, k) uint64 key words in canonical (lexicographic)
@@ -47,6 +49,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -102,11 +105,12 @@ def _hash_keys(prefix: tuple, keys: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
-def _bad_row(key: int, row: tuple) -> Exception:
-    """The error for a row that its store's int64 check rejected."""
-    if all(isinstance(v, (int, np.integer)) for v in row):
-        return OverflowError(f"count row {list(row)} of key {key!r} leaves the int64 range")
-    return TypeError(f"count row {list(row)} of key {key!r} is not integer")
+_I64_MIN, _I64_MAX, _U64_MAX = -(1 << 63), (1 << 63) - 1, (1 << 64) - 1
+
+
+def _overflow(key: int, row: List[int]) -> OverflowError:
+    """The error for a count row that leaves the int64 range."""
+    return OverflowError(f"count row {row} of key {key!r} leaves the int64 range")
 
 
 def _encode_counts(width: int, words: Sequence[Sequence[int]], rows: np.ndarray) -> bytes:
@@ -169,63 +173,93 @@ class CountView:
 
 class SparseCounts:
     """Exact sparse counts: packed point (a nonnegative int) -> a row of
-    `width` Python ints (a tuple), the ingest store of the package. A row is
-    dropped once it is all zero, so a store depends on the net vector only,
-    not on the order of the updates; `sorted` and `to_bytes` list the rows
-    in the canonical key order (by `hashing.int_words`) as an int64 matrix.
-    Every entry stays in the int64 range: `add` and `merge` check each sum
-    before they write it. An update makes no numpy call."""
+    `width` Python ints, the ingest store of the package. It keeps one dict
+    per column, key -> nonzero count, and drops a key from a column whose
+    count sums to zero, so a store depends on the net vector only, not on
+    the order of the updates; `sorted` and `to_bytes` list the keys with a
+    nonzero count in some column in the canonical key order (by
+    `hashing.int_words`), with their rows as an int64 matrix. Every entry
+    stays in the int64 range: `add_to`, `add` and `merge` check each sum
+    before they write it. An update (`add_to`) makes no numpy call and
+    allocates no row."""
 
-    __slots__ = ("width", "rows", "_check")
+    __slots__ = ("width", "cols")
 
     def __init__(self, width: int = 1):
         self.width = width
-        self.rows: Dict[int, Tuple[int, ...]] = {}
-        self._check = struct.Struct(f"<{width}q").pack  # struct.error outside int64
+        self.cols: Tuple[Dict[int, int], ...] = tuple({} for _ in range(width))
+
+    def add_to(self, col: int, key: int, delta: int) -> None:
+        """Add the int delta to column col of key's row: one dict read, one
+        int add, one int64 range comparison, and one dict write, or a pop at
+        a zero sum. If the sum leaves the int64 range, raise OverflowError
+        naming the key and change nothing."""
+        c = self.cols[col]
+        v = c.get(key, 0) + delta
+        if not v:
+            c.pop(key, None)
+        elif _I64_MIN <= v <= _I64_MAX:
+            c[key] = v
+        else:
+            row = [other.get(key, 0) for other in self.cols]
+            row[col] = v
+            raise _overflow(key, row)
 
     def add(self, key: int, delta) -> None:
-        """Add delta to key's row: a tuple of `width` ints, or an int added
-        to every column (any other delta raises ValueError, and a tuple
-        entry that is not an integer TypeError). If an entry of the sum
-        leaves the int64 range, raise OverflowError naming the key and
+        """Add delta to key's row: a tuple of `width` integers, or an int
+        added to every column (any other delta raises ValueError, and a
+        tuple entry that is not an integer TypeError). If an entry of the
+        sum leaves the int64 range, raise OverflowError naming the key and
         change nothing."""
         if type(delta) is not tuple or len(delta) != self.width:
             if type(delta) is not int:
                 raise ValueError(f"a count delta must be an int or a tuple of {self.width} "
                                  f"ints, got {delta!r}")
             delta = (delta,) * self.width
-        row = self.rows.get(key)
-        new = delta if row is None else tuple(map(operator.add, row, delta))
-        if not any(new):
-            self.rows.pop(key, None)
-            return
         try:
-            self._check(*new)
-        except struct.error:
-            raise _bad_row(key, new) from None
-        self.rows[key] = new
+            new = [c.get(key, 0) + operator.index(v) for c, v in zip(self.cols, delta)]
+        except TypeError:
+            raise TypeError(f"count row {list(delta)} of key {key!r} is not integer") from None
+        if not all(_I64_MIN <= v <= _I64_MAX for v in new):
+            raise _overflow(key, new)
+        for c, v in zip(self.cols, new):
+            if v:
+                c[key] = v
+            else:
+                c.pop(key, None)
 
     def merge(self, other: "SparseCounts") -> None:
         """Add another store of the same width; an OverflowError leaves
         this store unchanged."""
         if other.width != self.width:
             raise ValueError("cannot merge count stores of different width")
-        before = dict(self.rows)  # the rows are tuples: a shallow copy restores
+        before = tuple(map(dict, self.cols))  # the counts are ints: shallow copies restore
         try:
-            for k, delta in other.rows.items():
-                self.add(k, delta)
+            for col, counts in enumerate(other.cols):
+                for k, delta in counts.items():
+                    self.add_to(col, k, delta)
         except OverflowError:
-            self.rows = before
+            self.cols = before
             raise
+
+    def _keys(self):
+        """The keys with a nonzero count in some column."""
+        return self.cols[0].keys() | set().union(*self.cols[1:])
 
     def total(self) -> Tuple[int, ...]:
         """The column sums of the rows."""
-        return tuple(map(sum, zip(*self.rows.values()))) or (0,) * self.width
+        return tuple(sum(c.values()) for c in self.cols)
 
     def sorted(self) -> Tuple[List[int], np.ndarray]:
-        """Keys in canonical order and their (len, width) int64 rows."""
-        keys = sorted(self.rows, key=hx.int_words)
-        return keys, np.array([self.rows[k] for k in keys], dtype=np.int64).reshape(-1, self.width)
+        """Keys in canonical order and their (len, width) int64 rows. Keys
+        below 2^64 are one word each, so their canonical order is the
+        order of the ints, which sorts without a key function."""
+        keys = self._keys()
+        keys = sorted(keys) if max(keys, default=0) <= _U64_MAX else sorted(keys, key=hx.int_words)
+        rows = np.empty((len(keys), self.width), dtype=np.int64)
+        for j, c in enumerate(self.cols):
+            rows[:, j] = np.fromiter(map(c.get, keys, repeat(0)), np.int64, len(keys))
+        return keys, rows
 
     def to_bytes(self) -> bytes:
         """Width, row count, then each (key words, int64 row) in canonical
@@ -234,7 +268,7 @@ class SparseCounts:
         return _encode_counts(self.width, [hx.int_words(k) for k in keys], rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._keys())
 
 
 _STATE_MAGIC = b"GSKS"

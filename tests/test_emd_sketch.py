@@ -112,7 +112,8 @@ def test_sketch_is_a_function_of_its_config(cls, monkeypatch):
     r. An EMD sketch builds one replica per seed, holding its config, level
     and seed, its two-pass state (empty before pass 1) and no character
     set; an MST sketch keeps no replica objects. Construction hashes once
-    for the tree and once per level, whatever the number of replicas."""
+    for the tree and once for the seeds of all levels, whatever the depth
+    and the number of replicas."""
     assert list(inspect.signature(cls).parameters) == ["cfg"]
     emd = cls is not MstSketch
     salt, state = 0x33, set()
@@ -121,12 +122,12 @@ def test_sketch_is_a_function_of_its_config(cls, monkeypatch):
     calls = []
     combine = hx.combine
     monkeypatch.setattr(hx, "combine", lambda *a: calls.append(a) or combine(*a))
-    for count in (1, 5):
+    for d, count in ((16, 1), (16, 5), (64, 3)):
         calls.clear()
-        cfg = (EmdSketchConfig(n=16, d=16, seed=3, level_reps=count) if emd
-               else MstSketchConfig(n=16, d=16, seed=3, samples=count))
+        cfg = (EmdSketchConfig(n=16, d=d, seed=3, level_reps=count) if emd
+               else MstSketchConfig(n=16, d=d, seed=3, samples=count))
         sk = cls(cfg)
-        assert len(calls) == sk.h + 1
+        assert len(calls) == 2
         for i, seeds in enumerate(sk.seeds, start=1):
             assert seeds.dtype == np.uint64
             assert seeds.tolist() == [int(combine(3, salt, i, r)[()]) for r in range(count)]
@@ -890,6 +891,59 @@ def test_update_takes_only_integer_deltas(method):
     for same in ([np.int64(2), True], [np.int32(2), np.uint8(1)]):
         twin, _, twin_store = fed(same)
         assert (twin_store.to_bytes(), twin.state_bytes()) == before
+
+
+_UPDATE_VALUES = [0, 1, 0x81, 0xFF]  # packed points of d = 8
+
+
+def _fed_store(method: str):
+    """A fresh sketch of `method`, its update (point value, label, delta)
+    and the store it feeds (pass 2 after an empty pass 1)."""
+    if method == "mst update":
+        sk = MstSketch(MstSketchConfig(n=4, d=8, samples=2))
+        return sk, lambda v, label, c: sk.update(HypercubePoint(8, v), c), sk.counts
+    sk = (EmdOnePassSketch if method == "emd update" else EmdTwoPassSketch)(
+        EmdSketchConfig(n=4, d=8, level_reps=2))
+    if method == "emd update":
+        return sk, lambda v, label, c: sk.update(HypercubePoint(8, v), label, c), sk.counts
+    sk.finalize_pass1()
+    return sk, lambda v, label, c: sk.update_pass2(HypercubePoint(8, v), label, c), sk.pass2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["emd update", "emd update_pass2", "mst update"]),
+       st.lists(st.tuples(st.sampled_from(_UPDATE_VALUES), st.sampled_from("AB"),
+                          st.one_of(st.integers(-3, 3), st.sampled_from([2**40, -(2**40)]))),
+                max_size=30))
+@example("emd update", [(1, "A", 2), (1, "B", 2), (1, "A", -2), (0x81, "B", 1), (0x81, "B", -1)])
+def test_updates_equal_a_store_of_the_net_rows(method, ups):
+    """Signed updates (repeated keys, deltas beyond +-1, sums that cancel
+    to zero, both labels) leave the store that `SparseCounts.add` of the
+    net rows builds: the same state bytes, and for pass 2 the same store
+    bytes. Their negations, fed in reverse, empty it. An update whose sum
+    leaves the int64 range raises OverflowError naming its key and changes
+    neither."""
+    sk, up, store = _fed_store(method)
+    width = store.width
+    net = {}
+    for v, label, c in ups:
+        up(v, label, c)
+        row = net.setdefault(v, [0] * width)
+        row[label == "B" if width == 2 else 0] += c
+    twin, _, twin_store = _fed_store(method)
+    for v, row in net.items():
+        twin_store.add(v, tuple(row))
+    assert (store.to_bytes(), sk.state_bytes()) == (twin_store.to_bytes(), twin.state_bytes())
+    before = store.to_bytes(), sk.state_bytes()
+    for v in (_UPDATE_VALUES[0], _UPDATE_VALUES[-1]):
+        now = net.get(v, [0] * width)[0]
+        for c in (2**63 - now, -(2**63) - 1 - now):
+            with pytest.raises(OverflowError, match=f"of key {v} leaves"):
+                up(v, "A", c)
+            assert (store.to_bytes(), sk.state_bytes()) == before
+    for v, label, c in reversed(ups):
+        up(v, label, -c)
+    assert len(store) == 0 and store.total() == (0,) * width
 
 
 def test_merge_rejects_another_config():

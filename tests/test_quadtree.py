@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from geosketch import HypercubePoint, QuadtreeSpec
+from geosketch import quadtree
+from geosketch.hashing import bucket, combine
 from geosketch.points import points_to_matrix
 
 from conftest import random_multiset
@@ -28,6 +30,28 @@ def test_determinism_and_serde():
     assert all(np.array_equal(a, b) for a, b in zip(t1.levels, t2.levels))
     X = np.stack([HypercubePoint(16, v).bits() for v in range(0, 2**16, 997)])
     assert np.array_equal(t1.node_path(X), t2.node_path(X))
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 1024])
+def test_tree_draws_equal_the_per_depth_formula(d):
+    """The coordinates and fingerprint keys that a tree draws in one hash
+    call each are those of the per-depth formula: depth j's tuple is
+    bucket(combine(seed, salt, j, k), d) for k < 2^j, a depth's node
+    reads the tuples of the depths above it (the leaves every coordinate
+    as well), and each fingerprint key is combine(seed, salt) of its own
+    salt. At d = 1 no depth is sampled."""
+    seed = 2**64 - 3
+    t = QuadtreeSpec(d, seed)
+    want = [bucket(combine(seed, quadtree._LEVEL_SALT, j, np.arange(2**j, dtype=np.uint64)), d)
+            for j in range(t.h - 1)]
+    assert len(t.levels) == len(want) == (0 if d == 1 else t.h - 1)
+    for got, w in zip(t.levels, want):
+        assert got.dtype == np.int64 and got.tolist() == w.tolist()
+    above = [np.concatenate([np.zeros(0, np.int64), *want[:i]]) for i in range(t.h)]
+    above.append(np.concatenate([above[-1], np.arange(d)]))
+    assert [c.tolist() for c in t._coords_at] == [c.tolist() for c in above]
+    assert (t._key_a, t._key_b) == tuple(
+        int(combine(seed, salt)[()]) for salt in (quadtree._FP_SALT_A, quadtree._FP_SALT_B))
 
 
 def test_level_sizes():
